@@ -8,7 +8,6 @@ module Gen = Bi_core.Gen
 module Contract = Bi_core.Contract
 module E = Bi_core.Explore
 module Nr = Bi_nr.Nr
-module Seq_ds = Bi_nr.Seq_ds
 module Pkt = Bi_net.Pkt
 module Iov = Bi_net.Pkt.Iov
 module Eth = Bi_net.Eth
@@ -25,32 +24,7 @@ module P = Protocol
 (* A counter with a non-commutative op pair: Incr then Double differs
    from Double then Incr, so any reordering inside a batch is visible in
    both the responses and the final value. *)
-module Cnt = struct
-  type t = int ref
-  type op = Incr | Double | Read
-  type ret = int
-
-  let create () = ref 0
-
-  let apply t = function
-    | Incr ->
-        incr t;
-        !t
-    | Double ->
-        t := !t * 2;
-        !t
-    | Read -> !t
-
-  include Seq_ds.Batch_of_apply (struct
-    type nonrec t = t
-    type nonrec op = op
-    type nonrec ret = ret
-
-    let apply = apply
-  end)
-
-  let is_read_only = function Read -> true | Incr | Double -> false
-end
+module Cnt = Bi_nr.Counter
 
 module N = Nr.Make (Cnt)
 
@@ -165,27 +139,7 @@ let vc_combines_bounded_under_contention =
       && N.peek nr ~replica:0 (fun d -> !d) = 100
       && N.peek nr ~replica:1 (fun d -> !d) = 100)
 
-module Cnt_pure = struct
-  type state = int
-  type op = Cnt.op
-  type ret = int
-
-  let step st = function
-    | Cnt.Incr -> (st + 1, st + 1)
-    | Cnt.Double -> (st * 2, st * 2)
-    | Cnt.Read -> (st, st)
-
-  let equal_ret = Int.equal
-
-  let pp_op ppf = function
-    | Cnt.Incr -> Format.pp_print_string ppf "incr"
-    | Cnt.Double -> Format.pp_print_string ppf "double"
-    | Cnt.Read -> Format.pp_print_string ppf "read"
-
-  let pp_ret = Format.pp_print_int
-end
-
-module Lin = Bi_core.Linearizability.Make (Cnt_pure)
+module Lin = Cnt.Lin
 
 (* Batched replay must stay linearizable under real concurrency, not
    just equivalent on single-domain schedules. *)
@@ -193,28 +147,13 @@ let linearizability_vc seed =
   let id = Printf.sprintf "hp/nr/batched-linearizable/%02d" seed in
   Vc.prop ~id ~category:"hp/nr" (fun () ->
       let nr = N.create ~replicas:2 ~threads_per_replica:2 () in
-      let clock = Atomic.make 0 in
-      let events = Array.make 2 [] in
-      let worker idx thread () =
-        let local = ref [] in
-        for i = 0 to 29 do
-          let op =
-            if i mod 5 = 4 then Cnt.Read
-            else if (i + seed) mod 7 = 3 then Cnt.Double
-            else Cnt.Incr
-          in
-          let inv = Atomic.fetch_and_add clock 1 in
-          let ret = N.execute nr ~thread op in
-          let res = Atomic.fetch_and_add clock 1 in
-          local := { Lin.proc = thread; op; ret; inv; res } :: !local
-        done;
-        events.(idx) <- !local
+      let op i =
+        if i mod 5 = 4 then Cnt.Read
+        else if (i + seed) mod 7 = 3 then Cnt.Double
+        else Cnt.Incr
       in
-      let d1 = Domain.spawn (worker 0 0) in
-      let d2 = Domain.spawn (worker 1 2) in
-      Domain.join d1;
-      Domain.join d2;
-      Lin.check ~init:0 (events.(0) @ events.(1)))
+      let history = Cnt.two_domain_history ~calls:30 ~op (N.execute nr) in
+      Lin.check ~init:0 history)
 
 (* Erasing the contracts must not change a single response. *)
 let vc_nr_checked_eq_erased =

@@ -55,6 +55,11 @@ let pp_txn ppf { client; seq } = Format.fprintf ppf "%d.%d" client seq
    touching state (see {!Node_core.Queued}), so resending the same bytes
    under the same txn after backoff is safe and eventually succeeds once
    the queue drains. *)
+let strip_txn = function
+  | Put p -> Put { p with txn = None }
+  | Delete d -> Delete { d with txn = None }
+  | req -> req
+
 let retryable = function
   | Bad_crc | Overloaded -> true
   | Bad_key | Too_large | No_crc | Integrity | Read_only | Wrong_shard _

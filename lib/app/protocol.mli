@@ -67,6 +67,10 @@ val pp_err : Format.formatter -> err -> unit
 val pp_health : Format.formatter -> health -> unit
 val pp_txn : Format.formatter -> txn -> unit
 
+val strip_txn : req -> req
+(** The request without its txn id: a retry of it is a fresh mutation.
+    The mutation self-checks use it to show exactly-once needs the id. *)
+
 val retryable : err -> bool
 (** [true] for errors a client may safely retry ([Bad_crc]: the wire, not
     the request, was at fault; [Overloaded]: the node shed the request

@@ -58,21 +58,7 @@ let synced_names t =
 
 let failovers t = t.failovers
 
-let stats t =
-  Array.fold_left
-    (fun (acc : RC.stats) r ->
-      let s = RC.stats r.rc in
-      {
-        RC.ops = acc.RC.ops + s.RC.ops;
-        attempts = acc.attempts + s.attempts;
-        retries = acc.retries + s.retries;
-        breaker_opens = acc.breaker_opens + s.breaker_opens;
-        breaker_closes = acc.breaker_closes + s.breaker_closes;
-        sheds = acc.sheds + s.sheds;
-      })
-    { RC.ops = 0; attempts = 0; retries = 0; breaker_opens = 0;
-      breaker_closes = 0; sheds = 0 }
-    t.replicas
+let stats t = RC.total_stats (Array.map (fun r -> r.rc) t.replicas)
 
 (* An error after which the replica's applied state is unknown: the
    mutation may or may not have landed (ack lost, deadline mid-flight).

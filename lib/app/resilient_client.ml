@@ -124,6 +124,22 @@ let stats t =
     sheds = t.s_sheds;
   }
 
+let total_stats clients =
+  Array.fold_left
+    (fun acc c ->
+      let s = stats c in
+      {
+        ops = acc.ops + s.ops;
+        attempts = acc.attempts + s.attempts;
+        retries = acc.retries + s.retries;
+        breaker_opens = acc.breaker_opens + s.breaker_opens;
+        breaker_closes = acc.breaker_closes + s.breaker_closes;
+        sheds = acc.sheds + s.sheds;
+      })
+    { ops = 0; attempts = 0; retries = 0; breaker_opens = 0;
+      breaker_closes = 0; sheds = 0 }
+    clients
+
 (* Breaker admission.  Half-open admits exactly one probe: a second call
    arriving while the probe is in flight is rejected, not queued. *)
 let admit t =

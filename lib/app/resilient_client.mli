@@ -100,3 +100,6 @@ type stats = {
 }
 
 val stats : t -> stats
+
+val total_stats : t array -> stats
+(** Field-wise sum over several clients. *)

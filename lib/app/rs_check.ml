@@ -1,253 +1,17 @@
 module P = Protocol
 module RC = Resilient_client
 module FP = Bi_fault.Fault_plan
-module FL = Bi_fault.Faulty_link
 module Vc = Bi_core.Vc
+module Vtime = Bi_core.Vtime
+module World = Sim_world
+module KV = Store_spec
 
-(* ================================================================== *)
-(* Virtual-time fiber scheduler                                        *)
-(*                                                                     *)
-(* Client fibers perform [Sleep] effects; the scheduler resumes them   *)
-(* in deterministic (time, spawn-order) order and advances the world   *)
-(* one round at a time between quiescent points.  Virtual time is the  *)
-(* only clock anywhere in the suite, so runs are replayable.           *)
+(* Client fibers run on the {!Vtime} scheduler against journaled nodes of
+   the {!Sim_world}; virtual time is the only clock anywhere in the
+   suite, so runs are replayable.  Histories are checked against the one
+   key-value specification, {!Store_spec}. *)
 
-module Sim = struct
-  type _ Effect.t += Sleep : int -> unit Effect.t
-
-  let sleep n = Effect.perform (Sleep n)
-
-  type entry = { wake : int; seq : int; resume : unit -> unit }
-  type sched = { mutable now : int; mutable queue : entry list;
-                 mutable seqno : int }
-
-  let make () = { now = 0; queue = []; seqno = 0 }
-
-  let enqueue s wake resume =
-    s.seqno <- s.seqno + 1;
-    let e = { wake; seq = s.seqno; resume } in
-    let rec ins = function
-      | [] -> [ e ]
-      | hd :: tl ->
-          if (e.wake, e.seq) < (hd.wake, hd.seq) then e :: hd :: tl
-          else hd :: ins tl
-    in
-    s.queue <- ins s.queue
-
-  let spawn s fiber =
-    let run () =
-      Effect.Deep.match_with fiber ()
-        {
-          retc = (fun () -> ());
-          exnc = raise;
-          effc =
-            (fun (type b) (eff : b Effect.t) ->
-              match eff with
-              | Sleep n ->
-                  Some
-                    (fun (k : (b, unit) Effect.Deep.continuation) ->
-                      enqueue s (s.now + max 1 n) (fun () ->
-                          Effect.Deep.continue k ()))
-              | _ -> None);
-        }
-    in
-    enqueue s s.now run
-
-  let run ?(max_rounds = 100_000) ~tick s =
-    let rec loop () =
-      match s.queue with
-      | [] -> s.now
-      | e :: rest when e.wake <= s.now ->
-          s.queue <- rest;
-          e.resume ();
-          loop ()
-      | _ ->
-          if s.now >= max_rounds then failwith "sim: round bound exceeded";
-          s.now <- s.now + 1;
-          tick ();
-          loop ()
-    in
-    loop ()
-end
-
-(* ================================================================== *)
-(* The simulated world: nodes behind faulty request/response channels  *)
-(*                                                                     *)
-(* Wire format: 4-byte request id, 4-byte CRC-32 over the whole frame  *)
-(* (the Ethernet-FCS role: any corruption anywhere in the frame makes  *)
-(* the frame undecodable and it is dropped, to be repaired by retry),  *)
-(* then the protocol body.                                             *)
-
-module World = struct
-  type node = {
-    name : string;
-    store : Node_core.store;
-    journal : Journal.t;
-        (** mem_sink-backed; the sink's buffer outlives the core, so a
-            restart can rebuild the duplicate table from it. *)
-    mutable core : Node_core.t;
-    mutable up : bool;
-    mutable node_epoch : int;
-    mutable last_recovery : Node_core.recovery;
-    req_ch : FL.channel;
-    resp_ch : FL.channel;
-  }
-
-  type t = {
-    sched : Sim.sched;
-    nodes : node array;
-    pending : (int, P.resp option ref) Hashtbl.t;
-    mutable next_id : int;
-  }
-
-  let fresh_pool () = Bi_ulib.Ualloc.Pool.create ~size:65536 ()
-
-  let node ~name ?store ~req_plan ~resp_plan () =
-    let store =
-      match store with Some s -> s | None -> Node_core.mem_store ()
-    in
-    let journal = Journal.create (fst (Journal.mem_sink ())) in
-    {
-      name;
-      store;
-      journal;
-      core = Node_core.create ~pool:(fresh_pool ()) ~epoch:0 ~journal store;
-      up = true;
-      node_epoch = 0;
-      last_recovery = Node_core.no_recovery;
-      req_ch = FL.channel req_plan;
-      resp_ch = FL.channel resp_plan;
-    }
-
-  let create sched nodes =
-    {
-      sched;
-      nodes = Array.of_list nodes;
-      pending = Hashtbl.create 64;
-      next_id = 1;
-    }
-
-  let crash t i = t.nodes.(i).up <- false
-
-  (* Store and journal are durable across a crash; the in-memory
-     duplicate table and degraded latch are rebuilt from the journal by
-     [recover], so exactly-once survives the restart.  The epoch still
-     moves: replicas must re-fence and resync regardless, because the
-     node missed every write acked while it was down. *)
-  let restart t i =
-    let n = t.nodes.(i) in
-    n.node_epoch <- n.node_epoch + 1;
-    n.core <-
-      Node_core.create ~pool:(fresh_pool ()) ~epoch:n.node_epoch
-        ~journal:n.journal n.store;
-    n.last_recovery <- Node_core.recover n.core;
-    n.up <- true
-
-  let tick t =
-    Array.iter
-      (fun n ->
-        let reqs = FL.step n.req_ch in
-        if n.up then
-          List.iter
-            (fun frame ->
-              match Node_core.handle_frame n.core frame with
-              | None -> ()
-              | Some resp_frame -> FL.send n.resp_ch resp_frame)
-            reqs;
-        List.iter
-          (fun frame ->
-            match P.unseal frame with
-            | None -> ()
-            | Some (id, body) -> (
-                match P.decode_resp body ~off:0 with
-                | None -> ()
-                | Some (resp, _) -> (
-                    match Hashtbl.find_opt t.pending id with
-                    | Some slot ->
-                        slot := Some resp;
-                        Hashtbl.remove t.pending id
-                    | None -> ())))
-          (FL.step n.resp_ch))
-      t.nodes
-
-  let endpoint t i ~attempt_timeout : RC.endpoint =
-    let n = t.nodes.(i) in
-    {
-      RC.name = n.name;
-      rpc =
-        (fun req ->
-          let id = t.next_id in
-          t.next_id <- id + 1;
-          let slot = ref None in
-          Hashtbl.replace t.pending id slot;
-          FL.send n.req_ch (P.seal ~id (P.encode_req req));
-          let deadline = t.sched.Sim.now + attempt_timeout in
-          let rec wait () =
-            match !slot with
-            | Some resp -> Ok resp
-            | None ->
-                if t.sched.Sim.now >= deadline then begin
-                  Hashtbl.remove t.pending id;
-                  Error "attempt timed out"
-                end
-                else begin
-                  Sim.sleep 1;
-                  wait ()
-                end
-          in
-          wait ());
-    }
-
-  let clock t =
-    { RC.now = (fun () -> t.sched.Sim.now); sleep = Sim.sleep }
-end
-
-(* ================================================================== *)
-(* Sequential specification and linearizability checking               *)
-
-module Spec = struct
-  type state = (string * string) list
-  type op = Put of string * string | Get of string | Del of string
-  type ret = RUnit | RVal of string option | RBool of bool
-
-  let step st op =
-    match op with
-    | Put (k, v) -> (((k, v) :: List.remove_assoc k st), RUnit)
-    | Get k -> (st, RVal (List.assoc_opt k st))
-    | Del k -> (List.remove_assoc k st, RBool (List.mem_assoc k st))
-
-  let equal_ret (a : ret) (b : ret) = a = b
-
-  let pp_op ppf = function
-    | Put (k, v) -> Format.fprintf ppf "put %s=%s" k v
-    | Get k -> Format.fprintf ppf "get %s" k
-    | Del k -> Format.fprintf ppf "del %s" k
-
-  let pp_ret ppf = function
-    | RUnit -> Format.pp_print_string ppf "()"
-    | RVal None -> Format.pp_print_string ppf "none"
-    | RVal (Some v) -> Format.fprintf ppf "some %s" v
-    | RBool b -> Format.fprintf ppf "%b" b
-end
-
-module Lin = Bi_core.Linearizability.Make (Spec)
-
-type recorder = {
-  mutable calls : Lin.call list;
-  mutable errors : string list;
-}
-
-let recorder () = { calls = []; errors = [] }
-
-let record rc (s : Sim.sched) proc op run =
-  let inv = s.Sim.now in
-  match run () with
-  | Ok ret ->
-      let res = max (inv + 1) s.Sim.now in
-      rc.calls <- { Lin.proc; op; ret; inv; res } :: rc.calls
-  | Error msg -> rc.errors <- msg :: rc.errors
-
-let linearizable rc = Lin.check ~init:[] (List.rev rc.calls)
+let record rc s = KV.record rc ~now:(fun () -> Vtime.now s)
 
 (* ================================================================== *)
 (* Plans and configurations                                            *)
@@ -266,10 +30,9 @@ let rates_mixed =
   { FP.drop = 60; duplicate = 50; reorder = 50; corrupt = 40; stall = 40;
     max_stall = 3 }
 
-let seeded_node ~tag ~i ~seed ~rates ~limit ?store () =
-  World.node
+let seeded_node ~tag ~i ~seed ~rates ~limit () =
+  World.journaled_node
     ~name:(Printf.sprintf "n%d" i)
-    ?store
     ~req_plan:
       (FP.seeded ~name:(Printf.sprintf "rs/%s/n%d/req" tag i) ~seed ~rates
          ~limit ())
@@ -278,20 +41,7 @@ let seeded_node ~tag ~i ~seed ~rates ~limit ?store () =
          ~limit ())
     ()
 
-(* A configuration for workloads that must complete: generous attempts,
-   a breaker that never trips (breaker VCs exercise it separately), and
-   fault plans whose budgets are bounded by [limit]. *)
-let patient_config seed =
-  {
-    RC.max_attempts = 10;
-    backoff_base = 2;
-    backoff_cap = 8;
-    jitter_pm = 1;
-    breaker_threshold = 10_000;
-    breaker_cooldown = 50;
-    deadline = 2_000;
-    seed;
-  }
+let patient_config = World.patient_config
 
 let attempt_timeout = 10
 
@@ -299,29 +49,28 @@ let attempt_timeout = 10
 (* Scripted single-node scenarios                                      *)
 
 let scripted_world ~req ~resp =
-  let s = Sim.make () in
+  let s = Vtime.make () in
   let node =
-    World.node ~name:"n0" ~req_plan:(FP.script req) ~resp_plan:(FP.script resp)
-      ()
+    World.journaled_node ~name:"n0" ~req_plan:(FP.script req)
+      ~resp_plan:(FP.script resp) ()
   in
   let w = World.create s [ node ] in
   (s, w, node)
 
 let run_world s w fibers =
-  List.iter (Sim.spawn s) fibers;
-  Sim.run ~tick:(fun () -> World.tick w) s
+  List.iter (Vtime.spawn s) fibers;
+  Vtime.run ~tick:(fun () -> World.tick w) s
 
 let put_req key value = P.Put { key; value; crc = P.crc32 value; txn = None }
 
 (* One-shot "plain" request: no retry, no txn — the positive control's
    victim.  True when the request was lost. *)
 let plain_loses decisions =
-  let s, w, node = scripted_world ~req:decisions ~resp:[] in
+  let s, w, _ = scripted_world ~req:decisions ~resp:[] in
   let ep = World.endpoint w 0 ~attempt_timeout:20 in
   let result = ref None in
   ignore
     (run_world s w [ (fun () -> result := Some (ep.RC.rpc (put_req "k" "v"))) ]);
-  ignore node;
   match !result with Some (Ok P.Done) -> false | _ -> true
 
 let resilient_survives decisions =
@@ -358,21 +107,8 @@ let scripted_retry ~req ~resp ~strip_txn =
   let s, w, node = scripted_world ~req ~resp in
   let ep = World.endpoint w 0 ~attempt_timeout in
   let ep =
-    if not strip_txn then ep
-    else
-      {
-        ep with
-        RC.rpc =
-          (fun r ->
-            let r =
-              match r with
-              | P.Put { key; value; crc; txn = _ } ->
-                  P.Put { key; value; crc; txn = None }
-              | P.Delete { key; txn = _ } -> P.Delete { key; txn = None }
-              | r -> r
-            in
-            ep.RC.rpc r);
-      }
+    if strip_txn then { ep with RC.rpc = (fun r -> ep.RC.rpc (P.strip_txn r)) }
+    else ep
   in
   let client =
     RC.create ~config:(patient_config 11) ~client:1 (World.clock w) ep
@@ -391,28 +127,11 @@ let scripted_retry ~req ~resp ~strip_txn =
    distinct key, so after the run [applied] must equal the number of
    keys materialised — any double-apply (or phantom apply of an unacked
    delete) breaks the equation. *)
-let exactly_once ~tag ~seed ~rates ~strip_txn =
-  let s = Sim.make () in
+let exactly_once ~tag ~seed ~rates =
+  let s = Vtime.make () in
   let node = seeded_node ~tag ~i:0 ~seed ~rates ~limit:8 () in
   let w = World.create s [ node ] in
   let ep = World.endpoint w 0 ~attempt_timeout in
-  let ep =
-    if not strip_txn then ep
-    else
-      {
-        ep with
-        RC.rpc =
-          (fun r ->
-            let r =
-              match r with
-              | P.Put { key; value; crc; txn = _ } ->
-                  P.Put { key; value; crc; txn = None }
-              | P.Delete { key; txn = _ } -> P.Delete { key; txn = None }
-              | r -> r
-            in
-            ep.RC.rpc r);
-      }
-  in
   let client =
     RC.create ~config:(patient_config (seed + 13)) ~client:1 (World.clock w) ep
   in
@@ -431,11 +150,31 @@ let exactly_once ~tag ~seed ~rates ~strip_txn =
   let applied = Node_core.applied node.World.core in
   (!acks, !failures, applied, stored)
 
+let perform_set set =
+  KV.perform ~put:(Replica_set.put set) ~get:(Replica_set.get set)
+    ~delete:(Replica_set.delete set) ~pp_error:Replica_set.pp_error
+
+(* Two fault-free replicas behind one replica-set client. *)
+let quiet_pair ~config =
+  let s = Vtime.make () in
+  let w =
+    World.create s
+      (List.init 2 (fun i ->
+           World.journaled_node ~name:(Printf.sprintf "n%d" i)
+             ~req_plan:(FP.script []) ~resp_plan:(FP.script []) ()))
+  in
+  let eps = List.init 2 (fun i -> World.endpoint w i ~attempt_timeout) in
+  (s, w, Replica_set.create ~config ~client:1 (World.clock w) eps)
+
+(* Few attempts and a short deadline, so a dead replica fails over fast. *)
+let failover_config seed =
+  { (patient_config seed) with max_attempts = 2; deadline = 60 }
+
 (* Linearizability workload: [procs] fibers over a two-key space against
    a replica set, with optional crash / crash+restart of node 0 driven
    by a control fiber.  Returns (recorder, world, set). *)
 let lin_run ~tag ~seed ~rates ~replicas ~procs ~ops ?(crash = `No) () =
-  let s = Sim.make () in
+  let s = Vtime.make () in
   let nodes =
     List.init replicas (fun i ->
         seeded_node ~tag ~i ~seed:(seed + i) ~rates ~limit:6 ())
@@ -452,29 +191,14 @@ let lin_run ~tag ~seed ~rates ~replicas ~procs ~ops ?(crash = `No) () =
       ~config:{ (patient_config (seed + 3)) with max_attempts = 14 }
       ~client:1 (World.clock w) eps
   in
-  let rc = recorder () in
+  let rc = KV.recorder () in
   let value proc i = Printf.sprintf "v%d-%d" proc i in
   let fiber proc () =
     for i = 1 to ops do
       let key = if (i + proc) mod 2 = 0 then "a" else "b" in
-      (match (i + (2 * proc)) mod 4 with
-      | 0 | 1 ->
-          let v = value proc i in
-          record rc s proc (Spec.Put (key, v)) (fun () ->
-              match Replica_set.put set ~key ~value:v with
-              | Ok () -> Ok Spec.RUnit
-              | Error e -> Error (Format.asprintf "%a" Replica_set.pp_error e))
-      | 2 ->
-          record rc s proc (Spec.Get key) (fun () ->
-              match Replica_set.get set ~key with
-              | Ok v -> Ok (Spec.RVal v)
-              | Error e -> Error (Format.asprintf "%a" Replica_set.pp_error e))
-      | _ ->
-          record rc s proc (Spec.Del key) (fun () ->
-              match Replica_set.delete set ~key with
-              | Ok b -> Ok (Spec.RBool b)
-              | Error e -> Error (Format.asprintf "%a" Replica_set.pp_error e)));
-      Sim.sleep (1 + ((proc + i) mod 3))
+      let op = KV.mixed_op ~proc ~i ~key ~value:(value proc i) () in
+      record rc s proc op (fun () -> perform_set set op);
+      Vtime.sleep (1 + ((proc + i) mod 3))
     done
   in
   let fibers = List.init procs (fun p -> fiber (p + 1)) in
@@ -485,16 +209,16 @@ let lin_run ~tag ~seed ~rates ~replicas ~procs ~ops ?(crash = `No) () =
         fibers
         @ [
             (fun () ->
-              Sim.sleep at;
+              Vtime.sleep at;
               World.crash w 0);
           ]
     | `Crash_restart (at, down) ->
         fibers
         @ [
             (fun () ->
-              Sim.sleep at;
+              Vtime.sleep at;
               World.crash w 0;
-              Sim.sleep down;
+              Vtime.sleep down;
               World.restart w 0);
           ]
   in
@@ -632,11 +356,11 @@ let breaker_conformance seed =
 (* Deadline soundness                                                  *)
 
 let deadline_sound seed =
-  let s = Sim.make () in
+  let s = Vtime.make () in
   let node =
     (* Unbounded hostile plan: the deadline, not the fault budget, must
        end the call. *)
-    World.node ~name:"n0"
+    World.journaled_node ~name:"n0"
       ~req_plan:
         (FP.seeded ~name:"rs/deadline/req" ~seed
            ~rates:{ FP.no_faults with drop = 800; stall = 150; max_stall = 6 }
@@ -668,9 +392,9 @@ let deadline_sound seed =
     (run_world s w
        [
          (fun () ->
-           let t0 = s.Sim.now in
+           let t0 = Vtime.now s in
            outcome := RC.put client ~key:"k" ~value:"v";
-           duration := s.Sim.now - t0);
+           duration := Vtime.now s - t0);
        ]);
   (* Backoff sleeps are clamped to the remaining budget, so the only
      thing that can outlive the deadline is the one attempt already in
@@ -688,41 +412,40 @@ let deadline_sound seed =
 let naive_failover_history () =
   let s, w, _ = scripted_world ~req:[] ~resp:[] in
   let backup =
-    World.node ~name:"n1" ~req_plan:(FP.script []) ~resp_plan:(FP.script []) ()
+    World.journaled_node ~name:"n1" ~req_plan:(FP.script [])
+      ~resp_plan:(FP.script []) ()
   in
   let w2 =
     World.create s [ w.World.nodes.(0); backup ]
   in
   let ep0 = World.endpoint w2 0 ~attempt_timeout in
   let ep1 = World.endpoint w2 1 ~attempt_timeout in
-  let cfg = { (patient_config 5) with max_attempts = 2; deadline = 60 } in
+  let cfg = failover_config 5 in
   let clock = World.clock w2 in
   let c0 = RC.create ~config:cfg ~client:1 clock ep0 in
   let c1 = RC.create ~config:cfg ~client:2 clock ep1 in
-  let rc = recorder () in
+  let perform c =
+    KV.perform ~put:(RC.put c) ~get:(RC.get c) ~delete:(RC.delete c)
+      ~pp_error:RC.pp_error
+  in
+  let rc = KV.recorder () in
   let fiber () =
     (* Seed both replicas with v0 (a correct initial full write). *)
-    record rc s 1 (Spec.Put ("a", "v0")) (fun () ->
+    record rc s 1 (KV.Put ("a", "v0")) (fun () ->
         match (RC.put c0 ~key:"a" ~value:"v0", RC.put c1 ~key:"a" ~value:"v0")
         with
-        | Ok (), Ok () -> Ok Spec.RUnit
+        | Ok (), Ok () -> Ok KV.Done
         | _ -> Error "seed write failed");
-    Sim.sleep 1;
+    Vtime.sleep 1;
     (* The bug: the next write reaches the primary only. *)
-    record rc s 1 (Spec.Put ("a", "v1")) (fun () ->
-        match RC.put c0 ~key:"a" ~value:"v1" with
-        | Ok () -> Ok Spec.RUnit
-        | Error e -> Error (Format.asprintf "%a" RC.pp_error e));
-    Sim.sleep 1;
+    let put = KV.Put ("a", "v1") in
+    record rc s 1 put (fun () -> perform c0 put);
+    Vtime.sleep 1;
     World.crash w2 0;
     (* Naive failover: primary dead, read the backup unfenced. *)
-    record rc s 1 (Spec.Get "a") (fun () ->
-        match RC.get c0 ~key:"a" with
-        | Ok v -> Ok (Spec.RVal v)
-        | Error _ -> (
-            match RC.get c1 ~key:"a" with
-            | Ok v -> Ok (Spec.RVal v)
-            | Error e -> Error (Format.asprintf "%a" RC.pp_error e)))
+    let get = KV.Get "a" in
+    record rc s 1 get (fun () ->
+        match perform c0 get with Ok _ as r -> r | Error _ -> perform c1 get)
   in
   ignore (run_world s w2 [ fiber ]);
   rc
@@ -730,37 +453,16 @@ let naive_failover_history () =
 (* The correct counterpart: the same crash through [Replica_set], whose
    write fan-out and fencing keep the history linearizable. *)
 let fenced_failover_history () =
-  let s = Sim.make () in
-  let nodes =
-    List.init 2 (fun i ->
-        World.node
-          ~name:(Printf.sprintf "n%d" i)
-          ~req_plan:(FP.script []) ~resp_plan:(FP.script []) ())
-  in
-  let w = World.create s nodes in
-  let eps = List.init 2 (fun i -> World.endpoint w i ~attempt_timeout) in
-  let set =
-    Replica_set.create
-      ~config:{ (patient_config 5) with max_attempts = 2; deadline = 60 }
-      ~client:1 (World.clock w) eps
-  in
-  let rc = recorder () in
+  let s, w, set = quiet_pair ~config:(failover_config 5) in
+  let rc = KV.recorder () in
+  let run op = record rc s 1 op (fun () -> perform_set set op) in
   let fiber () =
-    record rc s 1 (Spec.Put ("a", "v0")) (fun () ->
-        match Replica_set.put set ~key:"a" ~value:"v0" with
-        | Ok () -> Ok Spec.RUnit
-        | Error e -> Error (Format.asprintf "%a" Replica_set.pp_error e));
-    Sim.sleep 1;
-    record rc s 1 (Spec.Put ("a", "v1")) (fun () ->
-        match Replica_set.put set ~key:"a" ~value:"v1" with
-        | Ok () -> Ok Spec.RUnit
-        | Error e -> Error (Format.asprintf "%a" Replica_set.pp_error e));
-    Sim.sleep 1;
+    run (KV.Put ("a", "v0"));
+    Vtime.sleep 1;
+    run (KV.Put ("a", "v1"));
+    Vtime.sleep 1;
     World.crash w 0;
-    record rc s 1 (Spec.Get "a") (fun () ->
-        match Replica_set.get set ~key:"a" with
-        | Ok v -> Ok (Spec.RVal v)
-        | Error e -> Error (Format.asprintf "%a" Replica_set.pp_error e))
+    run (KV.Get "a")
   in
   ignore (run_world s w [ fiber ]);
   (rc, Replica_set.failovers set)
@@ -1179,7 +881,7 @@ let exactly_once_vc ~family ~rates =
     ~category:cat_client
     (Vc.forall_list [ 1; 2; 3 ] (fun seed ->
          let acks, failures, applied, stored =
-           exactly_once ~tag:("eo-" ^ family) ~seed ~rates ~strip_txn:false
+           exactly_once ~tag:("eo-" ^ family) ~seed ~rates
          in
          (* Bounded budgets: everything completes; distinct keys: the
             store size counts distinct applies. *)
@@ -1197,7 +899,7 @@ let lin_vc ~family ~rates ?(replicas = 1) ?crash () =
               lin_run ~tag:("lin-" ^ family) ~seed ~rates ~replicas ~procs:2
                 ~ops:5 ?crash ()
             in
-            rc.errors = [] && rc.calls <> [] && linearizable rc)
+            rc.errors = [] && rc.calls <> [] && KV.linearizable rc)
           [ 1; 2 ]
       in
       Vc.outcome_of_bool ok)
@@ -1217,15 +919,7 @@ let lin_vcs =
 let replica_vcs =
   [
     Vc.prop ~id:"rs/replica/fan-out" ~category:cat_replica (fun () ->
-        let s = Sim.make () in
-        let nodes =
-          List.init 2 (fun i ->
-              World.node ~name:(Printf.sprintf "n%d" i)
-                ~req_plan:(FP.script []) ~resp_plan:(FP.script []) ())
-        in
-        let w = World.create s nodes in
-        let eps = List.init 2 (fun i -> World.endpoint w i ~attempt_timeout) in
-        let set = Replica_set.create ~config:(patient_config 3) ~client:1 (World.clock w) eps in
+        let s, w, set = quiet_pair ~config:(patient_config 3) in
         let ok = ref false in
         ignore
           (run_world s w
@@ -1236,19 +930,7 @@ let replica_vcs =
         && on w.World.nodes.(1) = [ ("k", "v") ]);
     Vc.prop ~id:"rs/replica/crash-fences-and-fails-over" ~category:cat_replica
       (fun () ->
-        let s = Sim.make () in
-        let nodes =
-          List.init 2 (fun i ->
-              World.node ~name:(Printf.sprintf "n%d" i)
-                ~req_plan:(FP.script []) ~resp_plan:(FP.script []) ())
-        in
-        let w = World.create s nodes in
-        let eps = List.init 2 (fun i -> World.endpoint w i ~attempt_timeout) in
-        let set =
-          Replica_set.create
-            ~config:{ (patient_config 3) with max_attempts = 2; deadline = 60 }
-            ~client:1 (World.clock w) eps
-        in
+        let s, w, set = quiet_pair ~config:(failover_config 3) in
         let ok = ref false in
         ignore
           (run_world s w
@@ -1270,19 +952,7 @@ let replica_vcs =
         !ok);
     Vc.prop ~id:"rs/replica/epoch-fence-and-resync" ~category:cat_replica
       (fun () ->
-        let s = Sim.make () in
-        let nodes =
-          List.init 2 (fun i ->
-              World.node ~name:(Printf.sprintf "n%d" i)
-                ~req_plan:(FP.script []) ~resp_plan:(FP.script []) ())
-        in
-        let w = World.create s nodes in
-        let eps = List.init 2 (fun i -> World.endpoint w i ~attempt_timeout) in
-        let set =
-          Replica_set.create
-            ~config:{ (patient_config 3) with max_attempts = 2; deadline = 60 }
-            ~client:1 (World.clock w) eps
-        in
+        let s, w, set = quiet_pair ~config:(failover_config 3) in
         let ok = ref false in
         ignore
           (run_world s w
@@ -1341,13 +1011,13 @@ let mutation_vcs =
       (fun () ->
         let naive = naive_failover_history () in
         let fenced, failovers = fenced_failover_history () in
-        if fenced.errors <> [] || not (linearizable fenced) then
+        if fenced.errors <> [] || not (KV.linearizable fenced) then
           Vc.Falsified "correct replica set not linearizable"
         else if failovers < 1 then
           Vc.Falsified "correct replica set never failed over"
         else if naive.errors <> [] && naive.calls = [] then
           Vc.Falsified "naive client produced no history"
-        else if linearizable naive then
+        else if KV.linearizable naive then
           Vc.Falsified "stale failover read not caught by the checker"
         else Vc.Proved);
     (* The positive control, with its plan shrunk to one decision and
@@ -1377,7 +1047,9 @@ let mutation_vcs =
             lin_run ~tag:"determinism" ~seed:5 ~rates:rates_mixed ~replicas:2
               ~procs:2 ~ops:4 ()
           in
-          (List.rev_map (fun c -> (c.Lin.proc, c.Lin.op, c.Lin.ret, c.Lin.inv, c.Lin.res)) rc.calls,
+          ( List.rev_map
+              (fun c -> KV.Lin.(c.proc, c.op, c.ret, c.inv, c.res))
+              rc.calls,
            (Replica_set.stats set).RC.attempts,
            Array.to_list
              (Array.map
@@ -1416,9 +1088,9 @@ let crash_vcs =
         let controller () =
           (* After the delete has applied (ack dropped), before the
              retry's backoff expires. *)
-          Sim.sleep 6;
+          Vtime.sleep 6;
           World.crash w 0;
-          Sim.sleep 3;
+          Vtime.sleep 3;
           World.restart w 0
         in
         ignore (run_world s w [ worker; controller ]);
@@ -1441,7 +1113,7 @@ let crash_vcs =
                   ~rates:rates_drop ~replicas:2 ~procs:2 ~ops:5
                   ~crash:(`Crash_restart (25, 30)) ()
               in
-              rc.errors = [] && rc.calls <> [] && linearizable rc)
+              rc.errors = [] && rc.calls <> [] && KV.linearizable rc)
             [ 1; 2 ]
         in
         Vc.outcome_of_bool ok);
@@ -1479,7 +1151,7 @@ type bench = {
 }
 
 let bench_stats () =
-  let s = Sim.make () in
+  let s = Vtime.make () in
   let nodes =
     List.init 2 (fun i ->
         seeded_node ~tag:"bench" ~i ~seed:(41 + i) ~rates:rates_mixed ~limit:12
@@ -1502,18 +1174,18 @@ let bench_stats () =
       | 0 -> ignore (Replica_set.put set ~key ~value:(Printf.sprintf "v%d.%d" proc i))
       | 1 -> ignore (Replica_set.get set ~key)
       | _ -> ignore (Replica_set.delete set ~key));
-      Sim.sleep (1 + (i mod 3))
+      Vtime.sleep (1 + (i mod 3))
     done
   in
   let controller () =
-    Sim.sleep 40;
+    Vtime.sleep 40;
     World.crash w 0;
     (* The post-crash read measures failover latency. *)
-    let t0 = s.Sim.now in
+    let t0 = Vtime.now s in
     incr ops;
     ignore (Replica_set.get set ~key:"k1");
-    failover_rounds := s.Sim.now - t0;
-    Sim.sleep 30;
+    failover_rounds := Vtime.now s - t0;
+    Vtime.sleep 30;
     World.restart w 0;
     ignore (Replica_set.check_health set);
     ignore (Replica_set.resync set)

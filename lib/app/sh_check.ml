@@ -3,277 +3,24 @@ module RC = Resilient_client
 module SR = Shard_router
 module SM = Shard_map
 module FP = Bi_fault.Fault_plan
-module FL = Bi_fault.Faulty_link
 module Vc = Bi_core.Vc
+module Vtime = Bi_core.Vtime
+module World = Sim_world
+module KV = Store_spec
 
-(* ================================================================== *)
-(* Virtual-time fiber scheduler (the [rs] suite's, with the same        *)
-(* determinism contract: (wake, spawn-order)-ordered resumption)        *)
+(* Client fibers run on the {!Vtime} scheduler against sharded nodes of
+   the {!Sim_world}, each with a bounded service rate so bench throughput
+   scales with shard spread.  Histories are checked against the one
+   key-value specification, {!Store_spec}. *)
 
-module Sim = struct
-  type _ Effect.t += Sleep : int -> unit Effect.t
-
-  let sleep n = Effect.perform (Sleep n)
-
-  type entry = { wake : int; seq : int; resume : unit -> unit }
-  type sched = { mutable now : int; mutable queue : entry list;
-                 mutable seqno : int }
-
-  let make () = { now = 0; queue = []; seqno = 0 }
-
-  let enqueue s wake resume =
-    s.seqno <- s.seqno + 1;
-    let e = { wake; seq = s.seqno; resume } in
-    let rec ins = function
-      | [] -> [ e ]
-      | hd :: tl ->
-          if (e.wake, e.seq) < (hd.wake, hd.seq) then e :: hd :: tl
-          else hd :: ins tl
-    in
-    s.queue <- ins s.queue
-
-  let spawn s fiber =
-    let run () =
-      Effect.Deep.match_with fiber ()
-        {
-          retc = (fun () -> ());
-          exnc = raise;
-          effc =
-            (fun (type b) (eff : b Effect.t) ->
-              match eff with
-              | Sleep n ->
-                  Some
-                    (fun (k : (b, unit) Effect.Deep.continuation) ->
-                      enqueue s (s.now + max 1 n) (fun () ->
-                          Effect.Deep.continue k ()))
-              | _ -> None);
-        }
-    in
-    enqueue s s.now run
-
-  let run ?(max_rounds = 100_000) ~tick s =
-    let rec loop () =
-      match s.queue with
-      | [] -> s.now
-      | e :: rest when e.wake <= s.now ->
-          s.queue <- rest;
-          e.resume ();
-          loop ()
-      | _ ->
-          if s.now >= max_rounds then failwith "sim: round bound exceeded";
-          s.now <- s.now + 1;
-          tick ();
-          loop ()
-    in
-    loop ()
-end
-
-(* ================================================================== *)
-(* The sharded world: nodes behind faulty channels, each with a bounded *)
-(* service rate so bench throughput scales with shard spread            *)
-
-module World = struct
-  type node = {
-    name : string;
-    store : Node_core.store;
-    mutable core : Node_core.t;
-    mutable up : bool;
-    mutable node_epoch : int;
-    req_ch : FL.channel;
-    resp_ch : FL.channel;
-    inbox : (int * P.req) Queue.t;
-    service_rate : int;  (** Requests served per round. *)
-  }
-
-  type t = {
-    sched : Sim.sched;
-    nodes : node array;
-    pending : (int, P.resp option ref) Hashtbl.t;
-    mutable next_id : int;
-  }
-
-  let node ~name ?(service_rate = max_int) ~req_plan ~resp_plan () =
-    let store = Node_core.mem_store () in
-    {
-      name;
-      store;
-      core = Node_core.create ~epoch:0 store;
-      up = true;
-      node_epoch = 0;
-      req_ch = FL.channel req_plan;
-      resp_ch = FL.channel resp_plan;
-      inbox = Queue.create ();
-      service_rate;
-    }
-
-  let create sched nodes =
-    {
-      sched;
-      nodes = Array.of_list nodes;
-      pending = Hashtbl.create 64;
-      next_id = 1;
-    }
-
-  let crash t i =
-    let n = t.nodes.(i) in
-    n.up <- false;
-    Queue.clear n.inbox
-
-  (* Partition heal: resume serving with the node's existing core — in
-     contrast to [restart], no state is lost.  Models a transient link
-     outage rather than a process crash. *)
-  let revive t i = t.nodes.(i).up <- true
-
-  (* The store is durable across a crash; the duplicate table, degraded
-     flag and inbox are not.  A restarted node re-learns its shard
-     ownership from the then-current map — ownership is control-plane
-     state, not durable state. *)
-  let restart t i ~map =
-    let n = t.nodes.(i) in
-    n.node_epoch <- n.node_epoch + 1;
-    n.core <- Node_core.create ~epoch:n.node_epoch n.store;
-    Node_core.enable_sharding n.core ~nshards:(SM.nshards map)
-      ~version:(SM.version map)
-      ~owned:(SM.shards_of_node map ~node:i);
-    Queue.clear n.inbox;
-    n.up <- true
-
-  let tick t =
-    Array.iter
-      (fun n ->
-        (* Arrivals land in the inbox... *)
-        List.iter
-          (fun frame ->
-            match P.unseal frame with
-            | None -> ()
-            | Some (id, body) -> (
-                match P.decode_req body ~off:0 with
-                | None -> ()
-                | Some (req, _) -> if n.up then Queue.add (id, req) n.inbox))
-          (FL.step n.req_ch);
-        (* ...and at most [service_rate] of them are served per round. *)
-        if n.up then begin
-          let budget = ref n.service_rate in
-          while !budget > 0 && not (Queue.is_empty n.inbox) do
-            decr budget;
-            let id, req = Queue.pop n.inbox in
-            let resp = Node_core.handle n.core req in
-            FL.send n.resp_ch
-              (Bi_net.Pkt.Iov.materialize
-                 (P.seal_iov ~id (P.encode_resp_iov resp)))
-          done
-        end;
-        List.iter
-          (fun frame ->
-            match P.unseal frame with
-            | None -> ()
-            | Some (id, body) -> (
-                match P.decode_resp body ~off:0 with
-                | None -> ()
-                | Some (resp, _) -> (
-                    match Hashtbl.find_opt t.pending id with
-                    | Some slot ->
-                        slot := Some resp;
-                        Hashtbl.remove t.pending id
-                    | None -> ())))
-          (FL.step n.resp_ch))
-      t.nodes
-
-  let endpoint t i ~attempt_timeout : RC.endpoint =
-    let n = t.nodes.(i) in
-    {
-      RC.name = n.name;
-      rpc =
-        (fun req ->
-          let id = t.next_id in
-          t.next_id <- id + 1;
-          let slot = ref None in
-          Hashtbl.replace t.pending id slot;
-          FL.send n.req_ch (P.seal ~id (P.encode_req req));
-          let deadline = t.sched.Sim.now + attempt_timeout in
-          let rec wait () =
-            match !slot with
-            | Some resp -> Ok resp
-            | None ->
-                if t.sched.Sim.now >= deadline then begin
-                  Hashtbl.remove t.pending id;
-                  Error "attempt timed out"
-                end
-                else begin
-                  Sim.sleep 1;
-                  wait ()
-                end
-          in
-          wait ());
-    }
-
-  let clock t =
-    { RC.now = (fun () -> t.sched.Sim.now); sleep = Sim.sleep }
-end
-
-(* ================================================================== *)
-(* Sequential specification and linearizability checking               *)
-
-module Spec = struct
-  type state = (string * string) list
-  type op = Put of string * string | Get of string | Del of string
-  type ret = RUnit | RVal of string option | RBool of bool
-
-  let step st op =
-    match op with
-    | Put (k, v) -> (((k, v) :: List.remove_assoc k st), RUnit)
-    | Get k -> (st, RVal (List.assoc_opt k st))
-    | Del k -> (List.remove_assoc k st, RBool (List.mem_assoc k st))
-
-  let equal_ret (a : ret) (b : ret) = a = b
-
-  let pp_op ppf = function
-    | Put (k, v) -> Format.fprintf ppf "put %s=%s" k v
-    | Get k -> Format.fprintf ppf "get %s" k
-    | Del k -> Format.fprintf ppf "del %s" k
-
-  let pp_ret ppf = function
-    | RUnit -> Format.pp_print_string ppf "()"
-    | RVal None -> Format.pp_print_string ppf "none"
-    | RVal (Some v) -> Format.fprintf ppf "some %s" v
-    | RBool b -> Format.fprintf ppf "%b" b
-end
-
-module Lin = Bi_core.Linearizability.Make (Spec)
-
-type recorder = {
-  mutable calls : Lin.call list;
-  mutable errors : string list;
-}
-
-let recorder () = { calls = []; errors = [] }
-
-let record rc (s : Sim.sched) proc op run =
-  let inv = s.Sim.now in
-  match run () with
-  | Ok ret ->
-      let res = max (inv + 1) s.Sim.now in
-      rc.calls <- { Lin.proc; op; ret; inv; res } :: rc.calls
-  | Error msg -> rc.errors <- msg :: rc.errors
-
-let linearizable rc = Lin.check ~init:[] (List.rev rc.calls)
+let record rc s = KV.record rc ~now:(fun () -> Vtime.now s)
 
 (* ================================================================== *)
 (* Cluster assembly                                                     *)
 
 let attempt_timeout = 10
 
-let patient_config seed =
-  {
-    RC.max_attempts = 10;
-    backoff_base = 2;
-    backoff_cap = 8;
-    jitter_pm = 1;
-    breaker_threshold = 10_000;
-    breaker_cooldown = 50;
-    deadline = 2_000;
-    seed;
-  }
+let patient_config = World.patient_config
 
 let rates_pass = FP.no_faults
 let rates_drop = { FP.no_faults with drop = 150 }
@@ -308,14 +55,14 @@ let admin_of (w : World.t) i : SR.admin =
   }
 
 type env = {
-  sched : Sim.sched;
+  sched : Vtime.t;
   world : World.t;
   cluster : SR.cluster;
 }
 
 let make_cluster ?(nshards = 4) ?(nnodes = 2) ?service_rate ~tag ~seed ~rates
     ~limit () =
-  let s = Sim.make () in
+  let s = Vtime.make () in
   let nodes =
     List.init nnodes (fun i ->
         World.node
@@ -349,8 +96,8 @@ let quiet_cluster ?nshards ?nnodes ?service_rate ~tag () =
     ~limit:0 ()
 
 let run_world env fibers =
-  List.iter (Sim.spawn env.sched) fibers;
-  Sim.run ~tick:(fun () -> World.tick env.world) env.sched
+  List.iter (Vtime.spawn env.sched) fibers;
+  Vtime.run ~tick:(fun () -> World.tick env.world) env.sched
 
 let router ?config ?route_retries ~client env =
   SR.connect ?config ?route_retries ~client env.cluster
@@ -393,7 +140,7 @@ let direct_put core key value =
    no-key-loss obligation.  Returns the accounting needed by the lin and
    exactly-once VCs. *)
 type mig_run = {
-  rc : recorder;
+  rc : KV.recorder;
   mig_ok : bool;
   ballast_ok : bool;
   acked_muts : int;  (** Successful workload mutations. *)
@@ -411,7 +158,7 @@ let lin_migration ~tag ~seed ~rates ?(deletes = true) ?(crash = `No) () =
   let nnodes = match crash with `No -> 2 | _ -> 3 in
   let env = make_cluster ~nshards ~nnodes ~tag ~seed ~rates ~limit:6 () in
   let s = env.sched and w = env.world and c = env.cluster in
-  let rc = recorder () in
+  let rc = KV.recorder () in
   (* Ballast: one key per shard, written straight into the owners'
      cores before the network exists. *)
   let ballast =
@@ -433,29 +180,12 @@ let lin_migration ~tag ~seed ~rates ?(deletes = true) ?(crash = `No) () =
     fun () ->
       for i = 1 to 6 do
         let key = keys.((i + proc) mod 4) in
-        (match (i + (2 * proc)) mod 4 with
-        | 0 | 1 ->
-            let v = Printf.sprintf "v%d-%d" proc i in
-            record rc s proc (Spec.Put (key, v)) (fun () ->
-                match SR.put r ~key ~value:v with
-                | Ok () -> Ok Spec.RUnit
-                | Error e -> Error (Format.asprintf "%a" RC.pp_error e))
-        | 2 ->
-            record rc s proc (Spec.Get key) (fun () ->
-                match SR.get r ~key with
-                | Ok v -> Ok (Spec.RVal v)
-                | Error e -> Error (Format.asprintf "%a" RC.pp_error e))
-        | _ when deletes ->
-            record rc s proc (Spec.Del key) (fun () ->
-                match SR.delete r ~key with
-                | Ok b -> Ok (Spec.RBool b)
-                | Error e -> Error (Format.asprintf "%a" RC.pp_error e))
-        | _ ->
-            record rc s proc (Spec.Get key) (fun () ->
-                match SR.get r ~key with
-                | Ok v -> Ok (Spec.RVal v)
-                | Error e -> Error (Format.asprintf "%a" RC.pp_error e)));
-        Sim.sleep (1 + ((proc + i) mod 3))
+        let value = Printf.sprintf "v%d-%d" proc i in
+        let op = KV.mixed_op ~deletes ~proc ~i ~key ~value () in
+        record rc s proc op (fun () ->
+            KV.perform ~put:(SR.put r) ~get:(SR.get r) ~delete:(SR.delete r)
+              ~pp_error:RC.pp_error op);
+        Vtime.sleep (1 + ((proc + i) mod 3))
       done
   in
   let mig_router = router ~config:(patient_config (seed + 77)) ~client:99 env in
@@ -464,7 +194,7 @@ let lin_migration ~tag ~seed ~rates ?(deletes = true) ?(crash = `No) () =
   let from_ = SM.node_of (SR.map c) ~shard in
   let to_ = (from_ + 1) mod nnodes in
   let mig_fiber () =
-    Sim.sleep 8;
+    Vtime.sleep 8;
     mig_result := SR.migrate mig_router ~shard ~to_
   in
   let fibers = [ fiber 1; fiber 2; mig_fiber ] in
@@ -477,9 +207,9 @@ let lin_migration ~tag ~seed ~rates ?(deletes = true) ?(crash = `No) () =
         fibers
         @ [
             (fun () ->
-              Sim.sleep at;
+              Vtime.sleep at;
               World.crash w victim;
-              Sim.sleep down;
+              Vtime.sleep down;
               World.restart w victim ~map:(SR.map c));
           ]
   in
@@ -497,9 +227,9 @@ let lin_migration ~tag ~seed ~rates ?(deletes = true) ?(crash = `No) () =
     List.length
       (List.filter
          (fun call ->
-           match (call.Lin.op, call.Lin.ret) with
-           | Spec.Put _, _ -> true
-           | Spec.Del _, Spec.RBool b -> b
+           match (call.KV.Lin.op, call.KV.Lin.ret) with
+           | KV.Put _, _ -> true
+           | KV.Delete _, KV.Deleted b -> b
            | _ -> false)
          rc.calls)
   in
@@ -547,16 +277,16 @@ let copy_window_reads ~flip_before_copy () =
             | Error _ -> incr errors)
           keys);
       (fun () ->
-        Sim.sleep 25;
+        Vtime.sleep 25;
         for _ = 1 to 40 do
           (match SR.get reader ~key:last_key with
           | Ok (Some _) -> incr somes
           | Ok None -> incr nones
           | Error _ -> incr errors);
-          Sim.sleep 1
+          Vtime.sleep 1
         done);
       (fun () ->
-        Sim.sleep 30;
+        Vtime.sleep 30;
         mig_result := SR.migrate ~flip_before_copy mig ~shard ~to_);
     ]
   in
@@ -899,7 +629,7 @@ let router_vcs =
              [
                (fun () -> result := SR.put r ~key:k ~value:"v");
                (fun () ->
-                 Sim.sleep 12;
+                 Vtime.sleep 12;
                  Node_core.unfreeze (core_of env owner) ~shard:0);
              ]);
         !result = Ok ()
@@ -1089,7 +819,7 @@ let migrate_vcs =
                with
               | Ok () -> incr acks
               | Error _ -> incr failures);
-              Sim.sleep 1
+              Vtime.sleep 1
             done
         in
         let mig = router ~config:(patient_config 9) ~client:99 env in
@@ -1100,7 +830,7 @@ let migrate_vcs =
                writer 1;
                writer 2;
                (fun () ->
-                 Sim.sleep 6;
+                 Vtime.sleep 6;
                  mig_result := SR.migrate mig ~shard ~to_);
              ]);
         let st = SR.migration_stats c in
@@ -1168,7 +898,7 @@ let migrate_vcs =
                  let tries = ref 0 in
                  while tgt_residue () = [] && !tries < 400 do
                    incr tries;
-                   Sim.sleep 1
+                   Vtime.sleep 1
                  done;
                  if tgt_residue () <> [] then begin
                    partitioned := true;
@@ -1205,7 +935,7 @@ let lin_vc ~family ~rates ?deletes ?crash () =
                 ?crash ()
             in
             m.rc.errors = [] && m.rc.calls <> [] && m.mig_ok && m.ballast_ok
-            && linearizable m.rc)
+            && KV.linearizable m.rc)
           [ 1; 2; 3 ]
       in
       Vc.outcome_of_bool ok)
@@ -1279,7 +1009,7 @@ let mutation_vcs =
         let go () =
           let m = lin_migration ~tag:"determinism" ~seed:5 ~rates:rates_mixed () in
           ( List.rev_map
-              (fun c -> (c.Lin.proc, c.Lin.op, c.Lin.ret, c.Lin.inv, c.Lin.res))
+              (fun c -> KV.Lin.(c.proc, c.op, c.ret, c.inv, c.res))
               m.rc.calls,
             m.rounds, m.applied, m.keys_moved, m.dups )
         in
@@ -1358,19 +1088,19 @@ let migration_bench () =
   let workers =
     List.map
       (fun (p, r) () ->
-        Sim.sleep 30;
+        Vtime.sleep 30;
         for i = 1 to 12 do
           let key = Printf.sprintf "m%d" ((i + (5 * p)) mod 24) in
           (match (i + p) mod 2 with
           | 0 -> ignore (SR.put r ~key ~value:(Printf.sprintf "w%d" i))
           | _ -> ignore (SR.get r ~key));
-          Sim.sleep 1
+          Vtime.sleep 1
         done)
       worker_routers
   in
   let mig = router ~config:(patient_config 29) ~client:99 env in
   let mig_fiber () =
-    Sim.sleep 40;
+    Vtime.sleep 40;
     (* Move two shards, one after the other, under the live load. *)
     List.iter
       (fun shard ->

@@ -1,10 +1,11 @@
 (** The [sh] verify suite: the sharded block store and its live
     migrations.
 
-    The same virtual-time fiber scheduler as the [rs] suite drives
-    sharded {!Node_core}s behind {!Bi_fault.Faulty_link} channels — with
-    one addition: each node serves at most [service_rate] requests per
-    round, so the bench can show throughput scaling with shard spread.
+    The same {!Bi_core.Vtime} scheduler and {!Sim_world} as the [rs]
+    suite drive sharded {!Node_core}s behind {!Bi_fault.Faulty_link}
+    channels — with one addition: each node serves at most
+    [service_rate] requests per round, so the bench can show throughput
+    scaling with shard spread.
     The obligations:
 
     - {!Shard_map} laws: hash range, key→shard→node consistency,

@@ -87,23 +87,11 @@ type stats = {
 }
 
 let stats t =
-  let rc =
-    Array.fold_left
-      (fun (acc : RC.stats) c ->
-        let s = RC.stats c in
-        {
-          RC.ops = acc.RC.ops + s.RC.ops;
-          attempts = acc.attempts + s.attempts;
-          retries = acc.retries + s.retries;
-          breaker_opens = acc.breaker_opens + s.breaker_opens;
-          breaker_closes = acc.breaker_closes + s.breaker_closes;
-          sheds = acc.sheds + s.sheds;
-        })
-      { RC.ops = 0; attempts = 0; retries = 0; breaker_opens = 0;
-        breaker_closes = 0; sheds = 0 }
-      t.rcs
-  in
-  { rc; wrong_shard_retries = t.s_wrong_shard; map_refreshes = t.s_refreshes }
+  {
+    rc = RC.total_stats t.rcs;
+    wrong_shard_retries = t.s_wrong_shard;
+    map_refreshes = t.s_refreshes;
+  }
 
 (* The routing loop: pick the owner from the current map, run the call,
    and on [Wrong_shard] wait a beat, refresh the map (re-read the

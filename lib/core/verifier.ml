@@ -81,9 +81,10 @@ let by_category rep =
   List.rev_map (fun cat -> (cat, List.rev (Hashtbl.find tbl cat))) !order
 
 let pp_summary ppf rep =
+  let slowest = List.find_opt (fun r -> r.time_s = rep.max_time_s) rep.results in
   Format.fprintf ppf
     "%d verification conditions: %d proved, %d falsified%t; cpu %.3f s, \
-     wall %.3f s%t, max %.3f s"
+     wall %.3f s%t, max %.3f s%t"
     (List.length rep.results) rep.proved rep.falsified
     (fun ppf ->
       if rep.timed_out > 0 then
@@ -95,6 +96,8 @@ let pp_summary ppf rep =
         Format.fprintf ppf " (%d domains, %.1fx speedup)" rep.jobs
           (speedup rep))
     rep.max_time_s
+    (fun ppf ->
+      Option.iter (fun r -> Format.fprintf ppf " (%s)" r.vc.Vc.id) slowest)
 
 let pp_failures ppf rep =
   let pp_one r =

@@ -59,7 +59,7 @@ val by_category : report -> (string * result list) list
 
 val pp_summary : Format.formatter -> report -> unit
 (** One-paragraph summary: counts, cpu vs. wall time, speedup when
-    parallel, max time. *)
+    parallel, and the max time with the id of the VC that took it. *)
 
 val pp_failures : Format.formatter -> report -> unit
 (** Detailed listing of falsified and timed-out VCs. *)

@@ -51,29 +51,7 @@ let parallel_discharge () =
              && a.Bi_core.Verifier.outcome = b.Bi_core.Verifier.outcome)
            seq.Bi_core.Verifier.results par.Bi_core.Verifier.results)
 
-module Counter = struct
-  type t = int ref
-  type op = Incr | Read
-  type ret = int
-
-  let create () = ref 0
-
-  let apply t = function
-    | Incr ->
-        incr t;
-        !t
-    | Read -> !t
-
-  include Bi_nr.Seq_ds.Batch_of_apply (struct
-    type nonrec t = t
-    type nonrec op = op
-    type nonrec ret = ret
-
-    let apply = apply
-  end)
-
-  let is_read_only = function Read -> true | Incr -> false
-end
+module Counter = Bi_nr.Counter
 
 module Nr_counter = Bi_nr.Nr.Make (Counter)
 

@@ -522,51 +522,9 @@ let net_vcs () =
 (* ------------------------------------------------------------------ *)
 (* NR linearizability under stalled replicas / delayed combiners       *)
 
-module Counter = struct
-  type t = int ref
-  type op = Incr | Read
-  type ret = int
-
-  let create () = ref 0
-
-  let apply t = function
-    | Incr ->
-        incr t;
-        !t
-    | Read -> !t
-
-  include Bi_nr.Seq_ds.Batch_of_apply (struct
-    type nonrec t = t
-    type nonrec op = op
-    type nonrec ret = ret
-
-    let apply = apply
-  end)
-
-  let is_read_only = function Read -> true | Incr -> false
-end
+module Counter = Bi_nr.Counter
 
 module Nr_counter = Nr.Make (Counter)
-
-module Counter_pure = struct
-  type state = int
-  type op = Counter.op
-  type ret = int
-
-  let step st = function
-    | Counter.Incr -> (st + 1, st + 1)
-    | Counter.Read -> (st, st)
-
-  let equal_ret = Int.equal
-
-  let pp_op ppf = function
-    | Counter.Incr -> Format.pp_print_string ppf "incr"
-    | Counter.Read -> Format.pp_print_string ppf "read"
-
-  let pp_ret = Format.pp_print_int
-end
-
-module Lin = Bi_core.Linearizability.Make (Counter_pure)
 
 (* Plan-driven stalls: the shared plan is consulted under a mutex (hooks
    run on every domain); a Stall n decision burns n*200 relaxation spins. *)
@@ -597,24 +555,12 @@ let lin_under_hooks ~id mk_hooks seed =
         Nr_counter.create ~replicas:2 ~threads_per_replica:2
           ~hooks:(mk_hooks plan) ()
       in
-      let clock = Atomic.make 0 in
-      let events = Array.make 2 [] in
-      let worker idx thread () =
-        let local = ref [] in
-        for i = 0 to 29 do
-          let op = if i mod 5 = 4 then Counter.Read else Counter.Incr in
-          let inv = Atomic.fetch_and_add clock 1 in
-          let ret = Nr_counter.execute nr ~thread op in
-          let res = Atomic.fetch_and_add clock 1 in
-          local := { Lin.proc = thread; op; ret; inv; res } :: !local
-        done;
-        events.(idx) <- !local
+      let history =
+        Counter.two_domain_history ~calls:30
+          ~op:(fun i -> if i mod 5 = 4 then Counter.Read else Counter.Incr)
+          (Nr_counter.execute nr)
       in
-      let d1 = Domain.spawn (worker 0 0) in
-      let d2 = Domain.spawn (worker 1 2) in
-      Domain.join d1;
-      Domain.join d2;
-      Lin.check ~init:0 (events.(0) @ events.(1)))
+      Counter.Lin.check ~init:0 history)
 
 module Kv = struct
   type t = (int, int) Hashtbl.t

@@ -1,16 +1,16 @@
 (* Deterministic million-client workload engine.
 
-   A discrete-event simulation in virtual time: a binary heap of events
-   keyed (time, insertion seq) drives open- or closed-loop clients against
-   an array of {!Bi_app.Node_core.Queued} nodes (sharded when [nodes > 1],
-   one shard per node).  Each node is a single server: dispatch takes the
-   next request from the node's admission queue, the response is computed
-   at dispatch (that is when the store mutates), and the completion lands
-   a heavy-tailed service time later.  A shed submission bounces back to
-   its client, which retries with exponential backoff up to [retry_max]
-   attempts — the same policy {!Bi_app.Resilient_client} applies to
-   [Overloaded], but inlined so ten^6 clients cost an array slot each, not
-   a fiber each.  (The fiber-world interplay of shedding with the real
+   A discrete-event simulation in virtual time: the {!Bi_core.Vtime} event
+   heap, keyed (time, insertion seq), drives open- or closed-loop clients
+   against an array of {!Bi_app.Node_core.Queued} nodes (sharded when
+   [nodes > 1], one shard per node).  Each node is a single server:
+   dispatch takes the next request from the node's admission queue, the
+   response is computed at dispatch (that is when the store mutates), and
+   the completion lands a heavy-tailed service time later.  A shed
+   submission bounces back to its client, which retries with exponential
+   backoff up to [retry_max] attempts — the same policy
+   {!Bi_app.Resilient_client} applies to [Overloaded], but inlined so
+   ten^6 clients cost an array slot each, not a fiber each.  (The fiber-world interplay of shedding with the real
    retry loop and the dup table is proved separately in [Wl_check].)
 
    Determinism: every sample comes from the [Workload] sampler's own
@@ -24,96 +24,7 @@ module P = Bi_app.Protocol
 module NC = Bi_app.Node_core
 module SM = Bi_app.Shard_map
 module W = Workload
-
-(* Binary min-heap keyed (time, seq): seq breaks ties by insertion order,
-   so the schedule is deterministic and FIFO at equal times. *)
-module Heap = struct
-  type 'a t = {
-    mutable times : int array;
-    mutable seqs : int array;
-    mutable data : 'a array;
-    mutable size : int;
-    mutable next_seq : int;
-    dummy : 'a;
-  }
-
-  let create dummy =
-    {
-      times = Array.make 1024 max_int;
-      seqs = Array.make 1024 0;
-      data = Array.make 1024 dummy;
-      size = 0;
-      next_seq = 0;
-      dummy;
-    }
-
-  let less h i j =
-    h.times.(i) < h.times.(j)
-    || (h.times.(i) = h.times.(j) && h.seqs.(i) < h.seqs.(j))
-
-  let swap h i j =
-    let t = h.times.(i) in
-    h.times.(i) <- h.times.(j);
-    h.times.(j) <- t;
-    let s = h.seqs.(i) in
-    h.seqs.(i) <- h.seqs.(j);
-    h.seqs.(j) <- s;
-    let d = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- d
-
-  let grow h =
-    let n = Array.length h.times in
-    let times = Array.make (2 * n) max_int in
-    let seqs = Array.make (2 * n) 0 in
-    let data = Array.make (2 * n) h.dummy in
-    Array.blit h.times 0 times 0 h.size;
-    Array.blit h.seqs 0 seqs 0 h.size;
-    Array.blit h.data 0 data 0 h.size;
-    h.times <- times;
-    h.seqs <- seqs;
-    h.data <- data
-
-  let push h ~time x =
-    if h.size = Array.length h.times then grow h;
-    let i = h.size in
-    h.times.(i) <- time;
-    h.seqs.(i) <- h.next_seq;
-    h.next_seq <- h.next_seq + 1;
-    h.data.(i) <- x;
-    h.size <- h.size + 1;
-    let i = ref i in
-    while !i > 0 && less h !i ((!i - 1) / 2) do
-      swap h !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let time = h.times.(0) and x = h.data.(0) in
-      h.size <- h.size - 1;
-      if h.size > 0 then begin
-        swap h 0 h.size;
-        h.data.(h.size) <- h.dummy;
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let m = ref !i in
-          if l < h.size && less h l !m then m := l;
-          if r < h.size && less h r !m then m := r;
-          if !m <> !i then begin
-            swap h !i !m;
-            i := !m
-          end
-          else continue := false
-        done
-      end
-      else h.data.(0) <- h.dummy;
-      Some (time, x)
-    end
-end
+module Heap = Bi_core.Vtime.Heap
 
 type mode = Open of { mean_gap : float } | Closed of { think : int }
 

@@ -1,8 +1,9 @@
 (* The `wl` verification suite: adversarial *load*, where the other app
    suites are adversarial *faults*.
 
-   The obligations, discharged executably over the same virtual-time
-   fiber world the rs/sh suites use:
+   The obligations, discharged executably on the one virtual-time fiber
+   scheduler ({!Bi_core.Vtime}) and the shared {!Bi_app.Sim_world}
+   transport the rs/sh suites use:
 
    - determinism: the workload samplers and the engine are pure functions
      of (config, seed) — traces and whole summaries compare bit-for-bit;
@@ -31,89 +32,29 @@ module Adm = Bi_app.Admission
 module FP = Bi_fault.Fault_plan
 module FL = Bi_fault.Faulty_link
 module Vc = Bi_core.Vc
+module Vtime = Bi_core.Vtime
+module SW = Bi_app.Sim_world
+module KV = Bi_app.Store_spec
 module G = Bi_core.Gen
 module R = Bi_core.Stats.Reservoir
 module W = Workload
 module E = Engine
 
 (* ================================================================== *)
-(* Virtual-time fiber scheduler (the rs/sh suites', same determinism    *)
-(* contract: (wake, spawn-order)-ordered resumption)                    *)
-
-module Sim = struct
-  type _ Effect.t += Sleep : int -> unit Effect.t
-
-  let sleep n = Effect.perform (Sleep n)
-
-  type entry = { wake : int; seq : int; resume : unit -> unit }
-  type sched = { mutable now : int; mutable queue : entry list;
-                 mutable seqno : int }
-
-  let make () = { now = 0; queue = []; seqno = 0 }
-
-  let enqueue s wake resume =
-    s.seqno <- s.seqno + 1;
-    let e = { wake; seq = s.seqno; resume } in
-    let rec ins = function
-      | [] -> [ e ]
-      | hd :: tl ->
-          if (e.wake, e.seq) < (hd.wake, hd.seq) then e :: hd :: tl
-          else hd :: ins tl
-    in
-    s.queue <- ins s.queue
-
-  let spawn s fiber =
-    let run () =
-      Effect.Deep.match_with fiber ()
-        {
-          retc = (fun () -> ());
-          exnc = raise;
-          effc =
-            (fun (type b) (eff : b Effect.t) ->
-              match eff with
-              | Sleep n ->
-                  Some
-                    (fun (k : (b, unit) Effect.Deep.continuation) ->
-                      enqueue s (s.now + max 1 n) (fun () ->
-                          Effect.Deep.continue k ()))
-              | _ -> None);
-        }
-    in
-    enqueue s s.now run
-
-  let run ?(max_rounds = 100_000) ~tick s =
-    let rec loop () =
-      match s.queue with
-      | [] -> s.now
-      | e :: rest when e.wake <= s.now ->
-          s.queue <- rest;
-          e.resume ();
-          loop ()
-      | _ ->
-          if s.now >= max_rounds then failwith "sim: round bound exceeded";
-          s.now <- s.now + 1;
-          tick ();
-          loop ()
-    in
-    loop ()
-end
-
-(* ================================================================== *)
 (* The overloaded world: ONE node fronted by Node_core.Queued, with a   *)
 (* bounded service rate, and a faulty channel pair PER CLIENT (so the   *)
 (* admission layer attributes arrivals to clients honestly, and the     *)
-(* fault adversary can target each client's link independently).        *)
+(* fault adversary can target each client's link independently), on    *)
+(* the shared Sim_world transport.                                      *)
 
 module QWorld = struct
   type conn = { req_ch : FL.channel; resp_ch : FL.channel }
 
   type t = {
-    sched : Sim.sched;
+    net : SW.net;
     store : NC.store;
     qnode : NC.Queued.t;
     conns : conn array; (* index = client id *)
-    pending : (int, P.resp option ref) Hashtbl.t;
-    mutable next_id : int;
     service_rate : int;
     mutable inv_ok : bool; (* admission invariants held at every tick *)
     mutable max_qlen : int;
@@ -142,20 +83,14 @@ module QWorld = struct
           })
     in
     {
-      sched;
+      net = SW.net sched;
       store;
       qnode;
       conns;
-      pending = Hashtbl.create 64;
-      next_id = 1;
       service_rate;
       inv_ok = true;
       max_qlen = 0;
     }
-
-  let send_resp t client ~id resp =
-    FL.send t.conns.(client).resp_ch
-      (Bi_net.Pkt.Iov.materialize (P.seal_iov ~id (P.encode_resp_iov resp)))
 
   let tick t =
     (* Arrivals land in the admission queue — or bounce straight back as
@@ -163,121 +98,33 @@ module QWorld = struct
     Array.iteri
       (fun client conn ->
         List.iter
-          (fun frame ->
-            match P.unseal frame with
+          (fun (id, req) ->
+            match NC.Queued.submit t.qnode ~client ~id req with
             | None -> ()
-            | Some (id, body) -> (
-                match P.decode_req body ~off:0 with
-                | None -> ()
-                | Some (req, _) -> (
-                    match NC.Queued.submit t.qnode ~client ~id req with
-                    | None -> ()
-                    | Some resp -> send_resp t client ~id resp)))
-          (FL.step conn.req_ch))
+            | Some resp -> SW.reply conn.resp_ch ~id resp)
+          (SW.arrivals conn.req_ch))
       t.conns;
     (* At most [service_rate] queued requests are dispatched per round. *)
     List.iter
-      (fun (client, id, resp) -> send_resp t client ~id resp)
+      (fun (client, id, resp) -> SW.reply t.conns.(client).resp_ch ~id resp)
       (NC.Queued.serve ~max_requests:t.service_rate t.qnode);
     t.max_qlen <- max t.max_qlen (NC.Queued.queue_length t.qnode);
     t.inv_ok <- t.inv_ok && NC.Queued.invariants_ok t.qnode;
     (* Deliver responses to their waiting clients. *)
-    Array.iter
-      (fun conn ->
-        List.iter
-          (fun frame ->
-            match P.unseal frame with
-            | None -> ()
-            | Some (id, body) -> (
-                match P.decode_resp body ~off:0 with
-                | None -> ()
-                | Some (resp, _) -> (
-                    match Hashtbl.find_opt t.pending id with
-                    | Some slot ->
-                        slot := Some resp;
-                        Hashtbl.remove t.pending id
-                    | None -> ())))
-          (FL.step conn.resp_ch))
-      t.conns
+    Array.iter (fun conn -> SW.deliver t.net conn.resp_ch) t.conns
 
   let attempt_timeout = 10
 
   let endpoint t client : RC.endpoint =
     {
       RC.name = Printf.sprintf "qnode/c%d" client;
-      rpc =
-        (fun req ->
-          let id = t.next_id in
-          t.next_id <- id + 1;
-          let slot = ref None in
-          Hashtbl.replace t.pending id slot;
-          FL.send t.conns.(client).req_ch (P.seal ~id (P.encode_req req));
-          let deadline = t.sched.Sim.now + attempt_timeout in
-          let rec wait () =
-            match !slot with
-            | Some resp -> Ok resp
-            | None ->
-                if t.sched.Sim.now >= deadline then begin
-                  Hashtbl.remove t.pending id;
-                  Error "attempt timed out"
-                end
-                else begin
-                  Sim.sleep 1;
-                  wait ()
-                end
-          in
-          wait ());
+      rpc = SW.call t.net t.conns.(client).req_ch ~attempt_timeout;
     }
 
-  let clock t = { RC.now = (fun () -> t.sched.Sim.now); sleep = Sim.sleep }
+  let clock t = SW.net_clock t.net
 end
 
-(* ================================================================== *)
-(* Sequential specification and linearizability checking               *)
-
-module Spec = struct
-  type state = (string * string) list
-  type op = Put of string * string | Get of string | Del of string
-  type ret = RUnit | RVal of string option | RBool of bool
-
-  let step st op =
-    match op with
-    | Put (k, v) -> (((k, v) :: List.remove_assoc k st), RUnit)
-    | Get k -> (st, RVal (List.assoc_opt k st))
-    | Del k -> (List.remove_assoc k st, RBool (List.mem_assoc k st))
-
-  let equal_ret (a : ret) (b : ret) = a = b
-
-  let pp_op ppf = function
-    | Put (k, v) -> Format.fprintf ppf "put %s=%s" k v
-    | Get k -> Format.fprintf ppf "get %s" k
-    | Del k -> Format.fprintf ppf "del %s" k
-
-  let pp_ret ppf = function
-    | RUnit -> Format.pp_print_string ppf "()"
-    | RVal None -> Format.pp_print_string ppf "none"
-    | RVal (Some v) -> Format.fprintf ppf "some %s" v
-    | RBool b -> Format.fprintf ppf "%b" b
-end
-
-module Lin = Bi_core.Linearizability.Make (Spec)
-
-type recorder = {
-  mutable calls : Lin.call list;
-  mutable errors : string list;
-}
-
-let recorder () = { calls = []; errors = [] }
-
-let record rc (s : Sim.sched) proc op run =
-  let inv = s.Sim.now in
-  match run () with
-  | Ok ret ->
-      let res = max (inv + 1) s.Sim.now in
-      rc.calls <- { Lin.proc; op; ret; inv; res } :: rc.calls
-  | Error msg -> rc.errors <- msg :: rc.errors
-
-let linearizable rc = Lin.check ~init:[] (List.rev rc.calls)
+let record rc s = KV.record rc ~now:(fun () -> Vtime.now s)
 
 (* A retry config patient enough to ride out both faults and sheds. *)
 let patient_config seed =
@@ -304,7 +151,7 @@ let rates_mixed =
 (* Overloaded-world scenarios                                          *)
 
 type shed_run = {
-  rc : recorder;
+  rc : KV.recorder;
   acked_muts : int; (* acked Puts + acked-true Dels *)
   applied : int;
   queue_shed : int;
@@ -319,12 +166,12 @@ type shed_run = {
    shedding is on the hot path of every VC that uses this. *)
 let shed_scenario ~tag ~seed ~rates ?(limit = 6) ?(nclients = 3) ?(ops = 5)
     ?(capacity = 2) ?(per_client = 1) ?(deletes = true) () =
-  let s = Sim.make () in
+  let s = Vtime.make () in
   let w =
     QWorld.create ~service_rate:1 ~per_client ~capacity ~nclients ~tag ~seed
       ~rates ~limit s
   in
-  let rc = recorder () in
+  let rc = KV.recorder () in
   let keys = [| "a"; "b" |] in
   let clients =
     Array.init nclients (fun proc ->
@@ -337,46 +184,27 @@ let shed_scenario ~tag ~seed ~rates ?(limit = 6) ?(nclients = 3) ?(ops = 5)
     let cl = clients.(proc) in
     for i = 1 to ops do
       let key = keys.((i + proc) mod Array.length keys) in
-      (match (i + (2 * proc)) mod 4 with
-      | 0 | 1 ->
-          let v = Printf.sprintf "v%d-%d" proc i in
-          record rc s proc (Spec.Put (key, v)) (fun () ->
-              match RC.put cl ~key ~value:v with
-              | Ok () -> Ok Spec.RUnit
-              | Error e -> Error (Format.asprintf "%a" RC.pp_error e))
-      | 2 ->
-          record rc s proc (Spec.Get key) (fun () ->
-              match RC.get cl ~key with
-              | Ok v -> Ok (Spec.RVal v)
-              | Error e -> Error (Format.asprintf "%a" RC.pp_error e))
-      | _ when deletes ->
-          record rc s proc (Spec.Del key) (fun () ->
-              match RC.delete cl ~key with
-              | Ok b -> Ok (Spec.RBool b)
-              | Error e -> Error (Format.asprintf "%a" RC.pp_error e))
-      | _ ->
-          record rc s proc (Spec.Get key) (fun () ->
-              match RC.get cl ~key with
-              | Ok v -> Ok (Spec.RVal v)
-              | Error e -> Error (Format.asprintf "%a" RC.pp_error e)));
-      Sim.sleep (1 + ((proc + i) mod 3))
+      let value = Printf.sprintf "v%d-%d" proc i in
+      let op = KV.mixed_op ~deletes ~proc ~i ~key ~value () in
+      record rc s proc op (fun () ->
+          KV.perform ~put:(RC.put cl) ~get:(RC.get cl) ~delete:(RC.delete cl)
+            ~pp_error:RC.pp_error op);
+      Vtime.sleep (1 + ((proc + i) mod 3))
     done
   in
-  List.iter (Sim.spawn s) (List.init nclients fiber);
-  ignore (Sim.run ~tick:(fun () -> QWorld.tick w) s);
+  List.iter (Vtime.spawn s) (List.init nclients fiber);
+  ignore (Vtime.run ~tick:(fun () -> QWorld.tick w) s);
   let acked_muts =
     List.length
       (List.filter
          (fun call ->
-           match (call.Lin.op, call.Lin.ret) with
-           | Spec.Put _, _ -> true
-           | Spec.Del _, Spec.RBool b -> b
+           match (call.KV.Lin.op, call.KV.Lin.ret) with
+           | KV.Put _, _ -> true
+           | KV.Delete _, KV.Deleted b -> b
            | _ -> false)
          rc.calls)
   in
-  let client_sheds =
-    Array.fold_left (fun acc cl -> acc + (RC.stats cl).RC.sheds) 0 clients
-  in
+  let client_sheds = (RC.total_stats clients).RC.sheds in
   {
     rc;
     acked_muts;
@@ -394,7 +222,7 @@ let shed_scenario ~tag ~seed ~rates ?(limit = 6) ?(nclients = 3) ?(ops = 5)
    [unfair] mutant the flooder owns the whole buffer and the victim
    starves — which is exactly what the mutation self-check asserts. *)
 let flood_scenario ~tag ~seed ?(unfair = false) ?(victim_ops = 5) () =
-  let s = Sim.make () in
+  let s = Vtime.make () in
   let w =
     QWorld.create ~service_rate:1 ~per_client:2 ~unfair ~capacity:4
       ~nclients:2 ~tag ~seed ~rates:rates_pass ~limit:0 s
@@ -403,14 +231,12 @@ let flood_scenario ~tag ~seed ?(unfair = false) ?(victim_ops = 5) () =
   let flooder () =
     for _ = 1 to flood_rounds do
       for _ = 1 to 3 do
-        let id = w.QWorld.next_id in
-        w.QWorld.next_id <- id + 1;
-        FL.send w.QWorld.conns.(0).QWorld.req_ch
-          (P.seal ~id
-             (P.encode_req
-                (P.Put { key = "f"; value = "x"; crc = P.crc32 "x"; txn = None })))
+        ignore
+          (SW.send w.QWorld.net w.QWorld.conns.(0).QWorld.req_ch
+             (P.Put { key = "f"; value = "x"; crc = P.crc32 "x"; txn = None })
+            : int)
       done;
-      Sim.sleep 1
+      Vtime.sleep 1
     done
   in
   let victim_acked = ref 0 in
@@ -425,11 +251,11 @@ let flood_scenario ~tag ~seed ?(unfair = false) ?(victim_ops = 5) () =
       (match RC.put cl ~key:"v" ~value:(Printf.sprintf "w%d" i) with
       | Ok () -> incr victim_acked
       | Error _ -> incr victim_errors);
-      Sim.sleep 2
+      Vtime.sleep 2
     done
   in
-  List.iter (Sim.spawn s) [ flooder; victim ];
-  ignore (Sim.run ~max_rounds:200_000 ~tick:(fun () -> QWorld.tick w) s);
+  List.iter (Vtime.spawn s) [ flooder; victim ];
+  ignore (Vtime.run ~max_rounds:200_000 ~tick:(fun () -> QWorld.tick w) s);
   (!victim_acked, !victim_errors, w.QWorld.inv_ok, w.QWorld.max_qlen)
 
 (* ================================================================== *)
@@ -954,7 +780,7 @@ let lin_vcs () =
                   ~tag:(Printf.sprintf "lin-%s-%d" family seed)
                   ~seed:(100 + seed) ~rates ()
               in
-              r.rc.errors = [] && linearizable r.rc && r.inv_ok
+              r.rc.errors = [] && KV.linearizable r.rc && r.inv_ok
               && r.max_qlen <= r.capacity))
         [ 1; 2; 3 ])
     [
@@ -1048,7 +874,7 @@ let mutation_vcs () =
           shed_scenario ~tag:"mut-eo-c" ~seed:4 ~rates:rates_pass ()
         in
         let mutant =
-          let s = Sim.make () in
+          let s = Vtime.make () in
           (* [service_rate:0]: the queue never drains, so once wedged it
              sheds every later arrival — the only way "leak" can reach
              the store is through the mutant's half-apply. *)
@@ -1080,9 +906,9 @@ let mutation_vcs () =
               && List.mem_assoc "leak" (store_probe ())
               && applied_probe () = 0 && before = []
           in
-          Sim.spawn s fiber;
+          Vtime.spawn s fiber;
           ignore
-            (Sim.run ~max_rounds:5000 ~tick:(fun () -> QWorld.tick w) s);
+            (Vtime.run ~max_rounds:5000 ~tick:(fun () -> QWorld.tick w) s);
           !shed_leaked
         in
         correct.applied = correct.acked_muts && mutant);

@@ -2,8 +2,9 @@
     million-client load.
 
     Where the rs/sh suites subject the store to adversarial {e faults},
-    this suite subjects it to adversarial {e load}, over the same
-    virtual-time fiber world, and discharges executably:
+    this suite subjects it to adversarial {e load}, on the same
+    {!Bi_core.Vtime} scheduler and {!Bi_app.Sim_world} transport, and
+    discharges executably:
 
     - determinism — workload traces and whole engine summaries are pure
       functions of (config, seed), compared bit-for-bit;

@@ -32,6 +32,7 @@ module Sys_spec = Bi_kernel.Sys_spec
 module P = Bi_app.Protocol
 module RC = Bi_app.Resilient_client
 module Node_core = Bi_app.Node_core
+module KV = Bi_app.Store_spec
 module FP = Bi_fault.Fault_plan
 module FL = Bi_fault.Faulty_link
 module E = Bi_core.Explore
@@ -43,63 +44,19 @@ let server_ip = Bi_net.Ip.addr_of_string "10.0.0.1"
 let client_ip = Bi_net.Ip.addr_of_string "10.0.0.2"
 
 (* ================================================================== *)
-(* Sequential spec and linearizability checking                        *)
+(* Linearizability checking                                            *)
 
-module Spec = struct
-  type state = (string * string) list
-  type op = Put of string * string | Get of string | Del of string
+(* Histories are checked against the one key-value specification,
+   {!Bi_app.Store_spec}, with exact returns only: the respawned daemon
+   recovers its duplicate table from its journal, so every call — even
+   one whose retries straddle a netd crash — must match the sequential
+   spec exactly.
 
-  type ret = RUnit | RVal of string option | RBool of bool
-  (* Exact returns only.  Until PR 10 a mutation whose retries straddled
-     a netd crash was marked ambiguous (the duplicate table died with
-     the old epoch, so a re-applied [Del] could observe either boolean);
-     the respawned daemon now recovers the table from its journal, so
-     every call — straddling or not — must match the sequential spec
-     exactly. *)
-
-  let step st op =
-    match op with
-    | Put (k, v) -> (((k, v) :: List.remove_assoc k st), RUnit)
-    | Get k -> (st, RVal (List.assoc_opt k st))
-    | Del k -> (List.remove_assoc k st, RBool (List.mem_assoc k st))
-
-  let equal_ret a b = a = b
-
-  let pp_op ppf = function
-    | Put (k, v) -> Format.fprintf ppf "put %s=%s" k v
-    | Get k -> Format.fprintf ppf "get %s" k
-    | Del k -> Format.fprintf ppf "del %s" k
-
-  let pp_ret ppf = function
-    | RUnit -> Format.pp_print_string ppf "()"
-    | RVal None -> Format.pp_print_string ppf "none"
-    | RVal (Some v) -> Format.fprintf ppf "some %s" v
-    | RBool b -> Format.fprintf ppf "%b" b
-end
-
-module Lin = Bi_core.Linearizability.Make (Spec)
-
-type recorder = {
-  mutable calls : Lin.call list;
-  mutable errors : string list;
-}
-
-let recorder () = { calls = []; errors = [] }
-
-(* Timestamps are kernel virtual time; [res > inv] strictly, as the
+   Timestamps are kernel virtual time; [res > inv] strictly, as the
    checker requires.  The record is an ordinary OCaml value — threads of
    every simulated process share the harness heap, which is exactly what
    lets us observe a cross-process history without adding syscalls. *)
-let record rc sys proc op run =
-  let inv = Int64.to_int (U.now sys) in
-  match run () with
-  | Ok ret ->
-      let res = max (inv + 1) (Int64.to_int (U.now sys)) in
-      rc.calls <- { Lin.proc; op; ret; inv; res } :: rc.calls
-  | Error msg -> rc.errors <- msg :: rc.errors
-
-let linearizable rc = Lin.check ~init:[] (List.rev rc.calls)
-let rc_err e = Format.asprintf "%a" RC.pp_error e
+let record rc sys = KV.record rc ~now:(fun () -> Int64.to_int (U.now sys))
 
 (* ================================================================== *)
 (* World harness                                                       *)
@@ -247,35 +204,17 @@ let lin_body rc ~seed ~attempt_ticks ~deletes ~ops ts proc =
   for i = 1 to ops do
     U.sleep ts (1 + ((proc + i) mod 3));
     let key = if (proc + i) mod 2 = 0 then "alpha" else "beta" in
-    let v = Printf.sprintf "p%d-%d" proc i in
-    match (i + (2 * proc)) mod 4 with
-    | 0 | 1 ->
-        record rc ts proc (Spec.Put (key, v)) (fun () ->
-            match RC.put cl ~key ~value:v with
-            | Ok () -> Ok Spec.RUnit
-            | Error e -> Error (rc_err e))
-    | 2 ->
-        record rc ts proc (Spec.Get key) (fun () ->
-            match RC.get cl ~key with
-            | Ok v -> Ok (Spec.RVal v)
-            | Error e -> Error (rc_err e))
-    | _ ->
-        if deletes then
-          record rc ts proc (Spec.Del key) (fun () ->
-              match RC.delete cl ~key with
-              | Ok b -> Ok (Spec.RBool b)
-              | Error e -> Error (rc_err e))
-        else
-          record rc ts proc (Spec.Get key) (fun () ->
-              match RC.get cl ~key with
-              | Ok v -> Ok (Spec.RVal v)
-              | Error e -> Error (rc_err e))
+    let value = Printf.sprintf "p%d-%d" proc i in
+    let op = KV.mixed_op ~deletes ~proc ~i ~key ~value () in
+    record rc ts proc op (fun () ->
+        KV.perform ~put:(RC.put cl) ~get:(RC.get cl) ~delete:(RC.delete cl)
+          ~pp_error:RC.pp_error op)
   done;
   Nd_client.close net
 
 let lin_world ?config ?faults ?crash ?trace ?(procs = 3) ?(ops = 6)
     ?(attempt_ticks = 300) ?(deletes = true) ~seed () =
-  let rc = recorder () in
+  let rc = KV.recorder () in
   let out =
     run_world ?config ?faults ?crash ?trace ~threads:procs
       ~client_body:(lin_body rc ~seed ~attempt_ticks ~deletes ~ops)
@@ -773,11 +712,25 @@ let vc_mutation_close_signal_live =
           if !woken < 3 then Vc.Proved
           else Vc.Falsified "deadlock but every consumer was woken")
 
+(* A duplicating wire: every mutation attempt is sent twice and the
+   second response returned — the retry storm in miniature. *)
+let dup_wire net =
+  {
+    RC.name = "dup-wire";
+    rpc =
+      (fun req ->
+        match req with
+        | P.Put _ | P.Delete _ -> (
+            match Nd_client.rpc net req with
+            | Error _ as e -> e
+            | Ok _first -> Nd_client.rpc net req)
+        | _ -> Nd_client.rpc net req);
+  }
+
 let vc_mutation_dedup_bypass =
   (* Seeded bug #3: netd strips txn ids, bypassing the duplicate table.
-     The detector drives every mutation through a duplicating endpoint
-     (each attempt sent twice, second response returned — the retry
-     storm in miniature) and must see the bypass: the duplicate Delete
+     The detector drives every mutation through [dup_wire] and must see
+     the bypass: the duplicate Delete
      gets re-evaluated as Missing instead of being answered Done from
      the table, and the apply counter double-counts. *)
   Vc.prop ~id:"nd/mutation/dedup-bypass-caught" ~category:cat_mutation
@@ -789,22 +742,9 @@ let vc_mutation_dedup_bypass =
         let config = { Netd.default_config with Netd.mutant_strip_txn = mutant } in
         let body ts _ =
           let net = Nd_client.make ts ~ip:server_ip () in
-          let dup_ep =
-            {
-              RC.name = "dup-wire";
-              rpc =
-                (fun req ->
-                  match req with
-                  | P.Put _ | P.Delete _ -> (
-                      match Nd_client.rpc net req with
-                      | Error _ as e -> e
-                      | Ok _first -> Nd_client.rpc net req)
-                  | _ -> Nd_client.rpc net req);
-            }
-          in
           let cl =
             RC.create ~config:(patient_config ~seed:5) ~client:0
-              (Nd_client.clock ts) dup_ep
+              (Nd_client.clock ts) (dup_wire net)
           in
           (match RC.put cl ~key:"victim" ~value:"once" with
           | Ok () -> ()
@@ -991,22 +931,9 @@ let vc_eo_dup_wrapper =
       let fails = ref 0 in
       let body ts _ =
         let net = Nd_client.make ts ~ip:server_ip () in
-        let dup_ep =
-          {
-            RC.name = "dup-wire";
-            rpc =
-              (fun req ->
-                match req with
-                | P.Put _ | P.Delete _ -> (
-                    match Nd_client.rpc net req with
-                    | Error _ as e -> e
-                    | Ok _first -> Nd_client.rpc net req)
-                | _ -> Nd_client.rpc net req);
-          }
-        in
         let cl =
           RC.create ~config:(patient_config ~seed:31) ~client:0
-            (Nd_client.clock ts) dup_ep
+            (Nd_client.clock ts) (dup_wire net)
         in
         for i = 1 to 6 do
           match RC.put cl ~key:(Printf.sprintf "dup-%d" i) ~value:"v" with
@@ -1023,7 +950,8 @@ let vc_eo_dup_wrapper =
 (* ------------------------------------------------------------------ *)
 (* End-to-end linearizability                                          *)
 
-let lin_ok (rc, _out) = rc.errors = [] && rc.calls <> [] && linearizable rc
+let lin_ok ((rc : KV.recorder), _out) =
+  rc.errors = [] && rc.calls <> [] && KV.linearizable rc
 
 let vc_lin_quiet =
   Vc.prop ~id:"nd/lin/quiet" ~category:cat_lin (fun () ->

@@ -90,11 +90,6 @@ type t = {
 let runs t = List.rev t.runs
 let latest_run t = match t.runs with [] -> None | r :: _ -> Some r
 
-let strip_txn = function
-  | P.Put { key; value; crc; txn = _ } -> P.Put { key; value; crc; txn = None }
-  | P.Delete { key; txn = _ } -> P.Delete { key; txn = None }
-  | req -> req
-
 (* One connection's reader: accumulate bytes, frame requests, hand them
    to the queue.  Exits when the peer closes, the daemon stops, or the
    queue closes under it. *)
@@ -123,7 +118,7 @@ let worker s ~config ~stop ~queue ~store_mutex ~core ~served i =
     | Some (conn, req) ->
         (* Service time outside the lock: workers overlap here. *)
         if config.service_ticks > 0 then U.sleep s config.service_ticks;
-        let req = if config.mutant_strip_txn then strip_txn req else req in
+        let req = if config.mutant_strip_txn then P.strip_txn req else req in
         let resp =
           Umutex.with_lock s store_mutex (fun () -> Node_core.handle core req)
         in

@@ -199,22 +199,7 @@ let vc_mutation_rw_nonatomic_release =
 (* ------------------------------------------------------------------ *)
 (* Flat-combining counter replica, linearizability-checked *)
 
-module Counter_pure = struct
-  type state = int
-  type op = Incr | Read
-  type ret = int
-
-  let step st = function Incr -> (st + 1, st + 1) | Read -> (st, st)
-  let equal_ret = Int.equal
-
-  let pp_op ppf = function
-    | Incr -> Format.pp_print_string ppf "incr"
-    | Read -> Format.pp_print_string ppf "read"
-
-  let pp_ret = Format.pp_print_int
-end
-
-module Lin = Bi_core.Linearizability.Make (Counter_pure)
+module Lin = Counter.Lin
 
 type fc_state = {
   req : E.var array;  (* 0 = empty, 1 = increment requested *)
@@ -266,7 +251,7 @@ let fc_incr st ctx =
   in
   let ret = wait () in
   let res = E.now ctx in
-  st.calls := { Lin.proc = i; op = Counter_pure.Incr; ret; inv; res } :: !(st.calls)
+  st.calls := { Lin.proc = i; op = Counter.Incr; ret; inv; res } :: !(st.calls)
 
 (* The lock-free read path: a single atomic load of the replica is the
    linearization point. *)
@@ -275,7 +260,7 @@ let fc_read st ctx =
   let inv = E.now ctx in
   let v = E.read ctx st.value in
   let res = E.now ctx in
-  st.calls := { Lin.proc = i; op = Counter_pure.Read; ret = v; inv; res } :: !(st.calls)
+  st.calls := { Lin.proc = i; op = Counter.Read; ret = v; inv; res } :: !(st.calls)
 
 let fc_lin_final st =
   match Lin.counterexample ~init:0 !(st.calls) with

@@ -39,7 +39,8 @@ type node_state = {
 
 type sim_state = {
   cfg : config;
-  des : Bi_sim.Des.t;
+  events : (unit -> unit) Bi_core.Vtime.Heap.t;
+  mutable clock : int;
   nodes : node_state array;
   mutable log_tail : int;
   mutable remaining : int array; (* ops left per core *)
@@ -95,18 +96,17 @@ let rec run_batch st node t0 =
           :: !(st.latencies);
         st.remaining.(core) <- st.remaining.(core) - 1;
         if st.remaining.(core) > 0 then
-          Bi_sim.Des.schedule st.des ~at:finish (fun _ -> issue st core)
-          |> ignore
+          Bi_core.Vtime.Heap.push st.events ~time:finish (fun () ->
+              issue st core)
       in
       List.iter complete batch;
       (* If ops queued while we combined, the next batch starts at release. *)
-      Bi_sim.Des.schedule st.des ~at:finish (fun _ ->
+      Bi_core.Vtime.Heap.push st.events ~time:finish (fun () ->
           if Bi_sim.Contention.Batcher.size ns.pending > 0 then
             run_batch st node finish)
-      |> ignore
 
 and issue st core =
-  let t = Bi_sim.Des.now st.des in
+  let t = st.clock in
   let node = node_of st core in
   let ns = st.nodes.(node) in
   ignore (Bi_sim.Contention.Batcher.join ns.pending (core, t) : int);
@@ -116,11 +116,11 @@ and issue st core =
 let run cfg =
   if cfg.cores <= 0 || cfg.numa_nodes <= 0 then
     invalid_arg "Nr_sim.run: cores and numa_nodes must be positive";
-  let des = Bi_sim.Des.create () in
   let st =
     {
       cfg;
-      des;
+      events = Bi_core.Vtime.Heap.create ignore;
+      clock = 0;
       nodes =
         Array.init cfg.numa_nodes (fun _ ->
             {
@@ -137,14 +137,21 @@ let run cfg =
   in
   (* Stagger initial issues slightly so cores do not all arrive at cycle 0. *)
   for core = 0 to cfg.cores - 1 do
-    ignore
-      (Bi_sim.Des.schedule des ~at:(core * 50) (fun _ -> issue st core)
-        : Bi_sim.Des.event_id)
+    Bi_core.Vtime.Heap.push st.events ~time:(core * 50) (fun () ->
+        issue st core)
   done;
-  Bi_sim.Des.run des;
+  let rec loop () =
+    match Bi_core.Vtime.Heap.pop st.events with
+    | None -> ()
+    | Some (time, f) ->
+        st.clock <- time;
+        f ();
+        loop ()
+  in
+  loop ();
   let ls = !(st.latencies) in
   let total_ops = List.length ls in
-  let end_time = float_of_int (Bi_sim.Des.now des) in
+  let end_time = float_of_int st.clock in
   let throughput =
     if end_time > 0. then
       float_of_int total_ops

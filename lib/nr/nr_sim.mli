@@ -1,8 +1,8 @@
 (** Simulated-multicore model of NR operation latency.
 
     Reproduces the shape of the paper's Figures 1b and 1c on a 2-CPU
-    container by modelling, on the {!Bi_sim.Des} engine, the structure that
-    produces those curves on real hardware:
+    container by modelling, on the {!Bi_core.Vtime} event heap, the
+    structure that produces those curves on real hardware:
 
     - each virtual core issues operations closed-loop into its NUMA node's
       flat combiner;

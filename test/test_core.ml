@@ -310,6 +310,20 @@ let test_verifier_categories () =
   check Alcotest.int "two categories" 2 (List.length cats);
   check Alcotest.int "x has two" 2 (List.length (List.assoc "x" cats))
 
+let test_verifier_summary_names_slowest () =
+  let spin () =
+    let t0 = Unix.gettimeofday () in
+    while Unix.gettimeofday () -. t0 < 0.02 do () done;
+    true
+  in
+  let rep =
+    Verifier.discharge
+      [ Vc.prop ~id:"quick" ~category:"a" (fun () -> true);
+        Vc.prop ~id:"slow/one" ~category:"a" spin ]
+  in
+  let s = Format.asprintf "%a" Verifier.pp_summary rep in
+  check Alcotest.bool s true (String.ends_with ~suffix:" s (slow/one)" s)
+
 (* ------------------------------------------------------------------ *)
 (* Pool *)
 
@@ -1054,6 +1068,8 @@ let () =
             test_vc_forall_pairs_timeout;
           Alcotest.test_case "verifier reports" `Quick test_verifier_reports;
           Alcotest.test_case "verifier categories" `Quick test_verifier_categories;
+          Alcotest.test_case "verifier summary names slowest" `Quick
+            test_verifier_summary_names_slowest;
         ] );
       ( "contract",
         [
