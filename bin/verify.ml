@@ -81,11 +81,7 @@ let run_suite ~jobs ?timeout_s verbose (name, descr, vcs) =
   | _ -> ());
   let rep = Bi_core.Verifier.discharge ~jobs ?timeout_s vcs in
   Format.printf "%-5s %-48s %a@." name descr Bi_core.Verifier.pp_summary rep;
-  if verbose then
-    List.iter
-      (fun (cat, results) ->
-        Format.printf "      %-30s %3d VCs@." cat (List.length results))
-      (Bi_core.Verifier.by_category rep);
+  if verbose then Bi_core.Verifier.pp_breakdown Format.std_formatter rep;
   if not (Bi_core.Verifier.all_proved rep) then begin
     Bi_core.Verifier.pp_failures Format.std_formatter rep;
     false
@@ -133,7 +129,10 @@ let list_flag =
   Arg.(value & flag & info [ "list" ] ~doc:"List available suites and exit.")
 
 let verbose_flag =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Show per-category VC counts.")
+  Arg.(
+    value & flag
+    & info [ "v"; "verbose" ]
+        ~doc:"Show per-category VC counts and times, and the slowest VCs.")
 
 let jobs_flag =
   Arg.(

@@ -99,6 +99,23 @@ let pp_summary ppf rep =
     (fun ppf ->
       Option.iter (fun r -> Format.fprintf ppf " (%s)" r.vc.Vc.id) slowest)
 
+let pp_breakdown ppf rep =
+  List.iter
+    (fun (cat, results) ->
+      Format.fprintf ppf "      %-30s %3d VCs %8.3f s@." cat (List.length results)
+        (Stats.sum (List.map (fun r -> r.time_s) results)))
+    (by_category rep);
+  let slowest =
+    List.stable_sort (fun a b -> Float.compare b.time_s a.time_s) rep.results
+  in
+  List.iteri
+    (fun i r ->
+      if i < 5 then
+        Format.fprintf ppf "      %-8s %8.3f s  %s@."
+          (if i = 0 then "slowest" else "")
+          r.time_s r.vc.Vc.id)
+    slowest
+
 let pp_failures ppf rep =
   let pp_one r =
     match r.outcome with

@@ -61,5 +61,10 @@ val pp_summary : Format.formatter -> report -> unit
 (** One-paragraph summary: counts, cpu vs. wall time, speedup when
     parallel, and the max time with the id of the VC that took it. *)
 
+val pp_breakdown : Format.formatter -> report -> unit
+(** Where the time went: one line per category (VC count and summed
+    time, categories in first-seen order), then the five slowest VCs,
+    slowest first. *)
+
 val pp_failures : Format.formatter -> report -> unit
 (** Detailed listing of falsified and timed-out VCs. *)

@@ -8,7 +8,7 @@ let pp_op ppf = function
   | F -> Format.pp_print_string ppf "f"
 
 (* Journaling wrapper: pass everything through to [dev], recording the
-   write/flush stream so it can be replayed prefix by prefix. *)
+   write/flush stream so a cursor can walk it op by op. *)
 let record dev =
   let ops = ref [] in
   let journal =
@@ -48,39 +48,58 @@ type stats = {
   flushes : int;
 }
 
-let zero_stats =
-  {
-    crash_points = 0;
-    torn_points = 0;
-    subset_points = 0;
-    recovery_points = 0;
-    writes = 0;
-    flushes = 0;
-  }
-
-let replay dev ops =
-  List.iter
-    (function
-      | W (s, b) -> Block_dev.write dev s b
-      | F -> Block_dev.flush dev)
-    ops
-
-let take n l = List.filteri (fun i _ -> i < n) l
+(* The explorer's own devices are bare disks, wrapped as block devices
+   only for [setup], [mutate] and [view]. *)
+let apply disk = function
+  | W (s, b) -> Disk.write_sector disk s b
+  | F -> Disk.flush disk
 
 (* Crash keeping every pending write: combined with cutting the op stream
    at each index this enumerates every prefix of the write stream. *)
-let crash_all dev = Block_dev.crash_with dev ~keep_unflushed:max_int
+let crash_all disk = Disk.crash_with disk ~keep_unflushed:max_int
+
+(* [sweep start ops f] walks one cursor forward from a copy of [start]
+   through [ops], calling [f i cursor] at every boundary [i] (after the
+   first [i] ops).  [f] must leave the cursor untouched: it takes its crash
+   states as copies. *)
+let sweep start ops f =
+  let cursor = crash_all start in
+  f 0 cursor;
+  List.iteri
+    (fun i op ->
+      apply cursor op;
+      f (i + 1) cursor)
+    ops
+
+(* Crashed-device contents, keying the verdict cache.  Crash copies share
+   sector buffers, so equality is mostly pointer comparisons; the hash
+   samples a few words per sector. *)
+module States = Hashtbl.Make (struct
+  type t = string array
+
+  let equal = Array.for_all2 String.equal
+
+  let hash sectors =
+    let mix h s =
+      let rec go h off =
+        if off >= String.length s then h
+        else go ((h * 31) + Int64.to_int (String.get_int64_ne s off)) (off + 64)
+      in
+      go h 0
+    in
+    Array.fold_left mix 0 sectors
+end)
+
+exception Failed of string
 
 let explore cfg =
-  let fresh_base () =
-    let dev = Block_dev.of_disk (Disk.create ~sectors:cfg.sectors ()) in
-    cfg.setup dev;
-    Block_dev.flush dev;
-    dev
-  in
+  (* Setup runs once; every state below starts from a copy of its image. *)
+  let base = Disk.create ~sectors:cfg.sectors () in
+  cfg.setup (Block_dev.of_disk base);
+  Disk.flush base;
   (* Journal the transaction's write stream once. *)
-  let base = fresh_base () in
-  let journal, get_ops = record base in
+  let mutated = crash_all base in
+  let journal, get_ops = record (Block_dev.of_disk mutated) in
   cfg.mutate journal;
   let ops = get_ops () in
   let nops = List.length ops in
@@ -88,128 +107,108 @@ let explore cfg =
     List.length (List.filter (function W _ -> true | F -> false) ops)
   in
   let flushes = nops - writes in
+  let view disk = cfg.view (Block_dev.of_disk disk) in
   (* Reference states: [pre] before the transaction, [post] after it ran to
      completion (both observed through recovery). *)
-  let pre = cfg.view (crash_all (fresh_base ())) in
-  let post =
-    let dev = fresh_base () in
-    replay dev ops;
-    cfg.view (crash_all dev)
-  in
-  let stats = ref zero_stats in
-  let failure = ref None in
+  let pre = view (crash_all base) in
+  let post = view (crash_all mutated) in
   let pp_v ppf v =
     match cfg.pp with Some pp -> pp ppf v | None -> Format.fprintf ppf "<state>"
   in
-  let fail where v =
-    if !failure = None then
-      failure :=
-        Some
-          (Format.asprintf "%s: state %a is neither pre %a nor post %a" where
-             pp_v v pp_v pre pp_v post)
-  in
   (* Check one crashed device: atomicity (old state or new state) and
-     recovery idempotence (viewing again after recovery is a no-op). *)
+     recovery idempotence (viewing again after recovery is a no-op).  The
+     verdict is a function of the device contents, so a state already
+     checked is only counted. *)
+  let seen = States.create 256 in
   let check where crashed =
-    let v = cfg.view crashed in
-    if not (cfg.equal v pre || cfg.equal v post) then fail where v
-    else begin
-      let v2 = cfg.view crashed in
+    let key = Disk.contents crashed in
+    if not (States.mem seen key) then begin
+      States.add seen key ();
+      let v = view crashed in
+      if not (cfg.equal v pre || cfg.equal v post) then
+        raise
+          (Failed
+             (Format.asprintf "%s: state %a is neither pre %a nor post %a"
+                where pp_v v pp_v pre pp_v post));
+      let v2 = view crashed in
       if not (cfg.equal v v2) then
-        if !failure = None then
-          failure :=
-            Some
-              (Format.asprintf
-                 "%s: recovery not idempotent (%a then %a)" where pp_v v pp_v
-                 v2)
+        raise
+          (Failed
+             (Format.asprintf "%s: recovery not idempotent (%a then %a)" where
+                pp_v v pp_v v2))
     end
   in
-  let prefix_dev i =
-    let dev = fresh_base () in
-    replay dev (take i ops);
-    dev
+  let crash_points = ref 0
+  and torn_points = ref 0
+  and subset_points = ref 0
+  and recovery_points = ref 0 in
+  let point counter where crashed =
+    check where crashed;
+    incr counter
   in
-  (* 1. Every write boundary, all pending writes surviving. *)
-  for i = 0 to nops do
-    if !failure = None then begin
-      check (Printf.sprintf "prefix %d/%d" i nops) (crash_all (prefix_dev i));
-      stats := { !stats with crash_points = !stats.crash_points + 1 };
-      (* 2. Seeded subsets of the pending writes at this boundary. *)
-      List.iter
-        (fun seed ->
-          if !failure = None then begin
-            check
+  match
+    (* 1. Every write boundary, all pending writes surviving, and 2. seeded
+       subsets of the pending writes at that boundary. *)
+    sweep base ops (fun i disk ->
+        point crash_points (Printf.sprintf "prefix %d/%d" i nops) (crash_all disk);
+        List.iter
+          (fun seed ->
+            point subset_points
               (Printf.sprintf "prefix %d/%d subset seed %d" i nops seed)
-              (Block_dev.crash ~seed (prefix_dev i));
-            stats := { !stats with subset_points = !stats.subset_points + 1 }
-          end)
-        cfg.crash_seeds
-    end
-  done;
-  (* 3. Torn writes: the last write of a prefix lands partially — its first
-     [tear] bytes are new, the rest is the block's prior content. *)
-  List.iteri
-    (fun idx op ->
-      match op with
-      | F -> ()
-      | W (s, b) ->
-          List.iter
-            (fun tear ->
-              if !failure = None && tear > 0
-                 && tear < Block_dev.block_size then begin
-                let dev = prefix_dev idx in
-                let old = Block_dev.read dev s in
-                let torn = Bytes.copy old in
-                Bytes.blit b 0 torn 0 tear;
-                Block_dev.write dev s torn;
-                check
-                  (Printf.sprintf "torn write %d (op %d, %d bytes)" s idx tear)
-                  (crash_all dev);
-                stats := { !stats with torn_points = !stats.torn_points + 1 }
-              end)
-            cfg.tears)
-    ops;
-  (* 4. Crash during recovery: journal what recovery itself writes from
-     each boundary's crash state, then crash recovery at each of its own
-     write boundaries (plus seeded subsets) and recover again. *)
-  if cfg.explore_recovery then
-    for i = 0 to nops do
-      if !failure = None then begin
-        let crashed = crash_all (prefix_dev i) in
-        let rec_journal, rec_ops = record crashed in
-        ignore (cfg.view rec_journal);
-        let rops = rec_ops () in
-        let nrops = List.length rops in
-        for j = 0 to nrops do
-          if !failure = None then begin
-            let dev = crash_all (prefix_dev i) in
-            replay dev (take j rops);
-            check
-              (Printf.sprintf "recovery prefix %d/%d after crash %d" j nrops i)
-              (crash_all dev);
-            stats :=
-              { !stats with recovery_points = !stats.recovery_points + 1 };
+              (Disk.crash ~seed disk))
+          cfg.crash_seeds);
+    (* 3. Torn writes: the last write of a prefix lands partially — its
+       first [tear] bytes are new, the rest is the block's prior content. *)
+    let cursor = crash_all base in
+    List.iteri
+      (fun idx op ->
+        (match op with
+        | F -> ()
+        | W (s, b) ->
             List.iter
-              (fun seed ->
-                if !failure = None then begin
-                  let dev = crash_all (prefix_dev i) in
-                  replay dev (take j rops);
-                  check
+              (fun tear ->
+                if tear > 0 && tear < Block_dev.block_size then begin
+                  let disk = crash_all cursor in
+                  let torn = Disk.read_sector disk s in
+                  Bytes.blit b 0 torn 0 tear;
+                  Disk.write_sector disk s torn;
+                  point torn_points
+                    (Printf.sprintf "torn write %d (op %d, %d bytes)" s idx tear)
+                    (crash_all disk)
+                end)
+              cfg.tears);
+        apply cursor op)
+      ops;
+    (* 4. Crash during recovery: journal what recovery itself writes from
+       each boundary's crash state, then crash recovery at each of its own
+       write boundaries (plus seeded subsets) and recover again. *)
+    if cfg.explore_recovery then
+      sweep base ops (fun i disk ->
+          let rec_journal, rec_ops = record (Block_dev.of_disk (crash_all disk)) in
+          ignore (cfg.view rec_journal);
+          let rops = rec_ops () in
+          let nrops = List.length rops in
+          sweep disk rops (fun j rdisk ->
+              point recovery_points
+                (Printf.sprintf "recovery prefix %d/%d after crash %d" j nrops i)
+                (crash_all rdisk);
+              List.iter
+                (fun seed ->
+                  point recovery_points
                     (Printf.sprintf
                        "recovery prefix %d/%d after crash %d, seed %d" j nrops
                        i seed)
-                    (Block_dev.crash ~seed dev);
-                  stats :=
-                    {
-                      !stats with
-                      recovery_points = !stats.recovery_points + 1;
-                    }
-                end)
-              cfg.crash_seeds
-          end
-        done
-      end
-    done;
-  match !failure with
-  | Some msg -> Error msg
-  | None -> Ok { !stats with writes; flushes }
+                    (Disk.crash ~seed rdisk))
+                cfg.crash_seeds))
+  with
+  | exception Failed msg -> Error msg
+  | () ->
+      Ok
+        {
+          crash_points = !crash_points;
+          torn_points = !torn_points;
+          subset_points = !subset_points;
+          recovery_points = !recovery_points;
+          writes;
+          flushes;
+        }

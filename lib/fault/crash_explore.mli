@@ -9,7 +9,12 @@
     prefix cuts it explores torn intra-block versions of each final
     write, seeded non-prefix survival subsets of the pending writes, and
     — when [explore_recovery] is set — crashes at every write boundary
-    {e of recovery itself}, recursively re-recovered. *)
+    {e of recovery itself}, recursively re-recovered.
+
+    Each crash state is built once, by walking one device forward through
+    the op stream and crashing copies of it, and each distinct crashed
+    device is recovered and checked once: a state whose contents were
+    already checked is counted again but not re-viewed. *)
 
 type op = W of int * bytes | F  (** one journaled device operation *)
 
@@ -20,13 +25,15 @@ val record : Bi_fs.Block_dev.t -> Bi_fs.Block_dev.t * (unit -> op list)
     write/flush stream issued through it so far, in order. *)
 
 type 'v config = {
-  sectors : int;  (** device size for each fresh replay *)
+  sectors : int;  (** device size *)
   setup : Bi_fs.Block_dev.t -> unit;
-      (** establish the pre-state (flushed afterwards; must be
-          deterministic — it reruns for every crash point) *)
+      (** establish the pre-state (flushed afterwards); runs once, and
+          every crash state starts from a copy of its image *)
   mutate : Bi_fs.Block_dev.t -> unit;  (** the transaction under test *)
   view : Bi_fs.Block_dev.t -> 'v;
-      (** recover/mount a crashed device and observe its state *)
+      (** recover/mount a crashed device and observe its state; must be a
+          deterministic function of the device contents, because the
+          explorer reuses the verdict of a state it has already checked *)
   equal : 'v -> 'v -> bool;
   pp : (Format.formatter -> 'v -> unit) option;
   tears : int list;  (** torn-write prefix lengths, in bytes *)

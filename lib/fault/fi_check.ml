@@ -269,6 +269,19 @@ let wal_config ?(tears = []) ?(seeds = []) ?(explore_recovery = false)
     explore_recovery;
   }
 
+(* Pin an exploration's full census, so a faster explorer can never
+   quietly explore less. *)
+let must_census (pinned : Crash_explore.stats) = function
+  | Ok s when s = pinned -> Vc.Proved
+  | Ok (s : Crash_explore.stats) ->
+      Vc.Falsified
+        (Printf.sprintf
+           "census drifted: %d writes, %d flushes, %d crash, %d torn, %d \
+            subset, %d recovery points"
+           s.writes s.flushes s.crash_points s.torn_points s.subset_points
+           s.recovery_points)
+  | Error e -> Vc.Falsified e
+
 let wal_vcs () =
   let ok = function Ok _ -> true | Error _ -> false in
   [
@@ -321,15 +334,19 @@ let wal_vcs () =
         | Error _ -> false);
     Vc.make ~id:"fi/wal/recovery-idempotent-every-boundary" ~category:"fi/wal"
       (fun () ->
-        match
-          Crash_explore.explore
-            (wal_config ~seeds:[ 0; 1; 2 ] ~explore_recovery:true
-               ~setup_blocks:[ (40, 'A'); (41, 'B') ]
-               ~txn_writes:[ (40, 'X'); (41, 'Y') ] ())
-        with
-        | Ok s when s.recovery_points > 0 -> Vc.Proved
-        | Ok _ -> Vc.Falsified "no recovery crash points explored"
-        | Error e -> Vc.Falsified e);
+        must_census
+          {
+            writes = 8;
+            flushes = 4;
+            crash_points = 13;
+            torn_points = 0;
+            subset_points = 39;
+            recovery_points = 152;
+          }
+          (Crash_explore.explore
+             (wal_config ~seeds:[ 0; 1; 2 ] ~explore_recovery:true
+                ~setup_blocks:[ (40, 'A'); (41, 'B') ]
+                ~txn_writes:[ (40, 'X'); (41, 'Y') ] ())));
     Vc.prop ~id:"fi/wal/crash-point-census" ~category:"fi/wal" (fun () ->
         (* The 3-record commit protocol issues exactly 11 writes (2 per
            record + commit header + 3 installs + header clear) across 4
@@ -394,7 +411,15 @@ let fs_vcs () =
                   | Error _ -> failwith "resolve /a")
                 ())));
     Vc.make ~id:"fi/fs/rename-atomic" ~category:"fi/fs" (fun () ->
-        must
+        must_census
+          {
+            writes = 14;
+            flushes = 4;
+            crash_points = 19;
+            torn_points = 0;
+            subset_points = 38;
+            recovery_points = 204;
+          }
           (Crash_explore.explore
              (fs_config ~seeds:[ 1; 2 ] ~explore_recovery:true
                 ~setup:(fun fs ->

@@ -137,14 +137,17 @@ module Disk = struct
     t.io_count <- t.io_count + 1;
     (* Apply oldest-first so later writes win. *)
     List.iter
-      (fun { sector; data } -> t.durable.(sector) <- Bytes.copy data)
+      (fun { sector; data } -> t.durable.(sector) <- data)
       (List.rev t.unflushed);
     t.unflushed <- [];
     signal t
 
+  (* A stored sector buffer is never mutated in place: [write_sector]
+     copies data in, [read_sector] copies it out, and [flush]/[crash] only
+     replace array slots.  So a crash copy can share every buffer. *)
   let copy_durable t =
     {
-      durable = Array.map Bytes.copy t.durable;
+      durable = Array.copy t.durable;
       unflushed = [];
       intr = t.intr;
       io_count = 0;
@@ -158,7 +161,7 @@ module Disk = struct
     let d = copy_durable t in
     let oldest_first = List.rev t.unflushed in
     let kept = List.filteri (fun i _ -> i < keep_unflushed) oldest_first in
-    List.iter (fun { sector; data } -> d.durable.(sector) <- Bytes.copy data) kept;
+    List.iter (fun { sector; data } -> d.durable.(sector) <- data) kept;
     d
 
   let crash ?seed t =
@@ -175,9 +178,13 @@ module Disk = struct
     let oldest_first = List.rev t.unflushed in
     List.iter
       (fun { sector; data } ->
-        if Bi_core.Gen.bool g then d.durable.(sector) <- Bytes.copy data)
+        if Bi_core.Gen.bool g then d.durable.(sector) <- data)
       oldest_first;
     d
+
+  let contents t =
+    Array.map Bytes.unsafe_to_string
+      (crash_with t ~keep_unflushed:max_int).durable
 
   let io_count t = t.io_count
 end

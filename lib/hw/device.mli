@@ -92,6 +92,11 @@ module Disk : sig
   (** Un-flushed writes currently queued (the clamp bound of
       {!crash_with}). *)
 
+  val contents : t -> string array
+  (** Every sector as {!read_sector} would return it, without copying: a
+      stored sector buffer is never mutated in place, so the strings share
+      the disk's buffers and equal contents are often physically equal. *)
+
   val io_count : t -> int
 end
 

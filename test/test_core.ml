@@ -324,6 +324,36 @@ let test_verifier_summary_names_slowest () =
   let s = Format.asprintf "%a" Verifier.pp_summary rep in
   check Alcotest.bool s true (String.ends_with ~suffix:" s (slow/one)" s)
 
+let test_verifier_breakdown () =
+  let result (id, category, time_s) =
+    { Verifier.vc = Vc.prop ~id ~category (fun () -> true); time_s;
+      outcome = Vc.Proved }
+  in
+  let results =
+    List.map result
+      [ ("a1", "a", 0.5); ("b1", "b", 0.25); ("a2", "a", 2.0);
+        ("b2", "b", 0.125); ("a3", "a", 1.0); ("b3", "b", 0.0625) ]
+  in
+  let rep =
+    { Verifier.results; total_time_s = 3.9375; wall_time_s = 3.9375;
+      max_time_s = 2.0; jobs = 1; proved = 6; falsified = 0; timed_out = 0;
+      capped = 0 }
+  in
+  let lines =
+    String.split_on_char '\n' (Format.asprintf "%a" Verifier.pp_breakdown rep)
+    |> List.map String.trim
+    |> List.filter (( <> ) "")
+  in
+  check (Alcotest.list Alcotest.string) "categories, then five slowest"
+    [ "a                                3 VCs    3.500 s";
+      "b                                3 VCs    0.438 s";
+      "slowest     2.000 s  a2";
+      "1.000 s  a3";
+      "0.500 s  a1";
+      "0.250 s  b1";
+      "0.125 s  b2" ]
+    lines
+
 (* ------------------------------------------------------------------ *)
 (* Pool *)
 
@@ -1070,6 +1100,7 @@ let () =
           Alcotest.test_case "verifier categories" `Quick test_verifier_categories;
           Alcotest.test_case "verifier summary names slowest" `Quick
             test_verifier_summary_names_slowest;
+          Alcotest.test_case "verifier breakdown" `Quick test_verifier_breakdown;
         ] );
       ( "contract",
         [

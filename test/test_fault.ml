@@ -155,6 +155,282 @@ let test_explore_catches_unlogged_writes () =
   | Ok _ -> Alcotest.fail "unlogged multi-block write passed as atomic"
   | Error _ -> ()
 
+(* Reference oracle: the replay-from-zero explorer the sweep replaced.
+   Every crash point reruns [setup] on a fresh disk, replays the op prefix
+   from index 0 and views the crashed device, even when an identical state
+   was already checked.  [on_check] sees each crashed device first. *)
+let oracle_explore ?(on_check = ignore) (cfg : 'v Crash_explore.config) =
+  let open Crash_explore in
+  let fresh_base () =
+    let dev = Block_dev.of_disk (Disk.create ~sectors:cfg.sectors ()) in
+    cfg.setup dev;
+    Block_dev.flush dev;
+    dev
+  in
+  let replay dev =
+    List.iter (function
+      | W (s, b) -> Block_dev.write dev s b
+      | F -> Block_dev.flush dev)
+  in
+  let take n l = List.filteri (fun i _ -> i < n) l in
+  let crash_all dev = Block_dev.crash_with dev ~keep_unflushed:max_int in
+  let journal, get_ops = record (fresh_base ()) in
+  cfg.mutate journal;
+  let ops = get_ops () in
+  let nops = List.length ops in
+  let writes = List.length (List.filter (function W _ -> true | F -> false) ops) in
+  let pre = cfg.view (crash_all (fresh_base ())) in
+  let post =
+    let dev = fresh_base () in
+    replay dev ops;
+    cfg.view (crash_all dev)
+  in
+  let stats =
+    ref
+      { crash_points = 0; torn_points = 0; subset_points = 0;
+        recovery_points = 0; writes; flushes = nops - writes }
+  in
+  let failure = ref None in
+  let pp_v ppf v =
+    match cfg.pp with Some pp -> pp ppf v | None -> Format.fprintf ppf "<state>"
+  in
+  let check where crashed =
+    on_check crashed;
+    let v = cfg.view crashed in
+    if not (cfg.equal v pre || cfg.equal v post) then
+      failure :=
+        Some
+          (Format.asprintf "%s: state %a is neither pre %a nor post %a" where
+             pp_v v pp_v pre pp_v post)
+    else
+      let v2 = cfg.view crashed in
+      if not (cfg.equal v v2) then
+        failure :=
+          Some
+            (Format.asprintf "%s: recovery not idempotent (%a then %a)" where
+               pp_v v pp_v v2)
+  in
+  let prefix_dev i =
+    let dev = fresh_base () in
+    replay dev (take i ops);
+    dev
+  in
+  let live () = !failure = None in
+  for i = 0 to nops do
+    if live () then begin
+      check (Printf.sprintf "prefix %d/%d" i nops) (crash_all (prefix_dev i));
+      stats := { !stats with crash_points = !stats.crash_points + 1 };
+      List.iter
+        (fun seed ->
+          if live () then begin
+            check
+              (Printf.sprintf "prefix %d/%d subset seed %d" i nops seed)
+              (Block_dev.crash ~seed (prefix_dev i));
+            stats := { !stats with subset_points = !stats.subset_points + 1 }
+          end)
+        cfg.crash_seeds
+    end
+  done;
+  List.iteri
+    (fun idx op ->
+      match op with
+      | F -> ()
+      | W (s, b) ->
+          List.iter
+            (fun tear ->
+              if live () && tear > 0 && tear < bs then begin
+                let dev = prefix_dev idx in
+                let torn = Block_dev.read dev s in
+                Bytes.blit b 0 torn 0 tear;
+                Block_dev.write dev s torn;
+                check
+                  (Printf.sprintf "torn write %d (op %d, %d bytes)" s idx tear)
+                  (crash_all dev);
+                stats := { !stats with torn_points = !stats.torn_points + 1 }
+              end)
+            cfg.tears)
+    ops;
+  if cfg.explore_recovery then
+    for i = 0 to nops do
+      if live () then begin
+        let rec_journal, rec_ops = record (crash_all (prefix_dev i)) in
+        ignore (cfg.view rec_journal);
+        let rops = rec_ops () in
+        let nrops = List.length rops in
+        for j = 0 to nrops do
+          let at seed =
+            if live () then begin
+              let dev = crash_all (prefix_dev i) in
+              replay dev (take j rops);
+              (match seed with
+              | None ->
+                  check
+                    (Printf.sprintf "recovery prefix %d/%d after crash %d" j
+                       nrops i)
+                    (crash_all dev)
+              | Some seed ->
+                  check
+                    (Printf.sprintf
+                       "recovery prefix %d/%d after crash %d, seed %d" j nrops
+                       i seed)
+                    (Block_dev.crash ~seed dev));
+              stats :=
+                { !stats with recovery_points = !stats.recovery_points + 1 }
+            end
+          in
+          at None;
+          List.iter (fun seed -> at (Some seed)) cfg.crash_seeds
+        done
+      end
+    done;
+  match !failure with Some msg -> Error msg | None -> Ok !stats
+
+let wal_txn ?(tears = []) ?(seeds = []) ?(explore_recovery = false) n =
+  let targets = List.init n (fun i -> 40 + i) in
+  let recover dev = ignore (Wal.recover (Wal.create dev ~header_block:0) : int) in
+  {
+    (wal_cfg ~mutate:(fun dev ->
+         let txn = Wal.begin_txn (Wal.create dev ~header_block:0) in
+         List.iter (fun s -> Wal.txn_write txn s (blk 'N')) targets;
+         Wal.commit txn))
+    with
+    Crash_explore.setup =
+      (fun dev ->
+        List.iter (fun s -> Block_dev.write dev s (blk 'O')) targets;
+        recover dev);
+    view =
+      (fun dev ->
+        recover dev;
+        List.map (fun s -> Bytes.to_string (Block_dev.read dev s)) targets);
+    tears;
+    crash_seeds = seeds;
+    explore_recovery;
+  }
+
+(* Raw WAL blocks, for the seeded-bug configs below. *)
+let raw_header n =
+  let b = blk '\000' in
+  Bytes.set_int32_le b 0 0x57414C31l;
+  Bytes.set_int32_le b 4 (Int32.of_int n);
+  b
+
+let raw_meta target =
+  let b = blk '\000' in
+  Bytes.set_int32_le b 0 (Int32.of_int target);
+  b
+
+(* Commit header flushed before the record it names. *)
+let header_before_records =
+  {
+    (wal_txn 1) with
+    Crash_explore.setup =
+      (fun dev ->
+        Block_dev.write dev 0 (blk 'S');
+        Block_dev.write dev 40 (blk 'A');
+        Block_dev.write dev 5 (raw_header 0));
+    mutate =
+      (fun dev ->
+        List.iter
+          (fun (s, b) ->
+            Block_dev.write dev s b;
+            Block_dev.flush dev)
+          [ (5, raw_header 1); (6, raw_meta 40); (7, blk 'B'); (40, blk 'B');
+            (5, raw_header 0) ]);
+    view =
+      (fun dev ->
+        ignore (Wal.recover (Wal.create dev ~header_block:5) : int);
+        List.map (fun s -> Bytes.to_string (Block_dev.read dev s)) [ 0; 40 ]);
+    crash_seeds = List.init 16 Fun.id;
+  }
+
+(* A correct commit, but recovery installs and clears the header in one
+   flush epoch. *)
+let recovery_missing_flush =
+  let buggy_recover dev =
+    let hdr = Block_dev.read dev 0 in
+    let n = Int32.to_int (Bytes.get_int32_le hdr 4) in
+    if Bytes.get_int32_le hdr 0 = 0x57414C31l && n > 0 then
+      for i = 0 to n - 1 do
+        let meta = Block_dev.read dev (1 + (2 * i)) in
+        Block_dev.write dev
+          (Int32.to_int (Bytes.get_int32_le meta 0))
+          (Block_dev.read dev (2 + (2 * i)))
+      done;
+    Block_dev.write dev 0 (raw_header 0);
+    Block_dev.flush dev
+  in
+  {
+    (wal_txn ~explore_recovery:true 2) with
+    Crash_explore.view =
+      (fun dev ->
+        buggy_recover dev;
+        List.map (fun s -> Bytes.to_string (Block_dev.read dev s)) [ 40; 41 ]);
+    crash_seeds = List.init 16 Fun.id;
+  }
+
+let fs_rename =
+  let req = function Ok () -> () | Error _ -> failwith "fs op" in
+  {
+    Crash_explore.sectors = 128;
+    setup =
+      (fun dev ->
+        let fs = Bi_fs.Fs.mkfs dev in
+        req (Bi_fs.Fs.create fs "/a");
+        req (Bi_fs.Fs.mkdir fs "/d"));
+    mutate = (fun dev -> req (Bi_fs.Fs.rename (Bi_fs.Fs.mount dev) ~src:"/a" ~dst:"/d/b"));
+    view = (fun dev -> Bi_fs.Fs_refinement.view (Bi_fs.Fs.mount dev));
+    equal = Bi_fs.Fs_spec.equal_state;
+    pp = Some Bi_fs.Fs_spec.pp_state;
+    tears = [];
+    crash_seeds = [ 1; 2 ];
+    explore_recovery = true;
+  }
+
+let stats_t =
+  Alcotest.testable
+    (fun ppf (s : Crash_explore.stats) ->
+      Format.fprintf ppf "%d writes, %d flushes, %d/%d/%d/%d points" s.writes
+        s.flushes s.crash_points s.torn_points s.subset_points
+        s.recovery_points)
+    ( = )
+
+(* The sweep must agree with the oracle on the census and on the verdict,
+   down to the first failing point's message, while viewing each distinct
+   crashed state at most twice (atomicity, then the idempotence re-view).
+   Pre, post and, when recovery is explored, one recording view per
+   boundary are extra. *)
+let test_explore_matches_oracle ~sound (cfg : 'v Crash_explore.config) () =
+  let contents dev =
+    String.concat ""
+      (List.init (Block_dev.blocks dev) (fun i ->
+           Bytes.to_string (Block_dev.read dev i)))
+  in
+  let distinct = Hashtbl.create 64 in
+  let expected =
+    oracle_explore ~on_check:(fun d -> Hashtbl.replace distinct (contents d) ()) cfg
+  in
+  let views = ref 0 in
+  let got =
+    Crash_explore.explore
+      { cfg with view = (fun dev -> incr views; cfg.view dev) }
+  in
+  check (Alcotest.result stats_t Alcotest.string) "same census and verdict"
+    expected got;
+  check Alcotest.bool "verdict" sound (Result.is_ok got);
+  let nops =
+    let dev = Block_dev.of_disk (Disk.create ~sectors:cfg.sectors ()) in
+    cfg.setup dev;
+    let journal, ops = Crash_explore.record dev in
+    cfg.mutate journal;
+    List.length (ops ())
+  in
+  let extra = 2 + if cfg.explore_recovery then nops + 1 else 0 in
+  check Alcotest.bool
+    (Printf.sprintf "%d views <= 2 x %d distinct + %d" !views
+       (Hashtbl.length distinct) extra)
+    true
+    (!views <= (2 * Hashtbl.length distinct) + extra)
+
 (* ------------------------------------------------------------------ *)
 (* Faulty link *)
 
@@ -254,7 +530,26 @@ let () =
             test_explore_wal_commit_safe;
           Alcotest.test_case "catches unlogged writes" `Quick
             test_explore_catches_unlogged_writes;
-        ] );
+        ]
+        @ List.map
+            (fun (name, run) -> Alcotest.test_case ("oracle " ^ name) `Quick run)
+            [
+              ( "wal 1-record",
+                test_explore_matches_oracle ~sound:true
+                  (wal_txn ~tears:[ 1; 8; 256; 511 ] ~seeds:[ 0; 1; 2; 3; 4 ] 1) );
+              ( "wal 3-records",
+                test_explore_matches_oracle ~sound:true
+                  (wal_txn ~tears:[ 4; 256 ] ~seeds:[ 1; 2; 3 ] 3) );
+              ( "wal recovery",
+                test_explore_matches_oracle ~sound:true
+                  (wal_txn ~seeds:[ 0; 1; 2 ] ~explore_recovery:true 2) );
+              ( "fs rename recovery",
+                test_explore_matches_oracle ~sound:true fs_rename );
+              ( "header-before-records",
+                test_explore_matches_oracle ~sound:false header_before_records );
+              ( "recovery-missing-flush",
+                test_explore_matches_oracle ~sound:false recovery_missing_flush );
+            ] );
       ( "link",
         [
           Alcotest.test_case "lossless transfer" `Quick

@@ -620,6 +620,33 @@ let test_disk_write_wins_order () =
   check Alcotest.bool "newest durable after flush" true
     (Device.Disk.read_sector d 0 = sector 'b')
 
+(* Crash copies share sector buffers with the disk, which is sound only
+   while no buffer a caller can reach is stored: scribbling on a written
+   buffer, or on one returned by a read, must change neither the disk nor
+   any crash copy, before or after a flush. *)
+let test_disk_buffers_not_aliased () =
+  let module D = Device.Disk in
+  let d = D.create ~sectors:4 () in
+  let w = sector 'a' in
+  D.write_sector d 1 w;
+  Bytes.fill w 0 (Bytes.length w) 'X';
+  let early = D.crash_with d ~keep_unflushed:max_int in
+  let seeded = D.crash ~seed:0 (D.crash_with d ~keep_unflushed:max_int) in
+  Bytes.fill (D.read_sector d 1) 0 8 'Y';
+  D.flush d;
+  Bytes.fill (D.read_sector d 1) 0 8 'Z';
+  let late = D.crash d in
+  Bytes.fill (D.read_sector late 1) 0 8 'Q';
+  Bytes.fill (D.read_sector early 1) 0 8 'Q';
+  List.iter
+    (fun (name, disk) ->
+      check Alcotest.bool name true (D.read_sector disk 1 = sector 'a');
+      check Alcotest.string (name ^ " contents")
+        (String.make D.sector_size 'a')
+        (D.contents disk).(1))
+    [ ("disk", d); ("crash_with before flush", early);
+      ("crash of a crash copy", seeded); ("crash after flush", late) ]
+
 let test_disk_bad_args () =
   let d = Device.Disk.create ~sectors:4 () in
   (match Device.Disk.read_sector d 7 with
@@ -775,6 +802,8 @@ let () =
           Alcotest.test_case "serial" `Quick test_serial_output;
           Alcotest.test_case "disk rw/flush" `Quick test_disk_rw_and_flush;
           Alcotest.test_case "disk crash" `Quick test_disk_crash_semantics;
+          Alcotest.test_case "disk buffers not aliased" `Quick
+            test_disk_buffers_not_aliased;
           Alcotest.test_case "disk write order" `Quick test_disk_write_wins_order;
           Alcotest.test_case "disk bad args" `Quick test_disk_bad_args;
           Alcotest.test_case "nic delivery/loss" `Quick test_nic_delivery_and_loss;
