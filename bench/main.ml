@@ -301,6 +301,54 @@ let bench_translate_tlb =
   let tlb = Bi_hw.Tlb.create ~capacity:128 in
   fun () -> translate_hot ~tlb ()
 
+(* Storage-node family: the fs steps under one store save/load, on the
+   node's 128-entry /blocks (64 keys, each with its .crc sidecar). *)
+let store_keys = Array.init 64 (fun i -> Printf.sprintf "k%02d" i)
+
+let store_env =
+  lazy
+    (let disk = Bi_hw.Device.Disk.create ~sectors:4096 () in
+     let fs = Bi_fs.Fs.mkfs (Bi_fs.Block_dev.of_disk disk) in
+     let store = Bi_app.Node_core.fs_store fs in
+     Array.iter
+       (fun k ->
+         let value = String.make 64 'v' in
+         match
+           store.save k { value; crc = Bi_app.Protocol.crc32 value }
+         with
+         | Ok () -> ()
+         | Error _ -> failwith "bench store setup")
+       store_keys;
+     (fs, store))
+
+(* Cycle through the keys so every position in /blocks is priced. *)
+let next_key =
+  let i = ref 0 in
+  fun () ->
+    i := (!i + 1) mod Array.length store_keys;
+    store_keys.(!i)
+
+let bench_fs_resolve (fs, _) =
+  ignore (Bi_fs.Fs.resolve fs (Bi_app.Node_core.key_path (next_key ())))
+
+let bench_fs_unlink_create (fs, _) =
+  let path = Bi_app.Node_core.key_path (next_key ()) in
+  (match Bi_fs.Fs.unlink fs path with Ok () | Error _ -> ());
+  match Bi_fs.Fs.create fs path with Ok () | Error _ -> ()
+
+let bench_store_save (_, (store : Bi_app.Node_core.store)) =
+  let value = String.make 64 's' in
+  ignore (store.save (next_key ()) { value; crc = Bi_app.Protocol.crc32 value })
+
+let bench_store_load (_, (store : Bi_app.Node_core.store)) =
+  ignore (store.load (next_key ()))
+
+(* The store is built once, outside the measured runs. *)
+let store_test name f =
+  Test.make_with_resource ~name Test.uniq
+    ~allocate:(fun () -> Lazy.force store_env)
+    ~free:ignore (Staged.stage f)
+
 let tests =
   [
     Test.make ~name:"fig1a/vc-discharge" (Staged.stage bench_vc);
@@ -311,6 +359,10 @@ let tests =
       (Staged.stage (map_cycle_verified Bi_core.Contract.Checked));
     Test.make ~name:"table1/phys-mem-safety" (Staged.stage bench_phys_mem);
     Test.make ~name:"table2/fs-write-read" (Staged.stage bench_fs);
+    store_test "fs/resolve-128" bench_fs_resolve;
+    store_test "fs/unlink-create-128" bench_fs_unlink_create;
+    store_test "fs_store/save-128" bench_store_save;
+    store_test "fs_store/load-128" bench_store_load;
     Test.make ~name:"ratio/abi-marshal-roundtrip" (Staged.stage bench_marshal);
     Test.make ~name:"nr/update" (Staged.stage bench_nr_update);
     Test.make ~name:"nr/read" (Staged.stage bench_nr_read);

@@ -803,11 +803,20 @@ let mem_contents s =
           | _ -> None)
         (List.sort compare ks)
 
+(* The stores' on-disk naming: a block per file under [/blocks], its
+   checksum in a [.crc] sidecar beside it. *)
+let blocks_dir = "/blocks"
+let key_path key = blocks_dir ^ "/" ^ key
+let crc_path key = key_path key ^ ".crc"
+
+let keys_of_listing names =
+  List.filter
+    (fun n -> not (String.length n > 4 && Filename.check_suffix n ".crc"))
+    names
+
 let fs_store fs =
   let io e = P.Io (Format.asprintf "%a" Fs.pp_error e) in
-  let key_path key = "/blocks/" ^ key in
-  let crc_path key = "/blocks/" ^ key ^ ".crc" in
-  (match Fs.mkdir fs "/blocks" with Ok () | Error _ -> ());
+  (match Fs.mkdir fs blocks_dir with Ok () | Error _ -> ());
   let write_file path data =
     let ensure () =
       match Fs.resolve fs path with
@@ -869,14 +878,9 @@ let fs_store fs =
             Ok true);
     keys =
       (fun () ->
-        match Fs.readdir fs "/blocks" with
+        match Fs.readdir fs blocks_dir with
         | Error e -> Error (io e)
-        | Ok names ->
-            Ok
-              (List.filter
-                 (fun n ->
-                   not (String.length n > 4 && Filename.check_suffix n ".crc"))
-                 names));
+        | Ok names -> Ok (keys_of_listing names));
   }
 
 (* A node core fronted by a bounded fair admission queue — the overload

@@ -210,6 +210,25 @@ val mem_contents : store -> (string * string) list
     unreadable entries are skipped); the degraded-mode monotonicity VCs
     compare these snapshots across the degradation point. *)
 
+(** {2 On-disk naming}
+
+    Both filesystem-backed stores ({!fs_store} and
+    [Storage_node.usys_store]) keep a block in [/blocks/<key>] and its
+    checksum in the sidecar [/blocks/<key>.crc]. *)
+
+val blocks_dir : string
+(** ["/blocks"]. *)
+
+val key_path : string -> string
+(** [/blocks/<key>]. *)
+
+val crc_path : string -> string
+(** [/blocks/<key>.crc]. *)
+
+val keys_of_listing : string list -> string list
+(** The keys in a listing of {!blocks_dir}: every name but the [.crc]
+    sidecars. *)
+
 val fs_store : Bi_fs.Fs.t -> store
 (** Blocks under [/blocks/<key>] with the checksum in a sidecar
     [/blocks/<key>.crc], over a directly mounted filesystem — mount one

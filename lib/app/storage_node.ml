@@ -3,9 +3,6 @@ module P = Protocol
 
 let port = 9000
 
-let key_path key = "/blocks/" ^ key
-let crc_path key = "/blocks/" ^ key ^ ".crc"
-
 let io_err e = P.Io (Format.asprintf "%a" Bi_kernel.Sysabi.pp_err e)
 
 let read_file s path =
@@ -26,9 +23,9 @@ let write_file s path data =
   match U.openf s ~create:true path with
   | Error e -> Error e
   | Ok fd -> (
-      (* Truncate-by-recreate is not available; overwrite then the reader
-         uses the crc sidecar length to validate. We emulate truncation by
-         deleting and recreating. *)
+      (* The ABI has no truncate, so the file is recreated: unlink, then
+         create and write.  Journal redo covers a crash between the unlink
+         and the write. *)
       ignore (U.close s fd);
       match U.unlink s path with
       | Error e -> Error e
@@ -47,11 +44,11 @@ let usys_store s : Node_core.store =
   {
     load =
       (fun key ->
-        match read_file s (key_path key) with
+        match read_file s (Node_core.key_path key) with
         | Error Bi_kernel.Sysabi.E_noent -> Ok None
         | Error e -> Error (io_err e)
         | Ok value -> (
-            match read_file s (crc_path key) with
+            match read_file s (Node_core.crc_path key) with
             | Error _ -> Error P.No_crc
             | Ok crc_text -> (
                 match Int32.of_string_opt ("0x" ^ String.trim crc_text) with
@@ -59,30 +56,27 @@ let usys_store s : Node_core.store =
                 | Some crc -> Ok (Some { Node_core.value; crc }))));
     save =
       (fun key { Node_core.value; crc } ->
-        match write_file s (key_path key) value with
+        match write_file s (Node_core.key_path key) value with
         | Error e -> Error (io_err e)
         | Ok () -> (
-            match write_file s (crc_path key) (Printf.sprintf "%08lx" crc) with
+            match
+              write_file s (Node_core.crc_path key) (Printf.sprintf "%08lx" crc)
+            with
             | Error e -> Error (io_err e)
             | Ok () -> Ok ()));
     remove =
       (fun key ->
-        match U.unlink s (key_path key) with
+        match U.unlink s (Node_core.key_path key) with
         | Error Bi_kernel.Sysabi.E_noent -> Ok false
         | Error e -> Error (io_err e)
         | Ok () ->
-            ignore (U.unlink s (crc_path key));
+            ignore (U.unlink s (Node_core.crc_path key));
             Ok true);
     keys =
       (fun () ->
-        match U.readdir s "/blocks" with
+        match U.readdir s Node_core.blocks_dir with
         | Error e -> Error (io_err e)
-        | Ok names ->
-            Ok
-              (List.filter
-                 (fun n ->
-                   not (String.length n > 4 && Filename.check_suffix n ".crc"))
-                 names));
+        | Ok names -> Ok (Node_core.keys_of_listing names));
   }
 
 (* The node's redo journal through the same syscall interface.  Appends

@@ -184,7 +184,7 @@ let file_block t txn inode_num i ~alloc =
       end
       else begin
         let slot = i - ndirect in
-        let with_indirect ind (ino : inode) =
+        let with_indirect ind =
           let ib = Wal.txn_read txn ind in
           let phys = Int32.to_int (Bytes.get_int32_le ib (4 * slot)) in
           if phys <> 0 then Ok phys
@@ -196,11 +196,10 @@ let file_block t txn inode_num i ~alloc =
                 Wal.txn_write txn phys (Bytes.make bs '\000');
                 Bytes.set_int32_le ib (4 * slot) (Int32.of_int phys);
                 Wal.txn_write txn ind ib;
-                ignore ino;
                 Ok phys
           end
         in
-        if ino.indirect <> 0 then with_indirect ino.indirect ino
+        if ino.indirect <> 0 then with_indirect ino.indirect
         else if not alloc then Ok 0
         else begin
           match alloc_data t txn with
@@ -208,61 +207,102 @@ let file_block t txn inode_num i ~alloc =
           | Some ind ->
               Wal.txn_write txn ind (Bytes.make bs '\000');
               put_inode txn inode_num (Some { ino with indirect = ind });
-              with_indirect ind { ino with indirect = ind }
+              with_indirect ind
         end
       end
 
 (* ------------------------------------------------------------------ *)
 (* Directory entries                                                   *)
 
-let dirent_name b off =
-  let raw = Bytes.sub_string b (off + 4) (dirent_size - 4) in
-  match String.index_opt raw '\000' with
-  | Some i -> String.sub raw 0 i
-  | None -> raw
+let dirent_ino b off = Int32.to_int (Bytes.get_int32_le b off)
+let name_field = dirent_size - 4
 
-let dir_iter t txn dino f =
-  (* Iterate (slot_index, name, ino) over all allocated entries. *)
+(* Does the entry at [off] hold [name]?  Compared in place: the name's
+   bytes, then a NUL or the end of the field. *)
+let dirent_is b off name =
+  let n = String.length name in
+  let rec same i =
+    i = n || (Bytes.get b (off + 4 + i) = name.[i] && same (i + 1))
+  in
+  n <= name_field
+  && (n = name_field || Bytes.get b (off + 4 + n) = '\000')
+  && same 0
+
+let dirent_name b off =
+  let rec len i =
+    if i < name_field && Bytes.get b (off + 4 + i) <> '\000' then len (i + 1)
+    else i
+  in
+  Bytes.sub_string b (off + 4) (len 0)
+
+let dir_inode txn dino =
   match get_inode txn dino with
   | None -> Error Not_found
-  | Some ino when ino.ikind <> Dir -> Error Not_dir
-  | Some ino ->
-      let nblocks = (ino.isize + bs - 1) / bs in
-      let rec blocks bi =
-        if bi >= nblocks then Ok ()
-        else begin
-          match file_block t txn dino bi ~alloc:false with
-          | Error e -> Error e
-          | Ok 0 -> blocks (bi + 1)
-          | Ok phys ->
-              let b = Wal.txn_read txn phys in
-              let upper =
-                min dirents_per_block ((ino.isize - (bi * bs)) / dirent_size)
-              in
-              for s = 0 to upper - 1 do
-                let off = s * dirent_size in
-                let e_ino = Int32.to_int (Bytes.get_int32_le b off) in
-                if e_ino <> 0 then
-                  f ((bi * dirents_per_block) + s) (dirent_name b off) e_ino
-              done;
-              blocks (bi + 1)
-        end
-      in
-      blocks 0
+  | Some di when di.ikind <> Dir -> Error Not_dir
+  | Some di -> Ok di
 
-let dir_lookup t txn dino name =
-  let found = ref None in
-  match
-    dir_iter t txn dino (fun _ n ino -> if n = name then found := Some ino)
-  with
-  | Error e -> Error e
-  | Ok () -> Ok !found
+(* Visit the slots of directory [di] in order, free ones included, and
+   stop at the first one [visit] answers [Some] for.  Each directory block
+   and the indirect block are read at most once; [visit] gets the block's
+   physical number, its buffer (a fresh copy the caller may modify and
+   write back) and the slot's byte offset in it. *)
+let dir_scan txn di visit =
+  let nslots = di.isize / dirent_size in
+  let ind = lazy (Wal.txn_read txn di.indirect) in
+  let phys bi =
+    if bi < ndirect then di.direct.(bi)
+    else if di.indirect = 0 then 0
+    else
+      Int32.to_int (Bytes.get_int32_le (Lazy.force ind) (4 * (bi - ndirect)))
+  in
+  let rec blocks bi =
+    let first = bi * dirents_per_block in
+    if first >= nslots then None
+    else
+      match phys bi with
+      | 0 -> blocks (bi + 1) (* hole *)
+      | p ->
+          let b = Wal.txn_read txn p in
+          let upper = min dirents_per_block (nslots - first) in
+          let rec slots s =
+            if s >= upper then blocks (bi + 1)
+            else
+              match visit p b (s * dirent_size) with
+              | Some _ as found -> found
+              | None -> slots (s + 1)
+          in
+          slots 0
+  in
+  blocks 0
 
-let dir_entries t txn dino =
-  let acc = ref [] in
-  match dir_iter t txn dino (fun _ n ino -> acc := (n, ino) :: !acc) with
+(* Names are unique within a directory ([dir_add] only runs after a
+   lookup of the name came back empty), so the first match is the only
+   one. *)
+let find_entry txn di name =
+  dir_scan txn di (fun p b off ->
+      if dirent_ino b off <> 0 && dirent_is b off name then Some (p, b, off)
+      else None)
+
+let dir_lookup txn dino name =
+  match dir_inode txn dino with
   | Error e -> Error e
-  | Ok () -> Ok (List.sort compare !acc)
+  | Ok di ->
+      Ok
+        (Option.map
+           (fun (_, b, off) -> dirent_ino b off)
+           (find_entry txn di name))
+
+let dir_entries txn dino =
+  match dir_inode txn dino with
+  | Error e -> Error e
+  | Ok di ->
+      let acc = ref [] in
+      ignore
+        (dir_scan txn di (fun _ b off ->
+             let ino = dirent_ino b off in
+             if ino <> 0 then acc := (dirent_name b off, ino) :: !acc;
+             None));
+      Ok (List.sort compare !acc)
 
 let write_dirent b off name ino =
   Bytes.fill b off dirent_size '\000';
@@ -270,36 +310,21 @@ let write_dirent b off name ino =
   Bytes.blit_string name 0 b (off + 4) (String.length name)
 
 let dir_add t txn dino name ino =
-  match get_inode txn dino with
-  | None -> Error Not_found
-  | Some di when di.ikind <> Dir -> Error Not_dir
-  | Some di -> (
-      (* Reuse a freed slot if one exists within the current size. *)
-      let free_slot = ref None in
-      let nslots = di.isize / dirent_size in
-      let rec scan slot =
-        if slot >= nslots || !free_slot <> None then ()
-        else begin
-          let bi = slot / dirents_per_block in
-          match file_block t txn dino bi ~alloc:false with
-          | Error _ | Ok 0 -> scan ((bi + 1) * dirents_per_block)
-          | Ok phys ->
-              let b = Wal.txn_read txn phys in
-              let off = slot mod dirents_per_block * dirent_size in
-              if Bytes.get_int32_le b off = 0l then free_slot := Some (slot, phys)
-              else scan (slot + 1)
-        end
-      in
-      scan 0;
-      match !free_slot with
-      | Some (slot, phys) ->
-          let b = Wal.txn_read txn phys in
-          write_dirent b (slot mod dirents_per_block * dirent_size) name ino;
-          Wal.txn_write txn phys b;
+  match dir_inode txn dino with
+  | Error e -> Error e
+  | Ok di -> (
+      (* Reuse the first freed slot within the current size. *)
+      match
+        dir_scan txn di (fun p b off ->
+            if dirent_ino b off = 0 then Some (p, b, off) else None)
+      with
+      | Some (p, b, off) ->
+          write_dirent b off name ino;
+          Wal.txn_write txn p b;
           Ok ()
       | None -> (
           (* Append a new slot at the end. *)
-          let slot = nslots in
+          let slot = di.isize / dirent_size in
           let bi = slot / dirents_per_block in
           if bi >= max_file_blocks then Error No_space
           else begin
@@ -318,50 +343,39 @@ let dir_add t txn dino name ino =
                 Ok ()
           end))
 
-let dir_remove t txn dino name =
-  let slot_found = ref None in
-  match
-    dir_iter t txn dino (fun slot n _ ->
-        if n = name then slot_found := Some slot)
-  with
+let dir_remove txn dino name =
+  match dir_inode txn dino with
   | Error e -> Error e
-  | Ok () -> (
-      match !slot_found with
+  | Ok di -> (
+      match find_entry txn di name with
       | None -> Error Not_found
-      | Some slot -> (
-          let bi = slot / dirents_per_block in
-          match file_block t txn dino bi ~alloc:false with
-          | Error e -> Error e
-          | Ok 0 -> Error Not_found
-          | Ok phys ->
-              let b = Wal.txn_read txn phys in
-              Bytes.fill b (slot mod dirents_per_block * dirent_size)
-                dirent_size '\000';
-              Wal.txn_write txn phys b;
-              Ok ()))
+      | Some (p, b, off) ->
+          Bytes.fill b off dirent_size '\000';
+          Wal.txn_write txn p b;
+          Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Path resolution                                                     *)
 
-let resolve_in_txn t txn path =
+let resolve_in_txn txn path =
   match Path.split path with
   | Error () -> Error Invalid_path
   | Ok parts ->
       let rec walk ino = function
         | [] -> Ok ino
         | name :: rest -> (
-            match dir_lookup t txn ino name with
+            match dir_lookup txn ino name with
             | Error e -> Error e
             | Ok None -> Error Not_found
             | Ok (Some child) -> walk child rest)
       in
       walk root_ino parts
 
-let resolve_parent t txn path =
+let resolve_parent txn path =
   match Path.dirname_basename path with
   | Error () -> Error Invalid_path
   | Ok (parents, name) -> (
-      match resolve_in_txn t txn (Path.join parents) with
+      match resolve_in_txn txn (Path.join parents) with
       | Error e -> Error e
       | Ok dino -> Ok (dino, name))
 
@@ -418,10 +432,10 @@ let transact t f =
 
 let create_node t path kind =
   transact t (fun txn ->
-      match resolve_parent t txn path with
+      match resolve_parent txn path with
       | Error e -> Error e
       | Ok (dino, name) -> (
-          match dir_lookup t txn dino name with
+          match dir_lookup txn dino name with
           | Error e -> Error e
           | Ok (Some _) -> Error Exists
           | Ok None -> (
@@ -436,7 +450,7 @@ let create_node t path kind =
 let create t path = create_node t path File
 let mkdir t path = create_node t path Dir
 
-let free_file_blocks t txn ino_num (ino : inode) =
+let free_file_blocks txn (ino : inode) =
   Array.iter (fun p -> if p <> 0 then free_data txn p) ino.direct;
   if ino.indirect <> 0 then begin
     let ib = Wal.txn_read txn ino.indirect in
@@ -445,16 +459,14 @@ let free_file_blocks t txn ino_num (ino : inode) =
       if p <> 0 then free_data txn p
     done;
     free_data txn ino.indirect
-  end;
-  ignore t;
-  ignore ino_num
+  end
 
 let unlink t path =
   transact t (fun txn ->
-      match resolve_parent t txn path with
+      match resolve_parent txn path with
       | Error e -> Error e
       | Ok (dino, name) -> (
-          match dir_lookup t txn dino name with
+          match dir_lookup txn dino name with
           | Error e -> Error e
           | Ok None -> Error Not_found
           | Ok (Some ino_num) -> (
@@ -462,20 +474,20 @@ let unlink t path =
               | None -> Error Not_found
               | Some ino when ino.ikind = Dir -> Error Is_dir
               | Some ino -> (
-                  match dir_remove t txn dino name with
+                  match dir_remove txn dino name with
                   | Error e -> Error e
                   | Ok () ->
-                      free_file_blocks t txn ino_num ino;
+                      free_file_blocks txn ino;
                       put_inode txn ino_num None;
                       free_ino txn ino_num;
                       Ok ()))))
 
 let rmdir t path =
   transact t (fun txn ->
-      match resolve_parent t txn path with
+      match resolve_parent txn path with
       | Error e -> Error e
       | Ok (dino, name) -> (
-          match dir_lookup t txn dino name with
+          match dir_lookup txn dino name with
           | Error e -> Error e
           | Ok None -> Error Not_found
           | Ok (Some ino_num) -> (
@@ -483,25 +495,25 @@ let rmdir t path =
               | None -> Error Not_found
               | Some ino when ino.ikind <> Dir -> Error Not_dir
               | Some ino -> (
-                  match dir_entries t txn ino_num with
+                  match dir_entries txn ino_num with
                   | Error e -> Error e
                   | Ok (_ :: _) -> Error Not_empty
                   | Ok [] -> (
-                      match dir_remove t txn dino name with
+                      match dir_remove txn dino name with
                       | Error e -> Error e
                       | Ok () ->
-                          free_file_blocks t txn ino_num ino;
+                          free_file_blocks txn ino;
                           put_inode txn ino_num None;
                           free_ino txn ino_num;
                           Ok ())))))
 
 let rename t ~src ~dst =
   transact t (fun txn ->
-      match (resolve_parent t txn src, resolve_parent t txn dst) with
+      match (resolve_parent txn src, resolve_parent txn dst) with
       | Error e, _ -> Error e
       | _, Error e -> Error e
       | Ok (sdir, sname), Ok (ddir, dname) -> (
-          match dir_lookup t txn sdir sname with
+          match dir_lookup txn sdir sname with
           | Error e -> Error e
           | Ok None -> Error Not_found
           | Ok (Some ino) -> (
@@ -509,7 +521,7 @@ let rename t ~src ~dst =
               | None -> Error Not_found
               | Some i when i.ikind = Dir -> Error Is_dir
               | Some _ -> (
-                  match dir_lookup t txn ddir dname with
+                  match dir_lookup txn ddir dname with
                   | Error e -> Error e
                   | Ok (Some _) -> Error Exists
                   | Ok None -> (
@@ -519,22 +531,21 @@ let rename t ~src ~dst =
                          or neither. *)
                       match dir_add t txn ddir dname ino with
                       | Error e -> Error e
-                      | Ok () -> dir_remove t txn sdir sname)))))
+                      | Ok () -> dir_remove txn sdir sname)))))
 
 let readdir t path =
   transact t (fun txn ->
-      match resolve_in_txn t txn path with
+      match resolve_in_txn txn path with
       | Error e -> Error e
       | Ok ino -> (
-          match dir_entries t txn ino with
+          match dir_entries txn ino with
           | Error e -> Error e
           | Ok entries -> Ok (List.map fst entries)))
 
-let stat_of t txn ino_num =
+let stat_of txn ino_num =
   match get_inode txn ino_num with
   | None -> Error Not_found
   | Some ino ->
-      ignore t;
       (* A directory's on-disk entry-table size is implementation detail;
          the spec-visible size of a directory is 0. *)
       let size = match ino.ikind with Dir -> 0 | File -> ino.isize in
@@ -542,13 +553,13 @@ let stat_of t txn ino_num =
 
 let stat t path =
   transact t (fun txn ->
-      match resolve_in_txn t txn path with
+      match resolve_in_txn txn path with
       | Error e -> Error e
-      | Ok ino -> stat_of t txn ino)
+      | Ok ino -> stat_of txn ino)
 
-let resolve t path = transact t (fun txn -> resolve_in_txn t txn path)
+let resolve t path = transact t (fun txn -> resolve_in_txn txn path)
 
-let stat_ino t ino = transact t (fun txn -> stat_of t txn ino)
+let stat_ino t ino = transact t (fun txn -> stat_of txn ino)
 
 let read_ino t ~ino ~off ~len =
   if off < 0 || len < 0 then Error Invalid_path

@@ -134,7 +134,7 @@ let worker s ~config ~stop ~queue ~store_mutex ~core ~served i =
 
 let program t s _arg =
   let config = t.config in
-  (match U.mkdir s "/blocks" with
+  (match U.mkdir s Node_core.blocks_dir with
   | Ok () | Error Bi_kernel.Sysabi.E_exists -> ()
   | Error e ->
       U.log s

@@ -390,6 +390,137 @@ let prop_crash_recovery_consistent =
             names)
 
 (* ------------------------------------------------------------------ *)
+(* Directory layer: a fixed create/unlink/rename script checked against a
+   Hashtbl model, with the device's whole write stream pinned.  The script
+   grows /d past the 160 direct-block slots into the indirect block, uses
+   names that are prefixes of each other ("k1", "k10", "k1.crc") and
+   27-byte names, reuses freed slots and renames within and across
+   directories.  The pin fixes the exact sector, contents and order of
+   every write and flush, so a change to how directories are scanned must
+   leave every on-disk image and crash state as it was. *)
+
+(* Device that chains every write (sector, bytes) and flush into a digest. *)
+let logging_dev () =
+  let inner = fresh_dev () in
+  let writes = ref 0 in
+  let digest = ref (Digest.string "") in
+  let log entry = digest := Digest.string (!digest ^ entry) in
+  let dev =
+    Block_dev.make ~blocks:(Block_dev.blocks inner) ~read:(Block_dev.read inner)
+      ~write:(fun s b ->
+        incr writes;
+        log (Printf.sprintf "W%d:%s" s (Bytes.to_string b));
+        Block_dev.write inner s b)
+      ~flush:(fun () ->
+        log "F";
+        Block_dev.flush inner)
+      ~crash:(fun seed -> Block_dev.crash ?seed inner)
+      ~crash_with:(fun ~keep_unflushed -> Block_dev.crash_with inner ~keep_unflushed)
+      ~io_count:(fun () -> Block_dev.io_count inner)
+  in
+  (dev, writes, digest)
+
+let dir_names =
+  Array.concat
+    [
+      Array.init 80 (fun j -> Printf.sprintf "k%d" j);
+      Array.init 80 (fun j -> Printf.sprintf "k%d.crc" j);
+      Array.init 24 (fun j -> Printf.sprintf "%s%03d" (String.make 24 'L') j);
+      [| String.make 26 'L'; String.make 27 'L' |];
+    ]
+
+let test_dir_write_stream_pin () =
+  let dev, writes, digest = logging_dev () in
+  let fs = Fs.mkfs dev in
+  let dirs = [| "/d"; "/e" |] in
+  Array.iter (fun d -> check Alcotest.bool ("mkdir " ^ d) true (Fs.mkdir fs d = Ok ())) dirs;
+  let model = Hashtbl.create 256 in
+  let path d n = dirs.(d) ^ "/" ^ n in
+  let expect what want got =
+    if want <> got then
+      Alcotest.failf "%s: expected %s" what
+        (match want with Ok () -> "ok" | Error e -> Format.asprintf "%a" Fs.pp_error e)
+  in
+  let check_lookup d n =
+    match (Fs.resolve fs (path d n), Hashtbl.mem model (d, n)) with
+    | Ok _, true | Error Fs.Not_found, false -> ()
+    | _ -> Alcotest.failf "lookup %s disagrees with the model" (path d n)
+  in
+  let check_readdir d =
+    let want =
+      List.sort compare
+        (Hashtbl.fold (fun (d', n) () acc -> if d' = d then n :: acc else acc) model [])
+    in
+    check Alcotest.(result (list string) unit)
+      ("readdir " ^ dirs.(d)) (Ok want)
+      (Result.map_error (fun _ -> ()) (Fs.readdir fs dirs.(d)))
+  in
+  let create d n =
+    let want = if Hashtbl.mem model (d, n) then Error Fs.Exists else Ok () in
+    expect ("create " ^ path d n) want (Fs.create fs (path d n));
+    if want = Ok () then Hashtbl.replace model (d, n) ()
+  in
+  let unlink d n =
+    let want = if Hashtbl.mem model (d, n) then Ok () else Error Fs.Not_found in
+    expect ("unlink " ^ path d n) want (Fs.unlink fs (path d n));
+    Hashtbl.remove model (d, n)
+  in
+  let rename (sd, sn) (dd, dn) =
+    let want =
+      if not (Hashtbl.mem model (sd, sn)) then Error Fs.Not_found
+      else if Hashtbl.mem model (dd, dn) then Error Fs.Exists
+      else Ok ()
+    in
+    expect
+      (Printf.sprintf "rename %s -> %s" (path sd sn) (path dd dn))
+      want
+      (Fs.rename fs ~src:(path sd sn) ~dst:(path dd dn));
+    if want = Ok () then begin
+      Hashtbl.remove model (sd, sn);
+      Hashtbl.replace model (dd, dn) ()
+    end
+  in
+  (* Grow /d to every name: 186 entries, 26 of them in the indirect block. *)
+  Array.iter (create 0) dir_names;
+  Array.iter (check_lookup 0) dir_names;
+  check_readdir 0;
+  (* Churn: a fixed LCG picks names, directories and operations. *)
+  let seed = ref 12345 in
+  let next bound =
+    seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
+    (!seed lsr 8) mod bound
+  in
+  let pick () = dir_names.(next (Array.length dir_names)) in
+  for step = 1 to 1500 do
+    let d = if next 5 = 0 then 1 else 0 in
+    let n = pick () in
+    (match next 8 with
+    | 0 | 1 | 2 -> unlink d n
+    | 3 | 4 -> if Hashtbl.length model < 240 then create d n else unlink d n
+    | 5 -> rename (d, n) (d, pick ())
+    | 6 -> rename (d, n) (1 - d, pick ())
+    | _ -> (
+        match Fs.resolve fs (path d n) with
+        | Ok ino ->
+            expect ("write " ^ path d n) (Ok ())
+              (Fs.write_ino fs ~ino ~off:0 (Bytes.make (1 + next 700) 'w'))
+        | Error _ -> check_lookup d n));
+    check_lookup d n;
+    check_lookup 0 "k";
+    check_lookup 0 "k1.cr";
+    if step mod 50 = 0 then begin
+      check_readdir 0;
+      check_readdir 1
+    end
+  done;
+  Array.iter (fun n -> check_lookup 0 n; check_lookup 1 n) dir_names;
+  check_readdir 0;
+  check_readdir 1;
+  check Alcotest.int "device writes" 10280 !writes;
+  check Alcotest.string "write-stream digest" "a1ab349fbac513039460e6c012d161c5"
+    (Digest.to_hex !digest)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "bi_fs"
@@ -421,6 +552,8 @@ let () =
           Alcotest.test_case "many files + slot reuse" `Quick test_fs_many_files_in_dir;
           Alcotest.test_case "inode reuse" `Quick test_fs_inode_reuse_no_leak;
           Alcotest.test_case "sparse zeros" `Quick test_fs_sparse_read_zeros;
+          Alcotest.test_case "directory write-stream pin" `Quick
+            test_dir_write_stream_pin;
         ] );
       ( "crash",
         [
