@@ -639,22 +639,23 @@ let vc_mutation_double_free_caught =
 
 let seal_req ~id r = P.seal ~id (P.encode_req r)
 
-let workload_frames =
-  lazy
-    (List.mapi
-       (fun i r -> seal_req ~id:i r)
-       [
-         P.Put { key = "k1"; value = "v1"; crc = P.crc32 "v1";
-                 txn = Some { P.client = 1; seq = 1 } };
-         P.Get "k1";
-         P.Put { key = "k2"; value = String.make 300 'z';
-                 crc = P.crc32 (String.make 300 'z');
-                 txn = Some { P.client = 1; seq = 2 } };
-         P.List;
-         P.Delete { key = "k1"; txn = Some { P.client = 1; seq = 3 } };
-         P.Get "k1";
-         P.Ping;
-       ])
+(* Built per VC, not shared: VCs run on several domains, and forcing one
+   lazy value from two domains at once raises. *)
+let workload_frames () =
+  List.mapi
+    (fun i r -> seal_req ~id:i r)
+    [
+      P.Put { key = "k1"; value = "v1"; crc = P.crc32 "v1";
+              txn = Some { P.client = 1; seq = 1 } };
+      P.Get "k1";
+      P.Put { key = "k2"; value = String.make 300 'z';
+              crc = P.crc32 (String.make 300 'z');
+              txn = Some { P.client = 1; seq = 2 } };
+      P.List;
+      P.Delete { key = "k1"; txn = Some { P.client = 1; seq = 3 } };
+      P.Get "k1";
+      P.Ping;
+    ]
 
 (* Every request/response scratch buffer returns to the pool — even when
    frames are corrupt and the handler bails early. *)
@@ -662,7 +663,7 @@ let vc_pool_leak_free_handle_frame =
   Vc.prop ~id:"hp/e2e/handle-frame-leak-free" ~category:"hp/e2e" (fun () ->
       let p = Pool.create ~size:65536 () in
       let core = Node_core.create ~pool:p (Node_core.mem_store ()) in
-      let frames = Lazy.force workload_frames in
+      let frames = workload_frames () in
       let answered =
         List.for_all
           (fun f -> Node_core.handle_frame core f <> None)
@@ -695,7 +696,7 @@ let vc_handle_frame_parity =
       in
       let plain = Node_core.create (Node_core.mem_store ()) in
       let reference = Node_core.create (Node_core.mem_store ()) in
-      let frames = Lazy.force workload_frames in
+      let frames = workload_frames () in
       List.for_all
         (fun f ->
           let a = Node_core.handle_frame pooled f in
@@ -725,7 +726,7 @@ let vc_e2e_checked_eq_erased =
             in
             List.map
               (fun f -> Node_core.handle_frame core f)
-              (Lazy.force workload_frames))
+              (workload_frames ()))
       in
       run Contract.Checked = run Contract.Erased)
 

@@ -68,24 +68,23 @@ let retryable = function
 
 let max_value_size = 60_000
 
-(* CRC-32 (IEEE), table-driven. *)
+(* CRC-32 (IEEE), table-driven.  The table is built eagerly: forcing a
+   shared lazy value from two domains at once raises. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        if Int32.logand !c 1l <> 0l then
+          c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+        else c := Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let crc_step c code =
-  let table = Lazy.force crc_table in
   let idx =
     Int32.to_int (Int32.logand (Int32.logxor c (Int32.of_int code)) 0xFFl)
   in
-  Int32.logxor table.(idx) (Int32.shift_right_logical c 8)
+  Int32.logxor crc_table.(idx) (Int32.shift_right_logical c 8)
 
 let crc_init = 0xFFFFFFFFl
 let crc_finish c = Int32.logxor c 0xFFFFFFFFl

@@ -19,23 +19,16 @@ let read_file s path =
       ignore (U.close s fd);
       result
 
+(* Rewritten in place: the same resolve-or-create, truncate, write
+   transactions as [Node_core.fs_store], whose crash points cr explores.
+   Journal redo covers a crash between the truncate and the write. *)
 let write_file s path data =
-  match U.openf s ~create:true path with
+  match U.openf s ~create:true ~trunc:true path with
   | Error e -> Error e
-  | Ok fd -> (
-      (* The ABI has no truncate, so the file is recreated: unlink, then
-         create and write.  Journal redo covers a crash between the unlink
-         and the write. *)
+  | Ok fd ->
+      let r = U.write s ~fd data in
       ignore (U.close s fd);
-      match U.unlink s path with
-      | Error e -> Error e
-      | Ok () -> (
-          match U.openf s ~create:true path with
-          | Error e -> Error e
-          | Ok fd ->
-              let r = U.write s ~fd data in
-              ignore (U.close s fd);
-              (match r with Ok _ -> Ok () | Error e -> Error e)))
+      (match r with Ok _ -> Ok () | Error e -> Error e)
 
 (* The node's backing store, through the syscall interface: blocks as
    files, checksums in sidecars — every access crosses the marshalled ABI

@@ -16,9 +16,10 @@ val port : int
 
 val usys_store : Bi_kernel.Usys.t -> Node_core.store
 (** The node's backing store over the syscall interface.  Operations are
-    multi-syscall (write = unlink + recreate + crc sidecar), so callers
-    serving concurrently must serialize same-store access themselves —
-    netd holds one data-path mutex across {!Node_core.handle}. *)
+    multi-syscall (write = open(create, trunc) + write + close, for the
+    block and again for its crc sidecar), so callers serving concurrently
+    must serialize same-store access themselves — netd holds one
+    data-path mutex across {!Node_core.handle}. *)
 
 val usys_journal : ?path:string -> Bi_kernel.Usys.t -> Journal.sink
 (** The node's redo journal over the syscall interface (default path

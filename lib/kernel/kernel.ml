@@ -370,7 +370,7 @@ and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
       | Ok pa -> Some (Sysabi.R_i64 pa)
       | Error e -> err e)
   (* filesystem *)
-  | Sysabi.Open { path; create } -> (
+  | Sysabi.Open { path; create; trunc } -> (
       let resolved =
         match Fs.resolve t.fs path with
         | Ok ino -> Ok ino
@@ -380,9 +380,15 @@ and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
             | Error e -> Error e)
         | Error e -> Error e
       in
-      match resolved with
+      let opened =
+        match resolved with
+        | Ok ino when trunc -> Fs.truncate_ino t.fs ~ino 0
+        | Ok (_ : int) -> Ok ()
+        | Error e -> Error e
+      in
+      match opened with
       | Error e -> err (fs_err e)
-      | Ok (_ : int) ->
+      | Ok () ->
           let fd = p.next_fd in
           p.next_fd <- fd + 1;
           Hashtbl.replace p.fds fd (File_fd { path; offset = 0 });

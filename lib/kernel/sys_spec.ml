@@ -104,9 +104,9 @@ let step st ~pid req got =
           Some (Ok (set_proc st pid p', Sysabi.R_unit))
         end
         else Some (Ok (st, Sysabi.R_err Sysabi.E_inval))
-    | Sysabi.Open { path; create } -> (
+    | Sysabi.Open { path; create; trunc } -> (
         let exists = Fs_spec.lookup st.fs path <> None in
-        let opened fs' =
+        let add_fd fs' =
           let fd = p.next_fd in
           let p' =
             {
@@ -116,6 +116,16 @@ let step st ~pid req got =
             }
           in
           Some (Ok (set_proc { st with fs = fs' } pid p', Sysabi.R_int fd))
+        in
+        (* O_TRUNC: empty the file once it exists; a directory refuses. *)
+        let opened fs' =
+          if not trunc then add_fd fs'
+          else
+            match Fs_spec.step fs' (Fs_spec.Truncate (path, 0)) with
+            | Some (fs'', Fs_spec.Done) -> add_fd fs''
+            | Some (_, Fs_spec.Error e) ->
+                Some (Ok (st, Sysabi.R_err (err_of_fs e)))
+            | Some _ | None -> None
         in
         match (exists, create) with
         | false, false -> (

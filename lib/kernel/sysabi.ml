@@ -32,7 +32,7 @@ type request =
   | Mmap of { bytes : int }
   | Munmap of { va : int64 }
   | Mresolve of { va : int64 }
-  | Open of { path : string; create : bool }
+  | Open of { path : string; create : bool; trunc : bool }
   | Close of { fd : int }
   | Read of { fd : int; len : int }
   | Write of { fd : int; data : string }
@@ -173,10 +173,11 @@ let encode_request req =
   | Mresolve { va } ->
       W.u8 w 10;
       w_i64 w va
-  | Open { path; create } ->
+  | Open { path; create; trunc } ->
       W.u8 w 11;
       w_str w path;
-      w_bool w create
+      w_bool w create;
+      w_bool w trunc
   | Close { fd } ->
       W.u8 w 12;
       w_int w fd
@@ -302,7 +303,8 @@ let decode_request b =
       | 11 ->
           let path = r_str r in
           let create = r_bool r in
-          Some (Open { path; create })
+          let trunc = r_bool r in
+          Some (Open { path; create; trunc })
       | 12 -> Some (Close { fd = r_int r })
       | 13 ->
           let fd = r_int r in
@@ -490,7 +492,8 @@ let pp_request ppf = function
   | Mmap { bytes } -> Format.fprintf ppf "mmap(%d)" bytes
   | Munmap { va } -> Format.fprintf ppf "munmap(0x%Lx)" va
   | Mresolve { va } -> Format.fprintf ppf "mresolve(0x%Lx)" va
-  | Open { path; create } -> Format.fprintf ppf "open(%s,create=%b)" path create
+  | Open { path; create; trunc } ->
+      Format.fprintf ppf "open(%s,create=%b,trunc=%b)" path create trunc
   | Close { fd } -> Format.fprintf ppf "close(%d)" fd
   | Read { fd; len } -> Format.fprintf ppf "read(%d,%d)" fd len
   | Write { fd; data } -> Format.fprintf ppf "write(%d,[%d])" fd (String.length data)
@@ -553,7 +556,10 @@ let sample_request g =
   | 7 -> Mmap { bytes = Gen.int g 1_000_000 }
   | 8 -> Munmap { va = Gen.bits g 47 }
   | 9 -> Mresolve { va = Gen.bits g 47 }
-  | 10 -> Open { path = sample_path g; create = Gen.bool g }
+  | 10 ->
+      let path = sample_path g in
+      let create = Gen.bool g in
+      Open { path; create; trunc = Gen.bool g }
   | 11 -> Close { fd = Gen.int g 64 }
   | 12 -> Read { fd = Gen.int g 64; len = Gen.int g 10_000 }
   | 13 -> Write { fd = Gen.int g 64; data = sample_string g }

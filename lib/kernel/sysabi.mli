@@ -44,7 +44,9 @@ type request =
   | Munmap of { va : int64 }
   | Mresolve of { va : int64 }
   (* filesystem *)
-  | Open of { path : string; create : bool }
+  | Open of { path : string; create : bool; trunc : bool }
+      (** [trunc] empties an existing file (O_TRUNC); on a directory it
+          fails with [E_isdir]. *)
   | Close of { fd : int }
   | Read of { fd : int; len : int }
   | Write of { fd : int; data : string }

@@ -46,7 +46,8 @@ let mmap s ~bytes = as_i64 (call s (Sysabi.Mmap { bytes }))
 let munmap s ~va = as_unit (call s (Sysabi.Munmap { va }))
 let mresolve s ~va = as_i64 (call s (Sysabi.Mresolve { va }))
 
-let openf s ?(create = false) path = as_int (call s (Sysabi.Open { path; create }))
+let openf s ?(create = false) ?(trunc = false) path =
+  as_int (call s (Sysabi.Open { path; create; trunc }))
 let close s fd = as_unit (call s (Sysabi.Close { fd }))
 let read s ~fd ~len = as_data (call s (Sysabi.Read { fd; len }))
 let write s ~fd data = as_int (call s (Sysabi.Write { fd; data }))

@@ -30,7 +30,8 @@ val mmap : t -> bytes:int -> (int64, Sysabi.err) result
 val munmap : t -> va:int64 -> (unit, Sysabi.err) result
 val mresolve : t -> va:int64 -> (int64, Sysabi.err) result
 
-val openf : t -> ?create:bool -> string -> (int, Sysabi.err) result
+val openf :
+  t -> ?create:bool -> ?trunc:bool -> string -> (int, Sysabi.err) result
 val close : t -> int -> (unit, Sysabi.err) result
 val read : t -> fd:int -> len:int -> (string, Sysabi.err) result
 val write : t -> fd:int -> string -> (int, Sysabi.err) result

@@ -1,20 +1,24 @@
 (* Copy accounting: every primitive that moves payload bytes into or out
    of a buffer reports here, so the bench ablation can compare bytes
-   copied per framed message between the copying and iovec paths.  Plain
-   refs — the counters are only read from single-domain benches/VCs. *)
-let copied_bytes_ctr = ref 0
-let copies_ctr = ref 0
+   copied per framed message between the copying and iovec paths.  The
+   counters are domain-local, so a VC reading them under [verify --jobs]
+   sees only the copies made on its own domain. *)
+type copy_stats = { mutable bytes : int; mutable count : int }
+
+let stats = Domain.DLS.new_key (fun () -> { bytes = 0; count = 0 })
 
 let count_copy n =
-  incr copies_ctr;
-  copied_bytes_ctr := !copied_bytes_ctr + n
+  let c = Domain.DLS.get stats in
+  c.count <- c.count + 1;
+  c.bytes <- c.bytes + n
 
 let reset_copy_stats () =
-  copied_bytes_ctr := 0;
-  copies_ctr := 0
+  let c = Domain.DLS.get stats in
+  c.bytes <- 0;
+  c.count <- 0
 
-let copied_bytes () = !copied_bytes_ctr
-let copies () = !copies_ctr
+let copied_bytes () = (Domain.DLS.get stats).bytes
+let copies () = (Domain.DLS.get stats).count
 
 module W = struct
   type t = Buffer.t

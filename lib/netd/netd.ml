@@ -21,13 +21,13 @@
    the kernel contract rather than beside it.
 
    Concurrency discipline: [Node_core.handle] runs under one data-path
-   umutex.  The Usys store is multi-syscall per operation (unlink +
-   recreate + crc sidecar), so two workers interleaving on one key could
-   tear a value/crc pair; the lock serializes the store while the
-   simulated service time ([config.service_ticks], the knob the scaling
-   benchmark turns) is slept OUTSIDE the lock, so k workers still
-   overlap their service time and the worker-scaling VCs have something
-   to measure. *)
+   umutex.  The Usys store is multi-syscall per operation (open with
+   truncate, write and close, for the block and its crc sidecar), so two
+   workers interleaving on one key could tear a value/crc pair; the
+   lock serializes the store while the simulated service time
+   ([config.service_ticks], the knob the scaling benchmark turns) is
+   slept OUTSIDE the lock, so k workers still overlap their service time
+   and the worker-scaling VCs have something to measure. *)
 
 module K = Bi_kernel.Kernel
 module U = Bi_kernel.Usys

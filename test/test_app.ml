@@ -358,6 +358,68 @@ let test_e2e_persistence_across_mount () =
       | Ok b -> check Alcotest.string "content" "survives" (Bytes.to_string b)
       | Error _ -> Alcotest.fail "read back")
 
+(* netd's store and the fs-level store whose crash points cr explores run
+   one write protocol: resolve or create, truncate, write.  The same saves
+   through both leave byte-identical disks, and a syscall save is exactly
+   open(create, trunc), write, close for the block and for its sidecar. *)
+let test_usys_store_is_fs_store_protocol () =
+  let module NC = Bi_app.Node_core in
+  let saves =
+    [ ("k1", "first"); ("k1", String.make 600 'v'); ("k1", "short") ]
+  in
+  let save (store : NC.store) (key, value) =
+    match store.save key { NC.value; crc = P.crc32 value } with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "save: %a" P.pp_err e
+  in
+  let via_syscalls = K.create () in
+  K.set_trace via_syscalls true;
+  let per_save = ref [] in
+  K.register_program via_syscalls "store" (fun s _ ->
+      ignore (U.mkdir s NC.blocks_dir);
+      let store = Bi_app.Storage_node.usys_store s in
+      List.iter
+        (fun kv ->
+          let before = List.length (K.trace via_syscalls) in
+          save store kv;
+          let events = K.trace via_syscalls in
+          per_save :=
+            List.filteri (fun i _ -> i >= before) (List.map (fun (_, r, _) -> r) events)
+            :: !per_save)
+        saves);
+  (match K.spawn via_syscalls ~prog:"store" ~arg:"" with
+  | Ok _ -> K.run via_syscalls
+  | Error _ -> Alcotest.fail "spawn");
+  let direct = K.create () in
+  List.iter (save (NC.fs_store (K.fs direct))) saves;
+  let shape = function
+    | Bi_kernel.Sysabi.Open { path; create = true; trunc = true } ->
+        "open-trunc " ^ path
+    | Bi_kernel.Sysabi.Write _ -> "write"
+    | Bi_kernel.Sysabi.Close _ -> "close"
+    | req -> Format.asprintf "%a" Bi_kernel.Sysabi.pp_request req
+  in
+  let expected =
+    [ "open-trunc /blocks/k1"; "write"; "close";
+      "open-trunc /blocks/k1.crc"; "write"; "close" ]
+  in
+  check Alcotest.int "every save traced" (List.length saves)
+    (List.length !per_save);
+  List.iter
+    (fun reqs ->
+      check Alcotest.(list string) "one save's syscalls" expected
+        (List.map shape reqs))
+    !per_save;
+  let image k =
+    let disk = (K.machine k).Bi_hw.Machine.disk in
+    Bi_hw.Device.Disk.flush disk;
+    Bi_hw.Device.Disk.contents disk
+  in
+  let a = image via_syscalls and b = image direct in
+  let differing = ref 0 in
+  Array.iteri (fun i s -> if s <> b.(i) then incr differing) a;
+  check Alcotest.int "sectors differing from fs_store's image" 0 !differing
+
 (* ------------------------------------------------------------------ *)
 (* Resilience layer *)
 
@@ -829,6 +891,8 @@ let () =
           Alcotest.test_case "corruption detected" `Quick test_e2e_corruption_detected;
           Alcotest.test_case "sequential clients" `Quick test_e2e_sequential_clients;
           Alcotest.test_case "persistence across mount" `Quick test_e2e_persistence_across_mount;
+          Alcotest.test_case "usys store runs fs_store's protocol" `Quick
+            test_usys_store_is_fs_store_protocol;
         ] );
       ( "resilience",
         [

@@ -714,6 +714,47 @@ let test_sys_spec_catches_divergence () =
   | Ok _ -> Alcotest.fail "corrupted trace must be rejected"
   | Error _ -> ()
 
+(* Mutation self-check for O_TRUNC: a read after a truncating open that
+   returns the pre-truncate bytes must be rejected by the contract. *)
+let test_sys_spec_catches_missed_truncate () =
+  let k = K.create () in
+  K.set_trace k true;
+  K.register_program k "app" (fun s _ ->
+      (match U.openf s ~create:true "/t" with
+      | Ok fd ->
+          ignore (U.write s ~fd "stale bytes");
+          ignore (U.close s fd)
+      | Error _ -> ());
+      match U.openf s ~trunc:true "/t" with
+      | Ok fd -> ignore (U.read s ~fd ~len:64)
+      | Error _ -> ());
+  ignore (K.spawn k ~prog:"app" ~arg:"");
+  K.run k;
+  let trace = K.trace k in
+  (match Sys_spec.check_trace ~next_pid:2 trace with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg);
+  let reads_empty =
+    List.exists
+      (fun (_, req, resp) ->
+        match (req, resp) with
+        | Sysabi.Read _, Sysabi.R_data "" -> true
+        | _ -> false)
+      trace
+  in
+  check Alcotest.bool "the kernel read the emptied file" true reads_empty;
+  let doctored =
+    List.map
+      (fun (pid, req, resp) ->
+        match (req, resp) with
+        | Sysabi.Read _, Sysabi.R_data "" -> (pid, req, Sysabi.R_data "stale bytes")
+        | _ -> (pid, req, resp))
+      trace
+  in
+  match Sys_spec.check_trace ~next_pid:2 doctored with
+  | Ok _ -> Alcotest.fail "a read of pre-truncate bytes must be rejected"
+  | Error _ -> ()
+
 (* Randomized programs: generate a random deterministic syscall script,
    run it in a fresh kernel, and replay the recorded trace against the
    contract — the strongest form of the Section 3 check. *)
@@ -727,6 +768,9 @@ let prop_random_programs_satisfy_contract =
          [
            map (fun p -> `Open p) path;
            map (fun p -> `Create p) path;
+           (* O_TRUNC on missing paths, directories and written files. *)
+           map2 (fun create p -> `Trunc (create, p)) bool
+             (oneof [ path; dirp ]);
            map2 (fun fd data -> `Write (fd, data)) (int_range 3 8)
              (string_size ~gen:(char_range 'a' 'z') (int_range 0 600));
            map2 (fun fd len -> `Read (fd, len)) (int_range 3 8) (int_bound 700);
@@ -751,6 +795,7 @@ let prop_random_programs_satisfy_contract =
               match step with
               | `Open p -> ignore (U.openf s p)
               | `Create p -> ignore (U.openf s ~create:true p)
+              | `Trunc (create, p) -> ignore (U.openf s ~create ~trunc:true p)
               | `Write (fd, data) -> ignore (U.write s ~fd data)
               | `Read (fd, len) -> ignore (U.read s ~fd ~len)
               | `Seek (fd, off) -> ignore (U.seek s ~fd ~off)
@@ -1000,6 +1045,8 @@ let () =
         [
           Alcotest.test_case "trace replay" `Quick test_sys_spec_trace_replay;
           Alcotest.test_case "divergence caught" `Quick test_sys_spec_catches_divergence;
+          Alcotest.test_case "missed truncate caught" `Quick
+            test_sys_spec_catches_missed_truncate;
           prop_random_programs_satisfy_contract;
           Alcotest.test_case "fd offset DRF" `Quick test_fd_offset_drf_at_syscall_granularity;
         ] );

@@ -51,6 +51,21 @@ let test_pkt_truncation () =
   | exception Pkt.R.Truncated -> ()
   | _ -> Alcotest.fail "Truncated expected"
 
+(* The copy counters belong to the domain that copies: a copy made on
+   another domain (a parallel VC) must not move this domain's reading. *)
+let test_copy_counters_domain_local () =
+  Pkt.reset_copy_stats ();
+  Pkt.W.string (Pkt.W.create ()) "mine";
+  let other =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Pkt.W.string (Pkt.W.create ()) (String.make 100 'x');
+           (Pkt.copied_bytes (), Pkt.copies ())))
+  in
+  check Alcotest.(pair int int) "spawned domain counts its own" (100, 1) other;
+  check Alcotest.(pair int int) "caller's counters unmoved" (4, 1)
+    (Pkt.copied_bytes (), Pkt.copies ())
+
 let test_checksum_rfc1071_example () =
   (* Classic example: 0x0001 + 0xf203 + 0xf4f5 + 0xf6f7 -> checksum 0x220d *)
   let b = Bytes.of_string "\x00\x01\xf2\x03\xf4\xf5\xf6\xf7" in
@@ -352,6 +367,8 @@ let () =
         [
           Alcotest.test_case "rw roundtrip" `Quick test_pkt_rw_roundtrip;
           Alcotest.test_case "truncation" `Quick test_pkt_truncation;
+          Alcotest.test_case "copy counters domain-local" `Quick
+            test_copy_counters_domain_local;
           Alcotest.test_case "checksum vector" `Quick test_checksum_rfc1071_example;
           Alcotest.test_case "checksum odd length" `Quick test_checksum_odd_length;
           prop_checksum_self_verifies;
