@@ -11,55 +11,52 @@
 
 module K = Bi_kernel.Kernel
 module U = Bi_kernel.Usys
-module Client = Bi_app.Client
+module P = Bi_app.Protocol
+module RC = Bi_app.Resilient_client
+module Nd_client = Bi_netd.Nd_client
 
 let server_ip = Bi_net.Ip.addr_of_string "10.0.0.1"
 let client_ip = Bi_net.Ip.addr_of_string "10.0.0.2"
 
+(* Every step logs its outcome; the example exits non-zero when any step
+   did not go as expected. *)
+let failures = ref 0
+
+let step s ok msg =
+  if not ok then incr failures;
+  U.log s ((if ok then "" else "FAILED: ") ^ msg)
+
 let client_program s _arg =
-  match Client.connect s ~ip:server_ip with
-  | Error e -> U.log s (Format.asprintf "connect failed: %a" Client.pp_error e)
-  | Ok c ->
-      U.log s "connected to storage node";
-      (* Store a few objects, one of them sizeable. *)
-      let objects =
-        [
-          ("motd", "hello from the verified stack");
-          ("config", "replicas=3\nchecksums=crc32\n");
-          ("blob-1", String.init 20_000 (fun i -> Char.chr (33 + (i mod 94))));
-        ]
-      in
-      List.iter
-        (fun (key, value) ->
-          match Client.put c ~key ~value with
-          | Ok () ->
-              U.log s (Printf.sprintf "PUT %-8s (%d bytes)" key (String.length value))
-          | Error e ->
-              U.log s (Format.asprintf "PUT %s failed: %a" key Client.pp_error e))
-        objects;
-      (* List and read back with client-side checksum verification. *)
-      (match Client.list c with
-      | Ok keys -> U.log s ("LIST -> " ^ String.concat ", " keys)
-      | Error e -> U.log s (Format.asprintf "LIST failed: %a" Client.pp_error e));
-      List.iter
-        (fun (key, original) ->
-          match Client.get c ~key with
-          | Ok (Some v) when v = original ->
-              U.log s (Printf.sprintf "GET %-8s ok (%d bytes, crc verified)" key (String.length v))
-          | Ok (Some _) -> U.log s (Printf.sprintf "GET %s MISMATCH" key)
-          | Ok None -> U.log s (Printf.sprintf "GET %s missing" key)
-          | Error e -> U.log s (Format.asprintf "GET %s: %a" key Client.pp_error e))
-        objects;
-      (* Delete one and confirm. *)
-      (match Client.delete c ~key:"motd" with
-      | Ok true -> U.log s "DELETE motd ok"
-      | _ -> U.log s "DELETE motd failed");
-      (match Client.get c ~key:"motd" with
-      | Ok None -> U.log s "GET motd -> gone"
-      | _ -> U.log s "motd still present?!");
-      ignore (Client.shutdown c);
-      Client.close c;
-      U.log s "client done"
+  let net, c = Nd_client.create ~client:1 s ~ip:server_ip in
+  (* Store a few objects, one of them sizeable. *)
+  let objects =
+    [
+      ("motd", "hello from the verified stack");
+      ("config", "replicas=3\nchecksums=crc32\n");
+      ("blob-1", String.init 20_000 (fun i -> Char.chr (33 + (i mod 94))));
+    ]
+  in
+  List.iter
+    (fun (key, value) ->
+      step s (RC.put c ~key ~value = Ok ())
+        (Printf.sprintf "PUT %-8s (%d bytes)" key (String.length value)))
+    objects;
+  (* List and read back with client-side checksum verification. *)
+  let keys = Result.value (RC.list c) ~default:[] in
+  step s
+    (List.sort compare keys = List.sort compare (List.map fst objects))
+    ("LIST -> " ^ String.concat ", " keys);
+  List.iter
+    (fun (key, original) ->
+      step s (RC.get c ~key = Ok (Some original))
+        (Printf.sprintf "GET %-8s (%d bytes, crc verified)" key
+           (String.length original)))
+    objects;
+  (* Delete one and confirm. *)
+  step s (RC.delete c ~key:"motd" = Ok true) "DELETE motd";
+  step s (RC.get c ~key:"motd" = Ok None) "GET motd -> gone";
+  step s (Nd_client.rpc net P.Shutdown = Ok P.Done) "SHUTDOWN";
+  Nd_client.close net
 
 let () =
   let server = K.create ~ip:server_ip () in
@@ -79,8 +76,16 @@ let () =
   (* The blocks are durable: remount the server's disk and inspect. *)
   let disk = (K.machine server).Bi_hw.Machine.disk in
   let fs = Bi_fs.Fs.mount (Bi_fs.Block_dev.of_disk disk) in
-  match Bi_fs.Fs.readdir fs "/blocks" with
+  (match Bi_fs.Fs.readdir fs "/blocks" with
   | Ok entries ->
       Format.printf "@.after remount, /blocks holds: %s@."
-        (String.concat ", " entries)
-  | Error e -> Format.printf "remount readdir failed: %a@." Bi_fs.Fs.pp_error e
+        (String.concat ", " entries);
+      if List.mem "motd" entries || not (List.mem "blob-1" entries) then
+        incr failures
+  | Error e ->
+      Format.printf "remount readdir failed: %a@." Bi_fs.Fs.pp_error e;
+      incr failures);
+  if !failures > 0 then begin
+    Format.printf "%d step(s) failed@." !failures;
+    exit 1
+  end

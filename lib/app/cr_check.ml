@@ -18,8 +18,10 @@ let del_req ?(client = 1) ~seq key =
 let is_done = function P.Done -> true | _ -> false
 
 (* A journaled node over a directly mounted filesystem: store under
-   [/blocks], journal at [/journal], both on the same device — exactly
-   the kernel path's layout, minus the syscall boundary. *)
+   [/blocks], journal at [/journal], both on the same device.  The store
+   and journal are netd's own code ({!Node_core.file_store},
+   {!Journal.file_sink}) on the {!Files.of_fs} backend in place of
+   {!Files.of_usys}: same layout, same filesystem transactions. *)
 let make_node ?dup_capacity ?(checkpoint_bytes = 64 * 1024) ?(mutant = false)
     fs =
   let store = Node_core.fs_store fs in
@@ -95,19 +97,6 @@ let cr_config ?(tears = []) ?(seeds = []) ?(explore_recovery = false)
 
 let must = function
   | Ok (_ : CE.stats) -> Vc.Proved
-  | Error e -> Vc.Falsified e
-
-(* Pin an exploration's full census, so a faster explorer can never
-   quietly explore less. *)
-let must_census (pinned : CE.stats) = function
-  | Ok s when s = pinned -> Vc.Proved
-  | Ok s ->
-      Vc.Falsified
-        (Printf.sprintf
-           "census drifted: %d writes, %d flushes, %d crash, %d torn, %d \
-            subset, %d recovery points"
-           s.writes s.flushes s.crash_points s.torn_points s.subset_points
-           s.recovery_points)
   | Error e -> Vc.Falsified e
 
 let handled core req =
@@ -291,7 +280,7 @@ let commit_vcs () =
            two-file checkpoint dance; crashing anywhere inside it — and
            inside the recovery that settles it — must still observe old
            or new. *)
-        must_census
+        CE.must_census
           {
             writes = 108;
             flushes = 51;
@@ -310,7 +299,7 @@ let commit_vcs () =
       (fun () ->
         (* Crash recovery at every one of its own write boundaries and
            re-recover: the explorer checks idempotence at each point. *)
-        must_census
+        CE.must_census
           {
             writes = 46;
             flushes = 21;

@@ -17,27 +17,30 @@
    record being appended — which was by definition not yet acknowledged.
 
    Sinks abstract where the bytes live: an in-memory buffer for the
-   simulated rs worlds, a file on a directly mounted [Bi_fs.Fs] for the
-   crash-exploration suite, and (in {!Storage_node}) the kernel syscall
-   surface for netd.  [replace] — used by checkpoints — must be atomic
-   under crash; the file sinks get that from a two-file dance whose
-   every step is a filesystem transaction:
+   simulated rs worlds, and one file sink written over {!Files} for
+   everything on a filesystem — the crash-exploration suite runs it on
+   a directly mounted [Bi_fs.Fs] ({!Files.of_fs}), netd on the kernel
+   syscall surface ({!Files.of_usys}), so the checkpoint dance cr
+   explores is the one netd runs.  [replace] — used by checkpoints —
+   must be atomic under crash; the file sink gets that from a two-file
+   dance whose every step is a filesystem transaction:
 
      1. write + sync the snapshot to [path.new]   (journal = path)
      2. unlink [path]                             (journal = path.new,
                                                    complete by step 1)
-     3. rename [path.new] -> [path]               (journal = path)
+     3. rename [path.new] -> [path], sync         (journal = path)
 
-   [read] settles an interrupted dance: if [path] exists, any [path.new]
-   is leftover garbage (crash before step 2) and is discarded; if only
-   [path.new] exists the dance passed its point of no return (the
-   snapshot was fully written and synced before the unlink) and the
-   rename is completed. *)
+   [read] and [replace] first settle an interrupted dance: if [path]
+   exists, any [path.new] is leftover garbage (crash before step 2) and
+   is discarded; if only [path.new] exists the dance passed its point
+   of no return (the snapshot was fully written and synced before the
+   unlink) and the rename is completed.  Appends do not settle — after
+   the settle on load, only a failed replace can leave the dance
+   interrupted, and the append after one settles first. *)
 
 module P = Protocol
 module S = Bi_ulib.Serde
 module FP = Bi_fault.Fault_plan
-module Fs = Bi_fs.Fs
 
 (* ------------------------------------------------------------------ *)
 (* Records                                                             *)
@@ -252,78 +255,50 @@ let mem_sink ?faults () =
   in
   (sink, buf)
 
-let fs_sink fs ~path =
+let file_sink (files : Files.t) ~path =
   let tmp = path ^ ".new" in
-  let io e = P.Io (Format.asprintf "journal: %a" Fs.pp_error e) in
-  let exists p =
-    match Fs.resolve fs p with Ok _ -> true | Error _ -> false
-  in
-  let read_file p =
-    match Fs.resolve fs p with
-    | Error Fs.Not_found -> Ok Bytes.empty
-    | Error e -> Error (io e)
-    | Ok ino -> (
-        match Fs.stat_ino fs ino with
-        | Error e -> Error (io e)
-        | Ok { Fs.size; _ } -> (
-            match Fs.read_ino fs ~ino ~off:0 ~len:size with
-            | Ok b -> Ok b
-            | Error e -> Error (io e)))
-  in
+  let ( let* ) = Result.bind in
+  (* Set by a replace that failed part-way, which can leave the journal
+     only in [tmp]: the next append settles first, so its record cannot
+     start a fresh [path] that a later settle would keep over [tmp]. *)
+  let unsettled = ref false in
   (* Settle an interrupted replace; see the module comment. *)
   let settle () =
-    if exists path then begin
-      if exists tmp then ignore (Fs.unlink fs tmp)
-    end
-    else if exists tmp then ignore (Fs.rename fs ~src:tmp ~dst:path)
-  in
-  let ensure p =
-    match Fs.resolve fs p with
-    | Ok ino -> Ok ino
-    | Error Fs.Not_found -> (
-        match Fs.create fs p with
-        | Ok () -> Result.map_error io (Fs.resolve fs p)
-        | Error e -> Error (io e))
-    | Error e -> Error (io e)
+    let* live = files.exists path in
+    let* pending = files.exists tmp in
+    let* () =
+      if live && pending then Result.map ignore (files.remove tmp)
+      else if pending then files.rename ~src:tmp ~dst:path
+      else Ok ()
+    in
+    unsettled := false;
+    Ok ()
   in
   {
-    sink_read = (fun () -> settle (); read_file path);
+    sink_read =
+      (fun () ->
+        let* () = settle () in
+        let* data = files.read path in
+        Ok (Option.fold ~none:Bytes.empty ~some:Bytes.of_string data));
     sink_append =
       (fun b ->
-        settle ();
-        match ensure path with
-        | Error _ as e -> e
-        | Ok ino -> (
-            match Fs.stat_ino fs ino with
-            | Error e -> Error (io e)
-            | Ok { Fs.size; _ } -> (
-                match Fs.write_ino fs ~ino ~off:size b with
-                | Error e -> Error (io e)
-                | Ok () ->
-                    Fs.fsync fs;
-                    Ok ())));
+        let* () = if !unsettled then settle () else Ok () in
+        files.append path (Bytes.to_string b));
     sink_replace =
       (fun b ->
-        settle ();
-        match ensure tmp with
-        | Error _ as e -> e
-        | Ok ino -> (
-            match Fs.truncate_ino fs ~ino 0 with
-            | Error e -> Error (io e)
-            | Ok () -> (
-                match Fs.write_ino fs ~ino ~off:0 b with
-                | Error e -> Error (io e)
-                | Ok () -> (
-                    Fs.fsync fs;
-                    (match Fs.unlink fs path with
-                    | Ok () | Error Fs.Not_found -> ()
-                    | Error _ -> ());
-                    match Fs.rename fs ~src:tmp ~dst:path with
-                    | Error e -> Error (io e)
-                    | Ok () ->
-                        Fs.fsync fs;
-                        Ok ()))));
+        let replaced =
+          let* () = settle () in
+          let* () = files.write tmp (Bytes.to_string b) in
+          let* () = files.sync tmp in
+          let* (_ : bool) = files.remove path in
+          let* () = files.rename ~src:tmp ~dst:path in
+          files.sync path
+        in
+        unsettled := Result.is_error replaced;
+        replaced);
   }
+
+let fs_sink fs ~path = file_sink (Files.of_fs fs) ~path
 
 (* ------------------------------------------------------------------ *)
 (* The journal handle                                                  *)

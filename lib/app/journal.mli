@@ -77,12 +77,17 @@ val mem_sink : ?faults:Bi_fault.Fault_plan.t -> unit -> sink * bytes ref
     (read/append/replace, in call order); non-[Pass] fails it with
     [Err (Io _)]. *)
 
+val file_sink : Files.t -> path:string -> sink
+(** The journal as the file [path].  Appends are {!Files.append}s;
+    [sink_replace] uses a two-file dance (write and sync [path.new],
+    unlink [path], rename, sync) whose interruption at any
+    filesystem-transaction boundary is settled by the next [sink_read]
+    or [sink_replace] — the cr suite crash-explores both.  A replace
+    that fails with an error also makes the next append settle first. *)
+
 val fs_sink : Bi_fs.Fs.t -> path:string -> sink
-(** The journal as a file on a directly mounted filesystem.  Appends are
-    write + sync; [sink_replace] uses a two-file dance ([path.new] then
-    unlink + rename) whose interruption at any filesystem-transaction
-    boundary is settled by the next [sink_read] — the cr suite
-    crash-explores both. *)
+(** {!file_sink} over {!Files.of_fs}: the journal on a directly mounted
+    filesystem, as the cr suite explores it. *)
 
 (** {2 The journal handle} *)
 

@@ -809,79 +809,40 @@ let blocks_dir = "/blocks"
 let key_path key = blocks_dir ^ "/" ^ key
 let crc_path key = key_path key ^ ".crc"
 
-let keys_of_listing names =
-  List.filter
-    (fun n -> not (String.length n > 4 && Filename.check_suffix n ".crc"))
-    names
-
-let fs_store fs =
-  let io e = P.Io (Format.asprintf "%a" Fs.pp_error e) in
-  (match Fs.mkdir fs blocks_dir with Ok () | Error _ -> ());
-  let write_file path data =
-    let ensure () =
-      match Fs.resolve fs path with
-      | Ok ino -> Ok ino
-      | Error Fs.Not_found -> (
-          match Fs.create fs path with
-          | Ok () -> Fs.resolve fs path
-          | Error e -> Error e)
-      | Error e -> Error e
-    in
-    match ensure () with
-    | Error e -> Error (io e)
-    | Ok ino -> (
-        match Fs.truncate_ino fs ~ino 0 with
-        | Error e -> Error (io e)
-        | Ok () -> (
-            match Fs.write_ino fs ~ino ~off:0 (Bytes.of_string data) with
-            | Ok () -> Ok ()
-            | Error e -> Error (io e)))
-  in
-  let read_file path =
-    match Fs.resolve fs path with
-    | Error Fs.Not_found -> Ok None
-    | Error e -> Error (io e)
-    | Ok ino -> (
-        match Fs.stat_ino fs ino with
-        | Error e -> Error (io e)
-        | Ok { Fs.size; _ } -> (
-            match Fs.read_ino fs ~ino ~off:0 ~len:size with
-            | Ok b -> Ok (Some (Bytes.to_string b))
-            | Error e -> Error (io e)))
-  in
+let file_store (files : Files.t) =
+  let ( let* ) = Result.bind in
   {
     load =
       (fun key ->
-        match read_file (key_path key) with
-        | Error e -> Error e
-        | Ok None -> Ok None
-        | Ok (Some value) -> (
-            match read_file (crc_path key) with
-            | Error e -> Error e
-            | Ok None -> Error P.No_crc
-            | Ok (Some crc_text) -> (
-                match Int32.of_string_opt ("0x" ^ String.trim crc_text) with
-                | None -> Error P.No_crc
-                | Some crc -> Ok (Some { value; crc }))));
+        let* value = files.read (key_path key) in
+        match value with
+        | None -> Ok None
+        | Some value -> (
+            let* crc_text = files.read (crc_path key) in
+            let parse text = Int32.of_string_opt ("0x" ^ String.trim text) in
+            match Option.bind crc_text parse with
+            | None -> Error P.No_crc
+            | Some crc -> Ok (Some { value; crc })));
     save =
       (fun key { value; crc } ->
-        match write_file (key_path key) value with
-        | Error e -> Error e
-        | Ok () -> write_file (crc_path key) (Printf.sprintf "%08lx" crc));
+        let* () = files.write (key_path key) value in
+        files.write (crc_path key) (Printf.sprintf "%08lx" crc));
     remove =
       (fun key ->
-        match Fs.unlink fs (key_path key) with
-        | Error Fs.Not_found -> Ok false
-        | Error e -> Error (io e)
-        | Ok () ->
-            (match Fs.unlink fs (crc_path key) with Ok () | Error _ -> ());
-            Ok true);
+        let* removed = files.remove (key_path key) in
+        if removed then ignore (files.remove (crc_path key));
+        Ok removed);
     keys =
       (fun () ->
-        match Fs.readdir fs blocks_dir with
-        | Error e -> Error (io e)
-        | Ok names -> Ok (keys_of_listing names));
+        let sidecar n = String.length n > 4 && Filename.check_suffix n ".crc" in
+        Result.map
+          (List.filter (fun n -> not (sidecar n)))
+          (files.list blocks_dir));
   }
+
+let fs_store fs =
+  (match Fs.mkdir fs blocks_dir with Ok () | Error _ -> ());
+  file_store (Files.of_fs fs)
 
 (* A node core fronted by a bounded fair admission queue — the overload
    policy the `wl` suite verifies.  [submit] either queues the request or

@@ -212,9 +212,8 @@ val mem_contents : store -> (string * string) list
 
 (** {2 On-disk naming}
 
-    Both filesystem-backed stores ({!fs_store} and
-    [Storage_node.usys_store]) keep a block in [/blocks/<key>] and its
-    checksum in the sidecar [/blocks/<key>.crc]. *)
+    {!file_store} keeps a block in [/blocks/<key>] and its checksum in
+    the sidecar [/blocks/<key>.crc]. *)
 
 val blocks_dir : string
 (** ["/blocks"]. *)
@@ -225,15 +224,19 @@ val key_path : string -> string
 val crc_path : string -> string
 (** [/blocks/<key>.crc]. *)
 
-val keys_of_listing : string list -> string list
-(** The keys in a listing of {!blocks_dir}: every name but the [.crc]
-    sidecars. *)
+val file_store : Files.t -> store
+(** The block-plus-sidecar store over any {!Files} backend: a save
+    writes the block, then its sidecar; a load reads both and answers
+    [Err No_crc] when the sidecar is absent or malformed (a read error
+    is [Err (Io _)]).  netd runs it over {!Files.of_usys}
+    ([Storage_node.usys_store]), the cr suite over {!Files.of_fs}.
+    The [/blocks] directory must exist. *)
 
 val fs_store : Bi_fs.Fs.t -> store
-(** Blocks under [/blocks/<key>] with the checksum in a sidecar
-    [/blocks/<key>.crc], over a directly mounted filesystem — mount one
-    on a {!Bi_fault.Faulty_disk} to exercise the read-integrity path
-    under bit rot. *)
+(** [mkdir /blocks], then {!file_store} over {!Files.of_fs}: the store
+    on a directly mounted filesystem — mount one on a
+    {!Bi_fault.Faulty_disk} to exercise the read-integrity path under
+    bit rot. *)
 
 (** A node core fronted by a bounded fair {!Admission} queue — the
     explicit overload policy the [wl] verify suite proves things about.

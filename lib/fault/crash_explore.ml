@@ -212,3 +212,14 @@ let explore cfg =
           writes;
           flushes;
         }
+
+let must_census (pinned : stats) = function
+  | Ok s when s = pinned -> Bi_core.Vc.Proved
+  | Ok s ->
+      Bi_core.Vc.Falsified
+        (Printf.sprintf
+           "census drifted: %d writes, %d flushes, %d crash, %d torn, %d \
+            subset, %d recovery points"
+           s.writes s.flushes s.crash_points s.torn_points s.subset_points
+           s.recovery_points)
+  | Error e -> Bi_core.Vc.Falsified e

@@ -55,3 +55,8 @@ val explore : 'v config -> (stats, string) result
 (** Run the exploration; [Error] carries a description of the first crash
     point whose recovered state is neither pre nor post (or where
     recovery was not idempotent). *)
+
+val must_census : stats -> (stats, string) result -> Bi_core.Vc.outcome
+(** [must_census pinned result] proves an exploration only when it
+    passed with exactly the [pinned] census, so a faster explorer can
+    never quietly explore less. *)

@@ -269,19 +269,6 @@ let wal_config ?(tears = []) ?(seeds = []) ?(explore_recovery = false)
     explore_recovery;
   }
 
-(* Pin an exploration's full census, so a faster explorer can never
-   quietly explore less. *)
-let must_census (pinned : Crash_explore.stats) = function
-  | Ok s when s = pinned -> Vc.Proved
-  | Ok (s : Crash_explore.stats) ->
-      Vc.Falsified
-        (Printf.sprintf
-           "census drifted: %d writes, %d flushes, %d crash, %d torn, %d \
-            subset, %d recovery points"
-           s.writes s.flushes s.crash_points s.torn_points s.subset_points
-           s.recovery_points)
-  | Error e -> Vc.Falsified e
-
 let wal_vcs () =
   let ok = function Ok _ -> true | Error _ -> false in
   [
@@ -334,7 +321,7 @@ let wal_vcs () =
         | Error _ -> false);
     Vc.make ~id:"fi/wal/recovery-idempotent-every-boundary" ~category:"fi/wal"
       (fun () ->
-        must_census
+        Crash_explore.must_census
           {
             writes = 8;
             flushes = 4;
@@ -411,7 +398,7 @@ let fs_vcs () =
                   | Error _ -> failwith "resolve /a")
                 ())));
     Vc.make ~id:"fi/fs/rename-atomic" ~category:"fi/fs" (fun () ->
-        must_census
+        Crash_explore.must_census
           {
             writes = 14;
             flushes = 4;

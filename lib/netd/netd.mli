@@ -11,8 +11,9 @@
     connection.  Simulated service time is slept {e outside} the lock,
     so worker-scaling is observable in virtual time.
 
-    This replaces {!Bi_app.Storage_node}'s sequential serving loop;
-    persistence still goes through [Storage_node.usys_store].  A
+    Persistence goes through [Storage_node.usys_store] and
+    [usys_journal]: the store and journal code the cr suite
+    crash-explores, run over the syscall backend of {!Bi_app.Files}.  A
     [Shutdown] request stops the daemon cleanly: the queue drains, every
     thread is joined, and the process exits — a respawn gets the next
     epoch (the crash-fence clients observe via [Ping]). *)
@@ -27,7 +28,8 @@ type config = {
   accept_poll_ticks : int;
   journal : bool;
       (** Commit mutations through a [/journal] redo log
-          ({!Bi_app.Storage_node.usys_journal}) and recover from it on
+          ({!Bi_app.Storage_node.usys_journal}, the journal file sink
+          the cr suite crash-explores) and recover from it on
           (re)spawn, making the duplicate table — and with it
           exactly-once — crash-durable across SIGKILL.  Default on; the
           benchmark turns it off to price the appends. *)

@@ -5,8 +5,11 @@
 module K = Bi_kernel.Kernel
 module U = Bi_kernel.Usys
 module P = Bi_app.Protocol
-module Client = Bi_app.Client
+module Nd_client = Bi_netd.Nd_client
+module RC = Bi_app.Resilient_client
 module Store_spec = Bi_app.Store_spec
+module NC = Bi_app.Node_core
+module J = Bi_app.Journal
 
 let check = Alcotest.check
 
@@ -16,20 +19,14 @@ let qtest name count gen law =
 let ip_server = Bi_net.Ip.addr_of_string "10.0.0.1"
 let ip_client = Bi_net.Ip.addr_of_string "10.0.0.2"
 
-(* Run [body] as a client program against a live storage node; returns the
-   server kernel for post-mortem inspection. *)
-let with_store body =
+(* Run [body server s] as the client program against a live storage
+   node; returns the server kernel for post-mortem inspection. *)
+let with_node body =
   let server = K.create ~ip:ip_server () in
   let client = K.create ~ip:ip_client () in
   K.connect server client;
   ignore (Bi_netd.Netd.install server);
-  K.register_program client "cli" (fun s _ ->
-      match Client.connect s ~ip:ip_server with
-      | Error e -> Alcotest.failf "connect: %a" Client.pp_error e
-      | Ok c ->
-          body s c;
-          ignore (Client.shutdown c);
-          Client.close c);
+  K.register_program client "cli" (fun s _ -> body server s);
   (match K.spawn server ~prog:"netd" ~arg:"" with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "server spawn");
@@ -38,6 +35,15 @@ let with_store body =
   | Error _ -> Alcotest.fail "client spawn");
   K.run_pair server client;
   server
+
+(* [body server c] with one resilient client [c]; then shut the node
+   down. *)
+let with_store body =
+  with_node (fun server s ->
+      let net, c = Nd_client.create ~client:1 s ~ip:ip_server in
+      body server c;
+      ignore (Nd_client.rpc net P.Shutdown);
+      Nd_client.close net)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol *)
@@ -164,41 +170,41 @@ let test_store_spec_rejects () =
 
 let test_e2e_basic_ops () =
   ignore
-    (with_store (fun _s c ->
-         (match Client.put c ~key:"alpha" ~value:"one" with
+    (with_store (fun _ c ->
+         (match RC.put c ~key:"alpha" ~value:"one" with
          | Ok () -> ()
-         | Error e -> Alcotest.failf "put: %a" Client.pp_error e);
-         (match Client.get c ~key:"alpha" with
+         | Error e -> Alcotest.failf "put: %a" RC.pp_error e);
+         (match RC.get c ~key:"alpha" with
          | Ok (Some "one") -> ()
          | _ -> Alcotest.fail "get");
-         (match Client.get c ~key:"absent" with
+         (match RC.get c ~key:"absent" with
          | Ok None -> ()
          | _ -> Alcotest.fail "missing get");
-         (match Client.put c ~key:"alpha" ~value:"two" with
+         (match RC.put c ~key:"alpha" ~value:"two" with
          | Ok () -> ()
-         | Error e -> Alcotest.failf "overwrite: %a" Client.pp_error e);
-         (match Client.get c ~key:"alpha" with
+         | Error e -> Alcotest.failf "overwrite: %a" RC.pp_error e);
+         (match RC.get c ~key:"alpha" with
          | Ok (Some "two") -> ()
          | _ -> Alcotest.fail "overwrite read");
-         (match Client.list c with
+         (match RC.list c with
          | Ok [ "alpha" ] -> ()
          | Ok other -> Alcotest.failf "list: [%s]" (String.concat ";" other)
-         | Error e -> Alcotest.failf "list: %a" Client.pp_error e);
-         (match Client.delete c ~key:"alpha" with
+         | Error e -> Alcotest.failf "list: %a" RC.pp_error e);
+         (match RC.delete c ~key:"alpha" with
          | Ok true -> ()
          | _ -> Alcotest.fail "delete");
-         match Client.delete c ~key:"alpha" with
+         match RC.delete c ~key:"alpha" with
          | Ok false -> ()
          | _ -> Alcotest.fail "double delete"))
 
 let test_e2e_large_value () =
   let big = String.init 30_000 (fun i -> Char.chr (32 + (i mod 90))) in
   ignore
-    (with_store (fun _s c ->
-         (match Client.put c ~key:"big" ~value:big with
+    (with_store (fun _ c ->
+         (match RC.put c ~key:"big" ~value:big with
          | Ok () -> ()
-         | Error e -> Alcotest.failf "put big: %a" Client.pp_error e);
-         match Client.get c ~key:"big" with
+         | Error e -> Alcotest.failf "put big: %a" RC.pp_error e);
+         match RC.get c ~key:"big" with
          | Ok (Some v) ->
              check Alcotest.int "length" (String.length big) (String.length v);
              check Alcotest.bool "content" true (v = big)
@@ -206,9 +212,9 @@ let test_e2e_large_value () =
 
 let test_e2e_oversized_rejected () =
   ignore
-    (with_store (fun _s c ->
-         match Client.put c ~key:"huge" ~value:(String.make 70_000 'x') with
-         | Error (Client.Remote _) -> ()
+    (with_store (fun _ c ->
+         match RC.put c ~key:"huge" ~value:(String.make 70_000 'x') with
+         | Error (RC.Remote P.Too_large) -> ()
          | _ -> Alcotest.fail "oversize must be rejected remotely"))
 
 let test_e2e_invalid_key_rejected () =
@@ -216,15 +222,15 @@ let test_e2e_invalid_key_rejected () =
      the wire — no round-trip is spent on a request the node would
      definitively refuse. *)
   ignore
-    (with_store (fun _s c ->
-         (match Client.put c ~key:"NOT VALID" ~value:"x" with
-         | Error Client.Invalid_key -> ()
+    (with_store (fun _ c ->
+         (match RC.put c ~key:"NOT VALID" ~value:"x" with
+         | Error RC.Invalid_key -> ()
          | _ -> Alcotest.fail "invalid put key must be rejected locally");
-         (match Client.get c ~key:"a/b" with
-         | Error Client.Invalid_key -> ()
+         (match RC.get c ~key:"a/b" with
+         | Error RC.Invalid_key -> ()
          | _ -> Alcotest.fail "invalid get key must be rejected locally");
-         match Client.delete c ~key:"" with
-         | Error Client.Invalid_key -> ()
+         match RC.delete c ~key:"" with
+         | Error RC.Invalid_key -> ()
          | _ -> Alcotest.fail "invalid delete key must be rejected locally"))
 
 (* Random op sequence replayed against the abstract store spec. *)
@@ -244,7 +250,7 @@ let test_e2e_refines_store_spec () =
         | _ -> Store_spec.List)
   in
   ignore
-    (with_store (fun _s c ->
+    (with_store (fun _ c ->
          let spec = ref Store_spec.empty in
          List.iter
            (fun op ->
@@ -253,19 +259,19 @@ let test_e2e_refines_store_spec () =
              let got =
                match op with
                | Store_spec.Put (key, value) -> (
-                   match Client.put c ~key ~value with
+                   match RC.put c ~key ~value with
                    | Ok () -> Store_spec.Done
                    | Error _ -> Store_spec.Rejected)
                | Store_spec.Get key -> (
-                   match Client.get c ~key with
+                   match RC.get c ~key with
                    | Ok v -> Store_spec.Value v
                    | Error _ -> Store_spec.Rejected)
                | Store_spec.Delete key -> (
-                   match Client.delete c ~key with
+                   match RC.delete c ~key with
                    | Ok b -> Store_spec.Deleted b
                    | Error _ -> Store_spec.Rejected)
                | Store_spec.List -> (
-                   match Client.list c with
+                   match RC.list c with
                    | Ok ks -> Store_spec.Keys ks
                    | Error _ -> Store_spec.Rejected)
              in
@@ -278,76 +284,57 @@ let test_e2e_refines_store_spec () =
 let test_e2e_corruption_detected () =
   (* Flip a byte in the stored file behind the node's back: the next GET
      must report an integrity violation rather than serve bad data. *)
-  let server = K.create ~ip:ip_server () in
-  let client = K.create ~ip:ip_client () in
-  K.connect server client;
-  ignore (Bi_netd.Netd.install server);
   let outcome = ref "" in
-  K.register_program client "cli" (fun s _ ->
-      match Client.connect s ~ip:ip_server with
-      | Error _ -> ()
-      | Ok c ->
-          (match Client.put c ~key:"victim" ~value:"pristine data" with
-          | Ok () -> ()
-          | Error _ -> outcome := "put failed");
-          (* Corrupt the server's filesystem directly (simulating media
-             corruption below the filesystem). *)
-          let fs = K.fs server in
-          (match Bi_fs.Fs.resolve fs "/blocks/victim" with
-          | Ok ino ->
-              ignore
-                (Bi_fs.Fs.write_ino fs ~ino ~off:0 (Bytes.of_string "Xristine"))
-          | Error _ -> outcome := "corruption setup failed");
-          (match Client.get c ~key:"victim" with
-          | Error (Client.Remote e) ->
-              outcome := Format.asprintf "detected: %a" P.pp_err e
-          | Ok (Some _) -> outcome := "served corrupt data"
-          | Ok None -> outcome := "missing"
-          | Error e -> outcome := Format.asprintf "%a" Client.pp_error e);
-          ignore (Client.shutdown c);
-          Client.close c);
-  ignore (K.spawn server ~prog:"netd" ~arg:"");
-  ignore (K.spawn client ~prog:"cli" ~arg:"");
-  K.run_pair server client;
+  ignore
+    (with_store (fun server c ->
+         (match RC.put c ~key:"victim" ~value:"pristine data" with
+         | Ok () -> ()
+         | Error _ -> outcome := "put failed");
+         (* Corrupt the server's filesystem directly (simulating media
+            corruption below the filesystem). *)
+         let fs = K.fs server in
+         (match Bi_fs.Fs.resolve fs "/blocks/victim" with
+         | Ok ino ->
+             ignore
+               (Bi_fs.Fs.write_ino fs ~ino ~off:0 (Bytes.of_string "Xristine"))
+         | Error _ -> outcome := "corruption setup failed");
+         (* [Integrity] is definitive: answered once, never retried. *)
+         (match RC.get c ~key:"victim" with
+         | Error (RC.Remote (P.Integrity as e)) ->
+             outcome := Format.asprintf "detected: %a" P.pp_err e
+         | Ok (Some _) -> outcome := "served corrupt data"
+         | Ok None -> outcome := "missing"
+         | Error e -> outcome := Format.asprintf "%a" RC.pp_error e);
+         check Alcotest.int "one attempt per call" 2 (RC.stats c).RC.attempts));
   check Alcotest.string "integrity violation surfaced"
     "detected: integrity violation detected" !outcome
 
 let test_e2e_sequential_clients () =
   (* The node serves connections back to back; a second client sees the
      first one's data. *)
-  let server = K.create ~ip:ip_server () in
-  let client = K.create ~ip:ip_client () in
-  K.connect server client;
-  ignore (Bi_netd.Netd.install server);
   let second_saw = ref None in
-  K.register_program client "cli" (fun s _ ->
-      (match Client.connect s ~ip:ip_server with
-      | Ok c1 ->
-          ignore (Client.put c1 ~key:"shared" ~value:"across connections");
-          Client.close c1
-      | Error _ -> ());
-      U.sleep s 5;
-      match Client.connect s ~ip:ip_server with
-      | Ok c2 ->
-          (match Client.get c2 ~key:"shared" with
-          | Ok v -> second_saw := v
-          | Error _ -> ());
-          ignore (Client.shutdown c2);
-          Client.close c2
-      | Error _ -> ());
-  ignore (K.spawn server ~prog:"netd" ~arg:"");
-  ignore (K.spawn client ~prog:"cli" ~arg:"");
-  K.run_pair server client;
+  ignore
+    (with_node (fun _ s ->
+         let net1, c1 = Nd_client.create ~client:1 s ~ip:ip_server in
+         ignore (RC.put c1 ~key:"shared" ~value:"across connections");
+         Nd_client.close net1;
+         U.sleep s 5;
+         let net2, c2 = Nd_client.create ~client:2 s ~ip:ip_server in
+         (match RC.get c2 ~key:"shared" with
+         | Ok v -> second_saw := v
+         | Error _ -> ());
+         ignore (Nd_client.rpc net2 P.Shutdown);
+         Nd_client.close net2));
   check (Alcotest.option Alcotest.string) "data visible across connections"
     (Some "across connections") !second_saw
 
 let test_e2e_persistence_across_mount () =
   (* Data written through the whole stack survives a filesystem remount
      (server restart). *)
-  let server = with_store (fun _s c ->
-      match Client.put c ~key:"durable" ~value:"survives" with
+  let server = with_store (fun _ c ->
+      match RC.put c ~key:"durable" ~value:"survives" with
       | Ok () -> ()
-      | Error e -> Alcotest.failf "put: %a" Client.pp_error e)
+      | Error e -> Alcotest.failf "put: %a" RC.pp_error e)
   in
   let disk = (K.machine server).Bi_hw.Machine.disk in
   let fs2 = Bi_fs.Fs.mount (Bi_fs.Block_dev.of_disk disk) in
@@ -358,72 +345,205 @@ let test_e2e_persistence_across_mount () =
       | Ok b -> check Alcotest.string "content" "survives" (Bytes.to_string b)
       | Error _ -> Alcotest.fail "read back")
 
-(* netd's store and the fs-level store whose crash points cr explores run
-   one write protocol: resolve or create, truncate, write.  The same saves
-   through both leave byte-identical disks, and a syscall save is exactly
-   open(create, trunc), write, close for the block and for its sidecar. *)
-let test_usys_store_is_fs_store_protocol () =
-  let module NC = Bi_app.Node_core in
-  let saves =
-    [ ("k1", "first"); ("k1", String.make 600 'v'); ("k1", "short") ]
-  in
-  let save (store : NC.store) (key, value) =
-    match store.save key { NC.value; crc = P.crc32 value } with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "save: %a" P.pp_err e
-  in
-  let via_syscalls = K.create () in
-  K.set_trace via_syscalls true;
-  let per_save = ref [] in
-  K.register_program via_syscalls "store" (fun s _ ->
-      ignore (U.mkdir s NC.blocks_dir);
-      let store = Bi_app.Storage_node.usys_store s in
-      List.iter
-        (fun kv ->
-          let before = List.length (K.trace via_syscalls) in
-          save store kv;
-          let events = K.trace via_syscalls in
-          per_save :=
-            List.filteri (fun i _ -> i >= before) (List.map (fun (_, r, _) -> r) events)
-            :: !per_save)
-        saves);
-  (match K.spawn via_syscalls ~prog:"store" ~arg:"" with
-  | Ok _ -> K.run via_syscalls
+(* ------------------------------------------------------------------ *)
+(* The two Files backends *)
+
+module Files = Bi_app.Files
+
+let shape = function
+  | Bi_kernel.Sysabi.Open { path; create = true; trunc = true } ->
+      "open-trunc " ^ path
+  | Bi_kernel.Sysabi.Write _ -> "write"
+  | Bi_kernel.Sysabi.Close _ -> "close"
+  | Bi_kernel.Sysabi.Fsync _ -> "fsync"
+  | req -> Format.asprintf "%a" Bi_kernel.Sysabi.pp_request req
+
+(* One backend, as the tests below drive it: netd's store and journal
+   ([Storage_node.usys_store]/[usys_journal]) on the syscall side, the
+   ones cr explores ([Node_core.fs_store]/[Journal.fs_sink]) on the fs
+   side.  [traced thunk] is the shapes of the syscalls [thunk] issues
+   ([[]] on the fs side). *)
+type backend = {
+  files : Files.t;
+  store : unit -> NC.store;
+  sink : unit -> J.sink;
+  mkdir : string -> unit;
+  traced : (unit -> unit) -> string list;
+}
+
+(* Run [f] on the syscall backend, in a process of a fresh traced kernel,
+   and on the fs backend, over a second kernel's filesystem.  Returns
+   both results and the number of sectors in which the flushed disks
+   differ. *)
+let on_both_backends f =
+  let k = K.create () in
+  K.set_trace k true;
+  let by_usys = ref None in
+  K.register_program k "prog" (fun s _ ->
+      let traced thunk =
+        let before = List.length (K.trace k) in
+        thunk ();
+        List.filteri (fun i _ -> i >= before) (K.trace k)
+        |> List.map (fun (_, req, _) -> shape req)
+      in
+      by_usys :=
+        Some
+          (f
+             {
+               files = Files.of_usys s;
+               store = (fun () -> Bi_app.Storage_node.usys_store s);
+               sink = (fun () -> Bi_app.Storage_node.usys_journal s);
+               mkdir = (fun path -> ignore (U.mkdir s path));
+               traced;
+             }));
+  (match K.spawn k ~prog:"prog" ~arg:"" with
+  | Ok _ -> K.run k
   | Error _ -> Alcotest.fail "spawn");
   let direct = K.create () in
-  List.iter (save (NC.fs_store (K.fs direct))) saves;
-  let shape = function
-    | Bi_kernel.Sysabi.Open { path; create = true; trunc = true } ->
-        "open-trunc " ^ path
-    | Bi_kernel.Sysabi.Write _ -> "write"
-    | Bi_kernel.Sysabi.Close _ -> "close"
-    | req -> Format.asprintf "%a" Bi_kernel.Sysabi.pp_request req
+  let fs = K.fs direct in
+  let by_fs =
+    f
+      {
+        files = Files.of_fs fs;
+        store = (fun () -> NC.fs_store fs);
+        sink = (fun () -> J.fs_sink fs ~path:"/journal");
+        mkdir = (fun path -> ignore (Bi_fs.Fs.mkdir fs path));
+        traced = (fun thunk -> thunk (); []);
+      }
   in
-  let expected =
-    [ "open-trunc /blocks/k1"; "write"; "close";
-      "open-trunc /blocks/k1.crc"; "write"; "close" ]
-  in
-  check Alcotest.int "every save traced" (List.length saves)
-    (List.length !per_save);
-  List.iter
-    (fun reqs ->
-      check Alcotest.(list string) "one save's syscalls" expected
-        (List.map shape reqs))
-    !per_save;
   let image k =
     let disk = (K.machine k).Bi_hw.Machine.disk in
     Bi_hw.Device.Disk.flush disk;
     Bi_hw.Device.Disk.contents disk
   in
-  let a = image via_syscalls and b = image direct in
+  let a = image k and b = image direct in
   let differing = ref 0 in
   Array.iteri (fun i s -> if s <> b.(i) then incr differing) a;
-  check Alcotest.int "sectors differing from fs_store's image" 0 !differing
+  match !by_usys with
+  | Some by_usys -> (by_usys, by_fs, !differing)
+  | None -> Alcotest.fail "process died"
+
+let ok = function Ok v -> v | Error e -> Alcotest.failf "%a" P.pp_err e
+
+(* Error payloads name each backend's own error codes, so only the
+   constructor is compared. *)
+let show pp = function
+  | Ok v -> "ok " ^ pp v
+  | Error (P.Io _) -> "io error"
+  | Error e -> Format.asprintf "error %a" P.pp_err e
+
+let show_opt = function None -> "absent" | Some s -> Printf.sprintf "%S" s
+
+(* One script through each backend: the same results, and the same
+   filesystem transactions, so byte-identical disks. *)
+let test_files_backend_parity () =
+  let script { files = f; _ } =
+    let results = ref [] in
+    let step pp r = results := show pp r :: !results in
+    let unit () = "()" in
+    step show_opt (f.read "/a");
+    step unit (f.write "/a" "a longer first body");
+    step unit (f.write "/a" "short");
+    step show_opt (f.read "/a");
+    step unit (f.append "/log" "one,");
+    step unit (f.append "/log" "two,");
+    step show_opt (f.read "/log");
+    step unit (f.append "/log" "three");
+    step string_of_bool (f.remove "/absent");
+    step unit (f.rename ~src:"/a" ~dst:"/b");
+    step unit (f.rename ~src:"/a" ~dst:"/c");
+    step string_of_bool (f.exists "/a");
+    step string_of_bool (f.exists "/b");
+    step (String.concat ",") (f.list "/");
+    step unit (f.sync "/b");
+    step show_opt (f.read "/b");
+    step show_opt (f.read "/log");
+    step string_of_bool (f.remove "/b");
+    List.rev !results
+  in
+  let by_usys, by_fs, differing = on_both_backends script in
+  check Alcotest.(list string) "same results" by_fs by_usys;
+  check Alcotest.(list string) "script results"
+    [
+      "ok absent"; "ok ()"; "ok ()"; {|ok "short"|}; "ok ()"; "ok ()";
+      {|ok "one,two,"|}; "ok ()"; "ok false"; "ok ()"; "io error"; "ok false";
+      "ok true"; "ok b,log"; "ok ()"; {|ok "short"|}; {|ok "one,two,three"|};
+      "ok true";
+    ]
+    by_fs;
+  check Alcotest.int "sectors differing" 0 differing
+
+(* A block whose sidecar is missing or malformed loads as [Err No_crc]
+   on both backends; one whose sidecar cannot be read is an I/O error,
+   not a missing checksum. *)
+let test_store_sidecar_errors () =
+  let loads { files; store; mkdir; _ } =
+    mkdir NC.blocks_dir;
+    let store = store () in
+    let load () = show (fun _ -> "loaded") (store.load "k") in
+    ok (files.write (NC.key_path "k") "value");
+    let missing = load () in
+    ok (files.write (NC.crc_path "k") "not hex");
+    let malformed = load () in
+    ignore (ok (files.remove (NC.crc_path "k")));
+    mkdir (NC.crc_path "k");
+    [ missing; malformed; load () ]
+  in
+  let by_usys, by_fs, _ = on_both_backends loads in
+  let expected = [ "error missing checksum"; "error missing checksum"; "io error" ] in
+  check Alcotest.(list string) "syscall backend" expected by_usys;
+  check Alcotest.(list string) "fs backend" expected by_fs
+
+(* netd's store and the fs-level store whose crash points cr explores run
+   one write protocol: resolve or create, truncate, write.  The same saves
+   through both leave byte-identical disks, and a syscall save is exactly
+   open(create, trunc), write, close for the block and for its sidecar. *)
+let test_usys_store_is_fs_store_protocol () =
+  let per_save, _, differing =
+    on_both_backends (fun { store; mkdir; traced; _ } ->
+        mkdir NC.blocks_dir;
+        let store = store () in
+        List.map
+          (fun value ->
+            traced (fun () -> ok (store.save "k1" { NC.value; crc = P.crc32 value })))
+          [ "first"; String.make 600 'v'; "short" ])
+  in
+  List.iter
+    (check Alcotest.(list string) "one save's syscalls"
+       [ "open-trunc /blocks/k1"; "write"; "close";
+         "open-trunc /blocks/k1.crc"; "write"; "close" ])
+    per_save;
+  check Alcotest.int "sectors differing" 0 differing
+
+(* netd's journal and the fs-level sink cr explores, through appends and
+   two checkpoints: the same bytes read back, the same disk, and an
+   append on the cached fd is exactly write + fsync. *)
+let test_usys_journal_is_fs_sink () =
+  let (by_usys, second_append), (by_fs, _), differing =
+    on_both_backends (fun { sink; traced; _ } ->
+        let sink = sink () in
+        let append i =
+          ok (sink.sink_append (Bytes.of_string (Printf.sprintf "record-%d;" i)))
+        in
+        let replace snap = ok (sink.sink_replace (Bytes.of_string snap)) in
+        append 1;
+        let second = traced (fun () -> append 2) in
+        append 3;
+        replace "snapshot-1;";
+        append 4;
+        replace "snapshot-2;";
+        append 5;
+        (Bytes.to_string (ok (sink.sink_read ())), second))
+  in
+  check Alcotest.string "journal read back" "snapshot-2;record-5;" by_usys;
+  check Alcotest.string "same bytes through both" by_fs by_usys;
+  check Alcotest.(list string) "an append's syscalls" [ "write"; "fsync" ]
+    second_append;
+  check Alcotest.int "sectors differing" 0 differing
 
 (* ------------------------------------------------------------------ *)
 (* Resilience layer *)
 
-module RC = Bi_app.Resilient_client
 module Rs = Bi_app.Rs_check
 
 (* Every error constructor of every layer must render: a resilience bug
@@ -453,14 +573,6 @@ let test_pp_error_coverage () =
   check Alcotest.string "P.Serving" "serving" (p P.pp_health P.Serving);
   check Alcotest.string "P.Degraded" "degraded" (p P.pp_health P.Degraded);
   check Alcotest.string "P.txn" "7.42" (p P.pp_txn { P.client = 7; seq = 42 });
-  check Alcotest.bool "Client.Connection" true
-    (prefix "connection: " (p Client.pp_error (Client.Connection "refused")));
-  check Alcotest.bool "Client.Remote" true
-    (prefix "remote: " (p Client.pp_error (Client.Remote P.Integrity)));
-  check Alcotest.string "Client.Corrupt" "corrupt value"
-    (p Client.pp_error Client.Corrupt);
-  check Alcotest.string "Client.Invalid_key" "invalid key (rejected locally)"
-    (p Client.pp_error Client.Invalid_key);
   check Alcotest.string "RC.Invalid_key" "invalid key (rejected locally)"
     (p RC.pp_error RC.Invalid_key);
   check Alcotest.string "RC.Breaker_open" "breaker open"
@@ -516,7 +628,6 @@ let test_backoff_determinism () =
 (* ------------------------------------------------------------------ *)
 (* Duplicate-table boundaries *)
 
-module NC = Bi_app.Node_core
 
 let put_txn_req ~client ~seq key value =
   P.Put { key; value; crc = P.crc32 value; txn = Some { P.client; seq } }
@@ -692,7 +803,6 @@ let test_fi_positive_control () =
 (* ------------------------------------------------------------------ *)
 (* Per-node redo journal: record serde and recovery × migration *)
 
-module J = Bi_app.Journal
 
 (* One of each record constructor, with non-trivial payloads. *)
 let journal_vectors =
@@ -763,6 +873,25 @@ let test_journal_corrupt_fuzz () =
     check Alcotest.bool "salvage is a prefix of the original" true
       (is_prefix records)
   done
+
+(* A checkpoint whose rename fails leaves the journal only in
+   [/journal.new]; the next append must settle it first, or its record
+   would start a fresh [/journal] and the next load would discard the
+   snapshot. *)
+let test_failed_replace_settles_before_append () =
+  let files = Files.of_fs (K.fs (K.create ())) in
+  let renames = ref 0 in
+  let rename ~src ~dst =
+    incr renames;
+    if !renames = 1 then Error (P.Io "injected") else files.rename ~src ~dst
+  in
+  let sink = J.file_sink { files with rename } ~path:"/journal" in
+  ok (sink.sink_append (Bytes.of_string "old;"));
+  check Alcotest.bool "replace fails at the rename" true
+    (Result.is_error (sink.sink_replace (Bytes.of_string "snapshot;")));
+  ok (sink.sink_append (Bytes.of_string "new;"));
+  check Alcotest.string "snapshot kept, then the append" "snapshot;new;"
+    (Bytes.to_string (ok ((J.file_sink files ~path:"/journal").sink_read ())))
 
 (* Satellite: recovery × migration.  A node recovers its duplicate table
    from the journal, then a live migration imports carried entries for
@@ -894,6 +1023,15 @@ let () =
           Alcotest.test_case "usys store runs fs_store's protocol" `Quick
             test_usys_store_is_fs_store_protocol;
         ] );
+      ( "files",
+        [
+          Alcotest.test_case "backends agree on one script" `Quick
+            test_files_backend_parity;
+          Alcotest.test_case "sidecar errors agree" `Quick
+            test_store_sidecar_errors;
+          Alcotest.test_case "usys journal is fs_sink" `Quick
+            test_usys_journal_is_fs_sink;
+        ] );
       ( "resilience",
         [
           Alcotest.test_case "pp_error coverage" `Quick test_pp_error_coverage;
@@ -922,6 +1060,8 @@ let () =
             test_journal_corrupt_fuzz;
           Alcotest.test_case "recovery merges with migration imports" `Quick
             test_recovery_migration_merge;
+          Alcotest.test_case "failed replace settles before append" `Quick
+            test_failed_replace_settles_before_append;
         ] );
       ( "admission",
         [
