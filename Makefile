@@ -28,9 +28,13 @@ fmt-check:
 	exit $$fail
 
 # `verify` discharges every suite, including `mc`, and the driver
-# asserts the paper's `pt` suite stays exactly 220 VCs.
+# asserts the paper's `pt` suite stays exactly 220 VCs.  It then runs the
+# benchmark's own tests, so a VC count that drifts from the pins in
+# perfbench/suites.ml, or a library change that breaks the benchmark's
+# build, fails here rather than in a benchmark run.
 verify: fmt-check
 	dune build && dune runtest && dune exec bin/verify.exe -- --jobs $(JOBS)
+	python3 perfbench/test_bench.py
 
 # The model-checker suite alone (fast; handy while editing drivers).
 mc:

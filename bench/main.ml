@@ -219,20 +219,13 @@ end
 
 module Nrc = Bi_nr.Nr.Make (Counter)
 
-(* The log has finite capacity; renew the instance before it fills so the
-   benchmark never measures a Log.Full unwind. *)
-let nr_subject = ref (Nrc.create ~replicas:2 ~threads_per_replica:2 ())
-
-let nr_fresh () =
-  if Nrc.log_entries !nr_subject > 900_000 then
-    nr_subject := Nrc.create ~replicas:2 ~threads_per_replica:2 ();
-  !nr_subject
+let nr_subject = Nrc.create ~replicas:2 ~threads_per_replica:2 ()
 
 let bench_nr_update () =
-  ignore (Nrc.execute (nr_fresh ()) ~thread:0 Counter.Incr : int)
+  ignore (Nrc.execute nr_subject ~thread:0 Counter.Incr : int)
 
 let bench_nr_read () =
-  ignore (Nrc.execute (nr_fresh ()) ~thread:1 Counter.Read : int)
+  ignore (Nrc.execute nr_subject ~thread:1 Counter.Read : int)
 
 (* Batched-range family: 512 pages mapped and unmapped through one range
    call per direction vs. 512 single-page root-to-leaf walks. *)

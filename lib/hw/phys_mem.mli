@@ -5,7 +5,15 @@
     actual 64-bit little-endian words, and the MMU walker reads them back
     bit-for-bit — preserving the paper's "map from a multi-level tree
     structure encoded as bits to a flat abstract data type" proof
-    obligation. *)
+    obligation.
+
+    Frames are backed on first touch: every 4 KiB frame starts as a shared
+    all-zero buffer and gets its own only when something is stored into
+    it, so a machine pays for the memory it uses, not the memory it has.
+    This is invisible through the interface — every read returns what the
+    flat array would, {!size} is the installed size, and {!loads} and
+    {!stores} count exactly what they would count on a flat array
+    ([zero_frame] of an untouched frame still counts its 512 stores). *)
 
 type t
 
@@ -13,8 +21,9 @@ exception Bad_address of Addr.paddr
 (** Access outside the installed memory. *)
 
 val create : size:int -> t
-(** [create ~size] allocates [size] bytes of zeroed physical memory.
-    [size] must be a positive multiple of the 4 KiB page size. *)
+(** [create ~size] installs [size] bytes of zeroed physical memory,
+    materialising none of it.  [size] must be a positive multiple of the
+    4 KiB page size. *)
 
 val size : t -> int
 (** Installed bytes. *)

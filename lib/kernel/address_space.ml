@@ -193,4 +193,7 @@ let mapped_bytes t =
 
 let destroy t =
   List.iter (fun r -> match munmap t ~va:r.base with Ok () | Error _ -> ())
-    t.regions
+    t.regions;
+  (* Unmapping reclaims every interior table; the root is the one frame
+     left. *)
+  Frame_alloc.free t.frames (cr3 t)

@@ -14,6 +14,8 @@ val user_base : int64
 (** First mappable user virtual address (1 GiB). *)
 
 val create : mem:Bi_hw.Phys_mem.t -> frames:Bi_hw.Frame_alloc.t -> t
+(** Allocates the page-table root; raises [Frame_alloc.Out_of_frames]
+    when there is no frame for it. *)
 
 val cr3 : t -> Bi_hw.Addr.paddr
 
@@ -47,4 +49,6 @@ val mapped_bytes : t -> int
 (** Total bytes currently mapped (for accounting tests). *)
 
 val destroy : t -> unit
-(** Unmap everything and free all frames (process teardown). *)
+(** Unmap everything and free all frames, the page-table root included
+    (process teardown).  The address space must not be used afterwards:
+    its root frame may already belong to another process. *)

@@ -170,27 +170,29 @@ and start_thread t ~pid entry =
 and spawn ?(parent = 0) t ~prog ~arg =
   match Hashtbl.find_opt t.programs prog with
   | None -> Error Sysabi.E_noent
-  | Some f ->
-      let pid = t.next_pid in
-      t.next_pid <- pid + 1;
-      let aspace =
+  | Some f -> (
+      match
         Address_space.create ~mem:t.machine.Machine.mem
           ~frames:t.machine.Machine.frames
-      in
-      let p =
-        {
-          pid;
-          parent;
-          aspace;
-          fds = Hashtbl.create 8;
-          next_fd = 3;
-          pstate = Alive;
-          tids = [];
-        }
-      in
-      Hashtbl.replace t.processes pid p;
-      ignore (start_thread t ~pid (fun s -> f s arg) : int);
-      Ok pid
+      with
+      | exception Bi_hw.Frame_alloc.Out_of_frames -> Error Sysabi.E_nomem
+      | aspace ->
+          let pid = t.next_pid in
+          t.next_pid <- pid + 1;
+          let p =
+            {
+              pid;
+              parent;
+              aspace;
+              fds = Hashtbl.create 8;
+              next_fd = 3;
+              pstate = Alive;
+              tids = [];
+            }
+          in
+          Hashtbl.replace t.processes pid p;
+          ignore (start_thread t ~pid (fun s -> f s arg) : int);
+          Ok pid)
 
 and finish_thread t th =
   th.tstate <- Finished;
@@ -651,15 +653,17 @@ and dispatch t th (s : sys) (req : Sysabi.request)
 
 let syscall (s : sys) req = Effect.perform (Syscall (s, req))
 
+(* A zombie's address space is destroyed: its root frame may already be
+   another process's. *)
 let user_load (s : sys) ~va =
   match get_process s.kernel s.s_pid with
-  | None -> Error Sysabi.E_srch
-  | Some p -> Address_space.load_u64 p.aspace ~va
+  | Some ({ pstate = Alive; _ } as p) -> Address_space.load_u64 p.aspace ~va
+  | Some _ | None -> Error Sysabi.E_srch
 
 let user_store (s : sys) ~va v =
   match get_process s.kernel s.s_pid with
-  | None -> Error Sysabi.E_srch
-  | Some p -> Address_space.store_u64 p.aspace ~va v
+  | Some ({ pstate = Alive; _ } as p) -> Address_space.store_u64 p.aspace ~va v
+  | Some _ | None -> Error Sysabi.E_srch
 
 (* ------------------------------------------------------------------ *)
 (* Time advance and unblocking                                         *)

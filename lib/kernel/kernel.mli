@@ -50,7 +50,8 @@ val register_program : t -> string -> (sys -> string -> unit) -> unit
 val spawn : ?parent:int -> t -> prog:string -> arg:string -> (int, Sysabi.err) result
 (** Create a process running a registered program; returns its pid.
     Usable from outside the kernel (boot) — inside user code use the
-    [Spawn] syscall.  [parent] defaults to 0 (the kernel). *)
+    [Spawn] syscall.  [parent] defaults to 0 (the kernel).  [Error E_nomem]
+    when there is no frame left for its page-table root. *)
 
 val run : t -> unit
 (** Drive the scheduler until every thread has finished.  Advances

@@ -54,10 +54,14 @@ module Make (DS : Seq_ds.S) = struct
   }
 
   let create ?(replicas = 2) ?(threads_per_replica = 8)
-      ?(log_capacity = 1_048_576) ?(replay = Batched) ?(hooks = no_hooks) () =
+      ?(log_capacity = 4096) ?(replay = Batched) ?(hooks = no_hooks) () =
     if replicas <= 0 then invalid_arg "Nr.create: replicas <= 0";
     if threads_per_replica <= 0 then
       invalid_arg "Nr.create: threads_per_replica <= 0";
+    (* A combiner appends up to one op per thread of its replica in one
+       reservation; a smaller log could never take a full batch. *)
+    if log_capacity < threads_per_replica then
+      invalid_arg "Nr.create: log_capacity < threads_per_replica";
     let make_replica id =
       {
         id;
@@ -155,6 +159,30 @@ module Make (DS : Seq_ds.S) = struct
     | Batched -> apply_upto_batched t r upto ~reversed:false
     | Batched_unordered -> apply_upto_batched t r upto ~reversed:true
 
+  (* The log is full: a batch would overwrite an entry the slowest
+     replica has not replayed.  Replay every lagging replica up to the
+     tail under that replica's writer lock — one lock at a time, so this
+     cannot deadlock with another reclaiming combiner — then move the
+     log's head to the lowest replica tail.  A dormant replica is caught
+     up on its behalf instead of wedging the appender.  The combiner's own
+     replica is included: the combiner holds no lock while it appends. *)
+  let reclaim t =
+    let upto = Log.tail t.log in
+    Array.iter
+      (fun q ->
+        if Atomic.get q.ltail < upto then
+          Rwlock.with_write q.lock (fun () -> apply_upto t q upto))
+      t.reps;
+    Log.advance t.log
+      (Array.fold_left (fun m q -> min m (Atomic.get q.ltail)) upto t.reps)
+
+  let rec append t batch =
+    match Log.append t.log batch with
+    | (_ : int) -> ()
+    | exception Log.Full ->
+        reclaim t;
+        append t batch
+
   (* Become the combiner for replica [r]: gather pending requests, append
      them to the log in one reservation, then replay the log (including
      other replicas' entries) into the local replica. *)
@@ -181,7 +209,7 @@ module Make (DS : Seq_ds.S) = struct
         if !n > m && not (Atomic.compare_and_set t.max_batch m !n) then bump ()
       in
       bump ();
-      ignore (Log.append t.log !batch : int)
+      append t !batch
     end;
     let upto = Log.tail t.log in
     if Atomic.get r.ltail < upto then

@@ -54,7 +54,12 @@ module Make (DS : Seq_ds.S) : sig
     ?replicas:int -> ?threads_per_replica:int -> ?log_capacity:int ->
     ?replay:replay -> ?hooks:hooks -> unit -> t
   (** Defaults: 2 replicas ("NUMA nodes"), 8 threads per replica,
-      1_048_576-entry log, [Batched] replay, {!no_hooks}. *)
+      4096-slot circular log, [Batched] replay, {!no_hooks}.  When the log
+      is full, the appending combiner replays every lagging replica (each
+      under its own writer lock, one at a time) and reuses the slots they
+      have all passed, so the log never runs out and a replica that never
+      combines cannot stall the others.  Raises [Invalid_argument] if
+      [log_capacity < threads_per_replica]: a combiner's batch must fit. *)
 
   val execute : t -> thread:int -> DS.op -> DS.ret
   (** Run an operation on behalf of [thread] (in

@@ -68,24 +68,85 @@ let vc_log_no_lost_slots =
              (E.peek st.slots.(2))))
     ()
 
+(* The circular log: a one-slot ring, two appenders and the slowest
+   replica replaying behind them.  Entry [i] goes to slot [i mod cap]
+   tagged [i + 1]; an appender that finds no room below [head + cap]
+   moves [head] to what [reclaim] allows, or waits for the replica. *)
+
+type ring_state = {
+  r_tail : E.var;
+  r_head : E.var;
+  r_slots : E.var array;
+  r_ltail : E.var;  (* entries the slowest replica has replayed *)
+  r_ok : bool array;
+}
+
+let ring_cap = 1
+let ring_appends = 2
+
+let ring_make ctx =
+  {
+    r_tail = E.var ctx ~name:"tail" 0;
+    r_head = E.var ctx ~name:"head" 0;
+    r_slots =
+      Array.init ring_cap (fun i ->
+          E.var ctx ~name:(Printf.sprintf "slot%d" i) 0);
+    r_ltail = E.var ctx ~name:"ltail" 0;
+    r_ok = Array.make ring_appends false;
+  }
+
+let ring_append ~reclaim st ctx =
+  let rec loop () =
+    let t = E.read ctx st.r_tail in
+    let h = E.read ctx st.r_head in
+    if t + 1 > h + ring_cap then begin
+      (* Full: reclaim up to the slowest replica, or wait for it. *)
+      let slowest = E.read ctx st.r_ltail in
+      let h' = reclaim ~slowest ~tail:t in
+      if h' > h then ignore (E.update ctx st.r_head (fun x -> max x h'))
+      else ignore (E.await ctx st.r_ltail (fun v -> v > slowest));
+      loop ()
+    end
+    else if E.cas ctx st.r_tail ~expect:t ~set:(t + 1) then
+      E.write ctx st.r_slots.(t mod ring_cap) (t + 1)
+    else loop ()
+  in
+  loop ();
+  st.r_ok.(E.self ctx) <- true
+
+let ring_replay st ctx =
+  for i = 0 to ring_appends - 1 do
+    ignore (E.await ctx st.r_tail (fun t -> t > i));
+    let v = E.await ctx st.r_slots.(i mod ring_cap) (fun v -> v >= i + 1) in
+    E.check ctx (v = i + 1)
+      (Printf.sprintf "entry %d overwritten by entry %d before it was replayed"
+         i (v - 1));
+    E.write ctx st.r_ltail (i + 1)
+  done
+
+let ring_final st =
+  let tail = E.peek st.r_tail and ltail = E.peek st.r_ltail in
+  let head = E.peek st.r_head in
+  if
+    tail = ring_appends && ltail = tail && head <= ltail
+    && Array.for_all Fun.id st.r_ok
+  then None
+  else Some (Printf.sprintf "tail=%d head=%d ltail=%d" tail head ltail)
+
+let ring_threads ~reclaim =
+  [ ring_append ~reclaim; ring_append ~reclaim; ring_replay ]
+
+let log_ring ~reclaim =
+  E.run ~make:ring_make ~threads:(ring_threads ~reclaim) ~final:ring_final ()
+
 let vc_log_capacity =
-  (* A full log refuses the overflowing append and the tail never moves
-     past capacity — the exact property the blind-FAA bug broke. *)
-  E.vc ~id:"mc/nr/log/capacity-respected" ~category:cat
-    ~make:(log_make ~cap:1 2)
-    ~threads:
-      [
-        (fun st ctx -> st.ok.(0) <- log_append ctx st 1);
-        (fun st ctx -> st.ok.(1) <- log_append ctx st 2);
-      ]
-    ~final:(fun st ->
-      let wins = (if st.ok.(0) then 1 else 0) + if st.ok.(1) then 1 else 0 in
-      if E.peek st.tail = 1 && wins = 1 && E.peek st.slots.(0) <> 0 then None
-      else
-        Some
-          (Printf.sprintf "tail=%d wins=%d slot0=%d" (E.peek st.tail) wins
-             (E.peek st.slots.(0))))
-    ()
+  (* Appends wait for room below [head + cap], and [head] never passes
+     the slowest replica, so no slot is reused before it is replayed —
+     the blind-FAA bug broke the first half, reclaiming past the slowest
+     replica would break the second. *)
+  E.vc ~id:"mc/nr/log/capacity-respected" ~category:cat ~make:ring_make
+    ~threads:(ring_threads ~reclaim:(fun ~slowest ~tail:_ -> slowest))
+    ~final:ring_final ()
 
 let vc_mutation_log_blind_faa =
   (* The seeded bug: fetch-and-add first, check capacity after.  Losing

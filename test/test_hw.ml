@@ -136,6 +136,167 @@ let test_phys_mem_counters () =
   check Alcotest.int "loads" 2 (Phys_mem.loads m);
   check Alcotest.int "stores" 1 (Phys_mem.stores m)
 
+(* First-touch frames against a flat reference: the same seeded script
+   of u8/u64/bytes accesses and frame zeroing, biased to straddle frame
+   boundaries and the ends of memory, run on [Phys_mem] and on one
+   [Bytes] the size of memory.  Every value, every counter and every
+   [Bad_address] must agree. *)
+module Flat = struct
+  type t = { data : Bytes.t; mutable loads : int; mutable stores : int }
+
+  let create size = { data = Bytes.make size '\000'; loads = 0; stores = 0 }
+
+  let at t pa width =
+    if pa < 0L || Int64.compare pa (Int64.of_int (Bytes.length t.data - width)) > 0
+    then raise (Phys_mem.Bad_address pa);
+    Int64.to_int pa
+
+  let aligned8 pa = if Int64.rem pa 8L <> 0L then raise (Phys_mem.Bad_address pa)
+
+  let read_u8 t pa =
+    let i = at t pa 1 in
+    t.loads <- t.loads + 1;
+    Char.code (Bytes.get t.data i)
+
+  let write_u8 t pa v =
+    let i = at t pa 1 in
+    t.stores <- t.stores + 1;
+    Bytes.set t.data i (Char.chr (v land 0xFF))
+
+  let read_u64 t pa =
+    aligned8 pa;
+    let i = at t pa 8 in
+    t.loads <- t.loads + 1;
+    Bytes.get_int64_le t.data i
+
+  let write_u64 t pa v =
+    aligned8 pa;
+    let i = at t pa 8 in
+    t.stores <- t.stores + 1;
+    Bytes.set_int64_le t.data i v
+
+  let read_bytes t pa len =
+    let i = at t pa len in
+    t.loads <- t.loads + ((len + 7) / 8);
+    Bytes.sub t.data i len
+
+  let write_bytes t pa b =
+    let i = at t pa (Bytes.length b) in
+    t.stores <- t.stores + ((Bytes.length b + 7) / 8);
+    Bytes.blit b 0 t.data i (Bytes.length b)
+
+  let zero_frame t pa =
+    if Int64.rem pa 4096L <> 0L then raise (Phys_mem.Bad_address pa);
+    let i = at t pa 4096 in
+    Bytes.fill t.data i 4096 '\000';
+    t.stores <- t.stores + 512
+end
+
+type mem_op =
+  | R8 of int64
+  | W8 of int64 * int
+  | R64 of int64
+  | W64 of int64 * int64
+  | Rb of int64 * int
+  | Wb of int64 * bytes
+  | Zero of int64
+
+let pp_mem_op = function
+  | R8 pa -> Printf.sprintf "read_u8 %Ld" pa
+  | W8 (pa, v) -> Printf.sprintf "write_u8 %Ld %d" pa v
+  | R64 pa -> Printf.sprintf "read_u64 %Ld" pa
+  | W64 (pa, v) -> Printf.sprintf "write_u64 %Ld %Ld" pa v
+  | Rb (pa, n) -> Printf.sprintf "read_bytes %Ld %d" pa n
+  | Wb (pa, b) -> Printf.sprintf "write_bytes %Ld <%d>" pa (Bytes.length b)
+  | Zero pa -> Printf.sprintf "zero_frame %Ld" pa
+
+let gen_mem_op g ~frames =
+  let module Gen = Bi_core.Gen in
+  let size = frames * 4096 in
+  let addr () =
+    Int64.of_int
+      (match Gen.int g 8 with
+      | 0 -> Gen.int_in g (-16) (-1)
+      | 1 -> size + Gen.int_in g (-24) 16
+      | 2 | 3 | 4 -> (Gen.int_in g 0 frames * 4096) + Gen.int_in g (-12) 12
+      | _ -> Gen.int g size)
+  in
+  let addr8 () =
+    let pa = addr () in
+    if Gen.int g 8 = 0 then pa else Int64.mul (Int64.div pa 8L) 8L
+  in
+  let len () = if Gen.int g 8 = 0 then Gen.int_in g 4000 9000 else Gen.int g 40 in
+  match Gen.int g 7 with
+  | 0 -> R8 (addr ())
+  | 1 -> W8 (addr (), Gen.int g 256)
+  | 2 -> R64 (addr8 ())
+  | 3 -> W64 (addr8 (), Gen.next64 g)
+  | 4 -> Rb (addr (), len ())
+  | 5 -> Wb (addr (), Bytes.init (len ()) (fun _ -> Char.chr (Gen.int g 256)))
+  | _ ->
+      let k = Gen.int_in g 0 frames in
+      Zero (Int64.of_int ((k * 4096) + if Gen.int g 6 = 0 then 8 else 0))
+
+let test_phys_mem_vs_flat () =
+  let frames = 6 in
+  let m = Phys_mem.create ~size:(frames * 4096) and f = Flat.create (frames * 4096) in
+  let run_mem = function
+    | R8 pa -> string_of_int (Phys_mem.read_u8 m pa)
+    | W8 (pa, v) -> Phys_mem.write_u8 m pa v; ""
+    | R64 pa -> Int64.to_string (Phys_mem.read_u64 m pa)
+    | W64 (pa, v) -> Phys_mem.write_u64 m pa v; ""
+    | Rb (pa, n) -> Bytes.to_string (Phys_mem.read_bytes m pa n)
+    | Wb (pa, b) -> Phys_mem.write_bytes m pa b; ""
+    | Zero pa -> Phys_mem.zero_frame m pa; ""
+  in
+  let run_flat = function
+    | R8 pa -> string_of_int (Flat.read_u8 f pa)
+    | W8 (pa, v) -> Flat.write_u8 f pa v; ""
+    | R64 pa -> Int64.to_string (Flat.read_u64 f pa)
+    | W64 (pa, v) -> Flat.write_u64 f pa v; ""
+    | Rb (pa, n) -> Bytes.to_string (Flat.read_bytes f pa n)
+    | Wb (pa, b) -> Flat.write_bytes f pa b; ""
+    | Zero pa -> Flat.zero_frame f pa; ""
+  in
+  let outcome run op =
+    match run op with v -> Ok v | exception Phys_mem.Bad_address pa -> Error pa
+  in
+  let g = Bi_core.Gen.create 17L in
+  (* Untouched frames first: zeroing and reading them must not differ. *)
+  let script =
+    [ Zero 8192L; R64 8192L; Rb (4090L, 20); Zero 20480L ]
+    @ List.init 4000 (fun _ -> gen_mem_op g ~frames)
+  in
+  let bad = ref 0 in
+  List.iteri
+    (fun i op ->
+      let what = Printf.sprintf "op %d (%s)" i (pp_mem_op op) in
+      let got = outcome run_mem op and want = outcome run_flat op in
+      if Result.is_error want then incr bad;
+      check
+        Alcotest.(result string int64)
+        what want got;
+      check Alcotest.int (what ^ " loads") f.Flat.loads (Phys_mem.loads m);
+      check Alcotest.int (what ^ " stores") f.Flat.stores (Phys_mem.stores m))
+    script;
+  check Alcotest.bool "the script reaches Bad_address" true (!bad > 100);
+  check Alcotest.string "whole memory agrees"
+    (Bytes.to_string f.Flat.data)
+    (Bytes.to_string (Phys_mem.read_bytes m 0L (frames * 4096)))
+
+let test_kernel_create_heap () =
+  (* 32 MiB of installed memory costs nothing until it is touched. *)
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let k = Bi_kernel.Kernel.create () in
+  Gc.full_major ();
+  let after = (Gc.stat ()).Gc.live_words in
+  check Alcotest.int "32 MiB installed" (32 * 1024 * 1024)
+    (Phys_mem.size (Bi_kernel.Kernel.machine k).Machine.mem);
+  let mb = float_of_int ((after - before) * (Sys.word_size / 8)) /. 1048576. in
+  if mb >= 4.0 then Alcotest.failf "Kernel.create () keeps %.1f MB live" mb;
+  ignore (Sys.opaque_identity k)
+
 (* ------------------------------------------------------------------ *)
 (* Frame_alloc *)
 
@@ -744,6 +905,10 @@ let () =
           Alcotest.test_case "huge addresses" `Quick test_phys_mem_huge_address;
           Alcotest.test_case "zero frame" `Quick test_phys_mem_zero_frame;
           Alcotest.test_case "counters" `Quick test_phys_mem_counters;
+          Alcotest.test_case "first touch agrees with a flat array" `Quick
+            test_phys_mem_vs_flat;
+          Alcotest.test_case "Kernel.create heap under 4 MB" `Quick
+            test_kernel_create_heap;
         ] );
       ( "frame_alloc",
         [

@@ -97,6 +97,43 @@ let test_exit_code_via_wait () =
   K.run k;
   check Alcotest.int "exit code delivered" 33 !observed
 
+let test_spawn_reap_frees_frames () =
+  (* Every reaped process gives back all its frames, page-table root
+     included: 10,000 cycles would exhaust the default 8,128 frames if one
+     leaked per child. *)
+  let k = K.create () in
+  let frames = (K.machine k).Bi_hw.Machine.frames in
+  let start = ref (-1) and finish = ref (-1) and failed = ref 0 in
+  K.register_program k "child" (fun s _ -> U.exit s 0);
+  K.register_program k "main" (fun s _ ->
+      start := Bi_hw.Frame_alloc.free_count frames;
+      for _ = 1 to 10_000 do
+        match U.spawn s ~prog:"child" ~arg:"" with
+        | Ok pid -> ( match U.wait s pid with Ok _ -> () | Error _ -> incr failed)
+        | Error _ -> incr failed
+      done;
+      finish := Bi_hw.Frame_alloc.free_count frames);
+  ignore (K.spawn k ~prog:"main" ~arg:"");
+  K.run k;
+  check Alcotest.int "every cycle spawned and reaped" 0 !failed;
+  check Alcotest.int "free frames back to the start" !start !finish
+
+let test_spawn_out_of_frames () =
+  (* With no frame left for a page-table root, spawn fails with E_nomem
+     instead of raising out of the kernel. *)
+  let k = K.create ~mem_bytes:(68 * 4096) () in
+  let results = ref [] in
+  K.register_program k "child" (fun s _ -> U.sleep s 5);
+  K.register_program k "main" (fun s _ ->
+      for _ = 1 to 4 do
+        results := U.spawn s ~prog:"child" ~arg:"" :: !results
+      done);
+  ignore (K.spawn k ~prog:"main" ~arg:"");
+  K.run k;
+  match List.rev !results with
+  | [ Ok _; Ok _; Ok _; Error e ] -> check err "fourth spawn" Sysabi.E_nomem e
+  | _ -> Alcotest.fail "expected three children, then E_nomem"
+
 let test_wait_before_exit_blocks () =
   (* Parent waits while the child still sleeps: must block then resume. *)
   let observed = ref (-1) in
@@ -1002,6 +1039,10 @@ let () =
           Alcotest.test_case "spawn unknown" `Quick test_spawn_unknown_program;
           Alcotest.test_case "deadlock detected" `Quick test_deadlock_detected;
           Alcotest.test_case "wait: single collector" `Quick test_wait_single_collector;
+          Alcotest.test_case "spawn/reap cycles free every frame" `Quick
+            test_spawn_reap_frees_frames;
+          Alcotest.test_case "spawn without frames is E_nomem" `Quick
+            test_spawn_out_of_frames;
         ] );
       ( "fd",
         [

@@ -85,6 +85,72 @@ let test_log_concurrent_append () =
   check Alcotest.int "no entry lost or duplicated" 2000 (Hashtbl.length seen)
 
 (* ------------------------------------------------------------------ *)
+(* Circular log *)
+
+let test_ring_laps () =
+  (* A capacity-4 log driven round several laps, the head kept as far
+     back as the room each batch needs: every live index reads its own
+     entry, and an index whose slot has been reused is refused. *)
+  let log = Log.create ~capacity:4 in
+  let e op = { Log.op; replica = 0; slot = 0 } in
+  List.iter
+    (fun n ->
+      let start = Log.tail log in
+      Log.advance log (max (Log.head log) (start + n - 4));
+      check Alcotest.int "append returns the reserved index" start
+        (Log.append log (List.init n (fun k -> e (start + k))));
+      for i = Log.head log to Log.tail log - 1 do
+        check Alcotest.int (Printf.sprintf "entry %d" i) i (Log.get log i).Log.op
+      done)
+    [ 1; 3; 2; 4; 1; 2; 3; 1; 4; 2 ];
+  check Alcotest.int "tail counts every entry" 23 (Log.tail log);
+  match Log.get log 18 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "an overwritten index must be refused"
+
+let test_ring_full_until_slowest_advances () =
+  let log = Log.create ~capacity:4 in
+  let e op = { Log.op; replica = 0; slot = 0 } in
+  let full what batch =
+    match Log.append log batch with
+    | exception Log.Full -> ()
+    | _ -> Alcotest.failf "%s: append must raise Full" what
+  in
+  ignore (Log.append log [ e 0; e 1; e 2; e 3 ]);
+  full "no replica has replayed" [ e 4 ];
+  Log.advance log 0;
+  full "slowest replica still at 0" [ e 4 ];
+  Log.advance log 1;
+  check Alcotest.int "room once the slowest passed entry 0" 4
+    (Log.append log [ e 4 ]);
+  check Alcotest.int "entry 4 reuses slot 0" 4 (Log.get log 4).Log.op;
+  for i = 1 to 3 do
+    check Alcotest.int "unreplayed entries untouched" i (Log.get log i).Log.op
+  done;
+  full "ring full again" [ e 5 ];
+  Log.advance log 3;
+  full "a batch past head + capacity" [ e 5; e 6; e 7 ];
+  check Alcotest.int "two slots freed" 5 (Log.append log [ e 5; e 6 ]);
+  check Alcotest.int "tail" 7 (Log.tail log);
+  match Log.advance log 8 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "head must not pass the tail"
+
+let test_ring_mc_model () =
+  (* The mc model of the ring proves under its real reclamation rule and
+     is falsified by a mutant that reclaims past the slowest replica. *)
+  (match Bi_nr.Nr_mc.log_ring ~reclaim:(fun ~slowest ~tail:_ -> slowest) with
+  | Bi_core.Explore.Pass _ -> ()
+  | Bi_core.Explore.Fail _ -> Alcotest.fail "real reclamation rule falsified");
+  match Bi_nr.Nr_mc.log_ring ~reclaim:(fun ~slowest:_ ~tail -> tail) with
+  | Bi_core.Explore.Fail ({ Bi_core.Explore.kind = Assertion msg; _ }, _) ->
+      let prefix = "entry 0 overwritten" in
+      check Alcotest.string "overwrite before replay found" prefix
+        (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+  | Bi_core.Explore.Fail _ | Bi_core.Explore.Pass _ ->
+      Alcotest.fail "reclaiming past the slowest replica must be caught"
+
+(* ------------------------------------------------------------------ *)
 (* Rwlock *)
 
 let test_rwlock_basic () =
@@ -249,6 +315,71 @@ let test_nr_concurrent_total () =
   check Alcotest.int "log holds every update" (n_domains * per)
     (Nr_counter.log_entries nr)
 
+let test_nr_dormant_replica () =
+  (* Replica 1 never combines.  Its lag would fill an 8-slot log after 8
+     updates; the appender replays it instead, so 1,000 updates go
+     through replica 0 and the replicas converge. *)
+  let nr =
+    Nr_counter.create ~replicas:2 ~threads_per_replica:2 ~log_capacity:8 ()
+  in
+  for i = 1 to 1000 do
+    check Alcotest.int "update result" i
+      (Nr_counter.execute nr ~thread:0 Counter.Incr)
+  done;
+  check Alcotest.int "log indices stay monotone" 1000
+    (Nr_counter.log_entries nr);
+  check Alcotest.bool "dormant replica lags by at most the capacity" true
+    (Nr_counter.peek nr ~replica:1 (fun c -> !c) >= 1000 - 8);
+  Nr_counter.sync_all nr;
+  check Alcotest.int "replica 0" 1000 (Nr_counter.peek nr ~replica:0 (fun c -> !c));
+  check Alcotest.int "replica 1" 1000 (Nr_counter.peek nr ~replica:1 (fun c -> !c));
+  (* Runs of 13 updates from alternating replicas: at each switch the
+     appender's own replica is the slowest, and it must replay itself. *)
+  for i = 1001 to 2000 do
+    let thread = if i / 13 mod 2 = 0 then 0 else 2 in
+    check Alcotest.int "alternating update result" i
+      (Nr_counter.execute nr ~thread Counter.Incr)
+  done;
+  Nr_counter.sync_all nr;
+  for replica = 0 to 1 do
+    check Alcotest.int "replicas converge" 2000
+      (Nr_counter.peek nr ~replica (fun c -> !c))
+  done;
+  match Nr_counter.create ~threads_per_replica:8 ~log_capacity:4 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a log smaller than one batch must be rejected"
+
+let test_nr_ring_two_domains () =
+  (* Two domains appending through a 4-slot log: every combiner batch
+     fills it, so reclaiming (replaying the other replica under its
+     writer lock) runs concurrently with that replica's own combiner. *)
+  let nr =
+    Nr_counter.create ~replicas:2 ~threads_per_replica:2 ~log_capacity:4 ()
+  in
+  let per = 2000 in
+  let worker thread () =
+    for _ = 1 to per do
+      ignore (Nr_counter.execute nr ~thread Counter.Incr : int)
+    done
+  in
+  let domains = List.map (fun t -> Domain.spawn (worker t)) [ 0; 2 ] in
+  List.iter Domain.join domains;
+  Nr_counter.sync_all nr;
+  check Alcotest.int "log indices count every update" (2 * per)
+    (Nr_counter.log_entries nr);
+  for replica = 0 to 1 do
+    check Alcotest.int "no increment lost" (2 * per)
+      (Nr_counter.peek nr ~replica (fun c -> !c))
+  done;
+  let history =
+    Counter.two_domain_history ~calls:40
+      ~op:(fun i -> if i mod 4 = 3 then Counter.Read else Counter.Incr)
+      (Nr_counter.execute
+         (Nr_counter.create ~replicas:2 ~threads_per_replica:2 ~log_capacity:2 ()))
+  in
+  check Alcotest.bool "history through a 2-slot log linearizable" true
+    (Counter.Lin.check ~init:0 history)
+
 let test_nr_combines_batch () =
   let nr = Nr_counter.create ~replicas:1 ~threads_per_replica:2 () in
   for _ = 1 to 100 do
@@ -398,6 +529,19 @@ let () =
           Alcotest.test_case "full" `Quick test_log_full;
           Alcotest.test_case "get bounds" `Quick test_log_get_bounds;
           Alcotest.test_case "concurrent append" `Quick test_log_concurrent_append;
+        ] );
+      ( "ring",
+        [
+          Alcotest.test_case "laps return every live entry" `Quick
+            test_ring_laps;
+          Alcotest.test_case "full until the slowest replica advances" `Quick
+            test_ring_full_until_slowest_advances;
+          Alcotest.test_case "mc model catches early reclamation" `Quick
+            test_ring_mc_model;
+          Alcotest.test_case "dormant replica cannot wedge an appender" `Quick
+            test_nr_dormant_replica;
+          Alcotest.test_case "two domains through a 4-slot log" `Quick
+            test_nr_ring_two_domains;
         ] );
       ( "rwlock",
         [
