@@ -42,7 +42,7 @@ let suites : (string * string * (unit -> Bi_core.Vc.t list)) list =
       Bi_load.Wl_check.vcs );
     ( "nd",
       "netd: concurrent daemon, e2e exactly-once/lin via syscall traces",
-      Bi_netd.Nd_check.vcs );
+      fun () -> Bi_netd.Nd_check.vcs () @ Bi_netd.Nd_check.transport_vcs () );
     ( "cr",
       "crash recovery: journaled commit + recover at every crash point",
       Bi_app.Cr_check.vcs );
@@ -67,7 +67,7 @@ let expected_count = function
   | "sh" -> Some 41
   | "hp" -> Some 45
   | "wl" -> Some 54
-  | "nd" -> Some 44
+  | "nd" -> Some 45
   | "cr" -> Some 30
   | _ -> None
 

@@ -23,8 +23,9 @@ val alloc_contiguous : t -> int -> Addr.paddr
     raises {!Out_of_frames} if no run exists. *)
 
 val free : t -> Addr.paddr -> unit
-(** Return a frame.  Raises [Invalid_argument] on a double free or a frame
-    outside the managed range. *)
+(** Return a frame, releasing its memory ({!Phys_mem.release_frame}).
+    Raises [Invalid_argument] on a double free or a frame outside the
+    managed range. *)
 
 val is_allocated : t -> Addr.paddr -> bool
 val free_count : t -> int

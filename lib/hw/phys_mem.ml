@@ -97,6 +97,14 @@ let zero_frame t pa =
   if f != zero then Bytes.fill f 0 page '\000';
   t.stores <- t.stores + (page / 8)
 
+let release_frame t pa =
+  if not (Addr.is_aligned pa Addr.page_size) then raise (Bad_address pa);
+  let i = check t pa page in
+  t.frames.(i lsr page_shift) <- zero
+
+let materialised t =
+  Array.fold_left (fun n f -> if f != zero then n + 1 else n) 0 t.frames
+
 let loads t = t.loads
 let stores t = t.stores
 

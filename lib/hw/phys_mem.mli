@@ -46,6 +46,14 @@ val write_bytes : t -> Addr.paddr -> bytes -> unit
 val zero_frame : t -> Addr.paddr -> unit
 (** Zero the 4 KiB frame starting at the given (page-aligned) address. *)
 
+val release_frame : t -> Addr.paddr -> unit
+(** Drop the buffer of the 4 KiB frame starting at the given
+    (page-aligned) address: the frame reads as zero again and holds no
+    memory until its next store.  Counts no loads or stores. *)
+
+val materialised : t -> int
+(** Frames that currently hold their own buffer. *)
+
 val loads : t -> int
 (** Cumulative count of word loads (feeds the cycle cost model). *)
 

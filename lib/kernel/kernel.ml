@@ -39,8 +39,8 @@ and blocked_on =
   | On_join of int
   | On_sleep of int
   | On_udp of int
-  | On_accept of int
-  | On_tcp_recv of int
+  | On_accept of int * int (* port, deadline tick ([max_int]: none) *)
+  | On_tcp_recv of int * int (* conn, deadline tick *)
 
 and resume =
   | Start of (unit -> unit)
@@ -51,7 +51,13 @@ and tstate =
   | Blocked of blocked_on * (Sysabi.response, unit) Effect.Deep.continuation
   | Finished
 
-and thread = { tid : int; t_pid : int; mutable tstate : tstate }
+and thread = {
+  tid : int;
+  t_pid : int;
+  mutable tstate : tstate;
+  mutable parked : Sysabi.request option;
+      (* The call this thread is parked in: traced when it returns. *)
+}
 
 and t = {
   machine : Machine.t;
@@ -156,7 +162,7 @@ let rec handler t (th : thread) =
 and start_thread t ~pid entry =
   let tid = t.next_tid in
   t.next_tid <- tid + 1;
-  let th = { tid; t_pid = pid; tstate = Finished } in
+  let th = { tid; t_pid = pid; tstate = Finished; parked = None } in
   Hashtbl.replace t.threads tid th;
   (match get_process t pid with
   | Some p -> p.tids <- tid :: p.tids
@@ -545,7 +551,10 @@ and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
       Some Sysabi.R_unit
   | Sysabi.Tcp_connect { ip; port } ->
       Some (Sysabi.R_int (Stack.tcp_connect t.stack ~dst_ip:ip ~dst_port:port))
-  | Sysabi.Tcp_accept { port; blocking } -> (
+  | Sysabi.Tcp_accept { timeout; _ } | Sysabi.Tcp_recv { timeout; _ }
+    when timeout < 0 ->
+      err Sysabi.E_inval
+  | Sysabi.Tcp_accept { port; blocking; _ } -> (
       match Stack.tcp_accept t.stack port with
       | Some conn -> Some (Sysabi.R_int conn)
       | None -> if blocking then None else err Sysabi.E_again)
@@ -553,7 +562,7 @@ and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
       match Stack.tcp_send t.stack conn (Bytes.of_string data) with
       | () -> Some (Sysabi.R_int (String.length data))
       | exception Invalid_argument _ -> err Sysabi.E_badf)
-  | Sysabi.Tcp_recv { conn; blocking } -> (
+  | Sysabi.Tcp_recv { conn; blocking; _ } -> (
       match Stack.tcp_recv t.stack conn with
       | data when Bytes.length data > 0 ->
           Some (Sysabi.R_data (Bytes.to_string data))
@@ -627,11 +636,14 @@ and dispatch t th (s : sys) (req : Sysabi.request)
           match handle t th s req with
           | Some resp -> deliver resp
           | None ->
-              (* Blocking: park the continuation where the waker looks. *)
-              if t.tracing then
-                t.trace_log <-
-                  (th.t_pid, req, Sysabi.R_err Sysabi.E_again) :: t.trace_log;
+              (* Blocking: park the continuation where the waker looks.
+                 The call is traced when it returns, with the response
+                 the thread actually gets. *)
+              th.parked <- Some req;
               let park b = th.tstate <- Blocked (b, k) in
+              let deadline timeout =
+                if timeout = 0 then max_int else t.ticks + timeout
+              in
               (match req with
               | Sysabi.Read { fd; len } -> (
                   match get_process t th.t_pid with
@@ -647,8 +659,10 @@ and dispatch t th (s : sys) (req : Sysabi.request)
                   park (On_futex va)
               | Sysabi.Sleep ticks -> park (On_sleep (t.ticks + ticks))
               | Sysabi.Udp_recv { port; _ } -> park (On_udp port)
-              | Sysabi.Tcp_accept { port; _ } -> park (On_accept port)
-              | Sysabi.Tcp_recv { conn; _ } -> park (On_tcp_recv conn)
+              | Sysabi.Tcp_accept { port; timeout; _ } ->
+                  park (On_accept (port, deadline timeout))
+              | Sysabi.Tcp_recv { conn; timeout; _ } ->
+                  park (On_tcp_recv (conn, deadline timeout))
               | _ -> park (On_sleep t.ticks))))
 
 let syscall (s : sys) req = Effect.perform (Syscall (s, req))
@@ -681,6 +695,7 @@ let advance_time t =
 
 let try_unblock t =
   let unblocked = ref 0 in
+  let again = Sysabi.R_err Sysabi.E_again in
   Hashtbl.iter
     (fun _ th ->
       match th.tstate with
@@ -699,11 +714,11 @@ let try_unblock t =
                     (Sysabi.R_dgram
                        { ip; port = sport; data = Bytes.to_string data })
               | None -> ())
-          | On_accept port -> (
+          | On_accept (port, deadline) -> (
               match Stack.tcp_accept t.stack port with
               | Some conn -> wake (Sysabi.R_int conn)
-              | None -> ())
-          | On_tcp_recv conn -> (
+              | None -> if t.ticks >= deadline then wake again)
+          | On_tcp_recv (conn, deadline) -> (
               match Stack.tcp_recv t.stack conn with
               | data when Bytes.length data > 0 ->
                   wake (Sysabi.R_data (Bytes.to_string data))
@@ -712,7 +727,7 @@ let try_unblock t =
                   | Bi_net.Tcp.Closed | Bi_net.Tcp.Close_wait
                   | Bi_net.Tcp.Time_wait ->
                       wake (Sysabi.R_data "")
-                  | _ -> ()))
+                  | _ -> if t.ticks >= deadline then wake again))
           | On_pipe_read (pipe, len) ->
               if String.length pipe.pdata > 0 then begin
                 let n = min len (String.length pipe.pdata) in
@@ -747,6 +762,12 @@ let run_slice t =
           true
       | Ready (Resume (k, resp)) ->
           th.tstate <- Finished;
+          (match th.parked with
+          | Some req ->
+              th.parked <- None;
+              if t.tracing then
+                t.trace_log <- (th.t_pid, req, resp) :: t.trace_log
+          | None -> ());
           Effect.Deep.continue k resp;
           true
       | Blocked _ | Finished -> true (* stale queue entry; skip *))

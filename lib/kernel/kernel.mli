@@ -91,7 +91,9 @@ val run_pair : ?on_tick:(unit -> unit) -> t -> t -> unit
     would discard them. *)
 
 val set_trace : t -> bool -> unit
-(** Record (pid, request, response) for every syscall. *)
+(** Record (pid, request, response) for every syscall.  A call that
+    parks is recorded when it returns, with the response its thread gets;
+    a call whose thread is killed while parked is not recorded. *)
 
 val trace : t -> (int * Sysabi.request * Sysabi.response) list
 (** Recorded events, oldest first. *)

@@ -256,7 +256,10 @@ let step st ~pid req got =
         if List.mem_assoc fd p.fds then Some (Ok (st, Sysabi.R_unit))
         else Some (Ok (st, Sysabi.R_err Sysabi.E_badf))
     | Sysabi.Exit _ -> Some (Ok (st, Sysabi.R_unit))
-    (* Scheduling- or environment-dependent: not value-predicted. *)
+    (* Scheduling- or environment-dependent: not value-predicted.  A
+       blocking [Tcp_recv]/[Tcp_accept] with a [timeout] is no exception:
+       whether it returns data, a connection or [E_again] depends on when
+       the peer's packets arrive. *)
     | Sysabi.Gettid | Sysabi.Wait _ | Sysabi.Kill _ | Sysabi.Mresolve _
     | Sysabi.Thread_create _ | Sysabi.Thread_join _ | Sysabi.Futex_wait _
     | Sysabi.Futex_wake _ | Sysabi.Udp_bind _ | Sysabi.Udp_send _

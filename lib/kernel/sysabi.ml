@@ -52,9 +52,9 @@ type request =
   | Udp_recv of { port : int; blocking : bool }
   | Tcp_listen of { port : int }
   | Tcp_connect of { ip : int32; port : int }
-  | Tcp_accept of { port : int; blocking : bool }
+  | Tcp_accept of { port : int; blocking : bool; timeout : int }
   | Tcp_send of { conn : int; data : string }
-  | Tcp_recv of { conn : int; blocking : bool }
+  | Tcp_recv of { conn : int; blocking : bool; timeout : int }
   | Tcp_close of { conn : int }
   | Pipe
   | Mprotect of { va : int64; writable : bool; executable : bool }
@@ -77,17 +77,8 @@ type response =
 (* ------------------------------------------------------------------ *)
 (* Wire helpers                                                        *)
 
-let w_i64 w v =
-  W.u32 w (Int64.to_int32 (Int64.shift_right_logical v 32));
-  W.u32 w (Int64.to_int32 v)
-
-let r_i64 r =
-  let hi = R.u32 r in
-  let lo = R.u32 r in
-  Int64.logor
-    (Int64.shift_left (Int64.of_int32 hi) 32)
-    (Int64.logand (Int64.of_int32 lo) 0xFFFFFFFFL)
-
+let w_i64 = W.i64
+let r_i64 = R.i64
 let w_int w v = w_i64 w (Int64.of_int v)
 let r_int r = Int64.to_int (r_i64 r)
 
@@ -245,18 +236,20 @@ let encode_request req =
       W.u8 w 30;
       W.u32 w ip;
       w_int w port
-  | Tcp_accept { port; blocking } ->
+  | Tcp_accept { port; blocking; timeout } ->
       W.u8 w 31;
       w_int w port;
-      w_bool w blocking
+      w_bool w blocking;
+      w_int w timeout
   | Tcp_send { conn; data } ->
       W.u8 w 32;
       w_int w conn;
       w_str w data
-  | Tcp_recv { conn; blocking } ->
+  | Tcp_recv { conn; blocking; timeout } ->
       W.u8 w 33;
       w_int w conn;
-      w_bool w blocking
+      w_bool w blocking;
+      w_int w timeout
   | Tcp_close { conn } ->
       W.u8 w 34;
       w_int w conn
@@ -353,7 +346,8 @@ let decode_request b =
       | 31 ->
           let port = r_int r in
           let blocking = r_bool r in
-          Some (Tcp_accept { port; blocking })
+          let timeout = r_int r in
+          Some (Tcp_accept { port; blocking; timeout })
       | 32 ->
           let conn = r_int r in
           let data = r_str r in
@@ -361,7 +355,8 @@ let decode_request b =
       | 33 ->
           let conn = r_int r in
           let blocking = r_bool r in
-          Some (Tcp_recv { conn; blocking })
+          let timeout = r_int r in
+          Some (Tcp_recv { conn; blocking; timeout })
       | 34 -> Some (Tcp_close { conn = r_int r })
       | 35 -> Some (Log (r_str r))
       | 36 -> Some (Sleep (r_int r))
@@ -514,9 +509,13 @@ let pp_request ppf = function
   | Udp_recv { port; _ } -> Format.fprintf ppf "udp_recv(%d)" port
   | Tcp_listen { port } -> Format.fprintf ppf "tcp_listen(%d)" port
   | Tcp_connect { port; _ } -> Format.fprintf ppf "tcp_connect(:%d)" port
-  | Tcp_accept { port; _ } -> Format.fprintf ppf "tcp_accept(%d)" port
+  | Tcp_accept { port; blocking; timeout } ->
+      Format.fprintf ppf "tcp_accept(%d,blocking=%b,timeout=%d)" port blocking
+        timeout
   | Tcp_send { conn; data } -> Format.fprintf ppf "tcp_send(%d,[%d])" conn (String.length data)
-  | Tcp_recv { conn; _ } -> Format.fprintf ppf "tcp_recv(%d)" conn
+  | Tcp_recv { conn; blocking; timeout } ->
+      Format.fprintf ppf "tcp_recv(%d,blocking=%b,timeout=%d)" conn blocking
+        timeout
   | Tcp_close { conn } -> Format.fprintf ppf "tcp_close(%d)" conn
   | Log m -> Format.fprintf ppf "log(%s)" m
   | Sleep t -> Format.fprintf ppf "sleep(%d)" t
@@ -588,9 +587,15 @@ let sample_request g =
   | 29 ->
       Tcp_connect
         { ip = Int32.of_int (Gen.int g 0x40000000); port = Gen.int g 0x10000 }
-  | 30 -> Tcp_accept { port = Gen.int g 0x10000; blocking = Gen.bool g }
+  | 30 ->
+      let port = Gen.int g 0x10000 in
+      let blocking = Gen.bool g in
+      Tcp_accept { port; blocking; timeout = Gen.int g 1000 }
   | 31 -> Tcp_send { conn = Gen.int g 100; data = sample_string g }
-  | 32 -> Tcp_recv { conn = Gen.int g 100; blocking = Gen.bool g }
+  | 32 ->
+      let conn = Gen.int g 100 in
+      let blocking = Gen.bool g in
+      Tcp_recv { conn; blocking; timeout = Gen.int g 1000 }
   | 33 -> Tcp_close { conn = Gen.int g 100 }
   | 34 -> Log (sample_string g)
   | 35 -> Sleep (Gen.int g 100)

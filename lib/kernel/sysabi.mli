@@ -68,9 +68,16 @@ type request =
   | Udp_recv of { port : int; blocking : bool }
   | Tcp_listen of { port : int }
   | Tcp_connect of { ip : int32; port : int }
-  | Tcp_accept of { port : int; blocking : bool }
+  | Tcp_accept of { port : int; blocking : bool; timeout : int }
+      (** [timeout] bounds a blocking accept, in ticks: with no connection
+          pending after that many ticks the call returns [E_again].  [0]
+          means no deadline; a negative timeout is [E_inval].  A
+          non-blocking accept ignores it. *)
   | Tcp_send of { conn : int; data : string }
-  | Tcp_recv of { conn : int; blocking : bool }
+  | Tcp_recv of { conn : int; blocking : bool; timeout : int }
+      (** [timeout] as for [Tcp_accept]: a blocking recv returns data the
+          tick it arrives, [""] once the peer has closed, and [E_again]
+          when [timeout] ticks pass with neither. *)
   | Tcp_close of { conn : int }
   (* pipes (extension) *)
   | Pipe

@@ -73,10 +73,20 @@ val udp_recv :
 
 val tcp_listen : t -> int -> (unit, Sysabi.err) result
 val tcp_connect : t -> ip:int32 -> port:int -> (int, Sysabi.err) result
-val tcp_accept : t -> ?blocking:bool -> int -> (int, Sysabi.err) result
+val tcp_accept :
+  t -> ?blocking:bool -> ?timeout:int -> int -> (int, Sysabi.err) result
+(** A blocking accept (the default) parks until a connection is pending,
+    or for at most [timeout] ticks when [timeout > 0], then returns
+    [E_again].  [timeout] defaults to [0], no deadline; a non-blocking
+    accept ignores it. *)
+
 val tcp_send : t -> conn:int -> string -> (int, Sysabi.err) result
-val tcp_recv : t -> ?blocking:bool -> int -> (string, Sysabi.err) result
-(** An empty string means the peer closed. *)
+
+val tcp_recv :
+  t -> ?blocking:bool -> ?timeout:int -> int -> (string, Sysabi.err) result
+(** An empty string means the peer closed.  A blocking recv parks until
+    data arrives or the peer closes, or for at most [timeout] ticks when
+    [timeout > 0], then returns [E_again]. *)
 
 val tcp_close : t -> conn:int -> (unit, Sysabi.err) result
 

@@ -25,14 +25,9 @@ module W = struct
 
   let create () = Buffer.create 64
   let u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
-
-  let u16 b v =
-    u8 b (v lsr 8);
-    u8 b v
-
-  let u32 b v =
-    u16 b (Int32.to_int (Int32.shift_right_logical v 16) land 0xFFFF);
-    u16 b (Int32.to_int v land 0xFFFF)
+  let u16 b v = Buffer.add_uint16_be b (v land 0xFFFF)
+  let u32 = Buffer.add_int32_be
+  let i64 = Buffer.add_int64_be
 
   let bytes b x =
     count_copy (Bytes.length x);
@@ -64,15 +59,17 @@ module R = struct
     t.pos <- t.pos + 1;
     v
 
-  let u16 t =
-    let hi = u8 t in
-    let lo = u8 t in
-    (hi lsl 8) lor lo
+  (* A fixed-width big-endian field: bounds-checked once, read in one
+     load. *)
+  let word n get t =
+    need t n;
+    let v = get t.data t.pos in
+    t.pos <- t.pos + n;
+    v
 
-  let u32 t =
-    let hi = u16 t in
-    let lo = u16 t in
-    Int32.logor (Int32.shift_left (Int32.of_int hi) 16) (Int32.of_int lo)
+  let u16 t = word 2 Bytes.get_uint16_be t
+  let u32 t = word 4 Bytes.get_int32_be t
+  let i64 t = word 8 Bytes.get_int64_be t
 
   let take t n =
     need t n;
@@ -128,13 +125,8 @@ end
 (* Direct big-endian header stores: the iov encoders build fixed-size
    headers in place instead of going through [W] (whose [contents] would
    count a copy the zero-copy path doesn't make). *)
-let set_u16 b pos v =
-  Bytes.set b pos (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set b (pos + 1) (Char.chr (v land 0xFF))
-
-let set_u32 b pos v =
-  set_u16 b pos (Int32.to_int (Int32.shift_right_logical v 16) land 0xFFFF);
-  set_u16 b (pos + 2) (Int32.to_int v land 0xFFFF)
+let set_u16 b pos v = Bytes.set_uint16_be b pos (v land 0xFFFF)
+let set_u32 = Bytes.set_int32_be
 
 let fold_carry sum =
   let s = ref sum in
@@ -148,8 +140,7 @@ let checksum data ~off ~len =
   let i = ref off in
   let last = off + len in
   while !i + 1 < last do
-    sum := !sum + (Char.code (Bytes.get data !i) lsl 8)
-           + Char.code (Bytes.get data (!i + 1));
+    sum := !sum + Bytes.get_uint16_be data !i;
     i := !i + 2
   done;
   if !i < last then sum := !sum + (Char.code (Bytes.get data !i) lsl 8);

@@ -12,6 +12,9 @@ module W : sig
   (** Big-endian. *)
 
   val u32 : t -> int32 -> unit
+  val i64 : t -> int64 -> unit
+  (** Big-endian, like every multi-byte field here. *)
+
   val bytes : t -> bytes -> unit
   val string : t -> string -> unit
   val contents : t -> bytes
@@ -28,6 +31,7 @@ module R : sig
   val u8 : t -> int
   val u16 : t -> int
   val u32 : t -> int32
+  val i64 : t -> int64
   val take : t -> int -> bytes
   val rest : t -> bytes
   val remaining : t -> int

@@ -1231,6 +1231,94 @@ let vc_perf_no_starvation =
                     (Array.to_list (Array.map string_of_int run.Netd.served))))
           else Vc.Proved)
 
+(* ------------------------------------------------------------------ *)
+(* The transport parks instead of polling                              *)
+
+(* A closed loop of journaled 64-byte puts over 8 keys on one
+   connection, beside an idle control connection (the shape of
+   perfbench's put world), with both kernels traced from the end of a
+   warm-up put to the end of the last put.  Returns the server and client
+   events of that window and the number of puts acknowledged in it. *)
+let no_poll_ops = 40
+
+let no_poll_window () =
+  let server = K.create ~ip:server_ip () in
+  let client = K.create ~ip:client_ip () in
+  ignore (Netd.install server);
+  K.connect server client;
+  ignore (K.spawn server ~prog:"netd" ~arg:"");
+  let acked = ref 0 in
+  let tracing on =
+    K.set_trace server on;
+    K.set_trace client on
+  in
+  K.register_program client "client-main" (fun s _ ->
+      let control = Nd_client.make s ~ip:server_ip () in
+      let rec ping tries =
+        tries > 0
+        && (Result.is_ok (Nd_client.rpc control P.Ping)
+           || (U.sleep s 1; ping (tries - 1)))
+      in
+      if ping 100 then begin
+        let net, cl = Nd_client.create ~client:1 s ~ip:server_ip in
+        let put i =
+          RC.put cl ~key:(Printf.sprintf "k%d" (i mod 8))
+            ~value:(String.make 64 (Char.chr (97 + (i mod 26))))
+        in
+        ignore (put 0);
+        tracing true;
+        for i = 1 to no_poll_ops do
+          if Result.is_ok (put i) then incr acked
+        done;
+        tracing false;
+        Nd_client.close net
+      end;
+      Nd_client.close control;
+      shutdown s);
+  ignore (K.spawn client ~prog:"client-main" ~arg:"");
+  K.run_pair server client;
+  (K.trace server, K.trace client, !acked)
+
+(* What [make verify] pins about the transport: on the data path netd and
+   the client never sleep, every recv or accept that answers [E_again] is
+   a blocking call whose deadline expired, and a put costs exactly 21
+   server and 6 client syscalls. *)
+let vc_perf_no_poll =
+  Vc.make ~id:"nd/perf/no-poll" ~category:cat_perf (fun () ->
+      let srv, cli, acked = no_poll_window () in
+      let events = srv @ cli in
+      let sleeps =
+        List.length
+          (List.filter (function _, Sysabi.Sleep _, _ -> true | _ -> false) events)
+      in
+      let polled =
+        List.filter
+          (fun (_, req, resp) ->
+            match (req, resp) with
+            | ( ( Sysabi.Tcp_recv { blocking; timeout; _ }
+                | Sysabi.Tcp_accept { blocking; timeout; _ } ),
+                Sysabi.R_err Sysabi.E_again ) ->
+                (not blocking) || timeout <= 0
+            | _ -> false)
+          events
+      in
+      let per_op l = float_of_int (List.length l) /. float_of_int acked in
+      if acked <> no_poll_ops then
+        Vc.Falsified (Printf.sprintf "%d of %d puts acked" acked no_poll_ops)
+      else if sleeps > 0 then
+        Vc.Falsified (Printf.sprintf "%d sleep calls on the data path" sleeps)
+      else if polled <> [] then
+        Vc.Falsified
+          (Printf.sprintf "%d recv/accept calls answered E_again without a deadline"
+             (List.length polled))
+      else if List.length srv <> 21 * acked || List.length cli <> 6 * acked then
+        Vc.Falsified
+          (Printf.sprintf "syscalls per put: %.2f server, %.2f client (want 21, 6)"
+             (per_op srv) (per_op cli))
+      else Vc.Proved)
+
+let transport_vcs () = [ vc_perf_no_poll ]
+
 (* ================================================================== *)
 
 let vcs () =

@@ -16,6 +16,13 @@
 
 val vcs : unit -> Bi_core.Vc.t list
 
+val transport_vcs : unit -> Bi_core.Vc.t list
+(** [nd/perf/no-poll]: on a traced put loop, netd and the client make no
+    [Sleep] calls, every [E_again] from a recv or accept is an expired
+    deadline, and a put costs exactly 21 server and 6 client syscalls.
+    [bin/verify]'s [nd] suite is [vcs () @ transport_vcs ()]; the
+    benchmark's verify workload pins [vcs ()] alone. *)
+
 val bench_scaling :
   ?journal:bool -> workers:int list -> unit -> (int * int * float) list
 (** [bench_scaling ~workers] runs the quiet scaling world once per pool

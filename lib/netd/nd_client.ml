@@ -1,12 +1,13 @@
 (* Kernel-TCP transport for [Resilient_client] against netd.
 
-   One attempt = send the request on the current connection and poll for
-   a framed response, bounded by [attempt_ticks] of virtual time.  On
-   timeout or peer-close the connection is DROPPED before reporting the
-   transport error: the retry then starts on a fresh connection, so a
-   late response to a timed-out attempt can never desynchronize the
-   request/response pairing (responses are not self-identifying at this
-   layer — the dup table, keyed by txn, is what makes the retry safe).
+   One attempt = send the request on the current connection and wait,
+   parked in [tcp_recv], for a framed response, bounded by
+   [attempt_ticks] of virtual time.  On timeout or peer-close the
+   connection is DROPPED before reporting the transport error: the retry
+   then starts on a fresh connection, so a late response to a timed-out
+   attempt can never desynchronize the request/response pairing
+   (responses are not self-identifying at this layer — the dup table,
+   keyed by txn, is what makes the retry safe).
 
    The clock is kernel virtual time ([Usys.now]/[Usys.sleep]), so every
    backoff decision the resilient client makes is replayable. *)
@@ -65,18 +66,20 @@ let rpc t req =
                   Bytes.sub t.buf consumed (Bytes.length t.buf - consumed);
                 Ok resp
             | None ->
-                if U.now t.sys > deadline then begin
+                let now = U.now t.sys in
+                if now > deadline then begin
                   drop t;
                   Error "attempt timed out"
                 end
                 else begin
-                  (match U.tcp_recv t.sys ~blocking:false conn with
-                  | Ok "" ->
-                      drop t;
-                      ()
+                  (* Park until data arrives, or until the first tick past
+                     the deadline, when the check above times out. *)
+                  let timeout = Int64.to_int (Int64.sub deadline now) + 1 in
+                  (match U.tcp_recv t.sys ~timeout conn with
+                  | Ok "" -> drop t
                   | Ok chunk ->
                       t.buf <- Bytes.cat t.buf (Bytes.of_string chunk)
-                  | Error Bi_kernel.Sysabi.E_again -> U.sleep t.sys 1
+                  | Error Bi_kernel.Sysabi.E_again -> ()
                   | Error _ -> drop t);
                   match t.conn with
                   | None -> Error "peer closed mid-attempt"

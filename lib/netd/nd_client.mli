@@ -1,9 +1,9 @@
 (** Kernel-TCP transport driving {!Bi_app.Resilient_client} against a
-    live netd: each attempt sends on the current connection and polls
-    (bounded by [attempt_ticks] of virtual time) for a framed response;
-    timeouts and peer-closes drop the connection so every retry starts
-    on a fresh one — a late response to a timed-out attempt can never be
-    mispaired with a newer request.  All timing goes through kernel
+    live netd: each attempt sends on the current connection and parks in
+    [tcp_recv] (bounded by [attempt_ticks] of virtual time) for a framed
+    response; timeouts and peer-closes drop the connection so every retry
+    starts on a fresh one — a late response to a timed-out attempt can
+    never be mispaired with a newer request.  All timing goes through kernel
     virtual time, so schedules are replayable. *)
 
 type net

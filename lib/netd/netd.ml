@@ -4,7 +4,7 @@
    Process/IPC architecture (the Fornax netd shape on our kernel):
 
      acceptor (main thread)
-        | tcp_accept, non-blocking poll
+        | tcp_accept, parked in the kernel for at most accept_poll_ticks
         v
      reader thread per connection -- frames bytes into Protocol.req
         | Req_queue.push            (futex-backed bounded queue)
@@ -45,6 +45,8 @@ type config = {
       (** Simulated per-request service time, slept outside the store
           lock — the contention knob of the scaling benchmark. *)
   accept_poll_ticks : int;
+      (** How long a netd thread stays parked in accept/recv before it
+          checks [stop] again. *)
   journal : bool;
       (** Commit mutations through a [/journal] redo log and recover
           from it on (re)spawn, making the dup table crash-durable.
@@ -93,7 +95,7 @@ let latest_run t = match t.runs with [] -> None | r :: _ -> Some r
 (* One connection's reader: accumulate bytes, frame requests, hand them
    to the queue.  Exits when the peer closes, the daemon stops, or the
    queue closes under it. *)
-let reader s ~stop ~queue conn =
+let reader s ~config ~stop ~queue conn =
   let buf = ref Bytes.empty in
   let alive = ref true in
   while !alive && not !stop do
@@ -102,10 +104,10 @@ let reader s ~stop ~queue conn =
         buf := Bytes.sub !buf consumed (Bytes.length !buf - consumed);
         if not (Req_queue.push s queue (conn, req)) then alive := false
     | None -> (
-        match U.tcp_recv s ~blocking:false conn with
+        match U.tcp_recv s ~timeout:config.accept_poll_ticks conn with
         | Ok "" -> alive := false
         | Ok chunk -> buf := Bytes.cat !buf (Bytes.of_string chunk)
-        | Error Bi_kernel.Sysabi.E_again -> U.sleep s 1
+        | Error Bi_kernel.Sysabi.E_again -> ()
         | Error _ -> alive := false)
   done;
   ignore (U.tcp_close s ~conn)
@@ -189,16 +191,18 @@ let program t s _arg =
   in
   U.log s (Printf.sprintf "netd: epoch %d serving with %d workers" epoch
              config.workers);
-  (* The main thread is the acceptor: non-blocking accept so it can
-     notice [stop] (a blocking accept would strand it after shutdown). *)
+  (* The main thread is the acceptor.  Its accept has a deadline so it
+     still notices [stop] (an accept with none would strand it after
+     shutdown). *)
   let readers = ref [] in
   while not !stop do
-    match U.tcp_accept s ~blocking:false config.port with
+    match U.tcp_accept s ~timeout:config.accept_poll_ticks config.port with
     | Ok conn ->
-        let tid = U.thread_create s (fun rs -> reader rs ~stop ~queue conn) in
+        let tid =
+          U.thread_create s (fun rs -> reader rs ~config ~stop ~queue conn)
+        in
         readers := tid :: !readers
-    | Error Bi_kernel.Sysabi.E_again -> U.sleep s config.accept_poll_ticks
-    | Error _ -> U.sleep s config.accept_poll_ticks
+    | Error _ -> ()
   done;
   List.iter (fun tid -> ignore (U.thread_join s tid)) !readers;
   Req_queue.close s queue;
@@ -211,6 +215,10 @@ let program t s _arg =
 
 let install ?(config = default_config) kernel =
   if config.workers <= 0 then invalid_arg "Netd.install: workers";
+  (* 0 would mean no deadline, and a thread parked with none would never
+     see [stop]. *)
+  if config.accept_poll_ticks <= 0 then
+    invalid_arg "Netd.install: accept_poll_ticks";
   let t = { config; epochs = Atomic.make 0; runs = [] } in
   K.register_program kernel "netd" (program t);
   t

@@ -26,6 +26,10 @@ type config = {
       (** Simulated per-request service time, slept outside the store
           lock — the contention knob of the scaling benchmark. *)
   accept_poll_ticks : int;
+      (** How long, in ticks, a netd thread (the acceptor, or a
+          connection's reader) stays parked in [tcp_accept]/[tcp_recv]
+          before it checks [stop] again.  At least 1: {!install} rejects
+          anything less. *)
   journal : bool;
       (** Commit mutations through a [/journal] redo log
           ({!Bi_app.Storage_node.usys_journal}, the journal file sink

@@ -36,6 +36,42 @@ let abi_vc_cases () =
               Alcotest.failf "%a" Bi_core.Vc.pp_outcome o))
     (Sysabi.vcs ())
 
+(* Golden bytes: the word-at-a-time codec writes exactly what the
+   byte-at-a-time one did.  The digest was recorded with the previous
+   [Pkt] writers and readers (one [Buffer.add_char] per byte) encoding
+   this same stream, timeout fields included. *)
+let golden_responses =
+  let open Sysabi in
+  [
+    R_unit; R_int 42; R_int (-7); R_i64 0x8000_0000_0000_0001L; R_i64 (-2L);
+    R_data ""; R_data "golden"; R_names []; R_names [ "a"; "bc" ];
+    R_stat { dir = true; size = 4096 };
+    R_dgram { ip = 0xC0A80001l; port = 53; data = "q" }; R_pair (3, 4);
+  ]
+  @ List.map
+      (fun e -> R_err e)
+      [
+        E_badf; E_noent; E_exists; E_inval; E_nomem; E_notdir; E_isdir;
+        E_notempty; E_nospace; E_toolarge; E_again; E_nosys; E_child; E_srch;
+        E_conn; E_fault;
+      ]
+
+let test_codec_golden_bytes () =
+  let g = Bi_core.Gen.create 0x5eedL in
+  let b = Buffer.create 65536 in
+  for _ = 1 to 4096 do
+    Buffer.add_bytes b (Sysabi.encode_request (Sysabi.sample_request g))
+  done;
+  List.iter (fun r -> Buffer.add_bytes b (Sysabi.encode_response r)) golden_responses;
+  check Alcotest.int "stream length" 50498 (Buffer.length b);
+  check Alcotest.string "stream digest" "159f13250d5daef14b367068fded77a3"
+    (Digest.to_hex (Digest.string (Buffer.contents b)));
+  List.iter
+    (fun r ->
+      check Alcotest.bool "response round-trips" true
+        (Sysabi.decode_response (Sysabi.encode_response r) = Some r))
+    golden_responses
+
 (* ------------------------------------------------------------------ *)
 (* Scheduler / futex units *)
 
@@ -214,6 +250,35 @@ let test_deadlock_detected () =
   match K.run k with
   | exception K.Deadlock _ -> ()
   | () -> Alcotest.fail "deadlock must be detected"
+
+let test_spawn_reap_releases_memory () =
+  (* A reaped child's frames give their memory back, not just their
+     allocator bits: the next-fit cursor hands every cycle fresh frames,
+     so if freeing kept the buffers the materialised count would grow by
+     each child's footprint, cycle after cycle. *)
+  let k = K.create () in
+  let mem = (K.machine k).Bi_hw.Machine.mem in
+  let start = ref (-1) and finish = ref (-1) and peak = ref (-1) in
+  K.register_program k "child" (fun s _ ->
+      match U.mmap s ~bytes:(4 * 4096) with
+      | Ok va ->
+          for p = 0 to 3 do
+            ignore (U.store s ~va:(Int64.add va (Int64.of_int (p * 4096))) 1L)
+          done;
+          peak := max !peak (Bi_hw.Phys_mem.materialised mem)
+      | Error _ -> U.exit s 1);
+  K.register_program k "main" (fun s _ ->
+      start := Bi_hw.Phys_mem.materialised mem;
+      for _ = 1 to 200 do
+        match U.spawn s ~prog:"child" ~arg:"" with
+        | Ok pid -> ignore (U.wait s pid)
+        | Error _ -> ()
+      done;
+      finish := Bi_hw.Phys_mem.materialised mem);
+  ignore (K.spawn k ~prog:"main" ~arg:"");
+  K.run k;
+  check Alcotest.bool "a child materialises frames" true (!peak > !start);
+  check Alcotest.int "materialised frames back to the start" !start !finish
 
 (* ------------------------------------------------------------------ *)
 (* File descriptors: the read_spec semantics *)
@@ -973,6 +1038,151 @@ let test_nonblocking_recv_eagain () =
            (U.udp_recv s ~blocking:false 99)))
 
 (* ------------------------------------------------------------------ *)
+(* Timed tcp_recv / tcp_accept *)
+
+(* Results are copied out of the kernel threads into refs and checked
+   after the run: an exception inside a kernel thread only ends that
+   thread. *)
+
+let ip_a = Bi_net.Ip.addr_of_string "10.0.0.1"
+
+(* Kernel [a] accepts one connection on port 80 and runs [server] on it;
+   kernel [b] connects and runs [client].  Returns [a]. *)
+let tcp_pair ~server ~client =
+  let a = K.create ~ip:ip_a () in
+  let b = K.create ~ip:(Bi_net.Ip.addr_of_string "10.0.0.2") () in
+  K.connect a b;
+  K.register_program a "srv" (fun s _ ->
+      ignore (U.tcp_listen s 80);
+      match U.tcp_accept s 80 with Ok conn -> server s conn | Error _ -> ());
+  K.register_program b "cli" (fun s _ ->
+      match U.tcp_connect s ~ip:ip_a ~port:80 with
+      | Ok conn -> client s conn
+      | Error _ -> ());
+  ignore (K.spawn a ~prog:"srv" ~arg:"");
+  ignore (K.spawn b ~prog:"cli" ~arg:"");
+  K.run_pair a b;
+  a
+
+let ticks_since s t0 = Int64.to_int (Int64.sub (U.now s) t0)
+
+let recv_result = Alcotest.result Alcotest.string err
+
+(* The server's [tcp_recv ~timeout] while the client sends "ping"
+   [delay] ticks after connecting: the result, and the ticks (both
+   kernels share one clock) at which the recv was issued, the ping sent
+   and the recv returned. *)
+type timed = {
+  got : (string, Sysabi.err) result;
+  issued : int;
+  sent : int;
+  returned : int;
+}
+
+let timed_recv ~timeout ~delay =
+  let got = ref (Error Sysabi.E_nosys) in
+  let issued = ref (-1) and sent = ref (-1) and returned = ref (-1) in
+  let now s = Int64.to_int (U.now s) in
+  ignore
+    (tcp_pair
+       ~server:(fun s conn ->
+         issued := now s;
+         got := U.tcp_recv s ~timeout conn;
+         returned := now s)
+       ~client:(fun s conn ->
+         U.sleep s delay;
+         sent := now s;
+         ignore (U.tcp_send s ~conn "ping")));
+  { got = !got; issued = !issued; sent = !sent; returned = !returned }
+
+let test_timed_recv_data_before_deadline () =
+  let untimed = timed_recv ~timeout:0 ~delay:20 in
+  let timed = timed_recv ~timeout:200 ~delay:20 in
+  check recv_result "no deadline: data" (Ok "ping") untimed.got;
+  check recv_result "deadline: data" (Ok "ping") timed.got;
+  check Alcotest.int "returned the tick the data arrived" untimed.returned
+    timed.returned;
+  check Alcotest.bool "before the deadline" true
+    (timed.returned - timed.issued < 200)
+
+let test_timed_recv_expires_exactly () =
+  let recv = ref (Ok "") and recv_took = ref (-1) in
+  let accept = ref (Ok 0) and accept_took = ref (-1) in
+  ignore
+    (tcp_pair
+       ~server:(fun s conn ->
+         let t0 = U.now s in
+         recv := U.tcp_recv s ~timeout:7 conn;
+         recv_took := ticks_since s t0;
+         let t1 = U.now s in
+         accept := U.tcp_accept s ~timeout:5 80;
+         accept_took := ticks_since s t1)
+       ~client:(fun s _ -> U.sleep s 50));
+  check recv_result "recv: E_again" (Error Sysabi.E_again) !recv;
+  check Alcotest.int "recv: exactly 7 ticks" 7 !recv_took;
+  check (Alcotest.result Alcotest.int err) "accept: E_again"
+    (Error Sysabi.E_again) !accept;
+  check Alcotest.int "accept: exactly 5 ticks" 5 !accept_took
+
+let test_timed_recv_peer_close () =
+  let got = ref (Error Sysabi.E_nosys) and took = ref (-1) in
+  ignore
+    (tcp_pair
+       ~server:(fun s conn ->
+         let t0 = U.now s in
+         got := U.tcp_recv s ~timeout:500 conn;
+         took := ticks_since s t0)
+       ~client:(fun s conn ->
+         U.sleep s 10;
+         ignore (U.tcp_close s ~conn)));
+  check recv_result "peer close is \"\"" (Ok "") !got;
+  check Alcotest.bool "before the deadline" true (!took < 500)
+
+let test_untimed_recv_waits () =
+  let r = timed_recv ~timeout:0 ~delay:300 in
+  check recv_result "data, however late" (Ok "ping") r.got;
+  check Alcotest.bool "returned after the send" true (r.returned > r.sent);
+  check Alcotest.bool "waited for it" true (r.returned - r.issued > 200)
+
+let test_kill_parked_timed_recv () =
+  (* The child parks in a recv with a 1000-tick deadline and is killed
+     10 ticks in.  It is reaped with 128+9, and when the deadline passes
+     (the client keeps the world running past it) nothing wakes it. *)
+  let code = ref (Ok 0) and returned = ref false and killed_at = ref (-1) in
+  let a =
+    tcp_pair
+      ~server:(fun s conn ->
+        K.register_program (K.sys_kernel s) "reader" (fun cs _ ->
+            ignore (U.tcp_recv cs ~timeout:1000 conn);
+            returned := true);
+        match U.spawn s ~prog:"reader" ~arg:"" with
+        | Ok pid ->
+            let t0 = U.now s in
+            U.sleep s 10;
+            ignore (U.kill s ~pid ~signal:9);
+            code := U.wait s pid;
+            killed_at := ticks_since s t0
+        | Error _ -> ())
+      ~client:(fun s _ -> U.sleep s 1500)
+  in
+  check (Alcotest.result Alcotest.int err) "reaped, code 128+9" (Ok 137) !code;
+  check Alcotest.int "reaped when killed" 10 !killed_at;
+  check Alcotest.bool "the parked recv never returned" false !returned;
+  check Alcotest.int "only the server's own zombie is left" 1
+    (K.process_count a)
+
+let test_negative_timeout_einval () =
+  let recv = ref (Ok "") and accept = ref (Ok 0) in
+  ignore
+    (tcp_pair
+       ~server:(fun s conn ->
+         recv := U.tcp_recv s ~timeout:(-1) conn;
+         accept := U.tcp_accept s ~timeout:(-1) 80)
+       ~client:(fun _ _ -> ()));
+  check recv_result "recv" (Error Sysabi.E_inval) !recv;
+  check (Alcotest.result Alcotest.int err) "accept" (Error Sysabi.E_inval) !accept
+
+(* ------------------------------------------------------------------ *)
 (* Misc syscalls *)
 
 let test_log_and_time () =
@@ -1020,7 +1230,9 @@ let test_yield_fairness () =
 let () =
   Alcotest.run "bi_kernel"
     [
-      ("abi", abi_vc_cases ());
+      ( "abi",
+        abi_vc_cases ()
+        @ [ Alcotest.test_case "golden bytes" `Quick test_codec_golden_bytes ] );
       ( "scheduler-futex",
         [
           Alcotest.test_case "scheduler fifo" `Quick test_scheduler_fifo;
@@ -1043,6 +1255,8 @@ let () =
             test_spawn_reap_frees_frames;
           Alcotest.test_case "spawn without frames is E_nomem" `Quick
             test_spawn_out_of_frames;
+          Alcotest.test_case "spawn/reap cycles release frame memory" `Quick
+            test_spawn_reap_releases_memory;
         ] );
       ( "fd",
         [
@@ -1095,6 +1309,15 @@ let () =
         [
           Alcotest.test_case "udp across kernels" `Quick test_udp_between_kernels;
           Alcotest.test_case "nonblocking EAGAIN" `Quick test_nonblocking_recv_eagain;
+          Alcotest.test_case "timed recv: data before the deadline" `Quick
+            test_timed_recv_data_before_deadline;
+          Alcotest.test_case "timed recv/accept: E_again at the deadline" `Quick
+            test_timed_recv_expires_exactly;
+          Alcotest.test_case "timed recv: peer close" `Quick test_timed_recv_peer_close;
+          Alcotest.test_case "recv without deadline waits" `Quick test_untimed_recv_waits;
+          Alcotest.test_case "kill a parked timed recv" `Quick test_kill_parked_timed_recv;
+          Alcotest.test_case "negative timeout is E_inval" `Quick
+            test_negative_timeout_einval;
         ] );
       ( "misc",
         [

@@ -76,6 +76,55 @@ let test_checksum_odd_length () =
   (* 0x0102 + 0x0300 = 0x0402; complement = 0xfbfd *)
   check Alcotest.int "odd tail padded" 0xFBFD (Pkt.checksum b ~off:0 ~len:3)
 
+(* The word-at-a-time checksum against the byte-at-a-time definition of
+   RFC 1071, on random buffers, offsets and (often odd) lengths. *)
+let checksum_bytewise data ~off ~len =
+  let sum = ref 0 in
+  for i = 0 to len - 1 do
+    let b = Char.code (Bytes.get data (off + i)) in
+    sum := !sum + if i land 1 = 0 then b lsl 8 else b
+  done;
+  while !sum lsr 16 <> 0 do
+    sum := (!sum land 0xFFFF) + (!sum lsr 16)
+  done;
+  lnot !sum land 0xFFFF
+
+let test_checksum_matches_bytewise () =
+  let g = Bi_core.Gen.create 1071L in
+  for _ = 1 to 2000 do
+    let n = Bi_core.Gen.int g 300 in
+    let data = Bytes.init n (fun _ -> Char.chr (Bi_core.Gen.int g 256)) in
+    let off = if n = 0 then 0 else Bi_core.Gen.int g n in
+    let len = Bi_core.Gen.int g (n - off + 1) in
+    check Alcotest.int
+      (Printf.sprintf "off %d len %d" off len)
+      (checksum_bytewise data ~off ~len)
+      (Pkt.checksum data ~off ~len)
+  done
+
+(* The word writers and readers lay out the same big-endian bytes as
+   shifting the value out a byte at a time. *)
+let test_word_codecs_match_bytewise () =
+  let g = Bi_core.Gen.create 16L in
+  for _ = 1 to 500 do
+    let v = Bi_core.Gen.next64 g in
+    let be n =
+      String.init n (fun i ->
+          let shift = 8 * (n - 1 - i) in
+          Char.chr (Int64.to_int (Int64.shift_right_logical v shift) land 0xFF))
+    in
+    let w = Pkt.W.create () in
+    Pkt.W.u16 w (Int64.to_int v);
+    Pkt.W.u32 w (Int64.to_int32 v);
+    Pkt.W.i64 w v;
+    let out = Pkt.W.contents w in
+    check Alcotest.string "bytes" (be 2 ^ be 4 ^ be 8) (Bytes.to_string out);
+    let r = Pkt.R.of_bytes out in
+    check Alcotest.int "u16" (Int64.to_int v land 0xFFFF) (Pkt.R.u16 r);
+    check Alcotest.int32 "u32" (Int64.to_int32 v) (Pkt.R.u32 r);
+    check Alcotest.int64 "i64" v (Pkt.R.i64 r)
+  done
+
 let prop_checksum_self_verifies =
   (* The inserted checksum field must be 16-bit aligned, as it is in every
      real header, so quantify over even-length payloads. *)
@@ -372,6 +421,10 @@ let () =
           Alcotest.test_case "checksum vector" `Quick test_checksum_rfc1071_example;
           Alcotest.test_case "checksum odd length" `Quick test_checksum_odd_length;
           prop_checksum_self_verifies;
+          Alcotest.test_case "checksum matches bytewise" `Quick
+            test_checksum_matches_bytewise;
+          Alcotest.test_case "word codecs match bytewise" `Quick
+            test_word_codecs_match_bytewise;
         ] );
       ( "layers",
         [
