@@ -32,32 +32,23 @@ and process = {
   mutable tids : int list;
 }
 
-and blocked_on =
-  | On_pipe_read of (pipe * int) (* pipe, requested length *)
-  | On_futex of int64
-  | On_wait of int
-  | On_join of int
-  | On_sleep of int
-  | On_udp of int
-  | On_accept of int * int (* port, deadline tick ([max_int]: none) *)
-  | On_tcp_recv of int * int (* conn, deadline tick *)
-
 and resume =
   | Start of (unit -> unit)
-  | Resume of (Sysabi.response, unit) Effect.Deep.continuation * Sysabi.response
+  | Resume of
+      Sysabi.request option
+      * (Sysabi.response, unit) Effect.Deep.continuation
+      * Sysabi.response
+      (* [Some req]: the call was parked, and is traced when it returns. *)
 
 and tstate =
   | Ready of resume
-  | Blocked of blocked_on * (Sysabi.response, unit) Effect.Deep.continuation
+  | Blocked of
+      Sysabi.request * int * (Sysabi.response, unit) Effect.Deep.continuation
+      (* The call the thread is parked in and its deadline tick ([max_int]:
+         none). *)
   | Finished
 
-and thread = {
-  tid : int;
-  t_pid : int;
-  mutable tstate : tstate;
-  mutable parked : Sysabi.request option;
-      (* The call this thread is parked in: traced when it returns. *)
-}
+and thread = { tid : int; t_pid : int; mutable tstate : tstate }
 
 and t = {
   machine : Machine.t;
@@ -151,10 +142,10 @@ let rec handler t (th : thread) =
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
-        | Syscall (s, req) ->
+        | Syscall (_, req) ->
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
-                dispatch t th s req
+                dispatch t th req
                   (k : (Sysabi.response, unit) Effect.Deep.continuation))
         | _ -> None);
   }
@@ -162,7 +153,7 @@ let rec handler t (th : thread) =
 and start_thread t ~pid entry =
   let tid = t.next_tid in
   t.next_tid <- tid + 1;
-  let th = { tid; t_pid = pid; tstate = Finished; parked = None } in
+  let th = { tid; t_pid = pid; tstate = Finished } in
   Hashtbl.replace t.threads tid th;
   (match get_process t pid with
   | Some p -> p.tids <- tid :: p.tids
@@ -200,18 +191,27 @@ and spawn ?(parent = 0) t ~prog ~arg =
           ignore (start_thread t ~pid (fun s -> f s arg) : int);
           Ok pid)
 
-and finish_thread t th =
-  th.tstate <- Finished;
-  Futex.remove_thread t.futexes ~tid:th.tid;
-  (* Wake joiners. *)
+(* Answer the call [th] is parked in; it returns when next scheduled. *)
+and wake t th resp =
+  match th.tstate with
+  | Blocked (req, _, k) ->
+      th.tstate <- Ready (Resume (Some req, k, resp));
+      enqueue_ready t th.tid
+  | Ready _ | Finished -> ()
+
+and wake_joiners t tid =
   Hashtbl.iter
     (fun _ other ->
       match other.tstate with
-      | Blocked (On_join waited, k) when waited = th.tid ->
-          other.tstate <- Ready (Resume (k, Sysabi.R_unit));
-          enqueue_ready t other.tid
+      | Blocked (Sysabi.Thread_join { tid = waited }, _, _) when waited = tid ->
+          wake t other Sysabi.R_unit
       | _ -> ())
-    t.threads;
+    t.threads
+
+and finish_thread t th =
+  th.tstate <- Finished;
+  Futex.remove_thread t.futexes ~tid:th.tid;
+  wake_joiners t th.tid;
   (* Last thread of the process: the process exits with code 0 unless it
      already became a zombie via Exit. *)
   match get_process t th.t_pid with
@@ -249,22 +249,17 @@ and make_zombie t p code =
     Hashtbl.fold
       (fun _ th acc ->
         match th.tstate with
-        | Blocked (On_wait waited, k) when waited = p.pid -> (th, k) :: acc
+        | Blocked (Sysabi.Wait waited, _, _) when waited = p.pid -> th :: acc
         | _ -> acc)
       t.threads []
-    |> List.sort (fun (a, _) (b, _) -> compare a.tid b.tid)
+    |> List.sort (fun a b -> compare a.tid b.tid)
   in
   match waiters with
   | [] -> ()
-  | (first, k) :: rest ->
-      first.tstate <- Ready (Resume (k, Sysabi.R_int code));
+  | first :: rest ->
+      wake t first (Sysabi.R_int code);
       p.pstate <- Reaped;
-      enqueue_ready t first.tid;
-      List.iter
-        (fun (th, k) ->
-          th.tstate <- Ready (Resume (k, Sysabi.R_err Sysabi.E_child));
-          enqueue_ready t th.tid)
-        rest
+      List.iter (fun th -> wake t th (Sysabi.R_err Sysabi.E_child)) rest
 
 and kill_process t p code =
   (* Discard every thread of the process; parked continuations are
@@ -290,17 +285,7 @@ and kill_process t p code =
      the blocking-syscall audit (a [Kill]/[Exit] landing on a process one
      of whose threads is being joined from outside).  Same-process
      joiners were just set [Finished] above and no longer match. *)
-  List.iter
-    (fun tid ->
-      Hashtbl.iter
-        (fun _ other ->
-          match other.tstate with
-          | Blocked (On_join waited, k) when waited = tid ->
-              other.tstate <- Ready (Resume (k, Sysabi.R_unit));
-              enqueue_ready t other.tid
-          | _ -> ())
-        t.threads)
-    killed;
+  List.iter (wake_joiners t) killed;
   if p.pstate = Alive then make_zombie t p code
 
 (* ------------------------------------------------------------------ *)
@@ -319,9 +304,11 @@ and fs_err (e : Fs.error) : Sysabi.err =
   | Fs.Too_large -> Sysabi.E_toolarge
   | Fs.Invalid_path -> Sysabi.E_inval
 
-(* Handle a request that can complete immediately.  Returns [Some resp]
-   or [None] when the thread must block (the caller parks it). *)
-and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
+(* One system call as one transition: [Some resp] when the call completes
+   now, [None] when the thread must block.  A parked call is asked again
+   on every idle tick (see [try_unblock]), so this is also what decides
+   when, and with what, it returns. *)
+and handle t th (req : Sysabi.request) : Sysabi.response option =
   let p =
     match get_process t th.t_pid with
     | Some p -> p
@@ -508,6 +495,9 @@ and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
       | Some f ->
           let tid = start_thread t ~pid:th.t_pid f in
           Some (Sysabi.R_int tid))
+  | Sysabi.Thread_join { tid } when tid = th.tid ->
+      (* The running thread's state reads [Finished] until it parks. *)
+      err Sysabi.E_inval
   | Sysabi.Thread_join { tid } -> (
       match Hashtbl.find_opt t.threads tid with
       | None -> err Sysabi.E_srch
@@ -521,15 +511,7 @@ and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
       | Ok v -> if v <> expected then err Sysabi.E_again else None (* block *))
   | Sysabi.Futex_wake { va; count } ->
       let woken = Futex.wake t.futexes ~pid:th.t_pid ~va ~count in
-      List.iter
-        (fun tid ->
-          let other = get_thread t tid in
-          match other.tstate with
-          | Blocked (On_futex _, k) ->
-              other.tstate <- Ready (Resume (k, Sysabi.R_unit));
-              enqueue_ready t tid
-          | Ready _ | Blocked _ | Finished -> ())
-        woken;
+      List.iter (fun tid -> wake t (get_thread t tid) Sysabi.R_unit) woken;
       Some (Sysabi.R_int (List.length woken))
   (* network *)
   | Sysabi.Udp_bind { port } -> (
@@ -540,6 +522,8 @@ and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
       Stack.udp_send t.stack ~dst_ip ~dst_port ~src_port
         (Bytes.of_string data);
       Some Sysabi.R_unit
+  | Sysabi.Udp_recv { port; _ } when not (Stack.udp_is_bound t.stack port) ->
+      err Sysabi.E_inval
   | Sysabi.Udp_recv { port; blocking } -> (
       match Stack.udp_recv t.stack port with
       | Some (ip, sport, data) ->
@@ -553,6 +537,9 @@ and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
       Some (Sysabi.R_int (Stack.tcp_connect t.stack ~dst_ip:ip ~dst_port:port))
   | Sysabi.Tcp_accept { timeout; _ } | Sysabi.Tcp_recv { timeout; _ }
     when timeout < 0 ->
+      err Sysabi.E_inval
+  | Sysabi.Tcp_accept { port; _ } when not (Stack.tcp_is_listening t.stack port)
+    ->
       err Sysabi.E_inval
   | Sysabi.Tcp_accept { port; blocking; _ } -> (
       match Stack.tcp_accept t.stack port with
@@ -606,7 +593,7 @@ and handle t th (_s : sys) (req : Sysabi.request) : Sysabi.response option =
 
 (* Marshal the request across the boundary, handle it, marshal the
    response back; park the thread if the syscall blocks. *)
-and dispatch t th (s : sys) (req : Sysabi.request)
+and dispatch t th (req : Sysabi.request)
     (k : (Sysabi.response, unit) Effect.Deep.continuation) =
   Machine.charge
     (Machine.core t.machine 0)
@@ -619,7 +606,7 @@ and dispatch t th (s : sys) (req : Sysabi.request)
       | None -> Sysabi.R_err Sysabi.E_inval
     in
     if t.tracing then t.trace_log <- (th.t_pid, req, resp) :: t.trace_log;
-    th.tstate <- Ready (Resume (k, resp));
+    th.tstate <- Ready (Resume (None, k, resp));
     enqueue_ready t th.tid
   in
   match Sysabi.decode_request (Sysabi.encode_request req) with
@@ -633,37 +620,25 @@ and dispatch t th (s : sys) (req : Sysabi.request)
           | Some p -> kill_process t p code
           | None -> ())
       | _ -> (
-          match handle t th s req with
+          match handle t th req with
           | Some resp -> deliver resp
           | None ->
-              (* Blocking: park the continuation where the waker looks.
-                 The call is traced when it returns, with the response
-                 the thread actually gets. *)
-              th.parked <- Some req;
-              let park b = th.tstate <- Blocked (b, k) in
-              let deadline timeout =
-                if timeout = 0 then max_int else t.ticks + timeout
+              (* Park the thread in the call.  The call is traced when it
+                 returns, with the response the thread actually gets. *)
+              let deadline =
+                match req with
+                | Sysabi.Sleep ticks -> t.ticks + ticks
+                | Sysabi.Tcp_accept { timeout; _ }
+                | Sysabi.Tcp_recv { timeout; _ }
+                  when timeout > 0 ->
+                    t.ticks + timeout
+                | _ -> max_int
               in
               (match req with
-              | Sysabi.Read { fd; len } -> (
-                  match get_process t th.t_pid with
-                  | Some p -> (
-                      match fd_lookup p fd with
-                      | Some (Pipe_rd pipe) -> park (On_pipe_read (pipe, len))
-                      | _ -> park (On_sleep t.ticks))
-                  | None -> park (On_sleep t.ticks))
-              | Sysabi.Wait pid -> park (On_wait pid)
-              | Sysabi.Thread_join { tid } -> park (On_join tid)
               | Sysabi.Futex_wait { va; _ } ->
-                  Futex.enqueue t.futexes ~pid:th.t_pid ~va ~tid:th.tid;
-                  park (On_futex va)
-              | Sysabi.Sleep ticks -> park (On_sleep (t.ticks + ticks))
-              | Sysabi.Udp_recv { port; _ } -> park (On_udp port)
-              | Sysabi.Tcp_accept { port; timeout; _ } ->
-                  park (On_accept (port, deadline timeout))
-              | Sysabi.Tcp_recv { conn; timeout; _ } ->
-                  park (On_tcp_recv (conn, deadline timeout))
-              | _ -> park (On_sleep t.ticks))))
+                  Futex.enqueue t.futexes ~pid:th.t_pid ~va ~tid:th.tid
+              | _ -> ());
+              th.tstate <- Blocked (req, deadline, k)))
 
 let syscall (s : sys) req = Effect.perform (Syscall (s, req))
 
@@ -693,54 +668,28 @@ let advance_time t =
   Stack.poll t.stack;
   if t.ticks mod 4 = 0 then Stack.tick t.stack
 
+(* Ask every parked call again.  A futex wait, a wait and a join are
+   answered by the call that satisfies them instead; any other call that
+   is still blocked at its deadline returns [R_unit] if it is a [Sleep],
+   [E_again] otherwise. *)
 let try_unblock t =
-  let unblocked = ref 0 in
-  let again = Sysabi.R_err Sysabi.E_again in
   Hashtbl.iter
     (fun _ th ->
       match th.tstate with
-      | Blocked (b, k) ->
-          let wake resp =
-            th.tstate <- Ready (Resume (k, resp));
-            enqueue_ready t th.tid;
-            incr unblocked
-          in
-          (match b with
-          | On_sleep deadline -> if t.ticks >= deadline then wake Sysabi.R_unit
-          | On_udp port -> (
-              match Stack.udp_recv t.stack port with
-              | Some (ip, sport, data) ->
-                  wake
-                    (Sysabi.R_dgram
-                       { ip; port = sport; data = Bytes.to_string data })
-              | None -> ())
-          | On_accept (port, deadline) -> (
-              match Stack.tcp_accept t.stack port with
-              | Some conn -> wake (Sysabi.R_int conn)
-              | None -> if t.ticks >= deadline then wake again)
-          | On_tcp_recv (conn, deadline) -> (
-              match Stack.tcp_recv t.stack conn with
-              | data when Bytes.length data > 0 ->
-                  wake (Sysabi.R_data (Bytes.to_string data))
-              | _ -> (
-                  match Stack.tcp_state t.stack conn with
-                  | Bi_net.Tcp.Closed | Bi_net.Tcp.Close_wait
-                  | Bi_net.Tcp.Time_wait ->
-                      wake (Sysabi.R_data "")
-                  | _ -> if t.ticks >= deadline then wake again))
-          | On_pipe_read (pipe, len) ->
-              if String.length pipe.pdata > 0 then begin
-                let n = min len (String.length pipe.pdata) in
-                let chunk = String.sub pipe.pdata 0 n in
-                pipe.pdata <-
-                  String.sub pipe.pdata n (String.length pipe.pdata - n);
-                wake (Sysabi.R_data chunk)
-              end
-              else if not pipe.wr_open then wake (Sysabi.R_data "")
-          | On_futex _ | On_wait _ | On_join _ -> ())
-      | Ready _ | Finished -> ())
-    t.threads;
-  !unblocked
+      | Blocked
+          ((Sysabi.Futex_wait _ | Sysabi.Wait _ | Sysabi.Thread_join _), _, _)
+      | Ready _ | Finished ->
+          ()
+      | Blocked (req, deadline, _) -> (
+          match handle t th req with
+          | Some resp -> wake t th resp
+          | None when t.ticks >= deadline ->
+              wake t th
+                (match req with
+                | Sysabi.Sleep _ -> Sysabi.R_unit
+                | _ -> Sysabi.R_err Sysabi.E_again)
+          | None -> ()))
+    t.threads
 
 let blocked_count t =
   Hashtbl.fold
@@ -760,67 +709,51 @@ let run_slice t =
           (* replaced when it blocks/finishes *)
           f ();
           true
-      | Ready (Resume (k, resp)) ->
+      | Ready (Resume (parked, k, resp)) ->
           th.tstate <- Finished;
-          (match th.parked with
-          | Some req ->
-              th.parked <- None;
-              if t.tracing then
-                t.trace_log <- (th.t_pid, req, resp) :: t.trace_log
-          | None -> ());
+          (match parked with
+          | Some req when t.tracing ->
+              t.trace_log <- (th.t_pid, req, resp) :: t.trace_log
+          | Some _ | None -> ());
           Effect.Deep.continue k resp;
           true
       | Blocked _ | Finished -> true (* stale queue entry; skip *))
 
 let max_idle_ticks = 100_000
 
-let run t =
+(* Give every kernel one quantum per round.  When no thread anywhere can
+   run, take an idle tick: time advances on every kernel and each one's
+   parked calls are asked again. *)
+let run_all ~on_tick ks =
   let idle = ref 0 in
   let continue_ = ref true in
   while !continue_ do
-    if run_slice t then idle := 0
-    else if blocked_count t = 0 then continue_ := false
-    else begin
-      advance_time t;
-      ignore (try_unblock t : int);
-      incr idle;
-      if !idle > max_idle_ticks then
-        raise
-          (Deadlock
-             (Printf.sprintf "%d thread(s) blocked with no progress"
-                (blocked_count t)))
-    end
-  done
-
-let connect a b =
-  Nic.connect a.machine.Machine.nic b.machine.Machine.nic;
-  a.peer <- Some b;
-  b.peer <- Some a
-
-let run_pair ?(on_tick = fun () -> ()) a b =
-  let idle = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    let ran_a = run_slice a in
-    let ran_b = run_slice b in
-    if ran_a || ran_b then idle := 0
-    else if blocked_count a = 0 && blocked_count b = 0 then continue_ := false
+    if List.fold_left (fun ran k -> run_slice k || ran) false ks then idle := 0
+    else if List.for_all (fun k -> blocked_count k = 0) ks then
+      continue_ := false
     else begin
       (* [on_tick] runs before [advance_time] delivers (and, for a NIC
          with no connected peer, clears) the wire queues — a fault
          adversary interposing on two unconnected NICs must harvest tx
          frames here or they are gone. *)
       on_tick ();
-      advance_time a;
-      advance_time b;
-      ignore (try_unblock a : int);
-      ignore (try_unblock b : int);
+      List.iter advance_time ks;
+      List.iter try_unblock ks;
       incr idle;
       if !idle > max_idle_ticks then
         raise
           (Deadlock
-             (Printf.sprintf
-                "pair: %d + %d thread(s) blocked with no progress"
-                (blocked_count a) (blocked_count b)))
+             (Printf.sprintf "%s thread(s) blocked with no progress"
+                (String.concat " + "
+                   (List.map (fun k -> string_of_int (blocked_count k)) ks))))
     end
   done
+
+let run t = run_all ~on_tick:ignore [ t ]
+
+let connect a b =
+  Nic.connect a.machine.Machine.nic b.machine.Machine.nic;
+  a.peer <- Some b;
+  b.peer <- Some a
+
+let run_pair ?(on_tick = ignore) a b = run_all ~on_tick [ a; b ]

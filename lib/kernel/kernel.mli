@@ -27,7 +27,8 @@ type sys
     and pass it to {!syscall} (or the {!Usys} wrappers). *)
 
 exception Deadlock of string
-(** No thread is runnable and no time-driven event can unblock one. *)
+(** Threads are still parked after [100_000] consecutive idle ticks (ticks
+    on which no thread ran): nothing is going to wake them. *)
 
 val create :
   ?cores:int ->
@@ -54,10 +55,14 @@ val spawn : ?parent:int -> t -> prog:string -> arg:string -> (int, Sysabi.err) r
     when there is no frame left for its page-table root. *)
 
 val run : t -> unit
-(** Drive the scheduler until every thread has finished.  Advances
-    virtual time (timer ticks, network retransmission) whenever all
-    threads block.  Raises {!Deadlock} if blocked threads can never make
-    progress. *)
+(** Drive the scheduler until every thread has finished.  Whenever no
+    thread can run, take an idle tick: virtual time advances (timer,
+    wire delivery, TCP retransmission), then every parked call is asked
+    again through the same syscall handler that first parked it — a
+    recv, accept, pipe read or sleep returns what that handler returns
+    now, or, at its deadline, [E_again] ([R_unit] for a sleep).  A futex
+    wait, wait or join is woken by the call that satisfies it instead.
+    Raises {!Deadlock} after [100_000] idle ticks in a row. *)
 
 val syscall : sys -> Sysabi.request -> Sysabi.response
 (** Perform a system call (from user code only). *)
@@ -83,12 +88,14 @@ val connect : t -> t -> unit
 (** Wire two kernels' NICs together (a two-machine network). *)
 
 val run_pair : ?on_tick:(unit -> unit) -> t -> t -> unit
-(** Co-schedule two kernels (alternating quanta, shared virtual time)
-    until both are idle — used for client/server experiments.  [on_tick]
-    runs on every idle tick {e before} frames move across the wire, so a
-    fault adversary (e.g. {!Bi_fault.Faulty_link.step_link} over two
-    {e unconnected} NICs) can take tx frames before the delivery pass
-    would discard them. *)
+(** {!run} over two kernels (alternating quanta, shared virtual time)
+    until neither has a thread left — used for client/server
+    experiments.  An idle tick is one on which neither kernel ran a
+    thread; it advances both and retries both kernels' parked calls, and
+    {!Deadlock} counts these ticks.  [on_tick] runs on every idle tick
+    {e before} frames move across the wire, so a fault adversary (e.g.
+    {!Bi_fault.Faulty_link.step_link} over two {e unconnected} NICs) can
+    take tx frames before the delivery pass would discard them. *)
 
 val set_trace : t -> bool -> unit
 (** Record (pid, request, response) for every syscall.  A call that

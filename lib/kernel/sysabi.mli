@@ -60,19 +60,22 @@ type request =
   (* threads and synchronization *)
   | Thread_create of { entry : int }
   | Thread_join of { tid : int }
+      (** [E_inval] when [tid] is the caller's own thread. *)
   | Futex_wait of { va : int64; expected : int64 }
   | Futex_wake of { va : int64; count : int }
   (* network *)
   | Udp_bind of { port : int }
   | Udp_send of { dst_ip : int32; dst_port : int; src_port : int; data : string }
   | Udp_recv of { port : int; blocking : bool }
+      (** [E_inval] on a port that is not bound, blocking or not. *)
   | Tcp_listen of { port : int }
   | Tcp_connect of { ip : int32; port : int }
   | Tcp_accept of { port : int; blocking : bool; timeout : int }
       (** [timeout] bounds a blocking accept, in ticks: with no connection
           pending after that many ticks the call returns [E_again].  [0]
           means no deadline; a negative timeout is [E_inval].  A
-          non-blocking accept ignores it. *)
+          non-blocking accept ignores it.  An accept on a port with no
+          listener is [E_inval]. *)
   | Tcp_send of { conn : int; data : string }
   | Tcp_recv of { conn : int; blocking : bool; timeout : int }
       (** [timeout] as for [Tcp_accept]: a blocking recv returns data the

@@ -201,6 +201,7 @@ let udp_bind t port =
   Hashtbl.replace t.udp_ports port (Queue.create ())
 
 let udp_unbind t port = Hashtbl.remove t.udp_ports port
+let udp_is_bound t port = Hashtbl.mem t.udp_ports port
 
 let udp_send t ~dst_ip ~dst_port ~src_port payload =
   send_ip t ~dst_ip ~proto:Ip.proto_udp
@@ -216,6 +217,7 @@ let udp_recv t port =
 (* TCP API                                                             *)
 
 let tcp_listen t port = Hashtbl.replace t.tcp_listening port ()
+let tcp_is_listening t port = Hashtbl.mem t.tcp_listening port
 
 let tcp_connect t ~dst_ip ~dst_port =
   let local_port = t.next_eph in

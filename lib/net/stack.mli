@@ -26,6 +26,7 @@ val udp_bind : t -> int -> unit
 (** Open a port for receiving; raises [Invalid_argument] if bound. *)
 
 val udp_unbind : t -> int -> unit
+val udp_is_bound : t -> int -> bool
 
 val udp_send :
   t -> dst_ip:int32 -> dst_port:int -> src_port:int -> bytes -> unit
@@ -40,6 +41,7 @@ type conn_id = int
 (** Exposed as [int] so connection handles can cross the syscall ABI. *)
 
 val tcp_listen : t -> int -> unit
+val tcp_is_listening : t -> int -> bool
 val tcp_connect : t -> dst_ip:int32 -> dst_port:int -> conn_id
 val tcp_accept : t -> int -> conn_id option
 (** A connection that completed the handshake on a listening port. *)

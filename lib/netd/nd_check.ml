@@ -835,9 +835,32 @@ let vc_abi_strict_prefix_response =
 let replay k =
   Sys_spec.check_trace ~next_pid:2 (K.trace k)
 
+(* The traced worlds the replay VCs run: quiet, a seeded faulty link,
+   and SIGKILL + respawn. *)
+let quiet_world ~seed = lin_world ~trace:true ~seed ()
+
+let faulty_world () =
+  lin_world ~trace:true ~faults:(rates_mixed, 30, 501) ~attempt_ticks:90
+    ~seed:13 ()
+
+let crash_world () =
+  lin_world ~trace:true ~crash:(80, 40) ~attempt_ticks:100 ~deletes:false
+    ~seed:14 ()
+
+let trace_worlds () =
+  List.map
+    (fun (name, world) ->
+      let _, out = world () in
+      (name, out.w_server, out.w_client, out.w_finish))
+    [
+      ("quiet", fun () -> quiet_world ~seed:11);
+      ("faulty-link", faulty_world);
+      ("crash-respawn", crash_world);
+    ]
+
 let vc_trace_server_quiet =
   Vc.make ~id:"nd/trace/server-replay-quiet" ~category:cat_trace (fun () ->
-      let _, out = lin_world ~trace:true ~seed:11 () in
+      let _, out = quiet_world ~seed:11 in
       match replay out.w_server with
       | Error msg -> Vc.Falsified ("server trace: " ^ msg)
       | Ok (checked, unchecked) ->
@@ -849,7 +872,7 @@ let vc_trace_server_quiet =
 
 let vc_trace_client_quiet =
   Vc.make ~id:"nd/trace/client-replay-quiet" ~category:cat_trace (fun () ->
-      let _, out = lin_world ~trace:true ~seed:12 () in
+      let _, out = quiet_world ~seed:12 in
       match replay out.w_client with
       | Error msg -> Vc.Falsified ("client trace: " ^ msg)
       | Ok (checked, _) ->
@@ -858,10 +881,7 @@ let vc_trace_client_quiet =
 
 let vc_trace_replay_faulty =
   Vc.make ~id:"nd/trace/replay-faulty-link" ~category:cat_trace (fun () ->
-      let _, out =
-        lin_world ~trace:true ~faults:(rates_mixed, 30, 501) ~attempt_ticks:90
-          ~seed:13 ()
-      in
+      let _, out = faulty_world () in
       match (replay out.w_server, replay out.w_client) with
       | Ok _, Ok _ -> Vc.Proved
       | Error msg, _ -> Vc.Falsified ("server trace: " ^ msg)
@@ -869,10 +889,7 @@ let vc_trace_replay_faulty =
 
 let vc_trace_replay_crash =
   Vc.make ~id:"nd/trace/replay-crash-respawn" ~category:cat_trace (fun () ->
-      let _, out =
-        lin_world ~trace:true ~crash:(80, 40) ~attempt_ticks:100 ~deletes:false
-          ~seed:14 ()
-      in
+      let _, out = crash_world () in
       match replay out.w_server with
       | Error msg -> Vc.Falsified ("server trace across kill/respawn: " ^ msg)
       | Ok (checked, _) ->

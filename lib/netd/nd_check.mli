@@ -23,6 +23,15 @@ val transport_vcs : unit -> Bi_core.Vc.t list
     [bin/verify]'s [nd] suite is [vcs () @ transport_vcs ()]; the
     benchmark's verify workload pins [vcs ()] alone. *)
 
+val trace_worlds :
+  unit -> (string * Bi_kernel.Kernel.t * Bi_kernel.Kernel.t * int) list
+(** The traced worlds of the [nd/trace] replay VCs — ["quiet"],
+    ["faulty-link"] (seeded [Faulty_link]) and ["crash-respawn"]
+    (SIGKILL + respawn) — run to completion: [(name, server, client,
+    finish)], where [finish] is the virtual time at which every client
+    worker had joined.  Their traces and finish ticks pin the kernel's
+    schedule. *)
+
 val bench_scaling :
   ?journal:bool -> workers:int list -> unit -> (int * int * float) list
 (** [bench_scaling ~workers] runs the quiet scaling world once per pool

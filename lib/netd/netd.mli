@@ -1,8 +1,9 @@
 (** netd: the node's network daemon — a kernel process owning the TCP
     syscall surface, serving the block protocol concurrently.
 
-    Architecture: an acceptor thread polls [tcp_accept] and spawns one
-    reader thread per connection; readers frame bytes into
+    Architecture: an acceptor thread parks in [tcp_accept] (for at most
+    [accept_poll_ticks], so it sees a stop) and spawns one reader thread
+    per connection; readers frame bytes into
     {!Bi_app.Protocol} requests and push them onto a futex-backed
     bounded {!Req_queue}; a pool of worker threads pops requests, runs
     {!Bi_app.Node_core.handle} under a single data-path umutex (the

@@ -992,6 +992,58 @@ let test_admission_round_robin_64 () =
   check Alcotest.bool "drained" true (Adm.is_empty q)
 
 (* ------------------------------------------------------------------ *)
+(* Kernel schedule pins *)
+
+(* For each traced netd world of the nd suite: the digest of both
+   kernels' syscall traces, the tick at which the clients finished and
+   the tick at which the world stopped.  Any change to when a thread
+   runs, parks or wakes moves these, so a kernel change that claims to
+   keep every schedule must leave them as they are. *)
+let trace_digest k =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (pid, req, resp) ->
+      Buffer.add_string b (string_of_int pid);
+      Buffer.add_bytes b (Bi_kernel.Sysabi.encode_request req);
+      Buffer.add_bytes b (Bi_kernel.Sysabi.encode_response resp))
+    (K.trace k);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let schedule_pins =
+  [
+    ( "quiet",
+      ( ( "72386bff8171a66ffc4a5e53c67ebc71",
+          "b6bc2cf6fb16830c482e067d732ef1b6" ),
+        (26, 31) ) );
+    ( "faulty-link",
+      ( ( "5d04fd281d83df67136b00cfea94b2b0",
+          "1d52918152ec684b37c69fa210318f19" ),
+        (53, 68) ) );
+    ( "crash-respawn",
+      ( ( "319e5ca55a22815447aa611eab4cd589",
+          "da70893cb7870a95a9ef88cb2f0ab8f5" ),
+        (26, 223) ) );
+  ]
+
+let test_schedule_pins () =
+  let worlds = Bi_netd.Nd_check.trace_worlds () in
+  check
+    Alcotest.(list string)
+    "worlds" (List.map fst schedule_pins)
+    (List.map (fun (name, _, _, _) -> name) worlds);
+  List.iter
+    (fun (name, server, client, finish) ->
+      let timer = (K.machine server).Bi_hw.Machine.timer in
+      let stopped = Int64.to_int (Bi_hw.Device.Timer.now timer) in
+      check
+        Alcotest.(pair (pair string string) (pair int int))
+        (name ^ ": (server, client) trace digests, (finish, stop) ticks")
+        (List.assoc name schedule_pins)
+        ((trace_digest server, trace_digest client), (finish, stopped)))
+    worlds
+
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "bi_app"
@@ -1071,5 +1123,10 @@ let () =
             test_admission_fifo_per_client;
           Alcotest.test_case "round-robin over 64 clients" `Quick
             test_admission_round_robin_64;
+        ] );
+      ( "schedule",
+        [
+          Alcotest.test_case "netd worlds' traces and finish ticks" `Quick
+            test_schedule_pins;
         ] );
     ]

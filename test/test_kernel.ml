@@ -549,6 +549,14 @@ let test_thread_join_finished_and_absent () =
            (Error Sysabi.E_srch)
            (U.thread_join s 9_999)))
 
+(* The calling thread's own state reads [Finished] while it runs, so a
+   join that only looked at the state would return [Ok ()] at once. *)
+let test_self_join_einval () =
+  let got = ref (Ok ()) in
+  ignore (run_one (fun _ s -> got := U.thread_join s (K.sys_tid s)));
+  check (Alcotest.result Alcotest.unit err) "self-join" (Error Sysabi.E_inval)
+    !got
+
 let test_kill_wakes_cross_process_joiner () =
   (* Regression (blocking-syscall audit): a thread parked in
      [thread_join] on a thread of another process must be woken when
@@ -1037,6 +1045,38 @@ let test_nonblocking_recv_eagain () =
            "EAGAIN when empty" (Error Sysabi.E_again)
            (U.udp_recv s ~blocking:false 99)))
 
+(* A recv on a port nobody bound, or an accept on a port nobody listens
+   on, can never complete, so both fail at once, blocking or not. *)
+let test_recv_unbound_einval () =
+  let got = ref [] in
+  ignore
+    (run_one (fun _ s ->
+         got := [ U.udp_recv s ~blocking:false 53; U.udp_recv s 53 ]));
+  check
+    (Alcotest.list
+       (Alcotest.result
+          (Alcotest.triple Alcotest.int32 Alcotest.int Alcotest.string)
+          err))
+    "non-blocking, blocking"
+    [ Error Sysabi.E_inval; Error Sysabi.E_inval ]
+    !got
+
+let test_accept_unlistened_einval () =
+  let got = ref [] in
+  ignore
+    (run_one (fun _ s ->
+         got :=
+           [
+             U.tcp_accept s ~blocking:false 80;
+             U.tcp_accept s 80;
+             U.tcp_accept s ~timeout:5 80;
+           ]));
+  check
+    (Alcotest.list (Alcotest.result Alcotest.int err))
+    "non-blocking, blocking, timed"
+    [ Error Sysabi.E_inval; Error Sysabi.E_inval; Error Sysabi.E_inval ]
+    !got
+
 (* ------------------------------------------------------------------ *)
 (* Timed tcp_recv / tcp_accept *)
 
@@ -1283,6 +1323,7 @@ let () =
             test_thread_join_finished_and_absent;
           Alcotest.test_case "kill wakes cross-process joiner" `Quick
             test_kill_wakes_cross_process_joiner;
+          Alcotest.test_case "self-join is E_inval" `Quick test_self_join_einval;
         ] );
       ( "extensions",
         [
@@ -1309,6 +1350,10 @@ let () =
         [
           Alcotest.test_case "udp across kernels" `Quick test_udp_between_kernels;
           Alcotest.test_case "nonblocking EAGAIN" `Quick test_nonblocking_recv_eagain;
+          Alcotest.test_case "recv, unbound port: E_inval" `Quick
+            test_recv_unbound_einval;
+          Alcotest.test_case "accept, no listener: E_inval" `Quick
+            test_accept_unlistened_einval;
           Alcotest.test_case "timed recv: data before the deadline" `Quick
             test_timed_recv_data_before_deadline;
           Alcotest.test_case "timed recv/accept: E_again at the deadline" `Quick
