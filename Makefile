@@ -3,7 +3,7 @@
 
 JOBS ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: all build test verify fmt-check bench bench-json bench-hp bench-wl bench-nd bench-cr discharge mc fi rs sh hp wl nd cr clean
+.PHONY: all build test verify fmt-check bench bench-json bench-hp bench-wl discharge mc fi rs sh hp wl nd cr clean
 
 all: build
 
@@ -76,8 +76,6 @@ bench:
 bench-json:
 	dune exec bench/main.exe -- all --json BENCH_pr2.json
 	dune exec bench/main.exe -- wl --json BENCH_pr8.json
-	dune exec bench/main.exe -- netd --json BENCH_pr9.json
-	dune exec bench/main.exe -- recovery --json BENCH_pr10.json
 
 # Hot-path numbers (plus the end-to-end shard throughput they must not
 # regress), as committed in BENCH_pr7.json.
@@ -88,16 +86,6 @@ bench-hp:
 # as committed in BENCH_pr8.json.
 bench-wl:
 	dune exec bench/main.exe -- wl --json BENCH_pr8.json
-
-# netd worker-pool scaling in virtual time, as committed in
-# BENCH_pr9.json.
-bench-nd:
-	dune exec bench/main.exe -- netd --json BENCH_pr9.json
-
-# Journal overhead + recovery time vs journal length, as committed in
-# BENCH_pr10.json.
-bench-cr:
-	dune exec bench/main.exe -- recovery --json BENCH_pr10.json
 
 discharge:
 	dune exec bench/main.exe -- discharge

@@ -4,12 +4,14 @@
    checked-vs-erased ablation.
 
    Usage:
-     main.exe                     everything
-     main.exe table1|table2|fig1a|fig1b|fig1c|ratio    one artifact
+     main.exe                     everything (same as [all])
+     main.exe TARGET...           the named subjects, in order; [subjects]
+                                  at the end of this file lists them
      main.exe micro               microbenchmarks only
      main.exe all --json FILE     also dump every structured result
                                   (tables, ablations, micro ns/op) to
-                                  FILE as JSON *)
+                                  FILE as JSON
+   An unknown target prints the list and exits 2. *)
 
 open Bechamel
 
@@ -1284,237 +1286,39 @@ let run_wl_bench () =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* netd: worker-pool scaling of the network daemon in virtual time.
-   Each arm runs the same quiet two-kernel world — 6 client threads,
-   4 puts each, 6-tick service time per request — varying only the
-   worker-pool size; the figure of merit is acknowledged ops per
-   kilotick of virtual time.                                           *)
+(* Targets.  This one table drives single-target dispatch, [all] (every
+   subject in this order) and the usage line of an unknown target.       *)
 
-let run_netd_bench () =
-  Format.fprintf ppf "netd: worker-pool scaling (virtual time)@.";
-  Format.fprintf ppf
-    "    quiet wire, 6 client threads x 4 puts, service 6 ticks/request@.";
-  let rows = Bi_netd.Nd_check.bench_scaling ~workers:[ 1; 2; 4; 8 ] () in
-  Format.fprintf ppf "    %-8s %12s %16s@." "workers" "finish-tick"
-    "acks/kilotick";
-  List.iter
-    (fun (w, ticks, rate) ->
-      Format.fprintf ppf "    %-8d %12d %16.2f@." w ticks rate)
-    rows;
-  (match rows with
-  | (_, t1, _) :: _ -> (
-      match List.rev rows with
-      | (_, tn, _) :: _ when tn > 0 ->
-          Format.fprintf ppf "    speedup 1 -> %d workers: %.2fx@."
-            (match List.rev rows with (w, _, _) :: _ -> w | [] -> 0)
-            (float_of_int t1 /. float_of_int tn)
-      | _ -> ())
-  | [] -> ());
-  let suite = Bi_netd.Nd_check.vcs () in
-  let rep = Bi_core.Verifier.discharge ~jobs:1 suite in
-  Format.fprintf ppf
-    "    nd suite: %d VCs in %.3f s wall (%d proved, slowest %.3f s)@."
-    (List.length suite) rep.Bi_core.Verifier.wall_time_s
-    rep.Bi_core.Verifier.proved rep.Bi_core.Verifier.max_time_s;
-  record "netd"
-    (Json.Obj
-       [
-         ( "scaling",
-           Json.List
-             (List.map
-                (fun (w, ticks, rate) ->
-                  Json.Obj
-                    [
-                      ("workers", Json.Int w);
-                      ("finish_ticks", Json.Int ticks);
-                      ("acks_per_kilotick", Json.Float rate);
-                    ])
-                rows) );
-         ("suite_vcs", Json.Int (List.length suite));
-         ("suite_proved", Json.Int rep.Bi_core.Verifier.proved);
-         ("suite_wall_s", Json.Float rep.Bi_core.Verifier.wall_time_s);
-         ("suite_max_vc_s", Json.Float rep.Bi_core.Verifier.max_time_s);
-       ])
-
-(* recovery: what crash-durable exactly-once costs.  Steady state: the
-   netd scaling world with the redo journal on (the default) vs off —
-   the journal adds one append+sync per mutation.  Restart: N journaled
-   commits against a direct filesystem world, then a fresh core replays
-   the journal; the figure of merit is replay wall time and block I/O
-   as a function of journal length, and the near-zero replay after a
-   checkpoint collapses the journal to one snapshot.                   *)
-
-let run_recovery_bench () =
-  Format.fprintf ppf "recovery: journal overhead and replay cost@.";
-  (* Control: the scaling world's virtual-time rate with the journal on
-     (the default) vs off.  Journal appends are synchronous write+fsync
-     syscalls, which cost host time but no virtual ticks, so these rates
-     must be identical — the journal may not lose acks or stretch the
-     virtual critical path. *)
-  Format.fprintf ppf "    steady state (netd scaling world, 6 x 4 puts):@.";
-  let arms = [ 1; 4 ] in
-  let on = Bi_netd.Nd_check.bench_scaling ~workers:arms () in
-  let off = Bi_netd.Nd_check.bench_scaling ~journal:false ~workers:arms () in
-  Format.fprintf ppf "    %-8s %17s %17s@." "workers" "acks/ktick (jrnl)"
-    "acks/ktick (none)";
-  let control_rows =
-    List.map2
-      (fun (w, ton, ron) (_, toff, roff) ->
-        Format.fprintf ppf "    %-8d %17.2f %17.2f@." w ron roff;
-        (w, ton, ron, toff, roff))
-      on off
-  in
-  (* Per-mutation cost of the commit protocol on the real stack: puts on
-     an fs store with the journal (encode + CRC + append write + sync
-     per mutation) vs the same store direct, best of 3 passes.
-     Checkpointing is disabled so this prices the pure append path. *)
-  let micro ~journal =
-    let n = 2_000 in
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let disk = Bi_hw.Device.Disk.create ~sectors:32768 () in
-      let fs = Bi_fs.Fs.mkfs (Bi_fs.Block_dev.of_disk disk) in
-      let j =
-        if journal then
-          Some
-            (Bi_app.Journal.create (Bi_app.Journal.fs_sink fs ~path:"/journal"))
-        else None
-      in
-      let core =
-        Bi_app.Node_core.create ?journal:j ~journal_checkpoint:max_int
-          (Bi_app.Node_core.fs_store fs)
-      in
-      let t0 = Unix.gettimeofday () in
-      for i = 1 to n do
-        let value = Printf.sprintf "v%d" i in
-        ignore
-          (Bi_app.Node_core.handle core
-             (Bi_app.Protocol.Put
-                {
-                  key = Printf.sprintf "k%d" (i mod 64);
-                  value;
-                  crc = Bi_app.Protocol.crc32 value;
-                  txn = Some { Bi_app.Protocol.client = 1 + (i mod 8); seq = i };
-                }))
-      done;
-      best :=
-        Float.min !best (1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int n)
-    done;
-    !best
-  in
-  let ns_on = micro ~journal:true in
-  let ns_off = micro ~journal:false in
-  let overhead_pct =
-    if ns_off > 0.0 then 100.0 *. ((ns_on -. ns_off) /. ns_off) else 0.0
-  in
-  Format.fprintf ppf
-    "    per-mutation (fs store, 2000 puts): %.0f ns journaled vs %.0f ns \
-     direct (+%.1f%%)@."
-    ns_on ns_off overhead_pct;
-  (* Replay cost vs journal length. *)
-  let replay_arm ~muts =
-    let disk = Bi_hw.Device.Disk.create ~sectors:16384 () in
-    let bd = Bi_fs.Block_dev.of_disk disk in
-    let fs = Bi_fs.Fs.mkfs bd in
-    let j = Bi_app.Journal.create (Bi_app.Journal.fs_sink fs ~path:"/journal") in
-    let core =
-      Bi_app.Node_core.create ~journal:j ~journal_checkpoint:max_int
-        (Bi_app.Node_core.fs_store fs)
-    in
-    for i = 1 to muts do
-      let key = Printf.sprintf "k%d" (i mod 64) in
-      let value = Printf.sprintf "v%d" i in
-      ignore
-        (Bi_app.Node_core.handle core
-           (Bi_app.Protocol.Put
-              {
-                key;
-                value;
-                crc = Bi_app.Protocol.crc32 value;
-                txn = Some { Bi_app.Protocol.client = 1 + (i mod 8); seq = i };
-              }))
-    done;
-    let jbytes = Bi_app.Journal.size j in
-    (* Restart: a fresh core over the same (durable) filesystem. *)
-    let recovered =
-      Bi_app.Node_core.create
-        ~journal:(Bi_app.Journal.create (Bi_app.Journal.fs_sink fs ~path:"/journal"))
-        (Bi_app.Node_core.fs_store fs)
-    in
-    let io0 = Bi_fs.Block_dev.io_count bd in
-    let t0 = Unix.gettimeofday () in
-    let r = Bi_app.Node_core.recover recovered in
-    let ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-    let io = Bi_fs.Block_dev.io_count bd - io0 in
-    (* Checkpoint, restart again: replay collapses to one snapshot. *)
-    (match Bi_app.Node_core.checkpoint recovered with
-    | Ok () -> ()
-    | Error _ -> ());
-    let after =
-      Bi_app.Node_core.create
-        ~journal:(Bi_app.Journal.create (Bi_app.Journal.fs_sink fs ~path:"/journal"))
-        (Bi_app.Node_core.fs_store fs)
-    in
-    let t1 = Unix.gettimeofday () in
-    let r2 = Bi_app.Node_core.recover after in
-    let ms2 = 1000.0 *. (Unix.gettimeofday () -. t1) in
-    (muts, jbytes, r.Bi_app.Node_core.r_records, r.Bi_app.Node_core.r_redone,
-     ms, io, r2.Bi_app.Node_core.r_records, ms2)
-  in
-  Format.fprintf ppf "    replay (direct fs world, 64-key space):@.";
-  Format.fprintf ppf "    %-8s %10s %8s %8s %10s %8s %14s@." "commits"
-    "jrnl-bytes" "records" "redone" "replay-ms" "blk-io" "post-ckpt-recs";
-  let replay_rows =
-    List.map
-      (fun muts ->
-        let (m, jb, recs, redone, ms, io, recs2, ms2) = replay_arm ~muts in
-        Format.fprintf ppf "    %-8d %10d %8d %8d %10.3f %8d %11d (%.3f ms)@."
-          m jb recs redone ms io recs2 ms2;
-        (m, jb, recs, redone, ms, io, recs2, ms2))
-      [ 50; 200; 800 ]
-  in
-  record "recovery"
-    (Json.Obj
-       [
-         ( "netd_control",
-           Json.List
-             (List.map
-                (fun (w, ton, ron, toff, roff) ->
-                  Json.Obj
-                    [
-                      ("workers", Json.Int w);
-                      ("finish_ticks_journal", Json.Int ton);
-                      ("acks_per_kilotick_journal", Json.Float ron);
-                      ("finish_ticks_nojournal", Json.Int toff);
-                      ("acks_per_kilotick_nojournal", Json.Float roff);
-                    ])
-                control_rows) );
-         ( "per_mutation",
-           Json.Obj
-             [
-               ("ns_journaled", Json.Float ns_on);
-               ("ns_direct", Json.Float ns_off);
-               ("overhead_pct", Json.Float overhead_pct);
-             ] );
-         ( "replay",
-           Json.List
-             (List.map
-                (fun (m, jb, recs, redone, ms, io, recs2, ms2) ->
-                  Json.Obj
-                    [
-                      ("commits", Json.Int m);
-                      ("journal_bytes", Json.Int jb);
-                      ("records_replayed", Json.Int recs);
-                      ("redone", Json.Int redone);
-                      ("replay_ms", Json.Float ms);
-                      ("block_io", Json.Int io);
-                      ("post_checkpoint_records", Json.Int recs2);
-                      ("post_checkpoint_ms", Json.Float ms2);
-                    ])
-                replay_rows) );
-       ])
-
-(* ------------------------------------------------------------------ *)
+let subjects =
+  [
+    ( "table1",
+      fun () ->
+        Bi_eval.Report.table1 ppf;
+        record_table1 () );
+    ( "table2",
+      fun () ->
+        Bi_eval.Report.table2 ppf;
+        record_table2 () );
+    ("fig1a", fun () -> Bi_eval.Report.fig1a ppf);
+    ( "fig1b",
+      fun () ->
+        Bi_eval.Report.fig1b ppf;
+        record_fig1b () );
+    ( "fig1c",
+      fun () ->
+        Bi_eval.Report.fig1c ppf;
+        record_fig1c () );
+    ("ratio", fun () -> Bi_eval.Report.ratio ppf);
+    ("discharge", run_discharge_bench);
+    ("ablations", run_ablations);
+    ("mc", run_mc_bench);
+    ("fi", run_fi_bench);
+    ("rs", run_rs_bench);
+    ("shard", run_shard_bench);
+    ("hp", run_hp_bench);
+    ("wl", run_wl_bench);
+    ("micro", run_micro);
+  ]
 
 let () =
   let rec split_json acc = function
@@ -1530,65 +1334,19 @@ let () =
   in
   let targets = match targets with [] -> [ "all" ] | ts -> ts in
   let dispatch = function
-    | "table1" ->
-        Bi_eval.Report.table1 ppf;
-        record_table1 ()
-    | "table2" ->
-        Bi_eval.Report.table2 ppf;
-        record_table2 ()
-    | "fig1a" -> Bi_eval.Report.fig1a ppf
-    | "fig1b" ->
-        Bi_eval.Report.fig1b ppf;
-        record_fig1b ()
-    | "fig1c" ->
-        Bi_eval.Report.fig1c ppf;
-        record_fig1c ()
-    | "ratio" -> Bi_eval.Report.ratio ppf
-    | "micro" -> run_micro ()
-    | "ablations" -> run_ablations ()
-    | "discharge" -> run_discharge_bench ()
-    | "mc" -> run_mc_bench ()
-    | "fi" -> run_fi_bench ()
-    | "rs" -> run_rs_bench ()
-    | "shard" -> run_shard_bench ()
-    | "hp" -> run_hp_bench ()
-    | "wl" -> run_wl_bench ()
-    | "netd" -> run_netd_bench ()
-    | "recovery" -> run_recovery_bench ()
     | "all" ->
-        Bi_eval.Report.all ppf;
-        record_table1 ();
-        record_table2 ();
-        record_fig1b ();
-        record_fig1c ();
-        Format.fprintf ppf "@.";
-        run_discharge_bench ();
-        Format.fprintf ppf "@.";
-        run_ablations ();
-        Format.fprintf ppf "@.";
-        run_mc_bench ();
-        Format.fprintf ppf "@.";
-        run_fi_bench ();
-        Format.fprintf ppf "@.";
-        run_rs_bench ();
-        Format.fprintf ppf "@.";
-        run_shard_bench ();
-        Format.fprintf ppf "@.";
-        run_hp_bench ();
-        Format.fprintf ppf "@.";
-        run_wl_bench ();
-        Format.fprintf ppf "@.";
-        run_netd_bench ();
-        Format.fprintf ppf "@.";
-        run_recovery_bench ();
-        Format.fprintf ppf "@.";
-        run_micro ()
-    | other ->
-        Format.fprintf ppf
-          "unknown target %s (expected \
-           table1|table2|fig1a|fig1b|fig1c|ratio|discharge|ablations|mc|fi|rs|shard|hp|wl|netd|recovery|micro|all)@."
-          other;
-        exit 2
+        List.iteri
+          (fun i (_, run) ->
+            if i > 0 then Format.fprintf ppf "@.";
+            run ())
+          subjects
+    | target -> (
+        match List.assoc_opt target subjects with
+        | Some run -> run ()
+        | None ->
+            Format.fprintf ppf "unknown target %s (expected %s|all)@." target
+              (String.concat "|" (List.map fst subjects));
+            exit 2)
   in
   List.iter dispatch targets;
   match json_file with

@@ -23,11 +23,11 @@ val usys_store : Bi_kernel.Usys.t -> Node_core.store
     access themselves — netd holds one data-path mutex across
     {!Node_core.handle}. *)
 
-val usys_journal : ?path:string -> Bi_kernel.Usys.t -> Journal.sink
-(** {!Journal.file_sink} over {!Files.of_usys} (default path
-    [/journal]).  Same serialization contract as {!usys_store}: netd
-    appends under its data-path mutex, and the append fd stays open
-    across commits (write + fsync per record).  The journal file
+val usys_journal : Bi_kernel.Usys.t -> Journal.sink
+(** {!Journal.file_sink} over {!Files.of_usys} at [/journal].  Same
+    serialization contract as {!usys_store}: netd appends under its
+    data-path mutex, and the append fd stays open across commits
+    (write + fsync per record).  The journal file
     survives SIGKILL — the kernel filesystem outlives the process — so
     a respawned daemon's {!Node_core.recover} sees every committed
     record. *)

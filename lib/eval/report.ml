@@ -279,16 +279,3 @@ let ratio ppf =
         "  note: executable VCs need fewer lines than SMT proof scripts; \
          the paper's point (verification burden comparable to or below \
          earlier kernels) survives the substitution.@."
-
-let all ppf =
-  table1 ppf;
-  Format.fprintf ppf "@.";
-  table2 ppf;
-  Format.fprintf ppf "@.";
-  fig1a ppf;
-  Format.fprintf ppf "@.";
-  fig1b ppf;
-  Format.fprintf ppf "@.";
-  fig1c ppf;
-  Format.fprintf ppf "@.";
-  ratio ppf

@@ -32,5 +32,3 @@ val measured_apply_cycles : verified:bool -> int
 (** Per-operation replica-apply cost in simulated cycles, derived from
     the real implementation's memory-access counts (loads and stores on
     {!Bi_hw.Phys_mem} during steady-state map operations). *)
-
-val all : Format.formatter -> unit

@@ -114,6 +114,23 @@ type world_out = {
   w_finish : int;  (** Virtual time when every client worker had joined. *)
 }
 
+(* Every world of this suite stops well inside this many ticks of
+   virtual time (the slowest pinned one stops at tick 331).  A world
+   whose shutdown never lands would otherwise run forever: netd's
+   acceptor wakes every [accept_poll_ticks], so the kernel never sees a
+   deadlock.  [run_world] cuts a world still running at this tick. *)
+let max_world_ticks = 20_000
+
+(* A world that was cut, or whose last netd run did not shut down
+   cleanly.  It escapes the VC, and the verifier's [Vc.catch] reports it
+   as [Falsified] with this reason. *)
+exception Unfinished of string
+
+let () =
+  Printexc.register_printer (function
+    | Unfinished why -> Some why
+    | _ -> None)
+
 (* Build and run a two-machine world to completion.  [faults] interposes
    a seeded [Faulty_link] on the (unconnected) NICs, fed by [run_pair]'s
    [on_tick] so transmitted frames are harvested before the idle-tick
@@ -121,7 +138,9 @@ type world_out = {
    supervisor that kills it at [kill_at] ticks and respawns it
    [down_ticks] later.  [client_body ts proc] runs in [threads] kernel
    threads of one client process; the main client thread then sends the
-   (epoch-gated) shutdown. *)
+   (epoch-gated) shutdown.  The same [on_tick] enforces
+   [max_world_ticks]; it only reads the clock, so it adds no syscall
+   and moves no schedule. *)
 let run_world ?(config = Netd.default_config) ?faults ?crash ?(trace = false)
     ?(threads = 3) ~client_body () =
   let server = K.create ~ip:server_ip () in
@@ -131,11 +150,11 @@ let run_world ?(config = Netd.default_config) ?faults ?crash ?(trace = false)
     K.set_trace server true;
     K.set_trace client true
   end;
-  let on_tick =
+  let step_link =
     match faults with
     | None ->
         K.connect server client;
-        None
+        ignore
     | Some (rates, limit, seed) ->
         let plan dir i =
           FP.seeded ~name:("nd/link/" ^ dir) ~seed:(seed + i) ~rates ~limit ()
@@ -145,7 +164,20 @@ let run_world ?(config = Netd.default_config) ?faults ?crash ?(trace = false)
             (K.machine server).Bi_hw.Machine.nic
             (K.machine client).Bi_hw.Machine.nic
         in
-        Some (fun () -> ignore (FL.step_link link))
+        fun () -> ignore (FL.step_link link)
+  in
+  let finish = ref 0 in
+  let timer = (K.machine server).Bi_hw.Machine.timer in
+  let on_tick () =
+    let now = Int64.to_int (Bi_hw.Device.Timer.now timer) in
+    if now >= max_world_ticks then
+      raise
+        (Unfinished
+           (Printf.sprintf "world cut at tick %d: netd never shut down (%s)"
+              now
+              (if !finish = 0 then "clients still running"
+               else Printf.sprintf "clients done at tick %d" !finish)));
+    step_link ()
   in
   (match crash with
   | None -> ignore (K.spawn server ~prog:"netd" ~arg:"")
@@ -162,16 +194,16 @@ let run_world ?(config = Netd.default_config) ?faults ?crash ?(trace = false)
               | Error _ -> U.log s "supervisor: respawn failed"
               | Ok pid2 -> ignore (U.wait s pid2)));
       ignore (K.spawn server ~prog:"supervisor" ~arg:""));
-  let finish = ref 0 in
   let after_epoch = match crash with None -> 0 | Some _ -> 1 in
   K.register_program client "client-main" (fun s _ ->
       finish := spawn_clients s ~threads ~body:client_body;
       U.log s "clients done";
       shutdown ~after_epoch s);
   ignore (K.spawn client ~prog:"client-main" ~arg:"");
-  (match on_tick with
-  | None -> K.run_pair server client
-  | Some f -> K.run_pair ~on_tick:f server client);
+  K.run_pair ~on_tick server client;
+  (match Netd.latest_run netd with
+  | Some run when run.Netd.finished -> ()
+  | _ -> raise (Unfinished "netd's last run did not shut down"));
   { w_netd = netd; w_server = server; w_client = client; w_finish = !finish }
 
 let applied_total netd =
@@ -985,17 +1017,18 @@ let vc_lin_single_worker =
            ~config:{ Netd.default_config with Netd.workers = 1 }
            ~seed:43 ()))
 
+let vc_lin_faulty ~id faults ~seed =
+  Vc.prop ~id ~category:cat_lin (fun () ->
+      lin_ok (lin_world ~faults ~attempt_ticks:90 ~seed ()))
+
 let vc_lin_drop =
-  Vc.prop ~id:"nd/lin/faulty-drop" ~category:cat_lin (fun () ->
-      lin_ok (lin_world ~faults:(rates_drop, 25, 701) ~attempt_ticks:90 ~seed:44 ()))
+  vc_lin_faulty ~id:"nd/lin/faulty-drop" (rates_drop, 25, 701) ~seed:44
 
 let vc_lin_mixed =
-  Vc.prop ~id:"nd/lin/faulty-mixed" ~category:cat_lin (fun () ->
-      lin_ok (lin_world ~faults:(rates_mixed, 30, 702) ~attempt_ticks:90 ~seed:45 ()))
+  vc_lin_faulty ~id:"nd/lin/faulty-mixed" (rates_mixed, 30, 702) ~seed:45
 
 let vc_lin_stall =
-  Vc.prop ~id:"nd/lin/faulty-stall" ~category:cat_lin (fun () ->
-      lin_ok (lin_world ~faults:(rates_stall, 25, 703) ~attempt_ticks:90 ~seed:46 ()))
+  vc_lin_faulty ~id:"nd/lin/faulty-stall" (rates_stall, 25, 703) ~seed:46
 
 (* ------------------------------------------------------------------ *)
 (* Crash + respawn with the epoch fence                                *)
@@ -1152,10 +1185,8 @@ let vc_crash_read_your_survived_writes =
 (* ------------------------------------------------------------------ *)
 (* Worker scaling and no-starvation (virtual time)                     *)
 
-let scaling_run ?(journal = true) ~workers () =
-  let config =
-    { Netd.default_config with Netd.workers; service_ticks = 6; journal }
-  in
+let scaling_run ~workers () =
+  let config = { Netd.default_config with Netd.workers; service_ticks = 6 } in
   let acked = ref 0 in
   let body ts proc =
     let net, cl =
@@ -1395,14 +1426,3 @@ let vcs () =
     vc_perf_scaling_monotone;
     vc_perf_no_starvation;
   ]
-
-(* ================================================================== *)
-(* Bench hook                                                          *)
-
-let bench_scaling ?journal ~workers () =
-  List.map
-    (fun w ->
-      let out, acked = scaling_run ?journal ~workers:w () in
-      let ticks = max 1 out.w_finish in
-      (w, ticks, 1000.0 *. float_of_int acked /. float_of_int ticks))
-    workers

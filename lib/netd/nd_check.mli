@@ -32,9 +32,19 @@ val trace_worlds :
     worker had joined.  Their traces and finish ticks pin the kernel's
     schedule. *)
 
-val bench_scaling :
-  ?journal:bool -> workers:int list -> unit -> (int * int * float) list
-(** [bench_scaling ~workers] runs the quiet scaling world once per pool
-    size and reports [(workers, finish_ticks, acks_per_kilotick)] — the
-    bench's netd subject.  [journal] (default [true]) toggles the redo
-    journal so the recovery bench can price its appends. *)
+val max_world_ticks : int
+(** Virtual-time bound on every world of the suite.  A VC whose world
+    is still running at this tick, or whose last netd run did not shut
+    down cleanly, raises out of its check with the reason, which
+    {!Bi_core.Vc.catch} (and so the verifier) reports as [Falsified]. *)
+
+val rates_mixed : Bi_fault.Fault_plan.rates
+(** The suite's mixed link-fault rates (drop, duplicate, reorder,
+    corrupt and stall). *)
+
+val vc_lin_faulty :
+  id:string -> Bi_fault.Fault_plan.rates * int * int -> seed:int -> Bi_core.Vc.t
+(** [vc_lin_faulty ~id (rates, limit, link_seed) ~seed]: the
+    [nd/lin/faulty-*] VC — three client threads over a seeded
+    {!Bi_fault.Faulty_link} with at most [limit] faults per direction
+    must give a linearizable history. *)

@@ -25,7 +25,7 @@
    truncate, write and close, for the block and its crc sidecar), so two
    workers interleaving on one key could tear a value/crc pair; the
    lock serializes the store while the simulated service time
-   ([config.service_ticks], the knob the scaling benchmark turns) is
+   ([config.service_ticks], the knob the scaling VCs turn) is
    slept OUTSIDE the lock, so k workers still overlap their service time
    and the worker-scaling VCs have something to measure. *)
 
@@ -43,20 +43,13 @@ type config = {
   queue_capacity : int;
   service_ticks : int;
       (** Simulated per-request service time, slept outside the store
-          lock — the contention knob of the scaling benchmark. *)
+          lock — the knob of the [nd/perf/scaling-*] VCs. *)
   accept_poll_ticks : int;
       (** How long a netd thread stays parked in accept/recv before it
           checks [stop] again. *)
-  journal : bool;
-      (** Commit mutations through a [/journal] redo log and recover
-          from it on (re)spawn, making the dup table crash-durable.
-          Default on; the benchmark turns it off to price the appends. *)
   mutant_strip_txn : bool;
       (** Seeded bug: drop txn ids before [Node_core.handle], bypassing
           the duplicate table (exactly-once must catch this). *)
-  mutant_close_signal : bool;
-      (** Seeded bug: queue close signals instead of broadcasting
-          (no-lost-wakeup must catch this). *)
 }
 
 let default_config =
@@ -66,9 +59,7 @@ let default_config =
     queue_capacity = 16;
     service_ticks = 0;
     accept_poll_ticks = 1;
-    journal = true;
     mutant_strip_txn = false;
-    mutant_close_signal = false;
   }
 
 type run = {
@@ -77,8 +68,6 @@ type run = {
   run_recovery : Node_core.recovery;
       (** What this (re)spawn's journal replay found and redid. *)
   served : int array;  (** Requests handled, per worker. *)
-  mutable queue_pushed : int;
-  mutable queue_popped : int;
   mutable queue_high_water : int;
   mutable finished : bool;  (** Clean shutdown (not a crash). *)
 }
@@ -143,11 +132,8 @@ let program t s _arg =
         (Format.asprintf "netd: mkdir /blocks failed: %a" Bi_kernel.Sysabi.pp_err
            e));
   let epoch = Atomic.fetch_and_add t.epochs 1 in
-  let journal =
-    if config.journal then Some (Journal.create (Storage_node.usys_journal s))
-    else None
-  in
-  let core = Node_core.create ~epoch ?journal (Storage_node.usys_store s) in
+  let journal = Journal.create (Storage_node.usys_journal s) in
+  let core = Node_core.create ~epoch ~journal (Storage_node.usys_store s) in
   (* Recover before listening: the journal left by the previous life —
      including any SIGKILL-interrupted commit — is replayed, so by the
      time a reconnecting client's retry reaches a worker the dup table
@@ -165,8 +151,6 @@ let program t s _arg =
       run_core = core;
       run_recovery = recovery;
       served = Array.make config.workers 0;
-      queue_pushed = 0;
-      queue_popped = 0;
       queue_high_water = 0;
       finished = false;
     }
@@ -177,10 +161,7 @@ let program t s _arg =
   | Error e ->
       U.log s
         (Format.asprintf "netd: listen failed: %a" Bi_kernel.Sysabi.pp_err e));
-  let queue =
-    Req_queue.create ~mutant_close_signal:config.mutant_close_signal s
-      ~capacity:config.queue_capacity
-  in
+  let queue = Req_queue.create s ~capacity:config.queue_capacity in
   let store_mutex = Umutex.create s in
   let stop = ref false in
   let workers =
@@ -207,8 +188,6 @@ let program t s _arg =
   List.iter (fun tid -> ignore (U.thread_join s tid)) !readers;
   Req_queue.close s queue;
   List.iter (fun tid -> ignore (U.thread_join s tid)) workers;
-  run.queue_pushed <- Req_queue.pushed queue;
-  run.queue_popped <- Req_queue.popped queue;
   run.queue_high_water <- Req_queue.high_water queue;
   run.finished <- true;
   U.log s "netd: shutdown"

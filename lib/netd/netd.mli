@@ -14,8 +14,10 @@
 
     Persistence goes through [Storage_node.usys_store] and
     [usys_journal]: the store and journal code the cr suite
-    crash-explores, run over the syscall backend of {!Bi_app.Files}.  A
-    [Shutdown] request stops the daemon cleanly: the queue drains, every
+    crash-explores, run over the syscall backend of {!Bi_app.Files}.
+    Every mutation is committed through the [/journal] redo log, and
+    each (re)spawn replays it before listening, so the duplicate table —
+    and with it exactly-once — survives SIGKILL.  A [Shutdown] request stops the daemon cleanly: the queue drains, every
     thread is joined, and the process exits — a respawn gets the next
     epoch (the crash-fence clients observe via [Ping]). *)
 
@@ -25,30 +27,21 @@ type config = {
   queue_capacity : int;
   service_ticks : int;
       (** Simulated per-request service time, slept outside the store
-          lock — the contention knob of the scaling benchmark. *)
+          lock — the knob the [nd/perf/scaling-*] VCs turn to show that
+          more workers finish the same load sooner. *)
   accept_poll_ticks : int;
       (** How long, in ticks, a netd thread (the acceptor, or a
           connection's reader) stays parked in [tcp_accept]/[tcp_recv]
           before it checks [stop] again.  At least 1: {!install} rejects
           anything less. *)
-  journal : bool;
-      (** Commit mutations through a [/journal] redo log
-          ({!Bi_app.Storage_node.usys_journal}, the journal file sink
-          the cr suite crash-explores) and recover from it on
-          (re)spawn, making the duplicate table — and with it
-          exactly-once — crash-durable across SIGKILL.  Default on; the
-          benchmark turns it off to price the appends. *)
   mutant_strip_txn : bool;
       (** Seeded bug: drop txn ids before [Node_core.handle], bypassing
           the duplicate table (exactly-once must catch this). *)
-  mutant_close_signal : bool;
-      (** Seeded bug: queue close signals instead of broadcasting
-          (no-lost-wakeup must catch this). *)
 }
 
 val default_config : config
 (** Port {!Bi_app.Storage_node.port}, 4 workers, queue capacity 16, no
-    service time, journal on, no mutants. *)
+    service time, no mutant. *)
 
 type run = {
   run_epoch : int;
@@ -56,8 +49,6 @@ type run = {
   run_recovery : Bi_app.Node_core.recovery;
       (** What this (re)spawn's journal replay found and redid. *)
   served : int array;  (** Requests handled, per worker. *)
-  mutable queue_pushed : int;
-  mutable queue_popped : int;
   mutable queue_high_water : int;
   mutable finished : bool;  (** Clean shutdown (not a crash). *)
 }

@@ -1042,6 +1042,27 @@ let test_schedule_pins () =
         ((trace_digest server, trace_digest client), (finish, stopped)))
     worlds
 
+(* A world whose shutdown never lands.  Under this link plan a corrupted
+   ARP frame leaves the server's neighbour cache holding a wrong MAC for
+   the client, so netd serves nothing, the clients give up by tick 7440
+   and no [Shutdown] is acknowledged; netd's acceptor keeps waking, so
+   only the suite's tick bound ends the world.  Its VC, run the way the
+   verifier runs it, must say why. *)
+let test_unfinished_world_is_cut () =
+  let module Nd = Bi_netd.Nd_check in
+  let vc =
+    Nd.vc_lin_faulty ~id:"nd/lin/shutdown-never-lands"
+      (Nd.rates_mixed, 40, 905) ~seed:5
+  in
+  match Bi_core.Vc.catch vc.Bi_core.Vc.check with
+  | Bi_core.Vc.Falsified why ->
+      check Alcotest.string "reason"
+        (Printf.sprintf
+           "exception: world cut at tick %d: netd never shut down (clients \
+            done at tick 7440)"
+           Nd.max_world_ticks)
+        why
+  | o -> Alcotest.failf "expected Falsified, got %a" Bi_core.Vc.pp_outcome o
 
 (* ------------------------------------------------------------------ *)
 
@@ -1128,5 +1149,7 @@ let () =
         [
           Alcotest.test_case "netd worlds' traces and finish ticks" `Quick
             test_schedule_pins;
+          Alcotest.test_case "a world whose shutdown never lands is cut"
+            `Quick test_unfinished_world_is_cut;
         ] );
     ]
