@@ -3,7 +3,7 @@
 
 JOBS ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: all build test verify fmt-check bench bench-json bench-hp bench-wl discharge mc fi rs sh hp wl nd cr clean
+.PHONY: all build test verify fmt-check bench discharge mc fi rs sh hp wl nd cr clean
 
 all: build
 
@@ -72,20 +72,6 @@ cr:
 
 bench:
 	dune exec bench/main.exe
-
-bench-json:
-	dune exec bench/main.exe -- all --json BENCH_pr2.json
-	dune exec bench/main.exe -- wl --json BENCH_pr8.json
-
-# Hot-path numbers (plus the end-to-end shard throughput they must not
-# regress), as committed in BENCH_pr7.json.
-bench-hp:
-	dune exec bench/main.exe -- hp shard --json BENCH_pr7.json
-
-# The capacity-planning artifact: load sweep + million-client headline,
-# as committed in BENCH_pr8.json.
-bench-wl:
-	dune exec bench/main.exe -- wl --json BENCH_pr8.json
 
 discharge:
 	dune exec bench/main.exe -- discharge

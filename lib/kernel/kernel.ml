@@ -535,13 +535,11 @@ and handle t th (req : Sysabi.request) : Sysabi.response option =
       Some Sysabi.R_unit
   | Sysabi.Tcp_connect { ip; port } ->
       Some (Sysabi.R_int (Stack.tcp_connect t.stack ~dst_ip:ip ~dst_port:port))
-  | Sysabi.Tcp_accept { timeout; _ } | Sysabi.Tcp_recv { timeout; _ }
-    when timeout < 0 ->
-      err Sysabi.E_inval
+  | Sysabi.Tcp_recv { timeout; _ } when timeout < 0 -> err Sysabi.E_inval
   | Sysabi.Tcp_accept { port; _ } when not (Stack.tcp_is_listening t.stack port)
     ->
       err Sysabi.E_inval
-  | Sysabi.Tcp_accept { port; blocking; _ } -> (
+  | Sysabi.Tcp_accept { port; blocking } -> (
       match Stack.tcp_accept t.stack port with
       | Some conn -> Some (Sysabi.R_int conn)
       | None -> if blocking then None else err Sysabi.E_again)
@@ -628,9 +626,7 @@ and dispatch t th (req : Sysabi.request)
               let deadline =
                 match req with
                 | Sysabi.Sleep ticks -> t.ticks + ticks
-                | Sysabi.Tcp_accept { timeout; _ }
-                | Sysabi.Tcp_recv { timeout; _ }
-                  when timeout > 0 ->
+                | Sysabi.Tcp_recv { timeout; _ } when timeout > 0 ->
                     t.ticks + timeout
                 | _ -> max_int
               in

@@ -257,9 +257,9 @@ let step st ~pid req got =
         else Some (Ok (st, Sysabi.R_err Sysabi.E_badf))
     | Sysabi.Exit _ -> Some (Ok (st, Sysabi.R_unit))
     (* Scheduling- or environment-dependent: not value-predicted.  A
-       blocking [Tcp_recv]/[Tcp_accept] with a [timeout] is no exception:
-       whether it returns data, a connection or [E_again] depends on when
-       the peer's packets arrive. *)
+       blocking [Tcp_recv] with a [timeout] is no exception: whether it
+       returns data or [E_again] depends on when the peer's packets
+       arrive, as whether a [Tcp_accept] gets a connection does. *)
     | Sysabi.Gettid | Sysabi.Wait _ | Sysabi.Kill _ | Sysabi.Mresolve _
     | Sysabi.Thread_create _ | Sysabi.Thread_join _ | Sysabi.Futex_wait _
     | Sysabi.Futex_wake _ | Sysabi.Udp_bind _ | Sysabi.Udp_send _

@@ -52,7 +52,7 @@ type request =
   | Udp_recv of { port : int; blocking : bool }
   | Tcp_listen of { port : int }
   | Tcp_connect of { ip : int32; port : int }
-  | Tcp_accept of { port : int; blocking : bool; timeout : int }
+  | Tcp_accept of { port : int; blocking : bool }
   | Tcp_send of { conn : int; data : string }
   | Tcp_recv of { conn : int; blocking : bool; timeout : int }
   | Tcp_close of { conn : int }
@@ -236,11 +236,10 @@ let encode_request req =
       W.u8 w 30;
       W.u32 w ip;
       w_int w port
-  | Tcp_accept { port; blocking; timeout } ->
+  | Tcp_accept { port; blocking } ->
       W.u8 w 31;
       w_int w port;
-      w_bool w blocking;
-      w_int w timeout
+      w_bool w blocking
   | Tcp_send { conn; data } ->
       W.u8 w 32;
       w_int w conn;
@@ -346,8 +345,7 @@ let decode_request b =
       | 31 ->
           let port = r_int r in
           let blocking = r_bool r in
-          let timeout = r_int r in
-          Some (Tcp_accept { port; blocking; timeout })
+          Some (Tcp_accept { port; blocking })
       | 32 ->
           let conn = r_int r in
           let data = r_str r in
@@ -509,9 +507,8 @@ let pp_request ppf = function
   | Udp_recv { port; _ } -> Format.fprintf ppf "udp_recv(%d)" port
   | Tcp_listen { port } -> Format.fprintf ppf "tcp_listen(%d)" port
   | Tcp_connect { port; _ } -> Format.fprintf ppf "tcp_connect(:%d)" port
-  | Tcp_accept { port; blocking; timeout } ->
-      Format.fprintf ppf "tcp_accept(%d,blocking=%b,timeout=%d)" port blocking
-        timeout
+  | Tcp_accept { port; blocking } ->
+      Format.fprintf ppf "tcp_accept(%d,blocking=%b)" port blocking
   | Tcp_send { conn; data } -> Format.fprintf ppf "tcp_send(%d,[%d])" conn (String.length data)
   | Tcp_recv { conn; blocking; timeout } ->
       Format.fprintf ppf "tcp_recv(%d,blocking=%b,timeout=%d)" conn blocking
@@ -589,8 +586,7 @@ let sample_request g =
         { ip = Int32.of_int (Gen.int g 0x40000000); port = Gen.int g 0x10000 }
   | 30 ->
       let port = Gen.int g 0x10000 in
-      let blocking = Gen.bool g in
-      Tcp_accept { port; blocking; timeout = Gen.int g 1000 }
+      Tcp_accept { port; blocking = Gen.bool g }
   | 31 -> Tcp_send { conn = Gen.int g 100; data = sample_string g }
   | 32 ->
       let conn = Gen.int g 100 in

@@ -70,17 +70,17 @@ type request =
       (** [E_inval] on a port that is not bound, blocking or not. *)
   | Tcp_listen of { port : int }
   | Tcp_connect of { ip : int32; port : int }
-  | Tcp_accept of { port : int; blocking : bool; timeout : int }
-      (** [timeout] bounds a blocking accept, in ticks: with no connection
-          pending after that many ticks the call returns [E_again].  [0]
-          means no deadline; a negative timeout is [E_inval].  A
-          non-blocking accept ignores it.  An accept on a port with no
-          listener is [E_inval]. *)
+  | Tcp_accept of { port : int; blocking : bool }
+      (** A blocking accept parks until a connection is pending; a
+          non-blocking one returns [E_again] instead.  An accept on a
+          port with no listener is [E_inval]. *)
   | Tcp_send of { conn : int; data : string }
   | Tcp_recv of { conn : int; blocking : bool; timeout : int }
-      (** [timeout] as for [Tcp_accept]: a blocking recv returns data the
+      (** [timeout] bounds a blocking recv, in ticks: it returns data the
           tick it arrives, [""] once the peer has closed, and [E_again]
-          when [timeout] ticks pass with neither. *)
+          when [timeout] ticks pass with neither.  [0] means no deadline;
+          a negative timeout is [E_inval].  A non-blocking recv ignores
+          it. *)
   | Tcp_close of { conn : int }
   (* pipes (extension) *)
   | Pipe

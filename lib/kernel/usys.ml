@@ -104,8 +104,8 @@ let udp_recv s ?(blocking = true) port =
 let tcp_listen s port = as_unit (call s (Sysabi.Tcp_listen { port }))
 let tcp_connect s ~ip ~port = as_int (call s (Sysabi.Tcp_connect { ip; port }))
 
-let tcp_accept s ?(blocking = true) ?(timeout = 0) port =
-  as_int (call s (Sysabi.Tcp_accept { port; blocking; timeout }))
+let tcp_accept s ?(blocking = true) port =
+  as_int (call s (Sysabi.Tcp_accept { port; blocking }))
 
 let tcp_send s ~conn data = as_int (call s (Sysabi.Tcp_send { conn; data }))
 let tcp_recv s ?(blocking = true) ?(timeout = 0) conn =

@@ -73,12 +73,9 @@ val udp_recv :
 
 val tcp_listen : t -> int -> (unit, Sysabi.err) result
 val tcp_connect : t -> ip:int32 -> port:int -> (int, Sysabi.err) result
-val tcp_accept :
-  t -> ?blocking:bool -> ?timeout:int -> int -> (int, Sysabi.err) result
-(** A blocking accept (the default) parks until a connection is pending,
-    or for at most [timeout] ticks when [timeout > 0], then returns
-    [E_again].  [timeout] defaults to [0], no deadline; a non-blocking
-    accept ignores it. *)
+val tcp_accept : t -> ?blocking:bool -> int -> (int, Sysabi.err) result
+(** A blocking accept (the default) parks until a connection is pending;
+    a non-blocking one returns [E_again] when none is. *)
 
 val tcp_send : t -> conn:int -> string -> (int, Sysabi.err) result
 

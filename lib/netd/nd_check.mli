@@ -18,8 +18,9 @@ val vcs : unit -> Bi_core.Vc.t list
 
 val transport_vcs : unit -> Bi_core.Vc.t list
 (** [nd/perf/no-poll]: on a traced put loop, netd and the client make no
-    [Sleep] calls, every [E_again] from a recv or accept is an expired
-    deadline, and a put costs exactly 21 server and 6 client syscalls.
+    [Sleep] calls, no recv or accept of netd's answers [E_again], every
+    client recv that does is an expired deadline, and a put costs
+    exactly 16 server and 6 client syscalls.
     [bin/verify]'s [nd] suite is [vcs () @ transport_vcs ()]; the
     benchmark's verify workload pins [vcs ()] alone. *)
 

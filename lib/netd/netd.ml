@@ -3,16 +3,22 @@
 
    Process/IPC architecture (the Fornax netd shape on our kernel):
 
-     acceptor (main thread)
-        | tcp_accept, parked in the kernel for at most accept_poll_ticks
+     acceptor thread
+        | tcp_accept, parked in the kernel until a connection arrives
         v
      reader thread per connection -- frames bytes into Protocol.req
-        | Req_queue.push            (futex-backed bounded queue)
-        v
+        | tcp_recv parked until bytes arrive; Req_queue.push
+        v                           (futex-backed bounded queue)
      worker pool (config.workers threads) -- Req_queue.pop
         | Node_core.handle          (dedup table, degraded mode)
         v
      Usys filesystem (/blocks/<key> + .crc sidecar)
+
+   No thread wakes on a clock: each parks until it has work.  A
+   [Shutdown] closes the queue; the main thread joins the workers once
+   it has drained, closes the connections still open and exits, and the
+   kernel discards the acceptor and readers parked in their calls, as it
+   does on SIGKILL.
 
    Every hop is a syscall: accept/recv/send on the TCP stack, futex
    wait/wake inside the queue's umutex/ucond, open/write/fsync in the
@@ -45,8 +51,7 @@ type config = {
       (** Simulated per-request service time, slept outside the store
           lock — the knob of the [nd/perf/scaling-*] VCs. *)
   accept_poll_ticks : int;
-      (** How long a netd thread stays parked in accept/recv before it
-          checks [stop] again. *)
+      (** Not read here; kept for the benchmark's copy of netd. *)
   mutant_strip_txn : bool;
       (** Seeded bug: drop txn ids before [Node_core.handle], bypassing
           the duplicate table (exactly-once must catch this). *)
@@ -82,26 +87,35 @@ let runs t = List.rev t.runs
 let latest_run t = match t.runs with [] -> None | r :: _ -> Some r
 
 (* One connection's reader: accumulate bytes, frame requests, hand them
-   to the queue.  Exits when the peer closes, the daemon stops, or the
-   queue closes under it. *)
-let reader s ~config ~stop ~queue conn =
-  let buf = ref Bytes.empty in
-  let alive = ref true in
-  while !alive && not !stop do
-    match P.decode_req !buf ~off:0 with
+   to the queue.  Exits when the peer closes, the connection fails, or
+   the queue closes under it.  [live] holds the accepted connections
+   whose reader is still running. *)
+let reader s ~queue ~live conn =
+  let rec serve buf =
+    match P.decode_req buf ~off:0 with
     | Some (req, consumed) ->
-        buf := Bytes.sub !buf consumed (Bytes.length !buf - consumed);
-        if not (Req_queue.push s queue (conn, req)) then alive := false
+        if Req_queue.push s queue (conn, req) then
+          serve (Bytes.sub buf consumed (Bytes.length buf - consumed))
     | None -> (
-        match U.tcp_recv s ~timeout:config.accept_poll_ticks conn with
-        | Ok "" -> alive := false
-        | Ok chunk -> buf := Bytes.cat !buf (Bytes.of_string chunk)
-        | Error Bi_kernel.Sysabi.E_again -> ()
-        | Error _ -> alive := false)
-  done;
+        match U.tcp_recv s conn with
+        | Ok "" | Error _ -> ()
+        | Ok chunk -> serve (Bytes.cat buf (Bytes.of_string chunk)))
+  in
+  serve Bytes.empty;
+  live := List.filter (fun c -> c <> conn) !live;
   ignore (U.tcp_close s ~conn)
 
-let worker s ~config ~stop ~queue ~store_mutex ~core ~served i =
+(* Accept until the listener fails (netd's exit discards this thread
+   while it is parked in [tcp_accept]). *)
+let rec acceptor s ~port ~queue ~live =
+  match U.tcp_accept s port with
+  | Ok conn ->
+      live := conn :: !live;
+      ignore (U.thread_create s (fun rs -> reader rs ~queue ~live conn));
+      acceptor s ~port ~queue ~live
+  | Error _ -> ()
+
+let worker s ~config ~queue ~store_mutex ~core ~served i =
   let running = ref true in
   while !running do
     match Req_queue.pop s queue with
@@ -115,12 +129,11 @@ let worker s ~config ~stop ~queue ~store_mutex ~core ~served i =
         in
         ignore (U.tcp_send s ~conn (Bytes.to_string (P.encode_resp resp)));
         served.(i) <- served.(i) + 1;
-        if Node_core.wants_shutdown core && not !stop then begin
-          stop := true;
+        if Node_core.wants_shutdown core && not (Req_queue.is_closed queue)
+        then
           (* Remaining queued requests still drain before workers see
              [None]; close only cuts off new arrivals. *)
           Req_queue.close s queue
-        end
   done
 
 let program t s _arg =
@@ -163,41 +176,29 @@ let program t s _arg =
         (Format.asprintf "netd: listen failed: %a" Bi_kernel.Sysabi.pp_err e));
   let queue = Req_queue.create s ~capacity:config.queue_capacity in
   let store_mutex = Umutex.create s in
-  let stop = ref false in
   let workers =
     List.init config.workers (fun i ->
         U.thread_create s (fun ws ->
-            worker ws ~config ~stop ~queue ~store_mutex ~core
-              ~served:run.served i))
+            worker ws ~config ~queue ~store_mutex ~core ~served:run.served i))
   in
   U.log s (Printf.sprintf "netd: epoch %d serving with %d workers" epoch
              config.workers);
-  (* The main thread is the acceptor.  Its accept has a deadline so it
-     still notices [stop] (an accept with none would strand it after
-     shutdown). *)
-  let readers = ref [] in
-  while not !stop do
-    match U.tcp_accept s ~timeout:config.accept_poll_ticks config.port with
-    | Ok conn ->
-        let tid =
-          U.thread_create s (fun rs -> reader rs ~config ~stop ~queue conn)
-        in
-        readers := tid :: !readers
-    | Error _ -> ()
-  done;
-  List.iter (fun tid -> ignore (U.thread_join s tid)) !readers;
-  Req_queue.close s queue;
+  let live = ref [] in
+  ignore
+    (U.thread_create s (fun as_ -> acceptor as_ ~port:config.port ~queue ~live));
+  (* The workers return once a [Shutdown] has closed the queue and it has
+     drained.  Close what the readers still hold, so a connected client
+     sees end of stream, and exit: the kernel drops the acceptor and the
+     readers where they are parked. *)
   List.iter (fun tid -> ignore (U.thread_join s tid)) workers;
+  List.iter (fun conn -> ignore (U.tcp_close s ~conn)) (List.rev !live);
   run.queue_high_water <- Req_queue.high_water queue;
   run.finished <- true;
-  U.log s "netd: shutdown"
+  U.log s "netd: shutdown";
+  U.exit s 0
 
 let install ?(config = default_config) kernel =
   if config.workers <= 0 then invalid_arg "Netd.install: workers";
-  (* 0 would mean no deadline, and a thread parked with none would never
-     see [stop]. *)
-  if config.accept_poll_ticks <= 0 then
-    invalid_arg "Netd.install: accept_poll_ticks";
   let t = { config; epochs = Atomic.make 0; runs = [] } in
   K.register_program kernel "netd" (program t);
   t

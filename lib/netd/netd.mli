@@ -1,9 +1,9 @@
 (** netd: the node's network daemon — a kernel process owning the TCP
     syscall surface, serving the block protocol concurrently.
 
-    Architecture: an acceptor thread parks in [tcp_accept] (for at most
-    [accept_poll_ticks], so it sees a stop) and spawns one reader thread
-    per connection; readers frame bytes into
+    Architecture: an acceptor thread parks in [tcp_accept] until a
+    connection arrives and spawns one reader thread per connection;
+    readers park in [tcp_recv] until bytes arrive, frame them into
     {!Bi_app.Protocol} requests and push them onto a futex-backed
     bounded {!Req_queue}; a pool of worker threads pops requests, runs
     {!Bi_app.Node_core.handle} under a single data-path umutex (the
@@ -17,9 +17,13 @@
     crash-explores, run over the syscall backend of {!Bi_app.Files}.
     Every mutation is committed through the [/journal] redo log, and
     each (re)spawn replays it before listening, so the duplicate table —
-    and with it exactly-once — survives SIGKILL.  A [Shutdown] request stops the daemon cleanly: the queue drains, every
-    thread is joined, and the process exits — a respawn gets the next
-    epoch (the crash-fence clients observe via [Ping]). *)
+    and with it exactly-once — survives SIGKILL.  A [Shutdown] request
+    stops the daemon cleanly: the queue closes and drains, the workers
+    are joined, the connections still open are closed (a connected
+    client sees end of stream), and the process exits, which discards
+    the acceptor and readers where they are parked, as SIGKILL does.  A
+    respawn gets the next epoch (the crash-fence clients observe via
+    [Ping]). *)
 
 type config = {
   port : int;
@@ -30,10 +34,11 @@ type config = {
           lock — the knob the [nd/perf/scaling-*] VCs turn to show that
           more workers finish the same load sooner. *)
   accept_poll_ticks : int;
-      (** How long, in ticks, a netd thread (the acceptor, or a
-          connection's reader) stays parked in [tcp_accept]/[tcp_recv]
-          before it checks [stop] again.  At least 1: {!install} rejects
-          anything less. *)
+      (** Not read by netd: its acceptor and readers park with no
+          deadline.  The field stays only because the benchmark's own
+          copy of netd (perfbench's [World.traced_netd]) sleeps this many
+          ticks between polls, and it is deleted together with that
+          copy (ROADMAP.md's benchmark item). *)
   mutant_strip_txn : bool;
       (** Seeded bug: drop txn ids before [Node_core.handle], bypassing
           the duplicate table (exactly-once must catch this). *)

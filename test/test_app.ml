@@ -1012,16 +1012,16 @@ let trace_digest k =
 let schedule_pins =
   [
     ( "quiet",
-      ( ( "72386bff8171a66ffc4a5e53c67ebc71",
+      ( ( "ab00f560ea9ef3197f5859fc9362f201",
           "b6bc2cf6fb16830c482e067d732ef1b6" ),
         (26, 31) ) );
     ( "faulty-link",
-      ( ( "5d04fd281d83df67136b00cfea94b2b0",
+      ( ( "4a197ed54f7248e042a502db0f37aa8b",
           "1d52918152ec684b37c69fa210318f19" ),
         (53, 68) ) );
     ( "crash-respawn",
-      ( ( "319e5ca55a22815447aa611eab4cd589",
-          "da70893cb7870a95a9ef88cb2f0ab8f5" ),
+      ( ( "56548cc4ac1249e2cf9366b0a48700ee",
+          "4972eca057c24e556ab908ca60131c2c" ),
         (26, 223) ) );
   ]
 
@@ -1045,9 +1045,9 @@ let test_schedule_pins () =
 (* A world whose shutdown never lands.  Under this link plan a corrupted
    ARP frame leaves the server's neighbour cache holding a wrong MAC for
    the client, so netd serves nothing, the clients give up by tick 7440
-   and no [Shutdown] is acknowledged; netd's acceptor keeps waking, so
-   only the suite's tick bound ends the world.  Its VC, run the way the
-   verifier runs it, must say why. *)
+   and no [Shutdown] is acknowledged; netd stays parked waiting for
+   work, so the world sits idle until the suite's tick bound cuts it.
+   Its VC, run the way the verifier runs it, must say why. *)
 let test_unfinished_world_is_cut () =
   let module Nd = Bi_netd.Nd_check in
   let vc =
@@ -1063,6 +1063,66 @@ let test_unfinished_world_is_cut () =
            Nd.max_world_ticks)
         why
   | o -> Alcotest.failf "expected Falsified, got %a" Bi_core.Vc.pp_outcome o
+
+(* A client holding an idle connection while another sends [Shutdown]:
+   netd closes the connection before it exits, so the idle client's
+   recv, which has no deadline, sees end of stream.  netd's acceptor and
+   readers wait with no deadline, so no recv or accept of the server's
+   answers [E_again], and the world ends on its own once netd has exited
+   and the client is done. *)
+let test_shutdown_closes_idle_connection () =
+  let server = K.create ~ip:ip_server () in
+  let client = K.create ~ip:ip_client () in
+  K.connect server client;
+  let netd = Bi_netd.Netd.install server in
+  K.set_trace server true;
+  let idle_end = ref (Error Bi_kernel.Sysabi.E_nosys) in
+  K.register_program client "cli" (fun s _ ->
+      match U.tcp_connect s ~ip:ip_server ~port:Bi_app.Storage_node.port with
+      | Error _ -> ()
+      | Ok conn ->
+          (* A's Ping is answered, so netd has accepted A's connection. *)
+          ignore (U.tcp_send s ~conn (Bytes.to_string (P.encode_req P.Ping)));
+          let rec await_pong buf =
+            if P.decode_resp buf ~off:0 = None then
+              match U.tcp_recv s conn with
+              | Ok chunk when chunk <> "" ->
+                  await_pong (Bytes.cat buf (Bytes.of_string chunk))
+              | _ -> ()
+          in
+          await_pong Bytes.empty;
+          let b = Nd_client.make s ~ip:ip_server () in
+          ignore (Nd_client.rpc b P.Shutdown);
+          Nd_client.close b;
+          idle_end := U.tcp_recv s conn);
+  ignore (K.spawn server ~prog:"netd" ~arg:"");
+  ignore (K.spawn client ~prog:"cli" ~arg:"");
+  let timer = (K.machine server).Bi_hw.Machine.timer in
+  let now () = Int64.to_int (Bi_hw.Device.Timer.now timer) in
+  let cut = Bi_netd.Nd_check.max_world_ticks in
+  (try K.run_pair ~on_tick:(fun () -> if now () >= cut then raise Exit) server client
+   with Exit -> ());
+  check
+    (Alcotest.result Alcotest.string
+       (Alcotest.testable Bi_kernel.Sysabi.pp_err ( = )))
+    "idle connection's recv" (Ok "") !idle_end;
+  check Alcotest.bool "netd's last run finished" true
+    (match Bi_netd.Netd.latest_run netd with
+    | Some run -> run.Bi_netd.Netd.finished
+    | None -> false);
+  check Alcotest.bool
+    (Printf.sprintf "stopped at tick %d, before %d" (now ()) cut)
+    true (now () < cut);
+  check Alcotest.int "server recv/accept answered E_again" 0
+    (List.length
+       (List.filter
+          (function
+            | ( _,
+                (Bi_kernel.Sysabi.Tcp_recv _ | Bi_kernel.Sysabi.Tcp_accept _),
+                Bi_kernel.Sysabi.R_err Bi_kernel.Sysabi.E_again ) ->
+                true
+            | _ -> false)
+          (K.trace server)))
 
 (* ------------------------------------------------------------------ *)
 
@@ -1151,5 +1211,7 @@ let () =
             test_schedule_pins;
           Alcotest.test_case "a world whose shutdown never lands is cut"
             `Quick test_unfinished_world_is_cut;
+          Alcotest.test_case "shutdown closes an idle connection and ends"
+            `Quick test_shutdown_closes_idle_connection;
         ] );
     ]
