@@ -348,8 +348,12 @@ let resume ex t k v =
 
 (* Execute one step of thread [t] (which must be runnable).  Woken
    threads are resumed immediately: their local code up to the next
-   yield point runs as part of this step, which is sound because local
-   code touches no shared objects. *)
+   yield point runs as part of this step.  That, and sleep-set POR, are
+   sound because code between yields touches no shared object except
+   under a lock built from vars (e.g. a ring guarded by a futex mutex):
+   every conflicting pair of such accesses is then ordered by dependent
+   operations on the lock's word, so commuting independent steps never
+   reorders them. *)
 let do_step ex t =
   match ex.states.(t) with
   | Ready (p, k) ->

@@ -9,7 +9,12 @@
     condition-style await — is a {e yield point} where the scheduler may
     switch threads.  Code between yield points is atomic, exactly as code
     between syscalls is atomic under the kernel's cooperative scheduling
-    guarantee.
+    guarantee.  It must touch no shared state other than through this
+    API, except state (say, a ring buffer in OCaml fields) that is only
+    touched while holding a lock built from {!var}s: every conflicting
+    pair of accesses to it is then ordered by dependent operations on
+    the lock's word, so partial-order reduction stays sound — the data
+    race freedom that code also needs on the kernel.
 
     The scheduler enumerates schedules by depth-first search with two
     standard state-space reductions:

@@ -13,14 +13,14 @@
    - the interleaved multi-process syscall traces of those same runs
      replayed against [Sys_spec] (the kernel honoured its contract while
      the application result was being produced);
-   - no lost wakeups on the worker queue: the futex-condvar protocol as
-     an [Explore] model (schedule exhaustion) and live on the kernel
+   - no lost wakeups on the worker queue: [Req_queue]'s own code under
+     [Explore] (schedule exhaustion) and live on the kernel
      (adversarial arrival orders must terminate);
    - worker no-starvation and multi-worker scaling in virtual time;
    - Checked≡Erased contract parity;
-   - mutation self-checks: an unchecked futex wait in the queue, wake(1)
-     where broadcast is needed (model and live), and a dedup bypass on
-     the netd path must each be caught;
+   - mutation self-checks: the queue over an unchecked futex wait,
+     wake(1) where broadcast is needed (explored and live), and a dedup
+     bypass on the netd path must each be caught;
    - [Sysabi] marshalling totality under [Fault_plan.corrupt_bytes] and
      strict-prefix rejection (the satellite fuzz obligations live here
      because they need [bi_fault], which sits above [bi_kernel]). *)
@@ -519,188 +519,99 @@ let vc_parity_e2e =
     (fun () -> (e2e_parity_run Contract.Checked, e2e_parity_run Contract.Erased))
 
 (* ------------------------------------------------------------------ *)
-(* The futex-condvar queue protocol as an Explore model                *)
+(* The queue's own code under the model checker                        *)
 (*                                                                     *)
-(* The same shape as [Futex_mc] one level up: a Drepper mutex and a     *)
-(* sequence-word condvar, driving a capacity-1 buffer.  [park]/[unpark] *)
-(* are the model's futex syscalls; a schedule on which a thread stays   *)
-(* parked with nobody left to wake it is a [Deadlock] failure, so       *)
-(* termination over the full schedule space IS no-lost-wakeup.         *)
+(* [Req_queue] over [Word.Explore], at capacity 1: its mutex and        *)
+(* condvar words are model cells and their futex syscalls are          *)
+(* [park]/[unpark].  A schedule on which a thread stays parked with     *)
+(* nobody left to wake it is a [Deadlock] failure, so termination over  *)
+(* the full schedule space IS no-lost-wakeup.                          *)
 
-let m_lock ctx m =
-  (* Drepper's contended path: once past the fast path, always exchange
-     to 2 — a woken waiter must re-acquire in the "contended" state, or
-     the next unlock forgets the remaining parked waiters. *)
-  if E.cas ctx m ~expect:0 ~set:1 then ()
-  else
-    let rec go () =
-      let old = E.update ctx m (fun _ -> 2) in
-      if old = 0 then ()
-      else begin
-        E.park ctx m ~expect:2;
-        go ()
-      end
-    in
-    go ()
-
-let m_unlock ctx m =
-  let old = E.update ctx m (fun _ -> 0) in
-  if old = 2 then ignore (E.unpark ctx m ~count:1)
-
-(* The checked wait: capture the sequence word under the mutex, release,
-   park only if it has not moved.  [park ~expect] returns immediately on
-   mismatch — the futex E_again path that closes the wakeup window. *)
-let c_wait ctx c m =
-  let seq = E.read ctx c in
-  m_unlock ctx m;
-  E.park ctx c ~expect:seq;
-  m_lock ctx m
-
-(* Mutation: park unconditionally, ignoring the sequence word — the
-   signal that lands between unlock and park is lost. *)
-let c_wait_unchecked ctx c m =
-  m_unlock ctx m;
-  E.park_any ctx c;
-  m_lock ctx m
-
-let c_bump ctx c ~count =
-  ignore (E.update ctx c (fun v -> v + 1));
-  ignore (E.unpark ctx c ~count)
-
-type model = {
-  m : E.var;
-  ne : E.var;  (* not_empty sequence word *)
-  nf : E.var;  (* not_full sequence word *)
-  len : E.var;
-  item : E.var;
-  closed : E.var;
-  mutable out : int list;
-}
-
-let model_make ctx =
-  {
-    m = E.var ctx ~name:"mutex" 0;
-    ne = E.var ctx ~name:"not_empty" 0;
-    nf = E.var ctx ~name:"not_full" 0;
-    len = E.var ctx ~name:"len" 0;
-    item = E.var ctx ~name:"item" 0;
-    closed = E.var ctx ~name:"closed" 0;
-    out = [];
-  }
-
-let model_push ctx st v =
-  m_lock ctx st.m;
-  while E.read ctx st.len = 1 do
-    c_wait ctx st.nf st.m
-  done;
-  E.write ctx st.item v;
-  E.write ctx st.len 1;
-  c_bump ctx st.ne ~count:1;
-  m_unlock ctx st.m
-
-let model_pop ?(wait = c_wait) ctx st =
-  m_lock ctx st.m;
-  let rec loop () =
-    if E.read ctx st.len = 1 then begin
-      let v = E.read ctx st.item in
-      E.write ctx st.len 0;
-      c_bump ctx st.nf ~count:1;
-      m_unlock ctx st.m;
-      Some v
-    end
-    else if E.read ctx st.closed = 1 then begin
-      m_unlock ctx st.m;
-      None
-    end
-    else begin
-      wait ctx st.ne st.m;
-      loop ()
-    end
-  in
-  loop ()
-
-let model_close ctx st ~count =
-  m_lock ctx st.m;
-  E.write ctx st.closed 1;
-  c_bump ctx st.ne ~count;
-  m_unlock ctx st.m
+module Q = Req_queue.Make (Bi_ulib.Word.Explore)
 
 let bounded = { E.default_config with E.preemption_bound = Some 2 }
 
+(* The queue, and the items its consumers received, newest first. *)
+let queue_make ctx = (Q.create ctx ~capacity:1, ref [])
+
+let push ctx (q, _) v =
+  E.check ctx (Q.push ctx q v) "push to an open queue failed"
+
+let pop_into ctx (q, out) =
+  match Q.pop ctx q with
+  | Some v -> out := v :: !out
+  | None -> E.check ctx false "pop returned None"
+
+let pop_none ctx (q, _) =
+  E.check ctx (Q.pop ctx q = None) "popped from empty closed queue"
+
 let vc_model_no_lost_wakeup =
   E.vc ~id:"nd/model/queue-no-lost-wakeup" ~category:cat_model ~config:bounded
-    ~make:model_make
+    ~make:queue_make
     ~threads:
       [
         (fun st ctx ->
-          model_push ctx st 1;
-          model_push ctx st 2);
+          push ctx st 1;
+          push ctx st 2);
         (fun st ctx ->
-          (match model_pop ctx st with
-          | Some v -> st.out <- v :: st.out
-          | None -> E.check ctx false "pop returned None");
-          match model_pop ctx st with
-          | Some v -> st.out <- v :: st.out
-          | None -> E.check ctx false "pop returned None");
+          pop_into ctx st;
+          pop_into ctx st);
       ]
-    ~final:(fun st ->
-      if List.rev st.out = [ 1; 2 ] then None
+    ~final:(fun (_, out) ->
+      if List.rev !out = [ 1; 2 ] then None
       else Some "consumer did not receive 1;2 in order")
     ()
 
 let vc_model_capacity_blocking =
   E.vc ~id:"nd/model/queue-capacity-no-loss" ~category:cat_model
-    ~config:bounded ~make:model_make
+    ~config:bounded ~make:queue_make
     ~threads:
       [
-        (fun st ctx -> model_push ctx st 1);
-        (fun st ctx -> model_push ctx st 2);
+        (fun st ctx -> push ctx st 1);
+        (fun st ctx -> push ctx st 2);
         (fun st ctx ->
-          for _ = 1 to 2 do
-            match model_pop ctx st with
-            | Some v -> st.out <- v :: st.out
-            | None -> E.check ctx false "pop returned None"
-          done);
+          pop_into ctx st;
+          pop_into ctx st);
       ]
-    ~final:(fun st ->
-      if List.sort compare st.out = [ 1; 2 ] then None
+    ~final:(fun (_, out) ->
+      if List.sort compare !out = [ 1; 2 ] then None
       else Some "both pushed items must be consumed exactly once")
     ()
 
 let vc_model_close_releases =
   E.vc ~id:"nd/model/close-releases-all" ~category:cat_model ~config:bounded
-    ~make:model_make
+    ~make:queue_make
     ~threads:
       [
-        (fun st ctx ->
-          match model_pop ctx st with
-          | None -> ()
-          | Some _ -> E.check ctx false "popped from empty closed queue");
-        (fun st ctx ->
-          match model_pop ctx st with
-          | None -> ()
-          | Some _ -> E.check ctx false "popped from empty closed queue");
-        (fun st ctx -> model_close ctx st ~count:8);
+        (fun st ctx -> pop_none ctx st);
+        (fun st ctx -> pop_none ctx st);
+        (fun (q, _) ctx -> Q.close ctx q);
       ]
     ()
 
 let deadlock_expected f =
   match f.E.kind with E.Deadlock _ -> true | _ -> false
 
+(* A futex whose wait sleeps without checking the word. *)
+module Unchecked_word = struct
+  include Bi_ulib.Word.Explore
+
+  let futex_wait ctx v ~expected:_ = E.park_any ctx v
+end
+
 let vc_model_mutation_unchecked_wait =
-  (* Seeded bug #1: the consumer parks without re-checking the sequence
-     word.  The explorer must find the schedule where the producer's
-     signal lands in the unlock→park window and the consumer sleeps
-     forever. *)
+  (* Seeded bug #1: the queue over a futex wait that ignores the
+     expected value.  The explorer must find the schedule where the
+     producer's signal lands in the consumer's unlock→sleep window and
+     the consumer sleeps forever. *)
+  let module Q = Req_queue.Make (Unchecked_word) in
   E.vc_catches ~id:"nd/mutation/queue-wait-unchecked" ~category:cat_mutation
-    ~expect:deadlock_expected ~make:model_make
+    ~expect:deadlock_expected
+    ~make:(fun ctx -> Q.create ctx ~capacity:1)
     ~threads:
       [
-        (fun st ctx -> model_push ctx st 7);
-        (fun st ctx ->
-          match model_pop ~wait:c_wait_unchecked ctx st with
-          | Some v -> st.out <- v :: st.out
-          | None -> E.check ctx false "pop returned None");
+        (fun q ctx -> ignore (Q.push ctx q 7 : bool));
+        (fun q ctx -> ignore (Q.pop ctx q : int option));
       ]
     ()
 
@@ -709,12 +620,12 @@ let vc_model_mutation_close_signal =
      is needed; with two parked consumers one never comes home. *)
   E.vc_catches ~id:"nd/mutation/close-signal-not-broadcast"
     ~category:cat_mutation ~expect:deadlock_expected ~config:bounded
-    ~make:model_make
+    ~make:(fun ctx -> Q.create ~mutant_close_signal:true ctx ~capacity:1)
     ~threads:
       [
-        (fun st ctx -> ignore (model_pop ctx st));
-        (fun st ctx -> ignore (model_pop ctx st));
-        (fun st ctx -> model_close ctx st ~count:1);
+        (fun q ctx -> ignore (Q.pop ctx q : int option));
+        (fun q ctx -> ignore (Q.pop ctx q : int option));
+        (fun q ctx -> Q.close ctx q);
       ]
     ()
 

@@ -8,7 +8,8 @@
     (quiet, faulty NIC, netd crash + respawn with the epoch fence),
     replays the interleaved multi-process syscall traces of those same
     runs through {!Bi_kernel.Sys_spec}, exhausts schedules of the
-    futex-condvar queue protocol as an {!Bi_core.Explore} model,
+    worker queue's own code ({!Req_queue.Make} over
+    {!Bi_ulib.Word.Explore}) under {!Bi_core.Explore},
     checks worker no-starvation and multi-worker scaling in virtual
     time, Checked≡Erased parity, [Sysabi] fuzz totality, and catches
     three seeded mutations (unchecked futex wait, close-as-signal,

@@ -5,32 +5,44 @@
     {!Bi_ulib.Ucond}s, all bottoming out in the kernel's
     [Futex_wait]/[Futex_wake] syscalls.  Producers block while the ring
     is full; consumers block while it is empty; {!close} releases
-    everyone.  The [nd] verify suite discharges no-lost-wakeup for this
-    exact protocol — as an {!Bi_core.Explore} model and live on the
-    kernel — plus ghost-counter invariants under [Checked] mode. *)
+    everyone.  The code is written once over {!Bi_ulib.Word.S}: the [nd]
+    verify suite discharges no-lost-wakeup for {!Make}[ (Word.Explore)]
+    under the model checker and for this module live on the kernel, plus
+    ghost-counter invariants under [Checked] mode. *)
 
-type 'a t
+module type S = sig
+  type ctx
+  type 'a t
 
-val create : ?mutant_close_signal:bool -> Bi_kernel.Usys.t -> capacity:int -> 'a t
-(** [mutant_close_signal] plants the seeded wake(1)-instead-of-broadcast
-    bug in {!close} for the mutation self-check VCs. *)
+  val create : ?mutant_close_signal:bool -> ctx -> capacity:int -> 'a t
+  (** [mutant_close_signal] plants the seeded wake(1)-instead-of-broadcast
+      bug in {!close} for the mutation self-check VCs. *)
 
-val push : Bi_kernel.Usys.t -> 'a t -> 'a -> bool
-(** Blocks while full.  [false] iff the queue was closed (item dropped). *)
+  val push : ctx -> 'a t -> 'a -> bool
+  (** Blocks while full.  [false] iff the queue was closed (item
+      dropped). *)
 
-val pop : Bi_kernel.Usys.t -> 'a t -> 'a option
-(** Blocks while empty.  [None] iff the queue is closed {e and}
-    drained — remaining items are always delivered before [None]. *)
+  val pop : ctx -> 'a t -> 'a option
+  (** Blocks while empty.  [None] iff the queue is closed {e and}
+      drained — remaining items are always delivered before [None]. *)
 
-val close : Bi_kernel.Usys.t -> 'a t -> unit
-(** Idempotent.  Wakes every blocked producer and consumer. *)
+  val close : ctx -> 'a t -> unit
+  (** Idempotent.  Wakes every blocked producer and consumer. *)
 
-val capacity : 'a t -> int
-val length : 'a t -> int
-val pushed : 'a t -> int
-val popped : 'a t -> int
+  val capacity : 'a t -> int
+  val length : 'a t -> int
+  val pushed : 'a t -> int
+  val popped : 'a t -> int
 
-val high_water : 'a t -> int
-(** Maximum occupancy ever observed (under the lock). *)
+  val high_water : 'a t -> int
+  (** Maximum occupancy ever observed (under the lock). *)
 
-val is_closed : 'a t -> bool
+  val is_closed : 'a t -> bool
+end
+
+module Make (W : Bi_ulib.Word.S) : S with type ctx = W.ctx
+(** The ring is plain OCaml state touched only while holding the mutex,
+    so under the model checker its reads and writes are not yield
+    points: every conflicting pair is ordered by the mutex word. *)
+
+include S with type ctx = Bi_kernel.Usys.t

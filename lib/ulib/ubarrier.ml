@@ -1,49 +1,50 @@
-module U = Bi_kernel.Usys
+module type S = sig
+  type ctx
+  type t
 
-(* Two words in one page: [va] holds the arrival count for the current
-   round, [va+8] the round generation (the futex word waiters sleep on —
-   waiting on the generation avoids the classic reuse race when the
-   barrier cycles). *)
-type t = { va : int64; parties : int }
+  val create : ctx -> parties:int -> t
+  val await : ctx -> t -> int
+  val parties : t -> int
+end
 
-let create sys ~parties =
-  if parties < 1 then invalid_arg "Ubarrier.create: parties < 1";
-  match U.mmap sys ~bytes:4096 with
-  | Ok va -> { va; parties }
-  | Error _ -> failwith "Ubarrier.create: mmap failed"
+(* Two words: [count] holds the arrivals of the current round,
+   [generation] the round number — the futex word waiters sleep on.
+   Waiting on the generation avoids the classic reuse race when the
+   barrier cycles. *)
+module Make (W : Word.S) = struct
+  type ctx = W.ctx
+  type t = { count : W.t; generation : W.t; parties : int }
 
-let parties t = t.parties
+  let create ctx ~parties =
+    if parties < 1 then invalid_arg "Ubarrier.create: parties < 1";
+    let count = W.alloc ctx ~name:"count" 0L in
+    let generation = W.alloc ctx ~name:"gen" 0L in
+    { count; generation; parties }
 
-let load sys va =
-  match U.load sys ~va with
-  | Ok v -> v
-  | Error _ -> failwith "Ubarrier: fault"
+  let parties t = t.parties
 
-let store sys va v =
-  match U.store sys ~va v with
-  | Ok () -> ()
-  | Error _ -> failwith "Ubarrier: fault"
-
-let await sys t =
-  let gen_va = Int64.add t.va 8L in
-  let generation = load sys gen_va in
-  let arrived = Int64.to_int (load sys t.va) in
-  store sys t.va (Int64.of_int (arrived + 1));
-  if arrived + 1 = t.parties then begin
-    (* Last arriver: reset the count, bump the generation, release. *)
-    store sys t.va 0L;
-    store sys gen_va (Int64.add generation 1L);
-    ignore (U.futex_wake sys ~va:gen_va ~count:max_int : int);
-    arrived
-  end
-  else begin
-    let rec sleep () =
-      if load sys gen_va = generation then begin
-        (match U.futex_wait sys ~va:gen_va ~expected:generation with
-        | Ok () | Error _ -> ());
-        sleep ()
-      end
+  let await ctx t =
+    let generation = W.load ctx t.generation in
+    (* The last arriver resets the count in the same update. *)
+    let arrive c =
+      let c = Int64.add c 1L in
+      if Int64.to_int c = t.parties then 0L else c
     in
-    sleep ();
+    let arrived = Int64.to_int (W.update ctx t.count arrive) in
+    if arrived + 1 = t.parties then begin
+      ignore (W.update ctx t.generation Int64.succ : int64);
+      ignore (W.futex_wake ctx t.generation ~count:max_int : int)
+    end
+    else begin
+      let rec sleep () =
+        if W.load ctx t.generation = generation then begin
+          W.futex_wait ctx t.generation ~expected:generation;
+          sleep ()
+        end
+      in
+      sleep ()
+    end;
     arrived
-  end
+end
+
+include Make (Word.Usys)

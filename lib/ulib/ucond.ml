@@ -1,32 +1,33 @@
-type t = { va : int64 }
+module type S = sig
+  type ctx
+  type t
+  type mutex
 
-let create sys =
-  match Bi_kernel.Usys.mmap sys ~bytes:4096 with
-  | Ok va -> { va }
-  | Error _ -> failwith "Ucond.create: mmap failed"
+  val create : ctx -> t
+  val wait : ctx -> t -> mutex -> unit
+  val signal : ctx -> t -> unit
+  val broadcast : ctx -> t -> unit
+end
 
-let of_word va = { va }
+module Make (W : Word.S) (M : Umutex.S with type ctx = W.ctx) = struct
+  type ctx = W.ctx
+  type t = W.t
+  type mutex = M.t
 
-let load sys t =
-  match Bi_kernel.Usys.load sys ~va:t.va with
-  | Ok v -> v
-  | Error _ -> failwith "Ucond: fault on condvar word"
+  let create ctx = W.alloc ctx ~name:"seq" 0L
 
-let store sys t v =
-  match Bi_kernel.Usys.store sys ~va:t.va v with
-  | Ok () -> ()
-  | Error _ -> failwith "Ucond: fault on condvar word"
+  let wait ctx t mutex =
+    let seq = W.load ctx t in
+    M.unlock ctx mutex;
+    W.futex_wait ctx t ~expected:seq;
+    M.lock ctx mutex
 
-let wait sys t mutex =
-  let seq = load sys t in
-  Umutex.unlock sys mutex;
-  (match Bi_kernel.Usys.futex_wait sys ~va:t.va ~expected:seq with
-  | Ok () | Error _ -> ());
-  Umutex.lock sys mutex
+  let bump_and_wake ctx t count =
+    ignore (W.update ctx t Int64.succ : int64);
+    ignore (W.futex_wake ctx t ~count : int)
 
-let bump_and_wake sys t count =
-  store sys t (Int64.add (load sys t) 1L);
-  ignore (Bi_kernel.Usys.futex_wake sys ~va:t.va ~count : int)
+  let signal ctx t = bump_and_wake ctx t 1
+  let broadcast ctx t = bump_and_wake ctx t max_int
+end
 
-let signal sys t = bump_and_wake sys t 1
-let broadcast sys t = bump_and_wake sys t max_int
+include Make (Word.Usys) (Umutex)

@@ -2,19 +2,29 @@
 
     Sequence-counter design: the futex word counts signals; a waiter reads
     the counter, releases the mutex, and sleeps unless the counter moved —
-    closing the missed-wakeup window exactly as in futex-based pthreads. *)
+    closing the missed-wakeup window exactly as in futex-based pthreads.
+    Written once over {!Word.S}; [mc/ucond/no-lost-signal] runs
+    {!Make}[ (Word.Explore)]. *)
 
-type t
+module type S = sig
+  type ctx
+  type t
+  type mutex
 
-val create : Bi_kernel.Usys.t -> t
-val of_word : int64 -> t
+  val create : ctx -> t
 
-val wait : Bi_kernel.Usys.t -> t -> Umutex.t -> unit
-(** Atomically release the mutex and sleep; re-acquires before
-    returning.  Spurious wakeups are possible (as in pthreads) — always
-    re-check the predicate in a loop. *)
+  val wait : ctx -> t -> mutex -> unit
+  (** Atomically release the mutex and sleep; re-acquires before
+      returning.  Spurious wakeups are possible (as in pthreads) — always
+      re-check the predicate in a loop. *)
 
-val signal : Bi_kernel.Usys.t -> t -> unit
-(** Wake at least one waiter, if any. *)
+  val signal : ctx -> t -> unit
+  (** Wake at least one waiter, if any. *)
 
-val broadcast : Bi_kernel.Usys.t -> t -> unit
+  val broadcast : ctx -> t -> unit
+end
+
+module Make (W : Word.S) (M : Umutex.S with type ctx = W.ctx) :
+  S with type ctx = W.ctx and type mutex = M.t
+
+include S with type ctx = Bi_kernel.Usys.t and type mutex = Umutex.t

@@ -1,14 +1,18 @@
-(* The ulib primitives transcribed onto the model checker's instrumented
-   shared-state API.  The transcription rule: userspace load+store with
-   no syscall in between is atomic under the kernel's cooperative
-   scheduler, so it maps to one [Explore.update]; a futex wait/wake
-   syscall maps to [park ~expect]/[unpark].  The models below therefore
-   have exactly the atomicity the real code relies on — and the seeded
-   mutations exactly the atomicity bugs the real code would have if that
-   reasoning were wrong. *)
+(* Model-checked drivers for the ulib primitives.  Each driver runs the
+   primitive's own code, instantiated over [Word.Explore]: a
+   [Word.update] (on the kernel, a load+store with no syscall between)
+   is one [Explore.update], a futex wait/wake is [park ~expect]/[unpark].
+   What the explorer proves is therefore a property of the code user
+   threads run — and the seeded mutations are the atomicity bugs that
+   code would have if that reasoning were wrong. *)
 
 module E = Bi_core.Explore
 module Vc = Bi_core.Vc
+module Mutex = Umutex.Make (Word.Explore)
+module Cond = Ucond.Make (Word.Explore) (Mutex)
+module Sem = Usem.Make (Word.Explore)
+module Rw = Urwlock.Make (Word.Explore)
+module Barrier = Ubarrier.Make (Word.Explore)
 
 let cat = "mc/ulib"
 let cat_mutation = "mutation"
@@ -30,38 +34,17 @@ let cs_enter ctx cs =
 let cs_exit ctx cs = ignore (E.update ctx cs (fun c -> c - 1))
 
 (* ------------------------------------------------------------------ *)
-(* Umutex model: 0 unlocked, 1 locked, 2 locked with possible waiters. *)
+(* Umutex: 0 unlocked, 1 locked, 2 locked with possible waiters. *)
 
-let mutex_lock ctx m =
-  let v = E.update ctx m (fun v -> if v = 0 then 1 else v) in
-  if v <> 0 then begin
-    let rec contended () =
-      (* Re-acquire with 2, never 1: a woken waiter cannot know whether
-         more waiters sleep behind it (Drepper). *)
-      let v = E.update ctx m (fun _ -> 2) in
-      if v <> 0 then begin
-        E.park ctx m ~expect:2;
-        contended ()
-      end
-    in
-    contended ()
-  end
+type mutex_state = { m : Mutex.t; cs : E.var }
 
-let mutex_unlock ctx m =
-  let v = E.update ctx m (fun _ -> 0) in
-  E.check ctx (v <> 0) "unlock of unlocked mutex";
-  if v = 2 then ignore (E.unpark ctx m ~count:1)
-
-type mutex_state = { m : E.var; cs : E.var }
-
-let mutex_make ctx =
-  { m = E.var ctx ~name:"mutex" 0; cs = E.var ctx ~name:"cs" 0 }
+let mutex_make ctx = { m = Mutex.create ctx; cs = E.var ctx ~name:"cs" 0 }
 
 let mutex_worker st ctx =
-  mutex_lock ctx st.m;
+  Mutex.lock ctx st.m;
   cs_enter ctx st.cs;
   cs_exit ctx st.cs;
-  mutex_unlock ctx st.m
+  Mutex.unlock ctx st.m
 
 let mutex_final st =
   if E.peek st.m = 0 then None
@@ -86,10 +69,10 @@ let vc_mutex_no_lost_wakeup =
     ~threads:
       [
         (fun st ctx ->
-          mutex_lock ctx st.m;
-          mutex_unlock ctx st.m;
-          mutex_lock ctx st.m;
-          mutex_unlock ctx st.m);
+          Mutex.lock ctx st.m;
+          Mutex.unlock ctx st.m;
+          Mutex.lock ctx st.m;
+          Mutex.unlock ctx st.m);
         mutex_worker;
         mutex_worker;
       ]
@@ -107,7 +90,7 @@ let vc_mutation_unlock_drops_wake =
     ~threads:
       [
         (fun st ctx ->
-          mutex_lock ctx st.m;
+          Mutex.lock ctx st.m;
           cs_enter ctx st.cs;
           cs_exit ctx st.cs;
           broken_unlock ctx st.m);
@@ -117,21 +100,12 @@ let vc_mutation_unlock_drops_wake =
 
 (* Mutation 2: the fast path's load+store split in two yield points, as
    if a syscall (= preemption opportunity) sat between them.  Two
-   threads both read 0 and both enter. *)
+   threads both read 0 and both enter.  (Splitting every update of the
+   word is caught first as a lost wakeup, a deadlock, so only the fast
+   path is broken here.) *)
 let vc_mutation_nonatomic_fastpath =
   let broken_lock ctx m =
-    let v = E.read ctx m in
-    if v = 0 then E.write ctx m 1
-    else begin
-      let rec contended () =
-        let v = E.update ctx m (fun _ -> 2) in
-        if v <> 0 then begin
-          E.park ctx m ~expect:2;
-          contended ()
-        end
-      in
-      contended ()
-    end
+    if E.read ctx m = 0 then E.write ctx m 1 else Mutex.lock ctx m
   in
   E.vc_catches ~id:"mc/mutation/umutex-nonatomic-rmw" ~category:cat_mutation
     ~expect:(fun f ->
@@ -143,68 +117,37 @@ let vc_mutation_nonatomic_fastpath =
           broken_lock ctx st.m;
           cs_enter ctx st.cs;
           cs_exit ctx st.cs;
-          mutex_unlock ctx st.m);
+          Mutex.unlock ctx st.m);
         (fun st ctx ->
           broken_lock ctx st.m;
           cs_enter ctx st.cs;
           cs_exit ctx st.cs;
-          mutex_unlock ctx st.m);
+          Mutex.unlock ctx st.m);
       ]
     ()
 
 (* ------------------------------------------------------------------ *)
-(* Urwlock model: word >= 0 is the reader count, -1 a writer. *)
-
-let read_lock ctx l =
-  let rec loop () =
-    let v = E.update ctx l (fun v -> if v >= 0 then v + 1 else v) in
-    if v < 0 then begin
-      E.park ctx l ~expect:(-1);
-      loop ()
-    end
-  in
-  loop ()
-
-let read_unlock ctx l =
-  let v = E.update ctx l (fun v -> v - 1) in
-  E.check ctx (v >= 1) "read_unlock without readers";
-  if v = 1 then ignore (E.unpark ctx l ~count:max_int)
-
-let write_lock ctx l =
-  let rec loop () =
-    let v = E.update ctx l (fun v -> if v = 0 then -1 else v) in
-    if v <> 0 then begin
-      E.park ctx l ~expect:v;
-      loop ()
-    end
-  in
-  loop ()
-
-let write_unlock ctx l =
-  let v = E.update ctx l (fun _ -> 0) in
-  E.check ctx (v = -1) "write_unlock without writer";
-  ignore (E.unpark ctx l ~count:max_int)
+(* Urwlock: word >= 0 is the reader count, -1 a writer. *)
 
 (* Occupancy encoding: a writer adds 100, a reader 1; a writer must see
    an empty section, a reader at most other readers. *)
-type rw_state = { l : E.var; occ : E.var }
+type rw_state = { l : Rw.t; occ : E.var }
 
-let rw_make ctx =
-  { l = E.var ctx ~name:"rw" 0; occ = E.var ctx ~name:"occ" 0 }
+let rw_make ctx = { l = Rw.create ctx; occ = E.var ctx ~name:"occ" 0 }
 
 let rw_reader st ctx =
-  read_lock ctx st.l;
+  Rw.read_lock ctx st.l;
   let o = E.update ctx st.occ (fun o -> o + 1) in
   E.check ctx (o < 100) "reader overlaps a writer";
   ignore (E.update ctx st.occ (fun o -> o - 1));
-  read_unlock ctx st.l
+  Rw.read_unlock ctx st.l
 
 let rw_writer st ctx =
-  write_lock ctx st.l;
+  Rw.write_lock ctx st.l;
   let o = E.update ctx st.occ (fun o -> o + 100) in
   E.check ctx (o = 0) "writer overlaps readers or another writer";
   ignore (E.update ctx st.occ (fun o -> o - 100));
-  write_unlock ctx st.l
+  Rw.write_unlock ctx st.l
 
 let rw_final st =
   if E.peek st.l = 0 then None
@@ -227,11 +170,11 @@ let vc_rw_readers_share =
   Vc.make ~id:"mc/urwlock/readers-share" ~category:cat (fun () ->
       let witnessed = ref false in
       let reader st ctx =
-        read_lock ctx st.l;
+        Rw.read_lock ctx st.l;
         let o = E.update ctx st.occ (fun o -> o + 1) in
         if o = 1 then witnessed := true;
         ignore (E.update ctx st.occ (fun o -> o - 1));
-        read_unlock ctx st.l
+        Rw.read_unlock ctx st.l
       in
       match
         E.run ~make:rw_make ~threads:[ reader; reader ] ~final:rw_final ()
@@ -249,33 +192,19 @@ let vc_rw_readers_share =
    non-atomic release mutation on the NR rwlock. *)
 
 (* ------------------------------------------------------------------ *)
-(* Usem model: the word is the permit count. *)
+(* Usem: the word is the permit count. *)
 
-let sem_wait ctx s =
-  let rec loop () =
-    let v = E.update ctx s (fun v -> if v > 0 then v - 1 else v) in
-    if v = 0 then begin
-      E.park ctx s ~expect:0;
-      loop ()
-    end
-  in
-  loop ()
-
-let sem_post ctx s =
-  let v = E.update ctx s (fun v -> v + 1) in
-  if v = 0 then ignore (E.unpark ctx s ~count:1)
-
-type sem_state = { s : E.var; sem_cs : E.var }
+type sem_state = { s : Sem.t; sem_cs : E.var }
 
 let sem_make init ctx =
-  { s = E.var ctx ~name:"sem" init; sem_cs = E.var ctx ~name:"cs" 0 }
+  { s = Sem.create ctx init; sem_cs = E.var ctx ~name:"cs" 0 }
 
 let vc_sem_binary_excludes =
   let worker st ctx =
-    sem_wait ctx st.s;
+    Sem.wait ctx st.s;
     cs_enter ctx st.sem_cs;
     cs_exit ctx st.sem_cs;
-    sem_post ctx st.s
+    Sem.post ctx st.s
   in
   E.vc ~id:"mc/usem/binary-excludes" ~category:cat ~config:bounded
     ~make:(sem_make 1)
@@ -285,39 +214,29 @@ let vc_sem_binary_excludes =
     ()
 
 let vc_sem_post_wakes =
-  (* Consumer may park before the producer posts; the post's wake must
-     reach it — a lost wake is a deadlock. *)
+  (* Consumers may park before the producers post; every post's wake
+     must reach a sleeper — a lost wake is a deadlock.  Two of each: with
+     one waiter, a post that wakes only on 0 -> 1 passes too, yet leaves
+     the second of two parked waiters asleep. *)
+  let waiter st ctx = Sem.wait ctx st.s in
+  let poster st ctx = Sem.post ctx st.s in
   E.vc ~id:"mc/usem/post-wakes" ~category:cat
     ~make:(sem_make 0)
-    ~threads:
-      [
-        (fun st ctx -> sem_wait ctx st.s);
-        (fun st ctx -> sem_post ctx st.s);
-      ]
+    ~threads:[ waiter; waiter; poster; poster ]
     ~final:(fun st ->
       if E.peek st.s = 0 then None else Some "permit count wrong")
     ()
 
 (* ------------------------------------------------------------------ *)
-(* Ucond model: a sequence word; wait snapshots it, releases the mutex,
-   parks unless the sequence moved; signal bumps it and wakes. *)
+(* Ucond: a sequence word; wait snapshots it, releases the mutex, parks
+   unless the sequence moved; signal bumps it and wakes. *)
 
-let cond_wait ctx ~seq ~m =
-  let snap = E.read ctx seq in
-  mutex_unlock ctx m;
-  E.park ctx seq ~expect:snap;
-  mutex_lock ctx m
-
-let cond_signal ctx ~seq =
-  ignore (E.update ctx seq (fun v -> v + 1));
-  ignore (E.unpark ctx seq ~count:1)
-
-type cond_state = { cm : E.var; seq : E.var; ready : E.var }
+type cond_state = { cm : Mutex.t; seq : Cond.t; ready : E.var }
 
 let cond_make ctx =
   {
-    cm = E.var ctx ~name:"mutex" 0;
-    seq = E.var ctx ~name:"seq" 0;
+    cm = Mutex.create ctx;
+    seq = Cond.create ctx;
     ready = E.var ctx ~name:"ready" 0;
   }
 
@@ -326,21 +245,21 @@ let vc_cond_no_lost_signal =
      only then parks; a signal landing inside that window must still be
      seen (the sequence word moved, so the park returns immediately). *)
   let waiter st ctx =
-    mutex_lock ctx st.cm;
+    Mutex.lock ctx st.cm;
     let rec loop () =
       if E.read ctx st.ready = 0 then begin
-        cond_wait ctx ~seq:st.seq ~m:st.cm;
+        Cond.wait ctx st.seq st.cm;
         loop ()
       end
     in
     loop ();
-    mutex_unlock ctx st.cm
+    Mutex.unlock ctx st.cm
   in
   let signaler st ctx =
-    mutex_lock ctx st.cm;
+    Mutex.lock ctx st.cm;
     E.write ctx st.ready 1;
-    cond_signal ctx ~seq:st.seq;
-    mutex_unlock ctx st.cm
+    Cond.signal ctx st.seq;
+    Mutex.unlock ctx st.cm
   in
   E.vc ~id:"mc/ucond/no-lost-signal" ~category:cat ~config:bounded
     ~make:cond_make
@@ -350,51 +269,28 @@ let vc_cond_no_lost_signal =
     ()
 
 (* ------------------------------------------------------------------ *)
-(* Ubarrier model: generation + arrival count; the last arrival resets
-   the count, bumps the generation and wakes everyone. *)
+(* Ubarrier: generation + arrival count; the last arrival resets the
+   count, bumps the generation and wakes everyone. *)
 
-type barrier_state = { gen : E.var; count : E.var; arrived : E.var; n : int }
+type barrier_state = { b : Barrier.t; arrived : E.var }
 
-let barrier_make n ctx =
-  {
-    gen = E.var ctx ~name:"gen" 0;
-    count = E.var ctx ~name:"count" 0;
-    arrived = E.var ctx ~name:"arrived" 0;
-    n;
-  }
-
-let barrier_arrive ctx st =
-  let g = E.read ctx st.gen in
-  let c = E.update ctx st.count (fun c -> c + 1) in
-  if c + 1 = st.n then begin
-    E.write ctx st.count 0;
-    ignore (E.update ctx st.gen (fun v -> v + 1));
-    ignore (E.unpark ctx st.gen ~count:max_int)
-  end
-  else begin
-    let rec wait () =
-      if E.read ctx st.gen = g then begin
-        E.park ctx st.gen ~expect:g;
-        wait ()
-      end
-    in
-    wait ()
-  end
+let barrier_make parties ctx =
+  { b = Barrier.create ctx ~parties; arrived = E.var ctx ~name:"arrived" 0 }
 
 let vc_barrier_rendezvous =
   (* Rendezvous: nobody crosses the barrier before everyone arrived. *)
   let worker st ctx =
     ignore (E.update ctx st.arrived (fun a -> a + 1));
-    barrier_arrive ctx st;
+    ignore (Barrier.await ctx st.b : int);
     E.check ctx
-      (E.read ctx st.arrived = st.n)
+      (E.read ctx st.arrived = Barrier.parties st.b)
       "crossed the barrier before full rendezvous"
   in
   E.vc ~id:"mc/ubarrier/rendezvous" ~category:cat ~config:bounded
     ~make:(barrier_make 3)
     ~threads:[ worker; worker; worker ]
     ~final:(fun st ->
-      if E.peek st.count = 0 then None else Some "arrival count not reset")
+      if E.peek st.b.count = 0 then None else Some "arrival count not reset")
     ()
 
 let vcs () =

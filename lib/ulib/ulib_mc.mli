@@ -1,11 +1,10 @@
 (** Model-checked drivers for the userspace synchronisation primitives.
 
-    Each [lib/ulib] primitive — {!Umutex}, {!Urwlock}, {!Usem}, {!Ucond},
-    {!Ubarrier} — is transcribed onto {!Bi_core.Explore}'s instrumented
-    API, preserving the real protocol exactly: a load+store pair with no
-    syscall between is atomic under the kernel's cooperative scheduler,
-    so it becomes one [update]; [futex_wait]/[futex_wake] become
-    [park ~expect]/[unpark].  The explorer then proves mutual exclusion,
+    Each driver runs a [lib/ulib] primitive's own code — {!Umutex},
+    {!Urwlock}, {!Usem}, {!Ucond} and {!Ubarrier}, each instantiated as
+    [Make (Word.Explore)] — under {!Bi_core.Explore}: every
+    [Word.update] is one atomic step, and [futex_wait]/[futex_wake] are
+    [park ~expect]/[unpark].  The explorer proves mutual exclusion,
     absence of lost wakeups (as deadlock-freedom), semaphore bounds,
     condition-variable signal delivery and barrier rendezvous over every
     schedule (up to POR, within the configured preemption bound), and

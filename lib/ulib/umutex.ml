@@ -1,58 +1,47 @@
-type t = { va : int64 }
+module type S = sig
+  type ctx
+  type t
 
-let create sys =
-  match Bi_kernel.Usys.mmap sys ~bytes:(Int64.to_int 4096L) with
-  | Ok va -> { va }
-  | Error _ -> failwith "Umutex.create: mmap failed"
+  val create : ctx -> t
+  val lock : ctx -> t -> unit
+  val unlock : ctx -> t -> unit
+  val try_lock : ctx -> t -> bool
+  val with_lock : ctx -> t -> (unit -> 'a) -> 'a
+end
 
-let of_word va = { va }
-let word t = t.va
+module Make (W : Word.S) = struct
+  type ctx = W.ctx
+  type t = W.t
 
-let load sys t =
-  match Bi_kernel.Usys.load sys ~va:t.va with
-  | Ok v -> v
-  | Error _ -> failwith "Umutex: fault on mutex word"
+  let create ctx = W.alloc ctx ~name:"mutex" 0L
 
-let store sys t v =
-  match Bi_kernel.Usys.store sys ~va:t.va v with
-  | Ok () -> ()
-  | Error _ -> failwith "Umutex: fault on mutex word"
+  (* 0 = unlocked, 1 = locked, 2 = locked with (possible) waiters.
 
-(* 0 = unlocked, 1 = locked, 2 = locked with (possible) waiters.
+     The contended path must re-acquire with state 2, not 1: a woken
+     waiter cannot know whether more waiters sleep behind it, so it must
+     keep the waiter flag set or their wakeup is lost (Drepper's "futexes
+     are tricky" pitfall — caught by the mutual-exclusion test before
+     this comment existed). *)
+  let rec lock ctx t =
+    if W.update ctx t (fun v -> if v = 0L then 1L else v) <> 0L then
+      lock_contended ctx t
 
-   The contended path must re-acquire with state 2, not 1: a woken waiter
-   cannot know whether more waiters sleep behind it, so it must keep the
-   waiter flag set or their wakeup is lost (Drepper's "futexes are
-   tricky" pitfall — caught here by the mutual-exclusion test before this
-   comment existed). *)
-let rec lock sys t =
-  let v = load sys t in
-  if v = 0L then store sys t 1L (* load+store is atomic: no syscall between *)
-  else lock_contended sys t
+  and lock_contended ctx t =
+    if W.update ctx t (fun _ -> 2L) <> 0L then begin
+      W.futex_wait ctx t ~expected:2L;
+      lock_contended ctx t
+    end
 
-and lock_contended sys t =
-  let v = load sys t in
-  if v = 0L then store sys t 2L (* acquired, conservatively keep the flag *)
-  else begin
-    if v = 1L then store sys t 2L;
-    (match Bi_kernel.Usys.futex_wait sys ~va:t.va ~expected:2L with
-    | Ok () | Error _ -> ());
-    lock_contended sys t
-  end
+  let try_lock ctx t = W.update ctx t (fun v -> if v = 0L then 1L else v) = 0L
 
-let try_lock sys t =
-  let v = load sys t in
-  if v = 0L then begin
-    store sys t 1L;
-    true
-  end
-  else false
+  let unlock ctx t =
+    let v = W.update ctx t (fun _ -> 0L) in
+    if v = 0L then failwith "Umutex.unlock: not locked";
+    if v = 2L then ignore (W.futex_wake ctx t ~count:1 : int)
 
-let unlock sys t =
-  let v = load sys t in
-  store sys t 0L;
-  if v = 2L then ignore (Bi_kernel.Usys.futex_wake sys ~va:t.va ~count:1 : int)
+  let with_lock ctx t f =
+    lock ctx t;
+    Fun.protect ~finally:(fun () -> unlock ctx t) f
+end
 
-let with_lock sys t f =
-  lock sys t;
-  Fun.protect ~finally:(fun () -> unlock sys t) f
+include Make (Word.Usys)

@@ -6,27 +6,32 @@
     (Drepper, "Futexes are tricky"): the word holds 0 (unlocked),
     1 (locked) or 2 (locked with waiters).
 
-    Atomicity model: in this kernel, user threads are preempted only at
-    system calls, so a load-then-store sequence with no intervening
-    syscall is atomic — the cooperative analogue of the compare-and-swap
-    the real implementation uses.  The mutual-exclusion and wake-up
-    properties are checked by the test suite with adversarial thread
-    schedules. *)
+    The code is written once over {!Word.S}.  Every read-modify-write of
+    the word is one [Word.update] — on the kernel a load+store with no
+    syscall between, atomic because user threads are preempted only at
+    system calls.  The [mc/umutex/*] VCs run {!Make}[ (Word.Explore)]
+    under the model checker: mutual exclusion for two and three threads
+    and no lost wakeup, over every schedule. *)
 
-type t
+module type S = sig
+  type ctx
+  type t
 
-val create : Bi_kernel.Usys.t -> t
-(** Allocate a fresh mutex word in a private mmapped page. *)
+  val create : ctx -> t
+  (** A fresh, unlocked mutex word. *)
 
-val of_word : int64 -> t
-(** Wrap an existing user word (e.g. several mutexes in one page). *)
+  val lock : ctx -> t -> unit
 
-val word : t -> int64
-(** The futex word's virtual address. *)
+  val unlock : ctx -> t -> unit
+  (** Must be called by the lock holder.  Raises [Failure] if the mutex
+      is not locked. *)
 
-val lock : Bi_kernel.Usys.t -> t -> unit
-val unlock : Bi_kernel.Usys.t -> t -> unit
-(** Must be called by the lock holder. *)
+  val try_lock : ctx -> t -> bool
+  val with_lock : ctx -> t -> (unit -> 'a) -> 'a
+end
 
-val try_lock : Bi_kernel.Usys.t -> t -> bool
-val with_lock : Bi_kernel.Usys.t -> t -> (unit -> 'a) -> 'a
+module Make (W : Word.S) : S with type ctx = W.ctx and type t = W.t
+(** The mutex is its word. *)
+
+include S with type ctx = Bi_kernel.Usys.t
+(** Each mutex word sits in a private mmapped page. *)

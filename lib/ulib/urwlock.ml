@@ -1,61 +1,53 @@
-module U = Bi_kernel.Usys
+module type S = sig
+  type ctx
+  type t
 
-type t = { va : int64 }
+  val create : ctx -> t
+  val read_lock : ctx -> t -> unit
+  val read_unlock : ctx -> t -> unit
+  val write_lock : ctx -> t -> unit
+  val write_unlock : ctx -> t -> unit
+  val with_read : ctx -> t -> (unit -> 'a) -> 'a
+  val with_write : ctx -> t -> (unit -> 'a) -> 'a
+end
 
-let create sys =
-  match U.mmap sys ~bytes:4096 with
-  | Ok va -> { va }
-  | Error _ -> failwith "Urwlock.create: mmap failed"
+module Make (W : Word.S) = struct
+  type ctx = W.ctx
+  type t = W.t
 
-let of_word va = { va }
+  let create ctx = W.alloc ctx ~name:"rw" 0L
 
-let load sys t =
-  match U.load sys ~va:t.va with
-  | Ok v -> v
-  | Error _ -> failwith "Urwlock: fault on lock word"
+  let rec read_lock ctx t =
+    let v = W.update ctx t (fun v -> if v >= 0L then Int64.add v 1L else v) in
+    if v < 0L then begin
+      W.futex_wait ctx t ~expected:v;
+      read_lock ctx t
+    end
 
-let store sys t v =
-  match U.store sys ~va:t.va v with
-  | Ok () -> ()
-  | Error _ -> failwith "Urwlock: fault on lock word"
+  let read_unlock ctx t =
+    let v = W.update ctx t (fun v -> if v > 0L then Int64.sub v 1L else v) in
+    if v <= 0L then failwith "Urwlock.read_unlock: not read-locked";
+    if v = 1L then ignore (W.futex_wake ctx t ~count:max_int : int)
 
-(* As with Umutex: threads are preempted only at syscalls, so a
-   load-then-store with no syscall between is atomic. *)
+  let rec write_lock ctx t =
+    let v = W.update ctx t (fun v -> if v = 0L then -1L else v) in
+    if v <> 0L then begin
+      W.futex_wait ctx t ~expected:v;
+      write_lock ctx t
+    end
 
-let rec read_lock sys t =
-  let v = load sys t in
-  if v >= 0L then store sys t (Int64.add v 1L)
-  else begin
-    (match U.futex_wait sys ~va:t.va ~expected:v with Ok () | Error _ -> ());
-    read_lock sys t
-  end
+  let write_unlock ctx t =
+    let v = W.update ctx t (fun v -> if v = -1L then 0L else v) in
+    if v <> -1L then failwith "Urwlock.write_unlock: not write-locked";
+    ignore (W.futex_wake ctx t ~count:max_int : int)
 
-let read_unlock sys t =
-  let v = load sys t in
-  if v <= 0L then failwith "Urwlock.read_unlock: not read-locked";
-  store sys t (Int64.sub v 1L);
-  if v = 1L then ignore (U.futex_wake sys ~va:t.va ~count:max_int : int)
+  let with_read ctx t f =
+    read_lock ctx t;
+    Fun.protect ~finally:(fun () -> read_unlock ctx t) f
 
-let rec write_lock sys t =
-  let v = load sys t in
-  if v = 0L then store sys t (-1L)
-  else begin
-    (match U.futex_wait sys ~va:t.va ~expected:v with Ok () | Error _ -> ());
-    write_lock sys t
-  end
+  let with_write ctx t f =
+    write_lock ctx t;
+    Fun.protect ~finally:(fun () -> write_unlock ctx t) f
+end
 
-let write_unlock sys t =
-  let v = load sys t in
-  if v <> -1L then failwith "Urwlock.write_unlock: not write-locked";
-  store sys t 0L;
-  ignore (U.futex_wake sys ~va:t.va ~count:max_int : int)
-
-let with_read sys t f =
-  read_lock sys t;
-  Fun.protect ~finally:(fun () -> read_unlock sys t) f
-
-let with_write sys t f =
-  write_lock sys t;
-  Fun.protect ~finally:(fun () -> write_unlock sys t) f
-
-let readers sys t = Int64.to_int (load sys t)
+include Make (Word.Usys)

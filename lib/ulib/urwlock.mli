@@ -5,21 +5,29 @@
     0 free, [n > 0] means [n] readers, [-1] a writer.  Writers are not
     prioritized (readers can starve a writer under a pathological
     schedule; documented trade-off, as in many pthreads
-    implementations). *)
+    implementations).  Written once over {!Word.S}; the [mc/urwlock/*]
+    VCs run {!Make}[ (Word.Explore)]. *)
 
-type t
+module type S = sig
+  type ctx
+  type t
 
-val create : Bi_kernel.Usys.t -> t
-val of_word : int64 -> t
+  val create : ctx -> t
+  val read_lock : ctx -> t -> unit
 
-val read_lock : Bi_kernel.Usys.t -> t -> unit
-val read_unlock : Bi_kernel.Usys.t -> t -> unit
+  val read_unlock : ctx -> t -> unit
+  (** Raises [Failure] if the lock is not read-locked. *)
 
-val write_lock : Bi_kernel.Usys.t -> t -> unit
-val write_unlock : Bi_kernel.Usys.t -> t -> unit
+  val write_lock : ctx -> t -> unit
 
-val with_read : Bi_kernel.Usys.t -> t -> (unit -> 'a) -> 'a
-val with_write : Bi_kernel.Usys.t -> t -> (unit -> 'a) -> 'a
+  val write_unlock : ctx -> t -> unit
+  (** Raises [Failure] if the lock is not write-locked. *)
 
-val readers : Bi_kernel.Usys.t -> t -> int
-(** Instantaneous reader count (negative means a writer holds it). *)
+  val with_read : ctx -> t -> (unit -> 'a) -> 'a
+  val with_write : ctx -> t -> (unit -> 'a) -> 'a
+end
+
+module Make (W : Word.S) : S with type ctx = W.ctx and type t = W.t
+(** The lock is its word. *)
+
+include S with type ctx = Bi_kernel.Usys.t

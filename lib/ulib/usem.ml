@@ -1,46 +1,36 @@
-type t = { va : int64 }
+module type S = sig
+  type ctx
+  type t
 
-let load sys t =
-  match Bi_kernel.Usys.load sys ~va:t.va with
-  | Ok v -> v
-  | Error _ -> failwith "Usem: fault on semaphore word"
+  val create : ctx -> int -> t
+  val post : ctx -> t -> unit
+  val wait : ctx -> t -> unit
+  val try_wait : ctx -> t -> bool
+  val value : ctx -> t -> int
+end
 
-let store sys t v =
-  match Bi_kernel.Usys.store sys ~va:t.va v with
-  | Ok () -> ()
-  | Error _ -> failwith "Usem: fault on semaphore word"
+module Make (W : Word.S) = struct
+  type ctx = W.ctx
+  type t = W.t
 
-let create sys count =
-  if count < 0 then invalid_arg "Usem.create: negative count";
-  match Bi_kernel.Usys.mmap sys ~bytes:4096 with
-  | Ok va ->
-      let t = { va } in
-      store sys t (Int64.of_int count);
-      t
-  | Error _ -> failwith "Usem.create: mmap failed"
+  let create ctx count =
+    if count < 0 then invalid_arg "Usem.create: negative count";
+    W.alloc ctx ~name:"sem" (Int64.of_int count)
 
-let of_word va = { va }
+  let post ctx t =
+    ignore (W.update ctx t Int64.succ : int64);
+    ignore (W.futex_wake ctx t ~count:1 : int)
 
-let post sys t =
-  let v = load sys t in
-  store sys t (Int64.add v 1L);
-  ignore (Bi_kernel.Usys.futex_wake sys ~va:t.va ~count:1 : int)
+  let take v = if v > 0L then Int64.sub v 1L else v
 
-let rec wait sys t =
-  let v = load sys t in
-  if v > 0L then store sys t (Int64.sub v 1L)
-  else begin
-    (match Bi_kernel.Usys.futex_wait sys ~va:t.va ~expected:0L with
-    | Ok () | Error _ -> ());
-    wait sys t
-  end
+  let rec wait ctx t =
+    if W.update ctx t take = 0L then begin
+      W.futex_wait ctx t ~expected:0L;
+      wait ctx t
+    end
 
-let try_wait sys t =
-  let v = load sys t in
-  if v > 0L then begin
-    store sys t (Int64.sub v 1L);
-    true
-  end
-  else false
+  let try_wait ctx t = W.update ctx t take > 0L
+  let value ctx t = Int64.to_int (W.load ctx t)
+end
 
-let value sys t = Int64.to_int (load sys t)
+include Make (Word.Usys)

@@ -17,12 +17,21 @@ let check = Alcotest.check
 let qtest name count gen law =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen law)
 
+(* The kernel reports a thread killed by an exception on its serial
+   console and carries on, so a check that fails inside [body] (or any
+   thread it starts) is caught here, after the run. *)
 let run_one body =
   let k = K.create () in
   K.register_program k "main" (fun s _ -> body s);
   (match K.spawn k ~prog:"main" ~arg:"" with
   | Ok _ -> K.run k
   | Error _ -> Alcotest.fail "spawn failed");
+  let out = K.serial_output k in
+  if
+    List.exists
+      (String.starts_with ~prefix:"[kernel] thread")
+      (String.split_on_char '\n' out)
+  then Alcotest.fail out;
   k
 
 (* ------------------------------------------------------------------ *)
@@ -318,6 +327,19 @@ let test_umutex_contention_uses_futex () =
          check Alcotest.string "waiter ran only after unlock" "owner;waiter"
            !progress))
 
+let test_umutex_unlock_unlocked_fails () =
+  ignore
+    (run_one (fun s ->
+         let m = Umutex.create s in
+         (match Umutex.unlock s m with
+         | () -> Alcotest.fail "unlock of a fresh mutex succeeded"
+         | exception Failure _ -> ());
+         Umutex.lock s m;
+         Umutex.unlock s m;
+         match Umutex.unlock s m with
+         | () -> Alcotest.fail "second unlock succeeded"
+         | exception Failure _ -> ()))
+
 let test_usem_producer_consumer () =
   ignore
     (run_one (fun s ->
@@ -415,10 +437,15 @@ let test_urwlock_readers_share () =
          let l = Urwlock.create s in
          let concurrent_readers = ref 0 in
          let max_seen = ref 0 in
+         (* Two yields inside the section: under round-robin, the next
+            reader is created only after the first reader's first
+            yield, so one yield alone lets every reader finish before
+            the next arrives. *)
          let reader s2 =
            Urwlock.with_read s2 l (fun () ->
                incr concurrent_readers;
                max_seen := max !max_seen !concurrent_readers;
+               U.yield s2;
                U.yield s2;
                decr concurrent_readers)
          in
@@ -595,6 +622,8 @@ let () =
           Alcotest.test_case "semaphore try_wait" `Quick test_usem_try_wait;
           Alcotest.test_case "condvar signal" `Quick test_ucond_signal_wakes_waiter;
           Alcotest.test_case "condvar broadcast" `Quick test_ucond_broadcast;
+          Alcotest.test_case "unlock of an unlocked mutex fails" `Quick
+            test_umutex_unlock_unlocked_fails;
         ] );
       ( "rwlock-barrier",
         [
