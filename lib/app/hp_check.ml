@@ -6,7 +6,6 @@
 module Vc = Bi_core.Vc
 module Gen = Bi_core.Gen
 module Contract = Bi_core.Contract
-module E = Bi_core.Explore
 module Nr = Bi_nr.Nr
 module Pkt = Bi_net.Pkt
 module Iov = Bi_net.Pkt.Iov
@@ -176,108 +175,37 @@ let vc_nr_erasure_zero_ghost =
       in
       ghost Contract.Checked > 0 && ghost Contract.Erased = 0)
 
-(* Mutation knob #1: the unordered batch mutant must be visible — if it
-   were not, the equivalence VCs above would prove nothing. *)
+(* Mutation #1: a structure whose bulk form applies the window back to
+   front breaks the [apply_batch] contract; the batched replay must make
+   that visible, or the equivalence VCs above would prove nothing. *)
+module Reversed_cnt = struct
+  include Cnt
+
+  let apply_batch t ops =
+    let n = Array.length ops in
+    let rets = Array.make n 0 in
+    for i = n - 1 downto 0 do
+      rets.(i) <- apply t ops.(i)
+    done;
+    rets
+end
+
+module N_reversed = Nr.Make (Reversed_cnt)
+
 let vc_mutation_unordered_caught =
   Vc.make ~id:"hp/nr/mutation/unordered-batch-caught" ~category:"hp/mutation"
     (fun () ->
-      let nr = N.create ~replicas:1 ~threads_per_replica:2 ~replay:Nr.Batched_unordered () in
-      N.submit nr ~thread:0 Cnt.Incr;
-      N.submit nr ~thread:1 Cnt.Double;
-      ignore (N.kick nr ~replica:0 : bool);
+      let nr = N_reversed.create ~replicas:1 ~threads_per_replica:2 () in
+      N_reversed.submit nr ~thread:0 Cnt.Incr;
+      N_reversed.submit nr ~thread:1 Cnt.Double;
+      ignore (N_reversed.kick nr ~replica:0 : bool);
       (* In order: incr then double gives 2.  The mutant applies the
          window reversed and lands on 1. *)
-      let v = N.peek nr ~replica:0 (fun d -> !d) in
-      if v = 2 then Vc.Falsified "reversed batch replay went undetected"
-      else Vc.Proved)
-
-(* ------------------------------------------------------------------ *)
-(* Model-checked batched flat combiner                                 *)
-
-(* The nr_mc combiner answers each slot as it drains it; the batched
-   combiner gathers the whole window first and then applies it in one
-   pass — the model-level shape of [apply_batch].  Same client protocol,
-   same linearizability obligation. *)
-
-type fcb_state = {
-  req : E.var array; (* 0 = empty, 1 = increment requested *)
-  resp : E.var array; (* 0 = empty, else result + 1 *)
-  combiner : E.var;
-  value : E.var;
-  calls : Lin.call list ref;
-}
-
-let fcb_make n ctx =
-  {
-    req = Array.init n (fun i -> E.var ctx ~name:(Printf.sprintf "req%d" i) 0);
-    resp = Array.init n (fun i -> E.var ctx ~name:(Printf.sprintf "resp%d" i) 0);
-    combiner = E.var ctx ~name:"combiner" 0;
-    value = E.var ctx ~name:"value" 0;
-    calls = ref [];
-  }
-
-let fcb_combine ctx st =
-  (* Gather phase: claim every published request into the batch. *)
-  let batch = ref [] in
-  Array.iteri
-    (fun j rq -> if E.update ctx rq (fun _ -> 0) <> 0 then batch := j :: !batch)
-    st.req;
-  (* Apply phase: one in-order pass over the gathered window. *)
-  List.iter
-    (fun j ->
-      let v = E.read ctx st.value in
-      E.write ctx st.value (v + 1);
-      E.write ctx st.resp.(j) (v + 1 + 1))
-    (List.rev !batch)
-
-let fcb_incr st ctx =
-  let i = E.self ctx in
-  let inv = E.now ctx in
-  E.write ctx st.req.(i) 1;
-  let rec wait () =
-    let r = E.update ctx st.resp.(i) (fun _ -> 0) in
-    if r <> 0 then r - 1
-    else if E.cas ctx st.combiner ~expect:0 ~set:1 then begin
-      fcb_combine ctx st;
-      ignore (E.update ctx st.combiner (fun _ -> 0));
-      wait ()
-    end
-    else begin
-      ignore (E.await ctx st.combiner (fun v -> v = 0));
-      wait ()
-    end
-  in
-  let ret = wait () in
-  let res = E.now ctx in
-  st.calls :=
-    { Lin.proc = i; op = Cnt.Incr; ret; inv; res } :: !(st.calls)
-
-let fcb_lin_final st =
-  match Lin.counterexample ~init:0 !(st.calls) with
-  | None -> None
-  | Some msg -> Some ("history not linearizable: " ^ msg)
-
-let vc_mc_batched_linearizable =
-  E.vc ~id:"hp/mc/batched-fc/linearizable-2t" ~category:"hp/mc"
-    ~make:(fcb_make 2)
-    ~threads:[ fcb_incr; fcb_incr ]
-    ~final:fcb_lin_final ()
-
-let vc_mc_batched_responses_exact =
-  E.vc ~id:"hp/mc/batched-fc/responses-exact" ~category:"hp/mc"
-    ~make:(fcb_make 2)
-    ~threads:[ fcb_incr; fcb_incr ]
-    ~final:(fun st ->
-      let rets =
-        List.sort compare (List.map (fun c -> c.Lin.ret) !(st.calls))
-      in
-      if rets = [ 1; 2 ] && E.peek st.value = 2 then None
-      else
-        Some
-          (Printf.sprintf "returns [%s], value %d"
-             (String.concat ";" (List.map string_of_int rets))
-             (E.peek st.value)))
-    ()
+      match N_reversed.peek nr ~replica:0 (fun d -> !d) with
+      | 1 -> Vc.Proved
+      | v ->
+          Vc.Falsified
+            (Printf.sprintf "reversed batch replay gave %d, not 1" v))
 
 (* ------------------------------------------------------------------ *)
 (* Vectored framing                                                    *)
@@ -746,8 +674,9 @@ let vcs () =
       vc_nr_checked_eq_erased;
       vc_nr_erasure_zero_ghost;
       vc_mutation_unordered_caught;
-      vc_mc_batched_linearizable;
-      vc_mc_batched_responses_exact;
+    ]
+  @ Bi_nr.Nr_mc.batched_fc_vcs ()
+  @ [
       vc_iov_length_materialize;
       vc_iov_checksum_parity;
       vc_iov_checksum_odd_slices;

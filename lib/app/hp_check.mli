@@ -8,8 +8,9 @@
     slow reference (batched ≡ sequential replay, iovec ≡ copying frames
     bit-for-bit, pooled ≡ unpooled responses), proved {e Checked≡Erased}
     (contract erasure changes no observable byte), and armed with a
-    seeded mutant (reversed batch window, checksum slice skip, unguarded
-    double free) that a VC here must catch — the checker is itself
-    checked. *)
+    seeded mutant (a structure whose batch replays the window reversed,
+    checksum slice skip, unguarded double free) that a VC here must
+    catch — the checker is itself checked.  Batched replay is also
+    model-checked in NR's own code ({!Bi_nr.Nr_mc.batched_fc_vcs}). *)
 
 val vcs : unit -> Bi_core.Vc.t list

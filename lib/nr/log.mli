@@ -12,7 +12,8 @@
     entry [i] lives in slot [i mod capacity], tagged with [i], and a slot
     is reused once every replica has replayed the entry in it.  The log
     does not know the replicas; its owner tells it how far the slowest
-    one has got with {!advance}. *)
+    one has got with {!advance}.  The top level is the {!Cell.Atomic}
+    instance of {!Make}; [mc/nr/log] runs its {!Cell.Explore} instance. *)
 
 type 'op entry = {
   op : 'op;
@@ -20,35 +21,45 @@ type 'op entry = {
   slot : int;  (** Combiner slot of the issuing thread within that replica. *)
 }
 
-type 'op t
-
 exception Full
 (** The batch would overwrite an entry at or after {!head}: wait for the
     slowest replica (or replay on its behalf), {!advance}, retry. *)
 
+module Make (C : Cell.S) : sig
+  type 'op t
+
+  val create : C.ctx -> capacity:int -> 'op t
+
+  val append : 'op t -> 'op entry list -> int
+  (** Atomically reserve and publish a batch; returns the index of the
+      first entry.  Safe to call from multiple domains.  Raises {!Full}
+      without moving the tail when the batch would pass
+      [head + capacity], so [tail] and [get] stay consistent after a
+      failed append. *)
+
+  val tail : 'op t -> int
+  (** Number of reserved entries (some may still be publishing). *)
+
+  val head : 'op t -> int
+  (** Lowest index some replica may still need: entries below it may be
+      overwritten.  Starts at 0. *)
+
+  val advance : 'op t -> int -> unit
+  (** [advance t h] raises [head] to [h] if it is lower; the caller
+      guarantees every replica has replayed the entries below [h].
+      Raises [Invalid_argument] when [h] is past [tail]. *)
+
+  val get : 'op t -> int -> 'op entry
+  (** Read entry [i]; waits if the publisher has reserved but not yet
+      published it.  [i] must be below [tail]; raises [Invalid_argument]
+      ("entry reclaimed") if its slot already holds a later lap. *)
+end
+
+type 'op t
+
 val create : capacity:int -> 'op t
-
 val append : 'op t -> 'op entry list -> int
-(** Atomically reserve and publish a batch; returns the index of the first
-    entry.  Safe to call from multiple domains.  Raises {!Full} without
-    moving the tail when the batch would pass [head + capacity], so
-    {!tail} and {!get} stay consistent after a failed append. *)
-
 val tail : 'op t -> int
-(** Number of reserved entries (some may still be publishing). *)
-
 val head : 'op t -> int
-(** Lowest index some replica may still need: entries below it may be
-    overwritten.  Starts at 0. *)
-
 val advance : 'op t -> int -> unit
-(** [advance t h] raises {!head} to [h] if it is lower; the caller
-    guarantees every replica has replayed the entries below [h].  Raises
-    [Invalid_argument] when [h] is past {!tail}. *)
-
 val get : 'op t -> int -> 'op entry
-(** Read entry [i]; spins briefly if the publisher has reserved but not
-    yet published it.  [i] must be below {!tail}; raises
-    [Invalid_argument] if its slot already holds a later lap. *)
-
-val capacity : 'op t -> int

@@ -20,29 +20,33 @@ let no_hooks =
    combiner pass applies the whole pending window against the data
    structure and publishes the tail once.  [Sequential] is the reference
    replay (one apply, one tail publish per entry) the parity VCs compare
-   against.  [Batched_unordered] is a seeded mutant for the [hp] suite:
-   it applies the window in reverse order, which diverges from the
-   sequential semantics on order-sensitive operations and must be caught
-   by a falsified VC. *)
-type replay = Sequential | Batched | Batched_unordered
+   against. *)
+type replay = Sequential | Batched
 
 type batch_stats = { batches : int; entries : int; max_batch : int }
 
-module Make (DS : Seq_ds.S) = struct
+(* Every cell the protocol branches on is a [C.t]; the statistics
+   counters below ([combines], [max_batch], [publishes], [ghost_checks])
+   are read by nothing in it, so they stay plain [Atomic.t] in every
+   instance and are no scheduling point for the model checker. *)
+module Make_on (C : Cell.S) (DS : Seq_ds.S) = struct
+  module L = Log.Make (C)
+  module Rw = Rwlock.Make (C)
+
   type replica = {
     id : int;
     ds : DS.t;
-    lock : Rwlock.t;
-    ltail : int Atomic.t;
+    lock : Rw.t;
+    ltail : int C.t;
         (* log entries applied; written only under [lock]'s writer side,
            read racily (without the lock) by the read path, hence atomic *)
-    combiner : bool Atomic.t;
-    requests : DS.op option Atomic.t array; (* one slot per thread of this replica *)
-    responses : DS.ret option Atomic.t array;
+    combiner : bool C.t;
+    requests : DS.op option C.t array; (* one slot per thread of this replica *)
+    responses : DS.ret option C.t array;
   }
 
   type t = {
-    log : DS.op Log.t;
+    log : DS.op L.t;
     reps : replica array;
     tpr : int;
     replay : replay;
@@ -54,7 +58,7 @@ module Make (DS : Seq_ds.S) = struct
   }
 
   let create ?(replicas = 2) ?(threads_per_replica = 8)
-      ?(log_capacity = 4096) ?(replay = Batched) ?(hooks = no_hooks) () =
+      ?(log_capacity = 4096) ?(replay = Batched) ?(hooks = no_hooks) ctx =
     if replicas <= 0 then invalid_arg "Nr.create: replicas <= 0";
     if threads_per_replica <= 0 then
       invalid_arg "Nr.create: threads_per_replica <= 0";
@@ -63,18 +67,23 @@ module Make (DS : Seq_ds.S) = struct
     if log_capacity < threads_per_replica then
       invalid_arg "Nr.create: log_capacity < threads_per_replica";
     let make_replica id =
+      let cell what v = C.make ctx ~name:(what ^ string_of_int id) v in
+      let slots what =
+        Array.init threads_per_replica (fun i ->
+            cell (what ^ string_of_int i ^ "@") None)
+      in
       {
         id;
         ds = DS.create ();
-        lock = Rwlock.create ();
-        ltail = Atomic.make 0;
-        combiner = Atomic.make false;
-        requests = Array.init threads_per_replica (fun _ -> Atomic.make None);
-        responses = Array.init threads_per_replica (fun _ -> Atomic.make None);
+        lock = Rw.create ctx;
+        ltail = cell "ltail" 0;
+        combiner = cell "combiner" false;
+        requests = slots "req";
+        responses = slots "resp";
       }
     in
     {
-      log = Log.create ~capacity:log_capacity;
+      log = L.create ctx ~capacity:log_capacity;
       reps = Array.init replicas make_replica;
       tpr = threads_per_replica;
       replay;
@@ -87,7 +96,7 @@ module Make (DS : Seq_ds.S) = struct
 
   let replicas t = Array.length t.reps
   let threads_per_replica t = t.tpr
-  let log_entries t = Log.tail t.log
+  let log_entries t = L.tail t.log
   let combines t = Atomic.get t.combines
   let publishes t = Atomic.get t.publishes
   let ghost_checks t = Atomic.get t.ghost_checks
@@ -95,60 +104,50 @@ module Make (DS : Seq_ds.S) = struct
   let batch_stats t =
     {
       batches = Atomic.get t.combines;
-      entries = Log.tail t.log;
+      entries = L.tail t.log;
       max_batch = Atomic.get t.max_batch;
     }
 
   let publish_ltail t r v =
     Atomic.incr t.publishes;
-    Atomic.set r.ltail v
+    C.set r.ltail v
 
   (* Reference replay: one apply and one tail publish per entry.  Caller
      holds the writer lock. *)
   let apply_upto_seq t r upto =
-    let i = ref (Atomic.get r.ltail) in
+    let i = ref (C.get r.ltail) in
     while !i < upto do
       t.hooks.on_apply ~replica:r.id ~index:!i;
-      let e = Log.get t.log !i in
+      let e = L.get t.log !i in
       let ret = DS.apply r.ds e.Log.op in
       if e.Log.replica = r.id then
-        Atomic.set r.responses.(e.Log.slot) (Some ret);
+        C.set r.responses.(e.Log.slot) (Some ret);
       incr i;
       publish_ltail t r !i
     done
 
   (* Batched replay: gather the whole pending window [ltail, upto), apply
      it against the structure with one [DS.apply_batch] call, publish the
-     responses, and store the new tail once.  [reversed] is the
-     [Batched_unordered] mutant. *)
-  let apply_upto_batched t r upto ~reversed =
-    let lo = Atomic.get r.ltail in
+     responses, and store the new tail once. *)
+  let apply_upto_batched t r upto =
+    let lo = C.get r.ltail in
     let n = upto - lo in
     if n > 0 then begin
       let entries =
         Array.init n (fun i ->
-            let e = Log.get t.log (lo + i) in
+            let e = L.get t.log (lo + i) in
             t.hooks.on_apply ~replica:r.id ~index:(lo + i);
             e)
       in
       let ops = Array.map (fun e -> e.Log.op) entries in
-      if reversed then begin
-        (* Mutant: replay the window back to front. *)
-        let half = n / 2 in
-        for i = 0 to half - 1 do
-          let tmp = ops.(i) in
-          ops.(i) <- ops.(n - 1 - i);
-          ops.(n - 1 - i) <- tmp
-        done
-      end;
       let rets = DS.apply_batch r.ds ops in
       Contract.ghost (fun () -> Atomic.incr t.ghost_checks);
       Contract.check_invariant ~name:"Nr.apply_batch.window" (fun () ->
-          lo >= 0 && upto <= Log.tail t.log && Array.length rets = n);
+          lo >= 0 && upto <= L.tail t.log && Array.length rets = n);
       Array.iteri
         (fun i e ->
           if e.Log.replica = r.id then
-            Atomic.set r.responses.(e.Log.slot) (Some rets.(i)))
+            C.set r.responses.(e.Log.slot) (Some rets.(i)))
         entries;
       publish_ltail t r upto
     end
@@ -156,8 +155,7 @@ module Make (DS : Seq_ds.S) = struct
   let apply_upto t r upto =
     match t.replay with
     | Sequential -> apply_upto_seq t r upto
-    | Batched -> apply_upto_batched t r upto ~reversed:false
-    | Batched_unordered -> apply_upto_batched t r upto ~reversed:true
+    | Batched -> apply_upto_batched t r upto
 
   (* The log is full: a batch would overwrite an entry the slowest
      replica has not replayed.  Replay every lagging replica up to the
@@ -167,17 +165,17 @@ module Make (DS : Seq_ds.S) = struct
      up on its behalf instead of wedging the appender.  The combiner's own
      replica is included: the combiner holds no lock while it appends. *)
   let reclaim t =
-    let upto = Log.tail t.log in
+    let upto = L.tail t.log in
     Array.iter
       (fun q ->
-        if Atomic.get q.ltail < upto then
-          Rwlock.with_write q.lock (fun () -> apply_upto t q upto))
+        if C.get q.ltail < upto then
+          Rw.with_write q.lock (fun () -> apply_upto t q upto))
       t.reps;
-    Log.advance t.log
-      (Array.fold_left (fun m q -> min m (Atomic.get q.ltail)) upto t.reps)
+    L.advance t.log
+      (Array.fold_left (fun m q -> min m (C.get q.ltail)) upto t.reps)
 
   let rec append t batch =
-    match Log.append t.log batch with
+    match L.append t.log batch with
     | (_ : int) -> ()
     | exception Log.Full ->
         reclaim t;
@@ -191,7 +189,7 @@ module Make (DS : Seq_ds.S) = struct
     let batch = ref [] in
     let n = ref 0 in
     for slot = t.tpr - 1 downto 0 do
-      match Atomic.exchange r.requests.(slot) None with
+      match C.exchange r.requests.(slot) None with
       | None -> ()
       | Some op ->
           batch := { Log.op; replica = r.id; slot } :: !batch;
@@ -211,45 +209,46 @@ module Make (DS : Seq_ds.S) = struct
       bump ();
       append t !batch
     end;
-    let upto = Log.tail t.log in
-    if Atomic.get r.ltail < upto then
-      Rwlock.with_write r.lock (fun () -> apply_upto t r upto)
+    let upto = L.tail t.log in
+    if C.get r.ltail < upto then
+      Rw.with_write r.lock (fun () -> apply_upto t r upto)
 
   let try_combine t r =
-    if Atomic.compare_and_set r.combiner false true then begin
+    if C.compare_and_set r.combiner false true then begin
       Fun.protect
-        ~finally:(fun () -> Atomic.set r.combiner false)
+        ~finally:(fun () -> C.set r.combiner false)
         (fun () -> combine t r);
       true
     end
     else false
 
+  (* Combine on the replica's behalf, or wait for the current combiner to
+     finish; the caller then re-checks what it is waiting for. *)
+  let combine_or_wait t r =
+    if not (try_combine t r) then ignore (C.await r.combiner not : bool)
+
   let execute_mutating t r slot op =
-    Atomic.set r.requests.(slot) (Some op);
+    C.set r.requests.(slot) (Some op);
     let rec wait () =
-      match Atomic.exchange r.responses.(slot) None with
+      match C.exchange r.responses.(slot) None with
       | Some ret -> ret
       | None ->
-          (* Either combine on the replica's behalf or wait for the current
-             combiner to deliver our response. *)
-          ignore (try_combine t r : bool);
-          Domain.cpu_relax ();
+          combine_or_wait t r;
           wait ()
     in
     wait ()
 
   let execute_readonly t r op =
     let rec attempt () =
-      let tail = Log.tail t.log in
-      if Atomic.get r.ltail >= tail then begin
+      let tail = L.tail t.log in
+      if C.get r.ltail >= tail then begin
         (* [ltail] only grows (and is read atomically here, without the
            lock), so under the read lock the replica reflects at least
            [tail]; this read linearizes at the lock acquisition. *)
-        Rwlock.with_read r.lock (fun () -> DS.apply r.ds op)
+        Rw.with_read r.lock (fun () -> DS.apply r.ds op)
       end
       else begin
-        ignore (try_combine t r : bool);
-        Domain.cpu_relax ();
+        combine_or_wait t r;
         attempt ()
       end
     in
@@ -272,7 +271,7 @@ module Make (DS : Seq_ds.S) = struct
     if thread < 0 || thread >= n then invalid_arg "Nr.submit: bad thread id";
     if DS.is_read_only op then invalid_arg "Nr.submit: read-only op";
     let r = t.reps.(thread / t.tpr) in
-    Atomic.set r.requests.(thread mod t.tpr) (Some op)
+    C.set r.requests.(thread mod t.tpr) (Some op)
 
   let kick t ~replica =
     if replica < 0 || replica >= Array.length t.reps then
@@ -283,16 +282,18 @@ module Make (DS : Seq_ds.S) = struct
     let n = Array.length t.reps * t.tpr in
     if thread < 0 || thread >= n then invalid_arg "Nr.drain: bad thread id";
     let r = t.reps.(thread / t.tpr) in
-    Atomic.exchange r.responses.(thread mod t.tpr) None
+    C.exchange r.responses.(thread mod t.tpr) None
 
   let sync_all t =
-    let upto = Log.tail t.log in
+    let upto = L.tail t.log in
     Array.iter
       (fun r ->
-        Rwlock.with_write r.lock (fun () -> apply_upto t r upto))
+        Rw.with_write r.lock (fun () -> apply_upto t r upto))
       t.reps
 
   let peek t ~replica f =
     let r = t.reps.(replica) in
-    Rwlock.with_read r.lock (fun () -> f r.ds)
+    Rw.with_read r.lock (fun () -> f r.ds)
 end
+
+module Make (DS : Seq_ds.S) = Make_on (Cell.Atomic) (DS)

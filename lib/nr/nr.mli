@@ -15,9 +15,10 @@
     ({!replay} [Sequential]) and checks the erased mode stays bit-identical.
 
     Linearizability of the result is this reproduction's analogue of the
-    IronSync NR proof: the test suite drives [execute] from concurrent
-    domains, records a timed history, and checks it with
-    {!Bi_core.Linearizability}. *)
+    IronSync NR proof, checked with {!Bi_core.Linearizability} on one body
+    of code, {!Make_on}: on every schedule the [mc/nr] and [hp/mc] VCs
+    explore of its {!Cell.Explore} instance, and on timed histories the
+    tests record from concurrent domains running {!Make}. *)
 
 type hooks = {
   on_combine : replica:int -> unit;
@@ -34,25 +35,23 @@ type hooks = {
 
 val no_hooks : hooks
 
-type replay = Sequential | Batched | Batched_unordered
+type replay = Sequential | Batched
 (** Log replay strategy.  [Batched] (the default) applies each pending
     window with one [apply_batch] call and one tail publish; [Sequential]
     is the one-apply-one-publish reference the parity VCs compare
-    against.  [Batched_unordered] is a seeded mutant (window applied in
-    reverse order) that the [hp] suite must catch with a falsified VC —
-    never use it outside self-checks. *)
+    against. *)
 
 type batch_stats = { batches : int; entries : int; max_batch : int }
 (** Per-batch size statistics: [batches] combiner passes appended a
     non-empty batch, totalling [entries] log entries; the largest single
     batch had [max_batch] ops. *)
 
-module Make (DS : Seq_ds.S) : sig
+module Make_on (C : Cell.S) (DS : Seq_ds.S) : sig
   type t
 
   val create :
     ?replicas:int -> ?threads_per_replica:int -> ?log_capacity:int ->
-    ?replay:replay -> ?hooks:hooks -> unit -> t
+    ?replay:replay -> ?hooks:hooks -> C.ctx -> t
   (** Defaults: 2 replicas ("NUMA nodes"), 8 threads per replica,
       4096-slot circular log, [Batched] replay, {!no_hooks}.  When the log
       is full, the appending combiner replays every lagging replica (each
@@ -113,3 +112,10 @@ module Make (DS : Seq_ds.S) : sig
   (** Read directly from one replica under its read lock, without syncing.
       Test/debug hook. *)
 end
+(** Every wait is a {!Cell.S.await}: an [execute] that loses the race to
+    combine waits for the combiner flag to clear, then re-checks.  The
+    statistics counters are read by nothing in the protocol and stay
+    plain [Atomic.t] in every instance. *)
+
+module Make (DS : Seq_ds.S) : module type of Make_on (Cell.Atomic) (DS)
+(** The instance NR runs on domains: [create] takes [()]. *)

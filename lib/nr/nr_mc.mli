@@ -1,31 +1,34 @@
-(** Model-checked drivers for the node-replication building blocks.
+(** NR's own code on the model checker.
 
-    Three NR mechanisms, transcribed onto {!Bi_core.Explore} with the
-    atomicity the real code has (CAS for log reservation and the rwlock
-    word, plain reads on the lock-free read path):
+    Every world runs {!Log.Make}, {!Rwlock.Make} or {!Nr.Make_on} over
+    {!Cell.Explore} — the functor bodies {!Nr.Make} runs on domains — so
+    what the explorer proves is a property of the code NR runs:
 
-    - the {!Log} append protocol — reserve by CAS {e before} publishing,
-      so a full log never strands the tail (the pre-fix blind
-      fetch-and-add bug is the seeded mutation) — and its circular reuse:
-      a slot is written again only after the slowest replica has
-      replayed it;
-    - the {!Rwlock} word — writers exclude everyone, and a release whose
-      read-modify-write is split in two (the second mutation) loses a
-      concurrent reader's decrement;
-    - a miniature flat-combining replica — requests published in
-      per-thread slots, one combiner batches them through the log and
-      distributes responses; every explored schedule's history must pass
+    - the {!Log} append — reserve by CAS {e before} publishing, so
+      concurrent appends land at distinct indices — and its circular
+      reuse: two replicas of one thread over a one-slot log, where the
+      second append must reclaim by replaying the other replica, and no
+      entry is overwritten before every replica has replayed it;
+    - the {!Rwlock} word — writers exclude readers and each other, and
+      the lock drains;
+    - the flat combiner of one replica with 2–3 threads, read path
+      included, whose every explored history must pass
       {!Bi_core.Linearizability} against the sequential counter.
 
-    Part of the [mc] verify suite. *)
+    The two seeded mutations are one cell instance whose every
+    read-modify-write is a read followed by a write: the whole protocol
+    over it ([mc/mutation/log-split-reserve]) and the rwlock over it
+    ([mc/mutation/rwlock-nonatomic-release]) must both be caught.  Part
+    of the [mc] verify suite. *)
 
 val vcs : unit -> Bi_core.Vc.t list
 
-val log_ring :
-  reclaim:(slowest:int -> tail:int -> int) -> Bi_core.Explore.result
-(** Explore the circular-log model behind [mc/nr/log/capacity-respected]
-    (a one-slot ring, two appenders, one replica replaying behind them)
-    with a chosen reclamation rule: an appender that finds the log full
-    may move the head to [reclaim ~slowest ~tail], where [slowest] is
-    the replica's replayed count.  The suite's rule is [slowest]; any
-    rule that can pass it must fail. *)
+val batched_fc_vcs : unit -> Bi_core.Vc.t list
+(** [hp/mc/batched-fc/*]: the [mc/nr/fc] two-thread worlds, built by the
+    same code, with {!Nr.Batched} replay instead of {!Nr.Sequential}, so
+    each replay path is explored once.  Part of the [hp] suite. *)
+
+val explore : string -> Bi_core.Explore.result
+(** [explore id] explores the world behind the non-mutant VC [id]
+    ([mc/nr/*] or [hp/mc/batched-fc/*]): its schedule census, for tests.
+    Raises [Invalid_argument] for any other id. *)

@@ -188,8 +188,9 @@ let vc_rw_readers_share =
           if !witnessed then Vc.Proved
           else Vc.Falsified "no schedule had two concurrent readers")
 
-(* Mutation 3 (counted under nr's rwlock family): see Nr_mc for the
-   non-atomic release mutation on the NR rwlock. *)
+(* Mutation 3 (counted under nr's rwlock family): Nr_mc runs the NR
+   rwlock's own code over a cell whose every read-modify-write is split
+   in two. *)
 
 (* ------------------------------------------------------------------ *)
 (* Usem: the word is the permit count. *)

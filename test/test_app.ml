@@ -19,6 +19,16 @@ let qtest name count gen law =
 let ip_server = Bi_net.Ip.addr_of_string "10.0.0.1"
 let ip_client = Bi_net.Ip.addr_of_string "10.0.0.2"
 
+(* The kernel only logs a thread that raised to its serial port, so a
+   check failing inside a kernel program fails the case here. *)
+let no_crash k =
+  let out = K.serial_output k in
+  if
+    List.exists
+      (String.starts_with ~prefix:"[kernel] thread")
+      (String.split_on_char '\n' out)
+  then Alcotest.fail out
+
 (* Run [body server s] as the client program against a live storage
    node; returns the server kernel for post-mortem inspection. *)
 let with_node body =
@@ -34,6 +44,8 @@ let with_node body =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "client spawn");
   K.run_pair server client;
+  no_crash server;
+  no_crash client;
   server
 
 (* [body server c] with one resilient client [c]; then shut the node
@@ -399,6 +411,7 @@ let on_both_backends f =
   (match K.spawn k ~prog:"prog" ~arg:"" with
   | Ok _ -> K.run k
   | Error _ -> Alcotest.fail "spawn");
+  no_crash k;
   let direct = K.create () in
   let fs = K.fs direct in
   let by_fs =
@@ -1102,6 +1115,8 @@ let test_shutdown_closes_idle_connection () =
   let cut = Bi_netd.Nd_check.max_world_ticks in
   (try K.run_pair ~on_tick:(fun () -> if now () >= cut then raise Exit) server client
    with Exit -> ());
+  no_crash server;
+  no_crash client;
   check
     (Alcotest.result Alcotest.string
        (Alcotest.testable Bi_kernel.Sysabi.pp_err ( = )))

@@ -17,13 +17,21 @@ let qtest name count gen law =
 
 let err = Alcotest.testable Sysabi.pp_err ( = )
 
-(* Run a single program to completion and return the kernel. *)
+(* Run a single program to completion and return the kernel.  The
+   kernel only logs a thread that raised to its serial port, so a check
+   failing inside the program fails the case here. *)
 let run_one body =
   let k = K.create () in
   K.register_program k "main" (fun s _ -> body k s);
   (match K.spawn k ~prog:"main" ~arg:"" with
   | Ok _ -> K.run k
   | Error _ -> Alcotest.fail "spawn failed");
+  let out = K.serial_output k in
+  if
+    List.exists
+      (String.starts_with ~prefix:"[kernel] thread")
+      (String.split_on_char '\n' out)
+  then Alcotest.fail out;
   k
 
 let abi_vc_cases () =
@@ -484,13 +492,15 @@ let test_thread_join_and_shared_memory () =
          match U.mmap s ~bytes:4096 with
          | Error _ -> Alcotest.fail "mmap"
          | Ok va ->
+             (* Store before the thread exists: a thread created first
+                may run first, and its 40 would be overwritten. *)
+             ignore (U.store s ~va 2L);
              let tid =
                U.thread_create s (fun s2 ->
                    match U.load s2 ~va with
                    | Ok v -> ignore (U.store s2 ~va (Int64.add v 40L))
                    | Error _ -> ())
              in
-             ignore (U.store s ~va 2L);
              (match U.thread_join s tid with
              | Ok () -> ()
              | Error _ -> Alcotest.fail "join");

@@ -136,18 +136,43 @@ let test_ring_full_until_slowest_advances () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "head must not pass the tail"
 
+module E = Bi_core.Explore
+module XLog = Log.Make (Bi_nr.Cell.Explore)
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec at i =
+    i + n <= String.length hay && (String.sub hay i n = needle || at (i + 1))
+  in
+  at 0
+
 let test_ring_mc_model () =
-  (* The mc model of the ring proves under its real reclamation rule and
-     is falsified by a mutant that reclaims past the slowest replica. *)
-  (match Bi_nr.Nr_mc.log_ring ~reclaim:(fun ~slowest ~tail:_ -> slowest) with
-  | Bi_core.Explore.Pass _ -> ()
-  | Bi_core.Explore.Fail _ -> Alcotest.fail "real reclamation rule falsified");
-  match Bi_nr.Nr_mc.log_ring ~reclaim:(fun ~slowest:_ ~tail -> tail) with
-  | Bi_core.Explore.Fail ({ Bi_core.Explore.kind = Assertion msg; _ }, _) ->
-      let prefix = "entry 0 overwritten" in
-      check Alcotest.string "overwrite before replay found" prefix
-        (String.sub msg 0 (min (String.length msg) (String.length prefix)))
-  | Bi_core.Explore.Fail _ | Bi_core.Explore.Pass _ ->
+  (* The mc world of the ring, NR's own combiner over a one-slot log,
+     proves; a thread that reclaims to the tail while a replica lags is
+     caught by the log's own [get]. *)
+  (match Bi_nr.Nr_mc.explore "mc/nr/log/capacity-respected" with
+  | E.Pass _ -> ()
+  | E.Fail _ -> Alcotest.fail "the real reclamation rule falsified");
+  let e op = { Log.op; replica = 0; slot = 0 } in
+  let appender log _ =
+    ignore (XLog.append log [ e 0 ]);
+    XLog.advance log (XLog.tail log);
+    ignore (XLog.append log [ e 1 ])
+  in
+  let lagging_replica log _ =
+    if XLog.tail log > 0 then ignore (XLog.get log 0)
+  in
+  match
+    E.run
+      ~make:(fun ctx -> XLog.create ctx ~capacity:1)
+      ~threads:[ appender; lagging_replica ] ()
+  with
+  | E.Fail ({ E.kind = E.Assertion msg; _ }, _) ->
+      check Alcotest.bool
+        (Printf.sprintf "%S reports the reclaimed entry" msg)
+        true
+        (contains msg "entry reclaimed")
+  | E.Fail _ | E.Pass _ ->
       Alcotest.fail "reclaiming past the slowest replica must be caught"
 
 (* ------------------------------------------------------------------ *)
@@ -517,6 +542,73 @@ let test_nr_sim_zero_jitter_seed_independent () =
     (Bi_nr.Nr_sim.run { cfg with Bi_nr.Nr_sim.seed = "seed-a" })
     (Bi_nr.Nr_sim.run { cfg with Bi_nr.Nr_sim.seed = "seed-b" })
 
+(* ------------------------------------------------------------------ *)
+(* The model-checked worlds run NR's own code over [Cell.Explore]       *)
+
+(* Schedules each non-mutant world explores (Checked contracts): a
+   change that makes a world explore less must change this table. *)
+let censuses =
+  [
+    ("mc/nr/log/no-lost-slots", 10);
+    ("mc/nr/log/capacity-respected", 722);
+    ("mc/nr/rwlock/write-excludes", 200);
+    ("mc/nr/rwlock/two-writers-exclude", 8);
+    ("mc/nr/fc/linearizable-2t", 77);
+    ("mc/nr/fc/responses-exact", 77);
+    ("mc/nr/fc/linearizable-3t-bound2", 1124);
+    ("mc/nr/fc/reader-linearizes", 462);
+    ("hp/mc/batched-fc/linearizable-2t", 76);
+    ("hp/mc/batched-fc/responses-exact", 76);
+  ]
+
+let test_mc_censuses () =
+  List.iter
+    (fun (id, pinned) ->
+      match Bi_nr.Nr_mc.explore id with
+      | E.Pass stats -> check Alcotest.int id pinned stats.E.schedules
+      | E.Fail _ -> Alcotest.failf "%s falsified" id)
+    censuses
+
+(* One script on both cell instances.  The CAS against a structurally
+   equal but physically distinct [Some 1] must fail on both, as
+   [Atomic.compare_and_set] does. *)
+module Cell_script (C : Bi_nr.Cell.S) = struct
+  let run ctx =
+    let n = C.make ctx ~name:"n" 0 in
+    let o = C.make ctx ~name:"o" (Some 1) in
+    let a = C.get n in
+    C.set n 5;
+    let b = C.exchange n 7 in
+    let c = C.fetch_and_add n 3 in
+    let d = C.get n in
+    let distinct = C.compare_and_set o (Some (Sys.opaque_identity 1)) None in
+    let seen = C.get o in
+    let same = C.compare_and_set o seen (Some 2) in
+    let stale = C.compare_and_set o seen None in
+    let ints = C.compare_and_set n 10 11 && C.compare_and_set n 12 13 in
+    ([ a; b; c; d; C.get n; C.await n (fun v -> v > 0) ],
+     [ distinct; same; stale; ints ], C.get o)
+end
+
+let test_cell_parity () =
+  let module A = Cell_script (Bi_nr.Cell.Atomic) in
+  let module X = Cell_script (Bi_nr.Cell.Explore) in
+  let on_atomic = A.run () in
+  let on_explore = ref None in
+  (match
+     E.run ~make:ignore ~threads:[ (fun () ctx -> on_explore := Some (X.run ctx)) ] ()
+   with
+  | E.Pass _ -> ()
+  | E.Fail _ -> Alcotest.fail "the script failed on Cell.Explore");
+  let result =
+    Alcotest.(triple (list int) (list bool) (option int))
+  in
+  check result "Cell.Atomic"
+    ([ 0; 5; 7; 10; 11; 11 ], [ false; true; false; false ], Some 2)
+    on_atomic;
+  check (Alcotest.option result) "Cell.Explore gives the same"
+    (Some on_atomic) !on_explore
+
 let () =
   Alcotest.run "bi_nr"
     [
@@ -593,5 +685,12 @@ let () =
             test_nr_sim_seed_perturbs_only_jitter;
           Alcotest.test_case "zero jitter is seed-independent" `Quick
             test_nr_sim_zero_jitter_seed_independent;
+        ] );
+      ( "mc",
+        [
+          Alcotest.test_case "worlds explore their pinned censuses" `Quick
+            test_mc_censuses;
+          Alcotest.test_case "one script, same results on both cells" `Quick
+            test_cell_parity;
         ] );
     ]
