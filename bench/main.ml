@@ -774,6 +774,16 @@ let run_mc_bench () =
     "    3 threads x 4 steps: POR explores %d schedules vs %d naive merges \
      (%.1fx reduction, %.3f s)@."
     explored naive reduction ratio_t;
+  (* Step cost: the full space with POR off, where every schedule runs
+     all 12 steps. *)
+  let t0 = Unix.gettimeofday () in
+  let full = Bi_core.Mc_check.full_space () in
+  let full_t = Unix.gettimeofday () -. t0 in
+  let ns_per_step = full_t *. 1e9 /. float_of_int full.Bi_core.Explore.steps in
+  Format.fprintf ppf
+    "    full space (no POR): %d schedules, %d steps in %.3f s (%.0f ns/step)@."
+    full.Bi_core.Explore.schedules full.Bi_core.Explore.steps full_t
+    ns_per_step;
   let suite =
     Bi_core.Mc_check.vcs () @ Bi_ulib.Ulib_mc.vcs ()
     @ Bi_kernel.Futex_mc.vcs () @ Bi_nr.Nr_mc.vcs ()
@@ -789,6 +799,9 @@ let run_mc_bench () =
          ("por_schedules", Json.Int explored);
          ("naive_merges", Json.Int naive);
          ("por_reduction_x", Json.Float reduction);
+         ("full_schedules", Json.Int full.Bi_core.Explore.schedules);
+         ("full_steps", Json.Int full.Bi_core.Explore.steps);
+         ("ns_per_step", Json.Float ns_per_step);
          ("suite_vcs", Json.Int (List.length suite));
          ("suite_proved", Json.Int rep.Bi_core.Verifier.proved);
          ("suite_wall_s", Json.Float rep.Bi_core.Verifier.wall_time_s);

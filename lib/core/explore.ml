@@ -21,12 +21,12 @@ exception Violation of string
 
 type var = {
   vid : int;
-  vname : string;
+  vname : string option;
   mutable value : int;
   mutable parked : int list;  (* tids blocked on this cell, FIFO *)
 }
 
-type lock = { lid : int; lname : string; mutable owner : int option }
+type lock = { lid : int; lname : string option; mutable owner : int option }
 
 type ctx = {
   mutable next_oid : int;
@@ -37,14 +37,20 @@ type ctx = {
 let var ctx ?name init =
   let vid = ctx.next_oid in
   ctx.next_oid <- vid + 1;
-  let vname = match name with Some n -> n | None -> Printf.sprintf "v%d" vid in
-  { vid; vname; value = init; parked = [] }
+  { vid; vname = name; value = init; parked = [] }
 
 let lock ctx ?name () =
   let lid = ctx.next_oid in
   ctx.next_oid <- lid + 1;
-  let lname = match name with Some n -> n | None -> Printf.sprintf "l%d" lid in
-  { lid; lname; owner = None }
+  { lid; lname = name; owner = None }
+
+(* Names are only needed to render a failure, so the defaults are
+   formatted then. *)
+let var_name v =
+  match v.vname with Some n -> n | None -> Printf.sprintf "v%d" v.vid
+
+let lock_name l =
+  match l.lname with Some n -> n | None -> Printf.sprintf "l%d" l.lid
 
 let peek v = v.value
 let holder l = l.owner
@@ -66,10 +72,12 @@ type action =
   | Park_me of var  (* block the thread on the cell *)
   | Wake of int list * int  (* tids to make runnable, value handed back *)
 
+(* An operation carries no formatted text: [descr] renders it from the
+   arguments it captured at yield time, and only a failure calls it. *)
 type pending = {
   obj : int;  (* object identity, for (in)dependence *)
   writes : bool;  (* conservative: does it modify the object? *)
-  descr : string;
+  descr : unit -> string;
   poll : unit -> bool;  (* enabled in the current state? *)
   act : int -> action;  (* run the op as thread [tid] *)
 }
@@ -85,7 +93,7 @@ let read _ctx v =
     {
       obj = v.vid;
       writes = false;
-      descr = Printf.sprintf "read %s" v.vname;
+      descr = (fun () -> Printf.sprintf "read %s" (var_name v));
       poll = always;
       act = (fun _ -> Resume v.value);
     }
@@ -96,7 +104,7 @@ let write _ctx v x =
        {
          obj = v.vid;
          writes = true;
-         descr = Printf.sprintf "write %s=%d" v.vname x;
+         descr = (fun () -> Printf.sprintf "write %s=%d" (var_name v) x);
          poll = always;
          act =
            (fun _ ->
@@ -109,7 +117,8 @@ let cas _ctx v ~expect ~set =
     {
       obj = v.vid;
       writes = true;
-      descr = Printf.sprintf "cas %s %d->%d" v.vname expect set;
+      descr =
+        (fun () -> Printf.sprintf "cas %s %d->%d" (var_name v) expect set);
       poll = always;
       act =
         (fun _ ->
@@ -126,7 +135,7 @@ let update _ctx v f =
     {
       obj = v.vid;
       writes = true;
-      descr = Printf.sprintf "rmw %s" v.vname;
+      descr = (fun () -> Printf.sprintf "rmw %s" (var_name v));
       poll = always;
       act =
         (fun _ ->
@@ -141,7 +150,7 @@ let acquire _ctx l =
        {
          obj = l.lid;
          writes = true;
-         descr = Printf.sprintf "acquire %s" l.lname;
+         descr = (fun () -> Printf.sprintf "acquire %s" (lock_name l));
          poll = (fun () -> l.owner = None);
          act =
            (fun tid ->
@@ -155,7 +164,7 @@ let release _ctx l =
        {
          obj = l.lid;
          writes = true;
-         descr = Printf.sprintf "release %s" l.lname;
+         descr = (fun () -> Printf.sprintf "release %s" (lock_name l));
          poll = always;
          act =
            (fun tid ->
@@ -166,8 +175,8 @@ let release _ctx l =
              | _ ->
                  raise
                    (Violation
-                      (Printf.sprintf "release of %s not held by t%d" l.lname
-                         tid)));
+                      (Printf.sprintf "release of %s not held by t%d"
+                         (lock_name l) tid)));
        })
 
 let park _ctx v ~expect =
@@ -176,7 +185,8 @@ let park _ctx v ~expect =
        {
          obj = v.vid;
          writes = true;
-         descr = Printf.sprintf "park %s if=%d" v.vname expect;
+         descr =
+           (fun () -> Printf.sprintf "park %s if=%d" (var_name v) expect);
          poll = always;
          act = (fun _ -> if v.value = expect then Park_me v else Resume 1);
        })
@@ -187,7 +197,7 @@ let park_any _ctx v =
        {
          obj = v.vid;
          writes = true;
-         descr = Printf.sprintf "park! %s" v.vname;
+         descr = (fun () -> Printf.sprintf "park! %s" (var_name v));
          poll = always;
          act = (fun _ -> Park_me v);
        })
@@ -197,7 +207,7 @@ let unpark _ctx v ~count =
     {
       obj = v.vid;
       writes = true;
-      descr = Printf.sprintf "unpark %s n=%d" v.vname count;
+      descr = (fun () -> Printf.sprintf "unpark %s n=%d" (var_name v) count);
       poll = always;
       act =
         (fun _ ->
@@ -218,7 +228,7 @@ let await _ctx v p =
     {
       obj = v.vid;
       writes = false;
-      descr = Printf.sprintf "await %s" v.vname;
+      descr = (fun () -> Printf.sprintf "await %s" (var_name v));
       poll = (fun () -> p v.value);
       act = (fun _ -> Resume v.value);
     }
@@ -275,9 +285,9 @@ type tstate =
 
 type exec = {
   states : tstate array;
-  mutable trace_rev : string list;
-  mutable sched_rev : int list;
+  mutable trace_rev : (int * pending) list;  (* stepped thread and op *)
   mutable nsteps : int;
+  mutable any_failed : bool;  (* some thread is [Failed] *)
   mutable last : int option;  (* thread that took the previous step *)
   mutable preemptions : int;
   ctx : ctx;
@@ -287,6 +297,10 @@ let exn_text = function
   | Violation msg -> msg
   | e -> "exception: " ^ Printexc.to_string e
 
+let set_failed ex i msg =
+  ex.states.(i) <- Failed msg;
+  ex.any_failed <- true
+
 (* Start thread [i]: run its body until the first yield point (or
    completion), installing the handler that parks it at every yield. *)
 let start ex i body =
@@ -294,7 +308,7 @@ let start ex i body =
   match_with body ()
     {
       retc = (fun () -> ex.states.(i) <- Done);
-      exnc = (fun e -> ex.states.(i) <- Failed (exn_text e));
+      exnc = (fun e -> set_failed ex i (exn_text e));
       effc =
         (fun (type b) (eff : b Effect.t) ->
           match eff with
@@ -314,8 +328,8 @@ let fresh_exec ~make ~threads =
     {
       states = Array.make n Done;
       trace_rev = [];
-      sched_rev = [];
       nsteps = 0;
+      any_failed = false;
       last = None;
       preemptions = 0;
       ctx;
@@ -340,7 +354,7 @@ let failed ex =
     if i >= n then None
     else match ex.states.(i) with Failed m -> Some (i, m) | _ -> go (i + 1)
   in
-  go 0
+  if ex.any_failed then go 0 else None
 
 let resume ex t k v =
   ex.ctx.running <- t;
@@ -362,8 +376,7 @@ let do_step ex t =
         | Some u when u <> t && runnable ex u -> 1
         | _ -> 0
       in
-      ex.trace_rev <- Printf.sprintf "t%d: %s" t p.descr :: ex.trace_rev;
-      ex.sched_rev <- t :: ex.sched_rev;
+      ex.trace_rev <- (t, p) :: ex.trace_rev;
       ex.nsteps <- ex.nsteps + 1;
       ex.preemptions <- ex.preemptions + cost;
       ex.last <- Some t;
@@ -388,7 +401,7 @@ let do_step ex t =
 (* Wrap a step so that a Violation raised by the op action itself (not
    inside the thread body) is charged to the stepped thread. *)
 let do_step_safe ex t =
-  try do_step ex t with Violation msg -> ex.states.(t) <- Failed msg
+  try do_step ex t with Violation msg -> set_failed ex t msg
 
 let blocked_report ex =
   let b = Buffer.create 64 in
@@ -396,10 +409,11 @@ let blocked_report ex =
     (fun i s ->
       match s with
       | Parked (v, _) ->
-          Buffer.add_string b (Printf.sprintf " t%d parked on %s;" i v.vname)
+          Buffer.add_string b
+            (Printf.sprintf " t%d parked on %s;" i (var_name v))
       | Ready (p, _) ->
           Buffer.add_string b
-            (Printf.sprintf " t%d blocked at %s;" i p.descr)
+            (Printf.sprintf " t%d blocked at %s;" i (p.descr ()))
       | _ -> ())
     ex.states;
   Buffer.contents b
@@ -407,8 +421,11 @@ let blocked_report ex =
 let mk_failure ex kind =
   {
     kind;
-    schedule = List.rev ex.sched_rev;
-    trace = List.rev ex.trace_rev;
+    schedule = List.rev_map fst ex.trace_rev;
+    trace =
+      List.rev_map
+        (fun (t, p) -> Printf.sprintf "t%d: %s" t (p.descr ()))
+        ex.trace_rev;
     preemptions = ex.preemptions;
   }
 
@@ -447,44 +464,43 @@ let child_sleep ~por n t =
           n.ops;
         !s
 
-(* Candidate choices at a node, in deterministic order: continue the
-   last-run thread first (bias toward few preemptions), then by index. *)
-let candidates ~bound n =
-  let ncand = Array.length n.enabled in
-  let cost t =
-    match n.node_last with
-    | Some u when u <> t && n.enabled.(u) -> 1
-    | _ -> 0
-  in
+(* Preemptions added by choosing [t] at [n]. *)
+let cost n t =
+  match n.node_last with
+  | Some u when u <> t && n.enabled.(u) -> 1
+  | _ -> 0
+
+let awake n t = n.enabled.(t) && n.sleep land (1 lsl t) = 0
+
+(* The next choice at a node, if any: continue the last-run thread
+   (bias toward few preemptions), else the lowest-index candidate. *)
+let next_choice ~bound n =
   let ok t =
-    n.enabled.(t)
-    && n.sleep land (1 lsl t) = 0
+    awake n t
     &&
     match bound with
     | None -> true
-    | Some b -> n.node_preempt + cost t <= b
+    | Some b -> n.node_preempt + cost n t <= b
   in
-  let rest = List.filter ok (List.init ncand (fun t -> t)) in
   match n.node_last with
-  | Some u when ok u -> u :: List.filter (fun t -> t <> u) rest
-  | _ -> rest
+  | Some u when ok u -> Some u
+  | _ ->
+      let nthreads = Array.length n.enabled in
+      let rec first t =
+        if t >= nthreads then None else if ok t then Some t else first (t + 1)
+      in
+      first 0
 
 (* Was any runnable-but-unslept thread excluded purely by the bound? *)
 let bound_limited ~bound n =
   match bound with
   | None -> false
   | Some b ->
-      let cost t =
-        match n.node_last with
-        | Some u when u <> t && n.enabled.(u) -> 1
-        | _ -> 0
+      let rec any t =
+        t < Array.length n.enabled
+        && ((awake n t && n.node_preempt + cost n t > b) || any (t + 1))
       in
-      Array.exists
-        (fun t ->
-          n.enabled.(t)
-          && n.sleep land (1 lsl t) = 0
-          && n.node_preempt + cost t > b)
-        (Array.init (Array.length n.enabled) (fun t -> t))
+      any 0
 
 type leaf =
   | Leaf_pass  (* all threads finished, final check ok *)
@@ -513,14 +529,13 @@ let explore cfg ~make ~threads ?final () =
       | None -> None
     in
     (* Replay the existing prefix. *)
-    let rec replay_nodes nodes sleep_for_next =
-      match nodes with
-      | [] -> Ok sleep_for_next
+    let rec replay_nodes = function
+      | [] -> None
       | (n : node) :: rest -> (
           do_step_safe ex n.chosen;
           match check_failed () with
-          | Some leaf -> Error leaf
-          | None -> replay_nodes rest (child_sleep ~por:cfg.por n n.chosen))
+          | Some leaf -> Some leaf
+          | None -> replay_nodes rest)
     in
     (* Extend depth-first from the frontier. *)
     let rec extend sleep_here =
@@ -555,8 +570,8 @@ let explore cfg ~make ~threads ?final () =
             if not (Array.exists (fun e -> e) n.enabled) then
               fail (Deadlock (blocked_report ex))
             else begin
-              match candidates ~bound n with
-              | [] ->
+              match next_choice ~bound n with
+              | None ->
                   if bound_limited ~bound n then begin
                     incr bound_cuts;
                     Leaf_bound_cut
@@ -565,7 +580,7 @@ let explore cfg ~make ~threads ?final () =
                     incr sleep_cuts;
                     Leaf_sleep_cut
                   end
-              | t :: _ ->
+              | Some t ->
                   n.chosen <- t;
                   path := n :: !path;
                   do_step_safe ex t;
@@ -574,9 +589,9 @@ let explore cfg ~make ~threads ?final () =
           end
     in
     let leaf =
-      match replay_nodes (List.rev !path) 0 with
-      | Error leaf -> leaf
-      | Ok _ ->
+      match replay_nodes (List.rev !path) with
+      | Some leaf -> leaf
+      | None ->
           let sleep_frontier =
             match !path with
             | [] -> 0
@@ -593,11 +608,11 @@ let explore cfg ~make ~threads ?final () =
     | [] -> false
     | n :: rest -> (
         n.sleep <- n.sleep lor (1 lsl n.chosen);
-        match candidates ~bound n with
-        | t :: _ ->
+        match next_choice ~bound n with
+        | Some t ->
             n.chosen <- t;
             true
-        | [] ->
+        | None ->
             if bound_limited ~bound n then incr bound_cuts;
             path := rest;
             backtrack ())

@@ -84,7 +84,11 @@ type failure = {
   schedule : int list;
       (** Thread choice at each step, up to and including the failing
           step — feed to {!replay}. *)
-  trace : string list;  (** Rendered operations, one per step. *)
+  trace : string list;
+      (** The operations, one per step, rendered when the failure is
+          built: a step records the thread and the operation it ran, and
+          an operation carries no formatted text, only the names and
+          arguments it captured when it yielded. *)
   preemptions : int;  (** Preemptive switches in [schedule]. *)
 }
 
@@ -105,9 +109,12 @@ type result = Pass of stats | Fail of failure * stats
 (* State construction (inside [make], or between yields)               *)
 
 val var : ctx -> ?name:string -> int -> var
-(** Fresh shared cell with the given initial value. *)
+(** Fresh shared cell with the given initial value.  Traces call an
+    unnamed cell [v<id>], where [<id>] counts the objects [make] created
+    before it. *)
 
 val lock : ctx -> ?name:string -> unit -> lock
+(** Fresh free lock; an unnamed one is [l<id>] in traces. *)
 
 val peek : var -> int
 (** Read a cell without a scheduling point — for final-state checks and
@@ -201,6 +208,10 @@ val replay :
 
 (* ------------------------------------------------------------------ *)
 (* VC integration                                                      *)
+
+val render_failure : failure -> string
+(** One line: the failure kind, the schedule, its preemption count and
+    the trace — the text {!vc} reports for a falsified VC. *)
 
 val vc :
   id:string ->

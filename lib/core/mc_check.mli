@@ -15,3 +15,8 @@ val por_ratio : unit -> int * int
     schedules the sleep-set explorer actually runs versus
     {!Interleave.count_merges} of the same step lists (34650).  Used by
     the [mc/por/beats-naive] VC and reported by [bench mc]. *)
+
+val full_space : unit -> Explore.stats
+(** The same workload explored with partial-order reduction off: every
+    interleaving runs once, 34650 schedules of 12 steps each.  Checked by
+    the [mc/por/sound-vs-full] VC; [bench mc] times it per step. *)

@@ -17,7 +17,7 @@ let percentile p xs =
   | [] -> invalid_arg "Stats.percentile: empty list"
   | _ ->
       let a = Array.of_list xs in
-      Array.sort compare a;
+      Array.sort Float.compare a;
       let n = Array.length a in
       let rank = int_of_float (ceil (p *. float_of_int n)) in
       let idx = max 0 (min (n - 1) (rank - 1)) in
@@ -25,7 +25,7 @@ let percentile p xs =
 
 let cdf xs =
   let a = Array.of_list xs in
-  Array.sort compare a;
+  Array.sort Float.compare a;
   let n = Array.length a in
   if n = 0 then []
   else begin
@@ -97,7 +97,7 @@ module Reservoir = struct
     | Some a -> a
     | None ->
         let a = Array.sub t.samples 0 (stored t) in
-        Array.sort compare a;
+        Array.sort Float.compare a;
         t.sorted <- Some a;
         a
 

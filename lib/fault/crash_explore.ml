@@ -71,24 +71,48 @@ let sweep start ops f =
       f (i + 1) cursor)
     ops
 
-(* Crashed-device contents, keying the verdict cache.  Crash copies share
-   sector buffers, so equality is mostly pointer comparisons; the hash
-   samples a few words per sector. *)
+(* Crashed-device contents and their hash, keying the verdict cache.
+   Crash copies share sector buffers, so equality is mostly pointer
+   comparisons. *)
+type key = { contents : string array; hash : int }
+
 module States = Hashtbl.Make (struct
-  type t = string array
+  type t = key
 
-  let equal = Array.for_all2 String.equal
+  let equal a b =
+    a.hash = b.hash
+    && Array.for_all2
+         (fun x y -> x == y || String.equal x y)
+         a.contents b.contents
 
-  let hash sectors =
-    let mix h s =
-      let rec go h off =
-        if off >= String.length s then h
-        else go ((h * 31) + Int64.to_int (String.get_int64_ne s off)) (off + 64)
-      in
-      go h 0
-    in
-    Array.fold_left mix 0 sectors
+  let hash k = k.hash
 end)
+
+(* One word in every 64 bytes of a sector. *)
+let sector_hash s =
+  let rec go h off =
+    if off >= String.length s then h
+    else go ((h * 31) + Int64.to_int (String.get_int64_ne s off)) (off + 64)
+  in
+  go 0 0
+
+(* [keyer sectors] keys device contents.  It remembers the last buffer
+   seen at each sector index and its hash: buffers are never mutated, so
+   a physically equal buffer has the same hash, and consecutive crash
+   points differ in a few sectors.  Most keys then hash no sector. *)
+let keyer sectors =
+  let last = Array.make sectors "" and last_hash = Array.make sectors 0 in
+  fun contents ->
+    let h = ref 0 in
+    for i = 0 to Array.length contents - 1 do
+      let s = contents.(i) in
+      if s != last.(i) then begin
+        last.(i) <- s;
+        last_hash.(i) <- sector_hash s
+      end;
+      h := (!h * 31) + last_hash.(i)
+    done;
+    { contents; hash = !h }
 
 exception Failed of string
 
@@ -118,24 +142,26 @@ let explore cfg =
   (* Check one crashed device: atomicity (old state or new state) and
      recovery idempotence (viewing again after recovery is a no-op).  The
      verdict is a function of the device contents, so a state already
-     checked is only counted. *)
+     checked is only counted.  [where] names the crash point; most points
+     are cache hits, so it is formatted only for a failure. *)
   let seen = States.create 256 in
+  let key = keyer cfg.sectors in
   let check where crashed =
-    let key = Disk.contents crashed in
-    if not (States.mem seen key) then begin
-      States.add seen key ();
+    let k = key (Disk.contents crashed) in
+    if not (States.mem seen k) then begin
+      States.add seen k ();
       let v = view crashed in
       if not (cfg.equal v pre || cfg.equal v post) then
         raise
           (Failed
              (Format.asprintf "%s: state %a is neither pre %a nor post %a"
-                where pp_v v pp_v pre pp_v post));
+                (where ()) pp_v v pp_v pre pp_v post));
       let v2 = view crashed in
       if not (cfg.equal v v2) then
         raise
           (Failed
-             (Format.asprintf "%s: recovery not idempotent (%a then %a)" where
-                pp_v v pp_v v2))
+             (Format.asprintf "%s: recovery not idempotent (%a then %a)"
+                (where ()) pp_v v pp_v v2))
     end
   in
   let crash_points = ref 0
@@ -150,11 +176,14 @@ let explore cfg =
     (* 1. Every write boundary, all pending writes surviving, and 2. seeded
        subsets of the pending writes at that boundary. *)
     sweep base ops (fun i disk ->
-        point crash_points (Printf.sprintf "prefix %d/%d" i nops) (crash_all disk);
+        point crash_points
+          (fun () -> Printf.sprintf "prefix %d/%d" i nops)
+          (crash_all disk);
         List.iter
           (fun seed ->
             point subset_points
-              (Printf.sprintf "prefix %d/%d subset seed %d" i nops seed)
+              (fun () ->
+                Printf.sprintf "prefix %d/%d subset seed %d" i nops seed)
               (Disk.crash ~seed disk))
           cfg.crash_seeds);
     (* 3. Torn writes: the last write of a prefix lands partially — its
@@ -173,7 +202,9 @@ let explore cfg =
                   Bytes.blit b 0 torn 0 tear;
                   Disk.write_sector disk s torn;
                   point torn_points
-                    (Printf.sprintf "torn write %d (op %d, %d bytes)" s idx tear)
+                    (fun () ->
+                      Printf.sprintf "torn write %d (op %d, %d bytes)" s idx
+                        tear)
                     (crash_all disk)
                 end)
               cfg.tears);
@@ -190,14 +221,17 @@ let explore cfg =
           let nrops = List.length rops in
           sweep disk rops (fun j rdisk ->
               point recovery_points
-                (Printf.sprintf "recovery prefix %d/%d after crash %d" j nrops i)
+                (fun () ->
+                  Printf.sprintf "recovery prefix %d/%d after crash %d" j
+                    nrops i)
                 (crash_all rdisk);
               List.iter
                 (fun seed ->
                   point recovery_points
-                    (Printf.sprintf
-                       "recovery prefix %d/%d after crash %d, seed %d" j nrops
-                       i seed)
+                    (fun () ->
+                      Printf.sprintf
+                        "recovery prefix %d/%d after crash %d, seed %d" j nrops
+                        i seed)
                     (Disk.crash ~seed rdisk))
                 cfg.crash_seeds))
   with

@@ -14,7 +14,11 @@
     Each crash state is built once, by walking one device forward through
     the op stream and crashing copies of it, and each distinct crashed
     device is recovered and checked once: a state whose contents were
-    already checked is counted again but not re-viewed. *)
+    already checked is counted again but not re-viewed.  Such a cache hit
+    costs a copy of the sector array, a hash of the sectors whose buffers
+    changed since the previous point, and an equality check that is
+    mostly pointer comparisons; a crash point's label is formatted only
+    when it fails. *)
 
 type op = W of int * bytes | F  (** one journaled device operation *)
 
@@ -54,7 +58,10 @@ type stats = {
 val explore : 'v config -> (stats, string) result
 (** Run the exploration; [Error] carries a description of the first crash
     point whose recovered state is neither pre nor post (or where
-    recovery was not idempotent). *)
+    recovery was not idempotent), led by its label: [prefix i/n],
+    [prefix i/n subset seed s], [torn write sector (op i, b bytes)],
+    [recovery prefix j/m after crash i] or
+    [recovery prefix j/m after crash i, seed s]. *)
 
 val must_census : stats -> (stats, string) result -> Bi_core.Vc.outcome
 (** [must_census pinned result] proves an exploration only when it

@@ -182,9 +182,15 @@ module Disk = struct
       oldest_first;
     d
 
+  (* With nothing unflushed the durable array is the contents; its
+     buffers are never mutated in place, so the strings can share them. *)
   let contents t =
-    Array.map Bytes.unsafe_to_string
-      (crash_with t ~keep_unflushed:max_int).durable
+    let sectors =
+      match t.unflushed with
+      | [] -> t.durable
+      | _ -> (crash_with t ~keep_unflushed:max_int).durable
+    in
+    Array.map Bytes.unsafe_to_string sectors
 
   let io_count t = t.io_count
 end

@@ -1020,6 +1020,73 @@ let test_explore_por_reduces () =
     true
     (with_por < without)
 
+(* The rendered failure text, pinned: traces are rendered from what each
+   operation captured when it yielded, so names and values must read as
+   they did at that step, not as the objects stand when the failure is
+   reported. *)
+let rendered = function
+  | Explore.Fail (f, _) -> Explore.render_failure f
+  | Explore.Pass _ -> Alcotest.fail "the workload must fail"
+
+let test_explore_rendered_failures () =
+  check Alcotest.string "lost update on an unnamed var"
+    "assertion: final state: counter = 1, expected 2 under schedule \
+     [0;1;1;0] (1 preemption): t0: read v0 | t1: read v0 | t1: write v0=1 \
+     | t0: write v0=1"
+    (rendered
+       (Explore.run
+          ~make:(fun ctx -> Explore.var ctx 0)
+          ~threads:lost_update_threads ~final:lost_update_final ()));
+  let t_ab (a, b) ctx =
+    Explore.acquire ctx b;
+    Explore.acquire ctx a;
+    Explore.release ctx a;
+    Explore.release ctx b
+  in
+  let t_ba (a, b) ctx =
+    Explore.acquire ctx a;
+    Explore.acquire ctx b;
+    Explore.release ctx b;
+    Explore.release ctx a
+  in
+  check Alcotest.string "ABBA deadlock on unnamed locks"
+    "deadlock: t0 blocked at acquire l0; t1 blocked at acquire l1; under \
+     schedule [0;1] (1 preemption): t0: acquire l1 | t1: acquire l0"
+    (rendered
+       (Explore.run
+          ~make:(fun ctx ->
+            let a = Explore.lock ctx () in
+            (a, Explore.lock ctx ()))
+          ~threads:[ t_ab; t_ba ] ()));
+  (* One thread through every operation kind; [v0] is overwritten after
+     each write and CAS, and the run ends parked on the named cell. *)
+  let every_op (v, w, l) ctx =
+    ignore (Explore.read ctx v);
+    Explore.write ctx v 1;
+    ignore (Explore.cas ctx v ~expect:1 ~set:7);
+    ignore (Explore.cas ctx v ~expect:1 ~set:9);
+    ignore (Explore.update ctx v (fun x -> x + 1));
+    Explore.acquire ctx l;
+    Explore.release ctx l;
+    Explore.park ctx v ~expect:0;
+    ignore (Explore.unpark ctx w ~count:2);
+    ignore (Explore.await ctx v (fun x -> x = 8));
+    Explore.write ctx v 3;
+    Explore.park_any ctx w
+  in
+  check Alcotest.string "every op, values overwritten later"
+    "deadlock: t0 parked on w; under schedule [0;0;0;0;0;0;0;0;0;0;0;0] (0 \
+     preemptions): t0: read v0 | t0: write v0=1 | t0: cas v0 1->7 | t0: cas \
+     v0 1->9 | t0: rmw v0 | t0: acquire l2 | t0: release l2 | t0: park v0 \
+     if=0 | t0: unpark w n=2 | t0: await v0 | t0: write v0=3 | t0: park! w"
+    (rendered
+       (Explore.run
+          ~make:(fun ctx ->
+            let v = Explore.var ctx 0 in
+            let w = Explore.var ctx ~name:"w" 0 in
+            (v, w, Explore.lock ctx ()))
+          ~threads:[ every_op ] ()))
+
 let () =
   Alcotest.run "bi_core"
     [
@@ -1157,5 +1224,7 @@ let () =
             test_explore_deadlock_detected;
           Alcotest.test_case "POR reduces schedules" `Quick
             test_explore_por_reduces;
+          Alcotest.test_case "rendered failure text" `Quick
+            test_explore_rendered_failures;
         ] );
     ]

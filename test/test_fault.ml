@@ -386,6 +386,84 @@ let fs_rename =
     explore_recovery = true;
   }
 
+(* Crash-point labels, pinned: the first failing point is named the same
+   way whether it is a plain prefix, a seeded subset, a torn write or a
+   crash during recovery. *)
+let test_explore_failure_labels () =
+  let pp_strings =
+    Format.(
+      pp_print_list
+        ~pp_sep:(fun ppf () -> pp_print_char ppf ',')
+        pp_print_string)
+  in
+  let first_error cfg =
+    match Crash_explore.explore cfg with
+    | Ok _ -> Alcotest.fail "the config must fail"
+    | Error e -> e
+  in
+  let views = ref 0 in
+  let never_pre_or_post =
+    {
+      (wal_txn 1) with
+      Crash_explore.view =
+        (fun _ ->
+          incr views;
+          [ string_of_int !views ]);
+      pp = Some pp_strings;
+    }
+  in
+  check Alcotest.string "prefix"
+    "prefix 0/9: state 3 is neither pre 1 nor post 2"
+    (first_error never_pre_or_post);
+  (* The commit mark and the data it names share a flush epoch: only a
+     subset that keeps the mark and drops the data shows it. *)
+  let mark_without_barrier =
+    {
+      (wal_txn 1) with
+      Crash_explore.setup = (fun dev -> Block_dev.write dev 40 (blk 'A'));
+      mutate =
+        (fun dev ->
+          Block_dev.write dev 40 (blk 'B');
+          Block_dev.write dev 41 (blk 'C');
+          Block_dev.flush dev);
+      view =
+        (fun dev ->
+          if Block_dev.read dev 41 = blk 'C' then
+            [ "C"; Bytes.sub_string (Block_dev.read dev 40) 0 1 ]
+          else [ "none" ]);
+      pp = Some pp_strings;
+      crash_seeds = List.init 16 Fun.id;
+      explore_recovery = false;
+    }
+  in
+  check Alcotest.string "subset"
+    "prefix 2/3 subset seed 0: state C,A is neither pre none nor post C,B"
+    (first_error mark_without_barrier);
+  (* A one-block update taken as atomic: a torn write splits it. *)
+  let torn_block =
+    {
+      mark_without_barrier with
+      mutate =
+        (fun dev ->
+          Block_dev.write dev 40 (blk 'B');
+          Block_dev.flush dev);
+      view =
+        (fun dev ->
+          let b = Block_dev.read dev 40 in
+          [ Bytes.sub_string b 0 1; Bytes.sub_string b 511 1 ]);
+      tears = [ 100 ];
+      crash_seeds = [];
+    }
+  in
+  check Alcotest.string "torn"
+    "torn write 40 (op 0, 100 bytes): state B,A is neither pre A,A nor post \
+     B,B"
+    (first_error torn_block);
+  check Alcotest.string "recovery"
+    "recovery prefix 3/4 after crash 6, seed 11: state <state> is neither \
+     pre <state> nor post <state>"
+    (first_error recovery_missing_flush)
+
 let stats_t =
   Alcotest.testable
     (fun ppf (s : Crash_explore.stats) ->
@@ -549,7 +627,11 @@ let () =
                 test_explore_matches_oracle ~sound:false header_before_records );
               ( "recovery-missing-flush",
                 test_explore_matches_oracle ~sound:false recovery_missing_flush );
-            ] );
+            ]
+        @ [
+            Alcotest.test_case "failure labels" `Quick
+              test_explore_failure_labels;
+          ] );
       ( "link",
         [
           Alcotest.test_case "lossless transfer" `Quick
