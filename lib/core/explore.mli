@@ -1,8 +1,8 @@
 (** Systematic concurrency model checker.
 
-    A Loom/CHESS-style stateful explorer replacing naive interleaving
-    enumeration ({!Interleave}) for the repository's data-race-freedom and
-    linearizability obligations.  A {e thread} is an ordinary OCaml
+    A Loom/CHESS-style stateful explorer: the repository's one
+    interleaving explorer, for its data-race-freedom and linearizability
+    obligations.  A {e thread} is an ordinary OCaml
     function run as a coroutine (effect handlers): every operation of the
     instrumented shared-state API below — read, write, CAS, atomic
     read-modify-write, lock acquire/release, futex-style park/unpark and

@@ -49,10 +49,27 @@ let por_final (priv, shared) =
   then None
   else Some "final state corrupted"
 
-(* The same workload as step lists, for the naive merge count. *)
-let por_naive_merges () =
-  Interleave.count_merges
-    (List.init 3 (fun _ -> List.init 4 (fun s -> s)))
+(* The multinomial as a product of binomials: thread k's steps choose
+   their positions among the first l1 + ... + lk. *)
+let count_merges lens =
+  let choose n k =
+    let k = min k (n - k) in
+    let num = ref 1 and den = ref 1 in
+    for i = 1 to k do
+      num := !num * (n - k + i);
+      den := !den * i
+    done;
+    !num / !den
+  in
+  let consumed = ref 0 in
+  List.fold_left
+    (fun acc l ->
+      consumed := !consumed + l;
+      acc * choose !consumed l)
+    1 lens
+
+(* The naive merge count of the 3 x 4 workload. *)
+let por_naive_merges () = count_merges [ 4; 4; 4 ]
 
 let por_ratio () =
   match Explore.run ~make:por_make ~threads:por_threads ~final:por_final () with

@@ -13,8 +13,14 @@ val vcs : unit -> Vc.t list
 val por_ratio : unit -> int * int
 (** [(explored, naive)] for the 3 threads × 4 steps reference workload:
     schedules the sleep-set explorer actually runs versus
-    {!Interleave.count_merges} of the same step lists (34650).  Used by
+    {!count_merges} of the same step counts (34650).  Used by
     the [mc/por/beats-naive] VC and reported by [bench mc]. *)
+
+val count_merges : int list -> int
+(** [count_merges lens] is the number of order-preserving merges of
+    threads with [lens] steps each: the multinomial coefficient
+    [(sum lens)! / prod (len!)].  A closed form, independent of
+    {!Explore}, so the [mc/por] VCs can check exploration against it. *)
 
 val full_space : unit -> Explore.stats
 (** The same workload explored with partial-order reduction off: every

@@ -24,7 +24,8 @@ let equal_by ~id ~category ~pp ~eq f =
 (* Per-VC time budget.
 
    A budget is a (deadline, budget) pair in domain-local storage: each
-   pool worker runs its own VCs against its own deadline.  The quantifier
+   domain of a parallel discharge runs its own VCs against its own
+   deadline.  The quantifier
    combinators below poll [checkpoint] every few iterations, so a
    divergent or pathologically slow check aborts cooperatively at the
    next checkpoint instead of hanging its worker forever.  The poll reads

@@ -18,8 +18,8 @@ type outcome =
           {!with_budget} and trips a {!checkpoint}. *)
   | Capped of string
       (** The check hit an exploration resource cap (e.g.
-          {!Interleave}'s merge limit or {!Explore}'s schedule cap)
-          before covering its state space: neither proved nor falsified.
+          {!Explore}'s schedule cap) before covering its state space:
+          neither proved nor falsified.
           Under-exploration is a visible verdict, never a silent pass. *)
 
 type t = private {

@@ -27,11 +27,30 @@ let discharge ?(jobs = 1) ?timeout_s vcs =
   let t0 = Unix_time.now () in
   let results =
     if jobs <= 1 then List.map (run_one ?timeout_s) vcs
-    else
-      (* The pool returns results in submission order, so the report is
-         deterministic no matter how the domains interleave. *)
-      Pool.with_pool ~domains:jobs (fun pool ->
-          Pool.run pool (List.map (fun vc () -> run_one ?timeout_s vc) vcs))
+    else begin
+      (* The caller and [jobs - 1] spawned domains claim VC indices from
+         one counter, and each result lands at its VC's index, so the
+         report keeps the input order however the domains interleave.
+         [run_one] never raises ([Vc.catch]), so every domain runs until
+         the indices are gone and no domain outlives the call. *)
+      let vcs = Array.of_list vcs in
+      let n = Array.length vcs in
+      let results = Array.make n None in
+      let next = Atomic.make 0 in
+      let rec work () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          results.(i) <- Some (run_one ?timeout_s vcs.(i));
+          work ()
+        end
+      in
+      let helpers =
+        List.init (max 0 (min jobs n - 1)) (fun _ -> Domain.spawn work)
+      in
+      work ();
+      List.iter Domain.join helpers;
+      Array.to_list (Array.map Option.get results)
+    end
   in
   let wall_time_s = Unix_time.now () -. t0 in
   let times = List.map (fun r -> r.time_s) results in
@@ -63,9 +82,6 @@ let times rep = List.map (fun r -> r.time_s) rep.results
 
 let cdf rep = Stats.cdf (times rep)
 
-let speedup rep =
-  if rep.wall_time_s > 0. then rep.total_time_s /. rep.wall_time_s else 1.
-
 let by_category rep =
   let order = ref [] in
   let tbl = Hashtbl.create 16 in
@@ -83,19 +99,14 @@ let by_category rep =
 let pp_summary ppf rep =
   let slowest = List.find_opt (fun r -> r.time_s = rep.max_time_s) rep.results in
   Format.fprintf ppf
-    "%d verification conditions: %d proved, %d falsified%t; cpu %.3f s, \
-     wall %.3f s%t, max %.3f s%t"
+    "%d verification conditions: %d proved, %d falsified%t; summed per-VC \
+     %.3f s, wall %.3f s, max %.3f s%t"
     (List.length rep.results) rep.proved rep.falsified
     (fun ppf ->
       if rep.timed_out > 0 then
         Format.fprintf ppf ", %d timed out" rep.timed_out;
       if rep.capped > 0 then Format.fprintf ppf ", %d capped" rep.capped)
-    rep.total_time_s rep.wall_time_s
-    (fun ppf ->
-      if rep.jobs > 1 then
-        Format.fprintf ppf " (%d domains, %.1fx speedup)" rep.jobs
-          (speedup rep))
-    rep.max_time_s
+    rep.total_time_s rep.wall_time_s rep.max_time_s
     (fun ppf ->
       Option.iter (fun r -> Format.fprintf ppf " (%s)" r.vc.Vc.id) slowest)
 

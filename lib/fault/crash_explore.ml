@@ -71,10 +71,10 @@ let sweep start ops f =
       f (i + 1) cursor)
     ops
 
-(* Crashed-device contents and their hash, keying the verdict cache.
+(* Crashed-device sectors and their hash, keying the verdict cache.
    Crash copies share sector buffers, so equality is mostly pointer
    comparisons. *)
-type key = { contents : string array; hash : int }
+type key = { contents : bytes array; hash : int }
 
 module States = Hashtbl.Make (struct
   type t = key
@@ -82,7 +82,7 @@ module States = Hashtbl.Make (struct
   let equal a b =
     a.hash = b.hash
     && Array.for_all2
-         (fun x y -> x == y || String.equal x y)
+         (fun x y -> x == y || Bytes.equal x y)
          a.contents b.contents
 
   let hash k = k.hash
@@ -91,17 +91,18 @@ end)
 (* One word in every 64 bytes of a sector. *)
 let sector_hash s =
   let rec go h off =
-    if off >= String.length s then h
-    else go ((h * 31) + Int64.to_int (String.get_int64_ne s off)) (off + 64)
+    if off >= Bytes.length s then h
+    else go ((h * 31) + Int64.to_int (Bytes.get_int64_ne s off)) (off + 64)
   in
   go 0 0
 
-(* [keyer sectors] keys device contents.  It remembers the last buffer
-   seen at each sector index and its hash: buffers are never mutated, so
-   a physically equal buffer has the same hash, and consecutive crash
-   points differ in a few sectors.  Most keys then hash no sector. *)
+(* [keyer sectors] keys a crashed device by its own sector array, not a
+   copy.  It remembers the last buffer seen at each sector index and its
+   hash: buffers are never mutated, so a physically equal buffer has the
+   same hash, and consecutive crash points differ in a few sectors.  Most
+   keys then hash no sector. *)
 let keyer sectors =
-  let last = Array.make sectors "" and last_hash = Array.make sectors 0 in
+  let last = Array.make sectors Bytes.empty and last_hash = Array.make sectors 0 in
   fun contents ->
     let h = ref 0 in
     for i = 0 to Array.length contents - 1 do
@@ -147,9 +148,11 @@ let explore cfg =
   let seen = States.create 256 in
   let key = keyer cfg.sectors in
   let check where crashed =
-    let k = key (Disk.contents crashed) in
+    let k = key (Disk.durable crashed) in
     if not (States.mem seen k) then begin
-      States.add seen k ();
+      (* A new state: [view] recovers the device in place, so the cache
+         keeps a copy of the array as it was. *)
+      States.add seen { k with contents = Array.copy k.contents } ();
       let v = view crashed in
       if not (cfg.equal v pre || cfg.equal v post) then
         raise

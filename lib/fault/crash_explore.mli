@@ -15,9 +15,10 @@
     the op stream and crashing copies of it, and each distinct crashed
     device is recovered and checked once: a state whose contents were
     already checked is counted again but not re-viewed.  Such a cache hit
-    costs a copy of the sector array, a hash of the sectors whose buffers
-    changed since the previous point, and an equality check that is
-    mostly pointer comparisons; a crash point's label is formatted only
+    costs a hash of the sectors whose buffers changed since the previous
+    point and an equality check that is mostly pointer comparisons, both
+    against the crashed device's own sector array; the cache copies that
+    array only for a new state.  A crash point's label is formatted only
     when it fails. *)
 
 type op = W of int * bytes | F  (** one journaled device operation *)

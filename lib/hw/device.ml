@@ -192,6 +192,8 @@ module Disk = struct
     in
     Array.map Bytes.unsafe_to_string sectors
 
+  let durable t = t.durable
+
   let io_count t = t.io_count
 end
 

@@ -97,6 +97,13 @@ module Disk : sig
       stored sector buffer is never mutated in place, so the strings share
       the disk's buffers and equal contents are often physically equal. *)
 
+  val durable : t -> bytes array
+  (** The sectors as of the last {!flush}: the disk's own array, not a
+      copy, so it changes when the disk is next flushed.  With no write
+      pending (as on any {!crash} copy) it is the disk's contents.
+      Callers must not mutate it or its buffers; [Array.copy] is a
+      snapshot, since a stored buffer is never mutated in place. *)
+
   val io_count : t -> int
 end
 

@@ -3,7 +3,8 @@
     Two resources dominate NR latency: the combiner lock (one writer at a
     time; waiters' operations are batched) and the shared operation log
     cache line.  These helpers track who holds what until when, so core
-    processes on the {!Des} engine can compute their queueing delays. *)
+    processes on the {!Bi_core.Vtime} event heap can compute their
+    queueing delays. *)
 
 (** A serially-reusable resource (the flat-combining lock): at most one
     holder; arrivals while busy queue in FIFO order. *)

@@ -942,22 +942,40 @@ let prop_random_programs_satisfy_contract =
 (* Data-race freedom of syscall state (the paper's third obligation):
    the fd offset protocol is equivalent under every interleaving of two
    whole (atomic) syscalls — here modelled at syscall granularity since
-   the kernel never preempts inside one. *)
+   the kernel never preempts inside one.  Each thread's read is one
+   atomic step on the shared offset, so [Explore] runs both syscall
+   orders. *)
 
 let test_fd_offset_drf_at_syscall_granularity () =
-  let read_n n (contents, off, acc) =
-    let len = min n (String.length contents - off) in
-    (contents, off + len, acc ^ String.sub contents off len)
+  let contents = "abcdef" in
+  let orders = ref [] in
+  let make ctx = (Bi_core.Explore.var ctx ~name:"off" 0, Array.make 2 "") in
+  let read_2 (off, got) ctx =
+    let len o = min 2 (String.length contents - o) in
+    let o = Bi_core.Explore.update ctx off (fun o -> o + len o) in
+    got.(Bi_core.Explore.self ctx) <- String.sub contents o (len o)
   in
-  let finals =
-    Bi_core.Interleave.value
-      (Bi_core.Interleave.final_states ~init:("abcdef", 0, "")
-         ~threads:[ [ read_n 2 ]; [ read_n 2 ] ]
-         ())
+  let final (off, got) =
+    orders := (got.(0), got.(1)) :: !orders;
+    if
+      Bi_core.Explore.peek off = 4
+      && List.sort compare (Array.to_list got) = [ "ab"; "cd" ]
+    then None
+    else Some (Printf.sprintf "read %S and %S" got.(0) got.(1))
   in
-  (* Whole-syscall atomicity: every interleaving yields the same bytes. *)
-  check Alcotest.bool "all interleavings read abcd" true
-    (List.for_all (fun (_, off, acc) -> off = 4 && acc = "abcd") finals)
+  (match
+     Bi_core.Explore.run ~make ~threads:[ read_2; read_2 ] ~final ()
+   with
+  | Bi_core.Explore.Pass stats ->
+      check Alcotest.bool "complete" true stats.Bi_core.Explore.complete
+  | Bi_core.Explore.Fail (f, _) ->
+      Alcotest.fail (Bi_core.Explore.render_failure f));
+  (* Whole-syscall atomicity: both orders ran, and each read abcd. *)
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "both syscall orders"
+    [ ("ab", "cd"); ("cd", "ab") ]
+    (List.sort compare !orders)
 
 (* Whole-kernel stress: several processes, each multi-threaded, hammering
    the filesystem, memory and pipes concurrently; the run must terminate,
