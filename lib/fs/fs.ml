@@ -20,7 +20,14 @@ let dirents_per_block = bs / dirent_size
 
 let sb_magic = 0x62694653l (* "biFS" *)
 
-type t = { dev : Block_dev.t; wal : Wal.t; ndata : int }
+type t = {
+  dev : Block_dev.t;
+  wal : Wal.t;
+  ndata : int;
+  names : (int * string, int) Hashtbl.t;
+      (* Name cache: (directory inode, name) -> child inode, a subset of
+         the committed directory entries.  See [dir_lookup]. *)
+}
 
 type error =
   | Not_found
@@ -70,10 +77,10 @@ let decode_inode b off =
   | k ->
       let ikind = if k = 2 then Dir else File in
       let isize = Int32.to_int (Bytes.get_int32_le b (off + 4)) in
-      let direct =
-        Array.init ndirect (fun i ->
-            Int32.to_int (Bytes.get_int32_le b (off + 8 + (4 * i))))
-      in
+      let direct = Array.make ndirect 0 in
+      for i = 0 to ndirect - 1 do
+        direct.(i) <- Int32.to_int (Bytes.get_int32_le b (off + 8 + (4 * i)))
+      done;
       let indirect = Int32.to_int (Bytes.get_int32_le b (off + 48)) in
       Some { ikind; isize; direct; indirect }
 
@@ -161,55 +168,56 @@ let alloc_data t txn =
 
 let free_data txn phys = bitmap_free txn ~block:dbmap_block (phys - data_start)
 
-(* Physical block backing file block [i] of [ino]; [alloc] controls whether
-   holes are filled.  Returns [Ok 0] for a hole when not allocating. *)
-let file_block t txn inode_num i ~alloc =
-  match get_inode txn inode_num with
-  | None -> Error Not_found
-  | Some ino ->
-      if i < 0 || i >= max_file_blocks then Error Too_large
-      else if i < ndirect then begin
-        if ino.direct.(i) <> 0 then Ok ino.direct.(i)
-        else if not alloc then Ok 0
-        else begin
-          match alloc_data t txn with
-          | None -> Error No_space
-          | Some phys ->
-              Wal.txn_write txn phys (Bytes.make bs '\000');
-              let direct = Array.copy ino.direct in
-              direct.(i) <- phys;
-              put_inode txn inode_num (Some { ino with direct });
-              Ok phys
-        end
-      end
+(* Physical block backing file block [i] of inode [inode_num], whose
+   decoded inode [ino] the caller passes in, paired with the inode as it
+   stands after: allocating a data or indirect block rewrites it.  [alloc]
+   controls whether holes are filled; a hole is [0] when not allocating. *)
+let file_block t txn inode_num ino i ~alloc =
+  if i < 0 || i >= max_file_blocks then Error Too_large
+  else if i < ndirect then begin
+    if ino.direct.(i) <> 0 then Ok (ino.direct.(i), ino)
+    else if not alloc then Ok (0, ino)
+    else begin
+      match alloc_data t txn with
+      | None -> Error No_space
+      | Some phys ->
+          Wal.txn_write txn phys (Bytes.make bs '\000');
+          let direct = Array.copy ino.direct in
+          direct.(i) <- phys;
+          let ino = { ino with direct } in
+          put_inode txn inode_num (Some ino);
+          Ok (phys, ino)
+    end
+  end
+  else begin
+    let slot = i - ndirect in
+    let with_indirect ino =
+      let ib = Wal.txn_read txn ino.indirect in
+      let phys = Int32.to_int (Bytes.get_int32_le ib (4 * slot)) in
+      if phys <> 0 then Ok (phys, ino)
+      else if not alloc then Ok (0, ino)
       else begin
-        let slot = i - ndirect in
-        let with_indirect ind =
-          let ib = Wal.txn_read txn ind in
-          let phys = Int32.to_int (Bytes.get_int32_le ib (4 * slot)) in
-          if phys <> 0 then Ok phys
-          else if not alloc then Ok 0
-          else begin
-            match alloc_data t txn with
-            | None -> Error No_space
-            | Some phys ->
-                Wal.txn_write txn phys (Bytes.make bs '\000');
-                Bytes.set_int32_le ib (4 * slot) (Int32.of_int phys);
-                Wal.txn_write txn ind ib;
-                Ok phys
-          end
-        in
-        if ino.indirect <> 0 then with_indirect ino.indirect
-        else if not alloc then Ok 0
-        else begin
-          match alloc_data t txn with
-          | None -> Error No_space
-          | Some ind ->
-              Wal.txn_write txn ind (Bytes.make bs '\000');
-              put_inode txn inode_num (Some { ino with indirect = ind });
-              with_indirect ind
-        end
+        match alloc_data t txn with
+        | None -> Error No_space
+        | Some phys ->
+            Wal.txn_write txn phys (Bytes.make bs '\000');
+            Bytes.set_int32_le ib (4 * slot) (Int32.of_int phys);
+            Wal.txn_write txn ino.indirect ib;
+            Ok (phys, ino)
       end
+    in
+    if ino.indirect <> 0 then with_indirect ino
+    else if not alloc then Ok (0, ino)
+    else begin
+      match alloc_data t txn with
+      | None -> Error No_space
+      | Some ind ->
+          Wal.txn_write txn ind (Bytes.make bs '\000');
+          let ino = { ino with indirect = ind } in
+          put_inode txn inode_num (Some ino);
+          with_indirect ino
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Directory entries                                                   *)
@@ -283,14 +291,29 @@ let find_entry txn di name =
       if dirent_ino b off <> 0 && dirent_is b off name then Some (p, b, off)
       else None)
 
-let dir_lookup txn dino name =
-  match dir_inode txn dino with
-  | Error e -> Error e
-  | Ok di ->
-      Ok
-        (Option.map
-           (fun (_, b, off) -> dirent_ino b off)
-           (find_entry txn di name))
+(* A hit in the name cache skips [dir_inode] and the scan.  A miss scans,
+   and fills the cache only while [txn] has no writes: then the scan read
+   committed blocks, so the cache never holds a name an abort, or a
+   [Wal.commit] that raises, could take back.  [dir_add] and [dir_remove]
+   drop a name before they touch its block, so an entry stays valid for
+   as long as it is cached. *)
+let dir_lookup t txn dino name =
+  match Hashtbl.find_opt t.names (dino, name) with
+  | Some ino -> Ok (Some ino)
+  | None -> (
+      match dir_inode txn dino with
+      | Error e -> Error e
+      | Ok di ->
+          let found =
+            Option.map
+              (fun (_, b, off) -> dirent_ino b off)
+              (find_entry txn di name)
+          in
+          (match found with
+          | Some ino when not (Wal.txn_dirty txn) ->
+              Hashtbl.replace t.names (dino, name) ino
+          | Some _ | None -> ());
+          Ok found)
 
 let dir_entries txn dino =
   match dir_inode txn dino with
@@ -310,6 +333,7 @@ let write_dirent b off name ino =
   Bytes.blit_string name 0 b (off + 4) (String.length name)
 
 let dir_add t txn dino name ino =
+  Hashtbl.remove t.names (dino, name);
   match dir_inode txn dino with
   | Error e -> Error e
   | Ok di -> (
@@ -328,22 +352,20 @@ let dir_add t txn dino name ino =
           let bi = slot / dirents_per_block in
           if bi >= max_file_blocks then Error No_space
           else begin
-            match file_block t txn dino bi ~alloc:true with
+            match file_block t txn dino di bi ~alloc:true with
             | Error e -> Error e
-            | Ok phys ->
+            | Ok (phys, di) ->
                 let b = Wal.txn_read txn phys in
                 write_dirent b (slot mod dirents_per_block * dirent_size) name
                   ino;
                 Wal.txn_write txn phys b;
-                (match get_inode txn dino with
-                | Some di ->
-                    put_inode txn dino
-                      (Some { di with isize = (slot + 1) * dirent_size })
-                | None -> ());
+                put_inode txn dino
+                  (Some { di with isize = (slot + 1) * dirent_size });
                 Ok ()
           end))
 
-let dir_remove txn dino name =
+let dir_remove t txn dino name =
+  Hashtbl.remove t.names (dino, name);
   match dir_inode txn dino with
   | Error e -> Error e
   | Ok di -> (
@@ -357,25 +379,25 @@ let dir_remove txn dino name =
 (* ------------------------------------------------------------------ *)
 (* Path resolution                                                     *)
 
-let resolve_in_txn txn path =
+let resolve_in_txn t txn path =
   match Path.split path with
   | Error () -> Error Invalid_path
   | Ok parts ->
       let rec walk ino = function
         | [] -> Ok ino
         | name :: rest -> (
-            match dir_lookup txn ino name with
+            match dir_lookup t txn ino name with
             | Error e -> Error e
             | Ok None -> Error Not_found
             | Ok (Some child) -> walk child rest)
       in
       walk root_ino parts
 
-let resolve_parent txn path =
+let resolve_parent t txn path =
   match Path.dirname_basename path with
   | Error () -> Error Invalid_path
   | Ok (parents, name) -> (
-      match resolve_in_txn txn (Path.join parents) with
+      match resolve_in_txn t txn (Path.join parents) with
       | Error e -> Error e
       | Ok dino -> Ok (dino, name))
 
@@ -395,7 +417,14 @@ let mkfs dev =
   for i = 0 to itable_blocks - 1 do
     Block_dev.write dev (itable_start + i) (Bytes.make bs '\000')
   done;
-  let t = { dev; wal = Wal.create dev ~header_block:wal_header; ndata } in
+  let t =
+    {
+      dev;
+      wal = Wal.create dev ~header_block:wal_header;
+      ndata;
+      names = Hashtbl.create 64;
+    }
+  in
   ignore (Wal.recover t.wal : int);
   (* Root directory. *)
   let txn = Wal.begin_txn t.wal in
@@ -412,7 +441,14 @@ let mount dev =
   if Bytes.get_int32_le sb 0 <> sb_magic then
     invalid_arg "Fs.mount: bad superblock";
   let ndata = Int32.to_int (Bytes.get_int32_le sb 4) in
-  let t = { dev; wal = Wal.create dev ~header_block:wal_header; ndata } in
+  let t =
+    {
+      dev;
+      wal = Wal.create dev ~header_block:wal_header;
+      ndata;
+      names = Hashtbl.create 64;
+    }
+  in
   ignore (Wal.recover t.wal : int);
   t
 
@@ -432,10 +468,10 @@ let transact t f =
 
 let create_node t path kind =
   transact t (fun txn ->
-      match resolve_parent txn path with
+      match resolve_parent t txn path with
       | Error e -> Error e
       | Ok (dino, name) -> (
-          match dir_lookup txn dino name with
+          match dir_lookup t txn dino name with
           | Error e -> Error e
           | Ok (Some _) -> Error Exists
           | Ok None -> (
@@ -463,10 +499,10 @@ let free_file_blocks txn (ino : inode) =
 
 let unlink t path =
   transact t (fun txn ->
-      match resolve_parent txn path with
+      match resolve_parent t txn path with
       | Error e -> Error e
       | Ok (dino, name) -> (
-          match dir_lookup txn dino name with
+          match dir_lookup t txn dino name with
           | Error e -> Error e
           | Ok None -> Error Not_found
           | Ok (Some ino_num) -> (
@@ -474,7 +510,7 @@ let unlink t path =
               | None -> Error Not_found
               | Some ino when ino.ikind = Dir -> Error Is_dir
               | Some ino -> (
-                  match dir_remove txn dino name with
+                  match dir_remove t txn dino name with
                   | Error e -> Error e
                   | Ok () ->
                       free_file_blocks txn ino;
@@ -484,10 +520,10 @@ let unlink t path =
 
 let rmdir t path =
   transact t (fun txn ->
-      match resolve_parent txn path with
+      match resolve_parent t txn path with
       | Error e -> Error e
       | Ok (dino, name) -> (
-          match dir_lookup txn dino name with
+          match dir_lookup t txn dino name with
           | Error e -> Error e
           | Ok None -> Error Not_found
           | Ok (Some ino_num) -> (
@@ -499,7 +535,7 @@ let rmdir t path =
                   | Error e -> Error e
                   | Ok (_ :: _) -> Error Not_empty
                   | Ok [] -> (
-                      match dir_remove txn dino name with
+                      match dir_remove t txn dino name with
                       | Error e -> Error e
                       | Ok () ->
                           free_file_blocks txn ino;
@@ -509,11 +545,11 @@ let rmdir t path =
 
 let rename t ~src ~dst =
   transact t (fun txn ->
-      match (resolve_parent txn src, resolve_parent txn dst) with
+      match (resolve_parent t txn src, resolve_parent t txn dst) with
       | Error e, _ -> Error e
       | _, Error e -> Error e
       | Ok (sdir, sname), Ok (ddir, dname) -> (
-          match dir_lookup txn sdir sname with
+          match dir_lookup t txn sdir sname with
           | Error e -> Error e
           | Ok None -> Error Not_found
           | Ok (Some ino) -> (
@@ -521,7 +557,7 @@ let rename t ~src ~dst =
               | None -> Error Not_found
               | Some i when i.ikind = Dir -> Error Is_dir
               | Some _ -> (
-                  match dir_lookup txn ddir dname with
+                  match dir_lookup t txn ddir dname with
                   | Error e -> Error e
                   | Ok (Some _) -> Error Exists
                   | Ok None -> (
@@ -531,11 +567,11 @@ let rename t ~src ~dst =
                          or neither. *)
                       match dir_add t txn ddir dname ino with
                       | Error e -> Error e
-                      | Ok () -> dir_remove txn sdir sname)))))
+                      | Ok () -> dir_remove t txn sdir sname)))))
 
 let readdir t path =
   transact t (fun txn ->
-      match resolve_in_txn txn path with
+      match resolve_in_txn t txn path with
       | Error e -> Error e
       | Ok ino -> (
           match dir_entries txn ino with
@@ -553,11 +589,11 @@ let stat_of txn ino_num =
 
 let stat t path =
   transact t (fun txn ->
-      match resolve_in_txn txn path with
+      match resolve_in_txn t txn path with
       | Error e -> Error e
       | Ok ino -> stat_of txn ino)
 
-let resolve t path = transact t (fun txn -> resolve_in_txn txn path)
+let resolve t path = transact t (fun txn -> resolve_in_txn t txn path)
 
 let stat_ino t ino = transact t (fun txn -> stat_of txn ino)
 
@@ -578,10 +614,10 @@ let read_ino t ~ino ~off ~len =
                 let bi = file_off / bs in
                 let boff = file_off mod bs in
                 let n = min (bs - boff) (len - pos) in
-                match file_block t txn ino bi ~alloc:false with
+                match file_block t txn ino inode bi ~alloc:false with
                 | Error e -> Error e
-                | Ok 0 -> copy (pos + n) (* hole reads as zeros *)
-                | Ok phys ->
+                | Ok (0, _) -> copy (pos + n) (* hole reads as zeros *)
+                | Ok (phys, _) ->
                     let b = Wal.txn_read txn phys in
                     Bytes.blit b boff out pos n;
                     copy (pos + n)
@@ -604,33 +640,30 @@ let write_ino t ~ino ~off data =
         let chunk_len = min (write_chunk_blocks * bs) (total - pos) in
         let result =
           transact t (fun txn ->
-              let rec blocks p =
+              let rec blocks inode p =
                 if p >= chunk_len then begin
-                  match get_inode txn ino with
-                  | None -> Error Not_found
-                  | Some inode ->
-                      let new_size = max inode.isize (off + pos + chunk_len) in
-                      put_inode txn ino (Some { inode with isize = new_size });
-                      Ok ()
+                  let new_size = max inode.isize (off + pos + chunk_len) in
+                  put_inode txn ino (Some { inode with isize = new_size });
+                  Ok ()
                 end
                 else begin
                   let file_off = off + pos + p in
                   let bi = file_off / bs in
                   let boff = file_off mod bs in
                   let n = min (bs - boff) (chunk_len - p) in
-                  match file_block t txn ino bi ~alloc:true with
+                  match file_block t txn ino inode bi ~alloc:true with
                   | Error e -> Error e
-                  | Ok phys ->
+                  | Ok (phys, inode) ->
                       let b = Wal.txn_read txn phys in
                       Bytes.blit data (pos + p) b boff n;
                       Wal.txn_write txn phys b;
-                      blocks (p + n)
+                      blocks inode (p + n)
                 end
               in
               match get_inode txn ino with
               | None -> Error Not_found
               | Some inode when inode.ikind = Dir -> Error Is_dir
-              | Some _ -> blocks 0)
+              | Some inode -> blocks inode 0)
         in
         match result with Error e -> Error e | Ok () -> chunks (pos + chunk_len)
       end
@@ -656,8 +689,8 @@ let truncate_ino t ~ino size =
                later extension reads zeros there (spec: truncate pads with
                NUL). *)
             (if size < inode.isize && size mod bs <> 0 then begin
-               match file_block t txn ino (size / bs) ~alloc:false with
-               | Ok phys when phys <> 0 ->
+               match file_block t txn ino inode (size / bs) ~alloc:false with
+               | Ok (phys, _) when phys <> 0 ->
                    let b = Wal.txn_read txn phys in
                    Bytes.fill b (size mod bs) (bs - (size mod bs)) '\000';
                    Wal.txn_write txn phys b

@@ -18,7 +18,21 @@
     entries (u32 inode number + 27-byte name).  Every metadata mutation is
     one {!Wal} transaction, so any crash leaves the filesystem in a state
     that {!mount}'s recovery makes consistent — the property the crash VCs
-    in the test suite enumerate write-by-write. *)
+    in the test suite enumerate write-by-write.
+
+    Name cache.  Like Linux's dcache, a mounted filesystem keeps a table
+    from (directory inode, name) to child inode, so resolving a path it
+    has seen skips the directory scans.  Four rules keep it exact:
+    - it is volatile: it lives in memory, never on disk;
+    - it is per mount: each [t] owns one, {!mkfs} and {!mount} start it
+      empty, and a mount assumes it is the only writer of its device;
+    - it is filled from committed state only: a lookup fills it only
+      while its transaction has no writes yet;
+    - adding or removing a directory entry drops that name before the
+      block is touched, so an aborted transaction, or a commit that
+      raises, costs a later miss, never a stale answer.
+    A hit reads no block, so the cache removes reads, never writes:
+    device write streams and crash states are the same as without it. *)
 
 type t
 

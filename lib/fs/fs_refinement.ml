@@ -103,6 +103,8 @@ end
 
 module R = Bi_core.Refinement.Make (Fs_spec) (Impl)
 
+let step = Impl.step
+
 let fresh_fs () =
   Fs.mkfs (Block_dev.of_disk (Disk.create ~sectors:2048 ()))
 

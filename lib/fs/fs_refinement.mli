@@ -11,6 +11,10 @@
 val view : Fs.t -> Fs_spec.state
 (** Abstraction function: walk the directory tree, reading every file. *)
 
+val step : Fs.t -> Fs_spec.op -> Fs_spec.ret
+(** Run one spec operation on the filesystem and read back its result in
+    the spec's terms. *)
+
 val vcs : unit -> Bi_core.Vc.t list
 (** The filesystem VC suite (scripted traces, random traces, crash
     atomicity, recovery idempotence, space accounting). *)

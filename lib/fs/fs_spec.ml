@@ -59,6 +59,19 @@ let children st dir =
       else None)
     st
 
+(* The error for a normalized path that names nothing, in the
+   implementation's resolution order: the walk from the root stops at the
+   first missing component ([Not_found]) or at a file it would have to
+   enter ([Not_dir]). *)
+let rec absent st path =
+  match parent_of path with
+  | None -> Fs.Not_found
+  | Some (parent, _) -> (
+      match lookup st parent with
+      | Some (File _) -> Fs.Not_dir
+      | Some Dir -> Fs.Not_found
+      | None -> absent st parent)
+
 let create_node st path node =
   match normalize path with
   | None -> (st, Error Fs.Invalid_path)
@@ -67,7 +80,7 @@ let create_node st path node =
       | None -> (st, Error Fs.Invalid_path) (* root *)
       | Some (parent, _) -> (
           match lookup st parent with
-          | None -> (st, Error Fs.Not_found)
+          | None -> (st, Error (absent st parent))
           | Some (File _) -> (st, Error Fs.Not_dir)
           | Some Dir -> (
               match lookup st p with
@@ -92,7 +105,7 @@ let remove_node st path ~want_dir =
       | None -> (st, Error Fs.Invalid_path)
       | Some _ -> (
           match lookup st p with
-          | None -> (st, Error Fs.Not_found)
+          | None -> (st, Error (absent st p))
           | Some Dir when not want_dir -> (st, Error Fs.Is_dir)
           | Some (File _) when want_dir -> (st, Error Fs.Not_dir)
           | Some Dir ->
@@ -117,10 +130,11 @@ let step st op =
               match parent_of n with
               | None -> Some Fs.Invalid_path
               | Some (parent, _) -> (
+                  (* A parent that is a file resolves; looking an entry
+                     up in it is what fails. *)
                   match lookup st parent with
-                  | None -> Some Fs.Not_found
-                  | Some (File _) -> Some Fs.Not_dir
-                  | Some Dir -> None))
+                  | None -> Some (absent st parent)
+                  | Some (File _ | Dir) -> None))
         in
         match (parent_ok src, parent_ok dst) with
         | Some e, _ -> (st, Error e)
@@ -129,18 +143,19 @@ let step st op =
             let s = Option.get (normalize src) in
             let d = Option.get (normalize dst) in
             match lookup st s with
-            | None -> (st, Error Fs.Not_found)
+            | None -> (st, Error (absent st s))
             | Some Dir -> (st, Error Fs.Is_dir)
             | Some (File c) -> (
                 match lookup st d with
                 | Some _ -> (st, Error Fs.Exists)
+                | None when absent st d = Fs.Not_dir -> (st, Error Fs.Not_dir)
                 | None -> (insert (remove st s) d (File c), Done))))
     | Readdir path -> (
         match normalize path with
         | None -> (st, Error Fs.Invalid_path)
         | Some p -> (
             match lookup st p with
-            | None -> (st, Error Fs.Not_found)
+            | None -> (st, Error (absent st p))
             | Some (File _) -> (st, Error Fs.Not_dir)
             | Some Dir -> (st, Names (List.sort compare (children st p)))))
     | Stat path -> (
@@ -148,7 +163,7 @@ let step st op =
         | None -> (st, Error Fs.Invalid_path)
         | Some p -> (
             match lookup st p with
-            | None -> (st, Error Fs.Not_found)
+            | None -> (st, Error (absent st p))
             | Some Dir -> (st, Statd { dir = true; size = 0 })
             | Some (File c) -> (st, Statd { dir = false; size = String.length c })))
     | Read { path; off; len } -> (
@@ -156,7 +171,7 @@ let step st op =
         | None -> (st, Error Fs.Invalid_path)
         | Some p -> (
             match lookup st p with
-            | None -> (st, Error Fs.Not_found)
+            | None -> (st, Error (absent st p))
             | Some Dir -> (st, Error Fs.Is_dir)
             | Some (File c) ->
                 if off < 0 || len < 0 then (st, Error Fs.Invalid_path)
@@ -169,7 +184,7 @@ let step st op =
         | None -> (st, Error Fs.Invalid_path)
         | Some p -> (
             match lookup st p with
-            | None -> (st, Error Fs.Not_found)
+            | None -> (st, Error (absent st p))
             | Some Dir -> (st, Error Fs.Is_dir)
             | Some (File c) ->
                 if off < 0 then (st, Error Fs.Invalid_path)
@@ -181,7 +196,7 @@ let step st op =
         | None -> (st, Error Fs.Invalid_path)
         | Some p -> (
             match lookup st p with
-            | None -> (st, Error Fs.Not_found)
+            | None -> (st, Error (absent st p))
             | Some Dir -> (st, Error Fs.Is_dir)
             | Some (File c) ->
                 if size < 0 || size > Fs.max_file_size then

@@ -64,6 +64,8 @@ let txn_read txn block =
   in
   find txn.writes
 
+let txn_dirty txn = txn.writes <> []
+
 let txn_write txn block data =
   if Bytes.length data <> Block_dev.block_size then
     invalid_arg "Wal.txn_write: buffer must be one block";

@@ -42,6 +42,10 @@ val txn_write : txn -> int -> bytes -> unit
 (** Buffer a whole-block write.  Raises [Invalid_argument] beyond
     {!max_records} distinct blocks. *)
 
+val txn_dirty : txn -> bool
+(** Whether the transaction has buffered a write (reads through a clean
+    one see only committed blocks). *)
+
 val commit : txn -> unit
 (** Run the commit protocol.  After return the writes are durable. *)
 

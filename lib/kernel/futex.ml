@@ -33,11 +33,12 @@ let waiters t ~pid ~va =
   | None -> 0
   | Some q -> Queue.length q
 
+(* Queues left empty are dropped, so the table holds only addresses with
+   a waiter and a dead thread's addresses do not stay in it. *)
 let remove_thread t ~tid =
-  Hashtbl.iter
+  Hashtbl.filter_map_inplace
     (fun _ q ->
       let keep = Queue.create () in
       Queue.iter (fun x -> if x <> tid then Queue.push x keep) q;
-      Queue.clear q;
-      Queue.transfer keep q)
+      if Queue.is_empty keep then None else Some keep)
     t.queues

@@ -20,7 +20,7 @@ and pipe = {
   mutable wr_open : bool;
 }
 
-and pstate = Alive | Zombie of int | Reaped
+and pstate = Alive | Zombie of int
 
 and process = {
   pid : int;
@@ -30,6 +30,8 @@ and process = {
   mutable next_fd : int;
   mutable pstate : pstate;
   mutable tids : int list;
+  mutable conns : int list; (* TCP connections opened or accepted, not closed *)
+  mutable ports : int list; (* TCP ports listened on *)
 }
 
 and resume =
@@ -116,10 +118,7 @@ let set_trace t on = t.tracing <- on
 let trace t = List.rev t.trace_log
 let serial_output t = Bi_hw.Device.Serial.output t.machine.Machine.serial
 
-let process_count t =
-  Hashtbl.fold
-    (fun _ p acc -> match p.pstate with Reaped -> acc | _ -> acc + 1)
-    t.processes 0
+let process_count t = Hashtbl.length t.processes
 
 let get_process t pid = Hashtbl.find_opt t.processes pid
 let get_thread t tid = Hashtbl.find t.threads tid
@@ -185,6 +184,8 @@ and spawn ?(parent = 0) t ~prog ~arg =
               next_fd = 3;
               pstate = Alive;
               tids = [];
+              conns = [];
+              ports = [];
             }
           in
           Hashtbl.replace t.processes pid p;
@@ -240,6 +241,24 @@ and make_zombie t p code =
       | File_fd _ -> ())
     p.fds;
   Hashtbl.reset p.fds;
+  (* Its TCP endpoints die with it, as its fds do: a peer sees end of
+     stream, and the port stops listening unless a live process still
+     listens there. *)
+  List.iter
+    (fun conn ->
+      try Stack.tcp_close t.stack conn with Invalid_argument _ -> ())
+    p.conns;
+  p.conns <- [];
+  List.iter
+    (fun port ->
+      let listened =
+        Hashtbl.fold
+          (fun _ q acc -> acc || (q.pstate = Alive && List.mem port q.ports))
+          t.processes false
+      in
+      if not listened then Stack.tcp_unlisten t.stack port)
+    p.ports;
+  p.ports <- [];
   (* Wake a parent blocked in wait(pid).  Exactly one waiter collects the
      exit code — the child is reaped at that point, so the others get
      [E_child], same as a wait issued after the reap.  (Previously every
@@ -258,8 +277,17 @@ and make_zombie t p code =
   | [] -> ()
   | first :: rest ->
       wake t first (Sysabi.R_int code);
-      p.pstate <- Reaped;
+      reap t p;
       List.iter (fun th -> wake t th (Sysabi.R_err Sysabi.E_child)) rest
+
+(* Collect a zombie: drop its threads and its record, so nothing of it
+   stays reachable (its futex queues went with its last thread, see
+   [Futex.remove_thread]).  pids and tids are never reused, so a later
+   [Wait] or [Kill] of it finds no record and answers [E_child] or
+   [E_srch], and a join of one of its threads sees an old tid. *)
+and reap t p =
+  List.iter (Hashtbl.remove t.threads) p.tids;
+  Hashtbl.remove t.processes p.pid
 
 and kill_process t p code =
   (* Discard every thread of the process; parked continuations are
@@ -336,9 +364,8 @@ and handle t th (req : Sysabi.request) : Sysabi.response option =
           else begin
             match child.pstate with
             | Zombie code ->
-                child.pstate <- Reaped;
+                reap t child;
                 Some (Sysabi.R_int code)
-            | Reaped -> err Sysabi.E_child
             | Alive -> None (* block *)
           end)
   | Sysabi.Kill { pid; signal } -> (
@@ -493,6 +520,7 @@ and handle t th (req : Sysabi.request) : Sysabi.response option =
       match Hashtbl.find_opt t.entries entry with
       | None -> err Sysabi.E_inval
       | Some f ->
+          Hashtbl.remove t.entries entry;
           let tid = start_thread t ~pid:th.t_pid f in
           Some (Sysabi.R_int tid))
   | Sysabi.Thread_join { tid } when tid = th.tid ->
@@ -500,6 +528,8 @@ and handle t th (req : Sysabi.request) : Sysabi.response option =
       err Sysabi.E_inval
   | Sysabi.Thread_join { tid } -> (
       match Hashtbl.find_opt t.threads tid with
+      | None when tid > 0 && tid < t.next_tid ->
+          Some Sysabi.R_unit (* a thread of a reaped process *)
       | None -> err Sysabi.E_srch
       | Some other -> (
           match other.tstate with
@@ -532,16 +562,21 @@ and handle t th (req : Sysabi.request) : Sysabi.response option =
       | None -> if blocking then None else err Sysabi.E_again)
   | Sysabi.Tcp_listen { port } ->
       Stack.tcp_listen t.stack port;
+      if not (List.mem port p.ports) then p.ports <- port :: p.ports;
       Some Sysabi.R_unit
   | Sysabi.Tcp_connect { ip; port } ->
-      Some (Sysabi.R_int (Stack.tcp_connect t.stack ~dst_ip:ip ~dst_port:port))
+      let conn = Stack.tcp_connect t.stack ~dst_ip:ip ~dst_port:port in
+      p.conns <- conn :: p.conns;
+      Some (Sysabi.R_int conn)
   | Sysabi.Tcp_recv { timeout; _ } when timeout < 0 -> err Sysabi.E_inval
   | Sysabi.Tcp_accept { port; _ } when not (Stack.tcp_is_listening t.stack port)
     ->
       err Sysabi.E_inval
   | Sysabi.Tcp_accept { port; blocking } -> (
       match Stack.tcp_accept t.stack port with
-      | Some conn -> Some (Sysabi.R_int conn)
+      | Some conn ->
+          p.conns <- conn :: p.conns;
+          Some (Sysabi.R_int conn)
       | None -> if blocking then None else err Sysabi.E_again)
   | Sysabi.Tcp_send { conn; data } -> (
       match Stack.tcp_send t.stack conn (Bytes.of_string data) with
@@ -559,6 +594,7 @@ and handle t th (req : Sysabi.request) : Sysabi.response option =
           | _ -> if blocking then None else err Sysabi.E_again)
       | exception Invalid_argument _ -> err Sysabi.E_badf)
   | Sysabi.Tcp_close { conn } -> (
+      p.conns <- List.filter (( <> ) conn) p.conns;
       match Stack.tcp_close t.stack conn with
       | () -> Some Sysabi.R_unit
       | exception Invalid_argument _ -> err Sysabi.E_badf)

@@ -2,7 +2,11 @@ module Nic = Bi_hw.Device.Nic
 
 type conn_id = int
 
-type conn_entry = { conn : Tcp.conn; mutable accepted : bool }
+type conn_entry = {
+  conn : Tcp.conn;
+  mutable accepted : bool;
+  mutable closed : bool; (* closed locally: dropped once TCP is Closed *)
+}
 
 type t = {
   nic : Nic.t;
@@ -124,7 +128,8 @@ let handle_tcp t ~src_ip segment_bytes =
             in
             let id = t.next_conn in
             t.next_conn <- id + 1;
-            Hashtbl.replace t.tcp_conns id { conn; accepted = false };
+            Hashtbl.replace t.tcp_conns id
+              { conn; accepted = false; closed = false };
             conn_send_all t conn [ synack ]
           end)
 
@@ -187,9 +192,14 @@ let poll t =
   in
   drain ()
 
+(* A connection closed locally leaves the table once TCP reaches
+   [Closed]; its id then names nothing. *)
 let tick t =
-  Hashtbl.iter
-    (fun _ entry -> conn_send_all t entry.conn (Tcp.tick entry.conn))
+  Hashtbl.filter_map_inplace
+    (fun _ entry ->
+      conn_send_all t entry.conn (Tcp.tick entry.conn);
+      if entry.closed && Tcp.state entry.conn = Tcp.Closed then None
+      else Some entry)
     t.tcp_conns
 
 (* ------------------------------------------------------------------ *)
@@ -217,6 +227,7 @@ let udp_recv t port =
 (* TCP API                                                             *)
 
 let tcp_listen t port = Hashtbl.replace t.tcp_listening port ()
+let tcp_unlisten t port = Hashtbl.remove t.tcp_listening port
 let tcp_is_listening t port = Hashtbl.mem t.tcp_listening port
 
 let tcp_connect t ~dst_ip ~dst_port =
@@ -228,7 +239,7 @@ let tcp_connect t ~dst_ip ~dst_port =
   in
   let id = t.next_conn in
   t.next_conn <- id + 1;
-  Hashtbl.replace t.tcp_conns id { conn; accepted = true };
+  Hashtbl.replace t.tcp_conns id { conn; accepted = true; closed = false };
   conn_send_all t conn [ syn ];
   id
 
@@ -255,7 +266,11 @@ let get_conn t id =
 
 let tcp_send t id data = conn_send_all t (get_conn t id).conn (Tcp.send (get_conn t id).conn data)
 let tcp_recv t id = Tcp.recv (get_conn t id).conn
-let tcp_close t id = conn_send_all t (get_conn t id).conn (Tcp.close (get_conn t id).conn)
+let tcp_close t id =
+  let e = get_conn t id in
+  e.closed <- true;
+  conn_send_all t e.conn (Tcp.close e.conn);
+  if Tcp.state e.conn = Tcp.Closed then Hashtbl.remove t.tcp_conns id
 let tcp_state t id = Tcp.state (get_conn t id).conn
 
 let arp_cache_size t = Arp.Cache.size t.arp

@@ -41,6 +41,9 @@ type conn_id = int
 (** Exposed as [int] so connection handles can cross the syscall ABI. *)
 
 val tcp_listen : t -> int -> unit
+val tcp_unlisten : t -> int -> unit
+(** Stop accepting new connections on a port. *)
+
 val tcp_is_listening : t -> int -> bool
 val tcp_connect : t -> dst_ip:int32 -> dst_port:int -> conn_id
 val tcp_accept : t -> int -> conn_id option
@@ -49,6 +52,10 @@ val tcp_accept : t -> int -> conn_id option
 val tcp_send : t -> conn_id -> bytes -> unit
 val tcp_recv : t -> conn_id -> bytes
 val tcp_close : t -> conn_id -> unit
+(** Begin an orderly close.  The connection is dropped once TCP reaches
+    [Closed] (at once, or on a later {!tick}); after that every call on
+    its id raises [Invalid_argument]. *)
+
 val tcp_state : t -> conn_id -> Tcp.state
 
 val arp_cache_size : t -> int

@@ -1034,8 +1034,8 @@ let schedule_pins =
         (53, 68) ) );
     ( "crash-respawn",
       ( ( "56548cc4ac1249e2cf9366b0a48700ee",
-          "4972eca057c24e556ab908ca60131c2c" ),
-        (26, 223) ) );
+          "a3c2d33303aae1e5a2b78d15d6cc16e1" ),
+        (26, 125) ) );
   ]
 
 let test_schedule_pins () =

@@ -521,6 +521,173 @@ let test_dir_write_stream_pin () =
     (Digest.to_hex !digest)
 
 (* ------------------------------------------------------------------ *)
+(* Name cache.  A mount starts with an empty cache, so resolving on a
+   fresh mount of the same device is the uncached answer: every live
+   lookup must agree with it. *)
+
+let fs_err = Alcotest.testable Fs.pp_error ( = )
+let fs_res = Alcotest.(result int fs_err)
+let fs_unit = Alcotest.(result unit fs_err)
+
+let ok what = function
+  | Ok x -> x
+  | Error e -> Alcotest.failf "%s: %a" what Fs.pp_error e
+
+(* Resolve [path] on the live filesystem, check a fresh mount agrees. *)
+let agree dev fs path =
+  let cold = Fs.resolve (Fs.mount dev) path in
+  check fs_res (path ^ ": live lookup agrees with a fresh mount") cold
+    (Fs.resolve fs path);
+  cold
+
+let test_cache_unlink_recreate () =
+  let dev = fresh_dev () in
+  let fs = Fs.mkfs dev in
+  ok "create /a" (Fs.create fs "/a");
+  let old = ok "resolve /a" (Fs.resolve fs "/a") in
+  ok "unlink /a" (Fs.unlink fs "/a");
+  check fs_res "/a is gone" (Error Fs.Not_found) (agree dev fs "/a");
+  (* /b takes the freed inode, so /a comes back on another one. *)
+  ok "create /b" (Fs.create fs "/b");
+  ok "create /a again" (Fs.create fs "/a");
+  let fresh = ok "resolve /a" (agree dev fs "/a") in
+  check Alcotest.bool "/a has a new inode" true (fresh <> old);
+  check fs_res "/b has the freed one" (Ok old) (agree dev fs "/b")
+
+let test_cache_rename () =
+  let dev = fresh_dev () in
+  let fs = Fs.mkfs dev in
+  ok "mkdir /d" (Fs.mkdir fs "/d");
+  ok "create /a" (Fs.create fs "/a");
+  let ino = ok "resolve /a" (Fs.resolve fs "/a") in
+  ok "rename /a /d/b" (Fs.rename fs ~src:"/a" ~dst:"/d/b");
+  check fs_res "/a is gone" (Error Fs.Not_found) (agree dev fs "/a");
+  check fs_res "/d/b is the file" (Ok ino) (agree dev fs "/d/b");
+  ok "rename /d/b /a" (Fs.rename fs ~src:"/d/b" ~dst:"/a");
+  check fs_res "/d/b is gone" (Error Fs.Not_found) (agree dev fs "/d/b");
+  check fs_res "/a is back" (Ok ino) (agree dev fs "/a")
+
+let test_cache_rmdir_mkdir () =
+  let dev = fresh_dev () in
+  let fs = Fs.mkfs dev in
+  ok "mkdir /d" (Fs.mkdir fs "/d");
+  ok "create /d/f" (Fs.create fs "/d/f");
+  let old = ok "resolve /d" (Fs.resolve fs "/d") in
+  ignore (ok "resolve /d/f" (Fs.resolve fs "/d/f"));
+  ok "unlink /d/f" (Fs.unlink fs "/d/f");
+  ok "rmdir /d" (Fs.rmdir fs "/d");
+  check fs_res "/d is gone" (Error Fs.Not_found) (agree dev fs "/d");
+  (* /x takes the directory's inode, so /d comes back on another one. *)
+  ok "create /x" (Fs.create fs "/x");
+  ok "mkdir /d again" (Fs.mkdir fs "/d");
+  let fresh = ok "resolve /d" (agree dev fs "/d") in
+  check Alcotest.bool "/d has a new inode" true (fresh <> old);
+  check fs_res "/d/f is gone" (Error Fs.Not_found) (agree dev fs "/d/f");
+  check Alcotest.(result (list string) fs_err) "/d is empty" (Ok [])
+    (Fs.readdir fs "/d");
+  ok "create /d/f again" (Fs.create fs "/d/f");
+  ignore (ok "resolve /d/f" (agree dev fs "/d/f"))
+
+(* Create names in [dir] until one fails with [No_space]; that name must
+   not resolve, and creating it again must fail the same way. *)
+let create_until_no_space dev fs dir =
+  let rec go i =
+    let p = Printf.sprintf "%s/n%d" dir i in
+    match Fs.create fs p with
+    | Ok () -> go (i + 1)
+    | Error Fs.No_space ->
+        check fs_res (p ^ " left no name") (Error Fs.Not_found)
+          (agree dev fs p);
+        check fs_unit (p ^ " again") (Error Fs.No_space) (Fs.create fs p)
+    | Error e -> Alcotest.failf "create %s: %a" p Fs.pp_error e
+  in
+  go 0
+
+let test_cache_failed_create () =
+  let dev = fresh_dev () in
+  let fs = Fs.mkfs dev in
+  ok "create /a" (Fs.create fs "/a");
+  ok "mkdir /d" (Fs.mkdir fs "/d");
+  let a = ok "resolve /a" (Fs.resolve fs "/a") in
+  let d = ok "resolve /d" (Fs.resolve fs "/d") in
+  check fs_unit "create /a twice" (Error Fs.Exists) (Fs.create fs "/a");
+  check fs_unit "mkdir over a directory" (Error Fs.Exists) (Fs.mkdir fs "/d");
+  check fs_unit "rename onto a name" (Error Fs.Exists)
+    (Fs.rename fs ~src:"/a" ~dst:"/d");
+  check fs_res "/a kept" (Ok a) (agree dev fs "/a");
+  check fs_res "/d kept" (Ok d) (agree dev fs "/d");
+  (* Out of inodes: the inode table holds 254 files besides the root. *)
+  create_until_no_space dev fs "/d";
+  (* Out of data blocks: a directory that needs a new block cannot grow. *)
+  let dev = Block_dev.of_disk (Disk.create ~sectors:96 ()) in
+  let fs = Fs.mkfs dev in
+  ok "create /big" (Fs.create fs "/big");
+  let big = ok "resolve /big" (Fs.resolve fs "/big") in
+  let rec fill off =
+    if Fs.free_data_blocks fs > 0 then
+      match Fs.write_ino fs ~ino:big ~off (Bytes.make Block_dev.block_size 'b') with
+      | Ok () -> fill (off + Block_dev.block_size)
+      | Error _ -> ()
+  in
+  fill 0;
+  create_until_no_space dev fs ""
+
+(* After every operation of a random history, the live filesystem (whose
+   cache fills and is invalidated as it goes) agrees with the spec, and
+   its tree and every lookup agree with a fresh mount of its device. *)
+let cache_paths = [| "/a"; "/b"; "/d"; "/d/a"; "/d/b"; "/e"; "/e/a" |]
+
+let gen_cache_op =
+  QCheck2.Gen.(
+    let path = map (Array.get cache_paths) (int_bound (Array.length cache_paths - 1)) in
+    oneof
+      [
+        map (fun p -> Fs_spec.Create p) path;
+        map (fun p -> Fs_spec.Mkdir p) path;
+        map (fun p -> Fs_spec.Unlink p) path;
+        map (fun p -> Fs_spec.Rmdir p) path;
+        map2 (fun a b -> Fs_spec.Rename (a, b)) path path;
+        map (fun p -> Fs_spec.Stat p) path;
+        map2
+          (fun p n -> Fs_spec.Write { path = p; off = 0; data = String.make n 'w' })
+          path (int_range 1 600);
+      ])
+
+let prop_cache_agrees =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150
+       ~name:"name cache: live fs agrees with the spec and a fresh mount"
+       ~print:(fun ops ->
+         String.concat "; " (List.map (Format.asprintf "%a" Fs_spec.pp_op) ops))
+       QCheck2.Gen.(list_size (int_range 1 40) gen_cache_op)
+       (fun ops ->
+         let dev = fresh_dev () in
+         let fs = Fs.mkfs dev in
+         let step spec op =
+           let spec, want = Option.get (Fs_spec.step spec op) in
+           let got = Fs_refinement.step fs op in
+           let cold = Fs.mount dev in
+           let fail what =
+             QCheck2.Test.fail_reportf "after %a: %s" Fs_spec.pp_op op what
+           in
+           if not (Fs_spec.equal_ret want got) then
+             fail (Format.asprintf "returned %a, spec %a" Fs_spec.pp_ret got
+                     Fs_spec.pp_ret want);
+           if not (Fs_spec.equal_state spec (Fs_refinement.view fs)) then
+             fail "live tree differs from the spec";
+           if not (Fs_spec.equal_state spec (Fs_refinement.view cold)) then
+             fail "mounted tree differs from the spec";
+           Array.iter
+             (fun p ->
+               if Fs.resolve fs p <> Fs.resolve cold p then
+                 fail (p ^ ": live lookup differs from a fresh mount"))
+             cache_paths;
+           spec
+         in
+         ignore (List.fold_left step Fs_spec.empty ops : Fs_spec.state);
+         true))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "bi_fs"
@@ -552,6 +719,15 @@ let () =
           Alcotest.test_case "many files + slot reuse" `Quick test_fs_many_files_in_dir;
           Alcotest.test_case "inode reuse" `Quick test_fs_inode_reuse_no_leak;
           Alcotest.test_case "sparse zeros" `Quick test_fs_sparse_read_zeros;
+          Alcotest.test_case "name cache: unlink then re-create" `Quick
+            test_cache_unlink_recreate;
+          Alcotest.test_case "name cache: rename moves the name" `Quick
+            test_cache_rename;
+          Alcotest.test_case "name cache: rmdir then mkdir" `Quick
+            test_cache_rmdir_mkdir;
+          Alcotest.test_case "name cache: failed create leaves no name" `Quick
+            test_cache_failed_create;
+          prop_cache_agrees;
           Alcotest.test_case "directory write-stream pin" `Quick
             test_dir_write_stream_pin;
         ] );

@@ -290,6 +290,48 @@ let test_spawn_reap_releases_memory () =
   check Alcotest.bool "a child materialises frames" true (!peak > !start);
   check Alcotest.int "materialised frames back to the start" !start !finish
 
+(* A reaped process leaves nothing behind in the kernel: its threads,
+   its futex queues, its thread entries and its record all go.  Each
+   cycle's child parks two threads in futex waits before it is killed
+   and reaped, so a table that kept any of them would grow by a child's
+   worth of words every cycle. *)
+let test_reaped_processes_leave_nothing () =
+  let k = K.create () in
+  K.register_program k "child" (fun s _ ->
+      match U.mmap s ~bytes:4096 with
+      | Error _ -> U.exit s 1
+      | Ok va ->
+          ignore
+            (U.thread_create s (fun s2 ->
+                 ignore (U.futex_wait s2 ~va ~expected:0L)));
+          ignore (U.futex_wait s ~va ~expected:0L));
+  K.register_program k "cycles" (fun s arg ->
+      for _ = 1 to int_of_string arg do
+        match U.spawn s ~prog:"child" ~arg:"" with
+        | Ok pid ->
+            U.sleep s 1;
+            ignore (U.kill s ~pid ~signal:9);
+            check Alcotest.(result int err) "reaped" (Ok 137) (U.wait s pid);
+            check Alcotest.(result int err) "wait again" (Error Sysabi.E_child)
+              (U.wait s pid);
+            check Alcotest.(result unit err) "kill again" (Error Sysabi.E_srch)
+              (U.kill s ~pid ~signal:9)
+        | Error e -> Alcotest.failf "spawn: %a" Sysabi.pp_err e
+      done);
+  (* Each "cycles" process stays a zombie (the kernel is its parent and
+     never waits), so both measurements hold one. *)
+  let words_after cycles =
+    ignore (K.spawn k ~prog:"cycles" ~arg:(string_of_int cycles));
+    K.run k;
+    Obj.reachable_words (Obj.repr k)
+  in
+  let w20 = words_after 20 in
+  let w200 = words_after 180 in
+  if K.serial_output k <> "" then Alcotest.fail (K.serial_output k);
+  if w200 - w20 > 400 then
+    Alcotest.failf "kernel grew by %d words from 20 to 200 reaped children"
+      (w200 - w20)
+
 (* ------------------------------------------------------------------ *)
 (* File descriptors: the read_spec semantics *)
 
@@ -1234,7 +1276,7 @@ let test_negative_timeout_einval () =
   ignore
     (tcp_pair
        ~server:(fun s conn -> recv := U.tcp_recv s ~timeout:(-1) conn)
-       ~client:(fun _ _ -> ()));
+       ~client:(fun s conn -> ignore (U.tcp_recv s conn)));
   check recv_result "recv" (Error Sysabi.E_inval) !recv
 
 (* ------------------------------------------------------------------ *)
@@ -1312,6 +1354,8 @@ let () =
             test_spawn_out_of_frames;
           Alcotest.test_case "spawn/reap cycles release frame memory" `Quick
             test_spawn_reap_releases_memory;
+          Alcotest.test_case "reaped processes leave nothing behind" `Quick
+            test_reaped_processes_leave_nothing;
         ] );
       ( "fd",
         [
