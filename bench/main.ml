@@ -402,29 +402,29 @@ let run_micro () =
           rows))
 
 (* ------------------------------------------------------------------ *)
-(* Parallel VC discharge: sequential vs. 4-domain wall time on the pt
-   suite (the paper's 220 obligations).                                 *)
+(* Parallel VC discharge: sequential vs. one domain per core the host
+   recommends, on the pt suite (the paper's 220 obligations).         *)
 
 let run_discharge_bench () =
+  let jobs = Domain.recommended_domain_count () in
   Format.fprintf ppf
-    "VC discharge: sequential vs parallel (pt suite, %d domains \
-     recommended by host)@."
-    (Domain.recommended_domain_count ());
+    "VC discharge: sequential vs parallel (pt suite, %d domains recommended \
+     by host)@."
+    jobs;
   let vcs = Bi_pt.Pt_refinement.all () in
   let seq = Bi_core.Verifier.discharge ~jobs:1 vcs in
-  let par = Bi_core.Verifier.discharge ~jobs:4 vcs in
+  let par = Bi_core.Verifier.discharge ~jobs vcs in
+  let speedup =
+    seq.Bi_core.Verifier.wall_time_s
+    /. Float.max 1e-9 par.Bi_core.Verifier.wall_time_s
+  in
   Format.fprintf ppf "    sequential: wall %7.3f s (summed per VC %7.3f s)@."
     seq.Bi_core.Verifier.wall_time_s seq.Bi_core.Verifier.total_time_s;
   Format.fprintf ppf
-    "    4 domains:  wall %7.3f s (summed per VC %7.3f s) — %.2fx speedup over \
+    "    %d domains:  wall %7.3f s (summed per VC %7.3f s) — %.2fx speedup over \
      sequential wall@."
-    par.Bi_core.Verifier.wall_time_s par.Bi_core.Verifier.total_time_s
-    (seq.Bi_core.Verifier.wall_time_s
-    /. Float.max 1e-9 par.Bi_core.Verifier.wall_time_s);
-  if Domain.recommended_domain_count () < 4 then
-    Format.fprintf ppf
-      "    (host exposes fewer than 4 cores; speedup is bounded by real \
-       parallelism)@.";
+    jobs par.Bi_core.Verifier.wall_time_s par.Bi_core.Verifier.total_time_s
+    speedup;
   let identical =
     List.for_all2
       (fun (a : Bi_core.Verifier.result) (b : Bi_core.Verifier.result) ->
@@ -439,11 +439,8 @@ let run_discharge_bench () =
          ("vcs", Json.Int (List.length vcs));
          ("sequential_wall_s", Json.Float seq.Bi_core.Verifier.wall_time_s);
          ("parallel_wall_s", Json.Float par.Bi_core.Verifier.wall_time_s);
-         ("parallel_jobs", Json.Int 4);
-         ( "speedup_x",
-           Json.Float
-             (seq.Bi_core.Verifier.wall_time_s
-             /. Float.max 1e-9 par.Bi_core.Verifier.wall_time_s) );
+         ("parallel_jobs", Json.Int jobs);
+         ("speedup_x", Json.Float speedup);
          ("outcomes_identical", Json.Bool identical);
        ])
 
@@ -761,7 +758,8 @@ let record_fig1c () =
 
 (* ------------------------------------------------------------------ *)
 (* Model checker: sleep-set POR vs. naive merge enumeration, and the
-   cost of the whole mc suite.                                         *)
+   cost of one exploration step.  The mc suite's own VC count and wall
+   time are `verify -v mc`'s.                                          *)
 
 let run_mc_bench () =
   Format.fprintf ppf
@@ -784,15 +782,6 @@ let run_mc_bench () =
     "    full space (no POR): %d schedules, %d steps in %.3f s (%.0f ns/step)@."
     full.Bi_core.Explore.schedules full.Bi_core.Explore.steps full_t
     ns_per_step;
-  let suite =
-    Bi_core.Mc_check.vcs () @ Bi_ulib.Ulib_mc.vcs ()
-    @ Bi_kernel.Futex_mc.vcs () @ Bi_nr.Nr_mc.vcs ()
-  in
-  let rep = Bi_core.Verifier.discharge ~jobs:1 suite in
-  Format.fprintf ppf
-    "    mc suite: %d VCs in %.3f s wall (%d proved, slowest %.3f s)@."
-    (List.length suite) rep.Bi_core.Verifier.wall_time_s
-    rep.Bi_core.Verifier.proved rep.Bi_core.Verifier.max_time_s;
   record "mc"
     (Json.Obj
        [
@@ -802,500 +791,6 @@ let run_mc_bench () =
          ("full_schedules", Json.Int full.Bi_core.Explore.schedules);
          ("full_steps", Json.Int full.Bi_core.Explore.steps);
          ("ns_per_step", Json.Float ns_per_step);
-         ("suite_vcs", Json.Int (List.length suite));
-         ("suite_proved", Json.Int rep.Bi_core.Verifier.proved);
-         ("suite_wall_s", Json.Float rep.Bi_core.Verifier.wall_time_s);
-         ("suite_max_vc_s", Json.Float rep.Bi_core.Verifier.max_time_s);
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Fault injection: how many crash points the explorer visits per
-   subject, how far failing fault plans shrink, and the cost of the
-   whole fi suite.                                                     *)
-
-let run_fi_bench () =
-  Format.fprintf ppf
-    "Fault injection: crash-point exploration and plan shrinking@.";
-  let t0 = Unix.gettimeofday () in
-  let censuses = Bi_fault.Fi_check.bench_crash_stats () in
-  let census_t = Unix.gettimeofday () -. t0 in
-  List.iter
-    (fun (name, s) ->
-      Format.fprintf ppf
-        "    %-22s %d writes/%d flushes: %d prefix + %d torn + %d subset + \
-         %d recovery crash points@."
-        name s.Bi_fault.Crash_explore.writes s.Bi_fault.Crash_explore.flushes
-        s.Bi_fault.Crash_explore.crash_points
-        s.Bi_fault.Crash_explore.torn_points
-        s.Bi_fault.Crash_explore.subset_points
-        s.Bi_fault.Crash_explore.recovery_points)
-    censuses;
-  Format.fprintf ppf "    censuses explored in %.3f s@." census_t;
-  let shrinks = Bi_fault.Fi_check.bench_shrink_demos () in
-  List.iter
-    (fun (name, before, after) ->
-      Format.fprintf ppf "    shrink %-24s %d faults -> %d@." name before
-        after)
-    shrinks;
-  let suite = Bi_fault.Fi_check.vcs () in
-  let rep = Bi_core.Verifier.discharge ~jobs:1 suite in
-  Format.fprintf ppf
-    "    fi suite: %d VCs in %.3f s wall (%d proved, slowest %.3f s)@."
-    (List.length suite) rep.Bi_core.Verifier.wall_time_s
-    rep.Bi_core.Verifier.proved rep.Bi_core.Verifier.max_time_s;
-  record "fi"
-    (Json.Obj
-       [
-         ( "crash_censuses",
-           Json.Obj
-             (List.map
-                (fun (name, s) ->
-                  ( name,
-                    Json.Obj
-                      [
-                        ("writes", Json.Int s.Bi_fault.Crash_explore.writes);
-                        ("flushes", Json.Int s.Bi_fault.Crash_explore.flushes);
-                        ( "crash_points",
-                          Json.Int s.Bi_fault.Crash_explore.crash_points );
-                        ( "torn_points",
-                          Json.Int s.Bi_fault.Crash_explore.torn_points );
-                        ( "subset_points",
-                          Json.Int s.Bi_fault.Crash_explore.subset_points );
-                        ( "recovery_points",
-                          Json.Int s.Bi_fault.Crash_explore.recovery_points );
-                      ] ))
-                censuses) );
-         ( "plan_shrinks",
-           Json.Obj
-             (List.map
-                (fun (name, before, after) ->
-                  ( name,
-                    Json.Obj
-                      [
-                        ("initial_faults", Json.Int before);
-                        ("shrunk_faults", Json.Int after);
-                      ] ))
-                shrinks) );
-         ("suite_vcs", Json.Int (List.length suite));
-         ("suite_proved", Json.Int rep.Bi_core.Verifier.proved);
-         ("suite_wall_s", Json.Float rep.Bi_core.Verifier.wall_time_s);
-         ("suite_max_vc_s", Json.Float rep.Bi_core.Verifier.max_time_s);
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Resilient store: the price of surviving a faulty wire — retries per
-   operation, failover latency, breaker churn — on the fixed replicated
-   crash/restart scenario, plus the positive control and the cost of
-   the rs suite.                                                       *)
-
-let run_rs_bench () =
-  Format.fprintf ppf
-    "Resilient store: retries, failover, breaker churn under faults@.";
-  let s = Bi_app.Rs_check.bench_stats () in
-  Format.fprintf ppf
-    "    %d ops, %d attempts (%d retries, %.2f retries/op), %d dup-table \
-     hits, %d applied@."
-    s.Bi_app.Rs_check.ops s.Bi_app.Rs_check.attempts s.Bi_app.Rs_check.retries
-    (float_of_int s.Bi_app.Rs_check.retries
-    /. float_of_int s.Bi_app.Rs_check.ops)
-    s.Bi_app.Rs_check.dup_hits s.Bi_app.Rs_check.applied;
-  Format.fprintf ppf
-    "    %d failovers (post-crash read in %d simulated rounds), breaker %d \
-     opens / %d closes, %d rounds total@."
-    s.Bi_app.Rs_check.failovers s.Bi_app.Rs_check.failover_rounds
-    s.Bi_app.Rs_check.breaker_opens s.Bi_app.Rs_check.breaker_closes
-    s.Bi_app.Rs_check.rounds;
-  let c = Bi_app.Rs_check.positive_control () in
-  Format.fprintf ppf
-    "    positive control: plain lost=%b resilient ok=%b, plan shrunk to %d \
-     decision(s), replay fails=%b@."
-    c.Bi_app.Rs_check.plain_failed c.Bi_app.Rs_check.resilient_ok
-    (List.length c.Bi_app.Rs_check.shrunk)
-    c.Bi_app.Rs_check.replay_fails;
-  let suite = Bi_app.Rs_check.vcs () in
-  let rep = Bi_core.Verifier.discharge ~jobs:1 suite in
-  Format.fprintf ppf
-    "    rs suite: %d VCs in %.3f s wall (%d proved, slowest %.3f s)@."
-    (List.length suite) rep.Bi_core.Verifier.wall_time_s
-    rep.Bi_core.Verifier.proved rep.Bi_core.Verifier.max_time_s;
-  record "rs"
-    (Json.Obj
-       [
-         ("ops", Json.Int s.Bi_app.Rs_check.ops);
-         ("attempts", Json.Int s.Bi_app.Rs_check.attempts);
-         ("retries", Json.Int s.Bi_app.Rs_check.retries);
-         ( "retries_per_op",
-           Json.Float
-             (float_of_int s.Bi_app.Rs_check.retries
-             /. float_of_int s.Bi_app.Rs_check.ops) );
-         ("failovers", Json.Int s.Bi_app.Rs_check.failovers);
-         ("failover_rounds", Json.Int s.Bi_app.Rs_check.failover_rounds);
-         ("breaker_opens", Json.Int s.Bi_app.Rs_check.breaker_opens);
-         ("breaker_closes", Json.Int s.Bi_app.Rs_check.breaker_closes);
-         ("dup_table_hits", Json.Int s.Bi_app.Rs_check.dup_hits);
-         ("applied", Json.Int s.Bi_app.Rs_check.applied);
-         ("sim_rounds", Json.Int s.Bi_app.Rs_check.rounds);
-         ( "positive_control",
-           Json.Obj
-             [
-               ("plain_lost", Json.Bool c.Bi_app.Rs_check.plain_failed);
-               ("resilient_ok", Json.Bool c.Bi_app.Rs_check.resilient_ok);
-               ( "shrunk_decisions",
-                 Json.Int (List.length c.Bi_app.Rs_check.shrunk) );
-               ("replay_fails", Json.Bool c.Bi_app.Rs_check.replay_fails);
-             ] );
-         ("suite_vcs", Json.Int (List.length suite));
-         ("suite_proved", Json.Int rep.Bi_core.Verifier.proved);
-         ("suite_wall_s", Json.Float rep.Bi_core.Verifier.wall_time_s);
-         ("suite_max_vc_s", Json.Float rep.Bi_core.Verifier.max_time_s);
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Sharded store: throughput vs shard spread on rate-limited nodes, and
-   the client-visible cost of a live shard migration — write-pause
-   rounds, keys and duplicate-table entries carried, re-routes.        *)
-
-let run_shard_bench () =
-  Format.fprintf ppf
-    "Sharded store: throughput vs shard spread, live-migration pause@.";
-  let s = Bi_app.Sh_check.bench_stats () in
-  List.iter
-    (fun p ->
-      Format.fprintf ppf
-        "    %d node(s), %d shards: %d ops in %d rounds (%d ops/kround)@."
-        p.Bi_app.Sh_check.bp_nodes p.Bi_app.Sh_check.bp_nshards
-        p.Bi_app.Sh_check.bp_ops p.Bi_app.Sh_check.bp_rounds
-        p.Bi_app.Sh_check.bp_ops_per_kround)
-    s.Bi_app.Sh_check.points;
-  Format.fprintf ppf
-    "    live migration: %d keys + %d dup entries carried, %d pause \
-     rounds, %d client re-routes, %d rounds total@."
-    s.Bi_app.Sh_check.mig_keys_moved s.Bi_app.Sh_check.mig_dups_carried
-    s.Bi_app.Sh_check.mig_pause_rounds
-    s.Bi_app.Sh_check.mig_wrong_shard_retries s.Bi_app.Sh_check.mig_rounds;
-  let suite = Bi_app.Sh_check.vcs () in
-  let rep = Bi_core.Verifier.discharge ~jobs:1 suite in
-  Format.fprintf ppf
-    "    sh suite: %d VCs in %.3f s wall (%d proved, slowest %.3f s)@."
-    (List.length suite) rep.Bi_core.Verifier.wall_time_s
-    rep.Bi_core.Verifier.proved rep.Bi_core.Verifier.max_time_s;
-  record "shard"
-    (Json.Obj
-       [
-         ( "throughput",
-           Json.List
-             (List.map
-                (fun p ->
-                  Json.Obj
-                    [
-                      ("nodes", Json.Int p.Bi_app.Sh_check.bp_nodes);
-                      ("nshards", Json.Int p.Bi_app.Sh_check.bp_nshards);
-                      ("ops", Json.Int p.Bi_app.Sh_check.bp_ops);
-                      ("rounds", Json.Int p.Bi_app.Sh_check.bp_rounds);
-                      ( "ops_per_kround",
-                        Json.Int p.Bi_app.Sh_check.bp_ops_per_kround );
-                    ])
-                s.Bi_app.Sh_check.points) );
-         ( "migration",
-           Json.Obj
-             [
-               ("keys_moved", Json.Int s.Bi_app.Sh_check.mig_keys_moved);
-               ("dups_carried", Json.Int s.Bi_app.Sh_check.mig_dups_carried);
-               ("pause_rounds", Json.Int s.Bi_app.Sh_check.mig_pause_rounds);
-               ( "wrong_shard_retries",
-                 Json.Int s.Bi_app.Sh_check.mig_wrong_shard_retries );
-               ("sim_rounds", Json.Int s.Bi_app.Sh_check.mig_rounds);
-             ] );
-         ("suite_vcs", Json.Int (List.length suite));
-         ("suite_proved", Json.Int rep.Bi_core.Verifier.proved);
-         ("suite_wall_s", Json.Float rep.Bi_core.Verifier.wall_time_s);
-         ("suite_max_vc_s", Json.Float rep.Bi_core.Verifier.max_time_s);
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Hot path: flat-combining batch apply, zero-copy framing, pooled
-   request buffers — the three erased-mode optimizations of the hp
-   suite, each against its slow reference.                             *)
-
-module Hp_cnt = struct
-  type t = int ref
-  type op = Incr
-  type ret = int
-
-  let create () = ref 0
-
-  let apply t Incr =
-    incr t;
-    !t
-
-  include Bi_nr.Seq_ds.Batch_of_apply (struct
-    type nonrec t = t
-    type nonrec op = op
-    type nonrec ret = ret
-
-    let apply = apply
-  end)
-
-  let is_read_only (Incr : op) = false
-end
-
-module Hp_nr = Bi_nr.Nr.Make (Hp_cnt)
-
-let run_hp_bench () =
-  let module P = Bi_app.Protocol in
-  let module Pkt = Bi_net.Pkt in
-  let module Iov = Bi_net.Pkt.Iov in
-  let module Ua = Bi_ulib.Ualloc in
-  Format.fprintf ppf
-    "Hot path: batch apply, zero-copy framing, buffer pool@.";
-  (* Batch apply: one kick serves k submitted ops, so the per-pass
-     overhead (combiner CAS, log reservation, replay lock, tail publish)
-     amortizes k ways. *)
-  let total = 1 lsl 16 in
-  let batch_point k =
-    let nr = Hp_nr.create ~replicas:1 ~threads_per_replica:k () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to total / k do
-      for i = 0 to k - 1 do
-        Hp_nr.submit nr ~thread:i Hp_cnt.Incr
-      done;
-      ignore (Hp_nr.kick nr ~replica:0 : bool);
-      for i = 0 to k - 1 do
-        ignore (Hp_nr.drain nr ~thread:i : int option)
-      done
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    let ops_per_s = float_of_int total /. dt in
-    Format.fprintf ppf
-      "    batch k=%2d: %9.0f ops/s  (%d entries, %d publishes)@." k
-      ops_per_s (Hp_nr.log_entries nr) (Hp_nr.publishes nr);
-    (k, ops_per_s, Hp_nr.publishes nr)
-  in
-  let sweep = List.map batch_point [ 1; 2; 4; 8; 16; 32 ] in
-  let ops_at k = match List.assoc_opt k (List.map (fun (k, o, _) -> (k, o)) sweep) with Some o -> o | None -> nan in
-  let batch_speedup = ops_at 32 /. ops_at 1 in
-  Format.fprintf ppf "    batch-apply speedup (k=32 vs k=1): %.2fx@."
-    batch_speedup;
-  (* Zero-copy framing: one ~1.4 KB storage response through
-     seal + UDP + IP + Ethernet, copying vs vectored. *)
-  let value = String.make 1320 'd' in
-  let resp = P.Value { value; crc = P.crc32 value } in
-  let dst_mac = "\x02\x00\x00\x00\x00\x01"
-  and src_mac = "\x02\x00\x00\x00\x00\x02" in
-  let src_ip = 0x0A000001l and dst_ip = 0x0A000002l in
-  let vectored () =
-    Iov.materialize
-      (Bi_net.Eth.frame_iov ~dst:dst_mac ~src:src_mac
-         ~ethertype:Bi_net.Eth.ethertype_ipv4
-         (Bi_net.Ip.packet_iov ~src:src_ip ~dst:dst_ip
-            ~proto:Bi_net.Ip.proto_udp ~ttl:64
-            (Bi_net.Udp.datagram_iov ~src_ip ~dst_ip ~src_port:9000
-               ~dst_port:9001
-               (P.seal_iov ~id:1 (P.encode_resp_iov resp)))))
-  in
-  let copying () =
-    Bi_net.Eth.encode
-      {
-        Bi_net.Eth.dst = dst_mac;
-        src = src_mac;
-        ethertype = Bi_net.Eth.ethertype_ipv4;
-        payload =
-          Bi_net.Ip.encode
-            {
-              Bi_net.Ip.src = src_ip;
-              dst = dst_ip;
-              proto = Bi_net.Ip.proto_udp;
-              ttl = 64;
-              payload =
-                Bi_net.Udp.encode ~src_ip ~dst_ip
-                  {
-                    Bi_net.Udp.src_port = 9000;
-                    dst_port = 9001;
-                    payload = P.seal ~id:1 (P.encode_resp resp);
-                  };
-            };
-      }
-  in
-  assert (vectored () = copying ());
-  let frame_iters = 2000 in
-  let time_frames f =
-    Pkt.reset_copy_stats ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to frame_iters do
-      ignore (f () : bytes)
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    (dt /. float_of_int frame_iters *. 1e9, Pkt.copied_bytes () / frame_iters)
-  in
-  let ns_iov, bytes_iov = time_frames vectored in
-  let ns_copy, bytes_copy = time_frames copying in
-  let copy_ratio = float_of_int bytes_copy /. float_of_int bytes_iov in
-  Format.fprintf ppf
-    "    framing (%d B frame): copying %d B moved/msg (%.0f ns), \
-     vectored %d B moved/msg (%.0f ns) — %.2fx fewer bytes copied@."
-    (Bytes.length (vectored ()))
-    bytes_copy ns_copy bytes_iov ns_iov copy_ratio;
-  (* Buffer pool: 4 KiB request scratch on a fragmented first-fit arena
-     (512 small holes ahead of the usable space) vs the size-classed
-     stack.  [scans] counts holes examined — the deterministic form of
-     the same win. *)
-  let arena_size = 1 lsl 20 in
-  let frag = Ua.create ~size:arena_size in
-  let smalls = Array.init 1024 (fun _ -> Option.get (Ua.alloc frag 16)) in
-  Array.iteri (fun i off -> if i mod 2 = 0 then Ua.free frag off) smalls;
-  let pool = Ua.Pool.create ~size:arena_size () in
-  (match Ua.Pool.alloc pool 4096 with
-  | Some off -> Ua.Pool.free pool off
-  | None -> assert false);
-  let alloc_iters = 20_000 in
-  let time_allocs alloc free arena =
-    Ua.reset_scans arena;
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to alloc_iters do
-      match alloc 4096 with
-      | Some off -> free off
-      | None -> assert false
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    (dt /. float_of_int alloc_iters *. 1e9,
-     float_of_int (Ua.scans arena) /. float_of_int alloc_iters)
-  in
-  let ns_arena, scans_arena =
-    time_allocs (Ua.alloc frag) (Ua.free frag) frag
-  in
-  let ns_pool, scans_pool =
-    time_allocs (Ua.Pool.alloc pool) (Ua.Pool.free pool) (Ua.Pool.arena pool)
-  in
-  let pool_speedup = ns_arena /. ns_pool in
-  Format.fprintf ppf
-    "    pool: first-fit %.0f ns/op (%.0f hole scans/op), pooled %.0f \
-     ns/op (%.1f scans/op) — %.2fx faster@."
-    ns_arena scans_arena ns_pool scans_pool pool_speedup;
-  let suite = Bi_app.Hp_check.vcs () in
-  let rep = Bi_core.Verifier.discharge ~jobs:1 suite in
-  Format.fprintf ppf
-    "    hp suite: %d VCs in %.3f s wall (%d proved, slowest %.3f s)@."
-    (List.length suite) rep.Bi_core.Verifier.wall_time_s
-    rep.Bi_core.Verifier.proved rep.Bi_core.Verifier.max_time_s;
-  record "hp"
-    (Json.Obj
-       [
-         ( "batch_apply",
-           Json.Obj
-             [
-               ( "sweep",
-                 Json.List
-                   (List.map
-                      (fun (k, ops, pubs) ->
-                        Json.Obj
-                          [
-                            ("batch", Json.Int k);
-                            ("ops_per_s", Json.Float ops);
-                            ("publishes", Json.Int pubs);
-                          ])
-                      sweep) );
-               ("total_ops", Json.Int total);
-               ("speedup_k32_vs_k1", Json.Float batch_speedup);
-             ] );
-         ( "framing",
-           Json.Obj
-             [
-               ("frame_bytes", Json.Int (Bytes.length (vectored ())));
-               ("bytes_copied_per_msg_copying", Json.Int bytes_copy);
-               ("bytes_copied_per_msg_vectored", Json.Int bytes_iov);
-               ("bytes_copied_ratio", Json.Float copy_ratio);
-               ("ns_per_msg_copying", Json.Float ns_copy);
-               ("ns_per_msg_vectored", Json.Float ns_iov);
-             ] );
-         ( "pool",
-           Json.Obj
-             [
-               ("ns_per_op_first_fit", Json.Float ns_arena);
-               ("ns_per_op_pooled", Json.Float ns_pool);
-               ("scans_per_op_first_fit", Json.Float scans_arena);
-               ("scans_per_op_pooled", Json.Float scans_pool);
-               ("speedup", Json.Float pool_speedup);
-             ] );
-         ("suite_vcs", Json.Int (List.length suite));
-         ("suite_proved", Json.Int rep.Bi_core.Verifier.proved);
-         ("suite_wall_s", Json.Float rep.Bi_core.Verifier.wall_time_s);
-         ("suite_max_vc_s", Json.Float rep.Bi_core.Verifier.max_time_s);
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Workload engine: the capacity-planning artifact — throughput and
-   latency percentiles vs offered load, with and without admission
-   control, plus the million-client headline row.                      *)
-
-let json_of_wl_row (r : Bi_load.Wl_check.bench_row) =
-  let s = r.Bi_load.Wl_check.s in
-  Json.Obj
-    [
-      ("label", Json.Str r.Bi_load.Wl_check.label);
-      ("admission", Json.Bool r.Bi_load.Wl_check.admission);
-      ("offered_load_pct", Json.Int r.Bi_load.Wl_check.load_pct);
-      ("clients", Json.Int s.Bi_load.Engine.clients);
-      ("issued", Json.Int s.Bi_load.Engine.issued);
-      ("attempts", Json.Int s.Bi_load.Engine.attempts);
-      ("completed", Json.Int s.Bi_load.Engine.completed);
-      ("shed", Json.Int s.Bi_load.Engine.shed);
-      ("gave_up", Json.Int s.Bi_load.Engine.gave_up);
-      ("duration_ticks", Json.Int s.Bi_load.Engine.duration);
-      ("throughput_per_tick", Json.Float s.Bi_load.Engine.throughput);
-      ("p50_ticks", Json.Float s.Bi_load.Engine.p50);
-      ("p99_ticks", Json.Float s.Bi_load.Engine.p99);
-      ("p999_ticks", Json.Float s.Bi_load.Engine.p999);
-      ("mean_latency_ticks", Json.Float s.Bi_load.Engine.mean_latency);
-      ("max_queue", Json.Int s.Bi_load.Engine.max_queue);
-      ("min_client_completed", Json.Int s.Bi_load.Engine.min_client_completed);
-      ("invariants_ok", Json.Bool s.Bi_load.Engine.invariants_ok);
-    ]
-
-let run_wl_bench () =
-  Format.fprintf ppf
-    "Workload engine: latency vs offered load, admission-control knee@.";
-  Format.fprintf ppf
-    "    open loop, 100k simulated clients, Zipf(1.1) keys, Pareto(1.5) \
-     service@.";
-  let sweep = Bi_load.Wl_check.bench_sweep () in
-  Format.fprintf ppf
-    "    %-20s %10s %8s %8s %8s %9s %9s@." "arm" "completed" "p50" "p99"
-    "p999" "shed" "maxqueue";
-  List.iter
-    (fun (r : Bi_load.Wl_check.bench_row) ->
-      let s = r.Bi_load.Wl_check.s in
-      Format.fprintf ppf
-        "    %-20s %10d %8.1f %8.1f %8.1f %9d %9d@."
-        r.Bi_load.Wl_check.label s.Bi_load.Engine.completed
-        s.Bi_load.Engine.p50 s.Bi_load.Engine.p99 s.Bi_load.Engine.p999
-        s.Bi_load.Engine.shed s.Bi_load.Engine.max_queue)
-    sweep;
-  let headline = Bi_load.Wl_check.bench_headline () in
-  let hs = headline.Bi_load.Wl_check.s in
-  Format.fprintf ppf
-    "    headline: %d clients over 4 sharded nodes, bursty arrivals@."
-    hs.Bi_load.Engine.clients;
-  Format.fprintf ppf
-    "      completed %d / issued %d, shed %d, p50 %.1f / p99 %.1f / p999 \
-     %.1f ticks, max queue %d@."
-    hs.Bi_load.Engine.completed hs.Bi_load.Engine.issued
-    hs.Bi_load.Engine.shed hs.Bi_load.Engine.p50 hs.Bi_load.Engine.p99
-    hs.Bi_load.Engine.p999 hs.Bi_load.Engine.max_queue;
-  let suite = Bi_load.Wl_check.vcs () in
-  let rep = Bi_core.Verifier.discharge ~jobs:1 suite in
-  Format.fprintf ppf
-    "    wl suite: %d VCs in %.3f s wall (%d proved, slowest %.3f s)@."
-    (List.length suite) rep.Bi_core.Verifier.wall_time_s
-    rep.Bi_core.Verifier.proved rep.Bi_core.Verifier.max_time_s;
-  record "wl"
-    (Json.Obj
-       [
-         ("sweep", Json.List (List.map json_of_wl_row sweep));
-         ("headline", json_of_wl_row headline);
-         ("suite_vcs", Json.Int (List.length suite));
-         ("suite_proved", Json.Int rep.Bi_core.Verifier.proved);
-         ("suite_wall_s", Json.Float rep.Bi_core.Verifier.wall_time_s);
-         ("suite_max_vc_s", Json.Float rep.Bi_core.Verifier.max_time_s);
        ])
 
 (* ------------------------------------------------------------------ *)
@@ -1325,11 +820,6 @@ let subjects =
     ("discharge", run_discharge_bench);
     ("ablations", run_ablations);
     ("mc", run_mc_bench);
-    ("fi", run_fi_bench);
-    ("rs", run_rs_bench);
-    ("shard", run_shard_bench);
-    ("hp", run_hp_bench);
-    ("wl", run_wl_bench);
     ("micro", run_micro);
   ]
 

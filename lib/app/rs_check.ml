@@ -1135,7 +1135,7 @@ let vcs () =
   @ exactly_once_vcs @ lin_vcs @ replica_vcs @ mutation_vcs @ crash_vcs
 
 (* ================================================================== *)
-(* Bench scenario                                                      *)
+(* Bench scenario (pinned by test_sim)                                  *)
 
 type bench = {
   ops : int;

@@ -40,10 +40,11 @@ type control = {
 }
 
 val positive_control : unit -> control
-(** The fault-injection positive control shared by the [rs] VCs, the
-    test suite, and the bench: a scripted noisy plan under which a plain
-    one-shot request is lost while the resilient client completes,
-    shrunk to a single [Drop] and replayed. *)
+(** The fault-injection positive control: a scripted noisy plan under
+    which a plain one-shot request is lost while the resilient client
+    completes, shrunk to a single [Drop] and replayed.  Pinned by the
+    [rs/mutation/shrunk-replay] VC, [test_app]'s "fault-injection
+    positive control" and [test_sim]'s "rs positive_control". *)
 
 type bench = {
   ops : int;
@@ -60,5 +61,5 @@ type bench = {
 
 val bench_stats : unit -> bench
 (** A fixed replicated scenario (two replicas, seeded mixed faults,
-    crash + restart + resync of the primary) reported for
-    [bench rs]. *)
+    crash + restart + resync of the primary): retries, failovers,
+    breaker churn.  [test_sim]'s "rs bench_stats" pins every field. *)

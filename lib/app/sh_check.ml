@@ -9,8 +9,8 @@ module World = Sim_world
 module KV = Store_spec
 
 (* Client fibers run on the {!Vtime} scheduler against sharded nodes of
-   the {!Sim_world}, each with a bounded service rate so bench throughput
-   scales with shard spread.  Histories are checked against the one
+   the {!Sim_world}, each with a bounded service rate so [bench_stats]'
+   throughput scales with shard spread.  Histories are checked against the one
    key-value specification, {!Store_spec}. *)
 
 let record rc s = KV.record rc ~now:(fun () -> Vtime.now s)
@@ -1021,7 +1021,7 @@ let vcs () =
   @ mutation_vcs
 
 (* ================================================================== *)
-(* Bench scenarios                                                      *)
+(* Bench scenarios (pinned by test_sim)                                 *)
 
 type bench_point = {
   bp_nodes : int;

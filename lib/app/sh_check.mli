@@ -4,8 +4,8 @@
     The same {!Bi_core.Vtime} scheduler and {!Sim_world} as the [rs]
     suite drive sharded {!Node_core}s behind {!Bi_fault.Faulty_link}
     channels — with one addition: each node serves at most
-    [service_rate] requests per round, so the bench can show throughput
-    scaling with shard spread.
+    [service_rate] requests per round, so {!bench_stats} can show
+    throughput scaling with shard spread.
     The obligations:
 
     - {!Shard_map} laws: hash range, key→shard→node consistency,
@@ -55,5 +55,7 @@ type bench = {
 }
 
 val bench_stats : unit -> bench
-(** Two fixed scenarios for [bench shard]: throughput vs shard spread,
-    and two live shard migrations under concurrent client load. *)
+(** Two fixed scenarios: throughput vs shard spread, and two live shard
+    migrations under concurrent client load.  [test_sim]'s "sh
+    bench_stats" pins every field; [BENCH_pr7.json] keeps its last
+    recorded report. *)

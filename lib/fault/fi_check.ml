@@ -951,73 +951,3 @@ let mutation_vcs () =
 let vcs () =
   plan_vcs () @ disk_vcs () @ wal_vcs () @ fs_vcs () @ net_vcs () @ nr_vcs ()
   @ serde_vcs () @ mutation_vcs ()
-
-(* ------------------------------------------------------------------ *)
-(* Bench hooks: crash-point censuses and shrink demos for `bench fi`   *)
-
-let bench_crash_stats () =
-  let get name r =
-    match r with
-    | Ok s -> (name, s)
-    | Error e -> failwith (name ^ ": " ^ e)
-  in
-  [
-    get "wal-3-records"
-      (Crash_explore.explore
-         (wal_config ~tears:[ 256 ] ~seeds:[ 1; 2 ]
-            ~setup_blocks:[ (40, 'A'); (41, 'B'); (42, 'C') ]
-            ~txn_writes:[ (40, 'X'); (41, 'Y'); (42, 'Z') ] ()));
-    get "wal-recovery-explored"
-      (Crash_explore.explore
-         (wal_config ~seeds:[ 0; 1 ] ~explore_recovery:true
-            ~setup_blocks:[ (40, 'A'); (41, 'B') ]
-            ~txn_writes:[ (40, 'X'); (41, 'Y') ] ()));
-    get "fs-create"
-      (Crash_explore.explore
-         (fs_config ~tears:[ 256 ] ~seeds:[ 1 ]
-            ~setup:(fun fs ->
-              match Fs.create fs "/a" with Ok () -> () | Error _ -> assert false)
-            ~mutate:(fun fs ->
-              match Fs.create fs "/b" with Ok () -> () | Error _ -> assert false)
-            ()));
-    get "fs-rename"
-      (Crash_explore.explore
-         (fs_config ~seeds:[ 1 ]
-            ~setup:(fun fs ->
-              (match Fs.create fs "/a" with Ok () -> () | Error _ -> assert false);
-              match Fs.mkdir fs "/d" with Ok () -> () | Error _ -> assert false)
-            ~mutate:(fun fs ->
-              match Fs.rename fs ~src:"/a" ~dst:"/d/b" with
-              | Ok () -> ()
-              | Error _ -> assert false)
-            ()));
-  ]
-
-let bench_shrink_demos () =
-  let count p = List.length (List.filter (( <> ) Fault_plan.Pass) p) in
-  let tcp_noisy =
-    [ Fault_plan.Duplicate; Pass; Corrupt { pos = 30; bits = 0x10 }; Drop; Pass ]
-  in
-  let tcp_shrunk = Fault_plan.shrink ~fails:m4_fails tcp_noisy in
-  let disk_fails plan_decisions =
-    let fd =
-      Faulty_disk.create ~plan:(Fault_plan.script plan_decisions)
-        ~flush_barrier:false ~sectors:4 ()
-    in
-    let dev = Faulty_disk.to_block_dev fd in
-    Block_dev.write dev 1 (blk 'Z');
-    Block_dev.flush dev;
-    let crashed = Block_dev.crash_with dev ~keep_unflushed:max_int in
-    Bytes.get (Block_dev.read crashed 1) 0 <> 'Z'
-  in
-  let disk_noisy =
-    [ Fault_plan.Duplicate; Fault_plan.Stall 10; Fault_plan.Reorder ]
-  in
-  (* The write is site 0 here (one site per op), so only a leading Stall
-     matters; shrink finds that. *)
-  let disk_noisy = Fault_plan.Stall 10 :: disk_noisy in
-  let disk_shrunk = Fault_plan.shrink ~fails:disk_fails disk_noisy in
-  [
-    ("tcp-corrupt-no-checksum", count tcp_noisy, count tcp_shrunk);
-    ("disk-stall-no-barrier", count disk_noisy, count disk_shrunk);
-  ]

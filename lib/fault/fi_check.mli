@@ -11,10 +11,3 @@
     flush without a stall barrier, TCP without checksum validation). *)
 
 val vcs : unit -> Bi_core.Vc.t list
-
-val bench_crash_stats : unit -> (string * Crash_explore.stats) list
-(** Named crash-exploration censuses for the [fi] bench subject. *)
-
-val bench_shrink_demos : unit -> (string * int * int) list
-(** [(name, initial fault count, shrunk fault count)] for the bench's
-    plan-shrinking report. *)

@@ -242,7 +242,10 @@ let scripted_vcs () =
 
 let gen_op g (_ : Fs_spec.state) =
   let dirs = [ "/"; "/d0"; "/d1" ] in
-  let files = [ "/f0"; "/f1"; "/d0/f"; "/d1/f" ] in
+  (* The last two go through a file whenever /f0 or /d0/f is one, so
+     the spec's [Not_dir] (and, when it is absent, [Not_found]) answers
+     are checked on every operation. *)
+  let files = [ "/f0"; "/f1"; "/d0/f"; "/d1/f"; "/f0/x"; "/d0/f/y" ] in
   let file g = Gen.oneof g files in
   match Gen.int g 100 with
   | r when r < 15 -> Fs_spec.Create (file g)

@@ -16,7 +16,7 @@
    Determinism: every sample comes from the [Workload] sampler's own
    generator, and event order is a pure function of (time, seq) — so one
    (config, seed) pair gives one bit-identical summary, which the
-   determinism VCs and the bench JSON rely on.  Latencies go into a
+   determinism VCs and test_load rely on.  Latencies go into a
    {!Bi_core.Stats.Reservoir}, so a million samples cost the reservoir's
    capacity in floats, not a million. *)
 

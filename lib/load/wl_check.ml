@@ -8,7 +8,7 @@
    - determinism: the workload samplers and the engine are pure functions
      of (config, seed) — traces and whole summaries compare bit-for-bit;
    - statistical soundness: the samplers actually have the shapes the
-     bench claims (Zipf top-k vs analytic, burst duty cycle, heavy-tail
+     engine assumes (Zipf top-k vs analytic, burst duty cycle, heavy-tail
      quantile ratio) — seeded, so the checks are exact, never flaky;
    - the reservoir sketch agrees exactly with [Stats.percentile] below
      capacity and within bounded error above it;
@@ -934,8 +934,8 @@ let vcs () =
   @ mutation_vcs ()
 
 (* ================================================================== *)
-(* Bench: the capacity-planning artifact — latency/throughput vs        *)
-(* offered load, with and without admission control                     *)
+(* The offered-load sweep: latency/throughput vs offered load, with    *)
+(* and without admission control (pinned by test_load)                 *)
 
 type bench_row = {
   label : string;
@@ -968,7 +968,7 @@ let sweep_cfg ~clients ~nodes ~load_pct ~admission =
 
 let sweep_points = [ 50; 80; 100; 120; 150; 200 ]
 
-let bench_sweep ?(clients = 100_000) ?(nodes = 1) () =
+let bench_sweep ~clients ~nodes =
   List.concat_map
     (fun load_pct ->
       List.map
@@ -984,34 +984,3 @@ let bench_sweep ?(clients = 100_000) ?(nodes = 1) () =
           })
         [ true; false ])
     sweep_points
-
-(* The headline row: a million simulated clients, bursty arrivals,
-   4 sharded nodes, admission on.  Mean offered load is 90% of service
-   capacity, but the 80% duty cycle concentrates it into on-phases at
-   ~113% of capacity — so the queues genuinely shed during bursts and
-   drain between them. *)
-let bench_headline () =
-  let clients = 1_000_000 in
-  let load_pct = 90 and nodes = 4 in
-  let mean_gap =
-    float_of_int clients *. mean_service *. 100.
-    /. (float_of_int load_pct *. float_of_int nodes)
-  in
-  let s =
-    E.run
-      {
-        E.default with
-        clients;
-        ops_per_client = 1;
-        mode = E.Open { mean_gap };
-        capacity = 256;
-        per_client = Some 8;
-        nodes;
-        n_keys = 65536;
-        burst = W.Burst.create ~on_len:400 ~off_len:100;
-        retry_max = 12;
-        reservoir = 8192;
-        seed = 4096L;
-      }
-  in
-  { label = "1e6-clients/admission"; admission = true; load_pct; s }

@@ -31,7 +31,7 @@
 
 val vcs : unit -> Bi_core.Vc.t list
 
-(** {1 Bench: the capacity-planning artifact} *)
+(** {1 The offered-load sweep} *)
 
 type bench_row = {
   label : string;
@@ -40,15 +40,10 @@ type bench_row = {
   s : Engine.summary;
 }
 
-val sweep_points : int list
-(** Offered-load percentages swept by {!bench_sweep}. *)
-
-val bench_sweep : ?clients:int -> ?nodes:int -> unit -> bench_row list
-(** Throughput/latency vs offered load at each of {!sweep_points}, with
-    and without admission control — 10^5 simulated clients by default.
-    The knee: past 100%, the no-admission arm's queue and tail latency
-    grow without bound while the admission arm sheds and stays flat. *)
-
-val bench_headline : unit -> bench_row
-(** One million simulated clients, bursty arrivals, four sharded nodes,
-    admission on. *)
+val bench_sweep : clients:int -> nodes:int -> bench_row list
+(** Throughput/latency vs offered load at 50, 80, 100, 120, 150 and 200%
+    of nominal service capacity, with and without admission control,
+    over [clients] simulated clients and [nodes] nodes.  [test_load]'s
+    "bench row reproducible" case pins its first row as a pure function
+    of the config; [BENCH_pr8.json] keeps the last recorded 10^5-client
+    sweep and 10^6-client headline row. *)

@@ -1,6 +1,6 @@
 (* Copy accounting: every primitive that moves payload bytes into or out
-   of a buffer reports here, so the bench ablation can compare bytes
-   copied per framed message between the copying and iovec paths.  The
+   of a buffer reports here, so [hp/iov/zero-copy-ablation] can compare
+   bytes copied per framed message between the copying and iovec paths.  The
    counters are domain-local, so a VC reading them under [verify --jobs]
    sees only the copies made on its own domain. *)
 type copy_stats = { mutable bytes : int; mutable count : int }

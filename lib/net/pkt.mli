@@ -93,8 +93,9 @@ val checksum_iov : ?skip_slice:int -> Iov.t -> int
 
     Every primitive that moves payload bytes ({!W.bytes}, {!W.string},
     {!W.contents}, {!R.take}, {!Iov.materialize}) bumps these counters.
-    The bench ablation reads them to compare bytes-copied-per-message
-    between the copying and iovec framing paths.  The counters are
+    [hp/iov/zero-copy-ablation] reads them to compare bytes copied per
+    message between the copying and iovec framing paths, and perfbench
+    to count copies per operation.  The counters are
     domain-local: each domain counts, resets and reads only its own
     copies. *)
 

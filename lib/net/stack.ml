@@ -106,6 +106,23 @@ let find_conn t ~rip ~rport ~lport =
     t.tcp_conns;
   !found
 
+(* Reset the sender of [seg], which matches no connection here. *)
+let send_rst t ~dst_ip (seg : Tcp.segment) =
+  let rst =
+    {
+      Tcp.src_port = seg.Tcp.dst_port;
+      dst_port = seg.Tcp.src_port;
+      seq = seg.Tcp.ack_n;
+      ack_n = 0l;
+      flags =
+        { Tcp.syn = false; ack = false; fin = false; rst = true; psh = false };
+      window = 0;
+      payload = Bytes.empty;
+    }
+  in
+  send_ip t ~dst_ip ~proto:Ip.proto_tcp
+    (Tcp.encode_segment_iov ~src_ip:t.ip_addr ~dst_ip rst)
+
 let handle_tcp t ~src_ip segment_bytes =
   match
     Tcp.decode_segment ~src_ip ~dst_ip:t.ip_addr segment_bytes
@@ -131,7 +148,12 @@ let handle_tcp t ~src_ip segment_bytes =
             Hashtbl.replace t.tcp_conns id
               { conn; accepted = false; closed = false };
             conn_send_all t conn [ synack ]
-          end)
+          end
+          else if seg.Tcp.flags.Tcp.syn && seg.Tcp.flags.Tcp.ack then
+            (* A SYN-ACK for a connect abandoned in [Syn_sent]: the reset
+               ends the peer's half-open connection now, not after its
+               last SYN-ACK retransmission. *)
+            send_rst t ~dst_ip:src_ip seg)
 
 let handle_udp t ~src_ip segment_bytes =
   match Udp.decode ~src_ip ~dst_ip:t.ip_addr segment_bytes with
@@ -192,13 +214,18 @@ let poll t =
   in
   drain ()
 
-(* A connection closed locally leaves the table once TCP reaches
-   [Closed]; its id then names nothing. *)
+(* A connection leaves the table once TCP reaches [Closed] if it was
+   closed locally or never accepted (a reset or the retransmission limit
+   ended it before [tcp_accept] handed out its id); its id then names
+   nothing. *)
 let tick t =
   Hashtbl.filter_map_inplace
     (fun _ entry ->
       conn_send_all t entry.conn (Tcp.tick entry.conn);
-      if entry.closed && Tcp.state entry.conn = Tcp.Closed then None
+      if
+        Tcp.state entry.conn = Tcp.Closed
+        && (entry.closed || not entry.accepted)
+      then None
       else Some entry)
     t.tcp_conns
 
@@ -273,6 +300,7 @@ let tcp_close t id =
   if Tcp.state e.conn = Tcp.Closed then Hashtbl.remove t.tcp_conns id
 let tcp_state t id = Tcp.state (get_conn t id).conn
 
+let tcp_conn_count t = Hashtbl.length t.tcp_conns
 let arp_cache_size t = Arp.Cache.size t.arp
 
 (* ------------------------------------------------------------------ *)

@@ -58,6 +58,11 @@ val tcp_close : t -> conn_id -> unit
 
 val tcp_state : t -> conn_id -> Tcp.state
 
+val tcp_conn_count : t -> int
+(** Connections in the table, accepted or not.  A SYN-ACK that matches
+    none is answered with a reset, and a never-accepted connection that
+    reaches [Closed] leaves the table on the next {!tick}. *)
+
 val arp_cache_size : t -> int
 
 val pump : ?rounds:int -> t list -> unit

@@ -34,8 +34,9 @@ val block_count : t -> int
 
 val scans : t -> int
 (** Free-list holes examined by first-fit since the last
-    {!reset_scans} — the deterministic alloc-latency proxy the bench
-    ablation compares against the pool's O(1) path. *)
+    {!reset_scans} — the deterministic alloc-latency proxy that
+    [hp/pool/zero-scans-after-warmup] compares against the pool's O(1)
+    path. *)
 
 val reset_scans : t -> unit
 

@@ -148,7 +148,7 @@ let test_bench_row_reproducible () =
   (* The committed BENCH_pr8.json rows must be re-derivable: same code,
      same config, bit-identical row. *)
   let row () =
-    List.hd (Bi_load.Wl_check.bench_sweep ~clients:2_000 ~nodes:1 ())
+    List.hd (Bi_load.Wl_check.bench_sweep ~clients:2_000 ~nodes:1)
   in
   let a = row () and b = row () in
   check Alcotest.bool "sweep row bit-identical across runs" true (a = b);

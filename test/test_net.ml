@@ -378,6 +378,20 @@ let test_stack_duplicate_delivery_safe () =
       check Alcotest.string "delivered exactly once" "once" first;
       check Alcotest.string "duplicate suppressed" "" second
 
+let test_stack_abandoned_connect_reset () =
+  let a, b, _, _ = host_pair () in
+  Stack.tcp_listen b 80;
+  (* The client gives up while still in Syn_sent; its SYN is already
+     queued, so the server answers it into a half-open connection. *)
+  let ca = Stack.tcp_connect a ~dst_ip:ip_b ~dst_port:80 in
+  Stack.tcp_close a ca;
+  check Alcotest.int "client forgets the connect" 0 (Stack.tcp_conn_count a);
+  Stack.pump [ a; b ];
+  Stack.tick b;
+  check Alcotest.int "server holds no half-open connection" 0
+    (Stack.tcp_conn_count b);
+  check Alcotest.bool "nothing to accept" true (Stack.tcp_accept b 80 = None)
+
 (* Reliability under randomized loss schedules: whatever subset of frames
    the adversary drops, a bounded retransmission budget delivers the full
    stream intact and in order. *)
@@ -454,6 +468,8 @@ let () =
           Alcotest.test_case "udp queued behind arp" `Quick test_stack_udp_queued_behind_arp;
           Alcotest.test_case "syn loss recovers" `Quick test_stack_syn_loss_recovers;
           Alcotest.test_case "duplicate delivery safe" `Quick test_stack_duplicate_delivery_safe;
+          Alcotest.test_case "abandoned connect reset" `Quick
+            test_stack_abandoned_connect_reset;
           prop_tcp_reliable_under_random_loss;
         ] );
     ]
