@@ -3,7 +3,12 @@
 
 JOBS ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: all build test verify fmt-check bench discharge mc fi rs sh hp wl nd cr clean
+# The suites `make <suite>` discharges alone: mc (model checker), fi
+# (fault injection), rs (resilient store), sh (sharded store), hp (hot
+# path), wl (workload), nd (netd) and cr (crash recovery).
+SUITES := mc fi rs sh hp wl nd cr
+
+.PHONY: all build test verify fmt-check bench discharge $(SUITES) clean
 
 all: build
 
@@ -36,39 +41,9 @@ verify: fmt-check
 	dune build && dune runtest && dune exec bin/verify.exe -- --jobs $(JOBS)
 	python3 perfbench/test_bench.py
 
-# The model-checker suite alone (fast; handy while editing drivers).
-mc:
-	dune exec bin/verify.exe -- mc
-
-# The fault-injection suite alone (crash exploration, faulty disk/link).
-fi:
-	dune exec bin/verify.exe -- fi
-
-# The resilient-store suite alone (exactly-once, breaker, linearizability).
-rs:
-	dune exec bin/verify.exe -- rs
-
-# The sharded-store suite alone (routing + live migration).
-sh:
-	dune exec bin/verify.exe -- sh
-
-# The hot-path suite alone (batch apply, zero-copy framing, buffer pool).
-hp:
-	dune exec bin/verify.exe -- hp
-
-# The workload suite alone (admission control, shedding, fairness).
-wl:
-	dune exec bin/verify.exe -- wl
-
-# The netd suite alone (concurrent daemon, e2e exactly-once/lin,
-# syscall-trace replay, futex queue model, mutations).
-nd:
-	dune exec bin/verify.exe -- nd
-
-# The crash-recovery suite alone (journaled commit, crash exploration of
-# commit and recovery, exactly-once across restarts).
-cr:
-	dune exec bin/verify.exe -- cr
+# One suite alone, e.g. `make cr`.
+$(SUITES):
+	dune exec bin/verify.exe -- $@
 
 bench:
 	dune exec bench/main.exe

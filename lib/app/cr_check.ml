@@ -523,7 +523,7 @@ let recover_vcs () =
         let store = Node_core.mem_store () in
         let life1 = Node_core.create ~journal:(J.create sink) store in
         List.iter (handled life1) [ put_req ~seq:1 "a" "1"; put_req ~seq:2 "b" "2" ];
-        buf := Bytes.cat !buf (Bytes.of_string "\x1f\xfftorn");
+        Buffer.add_string buf "\x1f\xfftorn";
         let store2 = Node_core.mem_store () in
         let life2 = Node_core.create ~journal:(J.create sink) store2 in
         let r = Node_core.recover life2 in

@@ -223,9 +223,10 @@ type sink = {
 
 (* Fault-site contract: with [faults], exactly one decision is consumed
    per sink operation (read, append, or replace), in call order; any
-   non-[Pass] decision fails that operation with [Err (Io _)]. *)
+   non-[Pass] decision fails that operation with [Err (Io _)].  A
+   [Buffer] makes an append amortised O(1) in the journal's size. *)
 let mem_sink ?faults () =
-  let buf = ref Bytes.empty in
+  let buf = Buffer.create 256 in
   let fail () =
     match faults with
     | None -> false
@@ -236,19 +237,20 @@ let mem_sink ?faults () =
       sink_read =
         (fun () ->
           if fail () then Error (P.Io "injected journal read failure")
-          else Ok !buf);
+          else Ok (Buffer.to_bytes buf));
       sink_append =
         (fun b ->
           if fail () then Error (P.Io "injected journal append failure")
           else begin
-            buf := Bytes.cat !buf b;
+            Buffer.add_bytes buf b;
             Ok ()
           end);
       sink_replace =
         (fun b ->
           if fail () then Error (P.Io "injected journal replace failure")
           else begin
-            buf := b;
+            Buffer.clear buf;
+            Buffer.add_bytes buf b;
             Ok ()
           end);
     }

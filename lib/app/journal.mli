@@ -70,9 +70,10 @@ type sink = {
       (** Crash-atomic whole-journal replacement (checkpoints). *)
 }
 
-val mem_sink : ?faults:Bi_fault.Fault_plan.t -> unit -> sink * bytes ref
+val mem_sink : ?faults:Bi_fault.Fault_plan.t -> unit -> sink * Buffer.t
 (** In-memory sink for the simulated worlds; the buffer outlives any
     node built over it, which is what makes a simulated restart durable.
+    An append adds to the buffer in amortised O(1).
     With [faults], exactly one decision is consumed per sink operation
     (read/append/replace, in call order); non-[Pass] fails it with
     [Err (Io _)]. *)

@@ -40,11 +40,11 @@ type t = {
   mutable shutdown : bool;
   mutable applied : int;
   mutable dup_hits : int;
-  (* Crash durability: with a journal, every mutation is appended as one
-     Journal.Mut record *before* the store apply (the append is the
-     commit point), and control-plane transitions are appended after
-     they succeed; [recover] replays the log on restart. *)
-  journal : Journal.t option;
+  (* Crash durability: every mutation is appended as one Journal.Mut
+     record *before* the store apply (the append is the commit point),
+     and control-plane transitions are appended after they succeed;
+     [recover] replays the log on restart. *)
+  journal : Journal.t;
   journal_checkpoint : int; (* auto-checkpoint size threshold, bytes *)
   mutant_journal_after_apply : bool;
       (* seeded ordering bug for the cr mutation self-check: store write
@@ -54,7 +54,8 @@ type t = {
   mutable checkpoints : int;
 }
 
-let create ?pool ?(dup_capacity = 8) ?(epoch = 0) ?journal
+let create ?pool ?(dup_capacity = 8) ?(epoch = 0)
+    ?(journal = Journal.create (fst (Journal.mem_sink ())))
     ?(journal_checkpoint = 32 * 1024) ?(mutant_journal_after_apply = false)
     store =
   {
@@ -88,12 +89,9 @@ let checkpoints t = t.checkpoints
    longer promise its recovered self would agree with its live self. *)
 let jrecord t r =
   if not t.recovering then
-    match t.journal with
-    | None -> ()
-    | Some j -> (
-        match Journal.append j r with
-        | Ok () -> ()
-        | Error _ -> t.degraded <- true)
+    match Journal.append t.journal r with
+    | Ok () -> ()
+    | Error _ -> t.degraded <- true
 
 (* ------------------------------------------------------------------ *)
 (* Sharding control plane                                              *)
@@ -317,32 +315,6 @@ let release t ~shard =
    presence. *)
 type mutation = M_put of stored | M_del
 
-(* The unjournaled path, byte-for-byte the pre-journal behaviour
-   (including the fault-site ordering of [mem_store ~write_faults]):
-   apply directly, latch degraded on I/O failure, record the outcome. *)
-let direct_apply t txn ~shard key m =
-  let resp =
-    match m with
-    | M_put stored -> (
-        match t.store.save key stored with
-        | Ok () ->
-            t.applied <- t.applied + 1;
-            P.Done
-        | Error e -> P.Err e)
-    | M_del -> (
-        match t.store.remove key with
-        | Ok true ->
-            t.applied <- t.applied + 1;
-            P.Done
-        | Ok false -> P.Missing
-        | Error e -> P.Err e)
-  in
-  (match resp with P.Err (P.Io _) -> t.degraded <- true | _ -> ());
-  (match resp with
-  | P.Done | P.Missing -> dup_record t txn ~shard resp
-  | _ -> ());
-  resp
-
 (* Snapshot of the whole duplicate table in journal form, deterministic
    order (see {!dump_dups}). *)
 let snapshot_dups t =
@@ -365,30 +337,27 @@ let shard_lists sh =
    or explicitly), where the store is fully materialized — which is what
    makes "replay restarts at the snapshot" sound. *)
 let checkpoint t =
-  match t.journal with
-  | None -> Ok ()
-  | Some j -> (
-      let snap =
-        Journal.Snapshot
-          {
-            s_dups = snapshot_dups t;
-            s_sharding = Option.map shard_lists t.sharding;
-            s_degraded = t.degraded;
-          }
-      in
-      match Journal.replace_with j [ snap ] with
-      | Ok () ->
-          t.checkpoints <- t.checkpoints + 1;
-          Ok ()
-      | Error _ as e -> e)
+  let snap =
+    Journal.Snapshot
+      {
+        s_dups = snapshot_dups t;
+        s_sharding = Option.map shard_lists t.sharding;
+        s_degraded = t.degraded;
+      }
+  in
+  match Journal.replace_with t.journal [ snap ] with
+  | Ok () ->
+      t.checkpoints <- t.checkpoints + 1;
+      Ok ()
+  | Error _ as e -> e
 
 (* A failed auto-checkpoint is not a failed commit: the replace dance is
    crash-atomic, so the previous journal is intact and replay still
    reconstructs the node — the journal just keeps growing until an
    append itself fails (which does refuse the mutation and latch
    degraded). *)
-let maybe_checkpoint t j =
-  if Journal.size j >= t.journal_checkpoint then ignore (checkpoint t)
+let maybe_checkpoint t =
+  if Journal.size t.journal >= t.journal_checkpoint then ignore (checkpoint t)
 
 (* The journaled commit protocol.  Order matters and is the protocol:
 
@@ -397,11 +366,12 @@ let maybe_checkpoint t j =
 
    A crash before the append loses nothing (the mutation was never
    acknowledged); a crash after it is recovered by replay, which redoes
-   the store write and restores the dup entry together — the "one atomic
-   record" the tentpole asks for.  If the apply fails after the append,
-   a [Cancel] record voids the Mut (the client got an error, so a retry
-   must re-evaluate, not be answered [Done]). *)
-let journaled_commit t j txn ~shard key m =
+   the store write and restores the dup entry together, from one atomic
+   record.  If the apply fails after the append, a [Cancel] record voids
+   the Mut (the client got an error, so a retry must re-evaluate, not be
+   answered [Done]). *)
+let journaled_commit t txn ~shard key m =
+  let j = t.journal in
   let decided =
     match m with
     | M_put _ -> Ok P.Done
@@ -438,7 +408,7 @@ let journaled_commit t j txn ~shard key m =
       let finish () =
         (match resp with P.Done -> t.applied <- t.applied + 1 | _ -> ());
         dup_record t txn ~shard resp;
-        maybe_checkpoint t j;
+        maybe_checkpoint t;
         resp
       in
       if t.mutant_journal_after_apply then
@@ -483,10 +453,7 @@ let mutate t txn key m =
       | Error e -> P.Err e
       | Ok shard ->
           if t.degraded then P.Err P.Read_only
-          else
-            match t.journal with
-            | None -> direct_apply t txn ~shard key m
-            | Some j -> journaled_commit t j txn ~shard key m)
+          else journaled_commit t txn ~shard key m)
 
 let handle t req =
   match req with
@@ -613,149 +580,146 @@ let no_recovery =
    nothing (the cr suite checks this at every crash point, including
    crashes during recovery itself). *)
 let recover t =
-  match t.journal with
-  | None -> no_recovery
-  | Some j -> (
-      t.recovering <- true;
-      Fun.protect ~finally:(fun () -> t.recovering <- false) @@ fun () ->
-      match Journal.load j with
-      | Error _ ->
-          t.degraded <- true;
-          { no_recovery with r_journal_error = true }
-      | Ok (records, torn) ->
-          let arr = Array.of_list records in
-          let n = Array.length arr in
-          let start = ref 0 in
-          Array.iteri
-            (fun i r -> match r with Journal.Snapshot _ -> start := i | _ -> ())
-            arr;
-          let stats =
-            ref
-              {
-                no_recovery with
-                r_records = n;
-                r_torn_tail = torn;
-                r_snapshot =
-                  (n > 0
-                  && match arr.(!start) with
-                     | Journal.Snapshot _ -> true
-                     | _ -> false);
-              }
-          in
-          let bump f = stats := f !stats in
-          let record_dup txn ~shard done_ =
-            match txn with
-            | None -> ()
-            | Some _ ->
-                dup_record t txn ~shard (if done_ then P.Done else P.Missing);
-                bump (fun s -> { s with r_dup_entries = s.r_dup_entries + 1 })
-          in
-          let redo_put key (value, crc) =
-            let desired = { value; crc } in
-            match t.store.load key with
-            | Ok (Some cur) when cur = desired ->
-                bump (fun s -> { s with r_skipped = s.r_skipped + 1 })
-            | _ -> (
-                (* absent, stale, or unreadable (e.g. a torn save left
-                   the value without its crc sidecar): rewrite *)
-                match t.store.save key desired with
-                | Ok () -> bump (fun s -> { s with r_redone = s.r_redone + 1 })
-                | Error _ ->
-                    t.degraded <- true;
-                    bump (fun s ->
-                        { s with r_store_failures = s.r_store_failures + 1 }))
-          in
-          let redo_del key ~done_ =
-            if not done_ then
-              bump (fun s -> { s with r_skipped = s.r_skipped + 1 })
-            else
-              match t.store.load key with
-              | Ok None -> bump (fun s -> { s with r_skipped = s.r_skipped + 1 })
-              | _ -> (
-                  match t.store.remove key with
-                  | Ok _ -> bump (fun s -> { s with r_redone = s.r_redone + 1 })
-                  | Error _ ->
-                      t.degraded <- true;
-                      bump (fun s ->
-                          { s with r_store_failures = s.r_store_failures + 1 }))
-          in
-          let install_snapshot { Journal.s_dups; s_sharding; s_degraded } =
-            Hashtbl.reset t.dups;
-            t.recency <- [];
-            List.iter
-              (fun (client, entries) ->
-                Hashtbl.replace t.dups client
-                  (List.map
-                     (fun (seq, shard, done_) ->
-                       (seq, (shard, if done_ then P.Done else P.Missing)))
-                     entries);
-                t.recency <- client :: t.recency)
-              s_dups;
-            (match s_sharding with
-            | None -> t.sharding <- None
-            | Some (nshards, version, owned, frozen) ->
-                enable_sharding t ~nshards ~version ~owned;
-                List.iter (fun s -> freeze t ~shard:s) frozen);
-            t.degraded <- s_degraded
-          in
-          let replay_ctl = function
-            | Journal.Enable { nshards; version; owned } ->
-                enable_sharding t ~nshards ~version ~owned
-            | Journal.Adopt shard ->
-                (* The live adopt already succeeded (only successes are
-                   journaled), so replay must not let a failed reconcile
-                   sweep refuse the ownership it is reconstructing. *)
-                with_sharding t (fun sh ->
-                    (match sweep_shard t ~shard with
-                    | Ok () -> ()
-                    | Error _ -> t.degraded <- true);
-                    sh.owned.(shard) <- true;
-                    sh.frozen.(shard) <- false)
-            | Journal.Release shard ->
-                with_sharding t (fun sh ->
-                    sh.owned.(shard) <- false;
-                    sh.frozen.(shard) <- false);
-                prune_dups t ~shard;
+  t.recovering <- true;
+  Fun.protect ~finally:(fun () -> t.recovering <- false) @@ fun () ->
+  match Journal.load t.journal with
+  | Error _ ->
+      t.degraded <- true;
+      { no_recovery with r_journal_error = true }
+  | Ok (records, torn) ->
+      let arr = Array.of_list records in
+      let n = Array.length arr in
+      let start = ref 0 in
+      Array.iteri
+        (fun i r -> match r with Journal.Snapshot _ -> start := i | _ -> ())
+        arr;
+      let stats =
+        ref
+          {
+            no_recovery with
+            r_records = n;
+            r_torn_tail = torn;
+            r_snapshot =
+              (n > 0
+              && match arr.(!start) with
+                 | Journal.Snapshot _ -> true
+                 | _ -> false);
+          }
+      in
+      let bump f = stats := f !stats in
+      let record_dup txn ~shard done_ =
+        match txn with
+        | None -> ()
+        | Some _ ->
+            dup_record t txn ~shard (if done_ then P.Done else P.Missing);
+            bump (fun s -> { s with r_dup_entries = s.r_dup_entries + 1 })
+      in
+      let redo_put key (value, crc) =
+        let desired = { value; crc } in
+        match t.store.load key with
+        | Ok (Some cur) when cur = desired ->
+            bump (fun s -> { s with r_skipped = s.r_skipped + 1 })
+        | _ -> (
+            (* absent, stale, or unreadable (e.g. a torn save left
+               the value without its crc sidecar): rewrite *)
+            match t.store.save key desired with
+            | Ok () -> bump (fun s -> { s with r_redone = s.r_redone + 1 })
+            | Error _ ->
+                t.degraded <- true;
+                bump (fun s ->
+                    { s with r_store_failures = s.r_store_failures + 1 }))
+      in
+      let redo_del key ~done_ =
+        if not done_ then
+          bump (fun s -> { s with r_skipped = s.r_skipped + 1 })
+        else
+          match t.store.load key with
+          | Ok None -> bump (fun s -> { s with r_skipped = s.r_skipped + 1 })
+          | _ -> (
+              match t.store.remove key with
+              | Ok _ -> bump (fun s -> { s with r_redone = s.r_redone + 1 })
+              | Error _ ->
+                  t.degraded <- true;
+                  bump (fun s ->
+                      { s with r_store_failures = s.r_store_failures + 1 }))
+      in
+      let install_snapshot { Journal.s_dups; s_sharding; s_degraded } =
+        Hashtbl.reset t.dups;
+        t.recency <- [];
+        List.iter
+          (fun (client, entries) ->
+            Hashtbl.replace t.dups client
+              (List.map
+                 (fun (seq, shard, done_) ->
+                   (seq, (shard, if done_ then P.Done else P.Missing)))
+                 entries);
+            t.recency <- client :: t.recency)
+          s_dups;
+        (match s_sharding with
+        | None -> t.sharding <- None
+        | Some (nshards, version, owned, frozen) ->
+            enable_sharding t ~nshards ~version ~owned;
+            List.iter (fun s -> freeze t ~shard:s) frozen);
+        t.degraded <- s_degraded
+      in
+      let replay_ctl = function
+        | Journal.Enable { nshards; version; owned } ->
+            enable_sharding t ~nshards ~version ~owned
+        | Journal.Adopt shard ->
+            (* The live adopt already succeeded (only successes are
+               journaled), so replay must not let a failed reconcile
+               sweep refuse the ownership it is reconstructing. *)
+            with_sharding t (fun sh ->
                 (match sweep_shard t ~shard with
                 | Ok () -> ()
-                | Error _ -> t.degraded <- true)
-            | Journal.Freeze shard -> freeze t ~shard
-            | Journal.Unfreeze shard -> unfreeze t ~shard
-            | Journal.Map_version v -> set_map_version t v
-            | Journal.Mut _ | Journal.Cancel _ | Journal.Snapshot _
-            | Journal.Import _ ->
-                ()
-          in
-          for i = !start to n - 1 do
-            match arr.(i) with
-            | Journal.Snapshot s -> install_snapshot s
-            | Journal.Cancel { degraded } ->
-                if degraded then t.degraded <- true
-            | Journal.Mut { txn; shard; key; put; done_ } ->
-                let cancelled =
-                  i + 1 < n
-                  && match arr.(i + 1) with Journal.Cancel _ -> true | _ -> false
-                in
-                if cancelled then
-                  bump (fun s -> { s with r_cancelled = s.r_cancelled + 1 })
-                else begin
-                  (match put with
-                  | Some stored -> redo_put key stored
-                  | None -> redo_del key ~done_);
-                  record_dup txn ~shard done_
-                end
-            | Journal.Import { shard; entries } ->
-                import_dups t ~shard
-                  (List.map
-                     (fun (txn, done_) ->
-                       (txn, if done_ then P.Done else P.Missing))
-                     entries)
-            | (Journal.Enable _ | Journal.Adopt _ | Journal.Release _
-              | Journal.Freeze _ | Journal.Unfreeze _ | Journal.Map_version _)
-              as ctl ->
-                replay_ctl ctl
-          done;
-          !stats)
+                | Error _ -> t.degraded <- true);
+                sh.owned.(shard) <- true;
+                sh.frozen.(shard) <- false)
+        | Journal.Release shard ->
+            with_sharding t (fun sh ->
+                sh.owned.(shard) <- false;
+                sh.frozen.(shard) <- false);
+            prune_dups t ~shard;
+            (match sweep_shard t ~shard with
+            | Ok () -> ()
+            | Error _ -> t.degraded <- true)
+        | Journal.Freeze shard -> freeze t ~shard
+        | Journal.Unfreeze shard -> unfreeze t ~shard
+        | Journal.Map_version v -> set_map_version t v
+        | Journal.Mut _ | Journal.Cancel _ | Journal.Snapshot _
+        | Journal.Import _ ->
+            ()
+      in
+      for i = !start to n - 1 do
+        match arr.(i) with
+        | Journal.Snapshot s -> install_snapshot s
+        | Journal.Cancel { degraded } ->
+            if degraded then t.degraded <- true
+        | Journal.Mut { txn; shard; key; put; done_ } ->
+            let cancelled =
+              i + 1 < n
+              && match arr.(i + 1) with Journal.Cancel _ -> true | _ -> false
+            in
+            if cancelled then
+              bump (fun s -> { s with r_cancelled = s.r_cancelled + 1 })
+            else begin
+              (match put with
+              | Some stored -> redo_put key stored
+              | None -> redo_del key ~done_);
+              record_dup txn ~shard done_
+            end
+        | Journal.Import { shard; entries } ->
+            import_dups t ~shard
+              (List.map
+                 (fun (txn, done_) ->
+                   (txn, if done_ then P.Done else P.Missing))
+                 entries)
+        | (Journal.Enable _ | Journal.Adopt _ | Journal.Release _
+          | Journal.Freeze _ | Journal.Unfreeze _ | Journal.Map_version _)
+          as ctl ->
+            replay_ctl ctl
+      done;
+      !stats
 
 (* ------------------------------------------------------------------ *)
 (* Stores                                                              *)

@@ -1,12 +1,14 @@
 (** The storage node's request-handling core, factored out of the
-    transport so the same logic serves three homes: the real
-    {!Storage_node} kernel program (over the Usys filesystem), the
-    fault-injected model nodes of the [rs] verify suite (over an
-    in-memory store whose writes fail on a {!Bi_fault.Fault_plan}
-    schedule), and direct {!Bi_fs.Fs} instances (e.g. over a
-    {!Bi_fault.Faulty_disk}).
+    transport so the same code serves netd (over the Usys filesystem and
+    a journal file), the simulated nodes of the [rs], [sh] and [wl]
+    suites and the load engine (over an in-memory store and journal,
+    the store's writes failing on a {!Bi_fault.Fault_plan} schedule
+    where a VC asks), and the [cr] suite's nodes on a directly mounted
+    {!Bi_fs.Fs}.  Whatever the store and journal sink, every node
+    commits a mutation by the one journaled protocol, so a VC over any
+    of them checks the commit path netd runs.
 
-    Two resilience mechanisms live here:
+    Three mechanisms live here:
 
     {b Exactly-once mutations.}  A bounded per-client duplicate table
     remembers the response of each recent transaction id.  A retried
@@ -62,14 +64,20 @@ val create :
     request/response scratch buffers (shared across cores is fine — the
     worlds are single-domain).
 
-    With [journal], mutations run the crash-durable commit protocol:
-    decide the response, append one {!Journal.Mut} record (the commit
-    point — an append failure refuses the mutation and latches
-    degraded), apply the store write, then record the dup-table entry;
-    control-plane transitions (sharding, imports) are journaled after
-    they succeed.  {!recover} replays the journal on restart.  When the
-    journal exceeds [journal_checkpoint] bytes (default 32 KiB) after a
-    commit, it is atomically collapsed to a {!Journal.Snapshot}.
+    Every mutation runs the crash-durable commit protocol: decide the
+    response, append one {!Journal.Mut} record (the commit point — an
+    append failure refuses the mutation and latches degraded), apply the
+    store write (a failed write appends a {!Journal.Cancel} and latches
+    degraded), then record the dup-table entry; control-plane
+    transitions (sharding, imports) are journaled after they succeed.
+    {!recover} replays the journal on restart.  When the journal exceeds
+    [journal_checkpoint] bytes (default 32 KiB) after a commit, it is
+    atomically collapsed to a {!Journal.Snapshot}.
+
+    [journal] chooses where the records go: netd passes its journal
+    file; the default is a fresh in-memory journal, which lives and dies
+    with the node unless the caller keeps its sink to recover from (as
+    {!Sim_world.restart} does).
 
     [mutant_journal_after_apply] is a mutation-self-check knob (cr
     suite only): it applies the store write {e before} the commit
@@ -163,8 +171,8 @@ val dump_dups : t -> (Protocol.txn * (int * Protocol.resp)) list
 
 (** {2 Crash recovery}
 
-    Only meaningful on a node created with a [journal]; without one,
-    {!recover} is a no-op and {!checkpoint} answers [Ok ()]. *)
+    A restarted node is a fresh {!create} over the durable store and the
+    same journal, followed by {!recover}. *)
 
 type recovery = {
   r_records : int;  (** journal records decoded *)

@@ -6,10 +6,10 @@ module Vtime = Bi_core.Vtime
 module World = Sim_world
 module KV = Store_spec
 
-(* Client fibers run on the {!Vtime} scheduler against journaled nodes of
-   the {!Sim_world}; virtual time is the only clock anywhere in the
-   suite, so runs are replayable.  Histories are checked against the one
-   key-value specification, {!Store_spec}. *)
+(* Client fibers run on the {!Vtime} scheduler against the nodes of the
+   {!Sim_world}, which journal as netd's do; virtual time is the only
+   clock anywhere in the suite, so runs are replayable.  Histories are
+   checked against the one key-value specification, {!Store_spec}. *)
 
 let record rc s = KV.record rc ~now:(fun () -> Vtime.now s)
 
@@ -31,7 +31,7 @@ let rates_mixed =
     max_stall = 3 }
 
 let seeded_node ~tag ~i ~seed ~rates ~limit () =
-  World.journaled_node
+  World.node
     ~name:(Printf.sprintf "n%d" i)
     ~req_plan:
       (FP.seeded ~name:(Printf.sprintf "rs/%s/n%d/req" tag i) ~seed ~rates
@@ -51,7 +51,7 @@ let attempt_timeout = 10
 let scripted_world ~req ~resp =
   let s = Vtime.make () in
   let node =
-    World.journaled_node ~name:"n0" ~req_plan:(FP.script req)
+    World.node ~name:"n0" ~req_plan:(FP.script req)
       ~resp_plan:(FP.script resp) ()
   in
   let w = World.create s [ node ] in
@@ -160,7 +160,7 @@ let quiet_pair ~config =
   let w =
     World.create s
       (List.init 2 (fun i ->
-           World.journaled_node ~name:(Printf.sprintf "n%d" i)
+           World.node ~name:(Printf.sprintf "n%d" i)
              ~req_plan:(FP.script []) ~resp_plan:(FP.script []) ()))
   in
   let eps = List.init 2 (fun i -> World.endpoint w i ~attempt_timeout) in
@@ -360,7 +360,7 @@ let deadline_sound seed =
   let node =
     (* Unbounded hostile plan: the deadline, not the fault budget, must
        end the call. *)
-    World.journaled_node ~name:"n0"
+    World.node ~name:"n0"
       ~req_plan:
         (FP.seeded ~name:"rs/deadline/req" ~seed
            ~rates:{ FP.no_faults with drop = 800; stall = 150; max_stall = 6 }
@@ -412,7 +412,7 @@ let deadline_sound seed =
 let naive_failover_history () =
   let s, w, _ = scripted_world ~req:[] ~resp:[] in
   let backup =
-    World.journaled_node ~name:"n1" ~req_plan:(FP.script [])
+    World.node ~name:"n1" ~req_plan:(FP.script [])
       ~resp_plan:(FP.script []) ()
   in
   let w2 =

@@ -1,7 +1,8 @@
 (** The [rs] verify suite: the resilient store end to end.
 
     The one virtual-time fiber scheduler, {!Bi_core.Vtime}, runs client
-    fibers against journaled {!Node_core} instances of the {!Sim_world},
+    fibers against the {!Node_core} instances of the {!Sim_world}, which
+    commit through the same journal protocol as netd's,
     behind {!Bi_fault.Faulty_link} channels, so every schedule and every
     injected fault is a deterministic, replayable artifact.  The obligations:
 

@@ -153,7 +153,7 @@ type mig_run = {
           world-determinism VC compares them across identical runs. *)
 }
 
-let lin_migration ~tag ~seed ~rates ?(deletes = true) ?(crash = `No) () =
+let lin_migration ~tag ~seed ~rates ?(crash = `No) () =
   let nshards = 4 in
   let nnodes = match crash with `No -> 2 | _ -> 3 in
   let env = make_cluster ~nshards ~nnodes ~tag ~seed ~rates ~limit:6 () in
@@ -181,7 +181,7 @@ let lin_migration ~tag ~seed ~rates ?(deletes = true) ?(crash = `No) () =
       for i = 1 to 6 do
         let key = keys.((i + proc) mod 4) in
         let value = Printf.sprintf "v%d-%d" proc i in
-        let op = KV.mixed_op ~deletes ~proc ~i ~key ~value () in
+        let op = KV.mixed_op ~proc ~i ~key ~value () in
         record rc s proc op (fun () ->
             KV.perform ~put:(SR.put r) ~get:(SR.get r) ~delete:(SR.delete r)
               ~pp_error:RC.pp_error op);
@@ -922,7 +922,7 @@ let migrate_vcs =
              keys);
   ]
 
-let lin_vc ~family ~rates ?deletes ?crash () =
+let lin_vc ~family ~rates ?crash () =
   Vc.make
     ~id:(Printf.sprintf "sh/lin/migration-%s" family)
     ~category:cat_lin
@@ -931,8 +931,7 @@ let lin_vc ~family ~rates ?deletes ?crash () =
         List.for_all
           (fun seed ->
             let m =
-              lin_migration ~tag:("lin-" ^ family) ~seed ~rates ?deletes
-                ?crash ()
+              lin_migration ~tag:("lin-" ^ family) ~seed ~rates ?crash ()
             in
             m.rc.errors = [] && m.rc.calls <> [] && m.mig_ok && m.ballast_ok
             && KV.linearizable m.rc)
@@ -946,12 +945,10 @@ let lin_vcs =
     lin_vc ~family:"drop" ~rates:rates_drop ();
     lin_vc ~family:"duplicate" ~rates:rates_dup ();
     lin_vc ~family:"mixed" ~rates:rates_mixed ();
-    (* Crash + restart of the node the migration does not touch; puts
-       and gets only, because losing the duplicate table can re-apply a
-       retried delete (rs covers that via epoch fencing). *)
-    lin_vc ~family:"crash-restart" ~rates:rates_drop ~deletes:false
+    (* Crash + restart of the node the migration does not touch. *)
+    lin_vc ~family:"crash-restart" ~rates:rates_drop
       ~crash:(`Crash_restart (20, 30)) ();
-    lin_vc ~family:"epoch-fence" ~rates:rates_pass ~deletes:false
+    lin_vc ~family:"epoch-fence" ~rates:rates_pass
       ~crash:(`Crash_restart (20, 1)) ();
     Vc.make ~id:"sh/lin/exactly-once-accounting" ~category:cat_lin (fun () ->
         (* Under every quiet-crash-free family the apply counters close:

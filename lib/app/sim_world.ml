@@ -86,7 +86,7 @@ let net_clock net =
 type node = {
   name : string;
   store : Node_core.store;
-  journal : Journal.t option;
+  journal : Journal.t;
   mutable core : Node_core.t;
   mutable up : bool;
   mutable node_epoch : int;
@@ -99,13 +99,14 @@ type node = {
 
 type t = { net : net; nodes : node array }
 
-let make_node ~name ~journal ~service_rate ~req_plan ~resp_plan =
+let node ~name ?(service_rate = max_int) ~req_plan ~resp_plan () =
   let store = Node_core.mem_store () in
+  let journal = Journal.create (fst (Journal.mem_sink ())) in
   {
     name;
     store;
     journal;
-    core = Node_core.create ~epoch:0 ?journal store;
+    core = Node_core.create ~epoch:0 ~journal store;
     up = true;
     node_epoch = 0;
     last_recovery = Node_core.no_recovery;
@@ -114,14 +115,6 @@ let make_node ~name ~journal ~service_rate ~req_plan ~resp_plan =
     inbox = Queue.create ();
     service_rate;
   }
-
-let node ~name ?(service_rate = max_int) ~req_plan ~resp_plan () =
-  make_node ~name ~journal:None ~service_rate ~req_plan ~resp_plan
-
-let journaled_node ~name ~req_plan ~resp_plan () =
-  make_node ~name
-    ~journal:(Some (Journal.create (fst (Journal.mem_sink ()))))
-    ~service_rate:max_int ~req_plan ~resp_plan
 
 let create sched nodes = { net = net sched; nodes = Array.of_list nodes }
 
@@ -135,7 +128,7 @@ let revive t i = t.nodes.(i).up <- true
 let restart ?map t i =
   let n = t.nodes.(i) in
   n.node_epoch <- n.node_epoch + 1;
-  n.core <- Node_core.create ~epoch:n.node_epoch ?journal:n.journal n.store;
+  n.core <- Node_core.create ~epoch:n.node_epoch ~journal:n.journal n.store;
   n.last_recovery <- Node_core.recover n.core;
   Option.iter
     (fun map ->

@@ -5,7 +5,9 @@
     injected fault is a replayable artifact of its plan.  Frames carry a
     request id and a CRC-32 over the whole frame ({!Protocol.seal}): any
     corruption makes a frame undecodable, and it is dropped, to be
-    repaired by retry. *)
+    repaired by retry.  Every node commits through an in-memory
+    {!Journal} by netd's protocol, so these suites check the commit path
+    the daemon runs. *)
 
 (** {1 Shared transport} *)
 
@@ -46,7 +48,7 @@ val patient_config : int -> Resilient_client.config
 type node = {
   name : string;
   store : Node_core.store;  (** Durable across crashes. *)
-  journal : Journal.t option;  (** In memory; durable across crashes. *)
+  journal : Journal.t;  (** In memory; durable across crashes. *)
   mutable core : Node_core.t;
   mutable up : bool;
   mutable node_epoch : int;
@@ -66,15 +68,10 @@ val node :
   resp_plan:Bi_fault.Fault_plan.t ->
   unit ->
   node
-(** No journal; [service_rate] defaults to unbounded. *)
-
-val journaled_node :
-  name:string ->
-  req_plan:Bi_fault.Fault_plan.t ->
-  resp_plan:Bi_fault.Fault_plan.t ->
-  unit ->
-  node
-(** Journals every mutation; unbounded service rate. *)
+(** A node over an in-memory store and an in-memory {!Journal}, both
+    kept across {!crash} and {!restart}: its core commits every mutation
+    through the journal, as netd's does.  [service_rate] defaults to
+    unbounded. *)
 
 val create : Bi_core.Vtime.t -> node list -> t
 
@@ -85,9 +82,9 @@ val revive : t -> int -> unit
 (** Partition heal: serve again with the same core, losing nothing. *)
 
 val restart : ?map:Shard_map.t -> t -> int -> unit
-(** A fresh core in the next epoch over the same store, so replicas must
-    re-fence and resync.  The duplicate table and degraded latch survive
-    only through the journal ({!Node_core.recover}).  With [map] the node
+(** A fresh core in the next epoch over the same store and journal, so
+    replicas must re-fence and resync.  The core rebuilds its duplicate
+    table, degraded latch and shard ownership by {!Node_core.recover}.  With [map] the node
     re-learns its shard ownership, which is control-plane state. *)
 
 val tick : t -> unit

@@ -254,7 +254,21 @@ let udp_recv t port =
 (* TCP API                                                             *)
 
 let tcp_listen t port = Hashtbl.replace t.tcp_listening port ()
-let tcp_unlisten t port = Hashtbl.remove t.tcp_listening port
+
+(* As Linux does for a closed listener's accept queue, the connections
+   no one accepted are reset, so a later listener on the port cannot
+   accept them and their clients see end of stream. *)
+let tcp_unlisten t port =
+  Hashtbl.remove t.tcp_listening port;
+  Hashtbl.filter_map_inplace
+    (fun _ entry ->
+      if (not entry.accepted) && Tcp.local_port entry.conn = port then begin
+        conn_send_all t entry.conn (Tcp.abort entry.conn);
+        None
+      end
+      else Some entry)
+    t.tcp_conns
+
 let tcp_is_listening t port = Hashtbl.mem t.tcp_listening port
 
 let tcp_connect t ~dst_ip ~dst_port =

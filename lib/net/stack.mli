@@ -42,7 +42,9 @@ type conn_id = int
 
 val tcp_listen : t -> int -> unit
 val tcp_unlisten : t -> int -> unit
-(** Stop accepting new connections on a port. *)
+(** Stop accepting new connections on a port, and reset the connections
+    on it that no one accepted: they leave the table, and their peers
+    see the reset. *)
 
 val tcp_is_listening : t -> int -> bool
 val tcp_connect : t -> dst_ip:int32 -> dst_port:int -> conn_id

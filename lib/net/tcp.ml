@@ -355,6 +355,15 @@ let close c =
       []
   | Fin_wait_1 | Fin_wait_2 | Last_ack | Time_wait | Closed -> []
 
+let abort c =
+  if c.st = Closed then []
+  else begin
+    let rst = seg c ~fl:{ no_flags with rst = true } c.snd_nxt in
+    c.st <- Closed;
+    c.inflight <- [];
+    [ rst ]
+  end
+
 let retransmit c =
   List.map
     (fun f ->

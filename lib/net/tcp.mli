@@ -75,6 +75,10 @@ val send : conn -> bytes -> segment list
 val close : conn -> segment list
 (** Begin an orderly close once buffered data drains. *)
 
+val abort : conn -> segment list
+(** Reset: the connection goes to [Closed] at once and answers the RST
+    that tells its peer so (none if it was already [Closed]). *)
+
 val tick : conn -> segment list
 (** Advance the retransmission timer one tick; returns retransmissions.
     After too many retransmissions the connection resets to [Closed]. *)

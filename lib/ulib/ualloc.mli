@@ -7,9 +7,10 @@
     mmapped region or a plain test buffer; invariants (no overlap, full
     coverage, coalesced freelist) are checked by the test suite.
 
-    {!Pool} adds the size-classed O(1) fast path the request hot path
-    uses; its invariants (and a seeded double-free mutant) are covered by
-    the [hp] verify suite. *)
+    {!Pool} adds a size-classed O(1) fast path.  Only the [hp] verify
+    suite drives it, through [Node_core.handle_frame]; netd calls
+    [Node_core.handle] and allocates no pool.  The suite covers its
+    invariants and a seeded double-free mutant. *)
 
 type t
 

@@ -954,6 +954,54 @@ let test_recovery_migration_merge () =
   | _ -> Alcotest.fail "evicted seq 1 re-applies");
   check Alcotest.int "eviction victim re-applied" 1 (NC.applied b)
 
+(* Every core journals, so a node built without naming a journal
+   commits through the same protocol as netd's: it checkpoints, ... *)
+let test_default_node_checkpoints () =
+  let n = NC.create (NC.mem_store ()) in
+  (match NC.handle n (put_txn_req ~client:1 ~seq:1 "k" "v") with
+  | P.Done -> ()
+  | _ -> Alcotest.fail "put refused");
+  ok (NC.checkpoint n);
+  check Alcotest.int "one checkpoint" 1 (NC.checkpoints n)
+
+(* ... a failed store save is journaled as a Mut voided by a Cancel, and
+   degrades the node ... *)
+let test_default_node_cancels_failed_save () =
+  let store =
+    NC.mem_store ~write_faults:(Bi_fault.Fault_plan.script [ Bi_fault.Fault_plan.Drop ]) ()
+  in
+  let n = NC.create store in
+  (match NC.handle n (put_txn_req ~client:1 ~seq:1 "k" "v") with
+  | P.Err (P.Io _) -> ()
+  | _ -> Alcotest.fail "the save must fail");
+  check Alcotest.bool "degraded" true (NC.degraded n);
+  let r = NC.recover n in
+  check Alcotest.int "two records" 2 r.NC.r_records;
+  check Alcotest.int "the Mut is cancelled" 1 r.NC.r_cancelled;
+  check Alcotest.bool "still degraded" true (NC.degraded n)
+
+(* ... and a simulated node recovers its duplicate table on restart. *)
+let test_sim_node_restart_recovers_dups () =
+  let module World = Bi_app.Sim_world in
+  let plan () = Bi_fault.Fault_plan.script [] in
+  let w =
+    World.create (Bi_core.Vtime.make ())
+      [ World.node ~name:"n0" ~req_plan:(plan ()) ~resp_plan:(plan ()) () ]
+  in
+  let n = w.World.nodes.(0) in
+  (match NC.handle n.World.core (put_txn_req ~client:1 ~seq:1 "k" "v") with
+  | P.Done -> ()
+  | _ -> Alcotest.fail "put refused");
+  World.crash w 0;
+  World.restart w 0;
+  check Alcotest.bool "dup entries recovered" true
+    (n.World.last_recovery.NC.r_dup_entries > 0);
+  (match NC.handle n.World.core (put_txn_req ~client:1 ~seq:1 "k" "v") with
+  | P.Done -> ()
+  | _ -> Alcotest.fail "retry refused");
+  check Alcotest.int "the retry hits the recovered table" 1
+    (NC.dup_hits n.World.core)
+
 (* ------------------------------------------------------------------ *)
 (* Bounded fair admission queue *)
 
@@ -1210,6 +1258,12 @@ let () =
             test_recovery_migration_merge;
           Alcotest.test_case "failed replace settles before append" `Quick
             test_failed_replace_settles_before_append;
+          Alcotest.test_case "a default node checkpoints" `Quick
+            test_default_node_checkpoints;
+          Alcotest.test_case "a default node cancels a failed save" `Quick
+            test_default_node_cancels_failed_save;
+          Alcotest.test_case "a sim node recovers its dups on restart" `Quick
+            test_sim_node_restart_recovers_dups;
         ] );
       ( "admission",
         [

@@ -392,6 +392,26 @@ let test_stack_abandoned_connect_reset () =
     (Stack.tcp_conn_count b);
   check Alcotest.bool "nothing to accept" true (Stack.tcp_accept b 80 = None)
 
+(* A connection no one accepted dies with its listener: the next
+   listener on the port cannot accept it, and the client sees end of
+   stream. *)
+let test_stack_unlisten_resets_backlog () =
+  let a, b, _, _ = host_pair () in
+  Stack.tcp_listen b 80;
+  let ca = Stack.tcp_connect a ~dst_ip:ip_b ~dst_port:80 in
+  Stack.pump [ a; b ];
+  check Alcotest.bool "client connected" true
+    (Stack.tcp_state a ca = Tcp.Established);
+  Stack.tcp_unlisten b 80;
+  Stack.tcp_listen b 80;
+  Stack.pump [ a; b ];
+  check Alcotest.bool "nothing to accept" true (Stack.tcp_accept b 80 = None);
+  check Alcotest.int "server holds no connection" 0 (Stack.tcp_conn_count b);
+  check Alcotest.string "client reads nothing" ""
+    (Bytes.to_string (Stack.tcp_recv a ca));
+  check Alcotest.bool "client sees end of stream" true
+    (Stack.tcp_state a ca = Tcp.Closed)
+
 (* Reliability under randomized loss schedules: whatever subset of frames
    the adversary drops, a bounded retransmission budget delivers the full
    stream intact and in order. *)
@@ -468,6 +488,8 @@ let () =
           Alcotest.test_case "udp queued behind arp" `Quick test_stack_udp_queued_behind_arp;
           Alcotest.test_case "syn loss recovers" `Quick test_stack_syn_loss_recovers;
           Alcotest.test_case "duplicate delivery safe" `Quick test_stack_duplicate_delivery_safe;
+          Alcotest.test_case "unlisten resets the backlog" `Quick
+            test_stack_unlisten_resets_backlog;
           Alcotest.test_case "abandoned connect reset" `Quick
             test_stack_abandoned_connect_reset;
           prop_tcp_reliable_under_random_loss;
