@@ -3,10 +3,10 @@
 
 JOBS ?= $(shell nproc 2>/dev/null || echo 1)
 
-# The suites `make <suite>` discharges alone: mc (model checker), fi
-# (fault injection), rs (resilient store), sh (sharded store), hp (hot
-# path), wl (workload), nd (netd) and cr (crash recovery).
-SUITES := mc fi rs sh hp wl nd cr
+# The suites `make <suite>` discharges alone: every suite of
+# bin/verify, e.g. pt (the paper's page table), fs (filesystem), mc
+# (model checker), fi (fault injection) and cr (crash recovery).
+SUITES := pt ptx ptb pwc nr fs net abi mc fi rs sh hp wl nd cr
 
 .PHONY: all build test verify fmt-check bench discharge $(SUITES) clean
 

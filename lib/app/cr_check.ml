@@ -2,7 +2,7 @@ module P = Protocol
 module J = Journal
 module Vc = Bi_core.Vc
 module Gen = Bi_core.Gen
-module CE = Bi_fault.Crash_explore
+module CE = Bi_fs.Crash_explore
 module FP = Bi_fault.Fault_plan
 module Fs = Bi_fs.Fs
 
@@ -65,7 +65,7 @@ let recovered_obs fs =
     deg = Node_core.degraded core;
   }
 
-(* A {!Bi_fault.Crash_explore} config for one journaled-node transaction:
+(* A {!Bi_fs.Crash_explore} config for one journaled-node transaction:
    [setup] seeds committed state through a first node life, [mutate] is a
    second life — recover, then the operation under test — and [view]
    mounts the crashed device and runs a full recovery, observing {!obs}.

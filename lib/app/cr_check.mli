@@ -1,7 +1,7 @@
 (** The [cr] verify suite: crash-durable exactly-once.
 
     {!Node_core}'s journaled commit protocol and {!Node_core.recover}
-    under systematic crash exploration ({!Bi_fault.Crash_explore}) at
+    under systematic crash exploration ({!Bi_fs.Crash_explore}) at
     every write/flush boundary — of the commit, of the checkpoint dance,
     and of recovery itself — over a journaled node whose store and
     journal share one filesystem on a crash-explored block device.  The

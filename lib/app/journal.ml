@@ -107,88 +107,120 @@ let tag = function
   | Map_version _ -> 8
   | Import _ -> 9
 
+(* Tag byte plus payload, appended to [b]. *)
+let encode_body b r =
+  S.encode_to b S.u8 (tag r);
+  match r with
+  | Mut { txn; shard; key; put; done_ } ->
+      S.encode_to b mut_c (txn, (shard, (key, (put, done_))))
+  | Cancel { degraded } -> S.encode_to b S.bool degraded
+  | Snapshot { s_dups; s_sharding; s_degraded } ->
+      S.encode_to b snap_c
+        ( s_dups,
+          ( Option.map (fun (n, v, o, f) -> ((n, v), (o, f))) s_sharding,
+            s_degraded ) )
+  | Enable { nshards; version; owned } ->
+      S.encode_to b enable_c (nshards, version, owned)
+  | Adopt s | Release s | Freeze s | Unfreeze s | Map_version s ->
+      S.encode_to b S.varint s
+  | Import { shard; entries } ->
+      S.encode_to b import_c
+        ( shard,
+          List.map (fun ({ P.client; seq }, d) -> ((client, seq), d)) entries )
+
 let encode_record r =
-  let body =
-    match r with
-    | Mut { txn; shard; key; put; done_ } ->
-        S.encode mut_c (txn, (shard, (key, (put, done_))))
-    | Cancel { degraded } -> S.encode S.bool degraded
-    | Snapshot { s_dups; s_sharding; s_degraded } ->
-        S.encode snap_c
-          ( s_dups,
-            ( Option.map (fun (n, v, o, f) -> ((n, v), (o, f))) s_sharding,
-              s_degraded ) )
-    | Enable { nshards; version; owned } ->
-        S.encode enable_c (nshards, version, owned)
-    | Adopt s | Release s | Freeze s | Unfreeze s | Map_version s ->
-        S.encode S.varint s
-    | Import { shard; entries } ->
-        S.encode import_c
-          ( shard,
-            List.map (fun ({ P.client; seq }, d) -> ((client, seq), d)) entries
-          )
-  in
-  Bytes.cat (S.encode S.u8 (tag r)) body
-
-let decode_record buf =
-  match S.decode_prefix S.u8 buf ~off:0 with
-  | None -> None
-  | Some (tag, off) -> (
-      let body = Bytes.sub buf off (Bytes.length buf - off) in
-      match tag with
-      | 0 ->
-          Option.map
-            (fun (txn, (shard, (key, (put, done_)))) ->
-              Mut { txn; shard; key; put; done_ })
-            (S.decode mut_c body)
-      | 1 -> Option.map (fun degraded -> Cancel { degraded }) (S.decode S.bool body)
-      | 2 ->
-          Option.map
-            (fun (s_dups, (sharding, s_degraded)) ->
-              Snapshot
-                {
-                  s_dups;
-                  s_sharding =
-                    Option.map (fun ((n, v), (o, f)) -> (n, v, o, f)) sharding;
-                  s_degraded;
-                })
-            (S.decode snap_c body)
-      | 3 ->
-          Option.map
-            (fun (nshards, version, owned) -> Enable { nshards; version; owned })
-            (S.decode enable_c body)
-      | 4 -> Option.map (fun s -> Adopt s) (S.decode S.varint body)
-      | 5 -> Option.map (fun s -> Release s) (S.decode S.varint body)
-      | 6 -> Option.map (fun s -> Freeze s) (S.decode S.varint body)
-      | 7 -> Option.map (fun s -> Unfreeze s) (S.decode S.varint body)
-      | 8 -> Option.map (fun s -> Map_version s) (S.decode S.varint body)
-      | 9 ->
-          Option.map
-            (fun (shard, entries) ->
-              Import
-                {
-                  shard;
-                  entries =
-                    List.map
-                      (fun ((client, seq), d) -> ({ P.client; seq }, d))
-                      entries;
-                })
-            (S.decode import_c body)
-      | _ -> None)
-
-let frame_record r =
-  let body = encode_record r in
-  let b = Buffer.create (Bytes.length body + 8) in
-  Buffer.add_bytes b (S.encode S.varint (Bytes.length body));
-  Buffer.add_bytes b (S.encode S.u32 (P.crc32 (Bytes.to_string body)));
-  Buffer.add_bytes b body;
+  let b = Buffer.create 64 in
+  encode_body b r;
   Buffer.to_bytes b
+
+(* The record whose body is exactly [buf.[off .. stop)].  Serde decoders
+   read only the bytes they consume, so decoding in place and requiring
+   the decoder to stop at [stop] accepts exactly the bodies that decode
+   on their own. *)
+let decode_at buf ~off ~stop =
+  let exact c =
+    match S.decode_prefix c buf ~off:(off + 1) with
+    | Some (v, next) when next = stop -> Some v
+    | Some _ | None -> None
+  in
+  if off >= stop then None
+  else
+    match Bytes.get_uint8 buf off with
+    | 0 ->
+        Option.map
+          (fun (txn, (shard, (key, (put, done_)))) ->
+            Mut { txn; shard; key; put; done_ })
+          (exact mut_c)
+    | 1 -> Option.map (fun degraded -> Cancel { degraded }) (exact S.bool)
+    | 2 ->
+        Option.map
+          (fun (s_dups, (sharding, s_degraded)) ->
+            Snapshot
+              {
+                s_dups;
+                s_sharding =
+                  Option.map (fun ((n, v), (o, f)) -> (n, v, o, f)) sharding;
+                s_degraded;
+              })
+          (exact snap_c)
+    | 3 ->
+        Option.map
+          (fun (nshards, version, owned) -> Enable { nshards; version; owned })
+          (exact enable_c)
+    | 4 -> Option.map (fun s -> Adopt s) (exact S.varint)
+    | 5 -> Option.map (fun s -> Release s) (exact S.varint)
+    | 6 -> Option.map (fun s -> Freeze s) (exact S.varint)
+    | 7 -> Option.map (fun s -> Unfreeze s) (exact S.varint)
+    | 8 -> Option.map (fun s -> Map_version s) (exact S.varint)
+    | 9 ->
+        Option.map
+          (fun (shard, entries) ->
+            Import
+              {
+                shard;
+                entries =
+                  List.map
+                    (fun ((client, seq), d) -> ({ P.client; seq }, d))
+                    entries;
+              })
+          (exact import_c)
+    | _ -> None
+
+let decode_record buf = decode_at buf ~off:0 ~stop:(Bytes.length buf)
+
+let crc_of buf ~off ~len = P.crc32_iov [ Bi_net.Pkt.Iov.slice ~off ~len buf ]
+
+(* Frames [rs] back to back in one buffer, each as [varint body-length |
+   u32 CRC | body]: a body is encoded once, and its CRC is computed over
+   the framed bytes in place and patched into its header. *)
+let frame_records rs =
+  let out = Buffer.create 256 and body = Buffer.create 64 in
+  let crcs =
+    List.map
+      (fun r ->
+        Buffer.clear body;
+        encode_body body r;
+        S.encode_to out S.varint (Buffer.length body);
+        let at = Buffer.length out in
+        Buffer.add_int32_be out 0l;
+        Buffer.add_buffer out body;
+        (at, Buffer.length body))
+      rs
+  in
+  let b = Buffer.to_bytes out in
+  List.iter
+    (fun (at, len) -> Bytes.set_int32_be b at (crc_of b ~off:(at + 4) ~len))
+    crcs;
+  b
+
+let frame_record r = frame_records [ r ]
 
 (* Total: whatever the bytes, the answer is the longest decodable record
    prefix plus a torn-tail flag.  A bad length, a short body, a CRC
    mismatch, or an undecodable body all stop the scan — everything after
    the first damage is discarded, which is exactly the prefix-crash
-   semantics the append path is designed around. *)
+   semantics the append path is designed around.  Bodies are checked and
+   decoded where they lie. *)
 let decode_stream buf =
   let len = Bytes.length buf in
   let rec go off acc =
@@ -201,14 +233,11 @@ let decode_stream buf =
           | None -> (List.rev acc, true)
           | Some (crc, off) ->
               if blen < 0 || off + blen > len then (List.rev acc, true)
+              else if crc_of buf ~off ~len:blen <> crc then (List.rev acc, true)
               else
-                let body = Bytes.sub buf off blen in
-                if P.crc32 (Bytes.to_string body) <> crc then
-                  (List.rev acc, true)
-                else
-                  match decode_record body with
-                  | None -> (List.rev acc, true)
-                  | Some r -> go (off + blen) (r :: acc))
+                match decode_at buf ~off ~stop:(off + blen) with
+                | None -> (List.rev acc, true)
+                | Some r -> go (off + blen) (r :: acc))
   in
   go 0 []
 
@@ -334,7 +363,7 @@ let load t =
       Ok (decode_stream b)
 
 let replace_with t rs =
-  let b = Bytes.concat Bytes.empty (List.map frame_record rs) in
+  let b = frame_records rs in
   match t.sink.sink_replace b with
   | Ok () ->
       t.size <- Bytes.length b;

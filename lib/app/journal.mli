@@ -4,7 +4,7 @@
     {e before} applying the store write (append = commit point), so a
     restart can rebuild the duplicate table, shard ownership, and the
     degraded latch, and redo any store write a crash cut off between
-    append and apply.  The [cr] verify suite drives {!Bi_fault.Crash_explore}
+    append and apply.  The [cr] verify suite drives {!Bi_fs.Crash_explore}
     through every write/flush boundary of both the commit and recovery.
 
     Framing is [varint length | u32 CRC-32 | body] per record; stream

@@ -82,7 +82,7 @@ val create :
     [mutant_journal_after_apply] is a mutation-self-check knob (cr
     suite only): it applies the store write {e before} the commit
     append, the dup-entry-after-store-write ordering bug
-    {!Bi_fault.Crash_explore} must catch. *)
+    {!Bi_fs.Crash_explore} must catch. *)
 
 val handle : t -> Protocol.req -> Protocol.resp
 (** Total: every request gets a response.  [Shutdown] answers [Done];

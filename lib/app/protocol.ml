@@ -68,26 +68,21 @@ let retryable = function
 
 let max_value_size = 60_000
 
-(* CRC-32 (IEEE), table-driven.  The table is built eagerly: forcing a
-   shared lazy value from two domains at once raises. *)
+(* CRC-32 (IEEE), table-driven over native ints: the 32-bit state fits
+   an OCaml int on a 64-bit host, so a byte costs no allocation.  The
+   table is built eagerly: forcing a shared lazy value from two domains
+   at once raises. *)
 let crc_table =
   Array.init 256 (fun n ->
-      let c = ref (Int32.of_int n) in
+      let c = ref n in
       for _ = 0 to 7 do
-        if Int32.logand !c 1l <> 0l then
-          c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-        else c := Int32.shift_right_logical !c 1
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
       done;
       !c)
 
-let crc_step c code =
-  let idx =
-    Int32.to_int (Int32.logand (Int32.logxor c (Int32.of_int code)) 0xFFl)
-  in
-  Int32.logxor crc_table.(idx) (Int32.shift_right_logical c 8)
-
-let crc_init = 0xFFFFFFFFl
-let crc_finish c = Int32.logxor c 0xFFFFFFFFl
+let crc_step c code = crc_table.((c lxor code) land 0xFF) lxor (c lsr 8)
+let crc_init = 0xFFFFFFFF
+let crc_finish c = Int32.of_int (c lxor 0xFFFFFFFF)
 
 let crc32 s =
   let c = ref crc_init in

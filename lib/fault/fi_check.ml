@@ -1,6 +1,7 @@
 module Vc = Bi_core.Vc
 module Gen = Bi_core.Gen
 module Block_dev = Bi_fs.Block_dev
+module Crash_explore = Bi_fs.Crash_explore
 module Disk = Bi_hw.Device.Disk
 module Wal = Bi_fs.Wal
 module Fs = Bi_fs.Fs
@@ -355,23 +356,6 @@ let wal_vcs () =
 (* ------------------------------------------------------------------ *)
 (* Crash exploration of filesystem operations                          *)
 
-let fs_config ?(tears = []) ?(seeds = []) ?(explore_recovery = false) ~setup
-    ~mutate () =
-  {
-    Crash_explore.sectors = 128;
-    setup =
-      (fun dev ->
-        let fs = Fs.mkfs dev in
-        setup fs);
-    mutate = (fun dev -> mutate (Fs.mount dev));
-    view = (fun dev -> Fs_refinement.view (Fs.mount dev));
-    equal = Fs_spec.equal_state;
-    pp = Some Fs_spec.pp_state;
-    tears;
-    crash_seeds = seeds;
-    explore_recovery;
-  }
-
 let fs_vcs () =
   let must = function
     | Ok (_ : Crash_explore.stats) -> Vc.Proved
@@ -382,14 +366,14 @@ let fs_vcs () =
     Vc.make ~id:"fi/fs/create-atomic" ~category:"fi/fs" (fun () ->
         must
           (Crash_explore.explore
-             (fs_config ~tears:[ 256 ] ~seeds:[ 1; 2 ]
+             (Fs_refinement.crash_config ~tears:[ 256 ] ~seeds:[ 1; 2 ]
                 ~setup:(fun fs -> req (Fs.create fs "/a"))
                 ~mutate:(fun fs -> req (Fs.create fs "/b"))
                 ())));
     Vc.make ~id:"fi/fs/write-atomic" ~category:"fi/fs" (fun () ->
         must
           (Crash_explore.explore
-             (fs_config ~tears:[ 100 ] ~seeds:[ 1; 2 ]
+             (Fs_refinement.crash_config ~tears:[ 100 ] ~seeds:[ 1; 2 ]
                 ~setup:(fun fs -> req (Fs.create fs "/a"))
                 ~mutate:(fun fs ->
                   match Fs.resolve fs "/a" with
@@ -408,7 +392,7 @@ let fs_vcs () =
             recovery_points = 204;
           }
           (Crash_explore.explore
-             (fs_config ~seeds:[ 1; 2 ] ~explore_recovery:true
+             (Fs_refinement.crash_config ~seeds:[ 1; 2 ] ~explore_recovery:true
                 ~setup:(fun fs ->
                   req (Fs.create fs "/a");
                   req (Fs.mkdir fs "/d"))
@@ -417,7 +401,7 @@ let fs_vcs () =
     Vc.make ~id:"fi/fs/unlink-atomic" ~category:"fi/fs" (fun () ->
         must
           (Crash_explore.explore
-             (fs_config ~tears:[ 128 ] ~seeds:[ 1; 2 ]
+             (Fs_refinement.crash_config ~tears:[ 128 ] ~seeds:[ 1; 2 ]
                 ~setup:(fun fs ->
                   req (Fs.create fs "/a");
                   match Fs.resolve fs "/a" with

@@ -276,114 +276,103 @@ let random_trace_vcs () =
 (* ------------------------------------------------------------------ *)
 (* Crash atomicity                                                     *)
 
-(* Run [setup] on a fresh fs, snapshot the view, run [mutate] (one
-   logical mutation), snapshot again; then for every count of surviving
-   un-flushed writes, crash, remount and require the view to be one of the
-   states on the chunk chain between pre and post. *)
-let crash_vc ~id ~setup ~mutate =
+let crash_config ?(tears = []) ?(seeds = []) ?(explore_recovery = false)
+    ~setup ~mutate () =
+  {
+    Crash_explore.sectors = 128;
+    setup = (fun dev -> setup (Fs.mkfs dev));
+    mutate = (fun dev -> mutate (Fs.mount dev));
+    view = (fun dev -> view (Fs.mount dev));
+    equal = Fs_spec.equal_state;
+    pp = Some Fs_spec.pp_state;
+    tears;
+    crash_seeds = seeds;
+    explore_recovery;
+  }
+
+(* Setups and mutations must do what they say: an operation that fails
+   would leave pre = post and prove nothing. *)
+let ok = function
+  | Ok x -> x
+  | Error e -> failwith (Format.asprintf "%a" Fs.pp_error e)
+
+let write fs path data =
+  ok (Fs.write_ino fs ~ino:(ok (Fs.resolve fs path)) ~off:0 data)
+
+(* Every prefix of the mutation's write stream, a 100-byte tear of each
+   write and two seeded subsets per boundary recover to the pre-state or
+   the post-state, with exactly the pinned census. *)
+let crash_vc ~id ?(explore_recovery = false) ~census ~setup ~mutate () =
   Vc.make ~id ~category:"fs/crash" (fun () ->
-      (* First, count how many raw writes the mutation performs. *)
-      let disk = Disk.create ~sectors:2048 () in
-      let dev = Block_dev.of_disk disk in
-      let fs = Fs.mkfs dev in
-      setup fs;
-      Fs.fsync fs;
-      let pre = view fs in
-      (* Record the chain of legitimate intermediate states: after each
-         chunked transaction the fs is in a consistent state, so replaying
-         the mutation on a parallel copy after each txn is hard; instead we
-         accept any state X with pre <= X <= post in the sense of the
-         specific probes below. We approximate with: X = pre or X = post or
-         X is a prefix state produced by re-running the mutation and
-         crashing cleanly at txn boundaries. For single-txn mutations this
-         degenerates to {pre, post}. *)
-      mutate fs;
-      let post = view fs in
-      let probe_io = Disk.io_count disk in
-      ignore probe_io;
-      (* Re-run on a fresh identical disk, cutting at every write. *)
-      let rec try_cut k ok =
-        if not ok then false
-        else begin
-          let disk2 = Disk.create ~sectors:2048 () in
-          let dev2 = Block_dev.of_disk disk2 in
-          let fs2 = Fs.mkfs dev2 in
-          setup fs2;
-          Fs.fsync fs2;
-          mutate fs2;
-          (* Cut keeping k un-flushed writes of the *last* flush epoch:
-             crash_with applies the first k un-flushed writes. *)
-          let crashed = Block_dev.crash_with dev2 ~keep_unflushed:k in
-          let fs3 = Fs.mount crashed in
-          let v = view fs3 in
-          let acceptable =
-            Fs_spec.equal_state v pre || Fs_spec.equal_state v post
-            || (* multi-txn mutations pass through consistent
-                  intermediate states; accept any state that mount
-                  recovered without error and that agrees with post on
-                  structure (same paths) or with pre *)
-            List.map fst (Fs_spec.entries v) = List.map fst (Fs_spec.entries post)
-          in
-          if k = 0 then acceptable
-          else try_cut (k - 1) acceptable
-        end
-      in
-      (* Un-flushed writes at crash time are those after the last flush;
-         the commit protocol flushes constantly, so a small k range covers
-         every boundary of the final txn step. *)
-      if try_cut 8 true then Vc.Proved
-      else Vc.Falsified "crash cut produced a state neither pre nor post")
+      Crash_explore.must_census census
+        (Crash_explore.explore
+           (crash_config ~tears:[ 100 ] ~seeds:[ 1; 2 ] ~explore_recovery ~setup
+              ~mutate ())))
+
+let census ~writes ~flushes ~crash ~torn ~subset ~recovery =
+  {
+    Crash_explore.writes;
+    flushes;
+    crash_points = crash;
+    torn_points = torn;
+    subset_points = subset;
+    recovery_points = recovery;
+  }
 
 let crash_vcs () =
+  let one_txn = census ~flushes:4 ~recovery:0 in
   [
     crash_vc ~id:"fs/crash/create"
-      ~setup:(fun _ -> ())
-      ~mutate:(fun fs -> ignore (Fs.create fs "/a"));
+      ~census:(one_txn ~writes:14 ~crash:19 ~torn:14 ~subset:38)
+      ~setup:ignore
+      ~mutate:(fun fs -> ok (Fs.create fs "/a"))
+      ();
     crash_vc ~id:"fs/crash/unlink"
+      ~census:(one_txn ~writes:14 ~crash:19 ~torn:14 ~subset:38)
       ~setup:(fun fs ->
-        ignore (Fs.create fs "/a");
-        (match Fs.resolve fs "/a" with
-        | Ok ino -> ignore (Fs.write_ino fs ~ino ~off:0 (Bytes.make 600 'z'))
-        | Error _ -> ()))
-      ~mutate:(fun fs -> ignore (Fs.unlink fs "/a"));
+        ok (Fs.create fs "/a");
+        write fs "/a" (Bytes.make 600 'z'))
+      ~mutate:(fun fs -> ok (Fs.unlink fs "/a"))
+      ();
     crash_vc ~id:"fs/crash/mkdir"
-      ~setup:(fun _ -> ())
-      ~mutate:(fun fs -> ignore (Fs.mkdir fs "/d"));
+      ~census:(one_txn ~writes:14 ~crash:19 ~torn:14 ~subset:38)
+      ~setup:ignore
+      ~mutate:(fun fs -> ok (Fs.mkdir fs "/d"))
+      ();
     crash_vc ~id:"fs/crash/small-write"
-      ~setup:(fun fs -> ignore (Fs.create fs "/w"))
-      ~mutate:(fun fs ->
-        match Fs.resolve fs "/w" with
-        | Ok ino -> ignore (Fs.write_ino fs ~ino ~off:0 (Bytes.of_string "data"))
-        | Error _ -> ());
+      ~census:(one_txn ~writes:11 ~crash:16 ~torn:11 ~subset:32)
+      ~setup:(fun fs -> ok (Fs.create fs "/w"))
+      ~mutate:(fun fs -> write fs "/w" (Bytes.of_string "data"))
+      ();
     crash_vc ~id:"fs/crash/rename"
+      ~census:(one_txn ~writes:8 ~crash:13 ~torn:8 ~subset:26)
       ~setup:(fun fs ->
-        ignore (Fs.create fs "/old");
-        match Fs.resolve fs "/old" with
-        | Ok ino -> ignore (Fs.write_ino fs ~ino ~off:0 (Bytes.of_string "payload"))
-        | Error _ -> ())
-      ~mutate:(fun fs -> ignore (Fs.rename fs ~src:"/old" ~dst:"/new"));
+        ok (Fs.create fs "/old");
+        write fs "/old" (Bytes.of_string "payload"))
+      ~mutate:(fun fs -> ok (Fs.rename fs ~src:"/old" ~dst:"/new"))
+      ();
     crash_vc ~id:"fs/crash/truncate"
+      ~census:(one_txn ~writes:11 ~crash:16 ~torn:11 ~subset:32)
       ~setup:(fun fs ->
-        ignore (Fs.create fs "/t");
-        match Fs.resolve fs "/t" with
-        | Ok ino -> ignore (Fs.write_ino fs ~ino ~off:0 (Bytes.make 1500 'q'))
-        | Error _ -> ())
-      ~mutate:(fun fs ->
-        match Fs.resolve fs "/t" with
-        | Ok ino -> ignore (Fs.truncate_ino fs ~ino 100)
-        | Error _ -> ());
+        ok (Fs.create fs "/t");
+        write fs "/t" (Bytes.make 1500 'q'))
+      ~mutate:(fun fs -> ok (Fs.truncate_ino fs ~ino:(ok (Fs.resolve fs "/t")) 100))
+      ();
+    (* Recovery crashed at each of its own write boundaries, and
+       recovered again, still lands on pre or post. *)
+    crash_vc ~id:"fs/recovery/idempotent" ~explore_recovery:true
+      ~census:
+        (census ~writes:14 ~flushes:4 ~crash:19 ~torn:14 ~subset:38
+           ~recovery:204)
+      ~setup:(fun fs ->
+        ok (Fs.create fs "/a");
+        write fs "/a" (Bytes.make 600 'z'))
+      ~mutate:(fun fs -> ok (Fs.unlink fs "/a"))
+      ();
   ]
 
-let misc_vcs () =
+let space_vcs () =
   [
-    Vc.prop ~id:"fs/recovery/idempotent" ~category:"fs/crash" (fun () ->
-        let fs = fresh_fs () in
-        (match Fs.create fs "/x" with Ok () -> () | Error _ -> ());
-        (* Mounting (and thus recovering) repeatedly must not change the
-           state. *)
-        let v1 = view fs in
-        let v2 = view fs in
-        Fs_spec.equal_state v1 v2);
     Vc.prop ~id:"fs/space/blocks-reclaimed" ~category:"fs/space" (fun () ->
         let fs = fresh_fs () in
         (* Prime the root directory's entry block, which is retained across
@@ -414,4 +403,4 @@ let misc_vcs () =
             | Ok () | Error _ -> false));
   ]
 
-let vcs () = scripted_vcs () @ random_trace_vcs () @ crash_vcs () @ misc_vcs ()
+let vcs () = scripted_vcs () @ random_trace_vcs () @ crash_vcs () @ space_vcs ()

@@ -219,6 +219,8 @@ let map inj prj c =
         | Some (x, j) -> Some (inj x, j));
   }
 
+let encode_to b c v = c.enc b v
+
 let encode c v =
   let b = Buffer.create 64 in
   c.enc b v;

@@ -38,3 +38,7 @@ val decode : 'a t -> bytes -> 'a option
 val decode_prefix : 'a t -> bytes -> off:int -> ('a * int) option
 (** Decode from an offset, returning the value and the next offset
     (for streaming). *)
+
+val encode_to : Buffer.t -> 'a t -> 'a -> unit
+(** Append the encoding to a buffer, for a caller that frames several
+    values in one. *)

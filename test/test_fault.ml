@@ -7,7 +7,8 @@
 module Fault_plan = Bi_fault.Fault_plan
 module Faulty_disk = Bi_fault.Faulty_disk
 module Faulty_link = Bi_fault.Faulty_link
-module Crash_explore = Bi_fault.Crash_explore
+module Crash_explore = Bi_fs.Crash_explore
+module Fi_check = Bi_fault.Fi_check
 module Block_dev = Bi_fs.Block_dev
 module Disk = Bi_hw.Device.Disk
 module Wal = Bi_fs.Wal
@@ -91,32 +92,23 @@ let test_disk_stall_respects_barrier () =
 (* ------------------------------------------------------------------ *)
 (* Crash exploration *)
 
-let wal_cfg ~mutate : string list Crash_explore.config =
+(* [n] home blocks from 40 on, 'O' before and 'N' after one transaction;
+   failures render states as [<state>]. *)
+let wal_txn ?tears ?seeds ?explore_recovery n =
+  let targets = List.init n (fun i -> 40 + i) in
   {
-    Crash_explore.sectors = 64;
-    setup =
-      (fun dev ->
-        Block_dev.write dev 40 (blk 'A');
-        ignore (Wal.recover (Wal.create dev ~header_block:0) : int));
-    mutate;
-    view =
-      (fun dev ->
-        ignore (Wal.recover (Wal.create dev ~header_block:0) : int);
-        [ Bytes.to_string (Block_dev.read dev 40) ]);
-    equal = ( = );
-    pp = None;
-    tears = [ 7; 300 ];
-    crash_seeds = [ 0; 1 ];
-    explore_recovery = true;
+    (Fi_check.wal_config ?tears ?seeds ?explore_recovery
+       ~setup_blocks:(List.map (fun s -> (s, 'O')) targets)
+       ~txn_writes:(List.map (fun s -> (s, 'N')) targets)
+       ())
+    with
+    Crash_explore.pp = None;
   }
 
 let test_explore_wal_commit_safe () =
   let cfg =
-    wal_cfg ~mutate:(fun dev ->
-        let w = Wal.create dev ~header_block:0 in
-        let txn = Wal.begin_txn w in
-        Wal.txn_write txn 40 (blk 'B');
-        Wal.commit txn)
+    Fi_check.wal_config ~tears:[ 7; 300 ] ~seeds:[ 0; 1 ] ~explore_recovery:true
+      ~setup_blocks:[ (40, 'A') ] ~txn_writes:[ (40, 'B') ] ()
   in
   match Crash_explore.explore cfg with
   | Ok s ->
@@ -133,22 +125,20 @@ let test_explore_wal_commit_safe () =
    NOT atomic, and the explorer must say so. *)
 let test_explore_catches_unlogged_writes () =
   let cfg =
-    wal_cfg ~mutate:(fun dev ->
-        Block_dev.write dev 40 (blk 'B');
-        Block_dev.write dev 41 (blk 'C');
-        Block_dev.flush dev)
-  in
-  let cfg =
     {
-      cfg with
+      (wal_txn ~tears:[ 7; 300 ] ~seeds:[ 0; 1 ] 1) with
       Crash_explore.setup =
         (fun dev ->
           Block_dev.write dev 40 (blk 'A');
           Block_dev.write dev 41 (blk 'A'));
+      mutate =
+        (fun dev ->
+          Block_dev.write dev 40 (blk 'B');
+          Block_dev.write dev 41 (blk 'C');
+          Block_dev.flush dev);
       view =
         (fun dev ->
           List.map (fun s -> Bytes.to_string (Block_dev.read dev s)) [ 40; 41 ]);
-      explore_recovery = false;
     }
   in
   match Crash_explore.explore cfg with
@@ -285,28 +275,6 @@ let oracle_explore ?(on_check = ignore) (cfg : 'v Crash_explore.config) =
     done;
   match !failure with Some msg -> Error msg | None -> Ok !stats
 
-let wal_txn ?(tears = []) ?(seeds = []) ?(explore_recovery = false) n =
-  let targets = List.init n (fun i -> 40 + i) in
-  let recover dev = ignore (Wal.recover (Wal.create dev ~header_block:0) : int) in
-  {
-    (wal_cfg ~mutate:(fun dev ->
-         let txn = Wal.begin_txn (Wal.create dev ~header_block:0) in
-         List.iter (fun s -> Wal.txn_write txn s (blk 'N')) targets;
-         Wal.commit txn))
-    with
-    Crash_explore.setup =
-      (fun dev ->
-        List.iter (fun s -> Block_dev.write dev s (blk 'O')) targets;
-        recover dev);
-    view =
-      (fun dev ->
-        recover dev;
-        List.map (fun s -> Bytes.to_string (Block_dev.read dev s)) targets);
-    tears;
-    crash_seeds = seeds;
-    explore_recovery;
-  }
-
 (* Raw WAL blocks, for the seeded-bug configs below. *)
 let raw_header n =
   let b = blk '\000' in
@@ -370,21 +338,12 @@ let recovery_missing_flush =
 
 let fs_rename =
   let req = function Ok () -> () | Error _ -> failwith "fs op" in
-  {
-    Crash_explore.sectors = 128;
-    setup =
-      (fun dev ->
-        let fs = Bi_fs.Fs.mkfs dev in
-        req (Bi_fs.Fs.create fs "/a");
-        req (Bi_fs.Fs.mkdir fs "/d"));
-    mutate = (fun dev -> req (Bi_fs.Fs.rename (Bi_fs.Fs.mount dev) ~src:"/a" ~dst:"/d/b"));
-    view = (fun dev -> Bi_fs.Fs_refinement.view (Bi_fs.Fs.mount dev));
-    equal = Bi_fs.Fs_spec.equal_state;
-    pp = Some Bi_fs.Fs_spec.pp_state;
-    tears = [];
-    crash_seeds = [ 1; 2 ];
-    explore_recovery = true;
-  }
+  Bi_fs.Fs_refinement.crash_config ~seeds:[ 1; 2 ] ~explore_recovery:true
+    ~setup:(fun fs ->
+      req (Bi_fs.Fs.create fs "/a");
+      req (Bi_fs.Fs.mkdir fs "/d"))
+    ~mutate:(fun fs -> req (Bi_fs.Fs.rename fs ~src:"/a" ~dst:"/d/b"))
+    ()
 
 (* Crash-point labels, pinned: the first failing point is named the same
    way whether it is a plain prefix, a seeded subset, a torn write or a

@@ -7,6 +7,7 @@ module Wal = Bi_fs.Wal
 module Fs = Bi_fs.Fs
 module Fs_spec = Bi_fs.Fs_spec
 module Fs_refinement = Bi_fs.Fs_refinement
+module Crash_explore = Bi_fs.Crash_explore
 module Path = Bi_fs.Path
 
 let check = Alcotest.check
@@ -121,36 +122,54 @@ let test_wal_size_limit () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "record budget must be enforced"
 
-(* Crash before the commit header lands: recovery discards; crash after:
-   recovery installs. *)
+(* The subject of fi/wal/recovery-idempotent-every-boundary: home blocks
+   40 and 41 hold 'o' before, and one transaction writes 'n' to both. *)
+let wal_subject =
+  Bi_fault.Fi_check.wal_config ~explore_recovery:true
+    ~setup_blocks:[ (40, 'o'); (41, 'o') ]
+    ~txn_writes:[ (40, 'n'); (41, 'n') ]
+    ()
+
+(* Apply the first [n] ops of a recorded write/flush stream to [dev]. *)
+let replay_prefix dev ops n =
+  List.iteri
+    (fun i op ->
+      if i < n then
+        match op with
+        | Crash_explore.W (s, b) -> Block_dev.write dev s b
+        | Crash_explore.F -> Block_dev.flush dev)
+    ops
+
+(* Cut the commit's recorded write stream after every op: recovery
+   discards the transaction until the commit header (the commit's first
+   write to the header block) has landed, and installs it from then on. *)
 let test_wal_crash_before_commit_point () =
-  let disk = Disk.create ~sectors:2048 () in
-  let dev = Block_dev.of_disk disk in
-  let wal = Wal.create dev ~header_block:1 in
-  ignore (Wal.recover wal);
-  Block_dev.flush dev;
-  let txn = Wal.begin_txn wal in
-  Wal.txn_write txn 200 (Bytes.make Block_dev.block_size 'C');
-  Wal.commit txn;
-  (* Re-run the same scenario but cut the disk just after the record
-     writes (2 writes: meta + data), before the header write. *)
-  let disk2 = Disk.create ~sectors:2048 () in
-  let dev2 = Block_dev.of_disk disk2 in
-  let wal2 = Wal.create dev2 ~header_block:1 in
-  ignore (Wal.recover wal2);
-  Block_dev.flush dev2;
-  let txn2 = Wal.begin_txn wal2 in
-  Wal.txn_write txn2 200 (Bytes.make Block_dev.block_size 'C');
-  (* Manually perform only the first phase of commit by crashing with the
-     record writes applied but nothing else: commit then cut at 2. *)
-  Wal.commit txn2;
-  let crashed = Block_dev.crash_with dev2 ~keep_unflushed:0 in
-  let wal3 = Wal.create crashed ~header_block:1 in
-  let replayed = Wal.recover wal3 in
-  ignore replayed;
-  (* Either the txn committed fully (header flushed) or not at all. *)
-  let cell = Bytes.get (Block_dev.read crashed 200) 0 in
-  check Alcotest.bool "all-or-nothing" true (cell = 'C' || cell = '\000')
+  let base () =
+    let dev = fresh_dev () in
+    wal_subject.setup dev;
+    dev
+  in
+  let journal, recorded = Crash_explore.record (base ()) in
+  wal_subject.mutate journal;
+  let ops = recorded () in
+  let rec commit_point i = function
+    | Crash_explore.W (0, _) :: _ -> i
+    | _ :: rest -> commit_point (i + 1) rest
+    | [] -> Alcotest.fail "the commit wrote no header"
+  in
+  let commit_point = commit_point 0 ops in
+  for n = 0 to List.length ops do
+    let dev = base () in
+    replay_prefix dev ops n;
+    let recovered =
+      wal_subject.view (Block_dev.crash_with dev ~keep_unflushed:max_int)
+    in
+    check
+      Alcotest.(list char)
+      (Printf.sprintf "cut after %d of %d ops" n (List.length ops))
+      (if n > commit_point then [ 'n'; 'n' ] else [ 'o'; 'o' ])
+      (List.map (fun b -> b.[0]) recovered)
+  done
 
 let test_wal_recover_idempotent () =
   let dev = fresh_dev () in
@@ -291,103 +310,72 @@ let test_crash_with_edge_cases () =
     (survivors 99)
 
 (* ------------------------------------------------------------------ *)
-(* WAL recovery idempotence: crash recovery at every one of its own
-   write boundaries, re-run recovery, and demand a fixed point. *)
+(* WAL recovery idempotence: crash the commit at every write boundary,
+   crash recovery at each of its own write boundaries, and recover again;
+   the explorer also demands that a second recovery changes nothing. *)
 
 let test_wal_recovery_idempotent_every_boundary () =
-  let targets = [ 40; 41 ] in
-  let base () =
-    let dev = fresh_dev () in
-    List.iter
-      (fun s -> Block_dev.write dev s (Bytes.make Block_dev.block_size 'o'))
-      targets;
-    ignore (Wal.recover (Wal.create dev ~header_block:0) : int);
-    Block_dev.flush dev;
-    dev
-  in
-  (* Journal the commit's write stream so it can be cut at each boundary. *)
-  let dev0 = base () in
-  let journal, commit_ops = Bi_fault.Crash_explore.record dev0 in
-  let w = Wal.create journal ~header_block:0 in
-  let txn = Wal.begin_txn w in
-  Wal.txn_write txn 40 (Bytes.make Block_dev.block_size 'n');
-  Wal.txn_write txn 41 (Bytes.make Block_dev.block_size 'n');
-  Wal.commit txn;
-  let ops = commit_ops () in
-  let replay dev l =
-    List.iter
-      (function
-        | Bi_fault.Crash_explore.W (s, b) -> Block_dev.write dev s b
-        | Bi_fault.Crash_explore.F -> Block_dev.flush dev)
-      l
-  in
-  let prefix l n = List.filteri (fun i _ -> i < n) l in
-  let view dev =
-    List.map (fun s -> Bytes.to_string (Block_dev.read dev s)) targets
-  in
-  let boundaries = ref 0 in
-  for i = 0 to List.length ops do
-    (* Crash the commit at boundary [i], then journal what recovery
-       itself writes from that state. *)
-    let crash_state () =
-      let dev = base () in
-      replay dev (prefix ops i);
-      Block_dev.crash_with dev ~keep_unflushed:max_int
-    in
-    let rj, rec_ops = Bi_fault.Crash_explore.record (crash_state ()) in
-    ignore (Wal.recover (Wal.create rj ~header_block:0) : int);
-    let rops = rec_ops () in
-    for j = 0 to List.length rops do
-      incr boundaries;
-      (* Crash recovery at boundary [j]; re-run recovery to completion. *)
-      let dev = crash_state () in
-      replay dev (prefix rops j);
-      let dev = Block_dev.crash_with dev ~keep_unflushed:max_int in
-      ignore (Wal.recover (Wal.create dev ~header_block:0) : int);
-      let v1 = view dev in
-      (* Fixed point: another recovery changes nothing. *)
-      ignore (Wal.recover (Wal.create dev ~header_block:0) : int);
-      let v2 = view dev in
-      if v1 <> v2 then
-        Alcotest.failf "recovery not idempotent at commit %d, recovery %d" i j
-    done
-  done;
-  check Alcotest.bool "explored interrupted-recovery boundaries" true
-    (!boundaries > List.length ops)
+  match Crash_explore.explore wal_subject with
+  | Ok s ->
+      check Alcotest.int "commit boundaries" 13 s.crash_points;
+      check Alcotest.int "interrupted-recovery boundaries" 38
+        s.recovery_points
+  | Error e -> Alcotest.failf "recovery not idempotent: %s" e
 
 (* ------------------------------------------------------------------ *)
-(* Random crash-recovery property over multi-op histories *)
+(* Random crash-recovery property over multi-op histories: cut the
+   history's recorded write stream at a random prefix.  Every operation is
+   its own transaction, so the remounted tree is one that a prefix of the
+   history left. *)
 
 let prop_crash_recovery_consistent =
   qtest "crash during random history recovers to a consistent tree" 25
-    QCheck2.Gen.(pair (int_range 0 6) (int_range 0 10))
-    (fun (cut, nops) ->
-      let disk = Disk.create ~sectors:2048 () in
-      let dev = Block_dev.of_disk disk in
-      let fs = Fs.mkfs dev in
+    QCheck2.Gen.(pair (int_range 0 10) nat)
+    (fun (nops, cut) ->
+      let base () =
+        let dev = fresh_dev () in
+        ignore (Fs.mkfs dev : Fs.t);
+        dev
+      in
+      let journal, recorded = Crash_explore.record (base ()) in
+      let fs = Fs.mount journal in
+      let states = ref [ Fs_refinement.view fs ] in
+      let txn f =
+        ignore (f ());
+        states := Fs_refinement.view fs :: !states
+      in
       for i = 0 to nops do
         let p = Printf.sprintf "/f%d" (i mod 4) in
         match i mod 3 with
-        | 0 -> ignore (Fs.create fs p)
-        | 1 -> ignore (write_file fs p (String.make (100 * i) 'w'))
-        | _ -> ignore (Fs.unlink fs p)
+        | 0 -> txn (fun () -> Fs.create fs p)
+        | 1 ->
+            txn (fun () -> Fs.create fs p);
+            txn (fun () -> write_file fs p (String.make (100 * i) 'w'))
+        | _ -> txn (fun () -> Fs.unlink fs p)
       done;
-      let crashed = Block_dev.crash_with dev ~keep_unflushed:cut in
-      let fs2 = Fs.mount crashed in
-      (* Consistency: the tree walks without errors and every file's stat
-         size equals its readable length. *)
-      match Fs.readdir fs2 "/" with
-      | Error _ -> false
-      | Ok names ->
-          List.for_all
-            (fun n ->
-              match Fs.stat fs2 ("/" ^ n) with
-              | Error _ -> false
-              | Ok { Fs.size; ino; _ } -> (
-                  match Fs.read_ino fs2 ~ino ~off:0 ~len:size with
-                  | Ok b -> Bytes.length b = size
-                  | Error _ -> false))
-            names)
+      let ops = recorded () in
+      let dev = base () in
+      replay_prefix dev ops (cut mod (List.length ops + 1));
+      let v =
+        Fs_refinement.view
+          (Fs.mount (Block_dev.crash_with dev ~keep_unflushed:max_int))
+      in
+      List.exists (Fs_spec.equal_state v) !states)
+
+(* A create and a write are two transactions: a crash between them leaves
+   an empty file, which is neither the pre-state nor the post-state. *)
+let test_two_txn_mutation_rejected () =
+  match
+    Crash_explore.explore
+      (Fs_refinement.crash_config ~setup:ignore
+         ~mutate:(fun fs -> ignore (write_file fs "/a" "data"))
+         ())
+  with
+  | Ok _ -> Alcotest.fail "create then write passed as one atomic step"
+  | Error e -> check Alcotest.string "first failing crash point"
+        "prefix 10/33: state {/:dir; /a:file[0]; } is neither pre {/:dir; } \
+         nor post {/:dir; /a:file[4]; }"
+        e
 
 (* ------------------------------------------------------------------ *)
 (* Directory layer: a fixed create/unlink/rename script checked against a
@@ -736,5 +724,7 @@ let () =
           Alcotest.test_case "crash_with clamps keep" `Quick
             test_crash_with_edge_cases;
           prop_crash_recovery_consistent;
+          Alcotest.test_case "two transactions are not atomic" `Quick
+            test_two_txn_mutation_rejected;
         ] );
     ]
