@@ -10,17 +10,11 @@
      can neither starve a victim at dispatch time nor squeeze it out of
      admission;
    - FIFO per client: one client's admitted requests are served in the
-     order they were offered.
-
-   The [unfair] knob replaces all of that with a single shared FIFO and a
-   global cap only — the textbook queue that lets one fast client occupy
-   every slot.  It exists so the no-starvation VC can demonstrate it
-   catches the bug (mutation self-check); nothing else uses it. *)
+     order they were offered. *)
 
 type 'a t = {
   capacity : int;
   per_client : int;
-  unfair : bool;
   queues : (int, 'a Queue.t) Hashtbl.t; (* client -> FIFO of its work *)
   rotation : int Queue.t; (* clients with queued work, dispatch order *)
   mutable length : int;
@@ -29,7 +23,7 @@ type 'a t = {
   mutable shed : int;
 }
 
-let create ?per_client ?(unfair = false) ~capacity () =
+let create ?per_client ~capacity () =
   if capacity < 1 then invalid_arg "Admission.create: capacity < 1";
   let per_client =
     match per_client with
@@ -41,7 +35,6 @@ let create ?per_client ?(unfair = false) ~capacity () =
   {
     capacity;
     per_client;
-    unfair;
     queues = Hashtbl.create 64;
     rotation = Queue.create ();
     length = 0;
@@ -58,18 +51,13 @@ let queue_for t client =
       Hashtbl.replace t.queues client q;
       q
 
-(* The unfair mutant funnels everyone through one pseudo-client, so the
-   per-client cap and the rotation both collapse to a single shared FIFO. *)
-let bucket t client = if t.unfair then 0 else client
-
 let offer t ~client x =
-  let client = bucket t client in
   let qlen =
     match Hashtbl.find_opt t.queues client with
     | Some q -> Queue.length q
     | None -> 0
   in
-  if t.length >= t.capacity || ((not t.unfair) && qlen >= t.per_client) then begin
+  if t.length >= t.capacity || qlen >= t.per_client then begin
     (* Shed without allocating: a refused client leaves no residue, so the
        table's size is bounded by the number of *admitted* clients. *)
     t.shed <- t.shed + 1;
@@ -119,10 +107,9 @@ let clients_waiting t = Hashtbl.length t.queues
 let check_invariants t =
   let total = Hashtbl.fold (fun _ q acc -> acc + Queue.length q) t.queues 0 in
   let caps_ok =
-    t.unfair
-    || Hashtbl.fold
-         (fun _ q acc -> acc && Queue.length q <= t.per_client)
-         t.queues true
+    Hashtbl.fold
+      (fun _ q acc -> acc && Queue.length q <= t.per_client)
+      t.queues true
   in
   (* A hash set, not a list: the engine checkpoints this on queues with
      tens of thousands of waiting clients (the no-admission bench arm),

@@ -7,20 +7,17 @@
     is round-robin over clients with queued work and [per_client] caps any
     one client's share of the buffer, so a flooding client can neither
     monopolize dispatch nor squeeze a polite client out of admission.
-    Within one client, order is FIFO.
-
-    The [unfair] knob replaces the policy with a single shared FIFO and a
-    global cap only — the classic starvation-prone queue.  It exists
-    solely as a mutation self-check target for the no-starvation VC. *)
+    Within one client, order is FIFO.  (The wl suite's starvation-prone
+    mutant is this queue with every arrival offered as one client and no
+    [per_client] cap: a single shared FIFO under a global cap.) *)
 
 type 'a t
 
-val create : ?per_client:int -> ?unfair:bool -> capacity:int -> unit -> 'a t
+val create : ?per_client:int -> capacity:int -> unit -> 'a t
 (** [create ~capacity ()] makes an empty queue holding at most [capacity]
     requests.  [per_client] (default [capacity], clamped to it) caps one
-    client's queued share.  [unfair] (default [false]) enables the
-    mutation-self-check policy described above.  Raises [Invalid_argument]
-    if [capacity < 1] or [per_client < 1]. *)
+    client's queued share.  Raises [Invalid_argument] if [capacity < 1]
+    or [per_client < 1]. *)
 
 val offer : 'a t -> client:int -> 'a -> bool
 (** [offer t ~client x] admits [x] and returns [true], or sheds it and

@@ -22,15 +22,20 @@ let is_done = function P.Done -> true | _ -> false
    and journal are netd's own code ({!Node_core.file_store},
    {!Journal.file_sink}) on the {!Files.of_fs} backend in place of
    {!Files.of_usys}: same layout, same filesystem transactions. *)
-let make_node ?dup_capacity ?(checkpoint_bytes = 64 * 1024) ?(mutant = false)
-    fs =
+let make_node ?dup_capacity ?(checkpoint_bytes = 64 * 1024) fs =
   let store = Node_core.fs_store fs in
   let j = J.create (J.fs_sink fs ~path:"/journal") in
   let core =
     Node_core.create ?dup_capacity ~journal:j ~journal_checkpoint:checkpoint_bytes
-      ~mutant_journal_after_apply:mutant store
+      store
   in
   (core, store, j)
+
+(* A later life of the node on an existing device: mount, open, recover. *)
+let reopen ?checkpoint_bytes dev =
+  let core, store, _ = make_node ?checkpoint_bytes (Fs.mount dev) in
+  let (_ : Node_core.recovery) = Node_core.recover core in
+  (core, store)
 
 (* What a crashed-and-recovered node observes: durable kv contents, the
    recovered duplicate table, and the degraded latch.  This is the ['v]
@@ -72,7 +77,7 @@ let recovered_obs fs =
    Recovery is the crash handler here, so [explore_recovery] crashes
    {e recovery itself} at each of its own write boundaries. *)
 let cr_config ?(tears = []) ?(seeds = []) ?(explore_recovery = false)
-    ?(checkpoint_bytes = 64 * 1024) ?(mutant = false) ~setup ~mutate () =
+    ?(checkpoint_bytes = 64 * 1024) ~setup ~mutate () =
   {
     CE.sectors = 128;
     setup =
@@ -81,12 +86,7 @@ let cr_config ?(tears = []) ?(seeds = []) ?(explore_recovery = false)
         let core, _, _ = make_node ~checkpoint_bytes fs in
         let (_ : Node_core.recovery) = Node_core.recover core in
         setup core);
-    mutate =
-      (fun dev ->
-        let fs = Fs.mount dev in
-        let core, _, _ = make_node ~checkpoint_bytes ~mutant fs in
-        let (_ : Node_core.recovery) = Node_core.recover core in
-        mutate core);
+    mutate = (fun dev -> mutate (fst (reopen ~checkpoint_bytes dev)));
     view = (fun dev -> recovered_obs (Fs.mount dev));
     equal = ( = );
     pp = Some pp_obs;
@@ -94,10 +94,6 @@ let cr_config ?(tears = []) ?(seeds = []) ?(explore_recovery = false)
     crash_seeds = seeds;
     explore_recovery;
   }
-
-let must = function
-  | Ok (_ : CE.stats) -> Vc.Proved
-  | Error e -> Vc.Falsified e
 
 let handled core req =
   match Node_core.handle core req with
@@ -228,7 +224,15 @@ let serde_vcs () =
 let commit_vcs () =
   [
     Vc.make ~id:"cr/commit/put-new-atomic" ~category:"cr/commit" (fun () ->
-        must
+        CE.must_census
+          {
+            writes = 62;
+            flushes = 29;
+            crash_points = 92;
+            torn_points = 62;
+            subset_points = 184;
+            recovery_points = 0;
+          }
           (CE.explore
              (cr_config ~tears:[ 100 ] ~seeds:[ 1; 2 ]
                 ~setup:(fun core -> handled core (put_req ~seq:1 "k1" "alpha"))
@@ -236,7 +240,15 @@ let commit_vcs () =
                 ())));
     Vc.make ~id:"cr/commit/put-overwrite-atomic" ~category:"cr/commit"
       (fun () ->
-        must
+        CE.must_census
+          {
+            writes = 46;
+            flushes = 21;
+            crash_points = 68;
+            torn_points = 46;
+            subset_points = 136;
+            recovery_points = 0;
+          }
           (CE.explore
              (cr_config ~tears:[ 100 ] ~seeds:[ 1; 2 ]
                 ~setup:(fun core -> handled core (put_req ~seq:1 "k" "old"))
@@ -244,7 +256,15 @@ let commit_vcs () =
                 ())));
     Vc.make ~id:"cr/commit/delete-present-atomic" ~category:"cr/commit"
       (fun () ->
-        must
+        CE.must_census
+          {
+            writes = 36;
+            flushes = 13;
+            crash_points = 50;
+            torn_points = 36;
+            subset_points = 100;
+            recovery_points = 0;
+          }
           (CE.explore
              (cr_config ~tears:[ 100 ] ~seeds:[ 1; 2 ]
                 ~setup:(fun core -> handled core (put_req ~seq:1 "k" "doomed"))
@@ -255,26 +275,39 @@ let commit_vcs () =
         (* A delete of an absent key commits a [Missing] record with no
            store effect: the only durable change is the dup entry, and it
            must still be all-or-nothing. *)
-        must
+        CE.must_census
+          {
+            writes = 8;
+            flushes = 5;
+            crash_points = 14;
+            torn_points = 8;
+            subset_points = 28;
+            recovery_points = 0;
+          }
           (CE.explore
              (cr_config ~tears:[ 64 ] ~seeds:[ 1; 2 ]
                 ~setup:(fun core -> handled core (put_req ~seq:1 "k" "kept"))
                 ~mutate:(fun core -> handled core (del_req ~seq:2 "absent"))
                 ())));
-    Vc.prop ~id:"cr/commit/dup-retry-no-writes" ~category:"cr/commit"
+    Vc.make ~id:"cr/commit/dup-retry-no-writes" ~category:"cr/commit"
       (fun () ->
         (* A retry of a committed mutation is answered from the recovered
            dup table without touching the device at all: zero writes,
            zero flushes, so the only crash point is the trivial one. *)
-        match
-          CE.explore
-            (cr_config
-               ~setup:(fun core -> handled core (put_req ~seq:1 "k" "v"))
-               ~mutate:(fun core -> handled core (put_req ~seq:1 "k" "v"))
-               ())
-        with
-        | Ok s -> s.writes = 0 && s.flushes = 0 && s.crash_points = 1
-        | Error _ -> false);
+        CE.must_census
+          {
+            writes = 0;
+            flushes = 0;
+            crash_points = 1;
+            torn_points = 0;
+            subset_points = 0;
+            recovery_points = 0;
+          }
+          (CE.explore
+             (cr_config
+                ~setup:(fun core -> handled core (put_req ~seq:1 "k" "v"))
+                ~mutate:(fun core -> handled core (put_req ~seq:1 "k" "v"))
+                ())));
     Vc.make ~id:"cr/commit/checkpoint-atomic" ~category:"cr/commit" (fun () ->
         (* A 1-byte threshold forces the commit to be followed by the
            two-file checkpoint dance; crashing anywhere inside it — and
@@ -325,18 +358,22 @@ let mutation_vcs () =
         (* The seeded ordering bug — store write before the commit
            record — leaves a crash window where the store holds a key
            recovery knows nothing about: neither old nor new.  The
-           explorer must find it.  (A fresh key, deliberately: for an
-           overwrite, replay would force the key back to the last
-           committed record and mask the bug.) *)
-        match
-          CE.explore
-            (cr_config ~mutant:true ~tears:[ 100 ] ~seeds:[ 1; 2 ]
-               ~setup:(fun core -> handled core (put_req ~seq:1 "k1" "alpha"))
-               ~mutate:(fun core -> handled core (put_req ~seq:2 "k2" "beta"))
-               ())
-        with
-        | Error _ -> true
-        | Ok _ -> false);
+           mutant life saves the value through the store and only then
+           hands the node the Put; the explorer must find the window.
+           (A fresh key, deliberately: for an overwrite, replay would
+           force the key back to the last committed record and mask the
+           bug.) *)
+        let cfg =
+          cr_config ~tears:[ 100 ] ~seeds:[ 1; 2 ]
+            ~setup:(fun core -> handled core (put_req ~seq:1 "k1" "alpha"))
+            ~mutate:ignore ()
+        in
+        let store_first dev =
+          let core, store = reopen dev in
+          ignore (store.save "k2" { value = "beta"; crc = P.crc32 "beta" });
+          handled core (put_req ~seq:2 "k2" "beta")
+        in
+        Result.is_error (CE.explore { cfg with mutate = store_first }));
     Vc.prop ~id:"cr/mutation/skipped-recovery-caught" ~category:"cr/mutation"
       (fun () ->
         (* A respawn that "recovers" by just starting fresh (PR 9's
@@ -719,7 +756,7 @@ let migrate_vcs () =
 
 let census_vcs () =
   [
-    Vc.prop ~id:"cr/commit/crash-point-census" ~category:"cr/commit" (fun () ->
+    Vc.make ~id:"cr/commit/crash-point-census" ~category:"cr/commit" (fun () ->
         (* Pin the exact write/flush profile of one journaled put of a
            fresh key so the exploration provably covers every boundary:
            the journal append is one WAL transaction + sync, then the
@@ -729,17 +766,20 @@ let census_vcs () =
            seeded survival subsets per boundary.  A protocol change that
            adds or removes a durability point must update this census
            consciously. *)
-        match
-          CE.explore
-            (cr_config ~tears:[ 100 ] ~seeds:[ 1; 2 ]
-               ~setup:(fun core -> handled core (put_req ~seq:1 "k1" "alpha"))
-               ~mutate:(fun core -> handled core (put_req ~seq:2 "k2" "beta"))
-               ())
-        with
-        | Ok s ->
-            s.writes = 62 && s.flushes = 29 && s.crash_points = 92
-            && s.torn_points = 62 && s.subset_points = 184
-        | Error _ -> false);
+        CE.must_census
+          {
+            writes = 62;
+            flushes = 29;
+            crash_points = 92;
+            torn_points = 62;
+            subset_points = 184;
+            recovery_points = 0;
+          }
+          (CE.explore
+             (cr_config ~tears:[ 100 ] ~seeds:[ 1; 2 ]
+                ~setup:(fun core -> handled core (put_req ~seq:1 "k1" "alpha"))
+                ~mutate:(fun core -> handled core (put_req ~seq:2 "k2" "beta"))
+                ())));
   ]
 
 let vcs () =

@@ -12,8 +12,8 @@
     - commit atomicity: every crash point of a put (new and overwrite),
       a delete (present and journal-only absent), and a size-triggered
       checkpoint recovers to exactly the old or the new observation
-      (durable kv + dup table + degraded latch), with a pinned
-      crash-point census so coverage regressions are loud;
+      (durable kv + dup table + degraded latch), each exploration at its
+      pinned census so coverage regressions are loud;
     - recovery: rebuilds the node from the journal alone, is idempotent
       at every one of its own crash points, redoes committed-unapplied
       writes, skips cancelled commits, discards torn tails, and replays
@@ -29,8 +29,9 @@
     - recovery × migration: recovered and imported dup entries merge by
       highest seq, imports survive a further restart, and exports are
       canonically sorted;
-    - mutation self-checks: journaling after the store apply is caught
-      by the explorer; a respawn that skips recovery is caught by the
-      exactly-once predicate. *)
+    - mutation self-checks: a store write ahead of the commit record
+      (the mutant life saves the value, then hands the node the Put) is
+      caught by the explorer; a respawn that skips recovery is caught by
+      the exactly-once predicate. *)
 
 val vcs : unit -> Bi_core.Vc.t list

@@ -419,8 +419,10 @@ let vc_zero_copy_ablation =
       && vectored = Bytes.length frame
       && copying >= 2 * vectored)
 
-(* Mutation knob #2: a checksum that skips a slice must not pass the
-   parity VC's comparison. *)
+(* Seeded bug: a checksum that skips a slice must not pass the parity
+   VC's comparison.  The mutant sums the iov with slice 1 filtered out,
+   which is exactly a strided sum that skips it: a skipped slice never
+   advanced the byte parity. *)
 let vc_mutation_skip_slice_caught =
   Vc.make ~id:"hp/iov/mutation/skip-slice-caught" ~category:"hp/mutation"
     (fun () ->
@@ -432,7 +434,8 @@ let vc_mutation_skip_slice_caught =
       let reference = Pkt.checksum b ~off:0 ~len:40 in
       if Pkt.checksum_iov iov <> reference then
         Vc.Falsified "strided checksum broke parity without the mutant"
-      else if Pkt.checksum_iov ~skip_slice:1 iov = reference then
+      else if Pkt.checksum_iov (List.filteri (fun i _ -> i <> 1) iov) = reference
+      then
         Vc.Falsified "skipped slice went undetected"
       else Vc.Proved)
 

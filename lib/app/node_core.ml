@@ -46,18 +46,13 @@ type t = {
      [recover] replays the log on restart. *)
   journal : Journal.t;
   journal_checkpoint : int; (* auto-checkpoint size threshold, bytes *)
-  mutant_journal_after_apply : bool;
-      (* seeded ordering bug for the cr mutation self-check: store write
-         first, journal append second — a crash between the two loses
-         the dup entry for an applied mutation *)
   mutable recovering : bool; (* replay must not re-journal its own ops *)
   mutable checkpoints : int;
 }
 
 let create ?pool ?(dup_capacity = 8) ?(epoch = 0)
     ?(journal = Journal.create (fst (Journal.mem_sink ())))
-    ?(journal_checkpoint = 32 * 1024) ?(mutant_journal_after_apply = false)
-    store =
+    ?(journal_checkpoint = 32 * 1024) store =
   {
     store;
     pool;
@@ -72,7 +67,6 @@ let create ?pool ?(dup_capacity = 8) ?(epoch = 0)
     dup_hits = 0;
     journal;
     journal_checkpoint;
-    mutant_journal_after_apply;
     recovering = false;
     checkpoints = 0;
   }
@@ -394,48 +388,32 @@ let journaled_commit t txn ~shard key m =
             done_ = (resp = P.Done);
           }
       in
-      let apply () =
-        match (m, resp) with
-        | M_put stored, _ -> t.store.save key stored
-        | M_del, P.Done -> (
-            match t.store.remove key with Ok _ -> Ok () | Error e -> Error e)
-        | M_del, _ -> Ok () (* Missing: journal-only, no store effect *)
-      in
       let fail e =
         (match e with P.Io _ -> t.degraded <- true | _ -> ());
         P.Err e
       in
-      let finish () =
-        (match resp with P.Done -> t.applied <- t.applied + 1 | _ -> ());
-        dup_record t txn ~shard resp;
-        maybe_checkpoint t;
-        resp
-      in
-      if t.mutant_journal_after_apply then
-        (* Seeded ordering bug: the store mutates before the commit
-           record exists, so a crash between the two acknowledges (or
-           applies) a mutation recovery knows nothing about.  The cr
-           mutation self-check proves Crash_explore catches this. *)
-        match apply () with
-        | Error e -> fail e
-        | Ok () ->
-            (match Journal.append j record with Ok () | Error _ -> ());
-            finish ()
-      else
-        match Journal.append j record with
-        | Error e -> fail e
-        | Ok () -> (
-            match apply () with
-            | Ok () -> finish ()
-            | Error e ->
-                ignore
-                  (Journal.append j
-                     (Journal.Cancel
-                        {
-                          degraded =
-                            (match e with P.Io _ -> true | _ -> false);
-                        }));
-                fail e)
+      match Journal.append j record with
+      | Error e -> fail e
+      | Ok () -> (
+          let applied =
+            match (m, resp) with
+            | M_put stored, _ -> t.store.save key stored
+            | M_del, P.Done -> (
+                match t.store.remove key with Ok _ -> Ok () | Error e -> Error e)
+            | M_del, _ -> Ok () (* Missing: journal-only, no store effect *)
+          in
+          match applied with
+          | Ok () ->
+              (match resp with P.Done -> t.applied <- t.applied + 1 | _ -> ());
+              dup_record t txn ~shard resp;
+              maybe_checkpoint t;
+              resp
+          | Error e ->
+              ignore
+                (Journal.append j
+                   (Journal.Cancel
+                      { degraded = (match e with P.Io _ -> true | _ -> false) }));
+              fail e)
 
 (* The dedup check runs before everything else: a retry of a mutation
    acknowledged just before the node degraded (or froze the shard for
@@ -814,46 +792,24 @@ let fs_store fs =
    shed request never reaches the store, the duplicate table, or the
    degraded-mode latch, which is the whole point — shedding must not be a
    third, half-applied outcome.  [serve] dispatches up to a service
-   budget's worth of queued requests in admission (round-robin) order.
-
-   [mutant_half_apply] is a mutation self-check knob: on shed it applies
-   the mutation straight to the backing store (bypassing [handle] and the
-   dup table) while still answering [Overloaded].  The wl suite proves its
-   VCs catch this — the shed-leaves-state-unchanged check and the
-   linearizability check both fail against the mutant. *)
+   budget's worth of queued requests in admission (round-robin) order. *)
 module Queued = struct
   type core = t
 
   type nonrec t = {
     node : core;
     q : (int * P.req) Admission.t; (* (request id, request) per client *)
-    half_apply : bool;
     mutable served : int;
   }
 
-  let create ?per_client ?unfair ?(mutant_half_apply = false) ~capacity node =
-    {
-      node;
-      q = Admission.create ?per_client ?unfair ~capacity ();
-      half_apply = mutant_half_apply;
-      served = 0;
-    }
+  let create ?per_client ~capacity node =
+    { node; q = Admission.create ?per_client ~capacity (); served = 0 }
 
   let node t = t.node
 
-  (* The bug the mutation VCs must catch: state changes on the shed path. *)
-  let mutant_apply t = function
-    | P.Put { key; value; crc; txn = _ } ->
-        ignore (t.node.store.save key { value; crc })
-    | P.Delete { key; txn = _ } -> ignore (t.node.store.remove key)
-    | P.Get _ | P.List | P.Ping | P.Shutdown -> ()
-
   let submit t ~client ~id req =
     if Admission.offer t.q ~client (id, req) then None
-    else begin
-      if t.half_apply then mutant_apply t req;
-      Some (P.Err P.Overloaded)
-    end
+    else Some (P.Err P.Overloaded)
 
   let serve ?(max_requests = max_int) t =
     let rec go n acc =

@@ -55,7 +55,6 @@ val create :
   ?epoch:int ->
   ?journal:Journal.t ->
   ?journal_checkpoint:int ->
-  ?mutant_journal_after_apply:bool ->
   store ->
   t
 (** [dup_capacity] bounds both the per-client entry count and the number
@@ -77,12 +76,9 @@ val create :
     [journal] chooses where the records go: netd passes its journal
     file; the default is a fresh in-memory journal, which lives and dies
     with the node unless the caller keeps its sink to recover from (as
-    {!Sim_world.restart} does).
-
-    [mutant_journal_after_apply] is a mutation-self-check knob (cr
-    suite only): it applies the store write {e before} the commit
-    append, the dup-entry-after-store-write ordering bug
-    {!Bi_fs.Crash_explore} must catch. *)
+    {!Sim_world.restart} does).  The commit order has no alternative:
+    the cr suite seeds its store-before-journal bug by saving through
+    the store before handing the node the request. *)
 
 val handle : t -> Protocol.req -> Protocol.resp
 (** Total: every request gets a response.  [Shutdown] answers [Done];
@@ -261,19 +257,12 @@ module Queued : sig
   type core := t
   type t
 
-  val create :
-    ?per_client:int ->
-    ?unfair:bool ->
-    ?mutant_half_apply:bool ->
-    capacity:int ->
-    core ->
-    t
+  val create : ?per_client:int -> capacity:int -> core -> t
   (** [create ~capacity node] bounds the node's request queue at
       [capacity]; [per_client] caps one client's share (default: the whole
-      queue).  [unfair] swaps in the starvation-prone single-FIFO policy
-      and [mutant_half_apply] makes shedding apply mutations anyway —
-      both are mutation-self-check knobs for the wl suite, never used by
-      real nodes. *)
+      queue).  The wl suite builds its seeded bugs around the queue, not
+      in it: a shed request written into the store anyway, and every
+      arrival submitted as one client with no [per_client] cap. *)
 
   val node : t -> core
 

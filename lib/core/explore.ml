@@ -53,7 +53,6 @@ let lock_name l =
   match l.lname with Some n -> n | None -> Printf.sprintf "l%d" l.lid
 
 let peek v = v.value
-let holder l = l.owner
 
 let self ctx = ctx.running
 

@@ -120,9 +120,6 @@ val peek : var -> int
 (** Read a cell without a scheduling point — for final-state checks and
     failure messages only, never inside a modeled algorithm. *)
 
-val holder : lock -> int option
-(** Current owner (thread index), without a scheduling point. *)
-
 (* ------------------------------------------------------------------ *)
 (* Instrumented operations (yield points; call only inside threads)    *)
 

@@ -4,14 +4,6 @@ let mean = function
   | [] -> 0.
   | xs -> sum xs /. float_of_int (List.length xs)
 
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.
-  | _ ->
-      let m = mean xs in
-      let sq = List.map (fun x -> (x -. m) ** 2.) xs in
-      sqrt (sum sq /. float_of_int (List.length xs))
-
 let percentile p xs =
   match xs with
   | [] -> invalid_arg "Stats.percentile: empty list"

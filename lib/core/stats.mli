@@ -4,9 +4,6 @@
 val mean : float list -> float
 (** Arithmetic mean; 0. on the empty list. *)
 
-val stddev : float list -> float
-(** Population standard deviation; 0. on lists shorter than 2. *)
-
 val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [0,1], nearest-rank on the sorted data.
     Raises [Invalid_argument] on the empty list. *)

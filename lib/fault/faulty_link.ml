@@ -58,8 +58,6 @@ let step ch =
   ch.delivered <- ch.delivered + List.length frames;
   frames
 
-let in_flight ch = List.length ch.queue
-
 type stats = {
   rounds : int;
   ab_faults : int;

@@ -20,8 +20,6 @@ val step : channel -> bytes list
 (** Advance one round and return the frames released this round, in
     order. *)
 
-val in_flight : channel -> int
-
 type stats = {
   rounds : int;
   ab_faults : int;

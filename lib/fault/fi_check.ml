@@ -271,55 +271,91 @@ let wal_config ?(tears = []) ?(seeds = []) ?(explore_recovery = false)
   }
 
 let wal_vcs () =
-  let ok = function Ok _ -> true | Error _ -> false in
   [
     Vc.make ~id:"fi/wal/atomic-1-record" ~category:"fi/wal" (fun () ->
-        match
-          Crash_explore.explore
-            (wal_config ~tears:[ 1; 8; 256; 511 ] ~seeds:[ 0; 1; 2; 3; 4 ]
-               ~setup_blocks:[ (40, 'A') ] ~txn_writes:[ (40, 'B') ] ())
-        with
-        | Ok _ -> Vc.Proved
-        | Error e -> Vc.Falsified e);
+        Crash_explore.must_census
+          {
+            writes = 5;
+            flushes = 4;
+            crash_points = 10;
+            torn_points = 20;
+            subset_points = 50;
+            recovery_points = 0;
+          }
+          (Crash_explore.explore
+             (wal_config ~tears:[ 1; 8; 256; 511 ] ~seeds:[ 0; 1; 2; 3; 4 ]
+                ~setup_blocks:[ (40, 'A') ] ~txn_writes:[ (40, 'B') ] ())));
     Vc.make ~id:"fi/wal/atomic-3-records" ~category:"fi/wal" (fun () ->
-        match
-          Crash_explore.explore
-            (wal_config ~tears:[ 4; 256 ] ~seeds:[ 1; 2; 3 ]
-               ~setup_blocks:[ (40, 'A'); (41, 'B'); (42, 'C') ]
-               ~txn_writes:[ (40, 'X'); (41, 'Y'); (42, 'Z') ] ())
-        with
-        | Ok _ -> Vc.Proved
-        | Error e -> Vc.Falsified e);
-    Vc.prop ~id:"fi/wal/atomic-max-records" ~category:"fi/wal" (fun () ->
+        Crash_explore.must_census
+          {
+            writes = 11;
+            flushes = 4;
+            crash_points = 16;
+            torn_points = 22;
+            subset_points = 48;
+            recovery_points = 0;
+          }
+          (Crash_explore.explore
+             (wal_config ~tears:[ 4; 256 ] ~seeds:[ 1; 2; 3 ]
+                ~setup_blocks:[ (40, 'A'); (41, 'B'); (42, 'C') ]
+                ~txn_writes:[ (40, 'X'); (41, 'Y'); (42, 'Z') ] ())));
+    Vc.make ~id:"fi/wal/atomic-max-records" ~category:"fi/wal" (fun () ->
         let blocks = List.init Wal.max_records (fun i -> 40 + i) in
-        ok
+        Crash_explore.must_census
+          {
+            writes = 47;
+            flushes = 4;
+            crash_points = 52;
+            torn_points = 0;
+            subset_points = 52;
+            recovery_points = 0;
+          }
           (Crash_explore.explore
              (wal_config ~seeds:[ 1 ]
                 ~setup_blocks:(List.map (fun s -> (s, 'O')) blocks)
                 ~txn_writes:(List.map (fun s -> (s, 'N')) blocks) ())));
-    Vc.prop ~id:"fi/wal/overwrite-same-block" ~category:"fi/wal" (fun () ->
+    Vc.make ~id:"fi/wal/overwrite-same-block" ~category:"fi/wal" (fun () ->
         (* Two txn writes to one block: last wins, still atomic. *)
-        ok
-          (Crash_explore.explore
-             (wal_config ~tears:[ 64 ] ~seeds:[ 1; 2 ]
-                ~setup_blocks:[ (40, 'A') ]
-                ~txn_writes:[ (40, 'X'); (40, 'Y') ] ()))
-        &&
-        let dev = plain_dev 64 in
-        let w = Wal.create dev ~header_block:0 in
-        ignore (Wal.recover w : int);
-        let txn = Wal.begin_txn w in
-        Wal.txn_write txn 40 (blk 'X');
-        Wal.txn_write txn 40 (blk 'Y');
-        Wal.commit txn;
-        Block_dev.read dev 40 = blk 'Y');
-    Vc.prop ~id:"fi/wal/empty-txn-noop" ~category:"fi/wal" (fun () ->
+        let last_wins () =
+          let dev = plain_dev 64 in
+          let w = Wal.create dev ~header_block:0 in
+          ignore (Wal.recover w : int);
+          let txn = Wal.begin_txn w in
+          Wal.txn_write txn 40 (blk 'X');
+          Wal.txn_write txn 40 (blk 'Y');
+          Wal.commit txn;
+          Block_dev.read dev 40 = blk 'Y'
+        in
         match
-          Crash_explore.explore
-            (wal_config ~setup_blocks:[ (40, 'A') ] ~txn_writes:[] ())
+          Crash_explore.must_census
+            {
+              writes = 5;
+              flushes = 4;
+              crash_points = 10;
+              torn_points = 5;
+              subset_points = 20;
+              recovery_points = 0;
+            }
+            (Crash_explore.explore
+               (wal_config ~tears:[ 64 ] ~seeds:[ 1; 2 ]
+                  ~setup_blocks:[ (40, 'A') ]
+                  ~txn_writes:[ (40, 'X'); (40, 'Y') ] ()))
         with
-        | Ok s -> s.writes = 0 && s.flushes = 0 && s.crash_points = 1
-        | Error _ -> false);
+        | Vc.Proved when not (last_wins ()) ->
+            Vc.Falsified "block 40 does not hold the txn's last write"
+        | outcome -> outcome);
+    Vc.make ~id:"fi/wal/empty-txn-noop" ~category:"fi/wal" (fun () ->
+        Crash_explore.must_census
+          {
+            writes = 0;
+            flushes = 0;
+            crash_points = 1;
+            torn_points = 0;
+            subset_points = 0;
+            recovery_points = 0;
+          }
+          (Crash_explore.explore
+             (wal_config ~setup_blocks:[ (40, 'A') ] ~txn_writes:[] ())));
     Vc.make ~id:"fi/wal/recovery-idempotent-every-boundary" ~category:"fi/wal"
       (fun () ->
         Crash_explore.must_census
@@ -335,43 +371,56 @@ let wal_vcs () =
              (wal_config ~seeds:[ 0; 1; 2 ] ~explore_recovery:true
                 ~setup_blocks:[ (40, 'A'); (41, 'B') ]
                 ~txn_writes:[ (40, 'X'); (41, 'Y') ] ())));
-    Vc.prop ~id:"fi/wal/crash-point-census" ~category:"fi/wal" (fun () ->
+    Vc.make ~id:"fi/wal/crash-point-census" ~category:"fi/wal" (fun () ->
         (* The 3-record commit protocol issues exactly 11 writes (2 per
            record + commit header + 3 installs + header clear) across 4
            flush epochs; the explorer must visit every boundary. *)
-        match
-          Crash_explore.explore
-            (wal_config ~tears:[ 256 ] ~seeds:[ 1; 2 ]
-               ~setup_blocks:[ (40, 'A'); (41, 'B'); (42, 'C') ]
-               ~txn_writes:[ (40, 'X'); (41, 'Y'); (42, 'Z') ] ())
-        with
-        | Ok s ->
-            s.writes = 11 && s.flushes = 4
-            && s.crash_points = 16 (* 15 ops + 1 boundary *)
-            && s.torn_points = 11 (* one tear per write *)
-            && s.subset_points = 32 (* 2 seeds per boundary *)
-        | Error _ -> false);
+        Crash_explore.must_census
+          {
+            writes = 11;
+            flushes = 4;
+            crash_points = 16 (* 15 ops + 1 boundary *);
+            torn_points = 11 (* one tear per write *);
+            subset_points = 32 (* 2 seeds per boundary *);
+            recovery_points = 0;
+          }
+          (Crash_explore.explore
+             (wal_config ~tears:[ 256 ] ~seeds:[ 1; 2 ]
+                ~setup_blocks:[ (40, 'A'); (41, 'B'); (42, 'C') ]
+                ~txn_writes:[ (40, 'X'); (41, 'Y'); (42, 'Z') ] ())));
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash exploration of filesystem operations                          *)
 
 let fs_vcs () =
-  let must = function
-    | Ok (_ : Crash_explore.stats) -> Vc.Proved
-    | Error e -> Vc.Falsified e
-  in
   let req = function Ok () -> () | Error e -> failwith (Fs.pp_error Format.str_formatter e; Format.flush_str_formatter ()) in
   [
     Vc.make ~id:"fi/fs/create-atomic" ~category:"fi/fs" (fun () ->
-        must
+        Crash_explore.must_census
+          {
+            writes = 11;
+            flushes = 4;
+            crash_points = 16;
+            torn_points = 11;
+            subset_points = 32;
+            recovery_points = 0;
+          }
           (Crash_explore.explore
              (Fs_refinement.crash_config ~tears:[ 256 ] ~seeds:[ 1; 2 ]
                 ~setup:(fun fs -> req (Fs.create fs "/a"))
                 ~mutate:(fun fs -> req (Fs.create fs "/b"))
                 ())));
     Vc.make ~id:"fi/fs/write-atomic" ~category:"fi/fs" (fun () ->
-        must
+        Crash_explore.must_census
+          {
+            writes = 11;
+            flushes = 4;
+            crash_points = 16;
+            torn_points = 11;
+            subset_points = 32;
+            recovery_points = 0;
+          }
           (Crash_explore.explore
              (Fs_refinement.crash_config ~tears:[ 100 ] ~seeds:[ 1; 2 ]
                 ~setup:(fun fs -> req (Fs.create fs "/a"))
@@ -399,7 +448,15 @@ let fs_vcs () =
                 ~mutate:(fun fs -> req (Fs.rename fs ~src:"/a" ~dst:"/d/b"))
                 ())));
     Vc.make ~id:"fi/fs/unlink-atomic" ~category:"fi/fs" (fun () ->
-        must
+        Crash_explore.must_census
+          {
+            writes = 14;
+            flushes = 4;
+            crash_points = 19;
+            torn_points = 14;
+            subset_points = 38;
+            recovery_points = 0;
+          }
           (Crash_explore.explore
              (Fs_refinement.crash_config ~tears:[ 128 ] ~seeds:[ 1; 2 ]
                 ~setup:(fun fs ->

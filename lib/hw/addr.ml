@@ -38,6 +38,3 @@ let of_indices ~l4 ~l3 ~l2 ~l1 ~offset =
   canonicalize (sl l4 39 ||| sl l3 30 ||| sl l2 21 ||| sl l1 12 ||| offset)
 
 let vpage_4k va = Int64.logand va (Int64.lognot 0xFFFL)
-
-let pp_vaddr ppf va = Format.fprintf ppf "0x%Lx" va
-let pp_paddr ppf pa = Format.fprintf ppf "0x%Lx" pa

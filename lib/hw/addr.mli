@@ -50,6 +50,3 @@ val of_indices : l4:int -> l3:int -> l2:int -> l1:int -> offset:int64 -> vaddr
 
 val vpage_4k : vaddr -> vaddr
 (** Base of the enclosing 4 KiB page. *)
-
-val pp_vaddr : Format.formatter -> vaddr -> unit
-val pp_paddr : Format.formatter -> paddr -> unit

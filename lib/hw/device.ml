@@ -153,8 +153,6 @@ module Disk = struct
       io_count = 0;
     }
 
-  let pending_writes t = List.length t.unflushed
-
   let crash_with t ~keep_unflushed =
     (* [keep_unflushed] is clamped to [0, pending]: negative keeps nothing,
        larger-than-pending keeps every un-flushed write. *)

@@ -88,10 +88,6 @@ module Disk : sig
       [[0, pending]]: a negative count keeps nothing, a count beyond the
       pending writes keeps them all. *)
 
-  val pending_writes : t -> int
-  (** Un-flushed writes currently queued (the clamp bound of
-      {!crash_with}). *)
-
   val contents : t -> string array
   (** Every sector as {!read_sector} would return it, without copying: a
       stored sector buffer is never mutated in place, so the strings share

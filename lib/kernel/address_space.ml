@@ -152,42 +152,6 @@ let store_u64 t ~va v =
   | Ok () -> Ok ()
   | Error _ -> Error Sysabi.E_fault
 
-let translate_byte t va access =
-  match Mmu.translate t.mem ~cr3:(cr3 t) access va with
-  | Ok tr -> Ok tr.Mmu.pa
-  | Error _ -> Error Sysabi.E_fault
-
-let load_bytes t ~va ~len =
-  if len < 0 then Error Sysabi.E_inval
-  else begin
-    let out = Bytes.create len in
-    let rec go i =
-      if i >= len then Ok out
-      else begin
-        match translate_byte t (Int64.add va (Int64.of_int i)) Mmu.Read with
-        | Error e -> Error e
-        | Ok pa ->
-            Bytes.set out i (Char.chr (Phys_mem.read_u8 t.mem pa));
-            go (i + 1)
-      end
-    in
-    go 0
-  end
-
-let store_bytes t ~va data =
-  let len = Bytes.length data in
-  let rec go i =
-    if i >= len then Ok ()
-    else begin
-      match translate_byte t (Int64.add va (Int64.of_int i)) Mmu.Write with
-      | Error e -> Error e
-      | Ok pa ->
-          Phys_mem.write_u8 t.mem pa (Char.code (Bytes.get data i));
-          go (i + 1)
-    end
-  in
-  go 0
-
 let mapped_bytes t =
   List.fold_left (fun acc r -> acc + (r.pages * page_i)) 0 t.regions
 

@@ -40,11 +40,6 @@ val load_u64 : t -> va:int64 -> (int64, Sysabi.err) result
 
 val store_u64 : t -> va:int64 -> int64 -> (unit, Sysabi.err) result
 
-val load_bytes : t -> va:int64 -> len:int -> (bytes, Sysabi.err) result
-(** Byte-granular user-memory read (crosses page boundaries). *)
-
-val store_bytes : t -> va:int64 -> bytes -> (unit, Sysabi.err) result
-
 val mapped_bytes : t -> int
 (** Total bytes currently mapped (for accounting tests). *)
 

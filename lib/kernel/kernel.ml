@@ -102,7 +102,6 @@ let create ?(cores = 2) ?(mem_bytes = 32 * 1024 * 1024) ?(disk_sectors = 4096)
 let machine t = t.machine
 let fs t = t.fs
 let stack t = t.stack
-let sys_pid s = s.s_pid
 let sys_tid s = s.s_tid
 let sys_kernel s = s.kernel
 

@@ -67,7 +67,6 @@ val run : t -> unit
 val syscall : sys -> Sysabi.request -> Sysabi.response
 (** Perform a system call (from user code only). *)
 
-val sys_pid : sys -> int
 val sys_tid : sys -> int
 
 val sys_kernel : sys -> t

@@ -25,8 +25,6 @@ let fresh_proc =
 
 let init ~next_pid = { fs = Fs_spec.empty; procs = []; next_pid }
 
-let fs_view st = st.fs
-
 let err_of_fs (e : Fs.error) : Sysabi.err =
   match e with
   | Fs.Not_found -> Sysabi.E_noent

@@ -40,7 +40,3 @@ val check_trace :
   (int * Sysabi.request * Sysabi.response) list ->
   (int * int, string) result
 (** Replay a whole kernel trace; returns [(checked, unchecked)] counts. *)
-
-val fs_view : state -> Bi_fs.Fs_spec.state
-(** The spec's current filesystem map (to compare against the kernel's
-    real filesystem via {!Bi_fs.Fs_refinement.view}). *)

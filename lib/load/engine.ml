@@ -48,8 +48,6 @@ type config = {
   ramp : int;  (* closed-loop start times spread over [0, ramp) *)
   reservoir : int;
   seed : int64;
-  unfair : bool;  (* mutation knobs, threaded to Node_core.Queued *)
-  mutant_half_apply : bool;
 }
 
 (* A capacity so large the queue never refuses: the "without admission
@@ -77,8 +75,6 @@ let default =
     ramp = 256;
     reservoir = 4096;
     seed = 1L;
-    unfair = false;
-    mutant_half_apply = false;
   }
 
 type ev =
@@ -125,8 +121,7 @@ let run (cfg : config) =
         let core = NC.create (NC.mem_store ()) in
         if cfg.nodes > 1 then
           NC.enable_sharding core ~nshards:cfg.nodes ~version:1 ~owned:[ i ];
-        NC.Queued.create ?per_client:cfg.per_client ~unfair:cfg.unfair
-          ~mutant_half_apply:cfg.mutant_half_apply ~capacity:cfg.capacity core)
+        NC.Queued.create ?per_client:cfg.per_client ~capacity:cfg.capacity core)
   in
   let busy = Array.make cfg.nodes false in
   let inflight_id = Array.make cfg.nodes (-1) in

@@ -41,8 +41,6 @@ type config = {
   ramp : int;
   reservoir : int;
   seed : int64;
-  unfair : bool;
-  mutant_half_apply : bool;
 }
 
 val no_admission : int

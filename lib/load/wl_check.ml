@@ -47,6 +47,15 @@ module E = Engine
 (* fault adversary can target each client's link independently), on    *)
 (* the shared Sim_world transport.                                      *)
 
+(* The seeded half-apply bug, built around the queue rather than in it:
+   a request the queue shed is written into the store anyway, bypassing
+   [handle] and the dup table, while the client still hears [Overloaded]. *)
+let apply_shed store = function
+  | P.Put { key; value; crc; txn = _ } ->
+      ignore (store.NC.save key { NC.value; crc })
+  | P.Delete { key; txn = _ } -> ignore (store.NC.remove key)
+  | P.Get _ | P.List | P.Ping | P.Shutdown -> ()
+
 module QWorld = struct
   type conn = { req_ch : FL.channel; resp_ch : FL.channel }
 
@@ -58,15 +67,19 @@ module QWorld = struct
     service_rate : int;
     mutable inv_ok : bool; (* admission invariants held at every tick *)
     mutable max_qlen : int;
+    half_apply : bool; (* seeded bug: [apply_shed] every shed request *)
+    unfair : bool;
+        (* seeded bug: every arrival is submitted as client 0 with no
+           per-client cap — one shared FIFO under a global cap *)
   }
 
-  let create ?(service_rate = 1) ?per_client ?unfair ?mutant_half_apply
-      ~capacity ~nclients ~tag ~seed ~rates ~limit sched =
+  let create ?(service_rate = 1) ?per_client ?(unfair = false)
+      ?(half_apply = false) ~capacity ~nclients ~tag ~seed ~rates ~limit sched
+      =
     let store = NC.mem_store () in
     let core = NC.create store in
-    let qnode =
-      NC.Queued.create ?per_client ?unfair ?mutant_half_apply ~capacity core
-    in
+    let per_client = if unfair then None else per_client in
+    let qnode = NC.Queued.create ?per_client ~capacity core in
     let conns =
       Array.init nclients (fun i ->
           {
@@ -90,6 +103,8 @@ module QWorld = struct
       service_rate;
       inv_ok = true;
       max_qlen = 0;
+      half_apply;
+      unfair;
     }
 
   let tick t =
@@ -99,9 +114,12 @@ module QWorld = struct
       (fun client conn ->
         List.iter
           (fun (id, req) ->
+            let client = if t.unfair then 0 else client in
             match NC.Queued.submit t.qnode ~client ~id req with
             | None -> ()
-            | Some resp -> SW.reply conn.resp_ch ~id resp)
+            | Some resp ->
+                if t.half_apply then apply_shed t.store req;
+                SW.reply conn.resp_ch ~id resp)
           (SW.arrivals conn.req_ch))
       t.conns;
     (* At most [service_rate] queued requests are dispatched per round. *)
@@ -219,8 +237,9 @@ let shed_scenario ~tag ~seed ~rates ?(limit = 6) ?(nclients = 3) ?(ops = 5)
 (* Flooder vs victim: client 0 fire-hoses raw frames (no retry loop, no
    waiting) while client 1 runs real retried mutations.  Under the fair
    queue the victim's per-client slots cannot be squeezed out; under the
-   [unfair] mutant the flooder owns the whole buffer and the victim
-   starves — which is exactly what the mutation self-check asserts. *)
+   [unfair] mutant (one client, no per-client cap) the flooder owns the
+   whole buffer and the victim starves — which is exactly what the
+   mutation self-check asserts. *)
 let flood_scenario ~tag ~seed ?(unfair = false) ?(victim_ops = 5) () =
   let s = Vtime.make () in
   let w =
@@ -641,28 +660,31 @@ let protocol_vcs () =
    then shed a Delete.  Returns (still_present, applied_delta, get_resp)
    observed after the shed — the correct queue must leave everything
    untouched. *)
-let shed_probe ?(mutant_half_apply = false) () =
+let shed_probe ?(half_apply = false) () =
   let store = NC.mem_store () in
   let core = NC.create store in
-  let q = NC.Queued.create ~mutant_half_apply ~capacity:1 core in
+  let q = NC.Queued.create ~capacity:1 core in
+  let submit ~client ~id req =
+    let resp = NC.Queued.submit q ~client ~id req in
+    if half_apply && resp <> None then apply_shed store req;
+    resp
+  in
   (* k=v through the normal path. *)
-  assert (NC.Queued.submit q ~client:0 ~id:1 (P.Get "warm") = None);
+  assert (submit ~client:0 ~id:1 (P.Get "warm") = None);
   ignore (NC.Queued.serve q);
   let put = P.Put { key = "k"; value = "v"; crc = P.crc32 "v"; txn = None } in
-  assert (NC.Queued.submit q ~client:0 ~id:2 put = None);
+  assert (submit ~client:0 ~id:2 put = None);
   ignore (NC.Queued.serve q);
   let applied0 = NC.applied core in
   let before = NC.mem_contents store in
   (* Wedge: one admitted request fills the whole capacity-1 queue. *)
-  assert (NC.Queued.submit q ~client:1 ~id:3 (P.Get "k") = None);
-  let shed_resp =
-    NC.Queued.submit q ~client:2 ~id:4 (P.Delete { key = "k"; txn = None })
-  in
+  assert (submit ~client:1 ~id:3 (P.Get "k") = None);
+  let shed_resp = submit ~client:2 ~id:4 (P.Delete { key = "k"; txn = None }) in
   let after = NC.mem_contents store in
   let applied_delta = NC.applied core - applied0 in
   ignore (NC.Queued.serve q);
   let get_resp =
-    match NC.Queued.submit q ~client:0 ~id:5 (P.Get "k") with
+    match submit ~client:0 ~id:5 (P.Get "k") with
     | None -> (
         match NC.Queued.serve q with
         | [ (_, _, resp) ] -> resp
@@ -859,9 +881,7 @@ let mutation_vcs () =
         (* ...and the half-applying mutant is caught by it: the shed
            Delete leaked into the store, so the snapshot changed and the
            later Get sees the deletion that "never happened". *)
-        let _, unchanged_mut, _, get_mut =
-          shed_probe ~mutant_half_apply:true ()
-        in
+        let _, unchanged_mut, _, get_mut = shed_probe ~half_apply:true () in
         unchanged_ok && delta_ok = 0 && get_ok = value_resp "v"
         && (not unchanged_mut)
         && get_mut = P.Missing);
@@ -880,7 +900,7 @@ let mutation_vcs () =
              the store is through the mutant's half-apply. *)
           let w =
             QWorld.create ~service_rate:0 ~per_client:1 ~capacity:2
-              ~mutant_half_apply:true ~nclients:3 ~tag:"mut-eo-m" ~seed:4
+              ~half_apply:true ~nclients:3 ~tag:"mut-eo-m" ~seed:4
               ~rates:rates_pass ~limit:6 s
           in
           let applied_probe () =

@@ -25,9 +25,11 @@
       included;
     - per-key linearizability holds under shedding composed with four
       fault families × three seeds;
-    - and two mutation self-checks: a queue that half-applies shed
-      requests and an unfair queue that starves a victim are both caught
-      by the properties above. *)
+    - and two mutation self-checks, each mutant built around the real
+      queue here rather than in it: shed requests written into the store
+      anyway, and every arrival submitted as one client with no
+      per-client cap (a single FIFO that starves a victim), are both
+      caught by the properties above. *)
 
 val vcs : unit -> Bi_core.Vc.t list
 

@@ -35,10 +35,3 @@ let decode frame =
         let ethertype = Pkt.R.u16 r in
         Some { dst; src; ethertype; payload = Pkt.R.rest r }
       with Pkt.R.Truncated -> None)
-
-let pp_mac ppf mac =
-  String.iteri
-    (fun i c ->
-      if i > 0 then Format.pp_print_char ppf ':';
-      Format.fprintf ppf "%02x" (Char.code c))
-    mac

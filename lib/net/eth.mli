@@ -18,5 +18,3 @@ val frame_iov :
 
 val decode : bytes -> t option
 (** [None] on truncated frames. *)
-
-val pp_mac : Format.formatter -> string -> unit

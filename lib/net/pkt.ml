@@ -152,14 +152,10 @@ let checksum_valid data ~off ~len = checksum data ~off ~len = 0
    Byte parity (high/low half of the current 16-bit word) carries over
    slice boundaries, so odd-length slices sum exactly as the contiguous
    checksum does; a trailing odd byte pads with zero as in RFC 1071. *)
-let checksum_iov ?(skip_slice = -1) iov =
+let checksum_iov iov =
   let sum = ref 0 in
   let hi = ref true in
-  List.iteri
-    (fun si s ->
-      if si <> skip_slice then
-        Iov.iter_bytes [ s ] (fun b ->
-            if !hi then sum := !sum + (b lsl 8) else sum := !sum + b;
-            hi := not !hi))
-    iov;
+  Iov.iter_bytes iov (fun b ->
+      if !hi then sum := !sum + (b lsl 8) else sum := !sum + b;
+      hi := not !hi);
   lnot (fold_carry !sum) land 0xFFFF

@@ -81,13 +81,10 @@ val checksum_valid : bytes -> off:int -> len:int -> bool
 (** A region containing its own checksum field sums to 0xFFFF... i.e. the
     computed checksum over it is 0. *)
 
-val checksum_iov : ?skip_slice:int -> Iov.t -> int
+val checksum_iov : Iov.t -> int
 (** {!checksum} striding over slices without materializing; byte parity
     carries across slice boundaries, so the result is bit-identical to
-    [checksum (Iov.materialize iov)] — the hp suite's parity VC.
-    [skip_slice] is a seeded mutant (omit that slice index from the sum)
-    that the hp suite must catch with a falsified VC; never pass it in
-    real code. *)
+    [checksum (Iov.materialize iov)] — the hp suite's parity VC. *)
 
 (** {2 Copy accounting}
 

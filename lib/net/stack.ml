@@ -237,7 +237,6 @@ let udp_bind t port =
     invalid_arg "Stack.udp_bind: port already bound";
   Hashtbl.replace t.udp_ports port (Queue.create ())
 
-let udp_unbind t port = Hashtbl.remove t.udp_ports port
 let udp_is_bound t port = Hashtbl.mem t.udp_ports port
 
 let udp_send t ~dst_ip ~dst_port ~src_port payload =

@@ -25,7 +25,6 @@ val tick : t -> unit
 val udp_bind : t -> int -> unit
 (** Open a port for receiving; raises [Invalid_argument] if bound. *)
 
-val udp_unbind : t -> int -> unit
 val udp_is_bound : t -> int -> bool
 
 val udp_send :

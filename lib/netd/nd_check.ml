@@ -615,12 +615,23 @@ let vc_model_mutation_unchecked_wait =
       ]
     ()
 
+(* A futex whose wake wakes at most one sleeper.  [close]'s two
+   broadcasts are the queue's only wakes with a count above one, so the
+   queue over this word is exactly a queue whose [close] signals where
+   it must broadcast. *)
+module Wake_one (W : Bi_ulib.Word.S) = struct
+  include W
+
+  let futex_wake ctx t ~count = W.futex_wake ctx t ~count:(min count 1)
+end
+
 let vc_model_mutation_close_signal =
   (* Seeded bug #2 (model half): close wakes one waiter where broadcast
      is needed; with two parked consumers one never comes home. *)
+  let module Q = Req_queue.Make (Wake_one (Bi_ulib.Word.Explore)) in
   E.vc_catches ~id:"nd/mutation/close-signal-not-broadcast"
     ~category:cat_mutation ~expect:deadlock_expected ~config:bounded
-    ~make:(fun ctx -> Q.create ~mutant_close_signal:true ctx ~capacity:1)
+    ~make:(fun ctx -> Q.create ctx ~capacity:1)
     ~threads:
       [
         (fun q ctx -> ignore (Q.pop ctx q : int option));
@@ -639,15 +650,15 @@ let vc_mutation_close_signal_live =
   Vc.make ~id:"nd/mutation/close-signal-live" ~category:cat_mutation (fun () ->
       let woken = ref 0 in
       let k = K.create () in
+      let module Q = Req_queue.Make (Wake_one (Bi_ulib.Word.Usys)) in
       K.register_program k "t" (fun s _ ->
-          let q = Req_queue.create ~mutant_close_signal:true s ~capacity:2 in
+          let q = Q.create s ~capacity:2 in
           let tids =
             List.init 3 (fun _ ->
-                U.thread_create s (fun cs ->
-                    if Req_queue.pop cs q = None then incr woken))
+                U.thread_create s (fun cs -> if Q.pop cs q = None then incr woken))
           in
           U.sleep s 10;
-          Req_queue.close s q;
+          Q.close s q;
           List.iter (fun tid -> ignore (U.thread_join s tid)) tids);
       ignore (K.spawn k ~prog:"t" ~arg:"");
       match K.run k with
@@ -657,12 +668,15 @@ let vc_mutation_close_signal_live =
           else Vc.Falsified "deadlock but every consumer was woken")
 
 (* A duplicating wire: every mutation attempt is sent twice and the
-   second response returned — the retry storm in miniature. *)
-let dup_wire net =
+   second response returned — the retry storm in miniature.  [strip]
+   drops each request's txn id before sending: the seeded bug of a netd
+   that bypasses its duplicate table. *)
+let dup_wire ?(strip = false) net =
   {
     RC.name = "dup-wire";
     rpc =
       (fun req ->
+        let req = if strip then P.strip_txn req else req in
         match req with
         | P.Put _ | P.Delete _ -> (
             match Nd_client.rpc net req with
@@ -672,9 +686,9 @@ let dup_wire net =
   }
 
 let vc_mutation_dedup_bypass =
-  (* Seeded bug #3: netd strips txn ids, bypassing the duplicate table.
-     The detector drives every mutation through [dup_wire] and must see
-     the bypass: the duplicate Delete
+  (* Seeded bug #3: netd sees no txn ids, bypassing the duplicate
+     table.  The detector drives every mutation through [dup_wire] and
+     must see the bypass: the duplicate Delete
      gets re-evaluated as Missing instead of being answered Done from
      the table, and the apply counter double-counts. *)
   Vc.prop ~id:"nd/mutation/dedup-bypass-caught" ~category:cat_mutation
@@ -683,12 +697,11 @@ let vc_mutation_dedup_bypass =
         let del_result = ref None in
         let applied = ref 0 in
         let dup_hits = ref 0 in
-        let config = { Netd.default_config with Netd.mutant_strip_txn = mutant } in
         let body ts _ =
           let net = Nd_client.make ts ~ip:server_ip () in
           let cl =
             RC.create ~config:(patient_config ~seed:5) ~client:0
-              (Nd_client.clock ts) (dup_wire net)
+              (Nd_client.clock ts) (dup_wire ~strip:mutant net)
           in
           (match RC.put cl ~key:"victim" ~value:"once" with
           | Ok () -> ()
@@ -698,7 +711,7 @@ let vc_mutation_dedup_bypass =
           | Error _ -> ());
           Nd_client.close net
         in
-        let out = run_world ~config ~threads:1 ~client_body:body () in
+        let out = run_world ~threads:1 ~client_body:body () in
         applied := applied_total out.w_netd;
         dup_hits := dup_hits_total out.w_netd;
         (!del_result, !applied, !dup_hits)

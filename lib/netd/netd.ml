@@ -52,9 +52,6 @@ type config = {
           lock — the knob of the [nd/perf/scaling-*] VCs. *)
   accept_poll_ticks : int;
       (** Not read here; kept for the benchmark's copy of netd. *)
-  mutant_strip_txn : bool;
-      (** Seeded bug: drop txn ids before [Node_core.handle], bypassing
-          the duplicate table (exactly-once must catch this). *)
 }
 
 let default_config =
@@ -64,7 +61,6 @@ let default_config =
     queue_capacity = 16;
     service_ticks = 0;
     accept_poll_ticks = 1;
-    mutant_strip_txn = false;
   }
 
 type run = {
@@ -123,7 +119,6 @@ let worker s ~config ~queue ~store_mutex ~core ~served i =
     | Some (conn, req) ->
         (* Service time outside the lock: workers overlap here. *)
         if config.service_ticks > 0 then U.sleep s config.service_ticks;
-        let req = if config.mutant_strip_txn then P.strip_txn req else req in
         let resp =
           Umutex.with_lock s store_mutex (fun () -> Node_core.handle core req)
         in

@@ -39,14 +39,11 @@ type config = {
           copy of netd (perfbench's [World.traced_netd]) sleeps this many
           ticks between polls, and it is deleted together with that
           copy (ROADMAP.md's benchmark item). *)
-  mutant_strip_txn : bool;
-      (** Seeded bug: drop txn ids before [Node_core.handle], bypassing
-          the duplicate table (exactly-once must catch this). *)
 }
 
 val default_config : config
 (** Port {!Bi_app.Storage_node.port}, 4 workers, queue capacity 16, no
-    service time, no mutant. *)
+    service time. *)
 
 type run = {
   run_epoch : int;

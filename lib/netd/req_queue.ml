@@ -26,7 +26,7 @@ module type S = sig
   type ctx
   type 'a t
 
-  val create : ?mutant_close_signal:bool -> ctx -> capacity:int -> 'a t
+  val create : ctx -> capacity:int -> 'a t
   val push : ctx -> 'a t -> 'a -> bool
   val pop : ctx -> 'a t -> 'a option
   val close : ctx -> 'a t -> unit
@@ -62,10 +62,6 @@ module Make (W : Word.S) = struct
         (* An op ran while the domain's mode was Erased (a caller mixing
            [with_mode] regions over one queue): the ghost mirror is then a
            subset of the real counters, not equal to them. *)
-    (* Mutation self-check hook: [close] signals instead of broadcasting,
-       stranding all but one parked worker — the nd suite proves the VC
-       harness catches the resulting deadlock. *)
-    mutant_close_signal : bool;
   }
 
   let invariant q =
@@ -90,7 +86,7 @@ module Make (W : Word.S) = struct
     Contract.check_invariant ~name:"req_queue ghost counters" (fun () ->
         ghost_invariant q)
 
-  let create ?(mutant_close_signal = false) ctx ~capacity =
+  let create ctx ~capacity =
     if capacity <= 0 then invalid_arg "Req_queue.create: capacity";
     {
       mutex = Umutex.create ctx;
@@ -106,7 +102,6 @@ module Make (W : Word.S) = struct
       ghost_pushed = 0;
       ghost_popped = 0;
       saw_erased = false;
-      mutant_close_signal;
     }
 
   let capacity q = Array.length q.buf
@@ -161,15 +156,8 @@ module Make (W : Word.S) = struct
   let close ctx q =
     Umutex.with_lock ctx q.mutex (fun () ->
         q.closed <- true;
-        if q.mutant_close_signal then begin
-          (* Seeded bug: wake(1) where every parked worker must go home. *)
-          Ucond.signal ctx q.not_empty;
-          Ucond.signal ctx q.not_full
-        end
-        else begin
-          Ucond.broadcast ctx q.not_empty;
-          Ucond.broadcast ctx q.not_full
-        end)
+        Ucond.broadcast ctx q.not_empty;
+        Ucond.broadcast ctx q.not_full)
 end
 
 include Make (Word.Usys)

@@ -14,9 +14,7 @@ module type S = sig
   type ctx
   type 'a t
 
-  val create : ?mutant_close_signal:bool -> ctx -> capacity:int -> 'a t
-  (** [mutant_close_signal] plants the seeded wake(1)-instead-of-broadcast
-      bug in {!close} for the mutation self-check VCs. *)
+  val create : ctx -> capacity:int -> 'a t
 
   val push : ctx -> 'a t -> 'a -> bool
   (** Blocks while full.  [false] iff the queue was closed (item
@@ -27,7 +25,10 @@ module type S = sig
       drained — remaining items are always delivered before [None]. *)
 
   val close : ctx -> 'a t -> unit
-  (** Idempotent.  Wakes every blocked producer and consumer. *)
+  (** Idempotent.  Wakes every blocked producer and consumer: its two
+      broadcasts are the queue's only futex wakes of more than one
+      sleeper, so the [nd] suite seeds a close-that-signals bug as
+      {!Make} over a word whose wake wakes at most one. *)
 
   val capacity : 'a t -> int
   val length : 'a t -> int

@@ -2,7 +2,6 @@ module Busy_resource = struct
   type t = { mutable free_at : int }
 
   let create () = { free_at = 0 }
-  let free_at t = t.free_at
 
   let acquire t ~now ~hold_for =
     let start = max now t.free_at in

@@ -13,9 +13,6 @@ module Busy_resource : sig
 
   val create : unit -> t
 
-  val free_at : t -> int
-  (** Earliest virtual time the resource is free. *)
-
   val acquire : t -> now:int -> hold_for:int -> int
   (** [acquire r ~now ~hold_for] books the resource for the caller at the
       earliest time >= [now] it is free, for [hold_for] cycles; returns the

@@ -99,4 +99,3 @@ let rec join (h : 'a handle) : 'a =
       yield ();
       join h
 
-let current_count () = (sched ()).live

@@ -30,6 +30,3 @@ val yield : unit -> unit
 val join : 'a handle -> 'a
 (** Wait for a thread and return its result.  Re-raises the thread's
     exception if it died. *)
-
-val current_count : unit -> int
-(** Live green threads (inside {!run}). *)
