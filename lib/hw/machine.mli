@@ -6,6 +6,13 @@
     [Machine.t], and the high-level spec must be refined by what happens
     here. *)
 
+(** A core's [tlb] and [pwc] model the per-core caches a multi-core
+    shootdown must reach; {!tlb_shootdown} charges its cost
+    ({!Cost_model.shootdown_cost}, the one the Figure 1c sweep adds to
+    every unmap).  No kernel translation reads
+    them: each process translates through its own address space's pair
+    ([Bi_kernel.Address_space], one cache pair per PCID), which
+    invalidates itself. *)
 type core = {
   id : int;
   tlb : Tlb.t;

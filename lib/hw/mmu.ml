@@ -157,13 +157,13 @@ let translate ?tlb ?pwc mem ~cr3 access va =
               Tlb.insert tlb va { Tlb.frame = frame_4k; perm = tr.perm });
           serve tr)
 
-let load mem ~cr3 va =
-  match translate mem ~cr3 Read va with
+let load ?tlb ?pwc mem ~cr3 va =
+  match translate ?tlb ?pwc mem ~cr3 Read va with
   | Error f -> Error f
   | Ok tr -> Ok (Phys_mem.read_u64 mem tr.pa)
 
-let store mem ~cr3 va v =
-  match translate mem ~cr3 Write va with
+let store ?tlb ?pwc mem ~cr3 va v =
+  match translate ?tlb ?pwc mem ~cr3 Write va with
   | Error f -> Error f
   | Ok tr ->
       Phys_mem.write_u64 mem tr.pa v;

@@ -55,10 +55,23 @@ val translate :
     Note a stale TLB or PWC entry is served without (re)validation — the
     behaviour unmap must neutralise with [invlpg] on both caches. *)
 
-val load : Phys_mem.t -> cr3:Addr.paddr -> Addr.vaddr -> (int64, fault) result
-(** Convenience: translate-for-read then load a u64 at the physical
-    address (which must be 8-byte aligned). *)
+val load :
+  ?tlb:Tlb.t ->
+  ?pwc:Pwc.t ->
+  Phys_mem.t ->
+  cr3:Addr.paddr ->
+  Addr.vaddr ->
+  (int64, fault) result
+(** {!translate} for [Read], then load the u64 at the physical address
+    (which must be 8-byte aligned).  [tlb] and [pwc] are as for
+    {!translate}: without them every load walks all four levels. *)
 
 val store :
-  Phys_mem.t -> cr3:Addr.paddr -> Addr.vaddr -> int64 -> (unit, fault) result
-(** Convenience: translate-for-write then store. *)
+  ?tlb:Tlb.t ->
+  ?pwc:Pwc.t ->
+  Phys_mem.t ->
+  cr3:Addr.paddr ->
+  Addr.vaddr ->
+  int64 ->
+  (unit, fault) result
+(** {!translate} for [Write], then store. *)

@@ -15,7 +15,11 @@
     address (alongside the TLB invlpg) — reclaiming a page-table page can
     otherwise leave a cached pointer to a frame the allocator may recycle,
     which is exactly the staleness x86 permits until an invalidation.
-    The cache is per-address-space: switching CR3 must {!flush}. *)
+    The cache is per-address-space, and that is how the kernel uses it:
+    each process's [Bi_kernel.Address_space] owns one beside its TLB and
+    invalidates every page it unmaps or re-protects, so a context switch
+    needs no flush (PCID).  A cache shared by several address spaces
+    would have to be {!flush}ed on every CR3 switch. *)
 
 type entry = { table : Addr.paddr; perm : Pte.perm }
 (** [table] is the physical base of the table at the entry's level;

@@ -5,7 +5,9 @@
     4 KiB-granularity translations and — crucially for the unmap proof
     obligation — can serve {e stale} entries until they are explicitly
     invalidated, which is why unmap must end with an [invlpg] (and a
-    shootdown on other cores, costed in the Figure 1c benchmark). *)
+    shootdown on other cores, costed in the Figure 1c benchmark).  The
+    kernel gives each address space its own TLB
+    ([Bi_kernel.Address_space]). *)
 
 type entry = { frame : Addr.paddr; perm : Pte.perm }
 

@@ -609,12 +609,10 @@ and handle t th (req : Sysabi.request) : Sysabi.response option =
   (* memory protection *)
   | Sysabi.Mprotect { va; writable; executable } -> (
       let perm = { Bi_hw.Pte.writable; user = true; executable } in
+      (* [protect] invalidates the region in the process's own caches,
+         the only ones its accesses are translated through. *)
       match Address_space.protect p.aspace ~va ~perm with
-      | Ok () ->
-          (* New permissions take effect after a shootdown, as with
-             unmap. *)
-          Bi_hw.Machine.tlb_shootdown t.machine va ~initiator:0;
-          Some Sysabi.R_unit
+      | Ok () -> Some Sysabi.R_unit
       | Error e -> err e)
   (* rename *)
   | Sysabi.Rename { src; dst } -> (

@@ -96,8 +96,8 @@ val mprotect :
   t -> va:int64 -> writable:bool -> executable:bool ->
   (unit, Sysabi.err) result
 (** Change the protection of a whole mmapped region (by base address);
-    goes through the verified page table's [protect] and a TLB
-    shootdown. *)
+    goes through the verified page table's [protect], then invalidates
+    the region in the process's TLB and paging-structure cache. *)
 
 val rename : t -> src:string -> dst:string -> (unit, Sysabi.err) result
 

@@ -1401,8 +1401,9 @@ let pwc_unit_vcs () =
 (* Randomized map/unmap/invlpg histories: after every operation, a
    PWC-enabled translation of sampled probe addresses must agree with
    the uncached walk — given the kernel-side contract that every
-   unmapped page gets an invlpg on the PWC, exactly as
-   [Machine.tlb_shootdown] wires it. *)
+   unmapped page gets an invlpg on the PWC, as the kernel's
+   [Address_space.munmap] does (its [pwc/kernel/*] VCs check that
+   side). *)
 let pwc_random_agree_vcs () =
   List.init 8 (fun seed ->
       let id = Printf.sprintf "pwc/agree/%02d" seed in

@@ -766,6 +766,89 @@ let test_mprotect_denies_writes () =
              | Ok () -> ()
              | Error _ -> Alcotest.fail "write after re-enable"))
 
+(* Each address space translates through its own TLB and PWC, so the
+   next three cases check that what the caches serve is what the page
+   table says. *)
+
+let test_unmap_then_frame_reuse_faults () =
+  (* A caches a page and unmaps it; B maps the recycled frame and stores
+     a marker.  A's old address must fault and never show B's marker.
+     70 frames: 64 reserved, then A's root, B's root and the 4 frames a
+     one-page region needs, so B's region gets A's old frames back. *)
+  let k = K.create ~mem_bytes:(70 * 4096) () in
+  let a_frame = ref 0L and b_frame = ref (-1L) in
+  let a_load = ref (Ok 0L) and a_store = ref (Ok ()) in
+  K.register_program k "b" (fun s _ ->
+      match U.mmap s ~bytes:4096 with
+      | Error _ -> Alcotest.fail "B's mmap"
+      | Ok va ->
+          (match U.mresolve s ~va with Ok pa -> b_frame := pa | Error _ -> ());
+          ignore (U.store s ~va 0xB0B0L);
+          U.sleep s 20);
+  K.register_program k "a" (fun s _ ->
+      match U.mmap s ~bytes:4096 with
+      | Error _ -> Alcotest.fail "A's mmap"
+      | Ok va -> (
+          ignore (U.store s ~va 7L);
+          ignore (U.load s ~va);
+          (match U.mresolve s ~va with Ok pa -> a_frame := pa | Error _ -> ());
+          ignore (U.munmap s ~va);
+          match U.spawn s ~prog:"b" ~arg:"" with
+          | Error _ -> Alcotest.fail "spawn B"
+          | Ok pid ->
+              U.sleep s 5;
+              (* B's region is at the same virtual address as A's was. *)
+              a_load := U.load s ~va;
+              a_store := U.store s ~va 1L;
+              ignore (U.wait s pid)));
+  ignore (K.spawn k ~prog:"a" ~arg:"");
+  K.run k;
+  check Alcotest.int64 "B got A's recycled frame" !a_frame !b_frame;
+  check (Alcotest.result Alcotest.int64 err) "A's load faults"
+    (Error Sysabi.E_fault) !a_load;
+  check (Alcotest.result Alcotest.unit err) "A's store faults"
+    (Error Sysabi.E_fault) !a_store
+
+let test_mprotect_every_page () =
+  (* All three pages are cached writable before the region turns
+     read-only: a store to the last one must fault too. *)
+  ignore
+    (run_one (fun _ s ->
+         match U.mmap s ~bytes:(3 * 4096) with
+         | Error _ -> Alcotest.fail "mmap"
+         | Ok va ->
+             let page i = Int64.add va (Int64.of_int (i * 4096)) in
+             for i = 0 to 2 do
+               ignore (U.store s ~va:(page i) 3L)
+             done;
+             (match U.mprotect s ~va ~writable:false ~executable:false with
+             | Ok () -> ()
+             | Error _ -> Alcotest.fail "mprotect");
+             check (Alcotest.result Alcotest.unit err) "store to page 3"
+               (Error Sysabi.E_fault)
+               (U.store s ~va:(page 2) 4L);
+             check (Alcotest.result Alcotest.int64 err) "page 3 unchanged"
+               (Ok 3L)
+               (U.load s ~va:(page 2))))
+
+let test_warm_load_reads_once () =
+  (* Once the futex word's page is cached, a load reads physical memory
+     once (the word itself) instead of 4 walk reads plus the word. *)
+  let reads = ref (-1) in
+  ignore
+    (run_one (fun k s ->
+         match U.mmap s ~bytes:4096 with
+         | Error _ -> Alcotest.fail "mmap"
+         | Ok va ->
+             let mem = (K.machine k).Bi_hw.Machine.mem in
+             ignore (K.user_load s ~va);
+             let before = Bi_hw.Phys_mem.loads mem in
+             for _ = 1 to 100 do
+               ignore (K.user_load s ~va)
+             done;
+             reads := Bi_hw.Phys_mem.loads mem - before));
+  check Alcotest.int "100 warm loads, 100 reads" 100 !reads
+
 let test_mprotect_bad_region () =
   ignore
     (run_one (fun _ s ->
@@ -1392,6 +1475,11 @@ let () =
           Alcotest.test_case "pipe seek rejected" `Quick test_pipe_seek_rejected;
           Alcotest.test_case "mprotect denies writes" `Quick test_mprotect_denies_writes;
           Alcotest.test_case "mprotect bad region" `Quick test_mprotect_bad_region;
+          Alcotest.test_case "unmap then frame reuse faults" `Quick
+            test_unmap_then_frame_reuse_faults;
+          Alcotest.test_case "mprotect reaches every page" `Quick
+            test_mprotect_every_page;
+          Alcotest.test_case "warm load reads once" `Quick test_warm_load_reads_once;
           Alcotest.test_case "kill unblocks pipe reader" `Quick
             test_pipe_closed_on_process_death;
           Alcotest.test_case "rename syscall" `Quick test_rename_syscall;
