@@ -6,7 +6,7 @@
    Usage:
      bi_os                      boot and run the demo workload
      bi_os --trace              also dump the syscall trace
-     bi_os --cores 4 --mem 64   machine configuration *)
+     bi_os --mem 64             physical memory in MiB *)
 
 module K = Bi_kernel.Kernel
 module U = Bi_kernel.Usys
@@ -76,8 +76,8 @@ let init_program s _arg =
   | Error _ -> ());
   U.log s "init: done"
 
-let main cores mem_mib dump_trace =
-  let k = K.create ~cores ~mem_bytes:(mem_mib * 1024 * 1024) () in
+let main mem_mib dump_trace =
+  let k = K.create ~mem_bytes:(mem_mib * 1024 * 1024) () in
   K.set_trace k true;
   K.register_program k "init" init_program;
   K.register_program k "worker" worker_program;
@@ -105,9 +105,6 @@ let main cores mem_mib dump_trace =
 
 open Cmdliner
 
-let cores =
-  Arg.(value & opt int 2 & info [ "cores" ] ~doc:"Simulated core count.")
-
 let mem =
   Arg.(value & opt int 32 & info [ "mem" ] ~doc:"Physical memory in MiB.")
 
@@ -116,6 +113,6 @@ let trace_flag =
 
 let cmd =
   let doc = "boot the simulated verified OS and run the demo workload" in
-  Cmd.v (Cmd.info "bi_os" ~doc) Term.(const main $ cores $ mem $ trace_flag)
+  Cmd.v (Cmd.info "bi_os" ~doc) Term.(const main $ mem $ trace_flag)
 
 let () = exit (Cmd.eval' cmd)

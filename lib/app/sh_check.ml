@@ -30,29 +30,28 @@ let rates_mixed =
   { FP.drop = 50; duplicate = 40; reorder = 40; corrupt = 30; stall = 30;
     max_stall = 3 }
 
-(* The admin closures dereference the node's *current* core at call
-   time, so a crash-restarted node is still reachable through them. *)
-let admin_of (w : World.t) i : SR.admin =
-  let core () = w.World.nodes.(i).World.core in
-  {
-    SR.a_name = w.World.nodes.(i).World.name;
-    freeze = (fun ~shard -> Node_core.freeze (core ()) ~shard);
-    unfreeze = (fun ~shard -> Node_core.unfreeze (core ()) ~shard);
-    adopt =
-      (fun ~shard ->
-        match Node_core.adopt (core ()) ~shard with
-        | Ok () -> Ok ()
-        | Error e -> Error (Format.asprintf "%a" P.pp_err e));
-    release =
-      (fun ~shard ->
-        match Node_core.release (core ()) ~shard with
-        | Ok () -> Ok ()
-        | Error e -> Error (Format.asprintf "%a" P.pp_err e));
-    export_dups = (fun ~shard -> Node_core.export_dups (core ()) ~shard);
-    import_dups =
-      (fun ~shard entries -> Node_core.import_dups (core ()) ~shard entries);
-    set_version = (fun v -> Node_core.set_map_version (core ()) v);
-  }
+(* The [sh] suite's two migration mutants, built around the unmodified
+   router by wrapping a node's admin: a target that drops the carried
+   duplicate table, and a target that flips the map to itself as soon as
+   it adopts the shard, before the copy.  Only a migration's target is
+   asked to adopt or import, so wrapping every node's admin changes
+   exactly the target.  The flip reaches the cluster through a ref set
+   once [SR.cluster] has built it. *)
+type mutant = Drop_dups | Flip_on_adopt
+
+let mutate mutant (cluster : SR.cluster option ref) i (a : SR.admin) =
+  match mutant with
+  | None -> a
+  | Some Drop_dups -> { a with SR.import_dups = (fun ~shard:_ _ -> ()) }
+  | Some Flip_on_adopt ->
+      {
+        a with
+        SR.adopt =
+          (fun ~shard ->
+            let r = a.SR.adopt ~shard in
+            if r = Ok () then SR.flip (Option.get !cluster) ~shard ~to_:i;
+            r);
+      }
 
 type env = {
   sched : Vtime.t;
@@ -60,8 +59,8 @@ type env = {
   cluster : SR.cluster;
 }
 
-let make_cluster ?(nshards = 4) ?(nnodes = 2) ?service_rate ~tag ~seed ~rates
-    ~limit () =
+let make_cluster ?(nshards = 4) ?(nnodes = 2) ?service_rate ?mutant ~tag ~seed
+    ~rates ~limit () =
   let s = Vtime.make () in
   let nodes =
     List.init nnodes (fun i ->
@@ -85,15 +84,20 @@ let make_cluster ?(nshards = 4) ?(nnodes = 2) ?service_rate ~tag ~seed ~rates
       Node_core.enable_sharding n.World.core ~nshards ~version:(SM.version map)
         ~owned:(SM.shards_of_node map ~node:i))
     w.World.nodes;
-  let admins = Array.init nnodes (fun i -> admin_of w i) in
+  let cluster = ref None in
+  let admins =
+    Array.init nnodes (fun i -> mutate mutant cluster i (World.admin w i))
+  in
   let endpoints =
     Array.init nnodes (fun i -> World.endpoint w i ~attempt_timeout)
   in
-  { sched = s; world = w; cluster = SR.cluster ~map ~admins ~endpoints }
+  let c = SR.cluster ~map ~admins ~endpoints in
+  cluster := Some c;
+  { sched = s; world = w; cluster = c }
 
-let quiet_cluster ?nshards ?nnodes ?service_rate ~tag () =
-  make_cluster ?nshards ?nnodes ?service_rate ~tag ~seed:1 ~rates:rates_pass
-    ~limit:0 ()
+let quiet_cluster ?nshards ?nnodes ?service_rate ?mutant ~tag () =
+  make_cluster ?nshards ?nnodes ?service_rate ?mutant ~tag ~seed:1
+    ~rates:rates_pass ~limit:0 ()
 
 let run_world env fibers =
   List.iter (Vtime.spawn env.sched) fibers;
@@ -248,13 +252,13 @@ let lin_migration ~tag ~seed ~rates ?(crash = `No) () =
   }
 
 (* A reader polling the last-copied key of a migrating shard, against
-   the correct protocol or the flip-before-copy mutant.  With the early
+   the correct protocol or the [Flip_on_adopt] mutant.  With the early
    flip the reader routes to the target before the copy lands there and
    observes [Ok None] for an acknowledged key — the hole the
    freeze-before-flip order exists to close. *)
-let copy_window_reads ~flip_before_copy () =
+let copy_window_reads ?mutant () =
   let nshards = 4 in
-  let env = quiet_cluster ~nshards ~tag:"copywin" () in
+  let env = quiet_cluster ~nshards ?mutant ~tag:"copywin" () in
   let c = env.cluster in
   let shard = 0 in
   let keys = keys_in ~nshards shard 3 in
@@ -287,18 +291,18 @@ let copy_window_reads ~flip_before_copy () =
         done);
       (fun () ->
         Vtime.sleep 30;
-        mig_result := SR.migrate ~flip_before_copy mig ~shard ~to_);
+        mig_result := SR.migrate mig ~shard ~to_);
     ]
   in
   ignore (run_world env fibers);
   (!mig_result = Ok (), !nones, !somes, !errors)
 
 (* Acked on the old owner, retried on the new one: the exactly-once
-   argument across a handoff.  [carry_dups:false] is the mutant that
-   drops the duplicate table on the floor. *)
-let retry_across_handoff ~carry_dups () =
+   argument across a handoff.  [Drop_dups] is the mutant that drops the
+   duplicate table on the floor. *)
+let retry_across_handoff ?mutant () =
   let nshards = 4 in
-  let env = quiet_cluster ~nshards ~tag:"handoff" () in
+  let env = quiet_cluster ~nshards ?mutant ~tag:"handoff" () in
   let c = env.cluster in
   let shard = 0 in
   let key = key_in ~nshards shard in
@@ -319,7 +323,7 @@ let retry_across_handoff ~carry_dups () =
        [
          (fun () ->
            first := RC.put_txn c_from ~txn ~key ~value:"v";
-           mig_result := SR.migrate ~carry_dups mig ~shard ~to_;
+           mig_result := SR.migrate mig ~shard ~to_;
            (* The client reconnects to the new owner and retries the
               same transaction. *)
            retry := RC.put_txn c_to ~txn ~key ~value:"v");
@@ -754,7 +758,7 @@ let migrate_vcs =
            by the old owner, whose retry lands on the new owner, must be
            answered from the carried table, not re-applied. *)
         let ok, applied_to, dup_hits_to, keys_moved =
-          retry_across_handoff ~carry_dups:true ()
+          retry_across_handoff ()
         in
         ok && keys_moved = 1 && applied_to = keys_moved && dup_hits_to = 1);
     Vc.prop ~id:"sh/migrate/pause-bounded-and-unfrozen" ~category:cat_migrate
@@ -839,7 +843,7 @@ let migrate_vcs =
     Vc.prop ~id:"sh/migrate/reads-served-during-copy" ~category:cat_migrate
       (fun () ->
         let mig_ok, nones, somes, errors =
-          copy_window_reads ~flip_before_copy:false ()
+          copy_window_reads ()
         in
         mig_ok && nones = 0 && errors = 0 && somes = 40);
     Vc.prop ~id:"sh/migrate/abort-drops-target-residue" ~category:cat_migrate
@@ -975,10 +979,10 @@ let mutation_vcs =
     Vc.make ~id:"sh/mutation/flip-before-copy-caught" ~category:cat_mutation
       (fun () ->
         let ok_ok, ok_nones, ok_somes, ok_errors =
-          copy_window_reads ~flip_before_copy:false ()
+          copy_window_reads ()
         in
         let mut_ok, mut_nones, _, _ =
-          copy_window_reads ~flip_before_copy:true ()
+          copy_window_reads ~mutant:Flip_on_adopt ()
         in
         if not (ok_ok && ok_nones = 0 && ok_errors = 0 && ok_somes > 0) then
           Vc.Falsified "correct protocol lost a read during the copy"
@@ -991,7 +995,7 @@ let mutation_vcs =
     Vc.make ~id:"sh/mutation/dup-table-dropped-caught" ~category:cat_mutation
       (fun () ->
         let ok, applied_to, dup_hits_to, keys_moved =
-          retry_across_handoff ~carry_dups:false ()
+          retry_across_handoff ~mutant:Drop_dups ()
         in
         if not ok then Vc.Falsified "mutant handoff failed outright"
         else if applied_to = keys_moved + 1 && dup_hits_to = 0 then

@@ -147,11 +147,14 @@ let list t =
   else Ok (List.sort_uniq compare (List.concat oks))
 
 (* ------------------------------------------------------------------ *)
-(* Live shard migration: freeze -> copy -> carry dups -> flip -> drain.
-   [carry_dups] and [flip_before_copy] are mutation knobs for the `sh`
-   suite's self-checks; production callers leave them at the default.  *)
+(* Live shard migration: freeze -> copy -> carry dups -> flip -> drain. *)
 
-let migrate ?(carry_dups = true) ?(flip_before_copy = false) t ~shard ~to_ =
+let flip c ~shard ~to_ =
+  c.map <- Shard_map.assign c.map ~shard ~node:to_;
+  let v = Shard_map.version c.map in
+  Array.iter (fun a -> a.set_version v) c.admins
+
+let migrate t ~shard ~to_ =
   let c = t.cluster in
   if shard < 0 || shard >= Shard_map.nshards c.map then
     Error "migrate: shard out of range"
@@ -163,13 +166,6 @@ let migrate ?(carry_dups = true) ?(flip_before_copy = false) t ~shard ~to_ =
     else begin
       let t0 = t.clock.RC.now () in
       let src = c.admins.(from_) and tgt = c.admins.(to_) in
-      let flip () =
-        c.map <- Shard_map.assign c.map ~shard ~node:to_;
-        let v = Shard_map.version c.map in
-        Array.iter (fun a -> a.set_version v) c.admins;
-        c.mig.last_pause <- t.clock.RC.now () - t0;
-        c.mig.pause_rounds <- c.mig.pause_rounds + c.mig.last_pause
-      in
       src.freeze ~shard;
       match tgt.adopt ~shard with
       | Error msg ->
@@ -179,7 +175,6 @@ let migrate ?(carry_dups = true) ?(flip_before_copy = false) t ~shard ~to_ =
           src.unfreeze ~shard;
           Error (Printf.sprintf "adopt %s: %s" tgt.a_name msg)
       | Ok () ->
-      if flip_before_copy then flip ();
       let nshards = Shard_map.nshards c.map in
       let copy () =
         match RC.list t.rcs.(from_) with
@@ -226,12 +221,12 @@ let migrate ?(carry_dups = true) ?(flip_before_copy = false) t ~shard ~to_ =
           src.unfreeze ~shard;
           Error msg
       | Ok () ->
-          if carry_dups then begin
-            let entries = src.export_dups ~shard in
-            tgt.import_dups ~shard entries;
-            c.mig.dups_carried <- c.mig.dups_carried + List.length entries
-          end;
-          if not flip_before_copy then flip ();
+          let entries = src.export_dups ~shard in
+          tgt.import_dups ~shard entries;
+          c.mig.dups_carried <- c.mig.dups_carried + List.length entries;
+          flip c ~shard ~to_;
+          c.mig.last_pause <- t.clock.RC.now () - t0;
+          c.mig.pause_rounds <- c.mig.pause_rounds + c.mig.last_pause;
           (match src.release ~shard with Ok () | Error _ -> ());
           c.mig.migrations <- c.mig.migrations + 1;
           Ok ()

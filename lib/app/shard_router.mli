@@ -31,9 +31,10 @@
     v}
 
     Writers stall (bounded by the routing loop) only during
-    freeze→flip; readers are never refused.  [carry_dups:false] and
-    [flip_before_copy:true] are deliberate protocol mutations for the
-    [sh] suite's self-checks — each must be caught by a VC. *)
+    freeze→flip; readers are never refused.  The sequence is fixed: the
+    [sh] suite's mutants (a target that drops the carried table, a
+    target that flips the map as soon as it adopts) are built in
+    [Sh_check] by wrapping a node's {!admin}, around this router. *)
 
 module P = Protocol
 module RC = Resilient_client
@@ -97,21 +98,19 @@ val list : t -> (string list, RC.error) result
     may briefly exist on both source and target.  Fails only if every
     node fails. *)
 
-val migrate :
-  ?carry_dups:bool ->
-  ?flip_before_copy:bool ->
-  t ->
-  shard:int ->
-  to_:int ->
-  (unit, string) result
+val flip : cluster -> shard:int -> to_:int -> unit
+(** The migration's flip: assign [shard] to node [to_] in the cluster
+    map (bumping its version by one) and push the new version to every
+    node's admin. *)
+
+val migrate : t -> shard:int -> to_:int -> (unit, string) result
 (** Move [shard] to node [to_] (no-op [Ok] if it already lives there).
     On a copy failure the abort path first releases the shard on the
     target — dropping the adopted ownership and sweeping the partial
     copy, so no stale key can surface in {!list} or be resurrected by a
     retry after a source-side delete — and only then lifts the freeze;
     the map was never flipped, so the source still owns the shard and
-    the call can be retried.  The mutation knobs default to the correct
-    protocol; see the module doc. *)
+    the call can be retried. *)
 
 type stats = {
   rc : RC.stats;  (** Aggregated over every per-node client. *)

@@ -160,3 +160,18 @@ let endpoint t i ~attempt_timeout : RC.endpoint =
   { RC.name = n.name; rpc = call t.net n.req_ch ~attempt_timeout }
 
 let clock t = net_clock t.net
+
+let admin t i : Shard_router.admin =
+  let core () = t.nodes.(i).core in
+  let msg = Result.map_error (Format.asprintf "%a" P.pp_err) in
+  {
+    a_name = t.nodes.(i).name;
+    freeze = (fun ~shard -> Node_core.freeze (core ()) ~shard);
+    unfreeze = (fun ~shard -> Node_core.unfreeze (core ()) ~shard);
+    adopt = (fun ~shard -> msg (Node_core.adopt (core ()) ~shard));
+    release = (fun ~shard -> msg (Node_core.release (core ()) ~shard));
+    export_dups = (fun ~shard -> Node_core.export_dups (core ()) ~shard);
+    import_dups =
+      (fun ~shard entries -> Node_core.import_dups (core ()) ~shard entries);
+    set_version = (fun v -> Node_core.set_map_version (core ()) v);
+  }

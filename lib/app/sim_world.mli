@@ -93,3 +93,9 @@ val tick : t -> unit
 
 val endpoint : t -> int -> attempt_timeout:int -> Resilient_client.endpoint
 val clock : t -> Resilient_client.clock
+
+val admin : t -> int -> Shard_router.admin
+(** Node [i]'s shard-ownership API ({!Node_core.freeze}, [adopt],
+    [release], ...) as the migration driver's admin.  The closures
+    dereference the node's {e current} core at call time, so a
+    crash-restarted node is still reachable through them. *)

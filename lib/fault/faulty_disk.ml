@@ -10,15 +10,12 @@ type t = {
   mutable pending : wrec list; (* oldest first; applied in order at flush *)
   mutable stalled : (int * wrec) list; (* (writes until release, record) *)
   plan : Fault_plan.t;
-  flush_barrier : bool;
-      (* when false (mutation m3), a flush does NOT force stalled writes
-         down first — the bug the reorder VCs must catch *)
   mutable next_seq : int;
   mutable ios : int;
   mutable injected : int;
 }
 
-let create ?(plan = Fault_plan.script []) ?(flush_barrier = true) ~sectors () =
+let create ?(plan = Fault_plan.script []) ~sectors () =
   if sectors <= 0 then invalid_arg "Faulty_disk.create: sectors <= 0";
   {
     sectors;
@@ -27,7 +24,6 @@ let create ?(plan = Fault_plan.script []) ?(flush_barrier = true) ~sectors () =
     pending = [];
     stalled = [];
     plan;
-    flush_barrier;
     next_seq = 0;
     ios = 0;
     injected = 0;
@@ -121,15 +117,12 @@ let flush t =
   t.ios <- t.ios + 1;
   (* List order IS durability order: a [Reorder]ed queue applies in its
      reordered order, so the older data can win a same-sector race.  The
-     barrier also forces stalled writes down (after the pending stream);
-     with [flush_barrier:false] (the m3 mutant) they stay in flight and
-     are lost on crash despite the "completed" flush. *)
-  let drain =
-    if t.flush_barrier then t.pending @ List.map snd t.stalled else t.pending
-  in
-  if t.flush_barrier then t.stalled <- [];
-  List.iter (fun r -> t.durable.(r.sector) <- Bytes.copy r.data) drain;
-  t.pending <- []
+     barrier also forces stalled writes down, after the pending stream. *)
+  List.iter
+    (fun r -> t.durable.(r.sector) <- Bytes.copy r.data)
+    (t.pending @ List.map snd t.stalled);
+  t.pending <- [];
+  t.stalled <- []
 
 let pending_count t = List.length t.pending
 let stalled_count t = List.length t.stalled

@@ -10,18 +10,16 @@
     transient bit-rot on the returned copy.
 
     Flush is a full barrier: all in-flight writes, stalled included,
-    become durable in sequence order — unless the device was created with
-    [~flush_barrier:false], the deliberately broken variant the mutation
-    VCs must falsify.  Crashing yields an ordinary fault-free
+    become durable in sequence order.  The flush-without-barrier mutant
+    of [fi/mutation/disk-flush-without-barrier] is built in [Fi_check],
+    around this device.  Crashing yields an ordinary fault-free
     [Block_dev] holding the durable image plus a surviving subset of
     pending writes; stalled writes are always lost. *)
 
 type t
 
-val create :
-  ?plan:Fault_plan.t -> ?flush_barrier:bool -> sectors:int -> unit -> t
-(** Fresh zeroed device.  Default plan is the empty script (no faults);
-    [flush_barrier] defaults to [true] (correct flush semantics). *)
+val create : ?plan:Fault_plan.t -> sectors:int -> unit -> t
+(** Fresh zeroed device.  Default plan is the empty script (no faults). *)
 
 val to_block_dev : t -> Bi_fs.Block_dev.t
 (** The device as a [Block_dev]; WAL and filesystem run over it

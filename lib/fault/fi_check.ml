@@ -953,14 +953,24 @@ let mutation_vcs () =
           });
     Vc.prop ~id:"fi/mutation/disk-flush-without-barrier" ~category:"fi/mutation"
       (fun () ->
-        (* flush_barrier:false leaves stalled writes in flight across the
-           barrier: data "flushed" by the application is lost on crash. *)
+        (* The mutant is the real device behind a flush that is no
+           barrier: a stalled write stays in flight across it, so data
+           "flushed" by the application is lost on crash. *)
         let run barrier =
           let fd =
             Faulty_disk.create ~plan:(Fault_plan.script [ Fault_plan.Stall 10 ])
-              ~flush_barrier:barrier ~sectors:4 ()
+              ~sectors:4 ()
           in
-          let dev = Faulty_disk.to_block_dev fd in
+          let dev =
+            if barrier then Faulty_disk.to_block_dev fd
+            else
+              Block_dev.make ~blocks:4 ~read:(Faulty_disk.read fd)
+                ~write:(Faulty_disk.write fd) ~flush:ignore
+                ~crash:(fun seed -> Faulty_disk.crash ?seed fd)
+                ~crash_with:(fun ~keep_unflushed ->
+                  Faulty_disk.crash_with fd ~keep_unflushed)
+                ~io_count:(fun () -> Faulty_disk.io_count fd)
+          in
           Block_dev.write dev 1 (blk 'Z');
           Block_dev.flush dev;
           let crashed = Block_dev.crash_with dev ~keep_unflushed:max_int in

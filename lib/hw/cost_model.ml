@@ -1,30 +1,22 @@
 type t = {
   ghz : float;
-  l1_hit : int;
-  llc_hit : int;
   local_dram : int;
-  remote_dram : int;
   cacheline_transfer : int;
   cas_success : int;
   cas_retry : int;
   ipi : int;
   tlb_invlpg : int;
-  syscall_entry : int;
 }
 
 let default =
   {
     ghz = 2.5;
-    l1_hit = 4;
-    llc_hit = 40;
     local_dram = 200;
-    remote_dram = 350;
     cacheline_transfer = 200;
     cas_success = 60;
     cas_retry = 150;
     ipi = 2000;
     tlb_invlpg = 200;
-    syscall_entry = 600;
   }
 
 let cycles_to_us m cycles = float_of_int cycles /. (m.ghz *. 1000.)
@@ -37,5 +29,3 @@ let shootdown_cost m ~cores =
   let others = max 0 (cores - 1) in
   if others = 0 then m.tlb_invlpg
   else m.ipi + (others * m.tlb_invlpg) + (others * (m.cacheline_transfer / 2))
-
-let numa_load_cost m ~local = if local then m.local_dram else m.remote_dram

@@ -10,17 +10,13 @@
 
 type t = {
   ghz : float;  (** Core frequency, cycles per nanosecond. *)
-  l1_hit : int;  (** Load from own L1. *)
-  llc_hit : int;  (** Load from shared LLC. *)
   local_dram : int;  (** Load from local-node DRAM. *)
-  remote_dram : int;  (** Load from the other NUMA node. *)
   cacheline_transfer : int;
       (** Fetch a line exclusively owned by another core. *)
   cas_success : int;  (** Uncontended compare-and-swap. *)
   cas_retry : int;  (** One failed CAS attempt under contention. *)
   ipi : int;  (** Deliver an inter-processor interrupt. *)
   tlb_invlpg : int;  (** Local [invlpg] instruction. *)
-  syscall_entry : int;  (** User-to-kernel transition (and back). *)
 }
 
 val default : t
@@ -37,6 +33,3 @@ val cas_acquire_cost : t -> contenders:int -> int
 val shootdown_cost : t -> cores:int -> int
 (** TLB shootdown: IPI broadcast to the other [cores - 1] cores, each
     performing a local invalidation, initiator waits for all acks. *)
-
-val numa_load_cost : t -> local:bool -> int
-(** DRAM load cost by locality. *)

@@ -1,21 +1,11 @@
-type core = {
-  id : int;
-  tlb : Tlb.t;
-  pwc : Pwc.t;
-  mutable cr3 : Addr.paddr;
-  mutable cycles : int;
-}
-
 type t = {
   mem : Phys_mem.t;
   frames : Frame_alloc.t;
-  cores : core array;
   intr : Device.Intr.t;
   timer : Device.Timer.t;
   serial : Device.Serial.t;
   disk : Device.Disk.t;
   nic : Device.Nic.t;
-  cost : Cost_model.t;
 }
 
 let timer_vector = 0
@@ -24,9 +14,7 @@ let nic_vector = 2
 
 let reserved_frames = 64
 
-let create ?(mem_bytes = 32 * 1024 * 1024) ?(disk_sectors = 2048)
-    ?(tlb_entries = 64) ?(pwc_entries = 16) ~cores () =
-  if cores <= 0 then invalid_arg "Machine.create: cores <= 0";
+let create ?(mem_bytes = 32 * 1024 * 1024) ?(disk_sectors = 2048) () =
   let mem = Phys_mem.create ~size:mem_bytes in
   let page = Int64.to_int Addr.page_size in
   let total_frames = mem_bytes / page in
@@ -36,45 +24,12 @@ let create ?(mem_bytes = 32 * 1024 * 1024) ?(disk_sectors = 2048)
       ~frames:(total_frames - reserved_frames)
   in
   let intr = Device.Intr.create ~vectors:16 in
-  let make_core id =
-    {
-      id;
-      tlb = Tlb.create ~capacity:tlb_entries;
-      pwc = Pwc.create ~capacity:pwc_entries;
-      cr3 = 0L;
-      cycles = 0;
-    }
-  in
   {
     mem;
     frames;
-    cores = Array.init cores make_core;
     intr;
     timer = Device.Timer.create ~intr ~vector:timer_vector;
     serial = Device.Serial.create ();
     disk = Device.Disk.create ~intr:(intr, disk_vector) ~sectors:disk_sectors ();
     nic = Device.Nic.create ~intr:(intr, nic_vector) ~mac:"\x52\x54\x00\x12\x34\x56" ();
-    cost = Cost_model.default;
   }
-
-let core t i =
-  if i < 0 || i >= Array.length t.cores then
-    invalid_arg "Machine.core: core id out of range";
-  t.cores.(i)
-
-let charge c cycles = c.cycles <- c.cycles + cycles
-
-let tlb_shootdown t va ~initiator =
-  Array.iter
-    (fun c ->
-      Tlb.invlpg c.tlb va;
-      (* An invlpg also drops the paging-structure-cache entries for the
-         address (SDM vol. 3 §4.10.4.1). *)
-      Pwc.invlpg c.pwc va)
-    t.cores;
-  let c = core t initiator in
-  charge c (Cost_model.shootdown_cost t.cost ~cores:(Array.length t.cores))
-
-let elapsed_us t i =
-  let c = core t i in
-  Cost_model.cycles_to_us t.cost c.cycles

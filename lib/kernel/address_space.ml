@@ -61,7 +61,6 @@ module Make (I : Invalidate) = struct
       mem;
       frames;
       pt = Pt_verified.create ~mem ~frames;
-      (* The capacities [Machine.create] gives each core. *)
       tlb = Tlb.create ~capacity:64;
       pwc = Pwc.create ~capacity:16;
       regions = [];

@@ -75,9 +75,9 @@ type _ Effect.t += Syscall : (sys * Sysabi.request) -> Sysabi.response Effect.t
 
 exception Deadlock of string
 
-let create ?(cores = 2) ?(mem_bytes = 32 * 1024 * 1024) ?(disk_sectors = 4096)
+let create ?(mem_bytes = 32 * 1024 * 1024) ?(disk_sectors = 4096)
     ?(ip = Bi_net.Ip.addr_of_string "10.0.0.1") () =
-  let machine = Machine.create ~cores ~mem_bytes ~disk_sectors () in
+  let machine = Machine.create ~mem_bytes ~disk_sectors () in
   let fs = Fs.mkfs (Bi_fs.Block_dev.of_disk machine.Machine.disk) in
   let stack = Stack.create ~nic:machine.Machine.nic ~ip in
   {
@@ -626,9 +626,6 @@ and handle t th (req : Sysabi.request) : Sysabi.response option =
    response back; park the thread if the syscall blocks. *)
 and dispatch t th (req : Sysabi.request)
     (k : (Sysabi.response, unit) Effect.Deep.continuation) =
-  Machine.charge
-    (Machine.core t.machine 0)
-    t.machine.Machine.cost.Bi_hw.Cost_model.syscall_entry;
   let deliver resp =
     (* Response round-trips through the ABI codec too. *)
     let resp =

@@ -1003,6 +1003,61 @@ let test_sim_node_restart_recovers_dups () =
     (NC.dup_hits n.World.core)
 
 (* ------------------------------------------------------------------ *)
+(* Shard migration *)
+
+module SM = Bi_app.Shard_map
+module SR = Bi_app.Shard_router
+
+(* One migration flips the map once: its version moves by exactly one,
+   and every node's shard state quotes the new version. *)
+let test_migration_bumps_version_once () =
+  let module World = Bi_app.Sim_world in
+  let plan () = Bi_fault.Fault_plan.script [] in
+  let sched = Bi_core.Vtime.make () in
+  let w =
+    World.create sched
+      (List.init 2 (fun i ->
+           World.node ~name:(Printf.sprintf "n%d" i) ~req_plan:(plan ())
+             ~resp_plan:(plan ()) ()))
+  in
+  let map = SM.create ~nshards:4 ~nodes:2 in
+  Array.iteri
+    (fun i n ->
+      NC.enable_sharding n.World.core ~nshards:4 ~version:(SM.version map)
+        ~owned:(SM.shards_of_node map ~node:i))
+    w.World.nodes;
+  let c =
+    SR.cluster ~map ~admins:(Array.init 2 (World.admin w))
+      ~endpoints:
+        (Array.init 2 (fun i -> World.endpoint w i ~attempt_timeout:10))
+  in
+  let r =
+    SR.connect ~config:(World.patient_config 1) ~client:1 c (World.clock w)
+  in
+  let shard = SM.shard_of_key map "k" in
+  let to_ = 1 - SM.node_of map ~shard in
+  let put = ref (Error RC.Breaker_open) and mig = ref (Error "not run") in
+  Bi_core.Vtime.spawn sched (fun () ->
+      put := SR.put r ~key:"k" ~value:"v";
+      mig := SR.migrate r ~shard ~to_);
+  ignore (Bi_core.Vtime.run ~tick:(fun () -> World.tick w) sched : int);
+  check Alcotest.bool "put acked" true (!put = Ok ());
+  check Alcotest.bool "migrated" true (!mig = Ok ());
+  let v = SM.version map + 1 in
+  check Alcotest.int "one version bump" v (SM.version (SR.map c));
+  check Alcotest.int "shard on the target" to_ (SM.node_of (SR.map c) ~shard);
+  Array.iteri
+    (fun i n ->
+      match NC.shard_state n.World.core with
+      | None -> Alcotest.fail "node left the cluster"
+      | Some (version, owned, frozen) ->
+          check Alcotest.int "node quotes the new version" v version;
+          check Alcotest.bool "target alone owns the shard" (i = to_)
+            (List.mem shard owned);
+          check (Alcotest.list Alcotest.int) "nothing frozen" [] frozen)
+    w.World.nodes
+
+(* ------------------------------------------------------------------ *)
 (* Bounded fair admission queue *)
 
 module Adm = Bi_app.Admission
@@ -1264,6 +1319,11 @@ let () =
             test_default_node_cancels_failed_save;
           Alcotest.test_case "a sim node recovers its dups on restart" `Quick
             test_sim_node_restart_recovers_dups;
+        ] );
+      ( "shard",
+        [
+          Alcotest.test_case "one migration bumps the version once" `Quick
+            test_migration_bumps_version_once;
         ] );
       ( "admission",
         [
