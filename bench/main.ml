@@ -297,7 +297,7 @@ let bench_translate_tlb =
   fun () -> translate_hot ~tlb ()
 
 (* Storage-node family: the fs steps under one store save/load, on the
-   node's 128-entry /blocks (64 keys, each with its .crc sidecar). *)
+   node's 64-entry /blocks (one file per key, its crc in the header). *)
 let store_keys = Array.init 64 (fun i -> Printf.sprintf "k%02d" i)
 
 let store_env =

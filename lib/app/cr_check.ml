@@ -226,11 +226,11 @@ let commit_vcs () =
     Vc.make ~id:"cr/commit/put-new-atomic" ~category:"cr/commit" (fun () ->
         CE.must_census
           {
-            writes = 62;
-            flushes = 29;
-            crash_points = 92;
-            torn_points = 62;
-            subset_points = 184;
+            writes = 35;
+            flushes = 17;
+            crash_points = 53;
+            torn_points = 35;
+            subset_points = 106;
             recovery_points = 0;
           }
           (CE.explore
@@ -242,11 +242,11 @@ let commit_vcs () =
       (fun () ->
         CE.must_census
           {
-            writes = 46;
-            flushes = 21;
-            crash_points = 68;
-            torn_points = 46;
-            subset_points = 136;
+            writes = 27;
+            flushes = 13;
+            crash_points = 41;
+            torn_points = 27;
+            subset_points = 82;
             recovery_points = 0;
           }
           (CE.explore
@@ -258,11 +258,11 @@ let commit_vcs () =
       (fun () ->
         CE.must_census
           {
-            writes = 36;
-            flushes = 13;
-            crash_points = 50;
-            torn_points = 36;
-            subset_points = 100;
+            writes = 22;
+            flushes = 9;
+            crash_points = 32;
+            torn_points = 22;
+            subset_points = 64;
             recovery_points = 0;
           }
           (CE.explore
@@ -315,12 +315,12 @@ let commit_vcs () =
            or new. *)
         CE.must_census
           {
-            writes = 108;
-            flushes = 51;
-            crash_points = 160;
+            writes = 81;
+            flushes = 39;
+            crash_points = 121;
             torn_points = 0;
-            subset_points = 320;
-            recovery_points = 18606;
+            subset_points = 242;
+            recovery_points = 7020;
           }
           (CE.explore
              (cr_config ~seeds:[ 1; 2 ] ~explore_recovery:true
@@ -334,12 +334,12 @@ let commit_vcs () =
            re-recover: the explorer checks idempotence at each point. *)
         CE.must_census
           {
-            writes = 46;
-            flushes = 21;
-            crash_points = 68;
+            writes = 27;
+            flushes = 13;
+            crash_points = 41;
             torn_points = 0;
-            subset_points = 204;
-            recovery_points = 24500;
+            subset_points = 123;
+            recovery_points = 6496;
           }
           (CE.explore
              (cr_config ~seeds:[ 0; 1; 2 ] ~explore_recovery:true
@@ -760,19 +760,19 @@ let census_vcs () =
         (* Pin the exact write/flush profile of one journaled put of a
            fresh key so the exploration provably covers every boundary:
            the journal append is one WAL transaction + sync, then the
-           store's value file and crc sidecar are four more (two creates,
-           two data writes) — 62 block writes over 29 flush epochs, 92
-           prefix crash points, a torn variant of every write, two
-           seeded survival subsets per boundary.  A protocol change that
+           store's one block file is two more (its create, and one data
+           write of checksum header and value) — 35 block writes over 17
+           flush epochs, 53 prefix crash points, a torn variant of every
+           write, two seeded survival subsets per boundary.  A protocol change that
            adds or removes a durability point must update this census
            consciously. *)
         CE.must_census
           {
-            writes = 62;
-            flushes = 29;
-            crash_points = 92;
-            torn_points = 62;
-            subset_points = 184;
+            writes = 35;
+            flushes = 17;
+            crash_points = 53;
+            torn_points = 35;
+            subset_points = 106;
             recovery_points = 0;
           }
           (CE.explore

@@ -107,10 +107,17 @@ let append_fd u path =
       | Error _ -> ignore (U.close u.s fd));
       Result.map (fun _ -> fd) positioned
 
+(* Read a whole file from offset 0.  [Fs_spec.Read] answers exactly
+   [min len (size - off)] bytes, so a chunk shorter than asked for ends
+   the file; only a file that is a multiple of the chunk size takes one
+   more read, answered [""]. *)
+let chunk = 8192
+
 let rec drain s fd acc =
-  match U.read s ~fd ~len:8192 with
-  | Ok "" -> Ok (Some (String.concat "" (List.rev acc)))
-  | Ok chunk -> drain s fd (chunk :: acc)
+  match U.read s ~fd ~len:chunk with
+  | Ok data when String.length data < chunk ->
+      Ok (Some (String.concat "" (List.rev (data :: acc))))
+  | Ok data -> drain s fd (data :: acc)
   | Error e -> Error e
 
 let usys_append u path data =

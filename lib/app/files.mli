@@ -1,10 +1,10 @@
 (** Whole-file operations, the one interface the node's persistence is
-    written against.  {!Node_core.file_store} (blocks plus [.crc]
-    sidecars) and {!Journal.file_sink} (the redo journal and its
-    checkpoint dance) are each written once over a [t]; only the backend
-    differs between the code the [cr] suite crash-explores ({!of_fs},
-    straight onto a mounted filesystem) and the code netd runs
-    ({!of_usys}, every operation a marshalled syscall).  Both backends
+    written against.  {!Node_core.file_store} (one file per key, a CRC
+    header before the value) and {!Journal.file_sink} (the redo journal
+    and its checkpoint dance) are each written once over a [t]; only
+    the backend differs between the code the [cr] suite crash-explores
+    ({!of_fs}, straight onto a mounted filesystem) and the code netd
+    runs ({!of_usys}, every operation a marshalled syscall).  Both backends
     issue the same filesystem transactions for each operation, so a
     script leaves byte-identical disks through either.
 
@@ -36,8 +36,9 @@ val of_fs : Bi_fs.Fs.t -> t
 
 val of_usys : Bi_kernel.Usys.t -> t
 (** Over the syscall interface.  [write] is [open(create, trunc)],
-    [write], [close]; [read] drains the file in 8 KiB [read]s; [sync]
-    is [open], [fsync], [close].  [append] keeps one fd open across
+    [write], [close]; [read] is [open], 8 KiB [read]s up to the first
+    short one (a short read ends the file, per [Fs_spec.Read]), [close];
+    [sync] is [open], [fsync], [close].  [append] keeps one fd open across
     calls: the first append to a path opens it (creating it), [fstat]s
     and [seek]s to the end, and every append is then [write] + [fsync].
     Any other operation on that path closes the fd first.  Not safe for

@@ -12,6 +12,12 @@ type store = {
 
 let max_clients = 64
 
+module Clients = Map.Make (Int)
+
+(* One remembered mutation: its txn's seq, the shard of the key it
+   mutated, and its response ([Done] or [Missing]). *)
+type entry = { seq : int; shard : int; resp : P.resp }
+
 (* Shard ownership, when the node is part of a sharded cluster.  [owned]
    is what this node serves; [frozen] marks shards mid-migration on the
    source side: reads are still served (the copy itself reads through
@@ -30,10 +36,11 @@ type t = {
       (* request/response buffer pool for the byte-level entry point *)
   dup_capacity : int;
   epoch : int;
-  (* client -> [(seq, (shard, resp))]: each entry remembers the shard of
-     the key it mutated, so a migration can carry exactly the entries
-     that move with the shard. *)
-  dups : (int, (int * (int * P.resp)) list) Hashtbl.t;
+  (* client -> its entries, newest first: each entry remembers the
+     shard of the key it mutated, so a migration can carry exactly the
+     entries that move with the shard.  An immutable map: a node tracks
+     few clients, and {!retire} keeps the table without copying it. *)
+  mutable dups : entry list Clients.t;
   mutable recency : int list; (* client ids, most recently seen first *)
   mutable sharding : sharding option;
   mutable degraded : bool;
@@ -58,7 +65,7 @@ let create ?pool ?(dup_capacity = 8) ?(epoch = 0)
     pool;
     dup_capacity;
     epoch;
-    dups = Hashtbl.create 16;
+    dups = Clients.empty;
     recency = [];
     sharding = None;
     degraded = false;
@@ -69,6 +76,35 @@ let create ?pool ?(dup_capacity = 8) ?(epoch = 0)
     journal_checkpoint;
     recovering = false;
     checkpoints = 0;
+  }
+
+(* A retired core's store and journal: shared constants that refuse
+   every call, so a core whose process is gone holds no I/O handle. *)
+let retired = P.Io "retired core: its process has exited"
+
+let retired_store =
+  {
+    load = (fun _ -> Error retired);
+    save = (fun _ _ -> Error retired);
+    remove = (fun _ -> Error retired);
+    keys = (fun () -> Error retired);
+  }
+
+let retired_journal =
+  Journal.create
+    {
+      sink_read = (fun () -> Error retired);
+      sink_append = (fun _ -> Error retired);
+      sink_replace = (fun _ -> Error retired);
+    }
+
+let retire t =
+  {
+    t with
+    store = retired_store;
+    journal = retired_journal;
+    pool = None;
+    recency = [];
   }
 
 let wants_shutdown t = t.shutdown
@@ -196,47 +232,50 @@ let touch t client =
   match List.filteri (fun i _ -> i >= max_clients) t.recency with
   | [] -> ()
   | evicted ->
-      List.iter (Hashtbl.remove t.dups) evicted;
+      t.dups <- List.fold_left (fun m c -> Clients.remove c m) t.dups evicted;
       t.recency <- List.filteri (fun i _ -> i < max_clients) t.recency
 
 let dup_lookup t = function
   | None -> None
   | Some { P.client; seq } -> (
-      match Hashtbl.find_opt t.dups client with
+      match Clients.find_opt client t.dups with
       | None -> None
       | Some entries ->
           touch t client;
-          Option.map snd (List.assoc_opt seq entries))
+          Option.map
+            (fun e -> e.resp)
+            (List.find_opt (fun e -> e.seq = seq) entries))
 
 let dup_record t txn ~shard resp =
   match txn with
   | None -> ()
   | Some { P.client; seq } ->
       let entries =
-        match Hashtbl.find_opt t.dups client with Some es -> es | None -> []
+        Option.value ~default:[] (Clients.find_opt client t.dups)
       in
       let entries =
         (* Keep exactly [dup_capacity] entries, newest first. *)
         List.filteri
           (fun i _ -> i < t.dup_capacity)
-          ((seq, (shard, resp)) :: List.remove_assoc seq entries)
+          ({ seq; shard; resp } :: List.filter (fun e -> e.seq <> seq) entries)
       in
-      Hashtbl.replace t.dups client entries;
+      t.dups <- Clients.add client entries t.dups;
       touch t client
 
-(* Deterministic order for anything that leaves the table: [Hashtbl.fold]
-   order depends on hashing internals, so every export is sorted by
-   (client id, seq) explicitly — migration hand-offs, checkpoint
-   snapshots, and the world-determinism VCs all rely on it. *)
+(* Deterministic order for anything that leaves the table: a client's
+   entries are newest first, so every export is sorted by (client id,
+   seq) explicitly — migration hand-offs, checkpoint snapshots, and the
+   world-determinism VCs all rely on it. *)
 let compare_txn { P.client = c1; seq = s1 } { P.client = c2; seq = s2 } =
   match Int.compare c1 c2 with 0 -> Int.compare s1 s2 | c -> c
 
 let export_dups t ~shard =
-  Hashtbl.fold
+  Clients.fold
     (fun client entries acc ->
       List.fold_left
-        (fun acc (seq, (s, resp)) ->
-          if s = shard then ({ P.client; seq }, resp) :: acc else acc)
+        (fun acc e ->
+          if e.shard = shard then ({ P.client; seq = e.seq }, e.resp) :: acc
+          else acc)
         acc entries)
     t.dups []
   |> List.sort (fun (t1, _) (t2, _) -> compare_txn t1 t2)
@@ -245,10 +284,10 @@ let export_dups t ~shard =
    observation the recovery and determinism VCs compare across a
    restart. *)
 let dump_dups t =
-  Hashtbl.fold
+  Clients.fold
     (fun client entries acc ->
       List.fold_left
-        (fun acc (seq, entry) -> ({ P.client; seq }, entry) :: acc)
+        (fun acc e -> ({ P.client; seq = e.seq }, (e.shard, e.resp)) :: acc)
         acc entries)
     t.dups []
   |> List.sort (fun (t1, _) (t2, _) -> compare_txn t1 t2)
@@ -269,24 +308,25 @@ let import_dups t ~shard entries =
   List.iter
     (fun ({ P.client; seq }, resp) ->
       let existing =
-        match Hashtbl.find_opt t.dups client with Some es -> es | None -> []
+        Option.value ~default:[] (Clients.find_opt client t.dups)
       in
       let merged =
-        (seq, (shard, resp)) :: List.remove_assoc seq existing
-        |> List.sort (fun ((s1 : int), _) ((s2 : int), _) -> compare s2 s1)
+        { seq; shard; resp } :: List.filter (fun e -> e.seq <> seq) existing
+        |> List.sort (fun e1 e2 -> Int.compare e2.seq e1.seq)
         |> List.filteri (fun i _ -> i < t.dup_capacity)
       in
-      Hashtbl.replace t.dups client merged;
+      t.dups <- Clients.add client merged t.dups;
       touch t client)
     entries
 
 let prune_dups t ~shard =
-  Hashtbl.filter_map_inplace
-    (fun _client entries ->
-      match List.filter (fun (_, (s, _)) -> s <> shard) entries with
-      | [] -> None
-      | kept -> Some kept)
-    t.dups
+  t.dups <-
+    Clients.filter_map
+      (fun _client entries ->
+        match List.filter (fun e -> e.shard <> shard) entries with
+        | [] -> None
+        | kept -> Some kept)
+      t.dups
 
 (* Drop ownership of a migrated-away shard: its keys leave the store,
    its duplicate-table entries leave the table (their exported copies
@@ -309,14 +349,13 @@ let release t ~shard =
    presence. *)
 type mutation = M_put of stored | M_del
 
-(* Snapshot of the whole duplicate table in journal form, deterministic
-   order (see {!dump_dups}). *)
+(* Snapshot of the whole duplicate table in journal form, clients
+   ascending (the map's order), each client's entries newest first. *)
 let snapshot_dups t =
-  Hashtbl.fold (fun client entries acc -> (client, entries) :: acc) t.dups []
-  |> List.sort (fun ((c1 : int), _) ((c2 : int), _) -> Int.compare c1 c2)
+  Clients.bindings t.dups
   |> List.map (fun (client, entries) ->
          ( client,
-           List.map (fun (seq, (shard, resp)) -> (seq, shard, resp = P.Done))
+           List.map (fun e -> (e.seq, e.shard, e.resp = P.Done))
              entries ))
 
 let shard_lists sh =
@@ -598,8 +637,9 @@ let recover t =
         | Ok (Some cur) when cur = desired ->
             bump (fun s -> { s with r_skipped = s.r_skipped + 1 })
         | _ -> (
-            (* absent, stale, or unreadable (e.g. a torn save left
-               the value without its crc sidecar): rewrite *)
+            (* absent, stale, or unreadable (a crash between a save's
+               truncate and its write leaves an empty file, which loads
+               as [No_crc]): rewrite *)
             match t.store.save key desired with
             | Ok () -> bump (fun s -> { s with r_redone = s.r_redone + 1 })
             | Error _ ->
@@ -622,15 +662,17 @@ let recover t =
                       { s with r_store_failures = s.r_store_failures + 1 }))
       in
       let install_snapshot { Journal.s_dups; s_sharding; s_degraded } =
-        Hashtbl.reset t.dups;
+        t.dups <- Clients.empty;
         t.recency <- [];
         List.iter
           (fun (client, entries) ->
-            Hashtbl.replace t.dups client
-              (List.map
-                 (fun (seq, shard, done_) ->
-                   (seq, (shard, if done_ then P.Done else P.Missing)))
-                 entries);
+            t.dups <-
+              Clients.add client
+                (List.map
+                   (fun (seq, shard, done_) ->
+                     { seq; shard; resp = (if done_ then P.Done else P.Missing) })
+                   entries)
+                t.dups;
             t.recency <- client :: t.recency)
           s_dups;
         (match s_sharding with
@@ -745,41 +787,41 @@ let mem_contents s =
           | _ -> None)
         (List.sort compare ks)
 
-(* The stores' on-disk naming: a block per file under [/blocks], its
-   checksum in a [.crc] sidecar beside it. *)
+(* The stores' on-disk format: one file per key under [/blocks], the
+   value's CRC-32 as a 4-byte little-endian header, then the value.  A
+   save is one whole-file write, which the filesystem commits as one
+   transaction, so a crash leaves the old file, an empty one or the new
+   one: never a value without its checksum. *)
 let blocks_dir = "/blocks"
 let key_path key = blocks_dir ^ "/" ^ key
-let crc_path key = key_path key ^ ".crc"
+let header_bytes = 4
 
 let file_store (files : Files.t) =
-  let ( let* ) = Result.bind in
   {
     load =
       (fun key ->
-        let* value = files.read (key_path key) in
-        match value with
-        | None -> Ok None
-        | Some value -> (
-            let* crc_text = files.read (crc_path key) in
-            let parse text = Int32.of_string_opt ("0x" ^ String.trim text) in
-            match Option.bind crc_text parse with
-            | None -> Error P.No_crc
-            | Some crc -> Ok (Some { value; crc })));
+        match files.read (key_path key) with
+        | Error e -> Error e
+        | Ok None -> Ok None
+        | Ok (Some data) ->
+            let n = String.length data - header_bytes in
+            if n < 0 then Error P.No_crc
+            else
+              Ok
+                (Some
+                   {
+                     value = String.sub data header_bytes n;
+                     crc = String.get_int32_le data 0;
+                   }));
     save =
       (fun key { value; crc } ->
-        let* () = files.write (key_path key) value in
-        files.write (crc_path key) (Printf.sprintf "%08lx" crc));
-    remove =
-      (fun key ->
-        let* removed = files.remove (key_path key) in
-        if removed then ignore (files.remove (crc_path key));
-        Ok removed);
-    keys =
-      (fun () ->
-        let sidecar n = String.length n > 4 && Filename.check_suffix n ".crc" in
-        Result.map
-          (List.filter (fun n -> not (sidecar n)))
-          (files.list blocks_dir));
+        let n = String.length value in
+        let b = Bytes.create (header_bytes + n) in
+        Bytes.set_int32_le b 0 crc;
+        Bytes.blit_string value 0 b header_bytes n;
+        files.write (key_path key) (Bytes.unsafe_to_string b));
+    remove = (fun key -> files.remove (key_path key));
+    keys = (fun () -> files.list blocks_dir);
   }
 
 let fs_store fs =

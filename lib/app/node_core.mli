@@ -165,6 +165,14 @@ val dump_dups : t -> (Protocol.txn * (int * Protocol.resp)) list
     sorted by (client, seq): the deterministic observation the recovery
     and world-determinism VCs compare across restarts. *)
 
+val retire : t -> t
+(** The core of a run whose process has exited: {!applied},
+    {!dup_hits}, {!checkpoints} and {!dump_dups} answer as [t]'s, but
+    its store and journal are shared constants that fail every call
+    with [Err (Io _)], so it holds no I/O handle of the dead process.
+    A mutation it is asked to {!handle} is refused without touching
+    any disk. *)
+
 (** {2 Crash recovery}
 
     A restarted node is a fresh {!create} over the durable store and the
@@ -214,10 +222,10 @@ val mem_contents : store -> (string * string) list
     unreadable entries are skipped); the degraded-mode monotonicity VCs
     compare these snapshots across the degradation point. *)
 
-(** {2 On-disk naming}
+(** {2 On-disk format}
 
-    {!file_store} keeps a block in [/blocks/<key>] and its checksum in
-    the sidecar [/blocks/<key>.crc]. *)
+    {!file_store} keeps each key as one file, [/blocks/<key>]: the
+    value's CRC-32 as a 4-byte little-endian header, then the value. *)
 
 val blocks_dir : string
 (** ["/blocks"]. *)
@@ -225,16 +233,14 @@ val blocks_dir : string
 val key_path : string -> string
 (** [/blocks/<key>]. *)
 
-val crc_path : string -> string
-(** [/blocks/<key>.crc]. *)
-
 val file_store : Files.t -> store
-(** The block-plus-sidecar store over any {!Files} backend: a save
-    writes the block, then its sidecar; a load reads both and answers
-    [Err No_crc] when the sidecar is absent or malformed (a read error
-    is [Err (Io _)]).  netd runs it over {!Files.of_usys}
-    ([Storage_node.usys_store]), the cr suite over {!Files.of_fs}.
-    The [/blocks] directory must exist. *)
+(** The one-file-per-key store over any {!Files} backend: a save is one
+    whole-file {!Files.write} of header and value, a remove one
+    {!Files.remove}.  A load answers [Err No_crc] for a file shorter
+    than the header (a crash between a save's truncate and its write
+    leaves an empty one); a read error is [Err (Io _)].  netd runs it
+    over {!Files.of_usys} ([Storage_node.usys_store]), the cr suite over
+    {!Files.of_fs}.  The [/blocks] directory must exist. *)
 
 val fs_store : Bi_fs.Fs.t -> store
 (** [mkdir /blocks], then {!file_store} over {!Files.of_fs}: the store

@@ -26,7 +26,7 @@ type err =
   | Bad_crc
       (** The request's own checksum did not match its value: the wire
           (not the client) corrupted the request — safe to retry. *)
-  | No_crc  (** Stored value has lost its checksum sidecar. *)
+  | No_crc  (** Stored block is too short to hold its checksum header. *)
   | Integrity  (** Stored data failed its checksum: corruption detected. *)
   | Read_only
       (** The node is in degraded mode after a backing-store write

@@ -186,9 +186,13 @@ let record_failure t =
    definitive rejection, or a transient failure worth another attempt. *)
 let run t req interp =
   t.s_ops <- t.s_ops + 1;
-  let deadline_at = t.clock.now () + t.cfg.deadline in
-  let rec go attempt =
-    if t.clock.now () >= deadline_at then Error Deadline
+  (* The first attempt reuses the reading [deadline_at] is taken from:
+     nothing runs between the two, so a second read would see the same
+     tick. *)
+  let start = t.clock.now () in
+  let deadline_at = start + t.cfg.deadline in
+  let rec go ~now attempt =
+    if now >= deadline_at then Error Deadline
     else if not (admit t) then Error Breaker_open
     else (
       t.s_attempts <- t.s_attempts + 1;
@@ -222,9 +226,9 @@ let run t req interp =
       if remaining <= 0 then Error Deadline
       else (
         t.clock.sleep (min (backoff t.cfg ~attempt) remaining);
-        go (attempt + 1)))
+        go ~now:(t.clock.now ()) (attempt + 1)))
   in
-  go 1
+  go ~now:start 1
 
 let classify_err e k =
   if P.retryable e then `Transient (Format.asprintf "%a" P.pp_err e)

@@ -1255,10 +1255,12 @@ let no_poll_window () =
 (* What [make verify] pins about the transport: on the data path netd and
    the client never sleep; netd's recvs and accepts never answer
    [E_again], because they wait for work with no deadline; a client recv
-   that does is one whose deadline expired; and a put costs exactly 16
-   server and 6 client syscalls.  The server's 16 are the recv, six
+   that does is one whose deadline expired; and a put costs exactly 13
+   server and 4 client syscalls.  The server's 13 are the recv, six
    futex calls for the queue hand-off and the store lock, the journal's
-   write and fsync, the six calls of the store save and the send. *)
+   write and fsync, the store save's open, write and close, and the
+   send.  The client's 4 are the retry loop's one clock read, the send,
+   the attempt's one clock read and the recv. *)
 let vc_perf_no_poll =
   Vc.make ~id:"nd/perf/no-poll" ~category:cat_perf (fun () ->
       let srv, cli, acked = no_poll_window () in
@@ -1292,9 +1294,9 @@ let vc_perf_no_poll =
           (Printf.sprintf
              "%d client recv/accept calls answered E_again without a deadline"
              (List.length polled))
-      else if List.length srv <> 16 * acked || List.length cli <> 6 * acked then
+      else if List.length srv <> 13 * acked || List.length cli <> 4 * acked then
         Vc.Falsified
-          (Printf.sprintf "syscalls per put: %.2f server, %.2f client (want 16, 6)"
+          (Printf.sprintf "syscalls per put: %.2f server, %.2f client (want 13, 4)"
              (per_op srv) (per_op cli))
       else Vc.Proved)
 

@@ -56,17 +56,21 @@ let rpc t req =
           drop t;
           Error (Format.asprintf "send: %a" Bi_kernel.Sysabi.pp_err e)
       | Ok _ ->
-          let deadline =
-            Int64.add (U.now t.sys) (Int64.of_int t.attempt_ticks)
-          in
-          let rec await () =
+          (* The first wait reuses the reading the deadline is taken
+             from; a later one reads the clock only when no buffered
+             response answers it. *)
+          let start = U.now t.sys in
+          let deadline = Int64.add start (Int64.of_int t.attempt_ticks) in
+          let rec await now =
             match P.decode_resp t.buf ~off:0 with
             | Some (resp, consumed) ->
                 t.buf <-
                   Bytes.sub t.buf consumed (Bytes.length t.buf - consumed);
                 Ok resp
             | None ->
-                let now = U.now t.sys in
+                let now =
+                  match now with Some now -> now | None -> U.now t.sys
+                in
                 if now > deadline then begin
                   drop t;
                   Error "attempt timed out"
@@ -83,10 +87,10 @@ let rpc t req =
                   | Error _ -> drop t);
                   match t.conn with
                   | None -> Error "peer closed mid-attempt"
-                  | Some _ -> await ()
+                  | Some _ -> await None
                 end
           in
-          await ())
+          await (Some start))
 
 let endpoint ?(name = "netd") t = { RC.name; rpc = (fun req -> rpc t req) }
 

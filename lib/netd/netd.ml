@@ -12,7 +12,7 @@
      worker pool (config.workers threads) -- Req_queue.pop
         | Node_core.handle          (dedup table, degraded mode)
         v
-     Usys filesystem (/blocks/<key> + .crc sidecar)
+     Usys filesystem (/blocks/<key>: crc header + value)
 
    No thread wakes on a clock: each parks until it has work.  A
    [Shutdown] closes the queue; the main thread joins the workers once
@@ -27,13 +27,20 @@
    the kernel contract rather than beside it.
 
    Concurrency discipline: [Node_core.handle] runs under one data-path
-   umutex.  The Usys store is multi-syscall per operation (open with
-   truncate, write and close, for the block and its crc sidecar), so two
-   workers interleaving on one key could tear a value/crc pair; the
-   lock serializes the store while the simulated service time
-   ([config.service_ticks], the knob the scaling VCs turn) is
-   slept OUTSIDE the lock, so k workers still overlap their service time
-   and the worker-scaling VCs have something to measure. *)
+   umutex.  A put is several syscalls (the journal's write and fsync on
+   its one shared fd, then the block's open with truncate, write and
+   close), so two workers interleaving on one key could commit in one
+   order and save in the other, or leave a longer value's tail behind a
+   shorter one's header; the lock serializes the node while the
+   simulated service time ([config.service_ticks], the knob the scaling
+   VCs turn) is slept OUTSIDE the lock, so k workers still overlap their
+   service time and the worker-scaling VCs have something to measure.
+
+   A new epoch retires the previous run's core ([Node_core.retire]): its
+   counters and dup table stay readable, but the store and journal
+   closures over the dead process's syscall handle are dropped, so a
+   supervisor that restarts netd again and again does not keep every
+   life's I/O state alive. *)
 
 module K = Bi_kernel.Kernel
 module U = Bi_kernel.Usys
@@ -65,7 +72,7 @@ let default_config =
 
 type run = {
   run_epoch : int;
-  run_core : Node_core.t;
+  mutable run_core : Node_core.t;
   run_recovery : Node_core.recovery;
       (** What this (re)spawn's journal replay found and redid. *)
   served : int array;  (** Requests handled, per worker. *)
@@ -163,6 +170,11 @@ let program t s _arg =
       finished = false;
     }
   in
+  (* The previous run's process has exited (see [install]), and every
+     run before it was retired when its successor started. *)
+  (match t.runs with
+  | prev :: _ -> prev.run_core <- Node_core.retire prev.run_core
+  | [] -> ());
   t.runs <- run :: t.runs;
   (match U.tcp_listen s config.port with
   | Ok () -> ()

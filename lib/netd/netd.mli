@@ -6,9 +6,10 @@
     readers park in [tcp_recv] until bytes arrive, frame them into
     {!Bi_app.Protocol} requests and push them onto a futex-backed
     bounded {!Req_queue}; a pool of worker threads pops requests, runs
-    {!Bi_app.Node_core.handle} under a single data-path umutex (the
-    Usys store is multi-syscall per operation, so concurrent same-key
-    writes would tear value/crc pairs), and answers on the request's
+    {!Bi_app.Node_core.handle} under a single data-path umutex (a
+    commit is a journal append then a store save, several syscalls, so
+    two same-key puts could otherwise commit in one order and save in
+    the other, or tear one block file), and answers on the request's
     connection.  Simulated service time is slept {e outside} the lock,
     so worker-scaling is observable in virtual time.
 
@@ -47,7 +48,10 @@ val default_config : config
 
 type run = {
   run_epoch : int;
-  run_core : Bi_app.Node_core.t;
+  mutable run_core : Bi_app.Node_core.t;
+      (** The live core while this run's process serves; once the next
+          run starts, its {!Bi_app.Node_core.retire}d copy: the same
+          counters and dup table, no store or journal. *)
   run_recovery : Bi_app.Node_core.recovery;
       (** What this (re)spawn's journal replay found and redid. *)
   served : int array;  (** Requests handled, per worker. *)
@@ -60,9 +64,12 @@ type t
 
 val install : ?config:config -> Bi_kernel.Kernel.t -> t
 (** Register the ["netd"] program.  Each [Spawn] of it takes the next
-    epoch from this installation and appends a {!run}. *)
+    epoch from this installation, retires the previous run's core and
+    appends a {!run}.  Precondition: a new netd is spawned only after
+    the previous one has exited (a supervisor kills and waits first);
+    the retired core could not serve a netd still running. *)
 
 val runs : t -> run list
-(** Oldest first. *)
+(** Oldest first.  Every run but the newest holds a retired core. *)
 
 val latest_run : t -> run option

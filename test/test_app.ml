@@ -294,8 +294,9 @@ let test_e2e_refines_store_spec () =
            ops))
 
 let test_e2e_corruption_detected () =
-  (* Flip a byte in the stored file behind the node's back: the next GET
-     must report an integrity violation rather than serve bad data. *)
+  (* Flip a byte of the stored value, past the file's 4-byte checksum
+     header, behind the node's back: the next GET must report an
+     integrity violation rather than serve bad data. *)
   let outcome = ref "" in
   ignore
     (with_store (fun server c ->
@@ -308,7 +309,7 @@ let test_e2e_corruption_detected () =
          (match Bi_fs.Fs.resolve fs "/blocks/victim" with
          | Ok ino ->
              ignore
-               (Bi_fs.Fs.write_ino fs ~ino ~off:0 (Bytes.of_string "Xristine"))
+               (Bi_fs.Fs.write_ino fs ~ino ~off:4 (Bytes.of_string "Xristine"))
          | Error _ -> outcome := "corruption setup failed");
          (* [Integrity] is definitive: answered once, never retried. *)
          (match RC.get c ~key:"victim" with
@@ -353,7 +354,8 @@ let test_e2e_persistence_across_mount () =
   match Bi_fs.Fs.resolve fs2 "/blocks/durable" with
   | Error _ -> Alcotest.fail "file lost"
   | Ok ino -> (
-      match Bi_fs.Fs.read_ino fs2 ~ino ~off:0 ~len:100 with
+      (* The value follows the 4-byte checksum header. *)
+      match Bi_fs.Fs.read_ino fs2 ~ino ~off:4 ~len:100 with
       | Ok b -> check Alcotest.string "content" "survives" (Bytes.to_string b)
       | Error _ -> Alcotest.fail "read back")
 
@@ -486,21 +488,22 @@ let test_files_backend_parity () =
     by_fs;
   check Alcotest.int "sectors differing" 0 differing
 
-(* A block whose sidecar is missing or malformed loads as [Err No_crc]
-   on both backends; one whose sidecar cannot be read is an I/O error,
-   not a missing checksum. *)
-let test_store_sidecar_errors () =
+(* A block file shorter than its 4-byte checksum header (empty, as a
+   crash between a save's truncate and its write leaves it, or 3 bytes)
+   loads as [Err No_crc] on both backends; a directory at the key's path
+   cannot be read and is an I/O error, not a missing checksum. *)
+let test_store_header_errors () =
   let loads { files; store; mkdir; _ } =
     mkdir NC.blocks_dir;
     let store = store () in
     let load () = show (fun _ -> "loaded") (store.load "k") in
-    ok (files.write (NC.key_path "k") "value");
-    let missing = load () in
-    ok (files.write (NC.crc_path "k") "not hex");
-    let malformed = load () in
-    ignore (ok (files.remove (NC.crc_path "k")));
-    mkdir (NC.crc_path "k");
-    [ missing; malformed; load () ]
+    ok (files.write (NC.key_path "k") "");
+    let empty = load () in
+    ok (files.write (NC.key_path "k") "abc");
+    let short = load () in
+    ignore (ok (files.remove (NC.key_path "k")));
+    mkdir (NC.key_path "k");
+    [ empty; short; load () ]
   in
   let by_usys, by_fs, _ = on_both_backends loads in
   let expected = [ "error missing checksum"; "error missing checksum"; "io error" ] in
@@ -510,7 +513,7 @@ let test_store_sidecar_errors () =
 (* netd's store and the fs-level store whose crash points cr explores run
    one write protocol: resolve or create, truncate, write.  The same saves
    through both leave byte-identical disks, and a syscall save is exactly
-   open(create, trunc), write, close for the block and for its sidecar. *)
+   open(create, trunc), write, close of the one block file. *)
 let test_usys_store_is_fs_store_protocol () =
   let per_save, _, differing =
     on_both_backends (fun { store; mkdir; traced; _ } ->
@@ -523,8 +526,7 @@ let test_usys_store_is_fs_store_protocol () =
   in
   List.iter
     (check Alcotest.(list string) "one save's syscalls"
-       [ "open-trunc /blocks/k1"; "write"; "close";
-         "open-trunc /blocks/k1.crc"; "write"; "close" ])
+       [ "open-trunc /blocks/k1"; "write"; "close" ])
     per_save;
   check Alcotest.int "sectors differing" 0 differing
 
@@ -1128,16 +1130,16 @@ let trace_digest k =
 let schedule_pins =
   [
     ( "quiet",
-      ( ( "ab00f560ea9ef3197f5859fc9362f201",
-          "b6bc2cf6fb16830c482e067d732ef1b6" ),
+      ( ( "41acb03843bb6b088aefe44ac0123b36",
+          "357cbeed0c24b1c5dec8d6e1a8c8f894" ),
         (26, 31) ) );
     ( "faulty-link",
-      ( ( "4a197ed54f7248e042a502db0f37aa8b",
-          "1d52918152ec684b37c69fa210318f19" ),
+      ( ( "a225c1b38e42dc93f07876ca0e493840",
+          "ed9abadff68087845a7b3f1d6cca5af5" ),
         (53, 68) ) );
     ( "crash-respawn",
-      ( ( "56548cc4ac1249e2cf9366b0a48700ee",
-          "a3c2d33303aae1e5a2b78d15d6cc16e1" ),
+      ( ( "099f810cf0770a91db5fa1acba0a2d58",
+          "947f5c148400332c288cac26b3c9fdaa" ),
         (26, 125) ) );
   ]
 
@@ -1242,6 +1244,98 @@ let test_shutdown_closes_idle_connection () =
             | _ -> false)
           (K.trace server)))
 
+(* A supervisor SIGKILLs and respawns netd five times; in each life one
+   client (a new client id per life) puts three keys and retries one of
+   them under the same txn.  Every run but the newest then holds a
+   retired core: not the core that served, but one with the same
+   counters and dup table, which refuses a put without touching the
+   disk. *)
+let test_netd_retires_dead_runs () =
+  let module Netd = Bi_netd.Netd in
+  let server = K.create ~ip:ip_server () in
+  let client = K.create ~ip:ip_client () in
+  K.connect server client;
+  let netd = Netd.install server in
+  let cycles = 5 in
+  let observe core = (NC.applied core, NC.dup_hits core, NC.dump_dups core) in
+  (* Each dead run's core and what it answered, newest first. *)
+  let died = ref [] in
+  let lives_done = ref 0 in
+  K.register_program server "supervisor" (fun s _ ->
+      let spawn () =
+        match U.spawn s ~prog:"netd" ~arg:"" with
+        | Ok pid -> pid
+        | Error _ -> failwith "spawn netd"
+      in
+      let pid = ref (spawn ()) in
+      for life = 1 to cycles do
+        while !lives_done < life do
+          U.sleep s 1
+        done;
+        ignore (U.kill s ~pid:!pid ~signal:9);
+        ignore (U.wait s !pid);
+        (match Netd.latest_run netd with
+        | Some run -> died := (run.run_core, observe run.run_core) :: !died
+        | None -> failwith "no run");
+        pid := spawn ()
+      done;
+      ignore (U.wait s !pid));
+  K.register_program client "cli" (fun s _ ->
+      for epoch = 0 to cycles do
+        let net, c =
+          Nd_client.create ~attempt_ticks:50 ~client:(epoch + 1) s ~ip:ip_server
+        in
+        let rec await tries =
+          match Nd_client.rpc net P.Ping with
+          | Ok (P.Pong { epoch = e; _ }) when e = epoch -> ()
+          | _ when tries > 0 ->
+              U.sleep s 1;
+              await (tries - 1)
+          | _ -> failwith "no pong from the new epoch"
+        in
+        await 1000;
+        let txn = { P.client = epoch + 1; seq = 100 } in
+        List.iter
+          (fun put -> match put () with Ok () -> () | Error _ -> failwith "put")
+          [
+            (fun () -> RC.put c ~key:"a" ~value:"1");
+            (fun () -> RC.put c ~key:"b" ~value:"2");
+            (fun () -> RC.put_txn c ~txn ~key:"c" ~value:"3");
+            (fun () -> RC.put_txn c ~txn ~key:"c" ~value:"3");
+          ];
+        if epoch = cycles then ignore (Nd_client.rpc net P.Shutdown);
+        Nd_client.close net;
+        lives_done := epoch + 1
+      done);
+  ignore (K.spawn server ~prog:"supervisor" ~arg:"");
+  ignore (K.spawn client ~prog:"cli" ~arg:"");
+  K.run_pair server client;
+  no_crash server;
+  no_crash client;
+  let runs = Netd.runs netd in
+  check Alcotest.(list int) "epochs" (List.init (cycles + 1) Fun.id)
+    (List.map (fun (r : Netd.run) -> r.run_epoch) runs);
+  let retired = List.filteri (fun i _ -> i < cycles) runs in
+  let disk = (K.machine server).Bi_hw.Machine.disk in
+  List.iter2
+    (fun (run : Netd.run) (live, seen) ->
+      let e = Printf.sprintf "epoch %d: " run.run_epoch in
+      check Alcotest.bool (e ^ "core retired") true (run.run_core != live);
+      check Alcotest.bool (e ^ "three puts, one dup hit") true
+        (let applied, hits, _ = seen in
+         applied = 3 && hits = 1);
+      check Alcotest.bool (e ^ "counters and dups as when it died") true
+        (observe run.run_core = seen);
+      let io = Bi_hw.Device.Disk.io_count disk in
+      check Alcotest.bool (e ^ "a put is refused") true
+        (match NC.handle run.run_core (put_txn_req ~client:99 ~seq:1 "z" "9") with
+        | P.Err (P.Io _) -> true
+        | _ -> false);
+      check Alcotest.int (e ^ "disk I/Os") io (Bi_hw.Device.Disk.io_count disk))
+    retired (List.rev !died);
+  check Alcotest.bool "the newest run finished" true
+    (match Netd.latest_run netd with Some r -> r.finished | None -> false)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1278,8 +1372,8 @@ let () =
         [
           Alcotest.test_case "backends agree on one script" `Quick
             test_files_backend_parity;
-          Alcotest.test_case "sidecar errors agree" `Quick
-            test_store_sidecar_errors;
+          Alcotest.test_case "header errors agree" `Quick
+            test_store_header_errors;
           Alcotest.test_case "usys journal is fs_sink" `Quick
             test_usys_journal_is_fs_sink;
         ] );
@@ -1342,5 +1436,10 @@ let () =
             `Quick test_unfinished_world_is_cut;
           Alcotest.test_case "shutdown closes an idle connection and ends"
             `Quick test_shutdown_closes_idle_connection;
+        ] );
+      ( "netd",
+        [
+          Alcotest.test_case "respawns retire the cores of dead runs" `Quick
+            test_netd_retires_dead_runs;
         ] );
     ]
