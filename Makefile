@@ -8,7 +8,7 @@ JOBS ?= $(shell nproc 2>/dev/null || echo 1)
 # (model checker), fi (fault injection) and cr (crash recovery).
 SUITES := pt ptx ptb pwc nr fs net abi mc fi rs sh hp wl nd cr
 
-.PHONY: all build test verify fmt-check bench discharge $(SUITES) clean
+.PHONY: all build test verify fmt-check loc bench discharge $(SUITES) clean
 
 all: build
 
@@ -31,6 +31,19 @@ fmt-check:
 	  fi; \
 	done; \
 	exit $$fail
+
+# Lines of OCaml (.ml and .mli) per tree and in all.  A change's net
+# line delta is `make loc` on the change minus `make loc` on its parent.
+LOC_DIRS := lib test bench bin examples perfbench
+
+loc:
+	@total=0; \
+	for d in $(LOC_DIRS); do \
+	  n=$$(find $$d \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l); \
+	  printf '%-10s %6d\n' $$d $$n; \
+	  total=$$((total + n)); \
+	done; \
+	printf '%-10s %6d\n' total $$total
 
 # `verify` discharges every suite, including `mc`, and the driver
 # asserts the paper's `pt` suite stays exactly 220 VCs.  It then runs the

@@ -1,85 +1,41 @@
-module Intr = struct
-  type t = { pending : bool array; masked : bool array }
-
-  let create ~vectors =
-    if vectors <= 0 then invalid_arg "Intr.create: vectors <= 0";
-    { pending = Array.make vectors false; masked = Array.make vectors false }
-
-  let check t v =
-    if v < 0 || v >= Array.length t.pending then
-      invalid_arg "Intr: vector out of range"
-
-  let raise_irq t v =
-    check t v;
-    t.pending.(v) <- true
-
-  let pending t =
-    let n = Array.length t.pending in
-    let rec scan v =
-      if v >= n then None
-      else if t.pending.(v) && not t.masked.(v) then Some v
-      else scan (v + 1)
-    in
-    scan 0
-
-  let ack t v =
-    check t v;
-    t.pending.(v) <- false
-
-  let mask t v =
-    check t v;
-    t.masked.(v) <- true
-
-  let unmask t v =
-    check t v;
-    t.masked.(v) <- false
-
-  let is_pending t v =
-    check t v;
-    t.pending.(v)
-end
-
 module Timer = struct
-  type t = {
-    intr : Intr.t;
-    vector : int;
-    mutable ticks : int64;
-    mutable deadline : int64 option;
-    mutable interval : int64 option;
-  }
+  type t = { mutable ticks : int64 }
 
-  let create ~intr ~vector =
-    { intr; vector; ticks = 0L; deadline = None; interval = None }
-
-  let arm t ~deadline = t.deadline <- Some deadline
-
-  let arm_periodic t ~interval =
-    if interval <= 0L then invalid_arg "Timer.arm_periodic: interval <= 0";
-    t.interval <- Some interval;
-    t.deadline <- Some (Int64.add t.ticks interval)
-
-  let tick t =
-    t.ticks <- Int64.add t.ticks 1L;
-    match t.deadline with
-    | Some d when t.ticks >= d ->
-        Intr.raise_irq t.intr t.vector;
-        t.deadline <-
-          (match t.interval with
-          | Some i -> Some (Int64.add t.ticks i)
-          | None -> None)
-    | Some _ | None -> ()
-
+  let create () = { ticks = 0L }
+  let tick t = t.ticks <- Int64.add t.ticks 1L
   let now t = t.ticks
 end
 
 module Serial = struct
-  type t = { buf : Buffer.t }
+  let capacity = 16384
 
-  let create () = { buf = Buffer.create 256 }
-  let write_char t c = Buffer.add_char t.buf c
-  let write_string t s = Buffer.add_string t.buf s
-  let output t = Buffer.contents t.buf
-  let clear t = Buffer.clear t.buf
+  (* [ring] grows by doubling up to [capacity] bytes and is then used
+     circularly: byte [i] of everything written (counting from the last
+     [clear]) sits at [i mod capacity]. *)
+  type t = { mutable ring : Bytes.t; mutable written : int }
+
+  let create () = { ring = Bytes.create 256; written = 0 }
+
+  let write_char t c =
+    let n = Bytes.length t.ring in
+    if t.written = n && n < capacity then begin
+      let r = Bytes.create (min capacity (2 * n)) in
+      Bytes.blit t.ring 0 r 0 n;
+      t.ring <- r
+    end;
+    Bytes.unsafe_set t.ring (t.written mod Bytes.length t.ring) c;
+    t.written <- t.written + 1
+
+  let write_string t s = String.iter (write_char t) s
+
+  let output t =
+    let n = Bytes.length t.ring in
+    if t.written <= n then Bytes.sub_string t.ring 0 t.written
+    else
+      let head = t.written mod n in
+      Bytes.sub_string t.ring head (n - head) ^ Bytes.sub_string t.ring 0 head
+
+  let clear t = t.written <- 0
 end
 
 module Disk = struct
@@ -90,16 +46,14 @@ module Disk = struct
   type t = {
     durable : bytes array; (* state as of the last flush *)
     mutable unflushed : write_record list; (* newest first *)
-    intr : (Intr.t * int) option;
     mutable io_count : int;
   }
 
-  let create ?intr ~sectors () =
+  let create ~sectors () =
     if sectors <= 0 then invalid_arg "Disk.create: sectors <= 0";
     {
       durable = Array.init sectors (fun _ -> Bytes.make sector_size '\000');
       unflushed = [];
-      intr;
       io_count = 0;
     }
 
@@ -108,15 +62,9 @@ module Disk = struct
   let check t s =
     if s < 0 || s >= sectors t then invalid_arg "Disk: sector out of range"
 
-  let signal t =
-    match t.intr with
-    | None -> ()
-    | Some (intr, vector) -> Intr.raise_irq intr vector
-
   let read_sector t s =
     check t s;
     t.io_count <- t.io_count + 1;
-    signal t;
     (* Reads observe the newest un-flushed write to the sector, if any. *)
     let rec newest = function
       | [] -> Bytes.copy t.durable.(s)
@@ -130,7 +78,6 @@ module Disk = struct
     if Bytes.length data <> sector_size then
       invalid_arg "Disk.write_sector: buffer must be one sector";
     t.io_count <- t.io_count + 1;
-    signal t;
     t.unflushed <- { sector = s; data = Bytes.copy data } :: t.unflushed
 
   let flush t =
@@ -139,19 +86,13 @@ module Disk = struct
     List.iter
       (fun { sector; data } -> t.durable.(sector) <- data)
       (List.rev t.unflushed);
-    t.unflushed <- [];
-    signal t
+    t.unflushed <- []
 
   (* A stored sector buffer is never mutated in place: [write_sector]
      copies data in, [read_sector] copies it out, and [flush]/[crash] only
      replace array slots.  So a crash copy can share every buffer. *)
   let copy_durable t =
-    {
-      durable = Array.copy t.durable;
-      unflushed = [];
-      intr = t.intr;
-      io_count = 0;
-    }
+    { durable = Array.copy t.durable; unflushed = []; io_count = 0 }
 
   let crash_with t ~keep_unflushed =
     (* [keep_unflushed] is clamped to [0, pending]: negative keeps nothing,
@@ -203,18 +144,16 @@ module Nic = struct
     mutable peer : t option;
     wire : bytes Queue.t; (* frames in flight from this NIC *)
     rx : bytes Queue.t;
-    intr : (Intr.t * int) option;
     mutable drop_next : bool;
   }
 
-  let create ?intr ~mac () =
+  let create ~mac () =
     if String.length mac <> 6 then invalid_arg "Nic.create: mac must be 6 bytes";
     {
       mac;
       peer = None;
       wire = Queue.create ();
       rx = Queue.create ();
-      intr;
       drop_next = false;
     }
 
@@ -238,25 +177,16 @@ module Nic = struct
         let n = Queue.length t.wire in
         Queue.iter (fun f -> Queue.push f peer.rx) t.wire;
         Queue.clear t.wire;
-        if n > 0 then begin
-          match peer.intr with
-          | None -> ()
-          | Some (intr, vector) -> Intr.raise_irq intr vector
-        end;
         n
 
   let drop_next_tx t = t.drop_next <- true
 
   (* Tap points for fault-injecting links: pull a transmitted frame off the
-     wire before delivery, or push a frame straight into the RX ring (with
-     the RX interrupt), bypassing {!deliver}. *)
+     wire before delivery, or push a frame straight into the RX ring,
+     bypassing {!deliver}. *)
   let take_tx t = Queue.take_opt t.wire
 
-  let inject_rx t frame =
-    Queue.push (Bytes.copy frame) t.rx;
-    match t.intr with
-    | None -> ()
-    | Some (intr, vector) -> Intr.raise_irq intr vector
+  let inject_rx t frame = Queue.push (Bytes.copy frame) t.rx
 
   let receive t = Queue.take_opt t.rx
   let rx_pending t = Queue.length t.rx

@@ -1,68 +1,51 @@
-(** Device models: timer, serial output, disk, network interface and the
-    interrupt controller.
+(** Device models: timer, serial output, disk and network interface.
 
     The paper's component list (Section 1) includes device drivers for a
     network controller, disk controllers, an interrupt controller, a timer
     and serial output; these are the hardware halves those drivers talk
-    to.  Each device is deterministic and interrupt-generating via
-    {!Intr}. *)
+    to.  Each device is deterministic.  None raises interrupts: the kernel
+    polls its devices on every idle tick ([Bi_kernel.Kernel]), so the
+    model has no interrupt controller. *)
 
-(** Interrupt controller: a set of pending vectors with per-vector mask. *)
-module Intr : sig
-  type t
-
-  val create : vectors:int -> t
-  val raise_irq : t -> int -> unit
-  (** Mark a vector pending (idempotent). *)
-
-  val pending : t -> int option
-  (** Highest-priority (lowest-numbered) unmasked pending vector. *)
-
-  val ack : t -> int -> unit
-  (** Clear a pending vector. *)
-
-  val mask : t -> int -> unit
-  val unmask : t -> int -> unit
-  val is_pending : t -> int -> bool
-end
-
-(** Programmable one-shot/periodic timer. *)
+(** Tick counter: the kernel's one clock. *)
 module Timer : sig
   type t
 
-  val create : intr:Intr.t -> vector:int -> t
-  val arm : t -> deadline:int64 -> unit
-  (** Fire when the tick counter reaches [deadline]. *)
-
-  val arm_periodic : t -> interval:int64 -> unit
+  val create : unit -> t
   val tick : t -> unit
-  (** Advance one tick; raises the IRQ at deadlines. *)
+  (** Advance one tick. *)
 
   val now : t -> int64
-  (** Current tick counter. *)
+  (** Ticks since {!create}. *)
 end
 
-(** Write-only serial console that records its output. *)
+(** Write-only serial console that keeps the newest {!capacity} bytes
+    written, as a kernel log ring does. *)
 module Serial : sig
   type t
+
+  val capacity : int
+  (** 16 KiB.  The largest console any test, VC world, example or
+      [bi_os] run writes is about 0.5 KiB, so only a long-running system
+      (a netd restarted thousands of times) ever loses its oldest
+      lines. *)
 
   val create : unit -> t
   val write_char : t -> char -> unit
   val write_string : t -> string -> unit
   val output : t -> string
-  (** Everything written so far. *)
+  (** The newest {!capacity} bytes written (all of them, if fewer). *)
 
   val clear : t -> unit
 end
 
-(** Fixed-geometry sector-addressed disk with a completion interrupt. *)
+(** Fixed-geometry sector-addressed disk. *)
 module Disk : sig
   type t
 
   val sector_size : int
 
-  val create : ?intr:Intr.t * int -> sectors:int -> unit -> t
-  (** [intr] is the controller/vector pair to signal on I/O completion. *)
+  val create : sectors:int -> unit -> t
 
   val sectors : t -> int
   val read_sector : t -> int -> bytes
@@ -110,7 +93,7 @@ module Nic : sig
 
   val mtu : int
 
-  val create : ?intr:Intr.t * int -> mac:string -> unit -> t
+  val create : mac:string -> unit -> t
   (** [mac] is a 6-byte string. *)
 
   val mac : t -> string
@@ -122,8 +105,8 @@ module Nic : sig
       {!mtu}. Frames are delivered by {!deliver}. *)
 
   val deliver : t -> int
-  (** Move queued frames across the wire into peers' RX rings, raising RX
-      interrupts; returns the number delivered.  Separating transmit from
+  (** Move queued frames across the wire into peers' RX rings; returns the
+      number delivered.  Separating transmit from
       delivery lets tests model in-flight loss and reordering. *)
 
   val drop_next_tx : t -> unit
@@ -135,8 +118,8 @@ module Nic : sig
       delivery. *)
 
   val inject_rx : t -> bytes -> unit
-  (** Push a frame straight into this NIC's RX ring, raising its RX
-      interrupt — the other half of a fault-injecting link. *)
+  (** Push a frame straight into this NIC's RX ring — the other half of a
+      fault-injecting link. *)
 
   val receive : t -> bytes option
   (** Dequeue a received frame, if any. *)

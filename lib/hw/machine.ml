@@ -1,16 +1,11 @@
 type t = {
   mem : Phys_mem.t;
   frames : Frame_alloc.t;
-  intr : Device.Intr.t;
   timer : Device.Timer.t;
   serial : Device.Serial.t;
   disk : Device.Disk.t;
   nic : Device.Nic.t;
 }
-
-let timer_vector = 0
-let disk_vector = 1
-let nic_vector = 2
 
 let reserved_frames = 64
 
@@ -23,13 +18,11 @@ let create ?(mem_bytes = 32 * 1024 * 1024) ?(disk_sectors = 2048) () =
       ~base:(Int64.of_int (reserved_frames * page))
       ~frames:(total_frames - reserved_frames)
   in
-  let intr = Device.Intr.create ~vectors:16 in
   {
     mem;
     frames;
-    intr;
-    timer = Device.Timer.create ~intr ~vector:timer_vector;
+    timer = Device.Timer.create ();
     serial = Device.Serial.create ();
-    disk = Device.Disk.create ~intr:(intr, disk_vector) ~sectors:disk_sectors ();
-    nic = Device.Nic.create ~intr:(intr, nic_vector) ~mac:"\x52\x54\x00\x12\x34\x56" ();
+    disk = Device.Disk.create ~sectors:disk_sectors ();
+    nic = Device.Nic.create ~mac:"\x52\x54\x00\x12\x34\x56" ();
   }

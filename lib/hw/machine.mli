@@ -8,21 +8,18 @@
     through its own address space's TLB and paging-structure cache
     ([Bi_kernel.Address_space], one cache pair per PCID), which
     invalidates itself, and the multi-core shootdown cost of Figure 1c is
-    {!Cost_model.shootdown_cost}, which the simulator charges directly. *)
+    {!Cost_model.shootdown_cost}, which the simulator charges directly.
+    Nor has it an interrupt controller: no device raises interrupts, and
+    the kernel polls the NIC and reads the timer on every idle tick. *)
 
 type t = {
   mem : Phys_mem.t;
   frames : Frame_alloc.t;
-  intr : Device.Intr.t;
   timer : Device.Timer.t;
   serial : Device.Serial.t;
   disk : Device.Disk.t;
   nic : Device.Nic.t;
 }
-
-val timer_vector : int
-val disk_vector : int
-val nic_vector : int
 
 val create : ?mem_bytes:int -> ?disk_sectors:int -> unit -> t
 (** Build a machine.  Defaults: 32 MiB memory (first 64 frames reserved for

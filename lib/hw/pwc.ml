@@ -1,31 +1,9 @@
+module C = Fifo_cache.Make (Int)
+
 type entry = { table : Addr.paddr; perm : Pte.perm }
+type t = entry C.t
 
-(* Keys are (resume-level, va-prefix): an entry at level [l] caches the
-   physical base of the level-[l] table on the walk path of every virtual
-   address sharing the prefix above [l].  Level 3 models the PML4E cache
-   (prefix = l4 index), level 2 the PDPTE cache (l4,l3), level 1 the PDE
-   cache (l4,l3,l2). *)
-type key = int * int64
-
-type t = {
-  capacity : int;
-  table : (key, entry) Hashtbl.t;
-  order : key Queue.t; (* insertion order for FIFO eviction *)
-  mutable stale : int; (* invalidated keys still occupying queue slots *)
-  mutable hits : int;
-  mutable misses : int;
-}
-
-let create ~capacity =
-  if capacity <= 0 then invalid_arg "Pwc.create: capacity <= 0";
-  {
-    capacity;
-    table = Hashtbl.create capacity;
-    order = Queue.create ();
-    stale = 0;
-    hits = 0;
-    misses = 0;
-  }
+let create ~capacity = C.create ~capacity
 
 let shift_of_level = function
   | 3 -> 39
@@ -33,89 +11,36 @@ let shift_of_level = function
   | 1 -> 21
   | l -> invalid_arg (Printf.sprintf "Pwc: no paging-structure cache at level %d" l)
 
-let key_of ~level va : key = (level, Int64.shift_right_logical va (shift_of_level level))
+(* An entry at level [l] caches the physical base of the level-[l] table
+   on the walk path of every virtual address sharing the prefix above
+   [l].  Level 3 models the PML4E cache (prefix = l4 index), level 2 the
+   PDPTE cache (l4,l3), level 1 the PDE cache (l4,l3,l2).  The key is the
+   prefix with the level in its two low bits: one immediate, no tuple. *)
+let key_of ~level va =
+  (Int64.to_int (Int64.shift_right_logical va (shift_of_level level)) lsl 2)
+  lor level
 
 (* Deepest-first: resuming at the L1 table skips the most walk reads. *)
 let lookup t va =
-  let rec probe = function
-    | [] ->
-        t.misses <- t.misses + 1;
-        None
-    | level :: rest -> (
-        match Hashtbl.find_opt t.table (key_of ~level va) with
-        | Some e ->
-            t.hits <- t.hits + 1;
-            Some (level, e)
-        | None -> probe rest)
+  let rec probe level =
+    if level > 3 then None
+    else
+      match C.find t (key_of ~level va) with
+      | Some e -> Some (level, e)
+      | None -> probe (level + 1)
   in
-  probe [ 1; 2; 3 ]
+  let r = probe 1 in
+  C.count t ~hit:(Option.is_some r);
+  r
 
-let rec evict_one t =
-  if not (Queue.is_empty t.order) then begin
-    let victim = Queue.pop t.order in
-    if Hashtbl.mem t.table victim then Hashtbl.remove t.table victim
-    else begin
-      t.stale <- t.stale - 1;
-      evict_one t
-    end
-  end
-
-(* Rebuild the FIFO keeping, for each live key, its most recent queue
-   position; drops all stale copies.  Runs when stale copies exceed the
-   capacity so the queue stays O(capacity) even under adversarial
-   invlpg/insert cycling (same bound as the TLB's). *)
-let compact t =
-  let keys = Array.make (Queue.length t.order) (0, 0L) in
-  let n = ref 0 in
-  Queue.iter
-    (fun k ->
-      keys.(!n) <- k;
-      incr n)
-    t.order;
-  Queue.clear t.order;
-  let seen = Hashtbl.create (Hashtbl.length t.table) in
-  let keep = Array.make !n false in
-  for i = !n - 1 downto 0 do
-    if Hashtbl.mem t.table keys.(i) && not (Hashtbl.mem seen keys.(i)) then begin
-      Hashtbl.add seen keys.(i) ();
-      keep.(i) <- true
-    end
-  done;
-  for i = 0 to !n - 1 do
-    if keep.(i) then Queue.push keys.(i) t.order
-  done;
-  t.stale <- 0
-
-let insert t ~level va e =
-  let key = key_of ~level va in
-  if Hashtbl.mem t.table key then Hashtbl.replace t.table key e
-  else begin
-    if Hashtbl.length t.table >= t.capacity then evict_one t;
-    Hashtbl.replace t.table key e;
-    Queue.push key t.order
-  end
+let insert t ~level va e = C.insert t (key_of ~level va) e
 
 let invlpg t va =
-  List.iter
-    (fun level ->
-      let key = key_of ~level va in
-      if Hashtbl.mem t.table key then begin
-        Hashtbl.remove t.table key;
-        t.stale <- t.stale + 1
-      end)
-    [ 1; 2; 3 ];
-  if t.stale > t.capacity then compact t
+  List.iter (fun level -> C.invalidate t (key_of ~level va)) [ 1; 2; 3 ]
 
-let flush t =
-  Hashtbl.reset t.table;
-  Queue.clear t.order;
-  t.stale <- 0
-
-let entry_count t = Hashtbl.length t.table
-let queue_length t = Queue.length t.order
-let hits t = t.hits
-let misses t = t.misses
-
-let reset_counters t =
-  t.hits <- 0;
-  t.misses <- 0
+let flush = C.flush
+let entry_count = C.entry_count
+let queue_length = C.queue_length
+let hits = C.hits
+let misses = C.misses
+let reset_counters = C.reset_counters

@@ -19,7 +19,8 @@
     each process's [Bi_kernel.Address_space] owns one beside its TLB and
     invalidates every page it unmaps or re-protects, so a context switch
     needs no flush (PCID).  A cache shared by several address spaces
-    would have to be {!flush}ed on every CR3 switch. *)
+    would have to be {!flush}ed on every CR3 switch.  The cache is
+    {!Fifo_cache}, the same one under {!Tlb}, keyed by level and prefix. *)
 
 type entry = { table : Addr.paddr; perm : Pte.perm }
 (** [table] is the physical base of the table at the entry's level;
@@ -28,8 +29,8 @@ type entry = { table : Addr.paddr; perm : Pte.perm }
 type t
 
 val create : capacity:int -> t
-(** A [capacity]-entry cache with pseudo-LRU (FIFO) replacement shared
-    across the three levels. *)
+(** A [capacity]-entry cache with FIFO replacement shared across the
+    three levels: a full cache evicts its oldest live entry. *)
 
 val lookup : t -> Addr.vaddr -> (int * entry) option
 (** Deepest cached walk state for [va]: [(1, e)] means the walk can
@@ -51,8 +52,8 @@ val flush : t -> unit
 val entry_count : t -> int
 
 val queue_length : t -> int
-(** FIFO bookkeeping queue length; bounded at O(capacity) even under
-    repeated [invlpg] + re-[insert] cycles (same compaction as the TLB). *)
+(** FIFO bookkeeping queue length; under twice the capacity even under
+    repeated [invlpg] + re-[insert] cycles. *)
 
 val hits : t -> int
 val misses : t -> int

@@ -1,105 +1,23 @@
+module C = Fifo_cache.Make (Int)
+
 type entry = { frame : Addr.paddr; perm : Pte.perm }
+type t = entry C.t
 
-type t = {
-  capacity : int;
-  table : (Addr.vaddr, entry) Hashtbl.t;
-  order : Addr.vaddr Queue.t; (* insertion order for FIFO eviction *)
-  mutable stale : int; (* invalidated keys still occupying queue slots *)
-  mutable hits : int;
-  mutable misses : int;
-}
+let create ~capacity = C.create ~capacity
 
-let create ~capacity =
-  if capacity <= 0 then invalid_arg "Tlb.create: capacity <= 0";
-  {
-    capacity;
-    table = Hashtbl.create capacity;
-    order = Queue.create ();
-    stale = 0;
-    hits = 0;
-    misses = 0;
-  }
+(* The virtual page number: an immediate, so a probe allocates no key. *)
+let key va = Int64.to_int (Int64.shift_right_logical va 12)
 
 let lookup t va =
-  let key = Addr.vpage_4k va in
-  match Hashtbl.find_opt t.table key with
-  | Some e ->
-      t.hits <- t.hits + 1;
-      Some e
-  | None ->
-      t.misses <- t.misses + 1;
-      None
+  let e = C.find t (key va) in
+  C.count t ~hit:(Option.is_some e);
+  e
 
-let rec evict_one t =
-  if not (Queue.is_empty t.order) then begin
-    let victim = Queue.pop t.order in
-    (* The queue can hold keys already invalidated; skip them. *)
-    if Hashtbl.mem t.table victim then Hashtbl.remove t.table victim
-    else begin
-      t.stale <- t.stale - 1;
-      evict_one t
-    end
-  end
-
-(* Rebuild the FIFO keeping, for each live key, its most recent queue
-   position; drops all stale copies.  Bounds the queue at
-   O(capacity) even when the same hot page is invalidated and
-   re-inserted forever — without this, each invlpg/insert cycle leaves
-   one more stale copy behind and stale copies only drain on eviction,
-   which a non-full TLB never performs. *)
-let compact t =
-  let keys = Array.make (Queue.length t.order) 0L in
-  let n = ref 0 in
-  Queue.iter
-    (fun k ->
-      keys.(!n) <- k;
-      incr n)
-    t.order;
-  Queue.clear t.order;
-  let seen = Hashtbl.create (Hashtbl.length t.table) in
-  let keep = Array.make !n false in
-  for i = !n - 1 downto 0 do
-    if Hashtbl.mem t.table keys.(i) && not (Hashtbl.mem seen keys.(i)) then begin
-      Hashtbl.add seen keys.(i) ();
-      keep.(i) <- true
-    end
-  done;
-  for i = 0 to !n - 1 do
-    if keep.(i) then Queue.push keys.(i) t.order
-  done;
-  t.stale <- 0
-
-let insert t va e =
-  let key = Addr.vpage_4k va in
-  if Hashtbl.mem t.table key then
-    (* Already cached: refresh the translation in place.  Re-enqueueing
-       the key would grow the FIFO without bound for hot pages and make
-       them occupy several eviction slots. *)
-    Hashtbl.replace t.table key e
-  else begin
-    if Hashtbl.length t.table >= t.capacity then evict_one t;
-    Hashtbl.replace t.table key e;
-    Queue.push key t.order
-  end
-
-let invlpg t va =
-  let key = Addr.vpage_4k va in
-  if Hashtbl.mem t.table key then begin
-    Hashtbl.remove t.table key;
-    t.stale <- t.stale + 1;
-    if t.stale > t.capacity then compact t
-  end
-
-let flush t =
-  Hashtbl.reset t.table;
-  Queue.clear t.order;
-  t.stale <- 0
-
-let entry_count t = Hashtbl.length t.table
-let queue_length t = Queue.length t.order
-let hits t = t.hits
-let misses t = t.misses
-
-let reset_counters t =
-  t.hits <- 0;
-  t.misses <- 0
+let insert t va e = C.insert t (key va) e
+let invlpg t va = C.invalidate t (key va)
+let flush = C.flush
+let entry_count = C.entry_count
+let queue_length = C.queue_length
+let hits = C.hits
+let misses = C.misses
+let reset_counters = C.reset_counters

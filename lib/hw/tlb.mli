@@ -7,14 +7,16 @@
     invalidated, which is why unmap must end with an [invlpg] (and a
     shootdown on other cores, costed in the Figure 1c benchmark).  The
     kernel gives each address space its own TLB
-    ([Bi_kernel.Address_space]). *)
+    ([Bi_kernel.Address_space]).  The cache is {!Fifo_cache}, the same
+    one under {!Pwc}. *)
 
 type entry = { frame : Addr.paddr; perm : Pte.perm }
 
 type t
 
 val create : capacity:int -> t
-(** A [capacity]-entry TLB with pseudo-LRU (FIFO) replacement. *)
+(** A [capacity]-entry TLB with FIFO replacement: a full TLB evicts its
+    oldest live entry. *)
 
 val lookup : t -> Addr.vaddr -> entry option
 (** Lookup by the enclosing 4 KiB virtual page. *)
@@ -22,7 +24,8 @@ val lookup : t -> Addr.vaddr -> entry option
 val insert : t -> Addr.vaddr -> entry -> unit
 (** Cache a translation for the enclosing 4 KiB virtual page.  Inserting
     a page that is already cached refreshes the entry in place without
-    affecting its FIFO eviction position. *)
+    affecting its FIFO eviction position; a page inserted again after
+    {!invlpg} is the newest entry. *)
 
 val invlpg : t -> Addr.vaddr -> unit
 (** Invalidate the entry covering the address, if cached. *)
@@ -37,7 +40,7 @@ val queue_length : t -> int
     {!entry_count} only by the number of invalidated-but-not-yet-evicted
     keys, which is itself bounded by the capacity: repeated insertion of
     cached pages must not grow it, and repeated [invlpg] + re-[insert]
-    cycles on the same hot page compact the queue once the stale copies
+    cycles on the same hot page compact the queue once the dead slots
     outnumber the capacity (regression hooks). *)
 
 val hits : t -> int

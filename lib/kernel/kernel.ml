@@ -65,7 +65,6 @@ and t = {
   mutable next_pid : int;
   mutable next_tid : int;
   mutable next_entry : int;
-  mutable ticks : int;
   mutable tracing : bool;
   mutable trace_log : (int * Sysabi.request * Sysabi.response) list;
   mutable peer : t option; (* for run_pair *)
@@ -93,7 +92,6 @@ let create ?(mem_bytes = 32 * 1024 * 1024) ?(disk_sectors = 4096)
     next_pid = 1;
     next_tid = 1;
     next_entry = 1;
-    ticks = 0;
     tracing = false;
     trace_log = [];
     peer = None;
@@ -116,6 +114,9 @@ let register_entry t f =
 let set_trace t on = t.tracing <- on
 let trace t = List.rev t.trace_log
 let serial_output t = Bi_hw.Device.Serial.output t.machine.Machine.serial
+
+(* The machine's timer is the kernel's one clock: idle ticks advance it. *)
+let now t = Int64.to_int (Bi_hw.Device.Timer.now t.machine.Machine.timer)
 
 let process_count t = Hashtbl.length t.processes
 
@@ -346,7 +347,8 @@ and handle t th (req : Sysabi.request) : Sysabi.response option =
   | Sysabi.Getpid -> Some (Sysabi.R_int th.t_pid)
   | Sysabi.Gettid -> Some (Sysabi.R_int th.tid)
   | Sysabi.Yield -> Some Sysabi.R_unit
-  | Sysabi.Now -> Some (Sysabi.R_i64 (Int64.of_int t.ticks))
+  | Sysabi.Now ->
+      Some (Sysabi.R_i64 (Bi_hw.Device.Timer.now t.machine.Machine.timer))
   | Sysabi.Log msg ->
       Bi_hw.Device.Serial.write_string t.machine.Machine.serial (msg ^ "\n");
       Some Sysabi.R_unit
@@ -655,9 +657,9 @@ and dispatch t th (req : Sysabi.request)
                  returns, with the response the thread actually gets. *)
               let deadline =
                 match req with
-                | Sysabi.Sleep ticks -> t.ticks + ticks
+                | Sysabi.Sleep ticks -> now t + ticks
                 | Sysabi.Tcp_recv { timeout; _ } when timeout > 0 ->
-                    t.ticks + timeout
+                    now t + timeout
                 | _ -> max_int
               in
               (match req with
@@ -683,22 +685,24 @@ let user_store (s : sys) ~va v =
 (* ------------------------------------------------------------------ *)
 (* Time advance and unblocking                                         *)
 
+(* One tick of the machine's timer.  No device raises an interrupt:
+   instead, every tick moves frames across the wire, polls our stack and,
+   every fourth tick, runs the TCP timers. *)
 let advance_time t =
-  t.ticks <- t.ticks + 1;
   Bi_hw.Device.Timer.tick t.machine.Machine.timer;
-  (* Move frames across the wire, poll our stack, tick TCP timers. *)
   ignore (Nic.deliver t.machine.Machine.nic : int);
   (match t.peer with
   | Some peer -> ignore (Nic.deliver peer.machine.Machine.nic : int)
   | None -> ());
   Stack.poll t.stack;
-  if t.ticks mod 4 = 0 then Stack.tick t.stack
+  if now t mod 4 = 0 then Stack.tick t.stack
 
 (* Ask every parked call again.  A futex wait, a wait and a join are
    answered by the call that satisfies them instead; any other call that
    is still blocked at its deadline returns [R_unit] if it is a [Sleep],
    [E_again] otherwise. *)
 let try_unblock t =
+  let now = now t in
   Hashtbl.iter
     (fun _ th ->
       match th.tstate with
@@ -709,7 +713,7 @@ let try_unblock t =
       | Blocked (req, deadline, _) -> (
           match handle t th req with
           | Some resp -> wake t th resp
-          | None when t.ticks >= deadline ->
+          | None when now >= deadline ->
               wake t th
                 (match req with
                 | Sysabi.Sleep _ -> Sysabi.R_unit

@@ -1,54 +1,14 @@
 module Addr = Bi_hw.Addr
 module Pte = Bi_hw.Pte
-module Phys_mem = Bi_hw.Phys_mem
-module Frame_alloc = Bi_hw.Frame_alloc
 module Mmu = Bi_hw.Mmu
 module Vc = Bi_core.Vc
 module Gen = Bi_core.Gen
 
-let fresh_pt () =
-  let mem = Phys_mem.create ~size:(2 * 1024 * 1024) in
-  let frames =
-    Frame_alloc.create ~mem ~base:0x40000L
-      ~frames:((2 * 1024 * 1024 / 4096) - 64)
-  in
-  Page_table.create ~mem ~frames
+module R = Pt_refinement.R
 
-module Impl = struct
-  type t = Page_table.t
-  type op = Pt_spec.op
-  type ret = Pt_spec.ret
-
-  let step pt = function
-    | Pt_spec.Map { va; m } -> (
-        match
-          Page_table.map pt ~va ~frame:m.Pt_spec.frame ~size:m.Pt_spec.size
-            ~perm:m.Pt_spec.perm
-        with
-        | Ok () -> Pt_spec.Mapped
-        | Error e -> Pt_spec.Error e)
-    | Pt_spec.Unmap { va } -> (
-        match Page_table.unmap pt ~va with
-        | Ok frame -> Pt_spec.Unmapped frame
-        | Error e -> Pt_spec.Error e)
-    | Pt_spec.Resolve { va } -> (
-        match Page_table.resolve pt ~va with
-        | Ok (pa, perm) -> Pt_spec.Resolved (pa, perm)
-        | Error e -> Pt_spec.Error e)
-    | Pt_spec.Protect { va; perm } -> (
-        match Page_table.protect pt ~va ~perm with
-        | Ok () -> Pt_spec.Mapped
-        | Error e -> Pt_spec.Error e)
-end
-
-module R = Bi_core.Refinement.Make (Pt_spec) (Impl)
-
-let trace_vc ~id ops =
-  R.vc ~id ~category:"ext/protect" ~view:Page_table.view ~make_impl:fresh_pt
-    ~init:Pt_spec.empty ops
-
-let va_at ?(l4 = 0) ?(l3 = 0) ?(l2 = 0) ?(l1 = 0) () =
-  Addr.of_indices ~l4 ~l3 ~l2 ~l1 ~offset:0L
+let fresh_pt = Pt_refinement.fresh_pt
+let va_at = Pt_refinement.va_at
+let trace_vc ~id ops = Pt_refinement.trace_vc ~id ~category:"ext/protect" ops
 
 let sizes =
   [

@@ -22,6 +22,32 @@
 val count : int
 (** 220, matching the paper. *)
 
+(** {1 Refinement harness}
+
+    Shared with {!Pt_extensions}. *)
+
+val fresh_pt : ?bytes:int -> unit -> Page_table.t
+(** A page table over [bytes] of memory (default 2 MiB) whose first 64
+    frames are kept out of the allocator for data probes. *)
+
+val va_at :
+  ?l4:int -> ?l3:int -> ?l2:int -> ?l1:int -> ?offset:int64 -> unit ->
+  Bi_hw.Addr.vaddr
+(** The virtual address with these table indices (default 0). *)
+
+(** {!Page_table} as a step function over {!Pt_spec} operations. *)
+module Impl :
+  Bi_core.Refinement.IMPL
+    with type t = Page_table.t
+     and type op = Pt_spec.op
+     and type ret = Pt_spec.ret
+
+module R : module type of Bi_core.Refinement.Make (Pt_spec) (Impl)
+
+val trace_vc : id:string -> category:string -> Pt_spec.op list -> Bi_core.Vc.t
+(** The trace refines {!Pt_spec} from the empty state, on a
+    {!fresh_pt}. *)
+
 val all : unit -> Bi_core.Vc.t list
 (** Generate the full suite.  [List.length (all ()) = count]. *)
 

@@ -579,6 +579,23 @@ let test_tlb_invlpg_vs_eviction () =
     (Tlb.lookup tlb 0x3000L <> None && Tlb.lookup tlb 0x4000L <> None);
   check Alcotest.int "at capacity" 2 (Tlb.entry_count tlb)
 
+let test_tlb_reinserted_page_is_newest () =
+  (* Regression: invlpg left the page's old FIFO slot in the queue, and a
+     re-inserted page was evicted through that slot, before older
+     entries. *)
+  let tlb = Tlb.create ~capacity:2 in
+  let e = { Tlb.frame = 0x1000L; perm = Pte.user_rw } in
+  Tlb.insert tlb 0xA000L e;
+  Tlb.insert tlb 0xB000L e;
+  Tlb.invlpg tlb 0xA000L;
+  Tlb.insert tlb 0xA000L e;
+  Tlb.insert tlb 0xC000L e;
+  check Alcotest.bool "oldest live entry evicted" true
+    (Tlb.lookup tlb 0xB000L = None);
+  check Alcotest.bool "re-inserted page kept" true
+    (Tlb.lookup tlb 0xA000L <> None);
+  check Alcotest.bool "newest kept" true (Tlb.lookup tlb 0xC000L <> None)
+
 let test_tlb_invlpg_and_flush () =
   let tlb = Tlb.create ~capacity:8 in
   let e = { Tlb.frame = 0x1000L; perm = Pte.user_rw } in
@@ -653,6 +670,20 @@ let test_pwc_capacity_eviction () =
   check Alcotest.bool "oldest evicted" true (Pwc.lookup pwc (va_of 1) = None);
   check Alcotest.bool "newest kept" true (Pwc.lookup pwc (va_of 3) <> None)
 
+let test_pwc_reinserted_prefix_is_newest () =
+  let pwc = Pwc.create ~capacity:2 in
+  let va_of l2 = Addr.of_indices ~l4:0 ~l3:0 ~l2 ~l1:0 ~offset:0L in
+  Pwc.insert pwc ~level:1 (va_of 1) (pwc_entry 0x2000L);
+  Pwc.insert pwc ~level:1 (va_of 2) (pwc_entry 0x3000L);
+  Pwc.invlpg pwc (va_of 1);
+  Pwc.insert pwc ~level:1 (va_of 1) (pwc_entry 0x2000L);
+  Pwc.insert pwc ~level:1 (va_of 3) (pwc_entry 0x4000L);
+  check Alcotest.bool "oldest live entry evicted" true
+    (Pwc.lookup pwc (va_of 2) = None);
+  check Alcotest.bool "re-inserted prefix kept" true
+    (Pwc.lookup pwc (va_of 1) <> None);
+  check Alcotest.bool "newest kept" true (Pwc.lookup pwc (va_of 3) <> None)
+
 (* ------------------------------------------------------------------ *)
 (* Mmu + caches *)
 
@@ -700,40 +731,13 @@ let test_mmu_pwc_resume () =
 (* ------------------------------------------------------------------ *)
 (* Devices *)
 
-let test_intr_priority_and_mask () =
-  let i = Device.Intr.create ~vectors:8 in
-  Device.Intr.raise_irq i 5;
-  Device.Intr.raise_irq i 2;
-  check (Alcotest.option Alcotest.int) "lowest vector first" (Some 2)
-    (Device.Intr.pending i);
-  Device.Intr.mask i 2;
-  check (Alcotest.option Alcotest.int) "masked skipped" (Some 5)
-    (Device.Intr.pending i);
-  Device.Intr.unmask i 2;
-  Device.Intr.ack i 2;
-  check (Alcotest.option Alcotest.int) "after ack" (Some 5)
-    (Device.Intr.pending i)
-
-let test_timer_oneshot_and_periodic () =
-  let i = Device.Intr.create ~vectors:2 in
-  let t = Device.Timer.create ~intr:i ~vector:0 in
-  Device.Timer.arm t ~deadline:3L;
-  Device.Timer.tick t;
-  Device.Timer.tick t;
-  check Alcotest.bool "not yet" false (Device.Intr.is_pending i 0);
-  Device.Timer.tick t;
-  check Alcotest.bool "fired at deadline" true (Device.Intr.is_pending i 0);
-  Device.Intr.ack i 0;
-  Device.Timer.tick t;
-  check Alcotest.bool "one-shot" false (Device.Intr.is_pending i 0);
-  Device.Timer.arm_periodic t ~interval:2L;
-  Device.Timer.tick t;
-  Device.Timer.tick t;
-  check Alcotest.bool "periodic fires" true (Device.Intr.is_pending i 0);
-  Device.Intr.ack i 0;
-  Device.Timer.tick t;
-  Device.Timer.tick t;
-  check Alcotest.bool "fires again" true (Device.Intr.is_pending i 0)
+let test_timer_ticks () =
+  let t = Device.Timer.create () in
+  check Alcotest.int64 "starts at zero" 0L (Device.Timer.now t);
+  for _ = 1 to 3 do
+    Device.Timer.tick t
+  done;
+  check Alcotest.int64 "one per tick" 3L (Device.Timer.now t)
 
 let test_serial_output () =
   let s = Device.Serial.create () in
@@ -742,6 +746,22 @@ let test_serial_output () =
   check Alcotest.string "accumulates" "hello w" (Device.Serial.output s);
   Device.Serial.clear s;
   check Alcotest.string "clears" "" (Device.Serial.output s)
+
+let test_serial_keeps_newest_bytes () =
+  let s = Device.Serial.create () in
+  let line i = Printf.sprintf "line %05d\n" i in
+  let lines = List.init ((Device.Serial.capacity / 11) + 100) line in
+  List.iter (Device.Serial.write_string s) lines;
+  let all = String.concat "" lines in
+  let n = String.length all and cap = Device.Serial.capacity in
+  check Alcotest.bool "wrote past the bound" true (n > cap);
+  check Alcotest.string "exactly the newest bytes"
+    (String.sub all (n - cap) cap)
+    (Device.Serial.output s);
+  Device.Serial.write_char s '!';
+  check Alcotest.string "one more byte drops the oldest"
+    (String.sub all (n - cap + 1) (cap - 1) ^ "!")
+    (Device.Serial.output s)
 
 let sector c = Bytes.make Device.Disk.sector_size c
 
@@ -924,6 +944,8 @@ let () =
             test_tlb_invlpg_reinsert_bounded;
           Alcotest.test_case "invlpg vs eviction" `Quick
             test_tlb_invlpg_vs_eviction;
+          Alcotest.test_case "re-inserted page is the newest" `Quick
+            test_tlb_reinserted_page_is_newest;
         ] );
       ( "pwc",
         [
@@ -933,15 +955,18 @@ let () =
             test_pwc_queue_bounded;
           Alcotest.test_case "capacity eviction" `Quick
             test_pwc_capacity_eviction;
+          Alcotest.test_case "re-inserted prefix is the newest" `Quick
+            test_pwc_reinserted_prefix_is_newest;
           Alcotest.test_case "mmu tlb-hit protection level 0" `Quick
             test_mmu_tlb_hit_protection_level0;
           Alcotest.test_case "mmu pwc resume" `Quick test_mmu_pwc_resume;
         ] );
       ( "devices",
         [
-          Alcotest.test_case "intr priority/mask" `Quick test_intr_priority_and_mask;
-          Alcotest.test_case "timer modes" `Quick test_timer_oneshot_and_periodic;
+          Alcotest.test_case "timer ticks" `Quick test_timer_ticks;
           Alcotest.test_case "serial" `Quick test_serial_output;
+          Alcotest.test_case "serial keeps the newest bytes" `Quick
+            test_serial_keeps_newest_bytes;
           Alcotest.test_case "disk rw/flush" `Quick test_disk_rw_and_flush;
           Alcotest.test_case "disk crash" `Quick test_disk_crash_semantics;
           Alcotest.test_case "disk buffers not aliased" `Quick
