@@ -197,28 +197,9 @@ let bench_marshal () =
         (Bi_kernel.Sysabi.decode_request (Bi_kernel.Sysabi.encode_request req)))
     reqs
 
-(* NR ablation: single-threaded execute through the real NR machinery. *)
-module Counter = struct
-  type t = int ref
-  type op = Incr | Read
-  type ret = int
-
-  let create () = ref 0
-  let apply t = function
-    | Incr -> incr t; !t
-    | Read -> !t
-
-  include Bi_nr.Seq_ds.Batch_of_apply (struct
-    type nonrec t = t
-    type nonrec op = op
-    type nonrec ret = ret
-
-    let apply = apply
-  end)
-
-  let is_read_only = function Read -> true | Incr -> false
-end
-
+(* NR ablation: single-threaded execute through the real NR machinery,
+   over the counter the NR suites replicate. *)
+module Counter = Bi_nr.Counter
 module Nrc = Bi_nr.Nr.Make (Counter)
 
 let nr_subject = Nrc.create ~replicas:2 ~threads_per_replica:2 ()

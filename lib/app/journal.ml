@@ -337,21 +337,16 @@ let fs_sink fs ~path = file_sink (Files.of_fs fs) ~path
 type t = {
   sink : sink;
   mutable size : int;  (** bytes, as of the last load/append/replace *)
-  mutable appends : int;
-  mutable replaces : int;
 }
 
-let create sink = { sink; size = 0; appends = 0; replaces = 0 }
+let create sink = { sink; size = 0 }
 let size t = t.size
-let appends t = t.appends
-let replaces t = t.replaces
 
 let append t r =
   let b = frame_record r in
   match t.sink.sink_append b with
   | Ok () ->
       t.size <- t.size + Bytes.length b;
-      t.appends <- t.appends + 1;
       Ok ()
   | Error _ as e -> e
 
@@ -367,6 +362,5 @@ let replace_with t rs =
   match t.sink.sink_replace b with
   | Ok () ->
       t.size <- Bytes.length b;
-      t.replaces <- t.replaces + 1;
       Ok ()
   | Error _ as e -> e

@@ -99,9 +99,6 @@ val size : t -> int
 (** Bytes in the journal as of the last load/append/replace — the
     checkpoint trigger compares this against its threshold. *)
 
-val appends : t -> int
-val replaces : t -> int
-
 val append : t -> record -> (unit, Protocol.err) result
 val load : t -> (record list * bool, Protocol.err) result
 (** All records plus the torn-tail flag; also refreshes {!size}. *)

@@ -73,12 +73,12 @@ val create : ?config:config -> client:int -> clock -> endpoint -> t
 (** [client] is this client's id in every transaction it mints; two
     clients retrying against one node must not share it. *)
 
-val next_txn : t -> Protocol.txn
-(** Mint a fresh transaction id (strictly increasing [seq]).  [put] and
-    [delete] call this internally; {!Replica_set} mints one txn and
-    shares it across replicas via {!put_txn}/{!delete_txn}. *)
-
 val put : t -> key:string -> value:string -> (unit, error) result
+(** [put] and {!delete} mint a fresh transaction id per call (strictly
+    increasing [seq]).  {!Replica_set} and {!Shard_router} each mint
+    their own and pass one txn to {!put_txn}/{!delete_txn}, so every
+    replica, or every re-route, sees the same id. *)
+
 val put_txn : t -> txn:Protocol.txn -> key:string -> value:string ->
   (unit, error) result
 

@@ -1133,85 +1133,3 @@ let exactly_once_vcs =
 let vcs () =
   protocol_vcs @ node_vcs @ backoff_vcs @ breaker_vcs @ client_vcs
   @ exactly_once_vcs @ lin_vcs @ replica_vcs @ mutation_vcs @ crash_vcs
-
-(* ================================================================== *)
-(* Bench scenario (pinned by test_sim)                                  *)
-
-type bench = {
-  ops : int;
-  attempts : int;
-  retries : int;
-  failovers : int;
-  failover_rounds : int;
-  breaker_opens : int;
-  breaker_closes : int;
-  dup_hits : int;
-  applied : int;
-  rounds : int;
-}
-
-let bench_stats () =
-  let s = Vtime.make () in
-  let nodes =
-    List.init 2 (fun i ->
-        seeded_node ~tag:"bench" ~i ~seed:(41 + i) ~rates:rates_mixed ~limit:12
-          ())
-  in
-  let w = World.create s nodes in
-  let eps = List.init 2 (fun i -> World.endpoint w i ~attempt_timeout) in
-  let set =
-    Replica_set.create
-      ~config:{ (patient_config 17) with max_attempts = 4; deadline = 300 }
-      ~client:1 (World.clock w) eps
-  in
-  let ops = ref 0 in
-  let failover_rounds = ref 0 in
-  let worker proc () =
-    for i = 1 to 10 do
-      incr ops;
-      let key = Printf.sprintf "k%d" ((i + proc) mod 4) in
-      (match (i + proc) mod 3 with
-      | 0 -> ignore (Replica_set.put set ~key ~value:(Printf.sprintf "v%d.%d" proc i))
-      | 1 -> ignore (Replica_set.get set ~key)
-      | _ -> ignore (Replica_set.delete set ~key));
-      Vtime.sleep (1 + (i mod 3))
-    done
-  in
-  let controller () =
-    Vtime.sleep 40;
-    World.crash w 0;
-    (* The post-crash read measures failover latency. *)
-    let t0 = Vtime.now s in
-    incr ops;
-    ignore (Replica_set.get set ~key:"k1");
-    failover_rounds := Vtime.now s - t0;
-    Vtime.sleep 30;
-    World.restart w 0;
-    ignore (Replica_set.check_health set);
-    ignore (Replica_set.resync set)
-  in
-  let rounds = run_world s w [ worker 1; worker 2; controller ] in
-  let st = Replica_set.stats set in
-  let applied =
-    Array.fold_left
-      (fun acc n -> acc + Node_core.applied n.World.core)
-      0 w.World.nodes
-  in
-  let dup_hits =
-    Array.fold_left
-      (fun acc n -> acc + Node_core.dup_hits n.World.core)
-      0 w.World.nodes
-  in
-  {
-    ops = !ops;
-    attempts = st.RC.attempts;
-    retries = st.RC.retries;
-    failovers = Replica_set.failovers set;
-    failover_rounds = !failover_rounds;
-    breaker_opens = st.RC.breaker_opens;
-    breaker_closes = st.RC.breaker_closes;
-    dup_hits;
-    applied;
-    rounds;
-  }
-

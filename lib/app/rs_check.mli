@@ -46,21 +46,3 @@ val positive_control : unit -> control
     completes, shrunk to a single [Drop] and replayed.  Pinned by the
     [rs/mutation/shrunk-replay] VC, [test_app]'s "fault-injection
     positive control" and [test_sim]'s "rs positive_control". *)
-
-type bench = {
-  ops : int;
-  attempts : int;
-  retries : int;
-  failovers : int;
-  failover_rounds : int;  (** Simulated rounds for the post-crash read. *)
-  breaker_opens : int;
-  breaker_closes : int;
-  dup_hits : int;
-  applied : int;
-  rounds : int;  (** Total virtual rounds the scenario ran. *)
-}
-
-val bench_stats : unit -> bench
-(** A fixed replicated scenario (two replicas, seeded mixed faults,
-    crash + restart + resync of the primary): retries, failovers,
-    breaker churn.  [test_sim]'s "rs bench_stats" pins every field. *)

@@ -9,9 +9,8 @@ module World = Sim_world
 module KV = Store_spec
 
 (* Client fibers run on the {!Vtime} scheduler against sharded nodes of
-   the {!Sim_world}, each with a bounded service rate so [bench_stats]'
-   throughput scales with shard spread.  Histories are checked against the one
-   key-value specification, {!Store_spec}. *)
+   the {!Sim_world}.  Histories are checked against the one key-value
+   specification, {!Store_spec}. *)
 
 let record rc s = KV.record rc ~now:(fun () -> Vtime.now s)
 
@@ -59,14 +58,13 @@ type env = {
   cluster : SR.cluster;
 }
 
-let make_cluster ?(nshards = 4) ?(nnodes = 2) ?service_rate ?mutant ~tag ~seed
-    ~rates ~limit () =
+let make_cluster ?(nshards = 4) ?(nnodes = 2) ?mutant ~tag ~seed ~rates ~limit
+    () =
   let s = Vtime.make () in
   let nodes =
     List.init nnodes (fun i ->
         World.node
           ~name:(Printf.sprintf "n%d" i)
-          ?service_rate
           ~req_plan:
             (FP.seeded
                ~name:(Printf.sprintf "sh/%s/n%d/req" tag i)
@@ -95,9 +93,8 @@ let make_cluster ?(nshards = 4) ?(nnodes = 2) ?service_rate ?mutant ~tag ~seed
   cluster := Some c;
   { sched = s; world = w; cluster = c }
 
-let quiet_cluster ?nshards ?nnodes ?service_rate ?mutant ~tag () =
-  make_cluster ?nshards ?nnodes ?service_rate ?mutant ~tag ~seed:1
-    ~rates:rates_pass ~limit:0 ()
+let quiet_cluster ?nshards ?mutant ~tag () =
+  make_cluster ?nshards ?mutant ~tag ~seed:1 ~rates:rates_pass ~limit:0 ()
 
 let run_world env fibers =
   List.iter (Vtime.spawn env.sched) fibers;
@@ -637,7 +634,7 @@ let router_vcs =
                  Node_core.unfreeze (core_of env owner) ~shard:0);
              ]);
         !result = Ok ()
-        && (SR.stats r).SR.wrong_shard_retries >= 1
+        && SR.wrong_shard_retries r >= 1
         && Node_core.applied (core_of env owner) = 1);
     Vc.prop ~id:"sh/router/scatter-list" ~category:cat_router (fun () ->
         let env = quiet_cluster ~nshards:4 ~tag:"scatter" () in
@@ -671,7 +668,7 @@ let router_vcs =
         ignore
           (run_world env [ (fun () -> result := SR.put r ~key:k ~value:"v") ]);
         (match !result with Error (RC.Exhausted _) -> true | _ -> false)
-        && (SR.stats r).SR.wrong_shard_retries = 3);
+        && SR.wrong_shard_retries r = 3);
     Vc.prop ~id:"sh/router/reads-route" ~category:cat_router (fun () ->
         let env = quiet_cluster ~nshards:4 ~tag:"reads" () in
         let w = router ~config:(patient_config 6) ~client:1 env in
@@ -1020,115 +1017,3 @@ let mutation_vcs =
 let vcs () =
   map_vcs @ protocol_vcs @ node_vcs @ router_vcs @ migrate_vcs @ lin_vcs
   @ mutation_vcs
-
-(* ================================================================== *)
-(* Bench scenarios (pinned by test_sim)                                 *)
-
-type bench_point = {
-  bp_nodes : int;
-  bp_nshards : int;
-  bp_ops : int;
-  bp_rounds : int;
-  bp_ops_per_kround : int;
-}
-
-type bench = {
-  points : bench_point list;
-  mig_rounds : int;
-  mig_keys_moved : int;
-  mig_dups_carried : int;
-  mig_pause_rounds : int;
-  mig_wrong_shard_retries : int;
-}
-
-(* Throughput vs shard spread: a fixed 8-shard keyspace served by 1, 2,
-   4 or 8 nodes whose service rate is the bottleneck (2 requests per
-   round), so wall-clock rounds shrink as the shards spread out. *)
-let throughput_point ~nnodes =
-  let nshards = 8 in
-  let env =
-    make_cluster ~nshards ~nnodes ~service_rate:2
-      ~tag:(Printf.sprintf "bench%d" nnodes)
-      ~seed:1 ~rates:rates_pass ~limit:0 ()
-  in
-  let ops = ref 0 in
-  let worker p =
-    let r = router ~config:(patient_config (20 + p)) ~client:p env in
-    fun () ->
-      for i = 1 to 24 do
-        incr ops;
-        let key = Printf.sprintf "b%d" ((i + p) mod 16) in
-        match (i + p) mod 2 with
-        | 0 -> ignore (SR.put r ~key ~value:(Printf.sprintf "v%d" i))
-        | _ -> ignore (SR.get r ~key)
-      done
-  in
-  let rounds = run_world env (List.init 12 (fun p -> worker (p + 1))) in
-  {
-    bp_nodes = nnodes;
-    bp_nshards = nshards;
-    bp_ops = !ops;
-    bp_rounds = rounds;
-    bp_ops_per_kround = (if rounds = 0 then 0 else !ops * 1000 / rounds);
-  }
-
-let migration_bench () =
-  let nshards = 8 in
-  let env =
-    make_cluster ~nshards ~nnodes:2 ~service_rate:4 ~tag:"benchmig" ~seed:2
-      ~rates:rates_pass ~limit:0 ()
-  in
-  let c = env.cluster in
-  let keys = List.init 24 (fun i -> Printf.sprintf "m%d" i) in
-  let setup = router ~config:(patient_config 30) ~client:1 env in
-  let worker_routers =
-    List.init 4 (fun p ->
-        let p = p + 2 in
-        (p, router ~config:(patient_config (30 + p)) ~client:p env))
-  in
-  let workers =
-    List.map
-      (fun (p, r) () ->
-        Vtime.sleep 30;
-        for i = 1 to 12 do
-          let key = Printf.sprintf "m%d" ((i + (5 * p)) mod 24) in
-          (match (i + p) mod 2 with
-          | 0 -> ignore (SR.put r ~key ~value:(Printf.sprintf "w%d" i))
-          | _ -> ignore (SR.get r ~key));
-          Vtime.sleep 1
-        done)
-      worker_routers
-  in
-  let mig = router ~config:(patient_config 29) ~client:99 env in
-  let mig_fiber () =
-    Vtime.sleep 40;
-    (* Move two shards, one after the other, under the live load. *)
-    List.iter
-      (fun shard ->
-        let to_ = 1 - SM.node_of (SR.map c) ~shard in
-        ignore (SR.migrate mig ~shard ~to_))
-      [ 0; 1 ]
-  in
-  let setup_fiber () =
-    List.iter (fun k -> ignore (SR.put setup ~key:k ~value:"v0")) keys
-  in
-  let rounds = run_world env ((setup_fiber :: workers) @ [ mig_fiber ]) in
-  let st = SR.migration_stats c in
-  let wrong_shard =
-    List.fold_left
-      (fun acc (_, r) -> acc + (SR.stats r).SR.wrong_shard_retries)
-      0 worker_routers
-  in
-  (rounds, st, wrong_shard)
-
-let bench_stats () =
-  let points = List.map (fun n -> throughput_point ~nnodes:n) [ 1; 2; 4; 8 ] in
-  let mig_rounds, st, wrong = migration_bench () in
-  {
-    points;
-    mig_rounds;
-    mig_keys_moved = st.SR.keys_moved;
-    mig_dups_carried = st.SR.dups_carried;
-    mig_pause_rounds = st.SR.pause_rounds;
-    mig_wrong_shard_retries = wrong;
-  }

@@ -3,10 +3,7 @@
 
     The same {!Bi_core.Vtime} scheduler and {!Sim_world} as the [rs]
     suite drive sharded {!Node_core}s behind {!Bi_fault.Faulty_link}
-    channels — with one addition: each node serves at most
-    [service_rate] requests per round, so {!bench_stats} can show
-    throughput scaling with shard spread.
-    The obligations:
+    channels.  The obligations:
 
     - {!Shard_map} laws: hash range, key→shard→node consistency,
       single-shard reassignment, version monotonicity, initial balance;
@@ -34,28 +31,3 @@
       simulation is replay-deterministic. *)
 
 val vcs : unit -> Bi_core.Vc.t list
-
-type bench_point = {
-  bp_nodes : int;
-  bp_nshards : int;
-  bp_ops : int;
-  bp_rounds : int;
-  bp_ops_per_kround : int;  (** Completed ops per 1000 simulated rounds. *)
-}
-
-type bench = {
-  points : bench_point list;
-      (** Fixed 8-shard keyspace over 1 / 2 / 4 / 8 rate-limited nodes. *)
-  mig_rounds : int;  (** Total rounds of the live-migration scenario. *)
-  mig_keys_moved : int;
-  mig_dups_carried : int;
-  mig_pause_rounds : int;  (** Rounds shards spent write-frozen. *)
-  mig_wrong_shard_retries : int;
-      (** Client re-routes triggered by the migrations. *)
-}
-
-val bench_stats : unit -> bench
-(** Two fixed scenarios: throughput vs shard spread, and two live shard
-    migrations under concurrent client load.  [test_sim]'s "sh
-    bench_stats" pins every field; [BENCH_pr7.json] keeps its last
-    recorded report. *)

@@ -18,8 +18,6 @@ type admin = {
 type migration_stats = {
   mutable migrations : int;
   mutable keys_moved : int;
-  mutable dups_carried : int;
-  mutable pause_rounds : int;
   mutable last_pause : int;
 }
 
@@ -37,14 +35,7 @@ let cluster ~map ~admins ~endpoints =
     map;
     admins;
     endpoints;
-    mig =
-      {
-        migrations = 0;
-        keys_moved = 0;
-        dups_carried = 0;
-        pause_rounds = 0;
-        last_pause = 0;
-      };
+    mig = { migrations = 0; keys_moved = 0; last_pause = 0 };
   }
 
 let map c = c.map
@@ -57,13 +48,10 @@ type t = {
   client : int;
   mutable seq : int;
   route_retries : int;
-  route_wait : int;
   mutable s_wrong_shard : int;
-  mutable s_refreshes : int;
 }
 
-let connect ?config ?(route_retries = 200) ?(route_wait = 1) ~client cluster
-    clock =
+let connect ?config ?(route_retries = 200) ~client cluster clock =
   {
     cluster;
     rcs = Array.map (fun ep -> RC.create ?config ~client clock ep) cluster.endpoints;
@@ -71,30 +59,17 @@ let connect ?config ?(route_retries = 200) ?(route_wait = 1) ~client cluster
     client;
     seq = 0;
     route_retries;
-    route_wait;
     s_wrong_shard = 0;
-    s_refreshes = 0;
   }
 
 let next_txn t =
   t.seq <- t.seq + 1;
   { P.client = t.client; seq = t.seq }
 
-type stats = {
-  rc : RC.stats;  (** Aggregated over every per-node client. *)
-  wrong_shard_retries : int;
-  map_refreshes : int;
-}
-
-let stats t =
-  {
-    rc = RC.total_stats t.rcs;
-    wrong_shard_retries = t.s_wrong_shard;
-    map_refreshes = t.s_refreshes;
-  }
+let wrong_shard_retries t = t.s_wrong_shard
 
 (* The routing loop: pick the owner from the current map, run the call,
-   and on [Wrong_shard] wait a beat, refresh the map (re-read the
+   and on [Wrong_shard] wait one clock unit, refresh the map (re-read the
    cluster's value) and re-route — same txn, so a mutation whose retry
    lands on the new owner is still answered exactly-once from the
    carried duplicate table. *)
@@ -107,8 +82,7 @@ let with_routing t key (call : RC.t -> ('a, RC.error) result) =
         if tries >= t.route_retries then
           Error (RC.Exhausted "no route to shard")
         else begin
-          t.clock.RC.sleep t.route_wait;
-          t.s_refreshes <- t.s_refreshes + 1;
+          t.clock.RC.sleep 1;
           go (tries + 1)
         end
     | r -> r
@@ -223,10 +197,8 @@ let migrate t ~shard ~to_ =
       | Ok () ->
           let entries = src.export_dups ~shard in
           tgt.import_dups ~shard entries;
-          c.mig.dups_carried <- c.mig.dups_carried + List.length entries;
           flip c ~shard ~to_;
           c.mig.last_pause <- t.clock.RC.now () - t0;
-          c.mig.pause_rounds <- c.mig.pause_rounds + c.mig.last_pause;
           (match src.release ~shard with Ok () | Error _ -> ());
           c.mig.migrations <- c.mig.migrations + 1;
           Ok ()

@@ -11,7 +11,7 @@
     {b Routing.}  Every operation hashes its key through the cluster's
     current map and calls the owning node.  A node that answers
     [Err (Wrong_shard v)] is telling the router its map is stale (or a
-    migration has the shard frozen): the router sleeps [route_wait],
+    migration has the shard frozen): the router sleeps one clock unit,
     re-reads the cluster map, and re-routes — {e reusing the same
     transaction id} — up to [route_retries] times before giving up with
     [Exhausted].  Reusing the txn is what makes a mutation whose retry
@@ -57,9 +57,6 @@ type admin = {
 type migration_stats = {
   mutable migrations : int;  (** Completed migrations. *)
   mutable keys_moved : int;
-  mutable dups_carried : int;  (** Duplicate-table entries re-homed. *)
-  mutable pause_rounds : int;
-      (** Total clock units shards spent write-frozen. *)
   mutable last_pause : int;  (** Freeze → flip of the last migration. *)
 }
 
@@ -81,13 +78,12 @@ type t
 val connect :
   ?config:RC.config ->
   ?route_retries:int ->
-  ?route_wait:int ->
   client:int ->
   cluster ->
   RC.clock ->
   t
 (** A router for one client.  [client] obeys the same uniqueness rule as
-    {!RC.create}.  Defaults: [route_retries = 200], [route_wait = 1]. *)
+    {!RC.create}.  Default: [route_retries = 200]. *)
 
 val put : t -> key:string -> value:string -> (unit, RC.error) result
 val get : t -> key:string -> (string option, RC.error) result
@@ -112,11 +108,6 @@ val migrate : t -> shard:int -> to_:int -> (unit, string) result
     the map was never flipped, so the source still owns the shard and
     the call can be retried. *)
 
-type stats = {
-  rc : RC.stats;  (** Aggregated over every per-node client. *)
-  wrong_shard_retries : int;
-      (** [Wrong_shard] answers that triggered a re-route. *)
-  map_refreshes : int;  (** Map re-reads performed by the routing loop. *)
-}
-
-val stats : t -> stats
+val wrong_shard_retries : t -> int
+(** [Wrong_shard] answers this router has seen, each of which triggered
+    a re-route or, on the last try, the [Exhausted] error. *)

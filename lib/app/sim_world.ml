@@ -93,13 +93,11 @@ type node = {
   mutable last_recovery : Node_core.recovery;
   req_ch : FL.channel;
   resp_ch : FL.channel;
-  inbox : (int * P.req) Queue.t;
-  service_rate : int;
 }
 
 type t = { net : net; nodes : node array }
 
-let node ~name ?(service_rate = max_int) ~req_plan ~resp_plan () =
+let node ~name ~req_plan ~resp_plan () =
   let store = Node_core.mem_store () in
   let journal = Journal.create (fst (Journal.mem_sink ())) in
   {
@@ -112,16 +110,11 @@ let node ~name ?(service_rate = max_int) ~req_plan ~resp_plan () =
     last_recovery = Node_core.no_recovery;
     req_ch = FL.channel req_plan;
     resp_ch = FL.channel resp_plan;
-    inbox = Queue.create ();
-    service_rate;
   }
 
 let create sched nodes = { net = net sched; nodes = Array.of_list nodes }
 
-let crash t i =
-  let n = t.nodes.(i) in
-  n.up <- false;
-  Queue.clear n.inbox
+let crash t i = t.nodes.(i).up <- false
 
 let revive t i = t.nodes.(i).up <- true
 
@@ -136,22 +129,16 @@ let restart ?map t i =
         ~version:(Shard_map.version map)
         ~owned:(Shard_map.shards_of_node map ~node:i))
     map;
-  Queue.clear n.inbox;
   n.up <- true
 
 let tick t =
   Array.iter
     (fun n ->
       let reqs = arrivals n.req_ch in
-      if n.up then begin
-        List.iter (fun r -> Queue.add r n.inbox) reqs;
-        let budget = ref n.service_rate in
-        while !budget > 0 && not (Queue.is_empty n.inbox) do
-          decr budget;
-          let id, req = Queue.pop n.inbox in
-          reply n.resp_ch ~id (Node_core.handle n.core req)
-        done
-      end;
+      if n.up then
+        List.iter
+          (fun (id, req) -> reply n.resp_ch ~id (Node_core.handle n.core req))
+          reqs;
       deliver t.net n.resp_ch)
     t.nodes
 

@@ -55,28 +55,25 @@ type node = {
   mutable last_recovery : Node_core.recovery;
   req_ch : Bi_fault.Faulty_link.channel;
   resp_ch : Bi_fault.Faulty_link.channel;
-  inbox : (int * Protocol.req) Queue.t;
-  service_rate : int;  (** Requests served per round. *)
 }
 
 type t = { net : net; nodes : node array }
 
 val node :
   name:string ->
-  ?service_rate:int ->
   req_plan:Bi_fault.Fault_plan.t ->
   resp_plan:Bi_fault.Fault_plan.t ->
   unit ->
   node
 (** A node over an in-memory store and an in-memory {!Journal}, both
     kept across {!crash} and {!restart}: its core commits every mutation
-    through the journal, as netd's does.  [service_rate] defaults to
-    unbounded. *)
+    through the journal, as netd's does. *)
 
 val create : Bi_core.Vtime.t -> node list -> t
 
 val crash : t -> int -> unit
-(** Stop serving; queued requests are lost. *)
+(** Stop serving: a request that arrives while the node is down is
+    dropped, as a lost frame is. *)
 
 val revive : t -> int -> unit
 (** Partition heal: serve again with the same core, losing nothing. *)
@@ -88,8 +85,9 @@ val restart : ?map:Shard_map.t -> t -> int -> unit
     re-learns its shard ownership, which is control-plane state. *)
 
 val tick : t -> unit
-(** One round: each node queues its arrivals when up, serves up to its
-    service rate, and its responses are delivered. *)
+(** One round: each node that is up serves every request that arrives
+    this round, in arrival order; a node that is down drops them.  Then
+    its responses are delivered. *)
 
 val endpoint : t -> int -> attempt_timeout:int -> Resilient_client.endpoint
 val clock : t -> Resilient_client.clock

@@ -9,7 +9,7 @@ type t = {
 
 let reserved_frames = 64
 
-let create ?(mem_bytes = 32 * 1024 * 1024) ?(disk_sectors = 2048) () =
+let create ~mem_bytes ~disk_sectors =
   let mem = Phys_mem.create ~size:mem_bytes in
   let page = Int64.to_int Addr.page_size in
   let total_frames = mem_bytes / page in

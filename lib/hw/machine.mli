@@ -21,7 +21,7 @@ type t = {
   nic : Device.Nic.t;
 }
 
-val create : ?mem_bytes:int -> ?disk_sectors:int -> unit -> t
-(** Build a machine.  Defaults: 32 MiB memory (first 64 frames reserved for
-    firmware/kernel image, the rest managed by the frame allocator),
-    2048-sector disk. *)
+val create : mem_bytes:int -> disk_sectors:int -> t
+(** Build a machine with [mem_bytes] of memory (the first 64 frames
+    reserved for the firmware and kernel image, the rest managed by the
+    frame allocator) and a [disk_sectors]-sector disk. *)

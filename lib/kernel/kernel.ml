@@ -74,9 +74,11 @@ type _ Effect.t += Syscall : (sys * Sysabi.request) -> Sysabi.response Effect.t
 
 exception Deadlock of string
 
-let create ?(mem_bytes = 32 * 1024 * 1024) ?(disk_sectors = 4096)
+let disk_sectors = 4096
+
+let create ?(mem_bytes = 32 * 1024 * 1024)
     ?(ip = Bi_net.Ip.addr_of_string "10.0.0.1") () =
-  let machine = Machine.create ~mem_bytes ~disk_sectors () in
+  let machine = Machine.create ~mem_bytes ~disk_sectors in
   let fs = Fs.mkfs (Bi_fs.Block_dev.of_disk machine.Machine.disk) in
   let stack = Stack.create ~nic:machine.Machine.nic ~ip in
   {

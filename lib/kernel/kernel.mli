@@ -30,10 +30,10 @@ exception Deadlock of string
 (** Threads are still parked after [100_000] consecutive idle ticks (ticks
     on which no thread ran): nothing is going to wake them. *)
 
-val create : ?mem_bytes:int -> ?disk_sectors:int -> ?ip:int32 -> unit -> t
+val create : ?mem_bytes:int -> ?ip:int32 -> unit -> t
 (** Build a machine ({!Bi_hw.Machine.create}: memory, frames and devices;
-    defaults 32 MiB and a 4096-sector disk), format its disk, and boot a
-    kernel on it.  Default IP is 10.0.0.1. *)
+    memory defaults to 32 MiB, the disk is always 4096 sectors), format
+    its disk, and boot a kernel on it.  Default IP is 10.0.0.1. *)
 
 val machine : t -> Bi_hw.Machine.t
 val fs : t -> Bi_fs.Fs.t

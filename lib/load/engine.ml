@@ -293,12 +293,3 @@ let run (cfg : config) =
     min_client_completed;
     invariants_ok = !inv_ok;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "clients=%d issued=%d attempts=%d completed=%d shed=%d gave_up=%d \
-     errors=%d duration=%d tput=%.4f p50=%.0f p99=%.0f p999=%.0f \
-     max_queue=%d applied=%d min_completed=%d inv=%b"
-    s.clients s.issued s.attempts s.completed s.shed s.gave_up s.errors
-    s.duration s.throughput s.p50 s.p99 s.p999 s.max_queue s.applied
-    s.min_client_completed s.invariants_ok

@@ -80,5 +80,3 @@ val run : config -> summary
 (** Run the simulation to quiescence (every logical op completed or
     abandoned) and summarize.  Deterministic: equal configs give equal
     summaries. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -952,55 +952,3 @@ let vcs () =
   gen_vcs () @ stat_vcs () @ sketch_vcs () @ queue_vcs () @ protocol_vcs ()
   @ shed_vcs () @ starve_vcs () @ lin_vcs () @ engine_vcs ()
   @ mutation_vcs ()
-
-(* ================================================================== *)
-(* The offered-load sweep: latency/throughput vs offered load, with    *)
-(* and without admission control (pinned by test_load)                 *)
-
-type bench_row = {
-  label : string;
-  admission : bool;
-  load_pct : int; (* offered load as % of nominal service capacity *)
-  s : E.summary;
-}
-
-(* Nominal per-node service capacity: one request per mean service time.
-   xm=1, alpha=1.5 gives a mean near 3 ticks, so ~0.33 req/tick/node. *)
-let mean_service = 3.0
-
-let sweep_cfg ~clients ~nodes ~load_pct ~admission =
-  let mean_gap =
-    float_of_int clients *. mean_service *. 100.
-    /. (float_of_int load_pct *. float_of_int nodes)
-  in
-  {
-    E.default with
-    clients;
-    ops_per_client = 1;
-    mode = E.Open { mean_gap };
-    capacity = (if admission then 64 else E.no_admission);
-    per_client = (if admission then Some 8 else None);
-    nodes;
-    n_keys = 4096;
-    reservoir = 8192;
-    seed = 2024L;
-  }
-
-let sweep_points = [ 50; 80; 100; 120; 150; 200 ]
-
-let bench_sweep ~clients ~nodes =
-  List.concat_map
-    (fun load_pct ->
-      List.map
-        (fun admission ->
-          let s = E.run (sweep_cfg ~clients ~nodes ~load_pct ~admission) in
-          {
-            label =
-              Printf.sprintf "%d%%/%s" load_pct
-                (if admission then "admission" else "no-admission");
-            admission;
-            load_pct;
-            s;
-          })
-        [ true; false ])
-    sweep_points

@@ -32,20 +32,3 @@
       caught by the properties above. *)
 
 val vcs : unit -> Bi_core.Vc.t list
-
-(** {1 The offered-load sweep} *)
-
-type bench_row = {
-  label : string;
-  admission : bool;
-  load_pct : int;  (** Offered load as % of nominal service capacity. *)
-  s : Engine.summary;
-}
-
-val bench_sweep : clients:int -> nodes:int -> bench_row list
-(** Throughput/latency vs offered load at 50, 80, 100, 120, 150 and 200%
-    of nominal service capacity, with and without admission control,
-    over [clients] simulated clients and [nodes] nodes.  [test_load]'s
-    "bench row reproducible" case pins its first row as a pure function
-    of the config; [BENCH_pr8.json] keeps the last recorded 10^5-client
-    sweep and 10^6-client headline row. *)

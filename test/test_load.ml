@@ -1,5 +1,5 @@
 (* Workload-engine tests: seeded determinism (bit-identical streams and
-   bench rows), statistical soundness of the samplers, and small
+   engine summaries), statistical soundness of the samplers, and small
    end-to-end engine runs with their conservation laws.  The deeper
    obligations — shed-never-half-applies, exactly-once under retry,
    no-starvation, linearizability under overload — live in the wl VC
@@ -40,8 +40,8 @@ let small_cfg =
 
 let test_engine_summary_bit_identical () =
   (* The whole summary record — counters and float percentiles included —
-     must be equal across runs: this is what makes bench JSON rows
-     reproducible artifacts rather than measurements. *)
+     must be equal across runs: this is what makes a summary a
+     reproducible artifact rather than a measurement. *)
   check Alcotest.bool "same config, same summary" true
     (E.run small_cfg = E.run small_cfg);
   check Alcotest.bool "seed changes the summary" true
@@ -141,19 +141,6 @@ let test_engine_closed_loop_everyone_finishes () =
   check Alcotest.int "worst client completed everything" 2
     s.E.min_client_completed
 
-(* ------------------------------------------------------------------ *)
-(* Bench rows *)
-
-let test_bench_row_reproducible () =
-  (* The committed BENCH_pr8.json rows must be re-derivable: same code,
-     same config, bit-identical row. *)
-  let row () =
-    List.hd (Bi_load.Wl_check.bench_sweep ~clients:2_000 ~nodes:1)
-  in
-  let a = row () and b = row () in
-  check Alcotest.bool "sweep row bit-identical across runs" true (a = b);
-  check Alcotest.string "labelled" "50%/admission" a.Bi_load.Wl_check.label
-
 let () =
   Alcotest.run "bi_load"
     [
@@ -163,8 +150,6 @@ let () =
             test_trace_bit_identical;
           Alcotest.test_case "engine summary bit-identical" `Quick
             test_engine_summary_bit_identical;
-          Alcotest.test_case "bench row reproducible" `Quick
-            test_bench_row_reproducible;
         ] );
       ( "statistics",
         [

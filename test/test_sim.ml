@@ -142,31 +142,12 @@ let pins =
         check Alcotest.string name expected (f ()))
   in
   [
-    pin "rs bench_stats" "21 64 19 3 78 0 0 2 12 197" (fun () ->
-        let open Bi_app.Rs_check in
-        let s = bench_stats () in
-        Printf.sprintf "%d %d %d %d %d %d %d %d %d %d" s.ops s.attempts
-          s.retries s.failovers s.failover_rounds s.breaker_opens
-          s.breaker_closes s.dup_hits s.applied s.rounds);
     pin "rs positive_control" "true true [drop] true" (fun () ->
         let open Bi_app.Rs_check in
         let c = positive_control () in
         Format.asprintf "%b %b [%a] %b" c.plain_failed c.resilient_ok
           (Format.pp_print_list Bi_fault.Fault_plan.pp_decision)
           c.shrunk c.replay_fails);
-    pin "sh bench_stats"
-      "1/8/288/144/2000 2/8/288/92/3130 4/8/288/47/6127 8/8/288/32/9000 \
-       60 5 6 12 5"
-      (fun () ->
-        let open Bi_app.Sh_check in
-        let s = bench_stats () in
-        List.fold_right
-          (fun p acc ->
-            Printf.sprintf "%d/%d/%d/%d/%d %s" p.bp_nodes p.bp_nshards
-              p.bp_ops p.bp_rounds p.bp_ops_per_kround acc)
-          s.points
-          (Printf.sprintf "%d %d %d %d %d" s.mig_rounds s.mig_keys_moved
-             s.mig_dups_carried s.mig_pause_rounds s.mig_wrong_shard_retries));
     pin "engine default"
       "1000 4000 26706 266 26440 3734 0 815 0x1.4e36a7bc26f32p-2 0x1.7ep+7 \
        0x1.75p+8 0x1.96p+8 0x1.7e6fa39be8e7p+7 0x1.96p+8 64 64 181 0 true"

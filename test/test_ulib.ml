@@ -1,6 +1,6 @@
 (* User-space library tests: serde combinators, the allocator, string
-   routines, futex-based synchronization primitives under adversarial
-   thread schedules, and the green-thread scheduler. *)
+   routines and futex-based synchronization primitives under adversarial
+   thread schedules. *)
 
 module K = Bi_kernel.Kernel
 module U = Bi_kernel.Usys
@@ -10,7 +10,6 @@ module Ustring = Bi_ulib.Ustring
 module Umutex = Bi_ulib.Umutex
 module Usem = Bi_ulib.Usem
 module Ucond = Bi_ulib.Ucond
-module Uthread = Bi_ulib.Uthread
 
 let check = Alcotest.check
 
@@ -533,52 +532,6 @@ let test_ubarrier_cyclic () =
          check Alcotest.int "three rounds completed" 3 !rounds))
 
 (* ------------------------------------------------------------------ *)
-(* Uthread green threads *)
-
-let test_uthread_spawn_join () =
-  let result =
-    Uthread.run (fun () ->
-        let h = Uthread.spawn (fun () -> 21 * 2) in
-        Uthread.join h)
-  in
-  check Alcotest.int "join returns value" 42 result
-
-let test_uthread_yield_interleaves () =
-  let log = Buffer.create 16 in
-  Uthread.run (fun () ->
-      let worker tag () =
-        for _ = 1 to 3 do
-          Buffer.add_string log tag;
-          Uthread.yield ()
-        done
-      in
-      let a = Uthread.spawn (worker "a") in
-      let b = Uthread.spawn (worker "b") in
-      ignore (Uthread.join a);
-      ignore (Uthread.join b));
-  check Alcotest.string "round robin" "ababab" (Buffer.contents log)
-
-let test_uthread_exception_propagates_to_join () =
-  Uthread.run (fun () ->
-      let h = Uthread.spawn (fun () -> failwith "inner") in
-      match Uthread.join h with
-      | exception Failure m -> check Alcotest.string "exn carried" "inner" m
-      | _ -> Alcotest.fail "exception must propagate")
-
-let test_uthread_outside_run_rejected () =
-  match Uthread.spawn (fun () -> ()) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "spawn outside run must fail"
-
-let test_uthread_nested_spawn () =
-  let total =
-    Uthread.run (fun () ->
-        let inner = Uthread.spawn (fun () -> Uthread.join (Uthread.spawn (fun () -> 10))) in
-        Uthread.join inner + 5)
-  in
-  check Alcotest.int "nested join" 15 total
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "bi_ulib"
@@ -633,14 +586,6 @@ let () =
             test_urwlock_writer_waits_for_readers;
           Alcotest.test_case "barrier releases all" `Quick test_ubarrier_releases_all;
           Alcotest.test_case "barrier cyclic" `Quick test_ubarrier_cyclic;
-        ] );
-      ( "uthread",
-        [
-          Alcotest.test_case "spawn/join" `Quick test_uthread_spawn_join;
-          Alcotest.test_case "yield interleaves" `Quick test_uthread_yield_interleaves;
-          Alcotest.test_case "exception to join" `Quick test_uthread_exception_propagates_to_join;
-          Alcotest.test_case "outside run rejected" `Quick test_uthread_outside_run_rejected;
-          Alcotest.test_case "nested spawn" `Quick test_uthread_nested_spawn;
         ] );
     ]
 
