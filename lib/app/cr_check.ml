@@ -339,7 +339,7 @@ let commit_vcs () =
             crash_points = 41;
             torn_points = 0;
             subset_points = 123;
-            recovery_points = 6496;
+            recovery_points = 3256;
           }
           (CE.explore
              (cr_config ~seeds:[ 0; 1; 2 ] ~explore_recovery:true
@@ -481,9 +481,9 @@ let recover_vcs () =
     Vc.prop ~id:"cr/recover/idempotent" ~category:"cr/recover" (fun () ->
         (* Recovering an already-recovered node observes nothing new:
            the state snapshot is unchanged and the replay is the same
-           replay (replay-from-genesis may legitimately rewrite a
-           deleted-then-absent key on every pass — what must not change
-           is the outcome). *)
+           replay, down to its counts: recovery writes only each key's
+           final value, so a second pass finds the store final and
+           writes nothing. *)
         let sink, _ = J.mem_sink () in
         let store = Node_core.mem_store () in
         let life1 = Node_core.create ~journal:(J.create sink) store in

@@ -98,9 +98,10 @@ let retired_journal =
       sink_replace = (fun _ -> Error retired);
     }
 
-let retire t =
+let retire t ~epoch =
   {
     t with
+    epoch;
     store = retired_store;
     journal = retired_journal;
     pool = None;
@@ -558,7 +559,10 @@ type recovery = {
   r_records : int;  (** journal records decoded *)
   r_snapshot : bool;  (** replay resumed from a checkpoint snapshot *)
   r_redone : int;  (** store writes re-applied *)
-  r_skipped : int;  (** records whose store state already matched *)
+  r_skipped : int;
+      (** non-cancelled mutations that wrote nothing: superseded by a
+          later mutation of the same key, a [Missing] delete, or a store
+          that already matched *)
   r_dup_entries : int;  (** duplicate-table entries restored *)
   r_cancelled : int;  (** committed-then-cancelled mutations skipped *)
   r_store_failures : int;  (** redo writes the store refused (degraded) *)
@@ -592,7 +596,17 @@ let no_recovery =
      acknowledged, and a retry must be answered from the table rather
      than re-evaluated against a store that just failed a write.
 
-   Replay is idempotent: redo writes are skipped when the store already
+   Redo needs only the last image of each key.  One backward pass, which
+   stops at the last [Snapshot], marks each key's last [Mut] that no
+   [Cancel] voids; only that [Mut] touches the store, at its own place in
+   the replay, so an [Adopt] or [Release] sweep after it still removes
+   the key.  Every other record replays in full: each non-cancelled
+   [Mut] restores its dup entry, and sharding, imports, cancels and the
+   degraded latch run as they did live.  A restart thus costs one store
+   load per key rather than a load and a save per record, and recovery
+   never writes a value that is not the key's final one.
+
+   Replay is idempotent: a redo is skipped when the store already
    matches the record, so recovering an already-recovered node changes
    nothing (the cr suite checks this at every crash point, including
    crashes during recovery itself). *)
@@ -606,60 +620,64 @@ let recover t =
   | Ok (records, torn) ->
       let arr = Array.of_list records in
       let n = Array.length arr in
-      let start = ref 0 in
-      Array.iteri
-        (fun i r -> match r with Journal.Snapshot _ -> start := i | _ -> ())
-        arr;
-      let stats =
-        ref
-          {
-            no_recovery with
-            r_records = n;
-            r_torn_tail = torn;
-            r_snapshot =
-              (n > 0
-              && match arr.(!start) with
-                 | Journal.Snapshot _ -> true
-                 | _ -> false);
-          }
+      let cancelled i =
+        i + 1 < n && match arr.(i + 1) with Journal.Cancel _ -> true | _ -> false
       in
-      let bump f = stats := f !stats in
+      (* [final.(i)]: record [i] is its key's last non-cancelled [Mut]. *)
+      let final = Array.make n false in
+      let seen = Hashtbl.create 64 in
+      let rec scan i =
+        if i < 0 then 0
+        else
+          match arr.(i) with
+          | Journal.Snapshot _ -> i
+          | Journal.Mut { key; _ } when not (cancelled i) ->
+              if not (Hashtbl.mem seen key) then begin
+                Hashtbl.add seen key ();
+                final.(i) <- true
+              end;
+              scan (i - 1)
+          | _ -> scan (i - 1)
+      in
+      let start = scan (n - 1) in
+      let redone = ref 0
+      and skipped = ref 0
+      and dup_entries = ref 0
+      and n_cancelled = ref 0
+      and store_failures = ref 0 in
+      let wrote = function
+        | Ok _ -> incr redone
+        | Error _ ->
+            t.degraded <- true;
+            incr store_failures
+      in
       let record_dup txn ~shard done_ =
         match txn with
         | None -> ()
         | Some _ ->
             dup_record t txn ~shard (if done_ then P.Done else P.Missing);
-            bump (fun s -> { s with r_dup_entries = s.r_dup_entries + 1 })
+            incr dup_entries
       in
       let redo_put key (value, crc) =
         let desired = { value; crc } in
         match t.store.load key with
-        | Ok (Some cur) when cur = desired ->
-            bump (fun s -> { s with r_skipped = s.r_skipped + 1 })
-        | _ -> (
+        | Ok (Some cur) when cur = desired -> incr skipped
+        | _ ->
             (* absent, stale, or unreadable (a crash between a save's
                truncate and its write leaves an empty file, which loads
                as [No_crc]): rewrite *)
-            match t.store.save key desired with
-            | Ok () -> bump (fun s -> { s with r_redone = s.r_redone + 1 })
-            | Error _ ->
-                t.degraded <- true;
-                bump (fun s ->
-                    { s with r_store_failures = s.r_store_failures + 1 }))
+            wrote (t.store.save key desired)
       in
+      (* A [Missing] delete found the key absent when it committed.  As
+         the key's last [Mut], nothing journaled after it writes the key,
+         and recovery writes only final values, so the key is still
+         absent (or swept): the delete stays a no-op. *)
       let redo_del key ~done_ =
-        if not done_ then
-          bump (fun s -> { s with r_skipped = s.r_skipped + 1 })
+        if not done_ then incr skipped
         else
           match t.store.load key with
-          | Ok None -> bump (fun s -> { s with r_skipped = s.r_skipped + 1 })
-          | _ -> (
-              match t.store.remove key with
-              | Ok _ -> bump (fun s -> { s with r_redone = s.r_redone + 1 })
-              | Error _ ->
-                  t.degraded <- true;
-                  bump (fun s ->
-                      { s with r_store_failures = s.r_store_failures + 1 }))
+          | Ok None -> incr skipped
+          | _ -> wrote (t.store.remove key)
       in
       let install_snapshot { Journal.s_dups; s_sharding; s_degraded } =
         t.dups <- Clients.empty;
@@ -710,22 +728,19 @@ let recover t =
         | Journal.Import _ ->
             ()
       in
-      for i = !start to n - 1 do
+      for i = start to n - 1 do
         match arr.(i) with
         | Journal.Snapshot s -> install_snapshot s
         | Journal.Cancel { degraded } ->
             if degraded then t.degraded <- true
         | Journal.Mut { txn; shard; key; put; done_ } ->
-            let cancelled =
-              i + 1 < n
-              && match arr.(i + 1) with Journal.Cancel _ -> true | _ -> false
-            in
-            if cancelled then
-              bump (fun s -> { s with r_cancelled = s.r_cancelled + 1 })
+            if cancelled i then incr n_cancelled
             else begin
-              (match put with
-              | Some stored -> redo_put key stored
-              | None -> redo_del key ~done_);
+              (if not final.(i) then incr skipped
+               else
+                 match put with
+                 | Some stored -> redo_put key stored
+                 | None -> redo_del key ~done_);
               record_dup txn ~shard done_
             end
         | Journal.Import { shard; entries } ->
@@ -739,7 +754,19 @@ let recover t =
           as ctl ->
             replay_ctl ctl
       done;
-      !stats
+      {
+        r_records = n;
+        r_snapshot =
+          (n > 0
+          && match arr.(start) with Journal.Snapshot _ -> true | _ -> false);
+        r_redone = !redone;
+        r_skipped = !skipped;
+        r_dup_entries = !dup_entries;
+        r_cancelled = !n_cancelled;
+        r_store_failures = !store_failures;
+        r_torn_tail = torn;
+        r_journal_error = false;
+      }
 
 (* ------------------------------------------------------------------ *)
 (* Stores                                                              *)

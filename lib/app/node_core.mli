@@ -165,13 +165,16 @@ val dump_dups : t -> (Protocol.txn * (int * Protocol.resp)) list
     sorted by (client, seq): the deterministic observation the recovery
     and world-determinism VCs compare across restarts. *)
 
-val retire : t -> t
-(** The core of a run whose process has exited: {!applied},
-    {!dup_hits}, {!checkpoints} and {!dump_dups} answer as [t]'s, but
+val retire : t -> epoch:int -> t
+(** The core of a run whose process has exited, as run [epoch]'s:
+    {!epoch} answers [epoch], and {!applied}, {!dup_hits},
+    {!checkpoints}, {!degraded} and {!dump_dups} answer as [t]'s, but
     its store and journal are shared constants that fail every call
     with [Err (Io _)], so it holds no I/O handle of the dead process.
     A mutation it is asked to {!handle} is refused without touching
-    any disk. *)
+    any disk.  Each call is a new record sharing [t]'s dup table, so
+    netd keeps one retired core for a range of identical dead runs and
+    hands each run its own copy. *)
 
 (** {2 Crash recovery}
 
@@ -182,7 +185,10 @@ type recovery = {
   r_records : int;  (** journal records decoded *)
   r_snapshot : bool;  (** replay resumed from a checkpoint snapshot *)
   r_redone : int;  (** store writes re-applied *)
-  r_skipped : int;  (** records whose store state already matched *)
+  r_skipped : int;
+      (** non-cancelled mutations that wrote nothing: superseded by a
+          later mutation of the same key, a [Missing] delete, or a store
+          that already matched *)
   r_dup_entries : int;  (** duplicate-table entries restored *)
   r_cancelled : int;  (** committed-then-cancelled mutations skipped *)
   r_store_failures : int;  (** redo writes the store refused *)
@@ -193,13 +199,16 @@ type recovery = {
 val no_recovery : recovery
 
 val recover : t -> recovery
-(** Replay the journal: rebuild the duplicate table, shard ownership and
-    the degraded latch, and redo any store write a crash cut off after
-    its commit record.  Total — failure modes degrade instead of
-    refusing to start: an unreadable journal, or a redo the backing
-    store rejects, latches degraded (read-only) while recovered reads
-    keep being served.  Idempotent: redo is skipped wherever the store
-    already matches, so re-recovering changes nothing. *)
+(** Replay the journal from its last snapshot: rebuild the duplicate
+    table, shard ownership and the degraded latch, and redo any store
+    write a crash cut off after its commit record.  Only each key's last
+    mutation that no [Cancel] voids is redone, at its place in the
+    replay, so a restart costs one store load per key, not per record.
+    Total — failure modes degrade instead of refusing to start: an
+    unreadable journal, or a redo the backing store rejects, latches
+    degraded (read-only) while recovered reads keep being served.
+    Idempotent: redo is skipped wherever the store already matches, so
+    re-recovering changes nothing. *)
 
 val checkpoint : t -> (unit, Protocol.err) result
 (** Atomically collapse the journal to one snapshot record.  Must only

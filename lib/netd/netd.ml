@@ -38,9 +38,11 @@
 
    A new epoch retires the previous run's core ([Node_core.retire]): its
    counters and dup table stay readable, but the store and journal
-   closures over the dead process's syscall handle are dropped, so a
-   supervisor that restarts netd again and again does not keep every
-   life's I/O state alive. *)
+   closures over the dead process's syscall handle are dropped.  Dead
+   runs are kept as ranges of consecutive epochs that expose the same
+   observations, one record each, so a supervisor that restarts netd
+   again and again keeps neither every life's I/O state nor a record
+   per life; [runs] expands the ranges. *)
 
 module K = Bi_kernel.Kernel
 module U = Bi_kernel.Usys
@@ -72,7 +74,7 @@ let default_config =
 
 type run = {
   run_epoch : int;
-  mutable run_core : Node_core.t;
+  run_core : Node_core.t;
   run_recovery : Node_core.recovery;
       (** What this (re)spawn's journal replay found and redid. *)
   served : int array;  (** Requests handled, per worker. *)
@@ -80,14 +82,65 @@ type run = {
   mutable finished : bool;  (** Clean shutdown (not a crash). *)
 }
 
+(* Dead runs [first..last]: consecutive epochs whose runs expose the
+   same observations, all but the epoch.  [proto] is the first of them,
+   its core retired. *)
+type dead = { first : int; mutable last : int; proto : run }
+
 type t = {
   config : config;
   epochs : int Atomic.t;
-  mutable runs : run list;  (** Newest first; one per (re)spawn. *)
+  mutable dead : dead list;  (** Newest first. *)
+  mutable latest : run option;
 }
 
-let runs t = List.rev t.runs
-let latest_run t = match t.runs with [] -> None | r :: _ -> Some r
+(* Everything [runs] exposes of a dead run but its epoch.  A core holds
+   closures, so it is compared through its accessors. *)
+let same_life a b =
+  let observe c =
+    ( Node_core.applied c,
+      Node_core.dup_hits c,
+      Node_core.checkpoints c,
+      Node_core.degraded c,
+      Node_core.wants_shutdown c,
+      Node_core.shard_state c,
+      Node_core.dump_dups c )
+  in
+  a.run_recovery = b.run_recovery
+  && a.served = b.served
+  && a.queue_high_water = b.queue_high_water
+  && a.finished = b.finished
+  && observe a.run_core = observe b.run_core
+
+(* Retire a run whose process has exited.  It joins the newest range if
+   it takes that range's next epoch (a spawn killed during recovery
+   consumes an epoch and appends no run) and looks the same; otherwise
+   it starts a range. *)
+let bury t run =
+  let run =
+    { run with run_core = Node_core.retire run.run_core ~epoch:run.run_epoch }
+  in
+  match t.dead with
+  | d :: _ when d.last + 1 = run.run_epoch && same_life d.proto run ->
+      d.last <- run.run_epoch
+  | _ ->
+      let e = run.run_epoch in
+      t.dead <- { first = e; last = e; proto = run } :: t.dead
+
+let runs t =
+  let expand { first; last; proto } =
+    List.init (last - first + 1) (fun i ->
+        let epoch = first + i in
+        {
+          proto with
+          run_epoch = epoch;
+          run_core = Node_core.retire proto.run_core ~epoch;
+          served = Array.copy proto.served;
+        })
+  in
+  List.concat_map expand (List.rev t.dead) @ Option.to_list t.latest
+
+let latest_run t = t.latest
 
 (* One connection's reader: accumulate bytes, frame requests, hand them
    to the queue.  Exits when the peer closes, the connection fails, or
@@ -171,11 +224,9 @@ let program t s _arg =
     }
   in
   (* The previous run's process has exited (see [install]), and every
-     run before it was retired when its successor started. *)
-  (match t.runs with
-  | prev :: _ -> prev.run_core <- Node_core.retire prev.run_core
-  | [] -> ());
-  t.runs <- run :: t.runs;
+     run before it was buried when its successor started. *)
+  Option.iter (bury t) t.latest;
+  t.latest <- Some run;
   (match U.tcp_listen s config.port with
   | Ok () -> ()
   | Error e ->
@@ -206,6 +257,6 @@ let program t s _arg =
 
 let install ?(config = default_config) kernel =
   if config.workers <= 0 then invalid_arg "Netd.install: workers";
-  let t = { config; epochs = Atomic.make 0; runs = [] } in
+  let t = { config; epochs = Atomic.make 0; dead = []; latest = None } in
   K.register_program kernel "netd" (program t);
   t

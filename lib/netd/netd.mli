@@ -48,10 +48,11 @@ val default_config : config
 
 type run = {
   run_epoch : int;
-  mutable run_core : Bi_app.Node_core.t;
+  run_core : Bi_app.Node_core.t;
       (** The live core while this run's process serves; once the next
-          run starts, its {!Bi_app.Node_core.retire}d copy: the same
-          counters and dup table, no store or journal. *)
+          run starts, a {!Bi_app.Node_core.retire}d copy: the same
+          counters and dup table, no store or journal, and
+          {!Bi_app.Node_core.epoch} answering [run_epoch]. *)
   run_recovery : Bi_app.Node_core.recovery;
       (** What this (re)spawn's journal replay found and redid. *)
   served : int array;  (** Requests handled, per worker. *)
@@ -64,12 +65,18 @@ type t
 
 val install : ?config:config -> Bi_kernel.Kernel.t -> t
 (** Register the ["netd"] program.  Each [Spawn] of it takes the next
-    epoch from this installation, retires the previous run's core and
-    appends a {!run}.  Precondition: a new netd is spawned only after
+    epoch from this installation, retires the previous run and starts a
+    new {!run}.  Precondition: a new netd is spawned only after
     the previous one has exited (a supervisor kills and waits first);
     the retired core could not serve a netd still running. *)
 
 val runs : t -> run list
-(** Oldest first.  Every run but the newest holds a retired core. *)
+(** One run per (re)spawn that finished recovery, oldest first.  Every
+    run but the newest holds a retired core.  Consecutive dead runs that
+    expose the same observations (recovery, served counts, queue high
+    water, [finished] and their cores' counters and dup tables) are kept
+    as one record, so a daemon restarted many times with the same life
+    retains nothing per restart; this call expands them, building each
+    run its own record, [served] array and retired core. *)
 
 val latest_run : t -> run option

@@ -930,8 +930,8 @@ let test_recovery_migration_merge () =
   let b = NC.create ~dup_capacity:2 ~journal:(J.create sink) store in
   let r = NC.recover b in
   check Alcotest.int "both entries recovered" 2 r.NC.r_dup_entries;
-  (* Replay from genesis may re-toggle the put/delete pair; what matters
-     is that it converges on the pre-crash store. *)
+  (* Only the key's last Mut, the delete, is redone: the store is already
+     the pre-crash store. *)
   check Alcotest.bool "replay converges on the pre-crash store" true
     (NC.mem_contents store = []);
   (* The handoff carries a fresher entry for the same client. *)
@@ -1003,6 +1003,304 @@ let test_sim_node_restart_recovers_dups () =
   | _ -> Alcotest.fail "retry refused");
   check Alcotest.int "the retry hits the recovered table" 1
     (NC.dup_hits n.World.core)
+
+(* ------------------------------------------------------------------ *)
+(* Recovery cost and the full-replay reference *)
+
+(* [store] with a count of the loads, saves and removes made through
+   it. *)
+let counting (store : NC.store) =
+  let loads = ref 0 and saves = ref 0 and removes = ref 0 in
+  ( {
+      store with
+      NC.load =
+        (fun k ->
+          incr loads;
+          store.load k);
+      save =
+        (fun k v ->
+          incr saves;
+          store.save k v);
+      remove =
+        (fun k ->
+          incr removes;
+          store.remove k);
+    },
+    fun () -> (!loads, !saves, !removes) )
+
+(* The benchmark's restart shape: 1,096 puts over 64 keys, no
+   checkpoint.  Recovery loads each key once and writes nothing the
+   store already holds. *)
+let test_recovery_is_o_keys () =
+  let sink, _ = J.mem_sink () in
+  let store = NC.mem_store () in
+  let j = J.create sink in
+  let live = NC.create ~journal:j ~journal_checkpoint:max_int store in
+  let handled req =
+    match NC.handle live req with
+    | P.Done | P.Missing -> ()
+    | _ -> Alcotest.fail "request refused"
+  in
+  for i = 0 to 1095 do
+    handled
+      (put_txn_req ~client:1 ~seq:(i + 1)
+         (Printf.sprintf "k%d" (i mod 64))
+         (Printf.sprintf "%064d" i))
+  done;
+  let recover () =
+    let counted, counts = counting store in
+    let r = NC.recover (NC.create ~journal:(J.create sink) counted) in
+    (r, counts ())
+  in
+  let io = Alcotest.(triple int int int) in
+  let r, c = recover () in
+  check io "(loads, saves, removes)" (64, 0, 0) c;
+  check Alcotest.int "records" 1096 r.NC.r_records;
+  check Alcotest.int "redone" 0 r.NC.r_redone;
+  check Alcotest.int "skipped" 1096 r.NC.r_skipped;
+  (* The commit-to-apply window: a Mut appended and never applied. *)
+  ok
+    (J.append j
+       (J.Mut
+          {
+            txn = Some { P.client = 1; seq = 1097 };
+            shard = 0;
+            key = "k5";
+            put = Some ("fresh", P.crc32 "fresh");
+            done_ = true;
+          }));
+  let r, c = recover () in
+  check io "unapplied Mut: (loads, saves, removes)" (64, 1, 0) c;
+  check Alcotest.int "unapplied Mut redone" 1 r.NC.r_redone;
+  (* A key put and then deleted: its last Mut finds it absent. *)
+  handled (put_txn_req ~client:1 ~seq:1098 "gone" "x");
+  handled (P.Delete { key = "gone"; txn = Some { P.client = 1; seq = 1099 } });
+  let r, c = recover () in
+  check io "put then delete: (loads, saves, removes)" (65, 0, 0) c;
+  check Alcotest.int "nothing redone" 0 r.NC.r_redone
+
+(* Whole-history replay: every non-cancelled Mut since the last
+   Snapshot rewrites the store, in order.  It is the reference [recover]
+   is checked against, with two wrong variants that the check must tell
+   apart from it. *)
+type reference = Full | Ignores_cancel | First_mut
+
+let ref_dup_capacity = 4
+
+(* The reference's observation, as [recovered]'s: store contents, the
+   duplicate table and the degraded latch.  Its dup table is a model of
+   [Node_core]'s: per client, entries newest first, [ref_dup_capacity]
+   of them; the journals below have 3 clients, so the 64-client bound
+   never evicts.  Their store never fails, so only [Cancel] and
+   [Snapshot] records move the latch. *)
+let reference variant records store =
+  let arr = Array.of_list records in
+  let n = Array.length arr in
+  let start = ref 0 in
+  Array.iteri (fun i r -> match r with J.Snapshot _ -> start := i | _ -> ()) arr;
+  let dups = Hashtbl.create 4 and degraded = ref false and nshards = ref 1 in
+  let entries c = Option.value ~default:[] (Hashtbl.find_opt dups c) in
+  let keep c l = Hashtbl.replace dups c (List.filteri (fun i _ -> i < ref_dup_capacity) l) in
+  let sweep s =
+    List.iter
+      (fun k ->
+        if Bi_app.Shard_map.shard_of ~nshards:!nshards k = s then
+          ignore (store.NC.remove k))
+      (ok (store.keys ()))
+  in
+  let written = Hashtbl.create 8 in
+  for i = !start to n - 1 do
+    match arr.(i) with
+    | J.Snapshot { s_dups; s_sharding; s_degraded } ->
+        Hashtbl.reset dups;
+        List.iter (fun (c, l) -> Hashtbl.replace dups c l) s_dups;
+        nshards := (match s_sharding with Some (k, _, _, _) -> k | None -> 1);
+        degraded := s_degraded
+    | J.Cancel { degraded = d } -> if d then degraded := true
+    | J.Mut { txn; shard; key; put; done_ } ->
+        let cancelled =
+          variant <> Ignores_cancel
+          && i + 1 < n
+          && match arr.(i + 1) with J.Cancel _ -> true | _ -> false
+        in
+        if not cancelled then begin
+          if variant <> First_mut || not (Hashtbl.mem written key) then begin
+            Hashtbl.replace written key ();
+            match put with
+            | Some (value, crc) -> ok (store.save key { value; crc })
+            | None -> if done_ then ignore (ok (store.remove key))
+          end;
+          Option.iter
+            (fun { P.client; seq } ->
+              keep client
+                ((seq, shard, done_)
+                :: List.filter (fun (s, _, _) -> s <> seq) (entries client)))
+            txn
+        end
+    | J.Import { shard; entries = l } ->
+        List.iter
+          (fun ({ P.client; seq }, done_) ->
+            keep client
+              ((seq, shard, done_)
+               :: List.filter (fun (s, _, _) -> s <> seq) (entries client)
+              |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare b a)))
+          l
+    | J.Enable { nshards = k; _ } -> nshards := k
+    | J.Adopt s -> sweep s
+    | J.Release s ->
+        Hashtbl.filter_map_inplace
+          (fun _ l ->
+            match List.filter (fun (_, sh, _) -> sh <> s) l with
+            | [] -> None
+            | l -> Some l)
+          dups;
+        sweep s
+    | J.Freeze _ | J.Unfreeze _ | J.Map_version _ -> ()
+  done;
+  let dump =
+    Hashtbl.fold
+      (fun client l acc ->
+        List.map
+          (fun (seq, shard, done_) ->
+            ({ P.client; seq }, (shard, if done_ then P.Done else P.Missing)))
+          l
+        @ acc)
+      dups []
+    |> List.sort compare
+  in
+  (NC.mem_contents store, dump, !degraded)
+
+let recovered sink store =
+  let core = NC.create ~dup_capacity:ref_dup_capacity ~journal:(J.create sink) store in
+  ignore (NC.recover core : NC.recovery);
+  (NC.mem_contents store, NC.dump_dups core, NC.degraded core)
+
+let store_of pairs =
+  let s = NC.mem_store () in
+  List.iter (fun (k, v) -> ok (s.save k v)) pairs;
+  s
+
+let stored_pairs (s : NC.store) =
+  List.filter_map
+    (fun k -> Option.map (fun v -> (k, v)) (ok (s.load k)))
+    (ok (s.keys ()))
+
+(* A random journal and the store states to recover it onto: the live
+   store, an empty one, and the live store with some keys rolled back to
+   what they held before their last Mut (a crash between that Mut's
+   commit and its apply).  The journal has puts, deletes of present and
+   absent keys, Mut+Cancel pairs appended behind the node (as a failed
+   apply leaves them), checkpoints, migration imports and, on a sharded
+   node, releases and adoptions; it may end with a Mut never
+   applied. *)
+let random_history seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let sink, _ = J.mem_sink () in
+  let j = J.create sink in
+  let store = NC.mem_store () in
+  let node =
+    NC.create ~dup_capacity:ref_dup_capacity ~journal:j
+      ~journal_checkpoint:max_int store
+  in
+  let nshards = 4 and sharded = int 2 = 0 in
+  if sharded then NC.enable_sharding node ~nshards ~version:1 ~owned:[ 0; 1; 2 ];
+  let shard key =
+    if sharded then Bi_app.Shard_map.shard_of ~nshards key else 0
+  in
+  let owned s =
+    match NC.shard_state node with
+    | None -> true
+    | Some (_, owned, _) -> List.mem s owned
+  in
+  let keys = Array.init 6 (Printf.sprintf "k%d") in
+  let seqs = Array.make 3 0 in
+  let txn () =
+    let c = int 3 in
+    seqs.(c) <- seqs.(c) + 1;
+    Some { P.client = c + 1; seq = seqs.(c) }
+  in
+  let value () = Printf.sprintf "v%d" (int 3) in
+  (* Each key's stored value before its newest Mut since the last
+     checkpoint. *)
+  let before = Hashtbl.create 8 in
+  let mutate key req =
+    let pre = ok (store.load key) in
+    match NC.handle node req with
+    | P.Done | P.Missing -> Hashtbl.replace before key pre
+    | _ -> ()
+  in
+  let append_mut key put =
+    let put = Option.map (fun v -> (v, P.crc32 v)) put in
+    let done_ = put <> None || ok (store.load key) <> None in
+    ok (J.append j (J.Mut { txn = txn (); shard = shard key; key; put; done_ }))
+  in
+  for _ = 1 to 10 + int 40 do
+    let key = keys.(int (Array.length keys)) in
+    match int 20 with
+    | 0 | 1 | 2 | 3 | 4 | 5 ->
+        let v = value () in
+        mutate key (P.Put { key; value = v; crc = P.crc32 v; txn = txn () })
+    | 6 | 7 | 8 | 9 -> mutate key (P.Delete { key; txn = txn () })
+    | 10 | 11 | 12 ->
+        append_mut key (if int 2 = 0 then Some (value ()) else None);
+        ok (J.append j (J.Cancel { degraded = int 4 = 0 }))
+    | 13 ->
+        ok (NC.checkpoint node);
+        Hashtbl.reset before
+    | 14 | 15 ->
+        let c = int 3 in
+        seqs.(c) <- seqs.(c) + 1;
+        NC.import_dups node ~shard:(shard key)
+          [
+            ( { P.client = c + 1; seq = seqs.(c) },
+              if int 2 = 0 then P.Done else P.Missing );
+          ]
+    | _ ->
+        if sharded then
+          let s = shard key in
+          if owned s then ignore (NC.release node ~shard:s)
+          else ignore (NC.adopt node ~shard:s)
+  done;
+  (let key = keys.(int (Array.length keys)) in
+   if int 3 = 0 && owned (shard key) then begin
+     Hashtbl.replace before key (ok (store.load key));
+     append_mut key (Some (value ()))
+   end);
+  let live = stored_pairs store in
+  let rolled =
+    Hashtbl.fold
+      (fun k pre acc ->
+        if int 2 = 0 then acc
+        else
+          List.remove_assoc k acc
+          @ match pre with Some v -> [ (k, v) ] | None -> [])
+      before live
+  in
+  (sink, [ ("live", live); ("empty", []); ("rolled back", rolled) ])
+
+let test_recovery_matches_full_replay () =
+  let disagree = ref [] in
+  for seed = 1 to 300 do
+    let sink, states = random_history seed in
+    let records = fst (ok (J.load (J.create sink))) in
+    List.iter
+      (fun (name, pairs) ->
+        let got = recovered sink (store_of pairs) in
+        if got <> reference Full records (store_of pairs) then
+          Alcotest.failf "seed %d, %s store: recovery differs from full replay"
+            seed name;
+        List.iter
+          (fun v ->
+            if reference v records (store_of pairs) <> got then
+              disagree := v :: !disagree)
+          [ Ignores_cancel; First_mut ])
+      states
+  done;
+  check Alcotest.bool "a reference that ignores Cancel is caught" true
+    (List.mem Ignores_cancel !disagree);
+  check Alcotest.bool "a reference that redoes first Muts is caught" true
+    (List.mem First_mut !disagree)
 
 (* ------------------------------------------------------------------ *)
 (* Shard migration *)
@@ -1138,7 +1436,7 @@ let schedule_pins =
           "ed9abadff68087845a7b3f1d6cca5af5" ),
         (53, 68) ) );
     ( "crash-respawn",
-      ( ( "099f810cf0770a91db5fa1acba0a2d58",
+      ( ( "eac1b2629879ed0b86c79669d3815f3a",
           "947f5c148400332c288cac26b3c9fdaa" ),
         (26, 125) ) );
   ]
@@ -1244,23 +1542,18 @@ let test_shutdown_closes_idle_connection () =
             | _ -> false)
           (K.trace server)))
 
-(* A supervisor SIGKILLs and respawns netd five times; in each life one
-   client (a new client id per life) puts three keys and retries one of
-   them under the same txn.  Every run but the newest then holds a
-   retired core: not the core that served, but one with the same
-   counters and dup table, which refuses a put without touching the
-   disk. *)
-let test_netd_retires_dead_runs () =
+(* A supervisor SIGKILLs and respawns netd [cycles] times.  In each
+   life a new client (id epoch + 1) waits for the pong of the new epoch,
+   then runs [life]; it shuts the last life down.  Returns the server,
+   the installation and, oldest first, what [observe] answered of each
+   dead run as its process died. *)
+let netd_lives ~cycles ~observe life =
   let module Netd = Bi_netd.Netd in
   let server = K.create ~ip:ip_server () in
   let client = K.create ~ip:ip_client () in
   K.connect server client;
   let netd = Netd.install server in
-  let cycles = 5 in
-  let observe core = (NC.applied core, NC.dup_hits core, NC.dump_dups core) in
-  (* Each dead run's core and what it answered, newest first. *)
-  let died = ref [] in
-  let lives_done = ref 0 in
+  let died = ref [] and lives_done = ref 0 in
   K.register_program server "supervisor" (fun s _ ->
       let spawn () =
         match U.spawn s ~prog:"netd" ~arg:"" with
@@ -1275,7 +1568,7 @@ let test_netd_retires_dead_runs () =
         ignore (U.kill s ~pid:!pid ~signal:9);
         ignore (U.wait s !pid);
         (match Netd.latest_run netd with
-        | Some run -> died := (run.run_core, observe run.run_core) :: !died
+        | Some run -> died := observe run :: !died
         | None -> failwith "no run");
         pid := spawn ()
       done;
@@ -1294,15 +1587,7 @@ let test_netd_retires_dead_runs () =
           | _ -> failwith "no pong from the new epoch"
         in
         await 1000;
-        let txn = { P.client = epoch + 1; seq = 100 } in
-        List.iter
-          (fun put -> match put () with Ok () -> () | Error _ -> failwith "put")
-          [
-            (fun () -> RC.put c ~key:"a" ~value:"1");
-            (fun () -> RC.put c ~key:"b" ~value:"2");
-            (fun () -> RC.put_txn c ~txn ~key:"c" ~value:"3");
-            (fun () -> RC.put_txn c ~txn ~key:"c" ~value:"3");
-          ];
+        life c epoch;
         if epoch = cycles then ignore (Nd_client.rpc net P.Shutdown);
         Nd_client.close net;
         lives_done := epoch + 1
@@ -1312,6 +1597,32 @@ let test_netd_retires_dead_runs () =
   K.run_pair server client;
   no_crash server;
   no_crash client;
+  (server, netd, List.rev !died)
+
+let observe_core core = (NC.applied core, NC.dup_hits core, NC.dump_dups core)
+
+(* Five lives in which the client puts three keys and retries one of
+   them under the same txn.  Every run but the newest then holds a
+   retired core: not the core that served, but one with the same
+   counters and dup table, which refuses a put without touching the
+   disk. *)
+let test_netd_retires_dead_runs () =
+  let module Netd = Bi_netd.Netd in
+  let cycles = 5 in
+  let server, netd, died =
+    netd_lives ~cycles
+      ~observe:(fun (r : Netd.run) -> (r.run_core, observe_core r.run_core))
+      (fun c epoch ->
+        let txn = { P.client = epoch + 1; seq = 100 } in
+        List.iter
+          (fun put -> match put () with Ok () -> () | Error _ -> failwith "put")
+          [
+            (fun () -> RC.put c ~key:"a" ~value:"1");
+            (fun () -> RC.put c ~key:"b" ~value:"2");
+            (fun () -> RC.put_txn c ~txn ~key:"c" ~value:"3");
+            (fun () -> RC.put_txn c ~txn ~key:"c" ~value:"3");
+          ])
+  in
   let runs = Netd.runs netd in
   check Alcotest.(list int) "epochs" (List.init (cycles + 1) Fun.id)
     (List.map (fun (r : Netd.run) -> r.run_epoch) runs);
@@ -1325,16 +1636,59 @@ let test_netd_retires_dead_runs () =
         (let applied, hits, _ = seen in
          applied = 3 && hits = 1);
       check Alcotest.bool (e ^ "counters and dups as when it died") true
-        (observe run.run_core = seen);
+        (observe_core run.run_core = seen);
       let io = Bi_hw.Device.Disk.io_count disk in
       check Alcotest.bool (e ^ "a put is refused") true
         (match NC.handle run.run_core (put_txn_req ~client:99 ~seq:1 "z" "9") with
         | P.Err (P.Io _) -> true
         | _ -> false);
       check Alcotest.int (e ^ "disk I/Os") io (Bi_hw.Device.Disk.io_count disk))
-    retired (List.rev !died);
+    retired died;
   check Alcotest.bool "the newest run finished" true
     (match Netd.latest_run netd with Some r -> r.finished | None -> false)
+
+(* Twenty lives that only answer the pings: the dead runs look the same,
+   so netd keeps them as one record, and [runs] still gives every epoch
+   its own run, whose core answers that epoch and what the run's core
+   answered when it died.  Twenty more such lives grow what the
+   installation reaches by about 9 words a life (the kernel's console
+   lines, and the supervisor's list of what it saw), where a record per
+   dead run took about 50. *)
+let test_netd_identical_lives_share_a_record () =
+  let module Netd = Bi_netd.Netd in
+  let ping_lives cycles observe =
+    netd_lives ~cycles ~observe (fun _ _ -> ())
+  in
+  let words cycles =
+    let _, netd, _ = ping_lives cycles ignore in
+    Obj.reachable_words (Obj.repr netd)
+  in
+  let grown = words 40 - words 20 in
+  check Alcotest.bool
+    (Printf.sprintf "20 more lives retain %d words, under 20 x 16" grown)
+    true (grown < 20 * 16);
+  let cycles = 20 in
+  let _, netd, died =
+    ping_lives cycles (fun (r : Netd.run) ->
+        (r.run_epoch, observe_core r.run_core))
+  in
+  let runs = Netd.runs netd in
+  check Alcotest.(list int) "epochs" (List.init (cycles + 1) Fun.id)
+    (List.map (fun (r : Netd.run) -> r.run_epoch) runs);
+  List.iter
+    (fun (r : Netd.run) ->
+      check Alcotest.int "the core's epoch" r.run_epoch (NC.epoch r.run_core))
+    runs;
+  List.iter2
+    (fun (r : Netd.run) (epoch, seen) ->
+      check Alcotest.int "dead run's epoch" epoch r.run_epoch;
+      check Alcotest.bool
+        (Printf.sprintf "epoch %d: counters and dups as when it died"
+           r.run_epoch)
+        true
+        (observe_core r.run_core = seen))
+    (List.filteri (fun i _ -> i < cycles) runs)
+    died
 
 (* ------------------------------------------------------------------ *)
 
@@ -1414,6 +1768,12 @@ let () =
           Alcotest.test_case "a sim node recovers its dups on restart" `Quick
             test_sim_node_restart_recovers_dups;
         ] );
+      ( "recovery",
+        [
+          Alcotest.test_case "recovery is O(keys)" `Quick test_recovery_is_o_keys;
+          Alcotest.test_case "agrees with full replay" `Quick
+            test_recovery_matches_full_replay;
+        ] );
       ( "shard",
         [
           Alcotest.test_case "one migration bumps the version once" `Quick
@@ -1441,5 +1801,7 @@ let () =
         [
           Alcotest.test_case "respawns retire the cores of dead runs" `Quick
             test_netd_retires_dead_runs;
+          Alcotest.test_case "identical lives share one record" `Quick
+            test_netd_identical_lives_share_a_record;
         ] );
     ]
