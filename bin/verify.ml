@@ -10,81 +10,70 @@
      verify --timeout 5  per-VC time budget in seconds
      verify --list       show suite names *)
 
-let suites : (string * string * (unit -> Bi_core.Vc.t list)) list =
+(* Every suite's VC count is pinned in its row: the paper's headline pt
+   suite must stay exactly 220, and no other suite may gain or lose a VC
+   without this table saying so — silent drift (a VC dropped in a
+   refactor, a loop bound halved) would otherwise look like a pass.  Two
+   suites here carry VCs the benchmark's verify workload
+   (perfbench/suites.ml) does not run, so their pins differ from its
+   figures: [pwc] adds the 12 kernel address-space VCs ([Aspace_check],
+   18 + 12) and [nd] adds [nd/perf/no-poll] (44 + 1). *)
+let suites : (string * int * string * (unit -> Bi_core.Vc.t list)) list =
   [
-    ("pt", "page-table refinement (the paper's 220 VCs)", Bi_pt.Pt_refinement.all);
-    ("ptx", "page-table extensions (protect/mprotect)", Bi_pt.Pt_extensions.vcs);
-    ("ptb", "batched range ops refine the per-page fold", Bi_pt.Pt_refinement.range_vcs);
+    ("pt", 220, "page-table refinement (the paper's 220 VCs)", Bi_pt.Pt_refinement.all);
+    ("ptx", 24, "page-table extensions (protect/mprotect)", Bi_pt.Pt_extensions.vcs);
+    ("ptb", 41, "batched range ops refine the per-page fold", Bi_pt.Pt_refinement.range_vcs);
     ( "pwc",
+      30,
       "paging-structure cache agrees with uncached walk",
       fun () -> Bi_pt.Pt_refinement.pwc_vcs () @ Bi_kernel.Aspace_check.vcs () );
-    ("nr", "node replication (log, rwlock, equivalence, linearizability)", Bi_nr.Nr_check.vcs);
-    ("fs", "filesystem refinement and crash safety", Bi_fs.Fs_refinement.vcs);
-    ("net", "network stack codecs and end-to-end behaviour", Bi_net.Net_check.vcs);
-    ("abi", "syscall ABI marshalling obligations", Bi_kernel.Sysabi.vcs);
+    ("nr", 19, "node replication (log, rwlock, equivalence, linearizability)", Bi_nr.Nr_check.vcs);
+    ("fs", 28, "filesystem refinement and crash safety", Bi_fs.Fs_refinement.vcs);
+    ("net", 17, "network stack codecs and end-to-end behaviour", Bi_net.Net_check.vcs);
+    ("abi", 5, "syscall ABI marshalling obligations", Bi_kernel.Sysabi.vcs);
     ( "mc",
+      39,
       "model checker (DPOR): ulib, futex, NR + mutation self-checks",
       fun () ->
         Bi_core.Mc_check.vcs () @ Bi_ulib.Ulib_mc.vcs ()
         @ Bi_kernel.Futex_mc.vcs () @ Bi_nr.Nr_mc.vcs () );
     ( "fi",
+      52,
       "fault injection: plans, faulty disk/link, crash exploration + mutations",
       Bi_fault.Fi_check.vcs );
     ( "rs",
+      59,
       "resilient store: exactly-once, breaker, linearizability + mutations",
       Bi_app.Rs_check.vcs );
     ( "sh",
+      41,
       "sharded store: routing, live migration, linearizability + mutations",
       Bi_app.Sh_check.vcs );
     ( "hp",
+      45,
       "hot path: batch apply, zero-copy framing, buffer pool parity",
       Bi_app.Hp_check.vcs );
     ( "wl",
+      54,
       "workload: admission control, shedding, fairness under 1e6 clients",
       Bi_load.Wl_check.vcs );
     ( "nd",
+      45,
       "netd: concurrent daemon, e2e exactly-once/lin via syscall traces",
       fun () -> Bi_netd.Nd_check.vcs () @ Bi_netd.Nd_check.transport_vcs () );
     ( "cr",
+      30,
       "crash recovery: journaled commit + recover at every crash point",
       Bi_app.Cr_check.vcs );
   ]
 
-(* Every suite's VC count is pinned: the paper's headline pt suite must
-   stay exactly 220, and no other suite may gain or lose a VC without
-   this table saying so — silent drift (a VC dropped in a refactor, a
-   loop bound halved) would otherwise look like a pass.  Two suites here
-   carry VCs the benchmark's verify workload (perfbench/suites.ml) does
-   not run, so their pins differ from its figures: [pwc] adds the 12
-   kernel address-space VCs ([Aspace_check], 18 + 12) and [nd] adds
-   [nd/perf/no-poll] (44 + 1). *)
-let expected_count = function
-  | "pt" -> Some 220
-  | "ptx" -> Some 24
-  | "ptb" -> Some 41
-  | "pwc" -> Some 30
-  | "nr" -> Some 19
-  | "fs" -> Some 28
-  | "net" -> Some 17
-  | "abi" -> Some 5
-  | "mc" -> Some 39
-  | "fi" -> Some 52
-  | "rs" -> Some 59
-  | "sh" -> Some 41
-  | "hp" -> Some 45
-  | "wl" -> Some 54
-  | "nd" -> Some 45
-  | "cr" -> Some 30
-  | _ -> None
-
-let run_suite ~jobs ?timeout_s verbose (name, descr, vcs) =
+let run_suite ~jobs ?timeout_s verbose (name, pin, descr, vcs) =
   let vcs = vcs () in
-  (match expected_count name with
-  | Some n when List.length vcs <> n ->
-      Format.printf "%-5s suite drifted: %d VCs, pinned count is %d@." name
-        (List.length vcs) n;
-      exit 1
-  | _ -> ());
+  if List.length vcs <> pin then begin
+    Format.printf "%-5s suite drifted: %d VCs, pinned count is %d@." name
+      (List.length vcs) pin;
+    exit 1
+  end;
   let rep = Bi_core.Verifier.discharge ~jobs ?timeout_s vcs in
   Format.printf "%-5s %-48s %a@." name descr Bi_core.Verifier.pp_summary rep;
   if verbose then Bi_core.Verifier.pp_breakdown Format.std_formatter rep;
@@ -96,7 +85,7 @@ let run_suite ~jobs ?timeout_s verbose (name, descr, vcs) =
 
 let main list_only verbose jobs timeout_s names =
   if list_only then begin
-    List.iter (fun (n, d, _) -> Format.printf "%-5s %s@." n d) suites;
+    List.iter (fun (n, _, d, _) -> Format.printf "%-5s %s@." n d) suites;
     0
   end
   else begin
@@ -105,7 +94,7 @@ let main list_only verbose jobs timeout_s names =
       match names with
       | [] -> suites
       | _ ->
-          List.filter (fun (n, _, _) -> List.mem n names) suites
+          List.filter (fun (n, _, _, _) -> List.mem n names) suites
     in
     match selected with
     | [] ->

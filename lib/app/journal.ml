@@ -47,8 +47,9 @@ module FP = Bi_fault.Fault_plan
 
 type snapshot = {
   s_dups : (int * (int * int * bool) list) list;
-      (** [(client, [(seq, shard, done)])], clients sorted ascending,
-          entries newest-first — the whole duplicate table. *)
+      (** [(client, [(seq, shard, done)])], clients oldest-seen first,
+          entries newest-first — the whole duplicate table, in the order
+          its eviction follows. *)
   s_sharding : (int * int * int list * int list) option;
       (** [(nshards, map_version, owned, frozen)]. *)
   s_degraded : bool;

@@ -15,8 +15,9 @@
 
 type snapshot = {
   s_dups : (int * (int * int * bool) list) list;
-      (** [(client, [(seq, shard, done)])], clients ascending, entries
-          newest-first. *)
+      (** [(client, [(seq, shard, done)])], clients oldest-seen first,
+          entries newest-first.  A snapshot that lists clients by
+          ascending id reads as ids seen in that order. *)
   s_sharding : (int * int * int list * int list) option;
       (** [(nshards, map_version, owned, frozen)]. *)
   s_degraded : bool;

@@ -18,6 +18,10 @@ module Clients = Map.Make (Int)
    mutated, and its response ([Done] or [Missing]). *)
 type entry = { seq : int; shard : int; resp : P.resp }
 
+(* One client's row: its entries, newest first, and the stamp of the
+   last time the node saw it (the eviction order). *)
+type row = { entries : entry list; seen : int }
+
 (* Shard ownership, when the node is part of a sharded cluster.  [owned]
    is what this node serves; [frozen] marks shards mid-migration on the
    source side: reads are still served (the copy itself reads through
@@ -36,12 +40,12 @@ type t = {
       (* request/response buffer pool for the byte-level entry point *)
   dup_capacity : int;
   epoch : int;
-  (* client -> its entries, newest first: each entry remembers the
-     shard of the key it mutated, so a migration can carry exactly the
-     entries that move with the shard.  An immutable map: a node tracks
-     few clients, and {!retire} keeps the table without copying it. *)
-  mutable dups : entry list Clients.t;
-  mutable recency : int list; (* client ids, most recently seen first *)
+  (* client -> its row: each entry remembers the shard of the key it
+     mutated, so a migration can carry exactly the entries that move
+     with the shard.  An immutable map: a node tracks few clients, and
+     {!retire} keeps the table without copying it. *)
+  mutable dups : row Clients.t;
+  mutable stamp : int; (* the last [seen] stamp handed out *)
   mutable sharding : sharding option;
   mutable degraded : bool;
   mutable shutdown : bool;
@@ -66,7 +70,7 @@ let create ?pool ?(dup_capacity = 8) ?(epoch = 0)
     dup_capacity;
     epoch;
     dups = Clients.empty;
-    recency = [];
+    stamp = 0;
     sharding = None;
     degraded = false;
     shutdown = false;
@@ -105,7 +109,6 @@ let retire t ~epoch =
     store = retired_store;
     journal = retired_journal;
     pool = None;
-    recency = [];
   }
 
 let wants_shutdown t = t.shutdown
@@ -146,15 +149,18 @@ let enable_sharding t ~nshards ~version ~owned =
   t.sharding <- Some sh;
   jrecord t (Journal.Enable { nshards; version; owned })
 
+(* The shards a mask marks, ascending. *)
+let list_of mask =
+  Array.to_list (Array.mapi (fun s b -> (s, b)) mask)
+  |> List.filter_map (fun (s, b) -> if b then Some s else None)
+
+let shard_lists sh =
+  (sh.nshards, sh.map_version, list_of sh.owned, list_of sh.frozen)
+
 let shard_state t =
-  match t.sharding with
-  | None -> None
-  | Some sh ->
-      let list_of mask =
-        Array.to_list (Array.mapi (fun s b -> (s, b)) mask)
-        |> List.filter_map (fun (s, b) -> if b then Some s else None)
-      in
-      Some (sh.map_version, list_of sh.owned, list_of sh.frozen)
+  Option.map
+    (fun sh -> (sh.map_version, list_of sh.owned, list_of sh.frozen))
+    t.sharding
 
 let with_sharding t f =
   match t.sharding with
@@ -228,77 +234,100 @@ let route t key ~mutation =
 (* ------------------------------------------------------------------ *)
 (* Bounded per-client duplicate table                                  *)
 
-let touch t client =
-  t.recency <- client :: List.filter (( <> ) client) t.recency;
-  match List.filteri (fun i _ -> i >= max_clients) t.recency with
-  | [] -> ()
-  | evicted ->
-      t.dups <- List.fold_left (fun m c -> Clients.remove c m) t.dups evicted;
-      t.recency <- List.filteri (fun i _ -> i < max_clients) t.recency
+(* The table's one insert: [client]'s row gets [entries] and a fresh
+   stamp.  A client new to a full table first evicts the one seen
+   longest ago, so the table holds the [max_clients] most recently seen
+   clients. *)
+let dup_insert t client entries =
+  let dups =
+    if Clients.mem client t.dups || Clients.cardinal t.dups < max_clients then
+      t.dups
+    else
+      let oldest, _ =
+        Clients.fold
+          (fun c r ((_, seen) as acc) -> if r.seen < seen then (c, r.seen) else acc)
+          t.dups (client, max_int)
+      in
+      Clients.remove oldest t.dups
+  in
+  t.stamp <- t.stamp + 1;
+  t.dups <- Clients.add client { entries; seen = t.stamp } dups
 
+(* A lookup that finds its client refreshes the client's stamp, even
+   when the seq is not among its entries. *)
 let dup_lookup t = function
   | None -> None
   | Some { P.client; seq } -> (
       match Clients.find_opt client t.dups with
       | None -> None
-      | Some entries ->
-          touch t client;
+      | Some { entries; _ } ->
+          dup_insert t client entries;
           Option.map
             (fun e -> e.resp)
             (List.find_opt (fun e -> e.seq = seq) entries))
+
+(* [client]'s entries with [e] added (replacing any entry of the same
+   seq), put in [order] and cut to [dup_capacity]. *)
+let with_entry t client e ~order =
+  let entries =
+    match Clients.find_opt client t.dups with Some r -> r.entries | None -> []
+  in
+  e :: List.filter (fun e' -> e'.seq <> e.seq) entries
+  |> order
+  |> List.filteri (fun i _ -> i < t.dup_capacity)
 
 let dup_record t txn ~shard resp =
   match txn with
   | None -> ()
   | Some { P.client; seq } ->
-      let entries =
-        Option.value ~default:[] (Clients.find_opt client t.dups)
-      in
-      let entries =
-        (* Keep exactly [dup_capacity] entries, newest first. *)
-        List.filteri
-          (fun i _ -> i < t.dup_capacity)
-          ({ seq; shard; resp } :: List.filter (fun e -> e.seq <> seq) entries)
-      in
-      t.dups <- Clients.add client entries t.dups;
-      touch t client
+      dup_insert t client
+        (with_entry t client { seq; shard; resp } ~order:Fun.id)
 
-(* Deterministic order for anything that leaves the table: a client's
-   entries are newest first, so every export is sorted by (client id,
-   seq) explicitly — migration hand-offs, checkpoint snapshots, and the
-   world-determinism VCs all rely on it. *)
+(* The table's one reading: clients oldest-seen first, each with its
+   entries newest first — the order a checkpoint keeps, so a recovered
+   node evicts as its live self would have. *)
+let rows_by_age t =
+  Clients.bindings t.dups
+  |> List.sort (fun (_, r1) (_, r2) -> Int.compare r1.seen r2.seen)
+
+(* Deterministic order for anything that leaves the table by txn: a
+   client's entries are newest first, so every export is sorted by
+   (client id, seq) explicitly — migration hand-offs and the
+   world-determinism VCs rely on it. *)
 let compare_txn { P.client = c1; seq = s1 } { P.client = c2; seq = s2 } =
   match Int.compare c1 c2 with 0 -> Int.compare s1 s2 | c -> c
 
-let export_dups t ~shard =
-  Clients.fold
-    (fun client entries acc ->
-      List.fold_left
-        (fun acc e ->
-          if e.shard = shard then ({ P.client; seq = e.seq }, e.resp) :: acc
-          else acc)
-        acc entries)
-    t.dups []
+let sorted_entries t f =
+  rows_by_age t
+  |> List.concat_map (fun (client, r) ->
+         List.filter_map
+           (fun e -> Option.map (fun x -> ({ P.client; seq = e.seq }, x)) (f e))
+           r.entries)
   |> List.sort (fun (t1, _) (t2, _) -> compare_txn t1 t2)
+
+let export_dups t ~shard =
+  sorted_entries t (fun e -> if e.shard = shard then Some e.resp else None)
 
 (* The whole table, every shard, in the same deterministic order — the
    observation the recovery and determinism VCs compare across a
    restart. *)
-let dump_dups t =
-  Clients.fold
-    (fun client entries acc ->
-      List.fold_left
-        (fun acc e -> ({ P.client; seq = e.seq }, (e.shard, e.resp)) :: acc)
-        acc entries)
-    t.dups []
-  |> List.sort (fun (t1, _) (t2, _) -> compare_txn t1 t2)
+let dump_dups t = sorted_entries t (fun e -> Some (e.shard, e.resp))
+
+(* The whole table in journal form. *)
+let snapshot_dups t =
+  List.map
+    (fun (client, r) ->
+      (client, List.map (fun e -> (e.seq, e.shard, e.resp = P.Done)) r.entries))
+    (rows_by_age t)
+
+let resp_of_done done_ = if done_ then P.Done else P.Missing
 
 (* Merge the carried entries with the target's own table, per client,
    keeping the [dup_capacity] highest seqs.  Per-client seqs are
    monotone, so highest = newest: exactly the acks an in-flight retry
    can still ask about.  Recording imports through [dup_record] instead
-   would give them unconditional recency priority and could evict the
-   target's freshest entries for its other shards. *)
+   would put them first unconditionally and could drop the target's
+   freshest entries for its other shards. *)
 let import_dups t ~shard entries =
   jrecord t
     (Journal.Import
@@ -308,25 +337,20 @@ let import_dups t ~shard entries =
        });
   List.iter
     (fun ({ P.client; seq }, resp) ->
-      let existing =
-        Option.value ~default:[] (Clients.find_opt client t.dups)
-      in
-      let merged =
-        { seq; shard; resp } :: List.filter (fun e -> e.seq <> seq) existing
-        |> List.sort (fun e1 e2 -> Int.compare e2.seq e1.seq)
-        |> List.filteri (fun i _ -> i < t.dup_capacity)
-      in
-      t.dups <- Clients.add client merged t.dups;
-      touch t client)
+      dup_insert t client
+        (with_entry t client { seq; shard; resp }
+           ~order:(List.sort (fun e1 e2 -> Int.compare e2.seq e1.seq))))
     entries
 
+(* A client whose last entry leaves leaves the table, and frees its
+   slot. *)
 let prune_dups t ~shard =
   t.dups <-
     Clients.filter_map
-      (fun _client entries ->
-        match List.filter (fun e -> e.shard <> shard) entries with
+      (fun _client r ->
+        match List.filter (fun e -> e.shard <> shard) r.entries with
         | [] -> None
-        | kept -> Some kept)
+        | entries -> Some { r with entries })
       t.dups
 
 (* Drop ownership of a migrated-away shard: its keys leave the store,
@@ -349,22 +373,6 @@ let release t ~shard =
    answers [Done]; a delete answers [Done] or [Missing] depending on
    presence. *)
 type mutation = M_put of stored | M_del
-
-(* Snapshot of the whole duplicate table in journal form, clients
-   ascending (the map's order), each client's entries newest first. *)
-let snapshot_dups t =
-  Clients.bindings t.dups
-  |> List.map (fun (client, entries) ->
-         ( client,
-           List.map (fun e -> (e.seq, e.shard, e.resp = P.Done))
-             entries ))
-
-let shard_lists sh =
-  let list_of mask =
-    Array.to_list (Array.mapi (fun s b -> (s, b)) mask)
-    |> List.filter_map (fun (s, b) -> if b then Some s else None)
-  in
-  (sh.nshards, sh.map_version, list_of sh.owned, list_of sh.frozen)
 
 (* Checkpoint: atomically replace the whole journal with one [Snapshot]
    record.  Only called from quiescent points (after a completed commit,
@@ -598,7 +606,7 @@ let no_recovery =
 
    Redo needs only the last image of each key.  One backward pass, which
    stops at the last [Snapshot], marks each key's last [Mut] that no
-   [Cancel] voids; only that [Mut] touches the store, at its own place in
+   [Cancel] voids; only that [Mut] goes to the store, at its own place in
    the replay, so an [Adopt] or [Release] sweep after it still removes
    the key.  Every other record replays in full: each non-cancelled
    [Mut] restores its dup entry, and sharding, imports, cancels and the
@@ -655,7 +663,7 @@ let recover t =
         match txn with
         | None -> ()
         | Some _ ->
-            dup_record t txn ~shard (if done_ then P.Done else P.Missing);
+            dup_record t txn ~shard (resp_of_done done_);
             incr dup_entries
       in
       let redo_put key (value, crc) =
@@ -679,19 +687,18 @@ let recover t =
           | Ok None -> incr skipped
           | _ -> wrote (t.store.remove key)
       in
+      (* Clients are stamped in list order, oldest-seen first; a
+         snapshot that lists them by ascending id reads as ids seen in
+         that order. *)
       let install_snapshot { Journal.s_dups; s_sharding; s_degraded } =
         t.dups <- Clients.empty;
-        t.recency <- [];
         List.iter
           (fun (client, entries) ->
-            t.dups <-
-              Clients.add client
-                (List.map
-                   (fun (seq, shard, done_) ->
-                     { seq; shard; resp = (if done_ then P.Done else P.Missing) })
-                   entries)
-                t.dups;
-            t.recency <- client :: t.recency)
+            dup_insert t client
+              (List.map
+                 (fun (seq, shard, done_) ->
+                   { seq; shard; resp = resp_of_done done_ })
+                 entries))
           s_dups;
         (match s_sharding with
         | None -> t.sharding <- None
@@ -713,12 +720,8 @@ let recover t =
                 | Error _ -> t.degraded <- true);
                 sh.owned.(shard) <- true;
                 sh.frozen.(shard) <- false)
-        | Journal.Release shard ->
-            with_sharding t (fun sh ->
-                sh.owned.(shard) <- false;
-                sh.frozen.(shard) <- false);
-            prune_dups t ~shard;
-            (match sweep_shard t ~shard with
+        | Journal.Release shard -> (
+            match release t ~shard with
             | Ok () -> ()
             | Error _ -> t.degraded <- true)
         | Journal.Freeze shard -> freeze t ~shard
@@ -745,10 +748,7 @@ let recover t =
             end
         | Journal.Import { shard; entries } ->
             import_dups t ~shard
-              (List.map
-                 (fun (txn, done_) ->
-                   (txn, if done_ then P.Done else P.Missing))
-                 entries)
+              (List.map (fun (txn, done_) -> (txn, resp_of_done done_)) entries)
         | (Journal.Enable _ | Journal.Adopt _ | Journal.Release _
           | Journal.Freeze _ | Journal.Unfreeze _ | Journal.Map_version _)
           as ctl ->

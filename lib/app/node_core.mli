@@ -57,11 +57,13 @@ val create :
   ?journal_checkpoint:int ->
   store ->
   t
-(** [dup_capacity] bounds both the per-client entry count and the number
-    of distinct clients tracked (default 8 entries for each of up to 64
-    clients; oldest evicted first).  [pool] backs {!handle_frame}'s
-    request/response scratch buffers (shared across cores is fine — the
-    worlds are single-domain).
+(** [dup_capacity] bounds the entries kept per client (default 8).  The
+    table tracks the 64 most recently seen clients (a constant): a client
+    new to a full table evicts the one seen longest ago, a client whose
+    last entry a {!release} prunes frees its slot, and a checkpoint keeps
+    the order, so a recovered node evicts as its live self would.
+    [pool] backs {!handle_frame}'s request/response scratch buffers
+    (shared across cores is fine — the worlds are single-domain).
 
     Every mutation runs the crash-durable commit protocol: decide the
     response, append one {!Journal.Mut} record (the commit point — an

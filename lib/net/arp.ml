@@ -46,28 +46,15 @@ let decode b =
   with Pkt.R.Truncated -> None
 
 module Cache = struct
+  module C = Bi_hw.Fifo_cache.Make (Int)
+
   type entry = string
+  type cache = entry C.t
 
-  type cache = {
-    capacity : int;
-    table : (int32, entry) Hashtbl.t;
-    order : int32 Queue.t;
-  }
+  let create ?(capacity = 64) () = C.create ~capacity
 
-  let create ?(capacity = 64) () =
-    { capacity; table = Hashtbl.create 16; order = Queue.create () }
-
-  let add c ip mac =
-    if not (Hashtbl.mem c.table ip) then begin
-      if Hashtbl.length c.table >= c.capacity then begin
-        match Queue.take_opt c.order with
-        | Some victim -> Hashtbl.remove c.table victim
-        | None -> ()
-      end;
-      Queue.push ip c.order
-    end;
-    Hashtbl.replace c.table ip mac
-
-  let find c ip = Hashtbl.find_opt c.table ip
-  let size c = Hashtbl.length c.table
+  (* The address as an immediate, as {!Bi_hw.Tlb} keys pages. *)
+  let add c ip mac = C.insert c (Int32.to_int ip) mac
+  let find c ip = C.find c (Int32.to_int ip)
+  let size = C.entry_count
 end

@@ -703,6 +703,41 @@ let test_dup_lookup_touch_ordering () =
   check Alcotest.int "untouched client 2 was the victim: re-applied" 66
     (NC.applied n)
 
+(* A released shard's clients leave the table and free their slots:
+   clients 1..63 write shard 0, client 64 only shard 1.  Once shard 1 is
+   released, client 65 takes client 64's slot, so the table holds 64
+   clients and client 1's acked put is still answered from it. *)
+let test_release_frees_dup_slot () =
+  let nshards = 2 in
+  let key_on shard i =
+    let rec go j =
+      let k = Printf.sprintf "s%d-%d" i j in
+      if Bi_app.Shard_map.shard_of ~nshards k = shard then k else go (j + 1)
+    in
+    go 0
+  in
+  let n = NC.create (NC.mem_store ()) in
+  NC.enable_sharding n ~nshards ~version:1 ~owned:[ 0; 1 ];
+  let put ~client shard =
+    match NC.handle n (put_txn_req ~client ~seq:1 (key_on shard client) "v") with
+    | P.Done -> ()
+    | _ -> Alcotest.fail "put refused"
+  in
+  for client = 1 to 63 do
+    put ~client 0
+  done;
+  put ~client:64 1;
+  ok (NC.release n ~shard:1);
+  put ~client:65 0;
+  let clients =
+    List.sort_uniq compare
+      (List.map (fun ({ P.client; _ }, _) -> client) (NC.dump_dups n))
+  in
+  check Alcotest.int "the table is full again" 64 (List.length clients);
+  put ~client:1 0;
+  check Alcotest.int "client 1's retry hits the table" 1 (NC.dup_hits n);
+  check Alcotest.int "nothing re-applied" 65 (NC.applied n)
+
 (* Against a dead endpoint with an oversized backoff, every sleep is
    clamped to the remaining deadline budget: on a manual clock the call
    ends at exactly [deadline] (the pre-clamp client overshot by a full
@@ -1184,6 +1219,42 @@ let stored_pairs (s : NC.store) =
   List.filter_map
     (fun k -> Option.map (fun v -> (k, v)) (ok (s.load k)))
     (ok (s.keys ()))
+
+(* A checkpoint keeps the order clients were last seen in: 64 clients
+   seen 64 down to 1, then a checkpoint.  On the live node and on one
+   recovered from the same journal and store, client 65 evicts client
+   64, the one seen longest ago, and client 1's retry is answered from
+   the table. *)
+let test_recovery_keeps_eviction_order () =
+  let sink, _ = J.mem_sink () in
+  let store = NC.mem_store () in
+  let live =
+    NC.create ~journal:(J.create sink) ~journal_checkpoint:max_int store
+  in
+  for client = 64 downto 1 do
+    match
+      NC.handle live
+        (put_txn_req ~client ~seq:1 (Printf.sprintf "c%d" client) "v")
+    with
+    | P.Done -> ()
+    | _ -> Alcotest.fail "put refused"
+  done;
+  ok (NC.checkpoint live);
+  let recovered =
+    NC.create ~journal:(J.create sink) ~journal_checkpoint:max_int store
+  in
+  ignore (NC.recover recovered : NC.recovery);
+  check Alcotest.bool "same table" true
+    (NC.dump_dups live = NC.dump_dups recovered);
+  List.iter
+    (fun (name, n) ->
+      let applied = NC.applied n in
+      ignore (NC.handle n (put_txn_req ~client:65 ~seq:1 "c65" "v"));
+      ignore (NC.handle n (put_txn_req ~client:1 ~seq:1 "c1" "v"));
+      check Alcotest.int (name ^ ": client 1's retry hits") 1 (NC.dup_hits n);
+      check Alcotest.int (name ^ ": only client 65 applied") (applied + 1)
+        (NC.applied n))
+    [ ("live", live); ("recovered", recovered) ]
 
 (* A random journal and the store states to recover it onto: the live
    store, an empty one, and the live store with some keys rolled back to
@@ -1742,6 +1813,8 @@ let () =
             test_dup_table_client_lru;
           Alcotest.test_case "dup-lookup touch ordering" `Quick
             test_dup_lookup_touch_ordering;
+          Alcotest.test_case "a release frees dup-table slots" `Quick
+            test_release_frees_dup_slot;
           Alcotest.test_case "clamped backoff stops at deadline" `Quick
             test_clamped_backoff_deadline;
           Alcotest.test_case "breaker half-open single probe" `Quick
@@ -1773,6 +1846,8 @@ let () =
           Alcotest.test_case "recovery is O(keys)" `Quick test_recovery_is_o_keys;
           Alcotest.test_case "agrees with full replay" `Quick
             test_recovery_matches_full_replay;
+          Alcotest.test_case "a checkpoint keeps the eviction order" `Quick
+            test_recovery_keeps_eviction_order;
         ] );
       ( "shard",
         [
