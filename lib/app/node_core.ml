@@ -53,11 +53,10 @@ type t = {
   mutable dup_hits : int;
   (* Crash durability: every mutation is appended as one Journal.Mut
      record *before* the store apply (the append is the commit point),
-     and control-plane transitions are appended after they succeed;
-     [recover] replays the log on restart. *)
+     and every control-plane transition is appended, then applied;
+     [recover] replays the log on restart through the same [apply]. *)
   journal : Journal.t;
   journal_checkpoint : int; (* auto-checkpoint size threshold, bytes *)
-  mutable recovering : bool; (* replay must not re-journal its own ops *)
   mutable checkpoints : int;
 }
 
@@ -78,7 +77,6 @@ let create ?pool ?(dup_capacity = 8) ?(epoch = 0)
     dup_hits = 0;
     journal;
     journal_checkpoint;
-    recovering = false;
     checkpoints = 0;
   }
 
@@ -118,36 +116,8 @@ let applied t = t.applied
 let dup_hits t = t.dup_hits
 let checkpoints t = t.checkpoints
 
-(* Best-effort control-plane journaling: replay must not re-append its
-   own records, and an append failure latches degraded — the node can no
-   longer promise its recovered self would agree with its live self. *)
-let jrecord t r =
-  if not t.recovering then
-    match Journal.append t.journal r with
-    | Ok () -> ()
-    | Error _ -> t.degraded <- true
-
 (* ------------------------------------------------------------------ *)
-(* Sharding control plane                                              *)
-
-let enable_sharding t ~nshards ~version ~owned =
-  if nshards < 1 then invalid_arg "Node_core.enable_sharding: nshards < 1";
-  let sh =
-    {
-      nshards;
-      map_version = version;
-      owned = Array.make nshards false;
-      frozen = Array.make nshards false;
-    }
-  in
-  List.iter
-    (fun s ->
-      if s < 0 || s >= nshards then
-        invalid_arg "Node_core.enable_sharding: shard out of range";
-      sh.owned.(s) <- true)
-    owned;
-  t.sharding <- Some sh;
-  jrecord t (Journal.Enable { nshards; version; owned })
+(* Shard ownership                                                     *)
 
 (* The shards a mask marks, ascending. *)
 let list_of mask =
@@ -167,17 +137,12 @@ let with_sharding t f =
   | None -> invalid_arg "Node_core: node is not sharded"
   | Some sh -> f sh
 
-let set_map_version t version =
-  with_sharding t (fun sh -> sh.map_version <- version);
-  jrecord t (Journal.Map_version version)
-
-let freeze t ~shard =
-  with_sharding t (fun sh -> sh.frozen.(shard) <- true);
-  jrecord t (Journal.Freeze shard)
-
-let unfreeze t ~shard =
-  with_sharding t (fun sh -> sh.frozen.(shard) <- false);
-  jrecord t (Journal.Unfreeze shard)
+(* The control plane's precondition, checked before anything is
+   journaled: the node is sharded and [shard] is in range. *)
+let check_shard t shard =
+  with_sharding t (fun sh ->
+      if shard < 0 || shard >= sh.nshards then
+        invalid_arg "Node_core: shard out of range")
 
 (* Which shard a key belongs to on this node: the map's hash when
    sharded, a single catch-all shard 0 otherwise (so the dup table is
@@ -202,23 +167,6 @@ let sweep_shard t ~shard =
             | Ok _ -> acc
             | Error e -> ( match acc with Ok () -> Error e | _ -> acc))
         (Ok ()) ks
-
-let adopt t ~shard =
-  with_sharding t (fun sh ->
-      (* Pre-adopt reconcile: any stored keys of [shard] are stale
-         residue — an aborted inbound copy, or a release sweep that hit
-         a store error after the shard migrated away.  They must be
-         purged before ownership flips, or a key meanwhile deleted at
-         the real owner would be served and listed here again once this
-         node re-owns the shard.  A failed purge refuses the adoption:
-         the shard stays un-owned and its residue stays hidden. *)
-      match sweep_shard t ~shard with
-      | Error _ as e -> e
-      | Ok () ->
-          sh.owned.(shard) <- true;
-          sh.frozen.(shard) <- false;
-          jrecord t (Journal.Adopt shard);
-          Ok ())
 
 (* [Ok shard] when this node may perform the request on [key];
    [Error (Wrong_shard v)] otherwise.  Reads are served on frozen shards
@@ -266,22 +214,19 @@ let dup_lookup t = function
             (fun e -> e.resp)
             (List.find_opt (fun e -> e.seq = seq) entries))
 
-(* [client]'s entries with [e] added (replacing any entry of the same
-   seq), put in [order] and cut to [dup_capacity]. *)
-let with_entry t client e ~order =
+let resp_of_done done_ = if done_ then P.Done else P.Missing
+
+(* [txn]'s entry added to its client's row (replacing any entry of the
+   same seq), the row put in [order] and cut to [dup_capacity]. *)
+let dup_add t ~order ~shard { P.client; seq } done_ =
   let entries =
     match Clients.find_opt client t.dups with Some r -> r.entries | None -> []
   in
-  e :: List.filter (fun e' -> e'.seq <> e.seq) entries
-  |> order
-  |> List.filteri (fun i _ -> i < t.dup_capacity)
-
-let dup_record t txn ~shard resp =
-  match txn with
-  | None -> ()
-  | Some { P.client; seq } ->
-      dup_insert t client
-        (with_entry t client { seq; shard; resp } ~order:Fun.id)
+  dup_insert t client
+    ({ seq; shard; resp = resp_of_done done_ }
+     :: List.filter (fun e -> e.seq <> seq) entries
+    |> order
+    |> List.filteri (fun i _ -> i < t.dup_capacity))
 
 (* The table's one reading: clients oldest-seen first, each with its
    entries newest first — the order a checkpoint keeps, so a recovered
@@ -320,51 +265,142 @@ let snapshot_dups t =
       (client, List.map (fun e -> (e.seq, e.shard, e.resp = P.Done)) r.entries))
     (rows_by_age t)
 
-let resp_of_done done_ = if done_ then P.Done else P.Missing
+(* ------------------------------------------------------------------ *)
+(* What a journal record means                                         *)
 
-(* Merge the carried entries with the target's own table, per client,
-   keeping the [dup_capacity] highest seqs.  Per-client seqs are
-   monotone, so highest = newest: exactly the acks an in-flight retry
-   can still ask about.  Recording imports through [dup_record] instead
-   would put them first unconditionally and could drop the target's
-   freshest entries for its other shards. *)
+let sharding_of ~nshards ~version ~owned ~frozen =
+  let mask shards =
+    let m = Array.make nshards false in
+    List.iter (fun s -> m.(s) <- true) shards;
+    m
+  in
+  { nshards; map_version = version; owned = mask owned; frozen = mask frozen }
+
+(* The one function that turns a journal record into the node's memory
+   — the dup table, shard ownership and the degraded latch — with no
+   I/O.  The live node applies each record after appending it (a [Mut]
+   once its store write succeeded) and [recover] applies the same
+   records in order, so a recovered node knows what its live self knew. *)
+let apply t = function
+  | Journal.Mut { txn; shard; done_; _ } ->
+      Option.iter (fun txn -> dup_add t ~order:Fun.id ~shard txn done_) txn
+  | Journal.Cancel { degraded } -> if degraded then t.degraded <- true
+  | Journal.Snapshot { s_dups; s_sharding; s_degraded } ->
+      (* Clients are stamped in list order, oldest-seen first; a
+         snapshot that lists them by ascending id reads as ids seen in
+         that order. *)
+      t.dups <- Clients.empty;
+      List.iter
+        (fun (client, entries) ->
+          dup_insert t client
+            (List.map
+               (fun (seq, shard, done_) ->
+                 { seq; shard; resp = resp_of_done done_ })
+               entries))
+        s_dups;
+      t.sharding <-
+        Option.map
+          (fun (nshards, version, owned, frozen) ->
+            sharding_of ~nshards ~version ~owned ~frozen)
+          s_sharding;
+      t.degraded <- s_degraded
+  | Journal.Enable { nshards; version; owned } ->
+      t.sharding <- Some (sharding_of ~nshards ~version ~owned ~frozen:[])
+  | Journal.Map_version version ->
+      with_sharding t (fun sh -> sh.map_version <- version)
+  | Journal.Freeze shard ->
+      with_sharding t (fun sh -> sh.frozen.(shard) <- true)
+  | Journal.Unfreeze shard ->
+      with_sharding t (fun sh -> sh.frozen.(shard) <- false)
+  | Journal.Adopt shard ->
+      with_sharding t (fun sh ->
+          sh.owned.(shard) <- true;
+          sh.frozen.(shard) <- false)
+  | Journal.Release shard ->
+      with_sharding t (fun sh ->
+          sh.owned.(shard) <- false;
+          sh.frozen.(shard) <- false);
+      (* Its entries leave with the shard; a client whose last entry
+         leaves frees its slot. *)
+      t.dups <-
+        Clients.filter_map
+          (fun _client r ->
+            match List.filter (fun e -> e.shard <> shard) r.entries with
+            | [] -> None
+            | entries -> Some { r with entries })
+          t.dups
+  | Journal.Import { shard; entries } ->
+      (* Merge the carried entries with the target's own table, per
+         client, keeping the [dup_capacity] highest seqs.  Per-client
+         seqs are monotone, so highest = newest: exactly the acks an
+         in-flight retry can still ask about.  Putting imports first
+         unconditionally, as a [Mut] does, could drop the target's
+         freshest entries for its other shards. *)
+      let order = List.sort (fun e1 e2 -> Int.compare e2.seq e1.seq) in
+      List.iter (fun (txn, done_) -> dup_add t ~order ~shard txn done_) entries
+
+(* ------------------------------------------------------------------ *)
+(* Sharding control plane                                              *)
+
+(* A control-plane transition, once its preconditions hold and its own
+   store I/O is done.  An append failure latches degraded: the node can
+   no longer promise its recovered self would agree with its live self. *)
+let commit t r =
+  (match Journal.append t.journal r with
+  | Ok () -> ()
+  | Error _ -> t.degraded <- true);
+  apply t r
+
+let enable_sharding t ~nshards ~version ~owned =
+  if nshards < 1 then invalid_arg "Node_core.enable_sharding: nshards < 1";
+  if List.exists (fun s -> s < 0 || s >= nshards) owned then
+    invalid_arg "Node_core.enable_sharding: shard out of range";
+  commit t (Journal.Enable { nshards; version; owned })
+
+let set_map_version t version =
+  with_sharding t ignore;
+  commit t (Journal.Map_version version)
+
+let freeze t ~shard =
+  check_shard t shard;
+  commit t (Journal.Freeze shard)
+
+let unfreeze t ~shard =
+  check_shard t shard;
+  commit t (Journal.Unfreeze shard)
+
+let adopt t ~shard =
+  check_shard t shard;
+  (* Pre-adopt reconcile: any stored keys of [shard] are stale residue —
+     an aborted inbound copy, or a release sweep that hit a store error
+     after the shard migrated away.  They must be purged before
+     ownership flips, or a key meanwhile deleted at the real owner would
+     be served and listed here again once this node re-owns the shard.
+     A failed purge refuses the adoption: the shard stays un-owned and
+     its residue stays hidden. *)
+  match sweep_shard t ~shard with
+  | Error _ as e -> e
+  | Ok () ->
+      commit t (Journal.Adopt shard);
+      Ok ()
+
+(* Drop ownership of a migrated-away shard: its duplicate-table entries
+   leave the table, then its keys leave the store.  Keys a failed sweep
+   leaves behind stay hidden while the shard is un-owned, and {!adopt}'s
+   pre-own reconcile purges them before this node could ever serve the
+   shard again. *)
+let release t ~shard =
+  check_shard t shard;
+  commit t (Journal.Release shard);
+  sweep_shard t ~shard
+
 let import_dups t ~shard entries =
-  jrecord t
+  commit t
     (Journal.Import
        {
          shard;
          entries = List.map (fun (txn, resp) -> (txn, resp = P.Done)) entries;
-       });
-  List.iter
-    (fun ({ P.client; seq }, resp) ->
-      dup_insert t client
-        (with_entry t client { seq; shard; resp }
-           ~order:(List.sort (fun e1 e2 -> Int.compare e2.seq e1.seq))))
-    entries
-
-(* A client whose last entry leaves leaves the table, and frees its
-   slot. *)
-let prune_dups t ~shard =
-  t.dups <-
-    Clients.filter_map
-      (fun _client r ->
-        match List.filter (fun e -> e.shard <> shard) r.entries with
-        | [] -> None
-        | entries -> Some { r with entries })
-      t.dups
-
-(* Drop ownership of a migrated-away shard: its keys leave the store,
-   its duplicate-table entries leave the table (their exported copies
-   now live with the new owner).  Keys a failed sweep leaves behind stay
-   hidden while the shard is un-owned, and {!adopt}'s pre-own reconcile
-   purges them before this node could ever serve the shard again. *)
-let release t ~shard =
-  with_sharding t (fun sh ->
-      sh.owned.(shard) <- false;
-      sh.frozen.(shard) <- false);
-  jrecord t (Journal.Release shard);
-  prune_dups t ~shard;
-  sweep_shard t ~shard
+       })
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
@@ -404,13 +440,13 @@ let maybe_checkpoint t =
 (* The journaled commit protocol.  Order matters and is the protocol:
 
      decide resp -> append Mut record (COMMIT) -> apply store write
-                 -> dup entry + counters
+                 -> apply the record (dup entry) + counters
 
    A crash before the append loses nothing (the mutation was never
    acknowledged); a crash after it is recovered by replay, which redoes
-   the store write and restores the dup entry together, from one atomic
-   record.  If the apply fails after the append, a [Cancel] record voids
-   the Mut (the client got an error, so a retry must re-evaluate, not be
+   the store write and applies the record, from one atomic record.  If
+   the store write fails after the append, a [Cancel] record voids the
+   Mut (the client got an error, so a retry must re-evaluate, not be
    answered [Done]). *)
 let journaled_commit t txn ~shard key m =
   let j = t.journal in
@@ -423,9 +459,10 @@ let journaled_commit t txn ~shard key m =
         | Ok None -> Ok P.Missing
         | Error e -> Error e)
   in
+  let io_error = function P.Io _ -> true | _ -> false in
   match decided with
   | Error e -> P.Err e (* read failure: nothing appended, nothing applied *)
-  | Ok resp ->
+  | Ok resp -> (
       let record =
         Journal.Mut
           {
@@ -436,32 +473,29 @@ let journaled_commit t txn ~shard key m =
             done_ = (resp = P.Done);
           }
       in
-      let fail e =
-        (match e with P.Io _ -> t.degraded <- true | _ -> ());
-        P.Err e
-      in
       match Journal.append j record with
-      | Error e -> fail e
+      | Error e ->
+          if io_error e then t.degraded <- true;
+          P.Err e
       | Ok () -> (
-          let applied =
+          let written =
             match (m, resp) with
             | M_put stored, _ -> t.store.save key stored
             | M_del, P.Done -> (
                 match t.store.remove key with Ok _ -> Ok () | Error e -> Error e)
             | M_del, _ -> Ok () (* Missing: journal-only, no store effect *)
           in
-          match applied with
+          match written with
           | Ok () ->
               (match resp with P.Done -> t.applied <- t.applied + 1 | _ -> ());
-              dup_record t txn ~shard resp;
+              apply t record;
               maybe_checkpoint t;
               resp
           | Error e ->
-              ignore
-                (Journal.append j
-                   (Journal.Cancel
-                      { degraded = (match e with P.Io _ -> true | _ -> false) }));
-              fail e)
+              let cancel = Journal.Cancel { degraded = io_error e } in
+              ignore (Journal.append j cancel);
+              apply t cancel;
+              P.Err e))
 
 (* The dedup check runs before everything else: a retry of a mutation
    acknowledged just before the node degraded (or froze the shard for
@@ -604,23 +638,21 @@ let no_recovery =
      acknowledged, and a retry must be answered from the table rather
      than re-evaluated against a store that just failed a write.
 
-   Redo needs only the last image of each key.  One backward pass, which
-   stops at the last [Snapshot], marks each key's last [Mut] that no
-   [Cancel] voids; only that [Mut] goes to the store, at its own place in
-   the replay, so an [Adopt] or [Release] sweep after it still removes
-   the key.  Every other record replays in full: each non-cancelled
-   [Mut] restores its dup entry, and sharding, imports, cancels and the
-   degraded latch run as they did live.  A restart thus costs one store
-   load per key rather than a load and a save per record, and recovery
-   never writes a value that is not the key's final one.
+   Every record but a cancelled [Mut] goes through [apply], as it did
+   live; recovery adds only the store I/O.  Redo needs only the last
+   image of each key.  One backward pass, which stops at the last
+   [Snapshot], marks each key's last [Mut] that no [Cancel] voids; only
+   that [Mut] goes to the store, at its own place in the replay, so an
+   [Adopt] or [Release] sweep after it still removes the key.  A restart
+   thus costs one store load per key rather than a load and a save per
+   record, and recovery never writes a value that is not the key's
+   final one.
 
    Replay is idempotent: a redo is skipped when the store already
-   matches the record, so recovering an already-recovered node changes
+   matches the record, so a second recovery of a recovered node changes
    nothing (the cr suite checks this at every crash point, including
    crashes during recovery itself). *)
 let recover t =
-  t.recovering <- true;
-  Fun.protect ~finally:(fun () -> t.recovering <- false) @@ fun () ->
   match Journal.load t.journal with
   | Error _ ->
       t.degraded <- true;
@@ -659,13 +691,6 @@ let recover t =
             t.degraded <- true;
             incr store_failures
       in
-      let record_dup txn ~shard done_ =
-        match txn with
-        | None -> ()
-        | Some _ ->
-            dup_record t txn ~shard (resp_of_done done_);
-            incr dup_entries
-      in
       let redo_put key (value, crc) =
         let desired = { value; crc } in
         match t.store.load key with
@@ -687,72 +712,26 @@ let recover t =
           | Ok None -> incr skipped
           | _ -> wrote (t.store.remove key)
       in
-      (* Clients are stamped in list order, oldest-seen first; a
-         snapshot that lists them by ascending id reads as ids seen in
-         that order. *)
-      let install_snapshot { Journal.s_dups; s_sharding; s_degraded } =
-        t.dups <- Clients.empty;
-        List.iter
-          (fun (client, entries) ->
-            dup_insert t client
-              (List.map
-                 (fun (seq, shard, done_) ->
-                   { seq; shard; resp = resp_of_done done_ })
-                 entries))
-          s_dups;
-        (match s_sharding with
-        | None -> t.sharding <- None
-        | Some (nshards, version, owned, frozen) ->
-            enable_sharding t ~nshards ~version ~owned;
-            List.iter (fun s -> freeze t ~shard:s) frozen);
-        t.degraded <- s_degraded
-      in
-      let replay_ctl = function
-        | Journal.Enable { nshards; version; owned } ->
-            enable_sharding t ~nshards ~version ~owned
-        | Journal.Adopt shard ->
-            (* The live adopt already succeeded (only successes are
-               journaled), so replay must not let a failed reconcile
-               sweep refuse the ownership it is reconstructing. *)
-            with_sharding t (fun sh ->
-                (match sweep_shard t ~shard with
-                | Ok () -> ()
-                | Error _ -> t.degraded <- true);
-                sh.owned.(shard) <- true;
-                sh.frozen.(shard) <- false)
-        | Journal.Release shard -> (
-            match release t ~shard with
-            | Ok () -> ()
-            | Error _ -> t.degraded <- true)
-        | Journal.Freeze shard -> freeze t ~shard
-        | Journal.Unfreeze shard -> unfreeze t ~shard
-        | Journal.Map_version v -> set_map_version t v
-        | Journal.Mut _ | Journal.Cancel _ | Journal.Snapshot _
-        | Journal.Import _ ->
-            ()
-      in
       for i = start to n - 1 do
         match arr.(i) with
-        | Journal.Snapshot s -> install_snapshot s
-        | Journal.Cancel { degraded } ->
-            if degraded then t.degraded <- true
-        | Journal.Mut { txn; shard; key; put; done_ } ->
-            if cancelled i then incr n_cancelled
-            else begin
-              (if not final.(i) then incr skipped
-               else
-                 match put with
-                 | Some stored -> redo_put key stored
-                 | None -> redo_del key ~done_);
-              record_dup txn ~shard done_
-            end
-        | Journal.Import { shard; entries } ->
-            import_dups t ~shard
-              (List.map (fun (txn, done_) -> (txn, resp_of_done done_)) entries)
-        | (Journal.Enable _ | Journal.Adopt _ | Journal.Release _
-          | Journal.Freeze _ | Journal.Unfreeze _ | Journal.Map_version _)
-          as ctl ->
-            replay_ctl ctl
+        | Journal.Mut _ when cancelled i -> incr n_cancelled
+        | r -> (
+            apply t r;
+            match r with
+            | Journal.Mut { txn; key; put; done_; _ } ->
+                (if not final.(i) then incr skipped
+                 else
+                   match put with
+                   | Some stored -> redo_put key stored
+                   | None -> redo_del key ~done_);
+                if txn <> None then incr dup_entries
+            | Journal.Adopt shard | Journal.Release shard -> (
+                (* The transition happened live: a failed sweep latches
+                   degraded instead of refusing it. *)
+                match sweep_shard t ~shard with
+                | Ok () -> ()
+                | Error _ -> t.degraded <- true)
+            | _ -> ())
       done;
       {
         r_records = n;

@@ -70,17 +70,17 @@ val create :
     append failure refuses the mutation and latches degraded), apply the
     store write (a failed write appends a {!Journal.Cancel} and latches
     degraded), then record the dup-table entry; control-plane
-    transitions (sharding, imports) are journaled after they succeed.
-    {!recover} replays the journal on restart.  When the journal exceeds
+    transitions (sharding, imports) are journaled, then applied by the
+    same function recovery replays.  When the journal exceeds
     [journal_checkpoint] bytes (default 32 KiB) after a commit, it is
     atomically collapsed to a {!Journal.Snapshot}.
 
-    [journal] chooses where the records go: netd passes its journal
-    file; the default is a fresh in-memory journal, which lives and dies
-    with the node unless the caller keeps its sink to recover from (as
-    {!Sim_world.restart} does).  The commit order has no alternative:
-    the cr suite seeds its store-before-journal bug by saving through
-    the store before handing the node the request. *)
+    [journal] is where the records go: netd passes its journal file.
+    The default is a fresh in-memory journal, which a caller that keeps
+    its sink can recover from ({!Sim_world.restart} does).  The commit
+    order has no alternative: the cr suite seeds its store-before-journal
+    bug by saving through the store before handing the node the
+    request. *)
 
 val handle : t -> Protocol.req -> Protocol.resp
 (** Total: every request gets a response.  [Shutdown] answers [Done];
@@ -102,17 +102,18 @@ val epoch : t -> int
 
 (** {2 Shard ownership and migration handoff}
 
-    The control-plane surface the migration protocol drives.  All of
-    these raise [Invalid_argument] on an unsharded node (except
-    {!enable_sharding} itself) or an out-of-range shard. *)
+    The control-plane surface the migration protocol drives.  Each
+    transition is journaled, then applied, so {!recover} rebuilds it.
+    {!set_map_version}, {!freeze}, {!unfreeze}, {!adopt} and {!release}
+    raise [Invalid_argument] on an unsharded node or an out-of-range
+    shard, before anything is journaled. *)
 
 val enable_sharding :
   t -> nshards:int -> version:int -> owned:int list -> unit
 (** Join a sharded cluster: serve exactly [owned] of the [nshards]
     hash shards ({!Shard_map.shard_of}), quoting map [version] in
-    [Wrong_shard] refusals.  A restarted node calls this again with the
-    then-current map — ownership is control-plane state, not durable
-    state. *)
+    [Wrong_shard] refusals.  Ownership is durable: a restarted node gets
+    it back from its journal by {!recover}. *)
 
 val shard_state : t -> (int * int list * int list) option
 (** [(map_version, owned shards, frozen shards)], [None] when
@@ -201,11 +202,13 @@ type recovery = {
 val no_recovery : recovery
 
 val recover : t -> recovery
-(** Replay the journal from its last snapshot: rebuild the duplicate
-    table, shard ownership and the degraded latch, and redo any store
-    write a crash cut off after its commit record.  Only each key's last
-    mutation that no [Cancel] voids is redone, at its place in the
-    replay, so a restart costs one store load per key, not per record.
+(** Replay the journal from its last snapshot through the function the
+    live node applied each record with, which rebuilds the duplicate
+    table, shard ownership and the degraded latch; redo any store write
+    a crash cut off after its commit record, and sweep again what an
+    [Adopt] or [Release] swept.  Only each key's last mutation that no
+    [Cancel] voids is redone, at its place in the replay, so a restart
+    costs one store load per key, not per record.
     Total — failure modes degrade instead of refusing to start: an
     unreadable journal, or a redo the backing store rejects, latches
     degraded (read-only) while recovered reads keep being served.

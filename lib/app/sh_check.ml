@@ -144,6 +144,7 @@ type mig_run = {
   rc : KV.recorder;
   mig_ok : bool;
   ballast_ok : bool;
+  restart_ok : bool;  (** A restarted node recovered the map's ownership. *)
   acked_muts : int;  (** Successful workload mutations. *)
   applied : int;  (** Sum over nodes. *)
   keys_moved : int;
@@ -199,11 +200,13 @@ let lin_migration ~tag ~seed ~rates ?(crash = `No) () =
     mig_result := SR.migrate mig_router ~shard ~to_
   in
   let fibers = [ fiber 1; fiber 2; mig_fiber ] in
+  let restart_ok = ref true in
   let fibers =
     match crash with
     | `No -> fibers
     | `Crash_restart (at, down) ->
-        (* The victim is the node the migration does not touch. *)
+        (* The victim is the node the migration does not touch; its
+           journal alone must give it the map's ownership back. *)
         let victim = 3 - from_ - to_ in
         fibers
         @ [
@@ -211,7 +214,12 @@ let lin_migration ~tag ~seed ~rates ?(crash = `No) () =
               Vtime.sleep at;
               World.crash w victim;
               Vtime.sleep down;
-              World.restart w victim ~map:(SR.map c));
+              World.restart w victim;
+              let map = SR.map c in
+              let owned = SM.shards_of_node map ~node:victim in
+              restart_ok :=
+                Node_core.shard_state (core_of env victim)
+                = Some (SM.version map, owned, []));
           ]
   in
   let rounds = run_world env fibers in
@@ -238,6 +246,7 @@ let lin_migration ~tag ~seed ~rates ?(crash = `No) () =
     rc;
     mig_ok = (!mig_result = Ok ());
     ballast_ok;
+    restart_ok = !restart_ok;
     acked_muts;
     applied = total_applied env;
     keys_moved = (SR.migration_stats c).SR.keys_moved;
@@ -935,7 +944,7 @@ let lin_vc ~family ~rates ?crash () =
               lin_migration ~tag:("lin-" ^ family) ~seed ~rates ?crash ()
             in
             m.rc.errors = [] && m.rc.calls <> [] && m.mig_ok && m.ballast_ok
-            && KV.linearizable m.rc)
+            && m.restart_ok && KV.linearizable m.rc)
           [ 1; 2; 3 ]
       in
       Vc.outcome_of_bool ok)

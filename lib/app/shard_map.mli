@@ -34,6 +34,6 @@ val assign : t -> shard:int -> node:int -> t
 
 val shards_of_node : t -> node:int -> int list
 (** The shards currently assigned to [node], ascending — what a node
-    re-learns when it rejoins after a restart. *)
+    is given when it joins, and recovers from its journal. *)
 
 val pp : Format.formatter -> t -> unit

@@ -118,17 +118,11 @@ let crash t i = t.nodes.(i).up <- false
 
 let revive t i = t.nodes.(i).up <- true
 
-let restart ?map t i =
+let restart t i =
   let n = t.nodes.(i) in
   n.node_epoch <- n.node_epoch + 1;
   n.core <- Node_core.create ~epoch:n.node_epoch ~journal:n.journal n.store;
   n.last_recovery <- Node_core.recover n.core;
-  Option.iter
-    (fun map ->
-      Node_core.enable_sharding n.core ~nshards:(Shard_map.nshards map)
-        ~version:(Shard_map.version map)
-        ~owned:(Shard_map.shards_of_node map ~node:i))
-    map;
   n.up <- true
 
 let tick t =

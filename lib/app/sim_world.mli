@@ -78,11 +78,12 @@ val crash : t -> int -> unit
 val revive : t -> int -> unit
 (** Partition heal: serve again with the same core, losing nothing. *)
 
-val restart : ?map:Shard_map.t -> t -> int -> unit
+val restart : t -> int -> unit
 (** A fresh core in the next epoch over the same store and journal, so
     replicas must re-fence and resync.  The core rebuilds its duplicate
-    table, degraded latch and shard ownership by {!Node_core.recover}.  With [map] the node
-    re-learns its shard ownership, which is control-plane state. *)
+    table, degraded latch and shard ownership by {!Node_core.recover}:
+    ownership is journaled like the rest, so the caller restores
+    nothing. *)
 
 val tick : t -> unit
 (** One round: each node that is up serves every request that arrives

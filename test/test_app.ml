@@ -1373,6 +1373,124 @@ let test_recovery_matches_full_replay () =
   check Alcotest.bool "a reference that redoes first Muts is caught" true
     (List.mem First_mut !disagree)
 
+(* A node recovered from the live node's journal, onto a copy of its
+   store, must know what the live node knows: shard state, duplicate
+   table, degraded latch and store, compared after every step of a
+   random history of puts, deletes, retries, checkpoints and every
+   control-plane call.  In half the seeds the first store write in the
+   second half of the history fails, so the node degrades through a
+   [Cancel]; some seeds checkpoint automatically every few hundred
+   journal bytes.  The history has three clients, well under the
+   table's 64. *)
+let test_recovery_matches_live () =
+  let nshards = 4 in
+  let keys = Array.init 8 (Printf.sprintf "k%d") in
+  let failures = ref 0 in
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let int n = Random.State.int rng n in
+      let steps = 60 and step = ref 0 and failed = ref false in
+      let backing = NC.mem_store () in
+      let store =
+        {
+          backing with
+          NC.save =
+            (fun k v ->
+              if seed mod 2 = 0 && !step >= steps / 2 && not !failed then begin
+                failed := true;
+                incr failures;
+                Error (P.Io "injected")
+              end
+              else backing.save k v);
+        }
+      in
+      let sink, _ = J.mem_sink () in
+      let journal_checkpoint = if seed mod 3 = 0 then 300 else max_int in
+      let live =
+        NC.create ~dup_capacity:ref_dup_capacity ~journal:(J.create sink)
+          ~journal_checkpoint store
+      in
+      let observe node store =
+        ( NC.shard_state node,
+          NC.dump_dups node,
+          NC.degraded node,
+          NC.mem_contents store )
+      in
+      let seqs = Array.make 3 0 in
+      let txn () =
+        let c = int 3 in
+        if int 4 = 0 then None
+        else if int 4 = 0 && seqs.(c) > 0 then
+          Some { P.client = c + 1; seq = seqs.(c) - int (min seqs.(c) 3) }
+        else begin
+          seqs.(c) <- seqs.(c) + 1;
+          Some { P.client = c + 1; seq = seqs.(c) }
+        end
+      in
+      while !step < steps do
+        let key = keys.(int (Array.length keys)) in
+        let shard = int nshards in
+        let sharded = NC.shard_state live <> None in
+        let name =
+          match int 18 with
+          | 0 | 1 | 2 | 3 | 4 ->
+              let v = Printf.sprintf "v%d" (int 5) in
+              ignore
+                (NC.handle live
+                   (P.Put { key; value = v; crc = P.crc32 v; txn = txn () }));
+              "put"
+          | 5 | 6 | 7 ->
+              ignore (NC.handle live (P.Delete { key; txn = txn () }));
+              "delete"
+          | 8 ->
+              ok (NC.checkpoint live);
+              "checkpoint"
+          | 9 ->
+              let c = int 3 in
+              seqs.(c) <- seqs.(c) + 1;
+              NC.import_dups live ~shard
+                [
+                  ( { P.client = c + 1; seq = seqs.(c) },
+                    if int 2 = 0 then P.Done else P.Missing );
+                ];
+              "import_dups"
+          | _ when not sharded || int 8 = 0 ->
+              NC.enable_sharding live ~nshards ~version:(int 5)
+                ~owned:(List.filter (fun _ -> int 2 = 0) [ 0; 1; 2; 3 ]);
+              "enable_sharding"
+          | 10 | 11 ->
+              NC.freeze live ~shard;
+              "freeze"
+          | 12 ->
+              NC.unfreeze live ~shard;
+              "unfreeze"
+          | 13 | 14 ->
+              ok (NC.adopt live ~shard);
+              "adopt"
+          | 15 | 16 ->
+              ok (NC.release live ~shard);
+              "release"
+          | _ ->
+              NC.set_map_version live (int 9);
+              "set_map_version"
+        in
+        let copy = store_of (stored_pairs backing) in
+        let recovered =
+          NC.create ~dup_capacity:ref_dup_capacity ~journal:(J.create sink) copy
+        in
+        ignore (NC.recover recovered : NC.recovery);
+        if observe recovered copy <> observe live backing then
+          Alcotest.failf "seed %d, step %d (%s): the recovered node differs"
+            seed !step name;
+        incr step
+      done;
+      check Alcotest.bool
+        (Printf.sprintf "seed %d degrades iff a write failed" seed)
+        !failed (NC.degraded live))
+    [ 1; 2; 3; 4; 5; 6 ];
+  check Alcotest.bool "some seed degraded" true (!failures > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Shard migration *)
 
@@ -1427,6 +1545,37 @@ let test_migration_bumps_version_once () =
             (List.mem shard owned);
           check (Alcotest.list Alcotest.int) "nothing frozen" [] frozen)
     w.World.nodes
+
+(* A control-plane call the node refuses raises before anything is
+   journaled: on an unsharded node, and for a shard out of range. *)
+let test_refused_transitions_journal_nothing () =
+  let j = J.create (fst (J.mem_sink ())) in
+  let n = NC.create ~journal:j (NC.mem_store ()) in
+  let calls shard =
+    [
+      ("freeze", fun () -> NC.freeze n ~shard);
+      ("unfreeze", fun () -> NC.unfreeze n ~shard);
+      ("adopt", fun () -> ignore (NC.adopt n ~shard));
+      ("release", fun () -> ignore (NC.release n ~shard));
+    ]
+  in
+  let refused what (name, call) =
+    let size = J.size j in
+    (match call () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s %s: not refused" what name);
+    check Alcotest.int (Printf.sprintf "%s %s: nothing journaled" what name)
+      size (J.size j)
+  in
+  List.iter (refused "unsharded")
+    (("set_map_version", fun () -> NC.set_map_version n 2) :: calls 0);
+  NC.enable_sharding n ~nshards:4 ~version:1 ~owned:[ 0 ];
+  List.iter
+    (fun shard ->
+      List.iter (refused (Printf.sprintf "shard %d" shard)) (calls shard))
+    [ -1; 4 ];
+  check Alcotest.bool "ownership unchanged" true
+    (NC.shard_state n = Some (1, [ 0 ], []))
 
 (* ------------------------------------------------------------------ *)
 (* Bounded fair admission queue *)
@@ -1848,11 +1997,15 @@ let () =
             test_recovery_matches_full_replay;
           Alcotest.test_case "a checkpoint keeps the eviction order" `Quick
             test_recovery_keeps_eviction_order;
+          Alcotest.test_case "a recovered node knows what the live one knew"
+            `Quick test_recovery_matches_live;
         ] );
       ( "shard",
         [
           Alcotest.test_case "one migration bumps the version once" `Quick
             test_migration_bumps_version_once;
+          Alcotest.test_case "a refused transition journals nothing" `Quick
+            test_refused_transitions_journal_nothing;
         ] );
       ( "admission",
         [
