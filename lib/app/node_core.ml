@@ -12,15 +12,9 @@ type store = {
 
 let max_clients = 64
 
-module Clients = Map.Make (Int)
-
 (* One remembered mutation: its txn's seq, the shard of the key it
    mutated, and its response ([Done] or [Missing]). *)
 type entry = { seq : int; shard : int; resp : P.resp }
-
-(* One client's row: its entries, newest first, and the stamp of the
-   last time the node saw it (the eviction order). *)
-type row = { entries : entry list; seen : int }
 
 (* Shard ownership, when the node is part of a sharded cluster.  [owned]
    is what this node serves; [frozen] marks shards mid-migration on the
@@ -40,12 +34,12 @@ type t = {
       (* request/response buffer pool for the byte-level entry point *)
   dup_capacity : int;
   epoch : int;
-  (* client -> its row: each entry remembers the shard of the key it
+  (* (client, its entries newest first), the client journaled most
+     recently first: each entry remembers the shard of the key it
      mutated, so a migration can carry exactly the entries that move
-     with the shard.  An immutable map: a node tracks few clients, and
+     with the shard.  An immutable list: a node tracks few clients, and
      {!retire} keeps the table without copying it. *)
-  mutable dups : row Clients.t;
-  mutable stamp : int; (* the last [seen] stamp handed out *)
+  mutable dups : (int * entry list) list;
   mutable sharding : sharding option;
   mutable degraded : bool;
   mutable shutdown : bool;
@@ -68,8 +62,7 @@ let create ?pool ?(dup_capacity = 8) ?(epoch = 0)
     pool;
     dup_capacity;
     epoch;
-    dups = Clients.empty;
-    stamp = 0;
+    dups = [];
     sharding = None;
     degraded = false;
     shutdown = false;
@@ -182,58 +175,35 @@ let route t key ~mutation =
 (* ------------------------------------------------------------------ *)
 (* Bounded per-client duplicate table                                  *)
 
-(* The table's one insert: [client]'s row gets [entries] and a fresh
-   stamp.  A client new to a full table first evicts the one seen
-   longest ago, so the table holds the [max_clients] most recently seen
-   clients. *)
-let dup_insert t client entries =
-  let dups =
-    if Clients.mem client t.dups || Clients.cardinal t.dups < max_clients then
-      t.dups
-    else
-      let oldest, _ =
-        Clients.fold
-          (fun c r ((_, seen) as acc) -> if r.seen < seen then (c, r.seen) else acc)
-          t.dups (client, max_int)
-      in
-      Clients.remove oldest t.dups
-  in
-  t.stamp <- t.stamp + 1;
-  t.dups <- Clients.add client { entries; seen = t.stamp } dups
+let client_entries t client =
+  Option.value (List.assoc_opt client t.dups) ~default:[]
 
-(* A lookup that finds its client refreshes the client's stamp, even
-   when the seq is not among its entries. *)
+(* The table's one insert, reached only from {!apply}: [client] moves to
+   the front with [entries], and a full table drops its last client, so
+   the table holds the [max_clients] clients journaled most recently. *)
+let dup_insert t client entries =
+  t.dups <-
+    (client, entries) :: List.remove_assoc client t.dups
+    |> List.filteri (fun i _ -> i < max_clients)
+
+(* A pure read: a hit answers the retry and changes nothing, since it
+   journals nothing that a recovered node could replay. *)
 let dup_lookup t = function
   | None -> None
-  | Some { P.client; seq } -> (
-      match Clients.find_opt client t.dups with
-      | None -> None
-      | Some { entries; _ } ->
-          dup_insert t client entries;
-          Option.map
-            (fun e -> e.resp)
-            (List.find_opt (fun e -> e.seq = seq) entries))
+  | Some { P.client; seq } ->
+      List.find_opt (fun e -> e.seq = seq) (client_entries t client)
+      |> Option.map (fun e -> e.resp)
 
 let resp_of_done done_ = if done_ then P.Done else P.Missing
 
-(* [txn]'s entry added to its client's row (replacing any entry of the
-   same seq), the row put in [order] and cut to [dup_capacity]. *)
+(* [txn]'s entry added to its client's entries (replacing any entry of
+   the same seq), those put in [order] and cut to [dup_capacity]. *)
 let dup_add t ~order ~shard { P.client; seq } done_ =
-  let entries =
-    match Clients.find_opt client t.dups with Some r -> r.entries | None -> []
-  in
   dup_insert t client
     ({ seq; shard; resp = resp_of_done done_ }
-     :: List.filter (fun e -> e.seq <> seq) entries
+     :: List.filter (fun e -> e.seq <> seq) (client_entries t client)
     |> order
     |> List.filteri (fun i _ -> i < t.dup_capacity))
-
-(* The table's one reading: clients oldest-seen first, each with its
-   entries newest first — the order a checkpoint keeps, so a recovered
-   node evicts as its live self would have. *)
-let rows_by_age t =
-  Clients.bindings t.dups
-  |> List.sort (fun (_, r1) (_, r2) -> Int.compare r1.seen r2.seen)
 
 (* Deterministic order for anything that leaves the table by txn: a
    client's entries are newest first, so every export is sorted by
@@ -243,11 +213,11 @@ let compare_txn { P.client = c1; seq = s1 } { P.client = c2; seq = s2 } =
   match Int.compare c1 c2 with 0 -> Int.compare s1 s2 | c -> c
 
 let sorted_entries t f =
-  rows_by_age t
-  |> List.concat_map (fun (client, r) ->
+  t.dups
+  |> List.concat_map (fun (client, entries) ->
          List.filter_map
            (fun e -> Option.map (fun x -> ({ P.client; seq = e.seq }, x)) (f e))
-           r.entries)
+           entries)
   |> List.sort (fun (t1, _) (t2, _) -> compare_txn t1 t2)
 
 let export_dups t ~shard =
@@ -258,12 +228,14 @@ let export_dups t ~shard =
    restart. *)
 let dump_dups t = sorted_entries t (fun e -> Some (e.shard, e.resp))
 
-(* The whole table in journal form. *)
+(* The whole table in journal form: clients journaled longest ago
+   first, each with its entries newest first — the order a checkpoint
+   keeps, so a recovered node evicts as its live self would have. *)
 let snapshot_dups t =
-  List.map
-    (fun (client, r) ->
-      (client, List.map (fun e -> (e.seq, e.shard, e.resp = P.Done)) r.entries))
-    (rows_by_age t)
+  List.rev_map
+    (fun (client, entries) ->
+      (client, List.map (fun e -> (e.seq, e.shard, e.resp = P.Done)) entries))
+    t.dups
 
 (* ------------------------------------------------------------------ *)
 (* What a journal record means                                         *)
@@ -286,10 +258,10 @@ let apply t = function
       Option.iter (fun txn -> dup_add t ~order:Fun.id ~shard txn done_) txn
   | Journal.Cancel { degraded } -> if degraded then t.degraded <- true
   | Journal.Snapshot { s_dups; s_sharding; s_degraded } ->
-      (* Clients are stamped in list order, oldest-seen first; a
-         snapshot that lists them by ascending id reads as ids seen in
-         that order. *)
-      t.dups <- Clients.empty;
+      (* Clients are inserted in list order, journaled longest ago
+         first; a snapshot that lists them by ascending id reads as ids
+         journaled in that order. *)
+      t.dups <- [];
       List.iter
         (fun (client, entries) ->
           dup_insert t client
@@ -323,11 +295,11 @@ let apply t = function
       (* Its entries leave with the shard; a client whose last entry
          leaves frees its slot. *)
       t.dups <-
-        Clients.filter_map
-          (fun _client r ->
-            match List.filter (fun e -> e.shard <> shard) r.entries with
+        List.filter_map
+          (fun (client, entries) ->
+            match List.filter (fun e -> e.shard <> shard) entries with
             | [] -> None
-            | entries -> Some { r with entries })
+            | entries -> Some (client, entries))
           t.dups
   | Journal.Import { shard; entries } ->
       (* Merge the carried entries with the target's own table, per

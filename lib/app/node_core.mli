@@ -14,7 +14,11 @@
     remembers the response of each recent transaction id.  A retried
     [Put]/[Delete] carrying a [txn] already in the table is answered from
     the table and never re-applied — the rely-guarantee a client retry
-    loop needs across its retry boundary.  Only side-effecting outcomes
+    loop needs across its retry boundary.  This holds for the 64 clients
+    whose newest journaled request is most recent; an older client's
+    retry may re-apply.  The table is written only by applying journal
+    records (a hit writes nothing), so a node recovered from its journal
+    keeps the same clients as its live self.  Only side-effecting outcomes
     ([Done]/[Missing]) are recorded: a failed mutation was never applied,
     so its retry must be re-evaluated, not answered with a cached error.
     Each entry is tagged with the shard of the key it mutated, so a
@@ -58,10 +62,12 @@ val create :
   store ->
   t
 (** [dup_capacity] bounds the entries kept per client (default 8).  The
-    table tracks the 64 most recently seen clients (a constant): a client
-    new to a full table evicts the one seen longest ago, a client whose
-    last entry a {!release} prunes frees its slot, and a checkpoint keeps
-    the order, so a recovered node evicts as its live self would.
+    table tracks the 64 clients whose newest journaled request is most
+    recent (a constant): a client new to a full table evicts the one
+    whose newest journaled request is oldest, a retry answered from the
+    table moves nothing, a client whose last entry a {!release} prunes
+    frees its slot, and a checkpoint keeps the order, so a recovered
+    node evicts as its live self would.
     [pool] backs {!handle_frame}'s request/response scratch buffers
     (shared across cores is fine — the worlds are single-domain).
 

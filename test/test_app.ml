@@ -671,7 +671,7 @@ let test_dup_table_capacity_boundary () =
   check Alcotest.int "evicted seq 1 re-applies" 10 (NC.applied n)
 
 (* The table tracks at most 64 distinct clients; the 65th evicts the
-   least recently seen one. *)
+   one whose last journaled request is oldest. *)
 let test_dup_table_client_lru () =
   let n = NC.create (NC.mem_store ()) in
   for client = 1 to 64 do
@@ -685,23 +685,27 @@ let test_dup_table_client_lru () =
   ignore (NC.handle n (put_txn_req ~client:1 ~seq:1 "c1" "v"));
   check Alcotest.int "oldest client 1 was evicted: re-applied" 66 (NC.applied n)
 
-(* A duplicate-table lookup refreshes the client's recency: a client
-   whose retry just hit the table survives the 65th client's arrival;
-   an untouched one is the eviction victim instead. *)
-let test_dup_lookup_touch_ordering () =
-  let n = NC.create (NC.mem_store ()) in
+(* A duplicate-table hit journals nothing, so it writes nothing either:
+   client 1's retry leaves the journal as it was and does not move
+   client 1 in the eviction order, which a recovered node could not
+   replay.  The 65th client evicts client 1, the one journaled longest
+   ago, so client 2's retry hits and client 1's re-applies. *)
+let test_dup_hit_writes_nothing () =
+  let j = J.create (fst (J.mem_sink ())) in
+  let n = NC.create ~journal:j (NC.mem_store ()) in
   for client = 1 to 64 do
     ignore
       (NC.handle n (put_txn_req ~client ~seq:1 (Printf.sprintf "c%d" client) "v"))
   done;
+  let size = J.size j in
   ignore (NC.handle n (put_txn_req ~client:1 ~seq:1 "c1" "v"));
   check Alcotest.int "retry hits" 1 (NC.dup_hits n);
+  check Alcotest.int "the hit journals nothing" size (J.size j);
   ignore (NC.handle n (put_txn_req ~client:65 ~seq:1 "c65" "v"));
-  ignore (NC.handle n (put_txn_req ~client:1 ~seq:1 "c1" "v"));
-  check Alcotest.int "touched client 1 survives" 2 (NC.dup_hits n);
   ignore (NC.handle n (put_txn_req ~client:2 ~seq:1 "c2" "v"));
-  check Alcotest.int "untouched client 2 was the victim: re-applied" 66
-    (NC.applied n)
+  check Alcotest.int "client 2's retry hits" 2 (NC.dup_hits n);
+  ignore (NC.handle n (put_txn_req ~client:1 ~seq:1 "c1" "v"));
+  check Alcotest.int "client 1 was the victim: re-applied" 66 (NC.applied n)
 
 (* A released shard's clients leave the table and free their slots:
    clients 1..63 write shard 0, client 64 only shard 1.  Once shard 1 is
@@ -1220,11 +1224,11 @@ let stored_pairs (s : NC.store) =
     (fun k -> Option.map (fun v -> (k, v)) (ok (s.load k)))
     (ok (s.keys ()))
 
-(* A checkpoint keeps the order clients were last seen in: 64 clients
-   seen 64 down to 1, then a checkpoint.  On the live node and on one
-   recovered from the same journal and store, client 65 evicts client
-   64, the one seen longest ago, and client 1's retry is answered from
-   the table. *)
+(* A checkpoint keeps the order clients were last journaled in: 64
+   clients put from 64 down to 1, then a checkpoint.  On the live node
+   and on one recovered from the same journal and store, client 65
+   evicts client 64, the one journaled longest ago, and client 1's
+   retry is answered from the table. *)
 let test_recovery_keeps_eviction_order () =
   let sink, _ = J.mem_sink () in
   let store = NC.mem_store () in
@@ -1380,8 +1384,14 @@ let test_recovery_matches_full_replay () =
    control-plane call.  In half the seeds the first store write in the
    second half of the history fails, so the node degrades through a
    [Cancel]; some seeds checkpoint automatically every few hundred
-   journal bytes.  The history has three clients, well under the
-   table's 64. *)
+   journal bytes.  Seeds 1-6 have three clients, well under the table's
+   64; seeds 7-18 have 65 to 80, which each put once first, then only
+   put, delete, retry, checkpoint and import, so the table stays full
+   and evicts, and a retry's hit must not move its client.  Each seed
+   ends with a probe on both nodes: a put from a fresh client, then a
+   retry of every client's newest acked request, which must get the
+   same answers and apply as many writes ([dump_dups] is sorted by txn,
+   so it does not show the eviction order). *)
 let test_recovery_matches_live () =
   let nshards = 4 in
   let keys = Array.init 8 (Printf.sprintf "k%d") in
@@ -1390,14 +1400,22 @@ let test_recovery_matches_live () =
     (fun seed ->
       let rng = Random.State.make [| seed |] in
       let int n = Random.State.int rng n in
-      let steps = 60 and step = ref 0 and failed = ref false in
+      let many = seed > 6 in
+      let clients = if many then 65 + ((seed - 7) mod 6 * 3) else 3 in
+      let steps = if many then 240 else 60 in
+      let step = ref 0 and failed = ref false in
       let backing = NC.mem_store () in
       let store =
         {
           backing with
           NC.save =
             (fun k v ->
-              if seed mod 2 = 0 && !step >= steps / 2 && not !failed then begin
+              if
+                seed mod 2 = 0
+                && !step >= steps / 2
+                && !step < steps
+                && not !failed
+              then begin
                 failed := true;
                 incr failures;
                 Error (P.Io "injected")
@@ -1411,43 +1429,73 @@ let test_recovery_matches_live () =
         NC.create ~dup_capacity:ref_dup_capacity ~journal:(J.create sink)
           ~journal_checkpoint store
       in
+      let recover () =
+        let copy = store_of (stored_pairs backing) in
+        let node =
+          NC.create ~dup_capacity:ref_dup_capacity ~journal:(J.create sink) copy
+        in
+        ignore (NC.recover node : NC.recovery);
+        (node, copy)
+      in
       let observe node store =
         ( NC.shard_state node,
           NC.dump_dups node,
           NC.degraded node,
           NC.mem_contents store )
       in
-      let seqs = Array.make 3 0 in
+      let seqs = Array.make clients 0 in
+      (* Each client's newest acked request, to retry in the probe. *)
+      let acked = Array.make clients None in
       let txn () =
-        let c = int 3 in
+        let c = int clients in
         if int 4 = 0 then None
-        else if int 4 = 0 && seqs.(c) > 0 then
+        else if int (if many then 2 else 4) = 0 && seqs.(c) > 0 then
           Some { P.client = c + 1; seq = seqs.(c) - int (min seqs.(c) 3) }
         else begin
           seqs.(c) <- seqs.(c) + 1;
           Some { P.client = c + 1; seq = seqs.(c) }
         end
       in
+      let mutate req txn =
+        match (NC.handle live req, txn) with
+        | (P.Done | P.Missing), Some { P.client; seq } -> (
+            match acked.(client - 1) with
+            | Some (newest, _) when newest > seq -> ()
+            | _ -> acked.(client - 1) <- Some (seq, req))
+        | _ -> ()
+      in
+      if many then
+        for c = 1 to clients do
+          seqs.(c - 1) <- 1;
+          mutate
+            (put_txn_req ~client:c ~seq:1 keys.(c mod Array.length keys) "v")
+            (Some { P.client = c; seq = 1 })
+        done;
       while !step < steps do
         let key = keys.(int (Array.length keys)) in
         let shard = int nshards in
         let sharded = NC.shard_state live <> None in
         let name =
-          match int 18 with
+          (* With many clients, one step in 30 checkpoints and one
+             imports; the rest put or delete. *)
+          match
+            if many then match int 30 with 0 -> 8 | 1 -> 9 | k -> k mod 8
+            else int 18
+          with
           | 0 | 1 | 2 | 3 | 4 ->
               let v = Printf.sprintf "v%d" (int 5) in
-              ignore
-                (NC.handle live
-                   (P.Put { key; value = v; crc = P.crc32 v; txn = txn () }));
+              let txn = txn () in
+              mutate (P.Put { key; value = v; crc = P.crc32 v; txn }) txn;
               "put"
           | 5 | 6 | 7 ->
-              ignore (NC.handle live (P.Delete { key; txn = txn () }));
+              let txn = txn () in
+              mutate (P.Delete { key; txn }) txn;
               "delete"
           | 8 ->
               ok (NC.checkpoint live);
               "checkpoint"
           | 9 ->
-              let c = int 3 in
+              let c = int clients in
               seqs.(c) <- seqs.(c) + 1;
               NC.import_dups live ~shard
                 [
@@ -1475,11 +1523,7 @@ let test_recovery_matches_live () =
               NC.set_map_version live (int 9);
               "set_map_version"
         in
-        let copy = store_of (stored_pairs backing) in
-        let recovered =
-          NC.create ~dup_capacity:ref_dup_capacity ~journal:(J.create sink) copy
-        in
-        ignore (NC.recover recovered : NC.recovery);
+        let recovered, copy = recover () in
         if observe recovered copy <> observe live backing then
           Alcotest.failf "seed %d, step %d (%s): the recovered node differs"
             seed !step name;
@@ -1487,8 +1531,21 @@ let test_recovery_matches_live () =
       done;
       check Alcotest.bool
         (Printf.sprintf "seed %d degrades iff a write failed" seed)
-        !failed (NC.degraded live))
-    [ 1; 2; 3; 4; 5; 6 ];
+        !failed (NC.degraded live);
+      let probe node =
+        let applied = NC.applied node in
+        let fresh = put_txn_req ~client:(clients + 1) ~seq:1 "k0" "fresh" in
+        let answers =
+          List.map (NC.handle node)
+            (fresh :: List.filter_map (Option.map snd) (Array.to_list acked))
+        in
+        (answers, NC.applied node - applied)
+      in
+      let recovered, _ = recover () in
+      if probe recovered <> probe live then
+        Alcotest.failf "seed %d: the recovered node answers the probe otherwise"
+          seed)
+    (List.init 18 succ);
   check Alcotest.bool "some seed degraded" true (!failures > 0)
 
 (* ------------------------------------------------------------------ *)
@@ -1910,6 +1967,56 @@ let test_netd_identical_lives_share_a_record () =
     (List.filteri (fun i _ -> i < cycles) runs)
     died
 
+(* The script of "a dup hit writes nothing" through netd, run in one
+   life and again with a SIGKILL after client 1's retry: clients 1-64
+   put once and client 1 retries; then client 65 puts and clients 2 and
+   1 retry.  Clients 1 and 2 both put key "shared", so the value it
+   ends with shows whose acked put re-applied.  A hit journals nothing,
+   so the netd recovered from its journal evicts client 1, as its live
+   self would have: both runs answer alike and apply 66 writes in all. *)
+let test_netd_dup_table_across_a_kill () =
+  let module Netd = Bi_netd.Netd in
+  let run ~cycles =
+    let answers = ref [] in
+    let answer r =
+      answers :=
+        (match r with
+        | Ok s -> s
+        | Error e -> Format.asprintf "%a" RC.pp_error e)
+        :: !answers
+    in
+    let put c client =
+      let key = if client <= 2 then "shared" else Printf.sprintf "c%d" client in
+      RC.put_txn c ~txn:{ P.client; seq = 1 } ~key ~value:(string_of_int client)
+      |> Result.map (fun () -> "ok")
+      |> answer
+    in
+    let _, netd, _ =
+      netd_lives ~cycles ~observe:ignore (fun c epoch ->
+          if epoch = 0 then begin
+            for client = 1 to 64 do
+              put c client
+            done;
+            put c 1
+          end;
+          if epoch = cycles then begin
+            List.iter (put c) [ 65; 2; 1 ];
+            answer
+              (Result.map (Option.value ~default:"none")
+                 (RC.get c ~key:"shared"))
+          end)
+    in
+    ( List.rev !answers,
+      List.fold_left
+        (fun n (r : Netd.run) -> n + NC.applied r.run_core)
+        0 (Netd.runs netd) )
+  in
+  let one_life, applied = run ~cycles:0 in
+  let killed, applied_killed = run ~cycles:1 in
+  check Alcotest.(list string) "answers" one_life killed;
+  check Alcotest.int "applied in one life" 66 applied;
+  check Alcotest.int "applied across the kill" applied applied_killed
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1960,8 +2067,8 @@ let () =
             test_dup_table_capacity_boundary;
           Alcotest.test_case "dup-table client LRU" `Quick
             test_dup_table_client_lru;
-          Alcotest.test_case "dup-lookup touch ordering" `Quick
-            test_dup_lookup_touch_ordering;
+          Alcotest.test_case "a dup hit writes nothing" `Quick
+            test_dup_hit_writes_nothing;
           Alcotest.test_case "a release frees dup-table slots" `Quick
             test_release_frees_dup_slot;
           Alcotest.test_case "clamped backoff stops at deadline" `Quick
@@ -2031,5 +2138,7 @@ let () =
             test_netd_retires_dead_runs;
           Alcotest.test_case "identical lives share one record" `Quick
             test_netd_identical_lives_share_a_record;
+          Alcotest.test_case "the dup table survives a kill" `Quick
+            test_netd_dup_table_across_a_kill;
         ] );
     ]
